@@ -16,7 +16,6 @@ from .algebra import (
     RadicalCertificate,
     invariant_subspace,
     isotypic_decomposition,
-    radical_oracle,
     radical_trace,
     spin_algebra,
 )
@@ -34,7 +33,6 @@ from .engine import (
     levi_reduction,
     restrict_point,
     stabilizer_lie_dim,
-    stabilizer_lie_dim_commutant,
 )
 from .stokes import (
     Circle,

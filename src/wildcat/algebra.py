@@ -24,10 +24,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
-from .linalg import Matrix, Subspace, kernel, linear_solve
+from .linalg import Matrix, Subspace, _EchelonSet, kernel, linear_solve, sandwich_rows
 from .scalars import Scalar
 
 
@@ -44,74 +43,9 @@ class MeatAxeInconclusive(Exception):
     """
 
 
-class _EchelonSet:
-    """Incremental reduced row echelon basis with exact membership."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows = []          # echelon rows, pivot order
-        self.pivots = []        # pivot column per row
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            f = vec[piv]
-            if f:
-                for j in range(piv, self.width):
-                    if row[j]:
-                        vec[j] = vec[j] - f * row[j]
-        return vec
-
-    def reduce_with_coords(self, vec):
-        vec = list(vec)
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            f = vec[piv]
-            coords.append(f)
-            if f:
-                for j in range(piv, self.width):
-                    if row[j]:
-                        vec[j] = vec[j] - f * row[j]
-        return vec, coords
-
-    def add(self, vec) -> bool:
-        """Insert vec into the span; True if it was independent."""
-        res = self._reduce(vec)
-        piv = next((j for j, x in enumerate(res) if x), None)
-        if piv is None:
-            return False
-        inv = res[piv].inverse()
-        res = [x * inv for x in res]
-        for row in self.rows:
-            f = row[piv]
-            if f:
-                for j in range(self.width):
-                    if res[j]:
-                        row[j] = row[j] - f * res[j]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.rows))
-        self.rows.insert(at, res)
-        self.pivots.insert(at, piv)
-        return True
-
-    def contains(self, vec) -> bool:
-        return all(not x for x in self._reduce(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def _common_conductor(mats) -> int:
-    m = 1
-    for mat in mats:
-        m = lcm(m, mat._conductor())
-    return m
-
-
-def _promote_matrix(mat: Matrix, m: int) -> Matrix:
-    if mat._conductor() == m:
-        return mat
-    return Matrix(mat.rows, mat.cols, tuple(x.promote(m) for x in mat.entries))
+def _field_of(generators) -> int:
+    """Conductor of the generators' one field (Q for no generators)."""
+    return generators[0]._conductor() if generators else 1
 
 
 @dataclass
@@ -127,17 +61,13 @@ class MatrixAlgebra:
         return len(self.basis)
 
     def _echelon(self) -> _EchelonSet:
-        ech = _EchelonSet(self.ambient_n ** 2)
-        for b in self.basis:
-            ech.add(list(b.flatten()))
-        return ech
+        return _EchelonSet(self.ambient_n ** 2, [b.flatten() for b in self.basis])
 
     def contains(self, mat: Matrix) -> bool:
-        return self._echelon().contains(list(_promote_matrix(mat, self.conductor).flatten()))
+        return self._echelon().contains(mat.flatten())
 
     def coordinates(self, mat: Matrix):
-        res, coords = self._echelon().reduce_with_coords(
-            list(_promote_matrix(mat, self.conductor).flatten()))
+        res, coords = self._echelon().reduce(mat.flatten())
         if any(res):
             return None
         return tuple(coords)
@@ -159,8 +89,8 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
     for g in generators:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square of one common size")
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
+    gens = list(generators)
     ech = _EchelonSet(n * n)
     frontier = []
     for w in [Matrix.identity(n, m)] + gens:
@@ -254,7 +184,7 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
     for i in range(d):
         row = []
         for j in range(d):
-            res, coords = ech.reduce_with_coords(list((alg.basis[i] @ alg.basis[j]).flatten()))
+            res, coords = ech.reduce((alg.basis[i] @ alg.basis[j]).flatten())
             if any(res):
                 raise AssertionError("algebra is not multiplicatively closed")
             row.append(coords)
@@ -299,8 +229,7 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
 
 def spin_subspace(generators, vectors, n: int) -> Subspace:
     """Submodule of K^n generated by the given vectors."""
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
     ech = _EchelonSet(n)
     frontier = []
     for v in vectors:
@@ -310,7 +239,7 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
     while frontier:
         nxt = []
         for v in frontier:
-            for g in gens:
+            for g in generators:
                 w = g.mul_vector(v)
                 if ech.add(list(w)):
                     nxt.append(w)
@@ -320,19 +249,10 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
 
 def commutant(generators, n: int):
     """Echelon basis of {x : x g = g x for all generators g}."""
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
     rows = []
-    zero = Scalar.zero(m)
-    for g in gens:
-        for r in range(n):
-            for c in range(n):
-                row = [zero] * (n * n)
-                # (x g - g x)[r, c] = sum_k x[r,k] g[k,c] - g[r,k] x[k,c]
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
-                    row[k * n + c] = row[k * n + c] - g[r, k]
-                rows.append(row)
+    for g in generators:
+        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
     if not rows:
         return [Matrix.identity(n, m)]
     ker = kernel(Matrix.build(rows, m))
@@ -352,7 +272,7 @@ def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
     """Interpret a subspace of coordinates on ``outer`` inside the ambient space."""
     rows = []
     for coords in inner.basis:
-        vec = [Scalar.zero()] * outer.ambient_dim
+        vec = [Scalar.zero(coords[0].m)] * outer.ambient_dim
         for c, base in zip(coords, outer.basis):
             if c:
                 vec = [x + c * y for x, y in zip(vec, base)]
@@ -363,53 +283,32 @@ def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
 def invariant_complement(generators, sub: Subspace) -> Subspace:
     """A complementary submodule (exists whenever the module is semisimple)."""
     n = sub.ambient_dim
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
     d = sub.dim
     # complete the echelon basis of sub to a basis of the ambient space
-    full = _EchelonSet(n)
-    for row in sub.basis:
-        full.add(list(row))
+    full = _EchelonSet(n, sub.basis)
     extra = []
     for j in range(n):
         e = [Scalar.zero(m)] * n
         e[j] = Scalar.one(m)
         if full.add(e):
             extra.append(tuple(e))
-    f = Matrix.from_rows([tuple(r) for r in sub.basis] + extra)
+    f = Matrix.from_rows(list(sub.basis) + extra)
     g_test = f.transpose().inverse()
-    # constraint rows on the projection e (n^2 unknowns):
-    rows, rhs = [], []
-    zero = Scalar.zero(m)
-    # columns of e lie in sub: bottom coordinates vanish
-    for i in range(d, n):
-        gi = g_test.row(i)
-        for c in range(n):
-            row = [zero] * (n * n)
-            for k in range(n):
-                row[k * n + c] = gi[k]
-            rows.append(row)
-            rhs.append([zero])
-    # e fixes sub pointwise
-    one = Scalar.one(m)
-    for u in sub.basis:
-        for r in range(n):
-            row = [zero] * (n * n)
-            for k in range(n):
-                row[r * n + k] = u[k]
-            rows.append(row)
-            rhs.append([u[r]])
+    # conditions on the projection e (n^2 unknowns), each a family L.e.R = rhs:
+    # columns of e lie in sub (bottom coordinates vanish), e fixes sub pointwise,
     # e commutes with every generator
-    for g in gens:
-        for r in range(n):
-            for c in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
-                    row[k * n + c] = row[k * n + c] - g[r, k]
-                rows.append(row)
-                rhs.append([zero])
-    sol, _ = linear_solve(Matrix.build(rows, m), Matrix.build(rhs, m))
+    bottom = Matrix.from_rows([g_test.row(i) for i in range(d, n)])
+    fixed = Matrix.from_cols(sub.basis)
+    rows = sandwich_rows([(bottom, None, False)], n, n, m)
+    rhs = [Scalar.zero(m)] * len(rows)
+    rows += sandwich_rows([(None, fixed, False)], n, n, m)
+    rhs += fixed.entries
+    for g in generators:
+        commuting = sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
+        rows += commuting
+        rhs += [Scalar.zero(m)] * len(commuting)
+    sol, _ = linear_solve(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
     if sol is None:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
     proj = Matrix(n, n, tuple(sol.entries))
@@ -420,23 +319,13 @@ def module_homs(generators, sub_a: Subspace, sub_b: Subspace):
     """Basis of module maps sub_a -> sub_b (as coordinate matrices)."""
     if sub_a.dim == 0 or sub_b.dim == 0:
         return []
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
     da, db = sub_a.dim, sub_b.dim
-    acts_a = [restrict_matrix(g, sub_a) for g in gens]
-    acts_b = [restrict_matrix(g, sub_b) for g in gens]
     rows = []
-    zero = Scalar.zero(m)
     # unknown h (db x da) with act_b h = h act_a
-    for ga, gb in zip(acts_a, acts_b):
-        for r in range(db):
-            for c in range(da):
-                row = [zero] * (db * da)
-                for k in range(db):
-                    row[k * da + c] = row[k * da + c] + gb[r, k]
-                for k in range(da):
-                    row[r * da + k] = row[r * da + k] - ga[k, c]
-                rows.append(row)
+    for g in generators:
+        ga, gb = restrict_matrix(g, sub_a), restrict_matrix(g, sub_b)
+        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
     if not rows:
         return [Matrix.identity(da, m)] if da == db else []
     ker = kernel(Matrix.build(rows, m))
@@ -483,7 +372,7 @@ def factor_over_field(coeffs, m: int):
 
     dom = _sympy_field(m)
     x = sympy.symbols("x")
-    poly = sympy.Poly([_scalar_to_domain(c.promote(m), m, dom) for c in reversed(coeffs)],
+    poly = sympy.Poly([_scalar_to_domain(c, m, dom) for c in reversed(coeffs)],
                       x, domain=dom)
     _, factors = poly.factor_list()
     out = []
@@ -623,21 +512,20 @@ def invariant_subspace(generators) -> Optional[Subspace]:
             raise ValueError("generators must be square of one common size")
     if n <= 1:
         return None
-    m = _common_conductor(generators)
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
 
-    if all(_is_scalar_matrix(g) for g in gens):
+    if all(_is_scalar_matrix(g) for g in generators):
         return _first_line(n, m)
 
     # cheap kernel candidates straight from the generators
-    for f in gens:
+    for f in generators:
         kf = kernel(f)
         if 0 < kf.dim < n:
-            sub = spin_subspace(gens, [list(v) for v in kf.basis], n)
+            sub = spin_subspace(generators, [list(v) for v in kf.basis], n)
             if 0 < sub.dim < n:
                 return sub
 
-    alg = spin_algebra(gens)
+    alg = spin_algebra(generators)
     rad = radical_trace(alg)
     if rad.dim > 0:
         cols = []
@@ -650,7 +538,7 @@ def invariant_subspace(generators) -> Optional[Subspace]:
         return sub
 
     # semisimple from here on
-    comm = commutant(gens, n)
+    comm = commutant(generators, n)
     if len(comm) == 1:
         return None  # commutant is scalars: absolutely irreducible
 
@@ -679,18 +567,8 @@ def invariant_subspace(generators) -> Optional[Subspace]:
         raise AssertionError("commutative endomorphism ring escaped splitting")
 
     # noncommutative endomorphism ring: try its centre, then bounded hunts
-    centre_rows = []
-    zero = Scalar.zero(m)
-    for g in comm:
-        for r in range(n):
-            for c in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
-                    row[k * n + c] = row[k * n + c] - g[r, k]
-                centre_rows.append(row)
-    double_comm = Subspace.from_vectors(n * n, [list(v) for v in
-                                                kernel(Matrix.build(centre_rows, m)).basis])
+    # the centre is the commutant intersected with its own commutant
+    double_comm = Subspace.from_vectors(n * n, [b.flatten() for b in commutant(comm, n)])
     comm_span = Subspace.from_vectors(n * n, [list(b.flatten()) for b in comm])
     centre_sub = double_comm.intersection(comm_span)
     centre_mats = [Matrix(n, n, tuple(row)) for row in centre_sub.basis]
@@ -706,7 +584,7 @@ def invariant_subspace(generators) -> Optional[Subspace]:
     for j in range(n):
         e = [Scalar.zero(m)] * n
         e[j] = Scalar.one(m)
-        sub = spin_subspace(gens, [e], n)
+        sub = spin_subspace(generators, [e], n)
         if 0 < sub.dim < n:
             return sub
     rng = random.Random(_MEATAXE_SEED)
@@ -735,11 +613,10 @@ def decompose_irreducibles(generators, n: Optional[int] = None):
     if not generators and n is None:
         raise ValueError("need generators or an ambient size")
     size = generators[0].rows if generators else n
-    m = _common_conductor(generators) if generators else 1
-    gens = [_promote_matrix(g, m) for g in generators]
+    m = _field_of(generators)
 
     def rec(sub: Subspace):
-        acts = [restrict_matrix(g, sub) for g in gens]
+        acts = [restrict_matrix(g, sub) for g in generators]
         if sub.dim == 1:
             return [sub]
         if not acts:

@@ -16,23 +16,27 @@ Verdicts reduce to exact linear algebra:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import lcm
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    commutant,
     decompose_irreducibles,
     invariant_subspace,
     radical_trace,
     restrict_matrix,
     spin_algebra,
-    _common_conductor,
-    _promote_matrix,
 )
-from .linalg import Grading, Matrix, Subspace, kernel, linear_solve, weight_projectors
+from .linalg import (
+    Grading,
+    Matrix,
+    Subspace,
+    kernel,
+    linear_solve,
+    sandwich_rows,
+    weight_projectors,
+)
 from .scalars import Scalar
-from .twists import Automorphism, TwistedElement, differential_action, embed_doubled, normalize
+from .twists import TwistedElement, embed_doubled, normalize
 
 
 class NotPolystable(Exception):
@@ -70,6 +74,7 @@ class FramedPoint:
                 raise ValueError("loop matrix is not invertible")
             if not x.phi.inner.is_invertible():
                 raise ValueError("loop twist inner part is not invertible")
+        self.conductor()  # one field for every grading and matrix, or ValueError
 
     @property
     def m(self) -> int:
@@ -80,12 +85,14 @@ class FramedPoint:
         return all(not x.phi.outer for x in self.loops)
 
     def conductor(self) -> int:
-        m = 1
-        for c in self.connectors:
-            m = lcm(m, c._conductor())
+        """Conductor of the one coefficient field of every grading and matrix."""
+        fields = {v[0].m for g in self.gradings for _, basis in g.pieces for v in basis if v}
+        fields.update(c._conductor() for c in self.connectors)
         for x in self.loops:
-            m = lcm(m, x.g._conductor(), x.phi.inner._conductor())
-        return m
+            fields.update((x.g._conductor(), x.phi.inner._conductor()))
+        if len(fields) > 1:
+            raise ValueError(f"point mixes fields of conductors {sorted(fields)}")
+        return fields.pop() if fields else 1
 
 
 @dataclass
@@ -155,12 +162,12 @@ def galois_generators(p: FramedPoint):
     cond = p.conductor()
     projs = transported_projectors(p)
     if p.is_untwisted():
-        gens = [_promote_matrix(x.g, cond) for x in p.loops]
+        gens = [x.g for x in p.loops]
         for per_grading in projs:
-            gens.extend(_promote_matrix(q, cond) for _, q in per_grading)
+            gens.extend(q for _, q in per_grading)
         return gens
     n = p.n
-    gens = [_promote_matrix(embed_doubled(x), cond) for x in p.loops]
+    gens = [embed_doubled(x) for x in p.loops]
     for per_grading in projs:
         if not per_grading:
             continue
@@ -177,7 +184,7 @@ def galois_generators(p: FramedPoint):
                 rows.append(list(top.row(i)) + zero_row)
             for i in range(n):
                 rows.append(zero_row + list(bottom.row(i)))
-            gens.append(_promote_matrix(Matrix.build(rows, cond), cond))
+            gens.append(Matrix.build(rows, cond))
     return gens
 
 
@@ -199,35 +206,6 @@ def kernel_lie_dim(p: FramedPoint) -> int:
     return 1
 
 
-def _lie_centralizer_rows(grading: Grading, conj: Optional[Matrix], n: int, m: int):
-    """Rows forcing conj . xi . conj^-1 to preserve every piece of the grading."""
-    rows = []
-    projs = weight_projectors(grading)
-    ident = Matrix.identity(n, m)
-    for proj in projs:
-        proj = _promote_matrix(proj, m)
-        # (I - P) . (C xi C^-1) . P = 0
-        if conj is None:
-            left, right = ident - proj, proj
-        else:
-            cinv = conj.inverse()
-            left, right = (ident - proj) @ conj, cinv @ proj
-            # row assembly below uses xi sandwiched: left . xi . right
-        for r in range(n):
-            for c in range(n):
-                row = [Scalar.zero(m)] * (n * n)
-                for a in range(n):
-                    la = left[r, a]
-                    if not la:
-                        continue
-                    for b in range(n):
-                        rb = right[b, c]
-                        if rb:
-                            row[a * n + b] = row[a * n + b] + la * rb
-                rows.append(row)
-    return rows
-
-
 def stabilizer_lie_dim(p: FramedPoint) -> int:
     """Dimension of the linearized stabilizer, measured in xi_1.
 
@@ -236,53 +214,24 @@ def stabilizer_lie_dim(p: FramedPoint) -> int:
     """
     n = p.n
     m = p.conductor()
+    ident = Matrix.identity(n, m)
     rows = []
-    rows.extend(_lie_centralizer_rows(p.gradings[0], None, n, m))
-    for i, c in enumerate(p.connectors):
-        rows.extend(_lie_centralizer_rows(p.gradings[i + 1], _promote_matrix(c, m), n, m))
-    # loop conditions: xi g - g dphi(xi) = 0, linear in xi
-    for x in p.loops:
-        g = _promote_matrix(x.g, m)
-        inner = _promote_matrix(x.phi.inner, m)
-        inner_inv = inner.inverse()
-        for r in range(n):
-            for c in range(n):
-                row = [Scalar.zero(m)] * (n * n)
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
-                if not x.phi.outer:
-                    # g . A xi A^-1: coefficient of xi[a,b] is g A[., a] * A^-1[b, .]
-                    ga = [_product_entry(g, r, inner, a, n, m) for a in range(n)]
-                    for a in range(n):
-                        if not ga[a]:
-                            continue
-                        for b in range(n):
-                            f = inner_inv[b, c]
-                            if f:
-                                row[a * n + b] = row[a * n + b] - ga[a] * f
-                else:
-                    # g . A (-xi^T) A^-1
-                    ga = [_product_entry(g, r, inner, a, n, m) for a in range(n)]
-                    for a in range(n):
-                        if not ga[a]:
-                            continue
-                        for b in range(n):
-                            f = inner_inv[b, c]
-                            if f:
-                                row[b * n + a] = row[b * n + a] + ga[a] * f
-                rows.append(row)
-    if not rows:
-        return n * n
+    for i, grading in enumerate(p.gradings):
+        # C_i xi C_i^-1 preserves every piece: (I - P) . C_i xi C_i^-1 . P = 0
+        conj = p.connectors[i - 1] if i else None
+        cinv = conj.inverse() if i else None
+        for proj in weight_projectors(grading):
+            if conj is None:
+                left, right = ident - proj, proj
+            else:
+                left, right = (ident - proj) @ conj, cinv @ proj
+            rows += sandwich_rows([(left, right, False)], n, n, m)
+    # xi g = g A s(xi) A^-1 is xi G = G s(xi) for the normalized loop G = g A,
+    # with s(xi) = xi, or -xi^T under sigma
+    for x in normalize(p.loops):
+        twist = (x.g, None, True) if x.phi.outer else (-x.g, None, False)
+        rows += sandwich_rows([(None, x.g, False), twist], n, n, m)
     return kernel(Matrix.build(rows, m)).dim
-
-
-def _product_entry(g: Matrix, r: int, a_mat: Matrix, a: int, n: int, m: int):
-    s = Scalar.zero(m)
-    for k in range(n):
-        x = g[r, k]
-        if x:
-            s = s + x * a_mat[k, a]
-    return s
 
 
 def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
@@ -296,7 +245,6 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
     rows = []
     for per_grading in transported_projectors(p):
         for _, q in per_grading:
-            q = _promote_matrix(q, m)
             for r in range(n):
                 for c in range(n):
                     row = [Scalar.zero(m)] * (n * n)
@@ -305,25 +253,24 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
                         row[k * n + c] = row[k * n + c] - q[r, k]
                     rows.append(row)
     for x in p.loops:
-        g = _promote_matrix(x.g, m)
-        inner = _promote_matrix(x.phi.inner, m)
-        inner_inv = inner.inverse()
+        g = x.g
+        ga = g @ x.phi.inner
+        inner_inv = x.phi.inner.inverse()
         for r in range(n):
             for c in range(n):
                 row = [Scalar.zero(m)] * (n * n)
                 for k in range(n):
                     row[r * n + k] = row[r * n + k] + g[k, c]
-                ga = [_product_entry(g, r, inner, a, n, m) for a in range(n)]
                 for a in range(n):
-                    if not ga[a]:
+                    if not ga[r, a]:
                         continue
                     for b in range(n):
                         f = inner_inv[b, c]
                         if f:
                             if x.phi.outer:
-                                row[b * n + a] = row[b * n + a] + ga[a] * f
+                                row[b * n + a] = row[b * n + a] + ga[r, a] * f
                             else:
-                                row[a * n + b] = row[a * n + b] - ga[a] * f
+                                row[a * n + b] = row[a * n + b] - ga[r, a] * f
                 rows.append(row)
     if not rows:
         return n * n
@@ -377,17 +324,15 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
     if not p.is_untwisted():
         raise TwistedInput("restriction requires untwisted loops")
     pn = normalize_point(p)
-    m = pn.conductor()
     nb = block.dim
-    loops = [TwistedElement.plain(restrict_matrix(_promote_matrix(x.g, m), block))
-             for x in pn.loops]
+    loops = [TwistedElement.plain(restrict_matrix(x.g, block)) for x in pn.loops]
     gradings = []
     connectors = []
     for i, grading in enumerate(pn.gradings):
         if i == 0:
             image = block
         else:
-            c = _promote_matrix(pn.connectors[i - 1], m)
+            c = pn.connectors[i - 1]
             image = Subspace.from_vectors(
                 pn.n, [c.mul_vector(v) for v in block.basis])
             cols = Matrix.from_cols(block.basis)
@@ -406,13 +351,14 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
 
 
 def act(h, p: FramedPoint) -> FramedPoint:
-    """The framing-group action; every verdict is invariant under it."""
+    """The framing-group action; every verdict is invariant under it.
+
+    Each h_i is promoted into the point's field, which must contain it.
+    """
     if len(h) != p.m:
         raise ValueError("need one group element per grading")
     m = p.conductor()
-    for elt in h:
-        m = lcm(m, elt._conductor())
-    hs = [_promote_matrix(elt, m) for elt in h]
+    hs = [Matrix(elt.rows, elt.cols, tuple(x.promote(m) for x in elt.entries)) for elt in h]
     for i, (elt, grading) in enumerate(zip(hs, p.gradings)):
         if not elt.is_invertible():
             raise ValueError(f"group element {i + 1} is not invertible")
@@ -422,11 +368,6 @@ def act(h, p: FramedPoint) -> FramedPoint:
                     raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
     h1 = hs[0]
     h1inv = h1.inverse()
-    connectors = [hs[i + 1] @ _promote_matrix(c, m) @ h1inv
-                  for i, c in enumerate(p.connectors)]
-    loops = []
-    for x in p.loops:
-        g = _promote_matrix(x.g, m)
-        phi = Automorphism(_promote_matrix(x.phi.inner, m), x.phi.outer)
-        loops.append(TwistedElement(h1 @ g @ phi.apply(h1).inverse(), phi))
+    connectors = [hs[i + 1] @ c @ h1inv for i, c in enumerate(p.connectors)]
+    loops = [TwistedElement(h1 @ x.g @ x.phi.apply(h1).inverse(), x.phi) for x in p.loops]
     return FramedPoint(p.n, p.gradings, connectors, loops)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .engine import FramedPoint
 from .linalg import Grading, Matrix
-from .scalars import Scalar, euler_phi
+from .scalars import Scalar
 from .stokes import Circle, IrregularClass, WildSurface
 from .twists import Automorphism, TwistedElement
 
@@ -50,11 +48,7 @@ class _Reader:
             self.fail(path, "floats are not allowed; write exact rationals as strings")
             return Scalar.zero(m)
         try:
-            if isinstance(data, list):
-                if len(data) > euler_phi(m):
-                    raise ValueError(f"coefficient vector longer than phi({m})")
-                return Scalar.from_coeffs(m, [Fraction(str(c)) for c in data])
-            return Scalar.rational(Fraction(str(data)), m)
+            return Scalar.from_json(data, m)
         except (ValueError, ZeroDivisionError) as exc:
             self.fail(path, f"bad scalar: {exc}")
             return Scalar.zero(m)
@@ -90,7 +84,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
     gradings = []
     raw_gradings = data.get("gradings")
     if raw_gradings is None:
-        gradings = [Grading.trivial(n)]
+        gradings = [Grading.trivial(n, m)]
     elif not isinstance(raw_gradings, list) or not raw_gradings:
         reader.fail(f"{path}.gradings", "expected a nonempty list of gradings")
         return None
@@ -216,7 +210,7 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
     if reader.errors:
         return None
     try:
-        return WildSurface(genus, punctures, n)
+        return WildSurface(genus, punctures, n, m)
     except ValueError as exc:
         reader.fail(path, str(exc))
         return None
@@ -246,9 +240,7 @@ def parse_instance_data(data) -> InstanceFile:
         else:
             surface = _parse_stokes(reader, data["stokes"], m)
             if surface is not None:
-                # roots of unity of every ramification live in the working field
-                for cls in surface.punctures:
-                    m = lcm(m, cls.conductor())
+                m = surface.conductor()
     candidate = None
     if "candidate" in data:
         raw = data["candidate"]

@@ -3,11 +3,17 @@
 Everything is canonical: reduced row-echelon forms are unique, so equality of
 subspaces is equality of representations.  Vectors are tuples of Scalar and
 matrices act on column vectors.
+
+There is one elimination kernel, the incremental echelon ``_EchelonSet``:
+``rref``, ``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and
+the algebra spinning all run on it.  Linear conditions of the form
+X -> sum L.X.R are turned into coefficient rows by ``sandwich_rows`` alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .scalars import Scalar
 
@@ -16,6 +22,77 @@ def _coerce_scalar(x, m: int = 1) -> Scalar:
     if isinstance(x, Scalar):
         return x
     return Scalar.rational(Fraction(x), m)
+
+
+def _field_rows(rows, m: Optional[int] = None):
+    """Rows of Scalars in one field: that of the Scalar entries, or ``m``.
+
+    Ints and Fractions lift into that field; Scalars of two conductors, or a
+    conductor other than an explicit ``m``, raise ValueError.  Returns
+    (rows, conductor).
+    """
+    rows = [list(row) for row in rows]
+    fields = {x.m for row in rows for x in row if isinstance(x, Scalar)}
+    if m is not None:
+        fields.add(m)
+    if len(fields) > 1:
+        raise ValueError(f"entries from fields of conductors {sorted(fields)}")
+    m = fields.pop() if fields else 1
+    return [[_coerce_scalar(x, m) for x in row] for row in rows], m
+
+
+class _EchelonSet:
+    """Incremental reduced row echelon basis with exact membership.
+
+    Rows stay sorted by pivot and fully reduced, so after any sequence of
+    insertions they are the unique reduced row echelon form of their span.
+    """
+
+    def __init__(self, width: int, rows=()):
+        self.width = width
+        self.rows = []          # echelon rows, pivot order
+        self.pivots = []        # pivot column per row
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec):
+        """(residue of vec modulo the span, coordinates along the echelon rows)."""
+        vec = list(vec)
+        coords = []
+        for row, piv in zip(self.rows, self.pivots):
+            f = vec[piv]
+            coords.append(f)
+            if f:
+                for j in range(piv, self.width):
+                    if row[j]:
+                        vec[j] = vec[j] - f * row[j]
+        return vec, coords
+
+    def add(self, vec) -> bool:
+        """Insert vec into the span; True if it was independent."""
+        res, _ = self.reduce(vec)
+        piv = next((j for j, x in enumerate(res) if x), None)
+        if piv is None:
+            return False
+        inv = res[piv].inverse()
+        res = [x * inv if x else x for x in res]
+        for row in self.rows:
+            f = row[piv]
+            if f:
+                for j in range(self.width):
+                    if res[j]:
+                        row[j] = row[j] - f * res[j]
+        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.rows))
+        self.rows.insert(at, res)
+        self.pivots.insert(at, piv)
+        return True
+
+    def contains(self, vec) -> bool:
+        return all(not x for x in self.reduce(vec)[0])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 class Matrix:
@@ -29,8 +106,13 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def build(rows, m: int = 1) -> "Matrix":
-        data = [[_coerce_scalar(x, m) for x in row] for row in rows]
+    def build(rows, m: Optional[int] = None) -> "Matrix":
+        """Matrix of nested rows in one field: that of its Scalar entries, or ``m``.
+
+        Ints and Fractions lift into the field; entries of two fields, or of a
+        field other than an explicit ``m``, raise ValueError.
+        """
+        data, _ = _field_rows(rows, m)
         nr = len(data)
         nc = len(data[0]) if nr else 0
         if any(len(row) != nc for row in data):
@@ -160,7 +242,7 @@ class Matrix:
     __hash__ = None
 
     def rank(self) -> int:
-        return rref(self)[2]
+        return _EchelonSet(self.cols, self.row_list()).dim
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -169,12 +251,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        m = self._conductor()
-        aug = [list(self.row(i)) + list(Matrix.identity(n, m).row(i)) for i in range(n)]
-        reduced, pivots, rank = _rref_rows(aug)
-        if list(pivots[:n]) != list(range(n)):
+        ident = Matrix.identity(n, self._conductor())
+        ech = _EchelonSet(2 * n, [self.row(i) + ident.row(i) for i in range(n)])
+        if ech.pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(n, n, tuple(reduced[i][n + j] for i in range(n) for j in range(n)))
+        return Matrix(n, n, tuple(x for row in ech.rows[:n] for x in row[n:]))
 
     def char_poly(self) -> list:
         """Characteristic polynomial coefficients, low -> high, monic."""
@@ -203,64 +284,67 @@ class Matrix:
         return Matrix.build([[Scalar.from_json(x, m) for x in row] for row in data], m)
 
 
-def _rref_rows(rows: list):
-    """In-place reduced row echelon form on a list of row lists."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots, r
-
-
 def rref(a: Matrix):
     """Reduced row-echelon form.  Returns (R, pivots, rank), deterministic."""
-    rows = a.row_list()
-    if not rows:
-        return a, (), 0
-    reduced, pivots, rank = _rref_rows(rows)
-    return Matrix.build(reduced), tuple(pivots), rank
+    ech = _EchelonSet(a.cols, a.row_list())
+    zero = Scalar.zero(a._conductor())
+    entries = tuple(x for row in ech.rows for x in row)
+    entries += (zero,) * (a.rows * a.cols - len(entries))
+    return Matrix(a.rows, a.cols, entries), tuple(ech.pivots), ech.dim
+
+
+def sandwich_rows(terms, rows: int, cols: int, m: int) -> list:
+    """Coefficient rows of the linear map X -> sum over terms of L.X.R.
+
+    X is a rows x cols matrix of unknowns, flattened row-major.  A term is
+    (L, R, transposed); a transposed term contributes L.X^T.R.  L or R may be
+    None for the identity.  Returns one row per entry of the result, in
+    row-major order of the result.  Zero entries of L and R are skipped.
+    """
+    zero, one = Scalar.zero(m), Scalar.one(m)
+    out = None
+    for left, right, transposed in terms:
+        # the sandwiched matrix is X or X^T; its entry (a, b) is unknown k(a, b)
+        inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
+        height = inner_rows if left is None else left.rows
+        width = inner_cols if right is None else right.cols
+        if out is None:
+            out = [[zero] * (rows * cols) for _ in range(height * width)]
+        elif len(out) != height * width:
+            raise ValueError("sandwich terms have results of different shapes")
+        # an identity factor is the sentinel ``one``, which needs no product
+        lefts = [[(r, one)] if left is None else
+                 [(a, x) for a, x in enumerate(left.row(r)) if x] for r in range(height)]
+        rights = [[(c, one)] if right is None else
+                  [(b, y) for b, y in enumerate(right.col(c)) if y] for c in range(width)]
+        for r in range(height):
+            for c in range(width):
+                row = out[r * width + c]
+                for a, x in lefts[r]:
+                    for b, y in rights[c]:
+                        k = b * cols + a if transposed else a * cols + b
+                        row[k] = row[k] + (y if x is one else x if y is one else x * y)
+    return out
 
 
 class Subspace:
     """A subspace of K^n in canonical reduced row-echelon form."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_echelon")
 
-    def __init__(self, ambient_dim: int, basis: tuple):
-        self.ambient_dim = ambient_dim
-        self.basis = basis  # tuple of tuples of Scalar, canonical echelon rows
+    def __init__(self, echelon: _EchelonSet):
+        self.ambient_dim = echelon.width
+        self.basis = tuple(tuple(row) for row in echelon.rows)  # canonical echelon rows
+        self._echelon = echelon
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vecs = [[_coerce_scalar(x) for x in v] for v in vectors]
-        vecs = [v for v in vecs if any(v)]
-        if not vecs:
-            return Subspace(ambient_dim, ())
-        reduced, pivots, rank = _rref_rows(vecs)
-        return Subspace(ambient_dim, tuple(tuple(row) for row in reduced[:rank]))
+        vecs, _ = _field_rows(vectors)
+        return Subspace(_EchelonSet(ambient_dim, vecs))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace(_EchelonSet(ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int, m: int = 1) -> "Subspace":
@@ -276,24 +360,12 @@ class Subspace:
         return not self.basis
 
     def contains(self, vector) -> bool:
-        res = list(vector)
-        for row in self.basis:
-            piv = _pivot_index(row)
-            if res[piv]:
-                f = res[piv]
-                res = [x - f * y for x, y in zip(res, row)]
-        return all(not x for x in res)
+        return self._echelon.contains(vector)
 
     def coordinates(self, vector):
         """Coordinates of vector in the echelon basis, or None."""
-        res = [_coerce_scalar(x) for x in vector]
-        coords = []
-        for row in self.basis:
-            piv = _pivot_index(row)
-            f = res[piv]
-            coords.append(f)
-            if f:
-                res = [x - f * y for x, y in zip(res, row)]
+        m = self.basis[0][0].m if self.basis else 1
+        res, coords = self._echelon.reduce([_coerce_scalar(x, m) for x in vector])
         if any(res):
             return None
         return tuple(coords)
@@ -304,17 +376,13 @@ class Subspace:
     def intersection(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: row reduce [A|A; B|0], read the right half of the zero-left rows
         n = self.ambient_dim
-        zero = Scalar.zero()
-        rows = [list(r) + list(r) for r in self.basis]
-        rows += [list(r) + [zero] * n for r in other.basis]
-        if not rows:
+        if not (self.basis and other.basis):
             return Subspace.zero(n)
-        reduced, pivots, rank = _rref_rows(rows)
-        out = []
-        for row in reduced[:rank]:
-            if all(not x for x in row[:n]):
-                out.append(row[n:])
-        return Subspace.from_vectors(n, out)
+        zero = Scalar.zero(self.basis[0][0].m)
+        ech = _EchelonSet(2 * n, [r + r for r in self.basis] +
+                          [r + (zero,) * n for r in other.basis])
+        return Subspace.from_vectors(
+            n, [row[n:] for row, piv in zip(ech.rows, ech.pivots) if piv >= n])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -347,27 +415,22 @@ class Subspace:
             [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
 
 
-def _pivot_index(row) -> int:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    raise ValueError("zero row in echelon basis")
+def _null_space(ech: _EchelonSet, n: int, m: int) -> Subspace:
+    """Null space of the first n columns of an echelon form, in K^n."""
+    pivots = [p for p in ech.pivots if p < n]  # these rows come first
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Scalar.zero(m)] * n
+        v[f] = Scalar.one(m)
+        for row, p in zip(ech.rows, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return Subspace.from_vectors(n, basis)
 
 
 def kernel(a: Matrix) -> Subspace:
     """Null space {x : a @ x = 0} as a canonical Subspace of K^cols."""
-    reduced, pivots, rank = _rref_rows(a.row_list()) if a.rows else ([], [], 0)
-    n = a.cols
-    m = a._conductor()
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Scalar.zero(m)] * n
-        v[f] = Scalar.one(m)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return Subspace.from_vectors(n, basis)
+    return _null_space(_EchelonSet(a.cols, a.row_list()), a.cols, a._conductor())
 
 
 def linear_solve(a: Matrix, b: Matrix):
@@ -377,26 +440,15 @@ def linear_solve(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows:
         raise ValueError("dimension mismatch: a and b must have equal row count")
-    m = a._conductor()
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    if not aug:
-        return Matrix.zero(a.cols, b.cols, m), kernel(a)
-    reduced, pivots, rank = _rref_rows(aug)
-    ker = kernel(a)
-    for r in range(rank):
-        if _pivot_index(reduced[r]) >= a.cols:
-            return None, ker  # inconsistent system
-    xs = [[Scalar.zero(m)] * b.cols for _ in range(a.cols)]
-    for r, p in enumerate(pivots):
-        if p < a.cols:
-            for j in range(b.cols):
-                xs[p][j] = reduced[r][a.cols + j]
+    n, m = a.cols, a._conductor()
+    ech = _EchelonSet(n + b.cols, [a.row(i) + b.row(i) for i in range(a.rows)])
+    ker = _null_space(ech, n, m)
+    if any(p >= n for p in ech.pivots):
+        return None, ker  # inconsistent system
+    xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
+    for row, p in zip(ech.rows, ech.pivots):
+        xs[p] = row[n:]
     return Matrix.build(xs, m), ker
-
-
-def solve_vector(a: Matrix, v: tuple):
-    part, _ = linear_solve(a, Matrix(len(v), 1, tuple(v)))
-    return None if part is None else tuple(part.entries)
 
 
 class Grading:
@@ -408,9 +460,9 @@ class Grading:
 
     def __init__(self, ambient_dim: int, pieces):
         self.ambient_dim = ambient_dim
-        pieces = [(tuple(int(w) for w in weight),
-                   [tuple(_coerce_scalar(x) for x in v) for v in basis])
-                  for weight, basis in pieces]
+        pieces = [(tuple(int(w) for w in weight), list(basis)) for weight, basis in pieces]
+        vectors = iter(_field_rows([v for _, basis in pieces for v in basis])[0])
+        pieces = [(weight, [tuple(next(vectors)) for _ in basis]) for weight, basis in pieces]
         ks = {len(w) for w, _ in pieces}
         if len(ks) > 1:
             raise ValueError("grading weights have mixed lengths")

@@ -2,9 +2,13 @@
 
 A Scalar is an element of Q(zeta_m) for a conductor m >= 1, stored as a
 polynomial in zeta_m of degree < phi(m) with Fraction coefficients, reduced
-modulo the m-th cyclotomic polynomial.  m = 1 is plain Q.  One conductor is
-fixed per problem instance; elements of a smaller compatible conductor
-(m dividing M) are promoted automatically when they meet.
+modulo the m-th cyclotomic polynomial.  m = 1 is plain Q.
+
+One conductor is fixed per problem instance, and every scalar of the instance
+lives in that field.  Arithmetic lifts ints and Fractions into the field of
+the Scalar they meet; two Scalars of different conductors raise ValueError.
+``promote`` is the one explicit way to move an element into a larger field
+Q(zeta_M), M a multiple of m.
 
 There is no floating point anywhere in the arithmetic.  ``to_complex`` gives
 a float image for display and for direction angles only.
@@ -122,22 +126,20 @@ class Scalar:
             out[j * step] += c
         return Scalar(m_new, _reduce_mod_cyclotomic(out, m_new))
 
-    def _pair(self, other):
+    def _pair(self, other) -> "Scalar":
+        """The other operand in this field: ints and Fractions lift, other fields raise."""
         if isinstance(other, Scalar):
-            if other.m == self.m:
-                return self, other
-            if other.m % self.m == 0:
-                return self.promote(other.m), other
-            if self.m % other.m == 0:
-                return self, other.promote(self.m)
-            raise ValueError(f"incompatible conductors {self.m} and {other.m}")
-        return self, Scalar.rational(other, self.m)
+            if other.m != self.m:
+                raise ValueError(f"scalars of conductors {self.m} and {other.m} meet; "
+                                 "promote one explicitly")
+            return other
+        return Scalar.rational(other, self.m)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return Scalar(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        b = self._pair(other)
+        return Scalar(self.m, tuple(x + y for x, y in zip(self.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -145,23 +147,23 @@ class Scalar:
         return Scalar(self.m, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return Scalar(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        b = self._pair(other)
+        return Scalar(self.m, tuple(x - y for x, y in zip(self.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a.m == 1:
-            return Scalar(1, (a.coeffs[0] * b.coeffs[0],))
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        b = self._pair(other)
+        if self.m == 1:
+            return Scalar(1, (self.coeffs[0] * b.coeffs[0],))
+        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return Scalar(a.m, _reduce_mod_cyclotomic(prod, a.m))
+        return Scalar(self.m, _reduce_mod_cyclotomic(prod, self.m))
 
     __rmul__ = __mul__
 
@@ -187,8 +189,7 @@ class Scalar:
         return Scalar(self.m, _reduce_mod_cyclotomic(inv, self.m))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
+        return self * self._pair(other).inverse()
 
     def __rtruediv__(self, other):
         return Scalar.rational(other, self.m) / self
@@ -223,12 +224,12 @@ class Scalar:
 
     def __eq__(self, other):
         try:
-            a, b = self._pair(other)
+            b = self._pair(other)
         except ValueError:
-            return NotImplemented
-        return a.coeffs == b.coeffs
+            return NotImplemented  # elements of two fields are never equal
+        return self.coeffs == b.coeffs
 
-    __hash__ = None  # canonical equality crosses conductors; do not hash
+    __hash__ = None  # equality lifts ints and Fractions, which hash differently
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.m)
@@ -260,6 +261,8 @@ class Scalar:
         if isinstance(data, (str, int)):
             return Scalar.rational(Fraction(str(data)), m)
         if isinstance(data, list):
+            if len(data) > euler_phi(m):
+                raise ValueError(f"coefficient vector longer than phi({m})")
             return Scalar.from_coeffs(m, [Fraction(str(c)) for c in data])
         raise ValueError(f"bad scalar encoding: {data!r}")
 

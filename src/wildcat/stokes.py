@@ -10,7 +10,8 @@ Conventions (fixed here once and used consistently everywhere):
   difference leading term a w^(-s) supports maximal decay of e^(q_i - q_j)
   where cos(Arg(a) - s theta) = -1, i.e. at the s directions
   theta = (Arg(a) + pi + 2 pi k)/s in [0, 2 pi).  Direction angles are floats
-  (tolerance 1e-12 on Arg); counts, levels and block patterns are exact.
+  (two angles within ANGLE_TOL = 1e-9 are one direction); counts, levels and
+  block patterns are exact.
 * The scaffold relation, with punctures and directions ordered
   counterclockwise starting just after direction 0 and C_1 = 1:
 
@@ -31,13 +32,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
 from .engine import FramedPoint
-from .linalg import Grading, Matrix, Subspace, linear_solve
+from .linalg import Grading, Matrix, kernel, linear_solve, sandwich_rows
 from .scalars import Scalar, euler_phi
 from .twists import TwistedElement
 
@@ -91,9 +92,6 @@ class Circle:
             return Fraction(0)
         return Fraction(max(j for j, _ in self.coeffs), self.ram)
 
-    def is_tame(self) -> bool:
-        return not self.coeffs
-
 
 def circle_invariants(c: Circle):
     """(ramification, slope) of a circle; slope 0 for a tame circle."""
@@ -132,6 +130,7 @@ class WildSurface:
     genus: int
     punctures: list               # list of IrregularClass
     n: int
+    field: int = 1                # declared conductor; ramification may enlarge it
 
     def __post_init__(self):
         if not self.punctures:
@@ -139,6 +138,13 @@ class WildSurface:
         for cls in self.punctures:
             if cls.rank != self.n:
                 raise ValueError(f"irregular class of rank {cls.rank} at a rank-{self.n} puncture")
+
+    def conductor(self) -> int:
+        """The working field: the declared one plus every class's roots of unity."""
+        out = self.field
+        for cls in self.punctures:
+            out = lcm(out, cls.conductor())
+        return out
 
 
 @dataclass
@@ -249,7 +255,7 @@ def exponential_torus_grading(cls: IrregularClass, conductor: Optional[int] = No
     n = cls.rank
     weights = _sheet_weights(sheets, m)
     pieces = []
-    ident = Matrix.identity(n, 1)
+    ident = Matrix.identity(n, m)
     for s, w in zip(sheets, weights):
         basis = [ident.row(s.start + t) for t in range(s.size)]
         pieces.append((w, basis))
@@ -265,8 +271,7 @@ def _sheet_weights(sheets, m: int):
     for s in sheets:
         row = []
         for e in exps:
-            sc = s.q.get(e, Scalar.zero(m)).promote(m)
-            row.extend(sc.coeffs)
+            row.extend(s.q.get(e, Scalar.zero(m)).coeffs)
         rows.append(row)
     den = 1
     for row in rows:
@@ -386,9 +391,7 @@ def _formal_blocks(sheets):
 
 
 def build_scaffold(ws: WildSurface) -> Scaffold:
-    conductor = 1
-    for cls in ws.punctures:
-        conductor = lcm(conductor, cls.conductor())
+    conductor = ws.conductor()
     punctures = []
     generators = []
     relation = []
@@ -590,29 +593,10 @@ def _free_punctures(sc: Scaffold):
 
 def _solve_commutator(rng, v: Matrix, n: int, m: int):
     """Find invertible a, b with a b a^-1 b^-1 = v, or raise _RetryError."""
-    from .linalg import kernel as _kernel
     for _ in range(10):
         a = _random_invertible(rng, n, m)
-        # a b = v b a, linear in b
-        rows = []
-        zero = Scalar.zero(m)
-        va = v  # rows assemble (a b - v b a)[r, c] = 0
-        for r in range(n):
-            for c in range(n):
-                row = [zero] * (n * n)
-                for k in range(n):
-                    row[k * n + c] = row[k * n + c] + a[r, k]
-                # (v b a)[r, c] = sum_{k,l} v[r,k] b[k,l] a[l,c]
-                for k in range(n):
-                    vr = va[r, k]
-                    if not vr:
-                        continue
-                    for l in range(n):
-                        f = a[l, c]
-                        if f:
-                            row[k * n + l] = row[k * n + l] - vr * f
-                rows.append(row)
-        ker = _kernel(Matrix.build(rows, m))
+        # a b - v b a = 0, linear in b
+        ker = kernel(Matrix.build(sandwich_rows([(a, None, False), (-v, a, False)], n, n, m), m))
         if ker.dim == 0:
             continue
         for _ in range(12):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wildcat.algebra import _promote_matrix, invariant_subspace, radical_oracle, spin_algebra
+from wildcat.algebra import invariant_subspace, radical_oracle, radical_trace, spin_algebra
 from wildcat.engine import (
     FramedPoint,
     NotPolystable,
@@ -291,3 +293,50 @@ class TestRichardsonSpecialization:
                              stabilizer_lie_dim_commutant(p) == kernel_lie_dim(p))
             assert rep.polystable == oracle_poly
             assert rep.stable == oracle_stable
+
+
+def invertibles(n):
+    return st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
+        lambda es: Matrix.build([es[i * n:(i + 1) * n] for i in range(n)])).filter(
+        lambda g: g.is_invertible())
+
+
+@st.composite
+def small_points(draw, n=2):
+    """Points over Q with one or two loops, sigma-twisted or not, maybe a second torus."""
+    gradings, connectors = [Grading.trivial(n)], []
+    if draw(st.booleans()):
+        gradings.append(coordinate_grading(n))
+        connectors.append(draw(invertibles(n)))
+    twisted = draw(st.booleans())
+    loops = [TwistedElement(draw(invertibles(n)),
+                            Automorphism(draw(invertibles(n)), twisted and draw(st.booleans())))
+             for _ in range(draw(st.integers(1, 2)))]
+    return FramedPoint(n, gradings, connectors, loops)
+
+
+def promote_point(p, m):
+    """The same point with every entry promoted into Q(zeta_m)."""
+    def lift(mat):
+        return Matrix(mat.rows, mat.cols, tuple(x.promote(m) for x in mat.entries))
+    gradings = [Grading(g.ambient_dim, [(w, [tuple(x.promote(m) for x in v) for v in basis])
+                                        for w, basis in g.pieces]) for g in p.gradings]
+    loops = [TwistedElement(lift(x.g), Automorphism(lift(x.phi.inner), x.phi.outer))
+             for x in p.loops]
+    return FramedPoint(p.n, gradings, [lift(c) for c in p.connectors], loops)
+
+
+def verdicts(p):
+    rep = is_stable(p)
+    pn = normalize_point(p)
+    ambient = p.n if pn.is_untwisted() else 2 * p.n
+    radical = radical_trace(spin_algebra(galois_generators(pn), ambient_n=ambient))
+    return rep.polystable, rep.stable, rep.stabilizer_dim, radical.dim
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(small_points())
+def test_verdicts_invariant_under_field_extension(p):
+    q = promote_point(p, 5)
+    assert q.conductor() == 5
+    assert verdicts(q) == verdicts(p)

@@ -8,6 +8,7 @@ from wildcat.instances import (
     parse_instance_data,
     render_instance,
 )
+from wildcat.stokes import build_scaffold, random_candidate
 
 MINIMAL_TUPLE = {
     "field": 1,
@@ -42,6 +43,17 @@ def test_stokes_instance_lifts_conductor():
     assert inst.surface.n == 2
     # the degree-2 cover needs the second root of unity in the working field
     assert inst.conductor == 2
+
+
+def test_tame_surface_keeps_declared_field():
+    # no circle carries a coefficient, so only the declared field names Q(zeta_5)
+    doc = {"field": 5, "mode": "stokes", "stokes": {"genus": 0, "n": 2, "punctures": [
+        {"circles": [{"ram": 1, "coeffs": [], "multiplicity": 2}]}]}}
+    inst = parse_instance_data(doc)
+    sc = build_scaffold(inst.surface)
+    assert inst.conductor == sc.conductor == 5
+    cand = random_candidate(sc, 0)
+    assert all(x.m == 5 for mat in cand.assignment.values() for x in mat.entries)
 
 
 def test_schema_error_names_key():

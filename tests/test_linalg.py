@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcat.linalg import (
     Grading,
@@ -10,9 +12,10 @@ from wildcat.linalg import (
     kernel,
     linear_solve,
     rref,
+    sandwich_rows,
     weight_projectors,
 )
-from wildcat.scalars import Scalar
+from wildcat.scalars import Scalar, euler_phi
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -177,4 +180,51 @@ class TestMatrix:
     def test_cyclotomic_entries(self):
         z = Scalar.zeta(4)
         a = Matrix.build([[z, 0], [0, z]], 4)
-        assert a @ a == Matrix.identity(2).scale(Scalar.rational(-1, 4))
+        assert a @ a == Matrix.identity(2, 4).scale(Scalar.rational(-1, 4))
+
+    def test_one_field_per_matrix(self):
+        z5 = Scalar.zeta(5)
+        a = Matrix.build([[1, z5], [0, 1]])
+        assert all(x.m == 5 for x in a.entries)
+        assert Matrix.from_json(a.to_json(), 5) == a
+        with pytest.raises(ValueError):
+            Matrix.from_json(a.to_json(), 1)  # no silent reduction of zeta_5 to 1
+        with pytest.raises(ValueError):
+            Matrix.build([[Scalar.one(1), z5]])
+        with pytest.raises(ValueError):
+            Matrix.build([[z5]], 1)
+
+
+def scalars(m):
+    phi = euler_phi(m)
+    coeffs = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)
+    return st.one_of(st.just(Scalar.zero(m)), coeffs.map(lambda cs: Scalar.from_coeffs(m, cs)))
+
+
+def matrices(m, rows, cols):
+    return st.lists(scalars(m), min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: Matrix(rows, cols, tuple(es)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_sandwich_rows_match_products(data):
+    m = data.draw(st.sampled_from([1, 5]))
+    rows, cols, height, width = (data.draw(st.integers(1, 3)) for _ in range(4))
+    x = data.draw(matrices(m, rows, cols))
+    terms = []
+    total = Matrix.zero(height, width, m)
+    for _ in range(data.draw(st.integers(1, 3))):
+        transposed = data.draw(st.booleans())
+        inner = x.transpose() if transposed else x
+        left = data.draw(matrices(m, height, inner.rows))
+        right = data.draw(matrices(m, inner.cols, width))
+        if height == inner.rows and data.draw(st.booleans()):
+            left = None  # the identity
+        if inner.cols == width and data.draw(st.booleans()):
+            right = None
+        terms.append((left, right, transposed))
+        total = total + (inner if left is None else left @ inner) @ \
+            (Matrix.identity(width, m) if right is None else right)
+    coeffs = Matrix.from_rows(sandwich_rows(terms, rows, cols, m))
+    assert coeffs @ Matrix(rows * cols, 1, x.entries) == Matrix(height * width, 1, total.entries)

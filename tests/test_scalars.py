@@ -78,6 +78,8 @@ def test_mixed_conductor_arithmetic():
     assert s.m == 3 and s.coeffs[0] == Fraction(1, 2)
     with pytest.raises(ValueError):
         _ = Scalar.zeta(3) + Scalar.zeta(4)
+    with pytest.raises(ValueError):
+        _ = Scalar.one(1) + Scalar.zeta(5)  # one field per instance: no silent promotion
 
 
 def test_to_complex():
