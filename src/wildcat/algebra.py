@@ -4,30 +4,53 @@ The semisimplicity oracle at the centre of the stability engine.  A tuple of
 invertible matrices generates the same unital algebra as the Zariski closure
 of the group they generate (inverses come for free by Cayley-Hamilton), so in
 characteristic zero the natural module is semisimple exactly when that group
-is linearly reductive.  The radical is computed two independent ways:
+is linearly reductive.
+
+Spinning keeps an echelon basis of words in the generators.  Every word is a
+generator times a shorter word, so only kept words are extended, and only by
+left factors; the spin stops as soon as it holds N^2 independent words.
+
+Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
+word-size prime p = 1 (mod m) (``_spans_full_mod_p``, after Cohen, Ivanyos and
+Wales, JPAA 1997, and Dixon, 1982).  With r a root of the m-th cyclotomic
+polynomial mod p, zeta_m -> r is a ring map from Z_(p)[zeta_m] (coefficients
+with denominators prime to p) onto F_p; it carries a word in the generators
+to the same word in their images.  If N^2 words have images independent over
+F_p, the determinant of their N^2 coordinate rows maps to a nonzero element,
+so it is nonzero: the words are independent over K, and the algebra is
+M_N(K), which is simple (radical 0, module irreducible).  A lower rank mod p
+proves nothing (p may divide a denominator or be unlucky); the exact spin
+decides then.
+
+The radical is computed two independent ways:
 
 * ``radical_trace``  -- null space of the trace form of the natural module;
+  zero without any Gram matrix once the algebra has dimension N^2;
 * ``radical_oracle`` -- null space of the trace form of the left regular
   module, built from structure constants.  A different faithful module and a
-  different code path; the two must agree on every input.
+  different code path, with no shortcut for M_N(K); the two must agree on
+  every input.
 
 Invariant-subspace search is a MeatAxe over the exact coefficient field:
-kernel and eigenvalue candidates first, then a proof-grade fallback through
-the radical, the commutant, and polynomial factorisation over the field.  A
-returned subspace is always a genuine submodule; ``None`` is only returned
-with a proof of irreducibility over the field.
+the modular certificate of M_N(K), kernel and eigenvalue candidates, then a
+proof-grade fallback through the radical, the commutant, and polynomial
+factorisation over the field.  A returned subspace is always a genuine
+submodule; ``None`` is only returned with a proof of irreducibility over the
+field.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .linalg import Matrix, Subspace, _EchelonSet, kernel, linear_solve, sandwich_rows
-from .scalars import Scalar
+from .scalars import Scalar, euler_phi
 
 
 class NotSemisimpleError(Exception):
@@ -63,15 +86,6 @@ class MatrixAlgebra:
     def _echelon(self) -> _EchelonSet:
         return _EchelonSet(self.ambient_n ** 2, [b.flatten() for b in self.basis])
 
-    def contains(self, mat: Matrix) -> bool:
-        return self._echelon().contains(mat.flatten())
-
-    def coordinates(self, mat: Matrix):
-        res, coords = self._echelon().reduce(mat.flatten())
-        if any(res):
-            return None
-        return tuple(coords)
-
     def is_closed(self) -> bool:
         ech = self._echelon()
         for a in self.basis:
@@ -79,6 +93,122 @@ class MatrixAlgebra:
                 if not ech.contains(list((a @ b).flatten())):
                     return False
         return ech.contains(list(Matrix.identity(self.ambient_n, self.conductor).flatten()))
+
+
+def _spin_left(words, gens, mul, add, full: int) -> int:
+    """Number of independent words kept by a left-multiplication spin.
+
+    ``add(w)`` inserts a word into an echelon and says whether it was
+    independent.  Kept words are extended by ``mul(g, w)`` for every
+    generator g until no new word is independent or ``full`` words are kept.
+    The kept words span the algebra: their span holds the start words and is
+    closed under left multiplication by every generator.
+    """
+    kept = 0
+    frontier = []
+    for w in words:
+        if add(w):
+            kept += 1
+            frontier.append(w)
+    while frontier and kept < full:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                if kept == full:
+                    return kept
+                prod = mul(g, w)
+                if add(prod):
+                    kept += 1
+                    nxt.append(prod)
+        frontier = nxt
+    return kept
+
+
+_MODULUS_BOUND = 1 << 31
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+@lru_cache(maxsize=None)
+def _modulus(m: int):
+    """(p, r): the largest prime p < 2^31 with p = 1 (mod m), and a root r of
+    the m-th cyclotomic polynomial mod p (r^m = 1, r^(m/q) != 1 for primes q | m)."""
+    p = (_MODULUS_BOUND - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        r = pow(g, (p - 1) // m, p)
+        if all(pow(r, m // q, p) != 1 for q in primes):
+            return p, r
+    raise AssertionError("no primitive root of unity modulo p")
+
+
+def _image_mod_p(g: Matrix, p: int, rpow):
+    """Row-major entries of g under zeta_m -> r, or None if p divides a denominator."""
+    out = []
+    for x in g.entries:
+        v = 0
+        for c, rj in zip(x.coeffs, rpow):
+            if c:
+                if c.denominator % p == 0:
+                    return None
+                v += c.numerator * pow(c.denominator, -1, p) * rj
+        out.append(v % p)
+    return out
+
+
+def _spans_full_mod_p(generators, n: int, m: int) -> bool:
+    """True only if words in the generators span all of M_n(Q(zeta_m)).
+
+    The generators are mapped to F_p by zeta_m -> r (``_modulus``), a ring
+    map on Z_(p)[zeta_m], so the image of a word is the word in the images.
+    Their left words are spun from I with an echelon over F_p.  n^2 images
+    independent over F_p are images of n^2 words independent over the field,
+    since the determinant of the words' coordinates maps to a nonzero one.
+    False proves nothing: p may divide a denominator, or be unlucky.
+    """
+    p, r = _modulus(m)
+    rpow = [pow(r, j, p) for j in range(euler_phi(m))]
+    gens = []
+    for g in generators:
+        img = _image_mod_p(g, p, rpow)
+        if img is None:
+            return False
+        gens.append(img)
+    pivots = []   # sorted pivot columns
+    tails = {}    # pivot -> echelon row from its pivot on, leading entry 1
+
+    def add(vec) -> bool:
+        vec = list(vec)
+        for piv in pivots:
+            f = vec[piv]
+            if f:
+                vec[piv:] = [(x - f * y) % p for x, y in zip(vec[piv:], tails[piv])]
+        piv = next((j for j, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        inv = pow(vec[piv], -1, p)
+        tails[piv] = [x * inv % p for x in vec[piv:]]
+        insort(pivots, piv)
+        return True
+
+    def mul(a, b):
+        cols = [b[j::n] for j in range(n)]
+        return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col)) % p
+                for i in range(n) for col in cols]
+
+    ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
+    return _spin_left([ident], gens, mul, add, n * n) == n * n
+
+
+def _matrix_units(n: int, m: int):
+    """E_11, E_12, ..., E_nn: the reduced echelon basis of all of M_n."""
+    one, zero = Scalar.one(m), Scalar.zero(m)
+    return tuple(Matrix(n, n, tuple(one if k == u else zero for k in range(n * n)))
+                 for u in range(n * n))
 
 
 def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
@@ -90,20 +220,11 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square of one common size")
     m = _field_of(generators)
-    gens = list(generators)
+    if _spans_full_mod_p(generators, n, m):
+        return MatrixAlgebra(n, _matrix_units(n, m), m)
     ech = _EchelonSet(n * n)
-    frontier = []
-    for w in [Matrix.identity(n, m)] + gens:
-        if ech.add(list(w.flatten())):
-            frontier.append(w)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                for prod in (g @ w, w @ g):
-                    if ech.add(list(prod.flatten())):
-                        nxt.append(prod)
-        frontier = nxt
+    _spin_left([Matrix.identity(n, m)] + list(generators), generators,
+               lambda g, w: g @ w, lambda w: ech.add(list(w.flatten())), n * n)
     basis = tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
     return MatrixAlgebra(n, basis, m)
 
@@ -142,9 +263,14 @@ def _certificate_from_rows(n: int, rows) -> RadicalCertificate:
 
 
 def radical_trace(alg: MatrixAlgebra) -> RadicalCertificate:
-    """Radical as the null space of the Gram matrix tr(b_i b_j) on the algebra."""
+    """Radical as the null space of the Gram matrix tr(b_i b_j) on the algebra.
+
+    An algebra of dimension N^2 is M_N(K), which is simple: radical 0.
+    """
     d = alg.dim
     n = alg.ambient_n
+    if d == n * n:
+        return _certificate_from_rows(n, [])
     gram = []
     for i in range(d):
         bi = alg.basis[i]
@@ -516,6 +642,8 @@ def invariant_subspace(generators) -> Optional[Subspace]:
 
     if all(_is_scalar_matrix(g) for g in generators):
         return _first_line(n, m)
+    if _spans_full_mod_p(generators, n, m):
+        return None  # the algebra is M_n(K): absolutely irreducible
 
     # cheap kernel candidates straight from the generators
     for f in generators:

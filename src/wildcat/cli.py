@@ -144,8 +144,6 @@ def _cmd_analyze(inst: InstanceFile, args, started) -> int:
         print(err, file=sys.stderr)
         return code
     report = is_stable(point)
-    if report.polystable and point.is_untwisted():
-        report.levi_decomposition = levi_reduction(point)
     payload = Report("analyze", inst.conductor, report).to_json()
     _emit(payload, args.format, _report_text(report), started)
     return EXIT_OK

@@ -283,7 +283,9 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     In the untwisted, trivial-tori, single-basepoint specialisation the
     classical cross-check runs too: a proper invariant subspace of the loop
     matrices is recorded as a witness (its presence refutes stability; its
-    absence plus the dimension match confirms it).
+    absence plus the dimension match confirms it).  A polystable untwisted
+    point also gets its Levi blocks (as ``levi_reduction`` gives them), read
+    off this verdict without deciding polystability again.
     """
     report = is_polystable(p)
     sdim = stabilizer_lie_dim(p)
@@ -295,6 +297,9 @@ def is_stable(p: FramedPoint) -> StabilityReport:
         mats = [x.g @ x.phi.inner for x in p.loops]  # adjoint matrices
         witness = invariant_subspace(mats)
         report.invariant_subspace_witness = witness
+    if report.polystable and p.is_untwisted():
+        report.levi_decomposition = decompose_irreducibles(
+            galois_generators(normalize_point(p)), n=p.n)
     return report
 
 

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
+    _modulus,
+    _spans_full_mod_p,
     commutant,
     decompose_irreducibles,
     factor_over_field,
@@ -19,8 +23,8 @@ from wildcat.algebra import (
     restrict_matrix,
     spin_algebra,
 )
-from wildcat.linalg import Matrix, Subspace
-from wildcat.scalars import Scalar
+from wildcat.linalg import Matrix, Subspace, _EchelonSet
+from wildcat.scalars import Scalar, euler_phi
 
 I2 = Matrix.identity(2)
 J = Matrix.build([[1, 1], [0, 1]])
@@ -58,6 +62,79 @@ class TestSpin:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             spin_algebra([I2, Matrix.identity(3)])
+
+
+def reference_spin(gens, n, m):
+    """Echelon basis of the unital algebra: products on both sides, no early stop."""
+    ech = _EchelonSet(n * n)
+    frontier = [w for w in [Matrix.identity(n, m)] + gens if ech.add(list(w.flatten()))]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                for prod in (g @ w, w @ g):
+                    if ech.add(list(prod.flatten())):
+                        nxt.append(prod)
+        frontier = nxt
+    return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
+
+
+@st.composite
+def generator_tuples(draw):
+    """One to three n x n matrices over Q or Q(zeta5), n = 2 or 3, with small
+    (half-)integer coefficients; block upper triangular (not full) or not."""
+    m = draw(st.sampled_from([1, 5]))
+    n = draw(st.integers(2, 3))
+    split = draw(st.one_of(st.none(), st.integers(1, n - 1)))
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda cs: Scalar.from_coeffs(m, cs))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        entries = [Scalar.zero(m) if split is not None and i >= split and j < split
+                   else draw(scalar) for i in range(n) for j in range(n)]
+        gens.append(Matrix(n, n, tuple(entries)))
+    return gens, n, m
+
+
+@settings(max_examples=50)
+@given(generator_tuples())
+def test_spin_matches_two_sided_reference(case):
+    gens, n, m = case
+    reference = reference_spin(gens, n, m)
+    assert spin_algebra(gens).basis == reference
+    if len(reference) == n * n:
+        assert invariant_subspace(gens) is None
+
+
+class TestModularCertificate:
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
+    def test_modulus_has_a_primitive_root_of_unity(self, m):
+        p, r = _modulus(m)
+        assert p < 2 ** 31 and (p - 1) % m == 0 and pow(r, m, p) == 1
+        assert all(pow(r, k, p) != 1 for k in range(1, m))
+        assert all(p % d for d in range(2, 50000) if d * d <= p)
+
+    def test_unlucky_prime_falls_back_to_exact_spin(self):
+        p, _ = _modulus(1)
+        gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: only I and SWAP
+        assert not _spans_full_mod_p(gens, 2, 1)
+        alg = spin_algebra(gens)
+        assert alg.dim == 4 and alg.basis == reference_spin(gens, 2, 1)
+        assert invariant_subspace(gens) is None
+
+    def test_denominator_divisible_by_prime_falls_back(self):
+        p, _ = _modulus(1)
+        gens = [Matrix.build([[1, 0], [0, Fraction(1, p)]]), SWAP]
+        assert not _spans_full_mod_p(gens, 2, 1)
+        alg = spin_algebra(gens)
+        assert alg.dim == 4 and alg.basis == reference_spin(gens, 2, 1)
+
+    def test_full_algebra_over_cyclotomic_field(self):
+        z = Scalar.zeta(5)
+        gens = [Matrix.build([[z, 0], [0, 1]]), Matrix.build([[0, 1], [1, 0]], 5)]
+        assert _spans_full_mod_p(gens, 2, 5)
+        assert spin_algebra(gens).basis == reference_spin(gens, 2, 5)
 
 
 class TestRadical:

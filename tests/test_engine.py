@@ -233,6 +233,15 @@ class TestLevi:
         for block in blocks:
             assert is_stable(restrict_point(p, block)).stable
 
+    def test_is_stable_reports_levi_blocks(self):
+        g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        diag = TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))
+        p = FramedPoint(2, [g], [], [diag])
+        assert is_stable(p).levi_decomposition == levi_reduction(p)
+        assert is_stable(simple_point([TwistedElement.plain(J)])).levi_decomposition is None
+        sig = TwistedElement(Matrix.identity(2), Automorphism.sigma(2))
+        assert is_stable(simple_point([sig])).levi_decomposition is None
+
 
 class TestAction:
     def test_identity_action(self):
@@ -334,7 +343,7 @@ def verdicts(p):
     return rep.polystable, rep.stable, rep.stabilizer_dim, radical.dim
 
 
-@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@settings(max_examples=12)
 @given(small_points())
 def test_verdicts_invariant_under_field_extension(p):
     q = promote_point(p, 5)

@@ -206,7 +206,7 @@ def matrices(m, rows, cols):
         lambda es: Matrix(rows, cols, tuple(es)))
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@settings(max_examples=40)
 @given(st.data())
 def test_sandwich_rows_match_products(data):
     m = data.draw(st.sampled_from([1, 5]))
