@@ -9,6 +9,9 @@ is linearly reductive.
 Spinning keeps an echelon basis of words in the generators.  Every word is a
 generator times a shorter word, so only kept words are extended, and only by
 left factors; the spin stops as soon as it holds N^2 independent words.
+``_spin_left`` is the one closure loop: the algebra spin (exact and modulo
+p), the submodule spanned by vectors, and the powers of one matrix (minimal
+polynomial, primitive element) all run on it.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 word-size prime p = 1 (mod m) (``_spans_full_mod_p``, after Cohen, Ivanyos and
@@ -22,14 +25,11 @@ M_N(K), which is simple (radical 0, module irreducible).  A lower rank mod p
 proves nothing (p may divide a denominator or be unlucky); the exact spin
 decides then.
 
-The radical is computed two independent ways:
-
-* ``radical_trace``  -- null space of the trace form of the natural module;
-  zero without any Gram matrix once the algebra has dimension N^2;
-* ``radical_oracle`` -- null space of the trace form of the left regular
-  module, built from structure constants.  A different faithful module and a
-  different code path, with no shortcut for M_N(K); the two must agree on
-  every input.
+The radical is ``radical_trace``: the null space of the trace form of the
+natural module, zero without any Gram matrix once the algebra has dimension
+N^2.  An independent second route (the trace form of the left regular
+module, from structure constants, with no shortcut for M_N(K)) is kept as a
+test oracle in ``tests/oracles.py``; the two must agree on every input.
 
 Invariant-subspace search is a MeatAxe over the exact coefficient field:
 the modular certificate of M_N(K), kernel and eigenvalue candidates, then a
@@ -83,42 +83,27 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _echelon(self) -> _EchelonSet:
-        return _EchelonSet(self.ambient_n ** 2, [b.flatten() for b in self.basis])
 
-    def is_closed(self) -> bool:
-        ech = self._echelon()
-        for a in self.basis:
-            for b in self.basis:
-                if not ech.contains(list((a @ b).flatten())):
-                    return False
-        return ech.contains(list(Matrix.identity(self.ambient_n, self.conductor).flatten()))
-
-
-def _spin_left(words, gens, mul, add, full: int) -> int:
-    """Number of independent words kept by a left-multiplication spin.
+def _spin_left(words, gens, mul, add, full: int) -> list:
+    """The independent words kept by a left-multiplication spin, in order.
 
     ``add(w)`` inserts a word into an echelon and says whether it was
     independent.  Kept words are extended by ``mul(g, w)`` for every
     generator g until no new word is independent or ``full`` words are kept.
-    The kept words span the algebra: their span holds the start words and is
+    The kept words span the closure: their span holds the start words and is
     closed under left multiplication by every generator.
     """
-    kept = 0
-    frontier = []
-    for w in words:
-        if add(w):
-            kept += 1
-            frontier.append(w)
-    while frontier and kept < full:
+    kept = [w for w in words if add(w)]
+    frontier = list(kept)
+    while frontier and len(kept) < full:
         nxt = []
         for w in frontier:
             for g in gens:
-                if kept == full:
+                if len(kept) == full:
                     return kept
                 prod = mul(g, w)
                 if add(prod):
-                    kept += 1
+                    kept.append(prod)
                     nxt.append(prod)
         frontier = nxt
     return kept
@@ -201,7 +186,7 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
                 for i in range(n) for col in cols]
 
     ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
-    return _spin_left([ident], gens, mul, add, n * n) == n * n
+    return len(_spin_left([ident], gens, mul, add, n * n)) == n * n
 
 
 def _matrix_units(n: int, m: int):
@@ -286,67 +271,10 @@ def radical_trace(alg: MatrixAlgebra) -> RadicalCertificate:
             row.append(s)
         gram.append(row)
     ker = kernel(Matrix.build(gram, alg.conductor))
-    rows = []
-    for coeffs in ker.basis:
-        elem = Matrix.zero(n, n, alg.conductor)
-        for c, b in zip(coeffs, alg.basis):
-            if c:
-                elem = elem + b.scale(c)
-        rows.append(list(elem.flatten()))
-    return _certificate_from_rows(n, rows)
-
-
-def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
-    """Radical via the trace form of the left regular module.
-
-    Structure constants are computed first; the Gram matrix lives on the
-    regular module A acting on itself, so this route never looks at natural-
-    module traces.  Every element of the result is certified nilpotent.
-    """
-    d = alg.dim
-    n = alg.ambient_n
-    ech = alg._echelon()
-    struct = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            res, coords = ech.reduce((alg.basis[i] @ alg.basis[j]).flatten())
-            if any(res):
-                raise AssertionError("algebra is not multiplicatively closed")
-            row.append(coords)
-        struct.append(row)
-    # tau[l] = trace of left multiplication by basis element l
-    tau = []
-    for l in range(d):
-        s = Scalar.zero(alg.conductor)
-        for k in range(d):
-            s = s + struct[l][k][k]
-        tau.append(s)
-    gram = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            s = Scalar.zero(alg.conductor)
-            for l in range(d):
-                c = struct[i][j][l]
-                if c:
-                    s = s + c * tau[l]
-            row.append(s)
-        gram.append(row)
-    ker = kernel(Matrix.build(gram, alg.conductor))
-    rows = []
-    for coeffs in ker.basis:
-        elem = Matrix.zero(n, n, alg.conductor)
-        for c, b in zip(coeffs, alg.basis):
-            if c:
-                elem = elem + b.scale(c)
-        rows.append(list(elem.flatten()))
-    cert = _certificate_from_rows(n, rows)
-    for row in cert.radical.basis:
-        mat = Matrix(n, n, tuple(row))
-        if not (mat ** n).is_zero():
-            raise AssertionError("radical element is not nilpotent")
-    return cert
+    if ker.dim == 0:
+        return _certificate_from_rows(n, [])
+    elems = Matrix.from_rows(ker.basis) @ Matrix.from_rows([b.flatten() for b in alg.basis])
+    return _certificate_from_rows(n, elems.row_list())
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +285,10 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
     """Submodule of K^n generated by the given vectors."""
     m = _field_of(generators)
     ech = _EchelonSet(n)
-    frontier = []
-    for v in vectors:
-        v = [x if isinstance(x, Scalar) else Scalar.rational(Fraction(x), m) for x in v]
-        if ech.add(v):
-            frontier.append(tuple(v))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in generators:
-                w = g.mul_vector(v)
-                if ech.add(list(w)):
-                    nxt.append(w)
-        frontier = nxt
-    return Subspace.from_vectors(n, [tuple(r) for r in ech.rows])
+    starts = [[x if isinstance(x, Scalar) else Scalar.rational(Fraction(x), m) for x in v]
+              for v in vectors]
+    _spin_left(starts, generators, lambda g, v: g.mul_vector(v), ech.add, n)
+    return Subspace(ech)
 
 
 def commutant(generators, n: int):
@@ -396,14 +314,9 @@ def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
 
 def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
     """Interpret a subspace of coordinates on ``outer`` inside the ambient space."""
-    rows = []
-    for coords in inner.basis:
-        vec = [Scalar.zero(coords[0].m)] * outer.ambient_dim
-        for c, base in zip(coords, outer.basis):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, base)]
-        rows.append(vec)
-    return Subspace.from_vectors(outer.ambient_dim, rows)
+    coords = Matrix(inner.dim, outer.dim, tuple(x for row in inner.basis for x in row))
+    vectors = coords @ Matrix.from_rows(outer.basis)
+    return Subspace.from_vectors(outer.ambient_dim, vectors.row_list())
 
 
 def invariant_complement(generators, sub: Subspace) -> Subspace:
@@ -523,21 +436,23 @@ def _eval_poly(coeffs, f: Matrix) -> Matrix:
     return out
 
 
+def _powers(f: Matrix):
+    """(I, f, ..., f^(d-1), their echelon), d the degree of f's minimal polynomial."""
+    n = f.rows
+    ech = _EchelonSet(n * n)
+    powers = _spin_left([Matrix.identity(n, f._conductor())], [f], lambda g, w: w @ g,
+                        lambda w: ech.add(list(w.flatten())), n * n)
+    return powers, ech
+
+
 def minimal_polynomial(f: Matrix):
     """Monic minimal polynomial coefficients, low -> high."""
     n = f.rows
-    m = f._conductor()
-    ech = _EchelonSet(n * n)
-    powers = []
-    cur = Matrix.identity(n, m)
-    while ech.add(list(cur.flatten())):
-        powers.append(cur)
-        cur = cur @ f
-    # cur = f^d is the first dependent power: solve sum a_i f^i = f^d
-    d = len(powers)
-    cols = Matrix.from_cols([tuple(p.flatten()) for p in powers])
-    sol, _ = linear_solve(cols, Matrix(n * n, 1, tuple(cur.flatten())))
-    return [-sol[i, 0] for i in range(d)] + [Scalar.one(m)]
+    powers, _ = _powers(f)
+    # f^d is the first dependent power: solve sum a_i f^i = f^d
+    cols = Matrix.from_cols([p.flatten() for p in powers])
+    sol, _ = linear_solve(cols, Matrix(n * n, 1, (powers[-1] @ f).flatten()))
+    return [-sol[i, 0] for i in range(len(powers))] + [Scalar.one(f._conductor())]
 
 
 # ---------------------------------------------------------------------------
@@ -584,42 +499,24 @@ def _split_by_element(f: Matrix, n: int, m: int):
 
 def _primitive_element(basis, n: int, m: int) -> Matrix:
     """Generator of a commutative algebra span(basis) (deterministic sweep)."""
-    target = len(basis)
-
-    def span_dim(f):
-        ech = _EchelonSet(n * n)
-        cur = Matrix.identity(n, m)
-        d = 0
-        while ech.add(list(cur.flatten())):
-            d += 1
-            cur = cur @ f
-        return d
-
     f = None
-    fdim = 0
     for b in basis:
         if _is_scalar_matrix(b):
             continue
         if f is None:
-            f, fdim = b, span_dim(b)
+            f, span = b, _powers(b)[1]
             continue
-        # check whether b already lies in K[f]
-        ech = _EchelonSet(n * n)
-        cur = Matrix.identity(n, m)
-        for _ in range(fdim):
-            ech.add(list(cur.flatten()))
-            cur = cur @ f
-        if ech.contains(list(b.flatten())):
+        if span.contains(list(b.flatten())):  # b already lies in K[f]
             continue
         for c in range(n * n + 2):
             g = f + b.scale(Scalar.rational(c, m))
-            gdim = span_dim(g)
-            if gdim > fdim:
-                f, fdim = g, gdim
+            g_span = _powers(g)[1]
+            if g_span.dim > span.dim:
+                f, span = g, g_span
                 break
         else:
             raise AssertionError("primitive element sweep failed")
-        if fdim == target:
+        if span.dim == len(basis):
             break
     return f if f is not None else Matrix.identity(n, m)
 

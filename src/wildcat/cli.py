@@ -97,6 +97,15 @@ def _matrix_text(mat: Matrix, indent: str = "    "):
             for i in range(mat.rows)]
 
 
+def _vector_text(row) -> str:
+    return "(" + ", ".join(repr(x) for x in row) + ")"
+
+
+def _levi_text(blocks):
+    return [f"Levi blocks ({len(blocks)}):"] + [
+        f"    dim {b.dim}: " + "; ".join(_vector_text(row) for row in b.basis) for b in blocks]
+
+
 def _report_text(report: StabilityReport):
     lines = [f"polystable: {report.polystable}"]
     if report.stable is not None:
@@ -109,14 +118,9 @@ def _report_text(report: StabilityReport):
         lines += _matrix_text(report.radical_witness)
     if report.invariant_subspace_witness is not None:
         lines.append("invariant subspace witness (echelon basis):")
-        for row in report.invariant_subspace_witness.basis:
-            lines.append("    (" + ", ".join(repr(x) for x in row) + ")")
+        lines += ["    " + _vector_text(row) for row in report.invariant_subspace_witness.basis]
     if report.levi_decomposition is not None:
-        lines.append(f"Levi blocks ({len(report.levi_decomposition)}):")
-        for s in report.levi_decomposition:
-            lines.append("    dim " + str(s.dim) + ": " +
-                         "; ".join("(" + ", ".join(repr(x) for x in row) + ")"
-                                   for row in s.basis))
+        lines += _levi_text(report.levi_decomposition)
     return lines
 
 
@@ -131,11 +135,10 @@ def _resolve_point(inst: InstanceFile):
     sc = build_scaffold(inst.surface)
     if inst.candidate is None:
         return None, "stokes instance needs a candidate (use sample to create one)", EXIT_INPUT
-    cand = RepCandidate(inst.candidate)
-    violations = verify_candidate(sc, cand)
-    if violations:
-        return None, "invalid candidate: " + "; ".join(violations), EXIT_INVALID
-    return to_framed_point(sc, cand), None, EXIT_OK
+    try:
+        return to_framed_point(sc, RepCandidate(inst.candidate)), None, EXIT_OK
+    except ValueError as exc:  # the candidate fails verification
+        return None, str(exc), EXIT_INVALID
 
 
 def _cmd_analyze(inst: InstanceFile, args, started) -> int:
@@ -167,28 +170,14 @@ def _cmd_reduce(inst: InstanceFile, args, started) -> int:
         return EXIT_INPUT
     payload = {"command": "reduce", "field": inst.conductor,
                "blocks": [b.to_json() for b in blocks]}
-    lines = [f"Levi blocks ({len(blocks)}):"]
-    for b in blocks:
-        lines.append("    dim " + str(b.dim) + ": " +
-                     "; ".join("(" + ", ".join(repr(x) for x in row) + ")" for row in b.basis))
-    _emit(payload, args.format, lines, started)
+    _emit(payload, args.format, _levi_text(blocks), started)
     return EXIT_OK
 
 
-def _require_surface(inst: InstanceFile):
-    if inst.mode != "stokes" or inst.surface is None:
-        return None
-    return inst.surface
-
-
 def _cmd_directions(inst: InstanceFile, args, started) -> int:
-    ws = _require_surface(inst)
-    if ws is None:
-        print("directions requires a stokes instance", file=sys.stderr)
-        return EXIT_INPUT
     payload = {"command": "directions", "field": inst.conductor, "punctures": []}
     lines = []
-    for i, cls in enumerate(ws.punctures):
+    for i, cls in enumerate(inst.surface.punctures):
         infos = singular_directions(cls)
         groups = grouped_directions(cls)
         payload["punctures"].append({
@@ -220,11 +209,7 @@ def _scaffold_json(sc: Scaffold):
 
 
 def _cmd_scaffold(inst: InstanceFile, args, started) -> int:
-    ws = _require_surface(inst)
-    if ws is None:
-        print("scaffold requires a stokes instance", file=sys.stderr)
-        return EXIT_INPUT
-    sc = build_scaffold(ws)
+    sc = build_scaffold(inst.surface)
     payload = {"command": "scaffold", **_scaffold_json(sc)}
     word = " ".join(name if exp == 1 else f"{name}^-1" for name, exp in sc.relation)
     lines = [f"{len(sc.generators)} generators:"]
@@ -241,14 +226,10 @@ def _cmd_scaffold(inst: InstanceFile, args, started) -> int:
 
 
 def _cmd_verify(inst: InstanceFile, args, started) -> int:
-    ws = _require_surface(inst)
-    if ws is None:
-        print("verify requires a stokes instance", file=sys.stderr)
-        return EXIT_INPUT
     if inst.candidate is None:
         print("verify requires a candidate", file=sys.stderr)
         return EXIT_INPUT
-    sc = build_scaffold(ws)
+    sc = build_scaffold(inst.surface)
     violations = verify_candidate(sc, RepCandidate(inst.candidate))
     payload = {"command": "verify", "field": inst.conductor, "violations": violations}
     lines = ["candidate verifies: no violations"] if not violations else \
@@ -258,11 +239,7 @@ def _cmd_verify(inst: InstanceFile, args, started) -> int:
 
 
 def _cmd_sample(inst: InstanceFile, args, started) -> int:
-    ws = _require_surface(inst)
-    if ws is None:
-        print("sample requires a stokes instance", file=sys.stderr)
-        return EXIT_INPUT
-    sc = build_scaffold(ws)
+    sc = build_scaffold(inst.surface)
     try:
         cand = random_candidate(sc, args.seed)
     except UnsolvableRelation as exc:
@@ -299,6 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# commands that need the surface of a stokes instance
+_SURFACE_COMMANDS = ("directions", "scaffold", "verify", "sample")
+
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "directions": _cmd_directions,
@@ -321,6 +301,9 @@ def run_command(argv) -> int:
     except InstanceError as exc:
         for err in exc.errors:
             print(err, file=sys.stderr)
+        return EXIT_INPUT
+    if args.command in _SURFACE_COMMANDS and (inst.mode != "stokes" or inst.surface is None):
+        print(f"{args.command} requires a stokes instance", file=sys.stderr)
         return EXIT_INPUT
     return _COMMANDS[args.command](inst, args, started)
 

@@ -35,7 +35,6 @@ from .linalg import (
     sandwich_rows,
     weight_projectors,
 )
-from .scalars import Scalar
 from .twists import TwistedElement, embed_doubled, normalize
 
 
@@ -169,22 +168,16 @@ def galois_generators(p: FramedPoint):
     n = p.n
     gens = [embed_doubled(x) for x in p.loops]
     for per_grading in projs:
-        if not per_grading:
-            continue
         by_weight = {w: q for w, q in per_grading}
         weights = sorted(set(by_weight) | {tuple(-c for c in w) for w in by_weight})
         for u in weights:
-            qu = by_weight.get(u)
-            qminus = by_weight.get(tuple(-c for c in u))
-            top = qu if qu is not None else Matrix.zero(n, n, cond)
-            bottom = qminus.transpose() if qminus is not None else Matrix.zero(n, n, cond)
-            rows = []
-            zero_row = [Scalar.zero(cond)] * n
-            for i in range(n):
-                rows.append(list(top.row(i)) + zero_row)
-            for i in range(n):
-                rows.append(zero_row + list(bottom.row(i)))
-            gens.append(Matrix.build(rows, cond))
+            q = Matrix.zero(2 * n, 2 * n, cond)
+            if u in by_weight:
+                q = q.place(0, 0, by_weight[u])
+            minus = tuple(-c for c in u)
+            if minus in by_weight:
+                q = q.place(n, n, by_weight[minus].transpose())
+            gens.append(q)
     return gens
 
 
@@ -231,49 +224,6 @@ def stabilizer_lie_dim(p: FramedPoint) -> int:
     for x in normalize(p.loops):
         twist = (x.g, None, True) if x.phi.outer else (-x.g, None, False)
         rows += sandwich_rows([(None, x.g, False), twist], n, n, m)
-    return kernel(Matrix.build(rows, m)).dim
-
-
-def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
-    """Independent stabilizer dimension via the conjugation picture.
-
-    The stabilizer corresponds to matrices commuting with every transported
-    weight projector and twisted-commuting with every loop.
-    """
-    n = p.n
-    m = p.conductor()
-    rows = []
-    for per_grading in transported_projectors(p):
-        for _, q in per_grading:
-            for r in range(n):
-                for c in range(n):
-                    row = [Scalar.zero(m)] * (n * n)
-                    for k in range(n):
-                        row[r * n + k] = row[r * n + k] + q[k, c]
-                        row[k * n + c] = row[k * n + c] - q[r, k]
-                    rows.append(row)
-    for x in p.loops:
-        g = x.g
-        ga = g @ x.phi.inner
-        inner_inv = x.phi.inner.inverse()
-        for r in range(n):
-            for c in range(n):
-                row = [Scalar.zero(m)] * (n * n)
-                for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
-                for a in range(n):
-                    if not ga[r, a]:
-                        continue
-                    for b in range(n):
-                        f = inner_inv[b, c]
-                        if f:
-                            if x.phi.outer:
-                                row[b * n + a] = row[b * n + a] + ga[r, a] * f
-                            else:
-                                row[a * n + b] = row[a * n + b] - ga[r, a] * f
-                rows.append(row)
-    if not rows:
-        return n * n
     return kernel(Matrix.build(rows, m)).dim
 
 

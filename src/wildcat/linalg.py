@@ -8,6 +8,8 @@ There is one elimination kernel, the incremental echelon ``_EchelonSet``:
 ``rref``, ``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and
 the algebra spinning all run on it.  Linear conditions of the form
 X -> sum L.X.R are turned into coefficient rows by ``sandwich_rows`` alone.
+Block matrices (the doubled realisation, block-supported samples) are
+written with ``Matrix.place``.
 """
 
 from __future__ import annotations
@@ -155,6 +157,18 @@ class Matrix:
 
     def flatten(self) -> tuple:
         return self.entries
+
+    def place(self, row: int, col: int, block: "Matrix") -> "Matrix":
+        """A copy with ``block`` written over the entries from (row, col) on."""
+        if row < 0 or col < 0 or row + block.rows > self.rows or col + block.cols > self.cols:
+            raise ValueError("block does not fit inside the matrix")
+        if block.entries and self.entries and block._conductor() != self._conductor():
+            raise ValueError("block and matrix live in different fields")
+        out = list(self.entries)
+        for i in range(block.rows):
+            start = (row + i) * self.cols + col
+            out[start:start + block.cols] = block.row(i)
+        return Matrix(self.rows, self.cols, tuple(out))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -502,11 +516,6 @@ class Grading:
         return True
 
     __hash__ = None
-
-    def to_json(self):
-        return [{"weight": list(w),
-                 "basis": [[x.to_json() for x in v] for v in basis]}
-                for w, basis in self.pieces]
 
 
 def weight_projectors(g: Grading) -> list:

@@ -69,15 +69,10 @@ class Circle:
             if j in seen:
                 raise ValueError("repeated exponent in circle")
             seen.add(j)
-            if isinstance(a, Scalar):
-                if a.is_zero():
-                    raise ValueError("zero coefficient in circle")
-                cleaned.append((j, a))
-            else:
-                a = Scalar.rational(Fraction(a))
-                if a.is_zero():
-                    raise ValueError("zero coefficient in circle")
-                cleaned.append((j, a))
+            a = a if isinstance(a, Scalar) else Scalar.rational(Fraction(a))
+            if a.is_zero():
+                raise ValueError("zero coefficient in circle")
+            cleaned.append((j, a))
         cleaned.sort()
         g = self.ram
         for j, _ in cleaned:
@@ -448,6 +443,14 @@ def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity
     return None
 
 
+def _word_product(sc: Scaffold, assignment: dict, items) -> Matrix:
+    out = Matrix.identity(sc.n, sc.conductor)
+    for name, exp in items:
+        mat = assignment[name]
+        out = out @ (mat if exp == 1 else mat.inverse())
+    return out
+
+
 def verify_candidate(sc: Scaffold, cand: RepCandidate):
     """Empty list iff the candidate is a genuine point of the scaffold's variety."""
     violations = []
@@ -487,20 +490,20 @@ def verify_candidate(sc: Scaffold, cand: RepCandidate):
                     f"{gen.name}: entry {bad} leaves the twisted graded support")
     if violations:
         return violations
-    word = Matrix.identity(sc.n, sc.conductor)
-    for name, exp in sc.relation:
-        mat = assignment[name]
-        word = word @ (mat if exp == 1 else mat.inverse())
-    if not (word == Matrix.identity(sc.n, sc.conductor)):
+    if not (_word_product(sc, assignment, sc.relation) == Matrix.identity(sc.n, sc.conductor)):
         violations.append("relation: the surface relation does not evaluate to the identity")
     return violations
 
 
 def to_framed_point(sc: Scaffold, cand: RepCandidate) -> FramedPoint:
-    """Assemble the framed point: loops based at the first puncture's basepoint."""
+    """Assemble the framed point: loops based at the first puncture's basepoint.
+
+    The candidate is verified first; ValueError("invalid candidate: ...")
+    names its violations.
+    """
     violations = verify_candidate(sc, cand)
     if violations:
-        raise ValueError("unverified candidate: " + "; ".join(violations))
+        raise ValueError("invalid candidate: " + "; ".join(violations))
     a = cand.assignment
     loops = []
     for k in range(1, sc.genus + 1):
@@ -539,13 +542,6 @@ def _random_rational(rng, zero_ok=True):
     return Fraction(num, den)
 
 
-def _random_invertible(rng, n: int, m: int) -> Matrix:
-    while True:
-        mat = Matrix.build([[_random_rational(rng) for _ in range(n)] for _ in range(n)], m)
-        if mat.is_invertible():
-            return mat
-
-
 def _random_block(rng, rows: int, cols: int, m: int, invertible: bool) -> Matrix:
     while True:
         mat = Matrix.build([[_random_rational(rng) for _ in range(cols)] for _ in range(rows)], m)
@@ -554,31 +550,20 @@ def _random_block(rng, rows: int, cols: int, m: int, invertible: bool) -> Matrix
 
 
 def _random_formal(rng, pd: PunctureData, n: int, m: int) -> Matrix:
-    out = [[Scalar.zero(m) for _ in range(n)] for _ in range(n)]
+    out = Matrix.zero(n, n, m)
     for tgt, src in pd.formal_blocks:
         st, ss = pd.sheets[tgt], pd.sheets[src]
-        block = _random_block(rng, st.size, ss.size, m, invertible=True)
-        for r in range(st.size):
-            for c in range(ss.size):
-                out[st.start + r][ss.start + c] = block[r, c]
-    return Matrix.build(out, m)
+        out = out.place(st.start, ss.start,
+                        _random_block(rng, st.size, ss.size, m, invertible=True))
+    return out
 
 
 def _random_stokes(rng, pd: PunctureData, pattern, n: int, m: int) -> Matrix:
-    out = Matrix.identity(n, m).row_list()
+    out = Matrix.identity(n, m)
     for i, j in pattern:
         si, sj = pd.sheets[i], pd.sheets[j]
-        for r in range(si.size):
-            for c in range(sj.size):
-                out[si.start + r][sj.start + c] = Scalar.rational(_random_rational(rng), m)
-    return Matrix.build(out, m)
-
-
-def _word_product(sc: Scaffold, assignment: dict, items) -> Matrix:
-    out = Matrix.identity(sc.n, sc.conductor)
-    for name, exp in items:
-        mat = assignment[name]
-        out = out @ (mat if exp == 1 else mat.inverse())
+        out = out.place(si.start, sj.start,
+                        _random_block(rng, si.size, sj.size, m, invertible=False))
     return out
 
 
@@ -594,17 +579,15 @@ def _free_punctures(sc: Scaffold):
 def _solve_commutator(rng, v: Matrix, n: int, m: int):
     """Find invertible a, b with a b a^-1 b^-1 = v, or raise _RetryError."""
     for _ in range(10):
-        a = _random_invertible(rng, n, m)
+        a = _random_block(rng, n, n, m, invertible=True)
         # a b - v b a = 0, linear in b
         ker = kernel(Matrix.build(sandwich_rows([(a, None, False), (-v, a, False)], n, n, m), m))
         if ker.dim == 0:
             continue
+        basis = Matrix.from_rows(ker.basis)
         for _ in range(12):
-            combo = [Scalar.zero(m)] * (n * n)
-            for vbasis in ker.basis:
-                c = Scalar.rational(_random_rational(rng), m)
-                combo = [x + c * y for x, y in zip(combo, vbasis)]
-            b = Matrix(n, n, tuple(combo))
+            coeffs = Matrix.build([[_random_rational(rng) for _ in ker.basis]], m)
+            b = Matrix(n, n, (coeffs @ basis).entries)
             if b.is_invertible():
                 if a @ b @ a.inverse() @ b.inverse() == v:
                     return a, b
@@ -656,11 +639,7 @@ def _greedy_local_factor(rng, sc: Scaffold, pd: PunctureData, v: Matrix, randomi
                 y = _random_block(rng, si.size, sj.size, m, invertible=False)
             else:
                 continue
-            elem = Matrix.identity(n, m).row_list()
-            for r in range(si.size):
-                for c in range(sj.size):
-                    elem[si.start + r][sj.start + c] = y[r, c]
-            elem = Matrix.build(elem, m)
+            elem = Matrix.identity(n, m).place(si.start, sj.start, y)
             a = a @ elem
             t = t @ elem
         inverses.append(t)
@@ -676,14 +655,10 @@ def _apply_framing_spread(rng, sc: Scaffold, assignment: dict):
     m = sc.conductor
     hs = []
     for pd in sc.punctures:
-        n = sc.n
-        out = [[Scalar.zero(m) for _ in range(n)] for _ in range(n)]
+        h = Matrix.zero(sc.n, sc.n, m)
         for s in pd.sheets:
-            block = _random_block(rng, s.size, s.size, m, invertible=True)
-            for r in range(s.size):
-                for c in range(s.size):
-                    out[s.start + r][s.start + c] = block[r, c]
-        hs.append(Matrix.build(out, m))
+            h = h.place(s.start, s.start, _random_block(rng, s.size, s.size, m, invertible=True))
+        hs.append(h)
     h1 = hs[0]
     h1inv = h1.inverse()
     out = {}
@@ -719,7 +694,7 @@ def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
         try:
             for gen in sc.generators:
                 if gen.kind in ("handle_a", "handle_b", "connector"):
-                    assignment[gen.name] = _random_invertible(rng, n, m)
+                    assignment[gen.name] = _random_block(rng, n, n, m, invertible=True)
                 elif gen.kind == "formal":
                     assignment[gen.name] = _random_formal(rng, sc.punctures[gen.puncture], n, m)
                 else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .scalars import Scalar
 
 
 def transpose_inverse(g: Matrix) -> Matrix:
@@ -141,15 +140,6 @@ def embed_doubled(x: TwistedElement) -> Matrix:
     if not x.is_normalized():
         raise ValueError("element must be normalized (trivial inner part)")
     n = x.n
-    m = x.g._conductor()
-    g = x.g
-    gsig = transpose_inverse(g)
-    zero_row = [Scalar.zero(m)] * n
-    rows = []
-    for i in range(n):
-        rows.append(zero_row + list(g.row(i)) if x.phi.outer
-                    else list(g.row(i)) + zero_row)
-    for i in range(n):
-        rows.append(list(gsig.row(i)) + zero_row if x.phi.outer
-                    else zero_row + list(gsig.row(i)))
-    return Matrix.build(rows, m)
+    shift = n if x.phi.outer else 0  # sigma puts both blocks off the diagonal
+    out = Matrix.zero(2 * n, 2 * n, x.g._conductor()).place(0, shift, x.g)
+    return out.place(n, n - shift, transpose_inverse(x.g))

@@ -9,6 +9,7 @@ from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
     _modulus,
+    _primitive_element,
     _spans_full_mod_p,
     commutant,
     decompose_irreducibles,
@@ -18,13 +19,14 @@ from wildcat.algebra import (
     isotypic_decomposition,
     minimal_polynomial,
     module_homs,
-    radical_oracle,
     radical_trace,
     restrict_matrix,
     spin_algebra,
 )
 from wildcat.linalg import Matrix, Subspace, _EchelonSet
 from wildcat.scalars import Scalar, euler_phi
+
+from oracles import is_closed, radical_oracle
 
 I2 = Matrix.identity(2)
 J = Matrix.build([[1, 1], [0, 1]])
@@ -57,7 +59,7 @@ class TestSpin:
         for _ in range(10):
             n = rng.choice([2, 3])
             alg = spin_algebra([rand_matrix(rng, n) for _ in range(rng.randint(1, 2))])
-            assert alg.is_closed()
+            assert is_closed(alg)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -293,6 +295,16 @@ class TestPolynomialTools:
         assert [c.as_fraction() for c in coeffs] == [1, -2, 1]
         coeffs = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
         assert [c.as_fraction() for c in coeffs] == [-2, 1]
+
+    def test_primitive_element_sweep(self):
+        # E11 alone generates span{I, E11}; E22 forces the sweep to E11 + c E22
+        units = [Matrix.build([[int(i == j == k) for j in range(3)] for i in range(3)])
+                 for k in range(3)]
+        f = _primitive_element(units, 3, 1)
+        powers = Subspace.from_vectors(9, [g.flatten() for g in (Matrix.identity(3), f, f @ f)])
+        assert powers.dim == 3
+        assert powers == Subspace.from_vectors(9, [g.flatten() for g in units])
+        assert len(minimal_polynomial(f)) == 4
 
     def test_factor_over_rationals(self):
         x2m1 = [Scalar.rational(-1), Scalar.zero(), Scalar.one()]

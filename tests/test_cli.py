@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wildcat
 from wildcat.cli import Report, run_command
 
 JORDAN = {
@@ -110,6 +113,24 @@ def test_analyze_stokes_requires_candidate(tmp_path, capsys):
     assert run_command(["analyze", "--instance", path]) == 2
 
 
+def test_analyze_stokes_invalid_candidate(tmp_path, capsys):
+    bad = dict(IDENTITY_CANDIDATE, **{"S1.0": [["1", "2"], ["0", "1"]]})
+    data = dict(TWO_CIRCLE, candidate=bad)
+    path = write(tmp_path, "bad.json", data)
+    assert run_command(["analyze", "--instance", path, "--format", "machine"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid candidate: S1.0: entry (0, 1) leaves the "
+                            "direction's block pattern\n")
+
+
+@pytest.mark.parametrize("command", ["directions", "scaffold", "verify", "sample"])
+def test_surface_commands_reject_tuple_instances(tmp_path, capsys, command):
+    path = write(tmp_path, "jordan.json", JORDAN)
+    assert run_command([command, "--instance", path]) == 2
+    assert capsys.readouterr().err == f"{command} requires a stokes instance\n"
+
+
 def test_reduce(tmp_path, capsys):
     diag = {"field": 1, "mode": "tuple",
             "tuple": {"n": 2, "loops": [{"matrix": [["2", "0"], ["0", "3"]]}]}}
@@ -168,8 +189,12 @@ def test_report_round_trip(tmp_path, capsys):
 
 def test_console_script(tmp_path):
     path = write(tmp_path, "jordan.json", JORDAN)
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(wildcat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "wildcat.cli", "analyze",
                            "--instance", path, "--format", "machine"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["polystable"] is False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcat.algebra import invariant_subspace, radical_oracle, radical_trace, spin_algebra
+from wildcat.algebra import invariant_subspace, radical_trace, spin_algebra
 from wildcat.engine import (
     FramedPoint,
     NotPolystable,
@@ -19,10 +19,11 @@ from wildcat.engine import (
     normalize_point,
     restrict_point,
     stabilizer_lie_dim,
-    stabilizer_lie_dim_commutant,
 )
 from wildcat.linalg import Grading, Matrix, Subspace
 from wildcat.twists import Automorphism, TwistedElement
+
+from oracles import radical_oracle, stabilizer_lie_dim_commutant
 
 J = Matrix.build([[1, 1], [0, 1]])
 SWAP = Matrix.build([[0, 1], [1, 0]])

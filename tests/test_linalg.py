@@ -194,6 +194,18 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix.build([[z5]], 1)
 
+    def test_place_writes_a_copy(self):
+        a = Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        b = a.place(1, 0, Matrix.build([[-1, -2]]))
+        assert b == Matrix.build([[1, 2, 3], [-1, -2, 6], [7, 8, 9]])
+        assert a == Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert a.place(0, 1, Matrix.build([[0, 0], [0, 0], [0, 0]])) == \
+            Matrix.build([[1, 0, 0], [4, 0, 0], [7, 0, 0]])
+        with pytest.raises(ValueError):
+            a.place(2, 2, Matrix.identity(2))  # does not fit
+        with pytest.raises(ValueError):
+            a.place(0, 0, Matrix.identity(1, 5))  # another field
+
 
 def scalars(m):
     phi = euler_phi(m)
