@@ -135,13 +135,10 @@ def _image_mod_p(g: Matrix, p: int, rpow):
     """Row-major entries of g under zeta_m -> r, or None if p divides a denominator."""
     out = []
     for x in g.entries:
-        v = 0
-        for c, rj in zip(x.coeffs, rpow):
-            if c:
-                if c.denominator % p == 0:
-                    return None
-                v += c.numerator * pow(c.denominator, -1, p) * rj
-        out.append(v % p)
+        if x.den % p == 0:
+            return None
+        v = sum(c * rj for c, rj in zip(x.num, rpow))
+        out.append(v * pow(x.den, -1, p) % p)
     return out
 
 

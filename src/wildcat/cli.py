@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .engine import (
@@ -276,6 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command and reused by every later one."""
+    return build_parser()
+
+
 # commands that need the surface of a stokes instance
 _SURFACE_COMMANDS = ("directions", "scaffold", "verify", "sample")
 
@@ -291,9 +298,8 @@ _COMMANDS = {
 
 def run_command(argv) -> int:
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0,) else EXIT_OK
     try:

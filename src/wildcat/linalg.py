@@ -23,7 +23,7 @@ from .scalars import Scalar
 def _coerce_scalar(x, m: int = 1) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    return Scalar.rational(Fraction(x), m)
+    return Scalar.rational(x, m)
 
 
 def _field_rows(rows, m: Optional[int] = None):

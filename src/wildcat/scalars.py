@@ -1,8 +1,16 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
-A Scalar is an element of Q(zeta_m) for a conductor m >= 1, stored as a
-polynomial in zeta_m of degree < phi(m) with Fraction coefficients, reduced
-modulo the m-th cyclotomic polynomial.  m = 1 is plain Q.
+A Scalar is an element of Q(zeta_m) for a conductor m >= 1, written in the
+power basis 1, zeta_m, ..., zeta_m^(phi(m)-1) as integer numerators ``num``
+(a tuple of length phi(m)) over one common denominator ``den``.  The form is
+canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so zero is (0, ..., 0)
+over 1 and two elements are equal exactly when their numerators and
+denominators are.  m = 1 is plain Q.
+
+Products are integer convolutions reduced by the monic integer cyclotomic
+polynomial and normalised by one gcd; sums of elements over one denominator
+add numerators.  No Fraction is made by + - * == or ``is_zero``; ``coeffs``
+gives the Fraction coefficients for printing and other cold readers.
 
 One conductor is fixed per problem instance, and every scalar of the instance
 lives in that field.  Arithmetic lifts ints and Fractions into the field of
@@ -17,9 +25,11 @@ a float image for display and for direction angles only.
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
@@ -60,41 +70,84 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return num
 
 
-def _reduce_mod_cyclotomic(coeffs: list, m: int) -> tuple:
+@lru_cache(maxsize=None)
+def _reduction_terms(m: int) -> tuple:
+    """The nonzero low coefficients (j, c_j) of the monic cyclotomic polynomial."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
+
+
+def _reduce(num: list, m: int) -> tuple:
+    """Integer coefficients of any length reduced modulo Phi_m, as a phi(m)-tuple."""
     phi = euler_phi(m)
-    mod = cyclotomic_polynomial(m)
-    coeffs = list(coeffs) + [Fraction(0)] * max(0, phi + 1 - len(coeffs))
-    for d in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[d]
+    if len(num) < phi:
+        return tuple(num) + (0,) * (phi - len(num))
+    terms = _reduction_terms(m)
+    for d in range(len(num) - 1, phi - 1, -1):
+        c = num[d]
         if c:
-            for j in range(phi + 1):
-                coeffs[d - phi + j] -= c * mod[j]
-        coeffs.pop()
-    while len(coeffs) < phi:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs[:phi])
+            base = d - phi
+            for j, cj in terms:
+                num[base + j] -= c * cj
+    return tuple(num[:phi])
+
+
+def _canonical(m: int, num: tuple, den: int) -> "Scalar":
+    """The Scalar num/den, dividing out the common gcd (den > 0)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return Scalar(m, tuple([x // g for x in num]), den // g)
+    return Scalar(m, num, den)
+
+
+def _unlike_sum(a: "Scalar", b: "Scalar", op) -> "Scalar":
+    """a op b (op add or sub) over unequal denominators, as Fraction._add does."""
+    da, db = a.den, b.den
+    g = gcd(da, db)
+    if g == 1:  # the cross terms share no factor with da * db
+        return Scalar(a.m, tuple([op(x * db, y * da) for x, y in zip(a.num, b.num)]), da * db)
+    s, t = da // g, db // g
+    return _canonical(a.m, tuple([op(x * t, y * s) for x, y in zip(a.num, b.num)]), s * db)
+
+
+def _trimmed(poly: list) -> list:
+    while len(poly) > 1 and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+# the scalar grammar of instance files: integers, fractions and plain decimals
+_RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def _parse_rational(data) -> Fraction:
+    text = str(data)
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer, fraction or plain decimal: {text[:40]!r}")
+    return Fraction(text)
 
 
 class Scalar:
-    """An element of Q(zeta_m), canonical and exact."""
+    """An element of Q(zeta_m): integer numerators over one denominator.  The
+    constructor takes a canonical form as given; ``_canonical`` makes one."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, coeffs: tuple):
+    def __init__(self, m: int, num: tuple, den: int = 1):
         self.m = m
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(value, m: int = 1) -> "Scalar":
-        q = Fraction(value)
-        phi = euler_phi(m)
-        return Scalar(m, (q,) + (Fraction(0),) * (phi - 1))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return Scalar(m, (q.numerator,) + (0,) * (euler_phi(m) - 1), q.denominator)
 
     @staticmethod
     def zero(m: int = 1) -> "Scalar":
-        return Scalar.rational(0, m)
+        return Scalar(m, (0,) * euler_phi(m))
 
     @staticmethod
     def one(m: int = 1) -> "Scalar":
@@ -104,13 +157,21 @@ class Scalar:
     def zeta(m: int, power: int = 1) -> "Scalar":
         """zeta_m ** power as an element of Q(zeta_m)."""
         power %= m
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return Scalar(m, _reduce_mod_cyclotomic(coeffs, m))
+        num = [0] * (power + 1)
+        num[power] = 1
+        return Scalar(m, _reduce(num, m))
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "Scalar":
-        return Scalar(m, _reduce_mod_cyclotomic([Fraction(c) for c in coeffs], m))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return _canonical(m, _reduce([c.numerator * (den // c.denominator) for c in coeffs], m),
+                          den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- conductor handling ------------------------------------------------
 
@@ -121,10 +182,10 @@ class Scalar:
         if m_new % self.m != 0:
             raise ValueError(f"cannot embed conductor {self.m} into {m_new}")
         step = m_new // self.m
-        out = [Fraction(0)] * (euler_phi(self.m) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            out[j * step] += c
-        return Scalar(m_new, _reduce_mod_cyclotomic(out, m_new))
+        out = [0] * (euler_phi(self.m) * step + 1)
+        for j, x in enumerate(self.num):
+            out[j * step] += x
+        return _canonical(m_new, _reduce(out, m_new), self.den)
 
     def _pair(self, other) -> "Scalar":
         """The other operand in this field: ints and Fractions lift, other fields raise."""
@@ -138,55 +199,73 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        b = self._pair(other)
-        return Scalar(self.m, tuple(x + y for x, y in zip(self.coeffs, b.coeffs)))
+        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
+        if self.den == b.den:
+            return _canonical(self.m, tuple(map(add, self.num, b.num)), self.den)
+        return _unlike_sum(self, b, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.m, tuple(-x for x in self.coeffs))
+        return Scalar(self.m, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        b = self._pair(other)
-        return Scalar(self.m, tuple(x - y for x, y in zip(self.coeffs, b.coeffs)))
+        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
+        if self.den == b.den:
+            return _canonical(self.m, tuple(map(sub, self.num, b.num)), self.den)
+        return _unlike_sum(self, b, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        b = self._pair(other)
-        if self.m == 1:
-            return Scalar(1, (self.coeffs[0] * b.coeffs[0],))
-        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
+        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
+        a_num, b_num = self.num, b.num
+        if len(a_num) == 1:
+            # as Fraction._mul: cross gcds keep the product canonical
+            na, da, nb, db = a_num[0], self.den, b_num[0], b.den
+            g1 = gcd(na, db)
+            if g1 > 1:
+                na, db = na // g1, db // g1
+            g2 = gcd(nb, da)
+            if g2 > 1:
+                nb, da = nb // g2, da // g2
+            return Scalar(self.m, (na * nb,), da * db)
+        prod = [0] * (2 * len(a_num) - 1)
+        for i, x in enumerate(a_num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return Scalar(self.m, _reduce_mod_cyclotomic(prod, self.m))
+                for j, y in enumerate(b_num, i):
+                    prod[j] += x * y
+        return _canonical(self.m, _reduce(prod, self.m), self.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.m == 1:
-            return Scalar(1, (1 / self.coeffs[0],))
-        # extended euclid in Q[x] against the (irreducible) cyclotomic polynomial
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        return Scalar(self.m, _reduce_mod_cyclotomic(inv, self.m))
+        if len(self.num) == 1:
+            n = self.num[0]
+            return Scalar(self.m, (self.den if n > 0 else -self.den,), abs(n))
+        # extended euclid in Z[x] against the (irreducible) cyclotomic polynomial:
+        # r = s * num (mod Phi_m) holds for both rows, each kept primitive
+        r0, s0 = list(cyclotomic_polynomial(self.m)), [0]
+        r1, s1 = _trimmed(list(self.num)), [1]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):  # cancel the leading term of r0
+                c0, c1, shift = r0[-1], r1[-1], len(r0) - len(r1)
+                r0, s0 = [c1 * x for x in r0], [c1 * x for x in s0]
+                s0 += [0] * (len(s1) + shift - len(s0))
+                for j, y in enumerate(r1, shift):
+                    r0[j] -= c0 * y
+                for j, y in enumerate(s1, shift):
+                    s0[j] -= c0 * y
+                r0, s0 = _trimmed(r0), _trimmed(s0)
+                g = gcd(*r0, *s0)
+                r0, s0 = [x // g for x in r0], [x // g for x in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        c = r1[0]  # c = s1 * num, so 1 / (num / den) = den * s1 / c
+        f = self.den if c > 0 else -self.den
+        return _canonical(self.m, _reduce([f * x for x in s1], self.m), abs(c))
 
     def __truediv__(self, other):
         return self * self._pair(other).inverse()
@@ -209,31 +288,32 @@ class Scalar:
     # -- predicates and conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         try:
             b = self._pair(other)
         except ValueError:
             return NotImplemented  # elements of two fields are never equal
-        return self.coeffs == b.coeffs
+        return self.den == b.den and self.num == b.num
 
     __hash__ = None  # equality lifts ints and Fractions, which hash differently
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.m)
-        return sum(complex(c) * z**j for j, c in enumerate(self.coeffs))
+        # int / int is correctly rounded, as Fraction.__float__ is
+        return sum(complex(x / self.den) * z**j for j, x in enumerate(self.num))
 
     def __repr__(self):
         if self.m == 1 or self.is_rational():
@@ -259,41 +339,9 @@ class Scalar:
     @staticmethod
     def from_json(data, m: int) -> "Scalar":
         if isinstance(data, (str, int)):
-            return Scalar.rational(Fraction(str(data)), m)
+            return Scalar.rational(_parse_rational(data), m)
         if isinstance(data, list):
             if len(data) > euler_phi(m):
                 raise ValueError(f"coefficient vector longer than phi({m})")
-            return Scalar.from_coeffs(m, [Fraction(str(c)) for c in data])
+            return Scalar.from_coeffs(m, [_parse_rational(c) for c in data])
         raise ValueError(f"bad scalar encoding: {data!r}")
-
-
-def _poly_divmod(num: list, den: list):
-    num = list(num)
-    dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
-    out = [Fraction(0)] * max(1, len(num) - dd)
-    for d in range(len(num) - 1, dd - 1, -1):
-        c = num[d]
-        if c:
-            q = c / den[dd]
-            out[d - dd] = q
-            for j in range(dd + 1):
-                num[d - dd + j] -= q * den[j]
-    return out, num[:dd] if dd else [Fraction(0)]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

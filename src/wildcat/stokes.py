@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,7 +47,14 @@ ANGLE_TOL = 1e-9
 
 
 class UnsolvableRelation(Exception):
-    pass
+    """No seeded attempt gave a verified candidate; ``reasons`` counts the
+    attempts each distinct failure reason ended, in first-seen order."""
+
+    def __init__(self, seed: int, reasons: Counter):
+        self.reasons = reasons
+        tally = "; ".join(f"{count} x {reason}" for reason, count in reasons.items())
+        super().__init__(f"no verified candidate after {sum(reasons.values())} seeded "
+                         f"attempts (seed {seed}): {tally}")
 
 
 @dataclass
@@ -687,7 +695,7 @@ def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
     rng = random.Random(seed)
     n, m = sc.n, sc.conductor
     free = _free_punctures(sc)
-    last_error = "no attempt ran"
+    reasons = Counter()
     for attempt in range(40):
         randomized = attempt > 0
         assignment = {}
@@ -728,13 +736,12 @@ def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
                 for di, s in enumerate(factors):
                     assignment[f"S1.{di}"] = s
         except _RetryError as exc:
-            last_error = str(exc)
+            reasons[str(exc)] += 1
             continue
         assignment = _apply_framing_spread(rng, sc, assignment)
         cand = RepCandidate(assignment)
         violations = verify_candidate(sc, cand)
         if not violations:
             return cand
-        last_error = "; ".join(violations)
-    raise UnsolvableRelation(
-        f"no verified candidate after seeded attempts (seed {seed}): {last_error}")
+        reasons[", ".join(violations)] += 1
+    raise UnsolvableRelation(seed, reasons)

@@ -11,13 +11,19 @@ of the two:
   natural module and skips the Gram matrix for M_N(K));
 * ``stabilizer_lie_dim_commutant``: the stabilizer dimension from the
   conjugation picture, with hand-written constraint rows (``stabilizer_lie_dim``
-  writes its rows with ``sandwich_rows``).
+  writes its rows with ``sandwich_rows``);
+* ``FractionScalar``: Q(zeta_m) with one Fraction per power-basis coefficient
+  and division by a linear solve (``Scalar`` keeps integer numerators over one
+  denominator and inverts by extended Euclid).
 """
+
+import cmath
+from fractions import Fraction
 
 from wildcat.algebra import MatrixAlgebra, RadicalCertificate, _certificate_from_rows
 from wildcat.engine import FramedPoint, transported_projectors
 from wildcat.linalg import Matrix, _EchelonSet, kernel
-from wildcat.scalars import Scalar
+from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
 def _echelon(alg: MatrixAlgebra) -> _EchelonSet:
@@ -127,3 +133,81 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
     if not rows:
         return n * n
     return kernel(Matrix.build(rows, m)).dim
+
+
+class FractionScalar:
+    """Reference element of Q(zeta_m): a tuple of Fraction coefficients."""
+
+    def __init__(self, m: int, coeffs):
+        phi, mod = euler_phi(m), cyclotomic_polynomial(m)
+        c = [Fraction(x) for x in coeffs] + [Fraction(0)] * max(0, phi - len(coeffs))
+        for d in range(len(c) - 1, phi - 1, -1):  # divide by the monic Phi_m
+            q = c[d]
+            for j in range(phi + 1):
+                c[d - phi + j] -= q * mod[j]
+        self.m, self.coeffs = m, tuple(c[:phi])
+
+    def __add__(self, other):
+        return FractionScalar(self.m, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FractionScalar(self.m, [x - y for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                prod[i + j] += x * y
+        return FractionScalar(self.m, prod)
+
+    def __truediv__(self, other):
+        """The x with other * x == self, by Gauss-Jordan on multiplication by other."""
+        phi = len(self.coeffs)
+        cols = [(other * FractionScalar(self.m, [0] * j + [1])).coeffs for j in range(phi)]
+        aug = [[cols[j][i] for j in range(phi)] + [self.coeffs[i]] for i in range(phi)]
+        for c in range(phi):
+            piv = next(r for r in range(c, phi) if aug[r][c])
+            aug[c], aug[piv] = aug[piv], aug[c]
+            aug[c] = [x / aug[c][c] for x in aug[c]]
+            for r in range(phi):
+                if r != c and aug[r][c]:
+                    f = aug[r][c]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+        return FractionScalar(self.m, [row[phi] for row in aug])
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def to_json(self):
+        return str(self.coeffs[0]) if self.m == 1 else [str(c) for c in self.coeffs]
+
+    def __repr__(self):
+        if self.m == 1 or self.is_rational():
+            return str(self.coeffs[0])
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if j == 0:
+                parts.append(str(c))
+            else:
+                zp = f"z{self.m}" if j == 1 else f"z{self.m}^{j}"
+                parts.append(zp if c == 1 else f"(-{zp})" if c == -1 else f"{c}*{zp}")
+        return " + ".join(parts) if parts else "0"
+
+    def to_complex(self) -> complex:
+        z = cmath.exp(2j * cmath.pi / self.m)
+        return sum(complex(c) * z**j for j, c in enumerate(self.coeffs))
+
+    def image_mod_p(self, p: int, rpow):
+        """The image under zeta_m -> r, or None if p divides a denominator."""
+        v = 0
+        for c, rj in zip(self.coeffs, rpow):
+            if c:
+                if c.denominator % p == 0:
+                    return None
+                v += c.numerator * pow(c.denominator, -1, p) * rj
+        return v % p

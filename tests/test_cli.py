@@ -174,6 +174,25 @@ def test_bad_instance_exit_code(tmp_path, capsys):
     assert run_command(["analyze", "--instance", "/does/not/exist.json"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["1e5", "1_0"])
+def test_scalar_outside_the_grammar_exit_code(tmp_path, capsys, entry):
+    data = json.loads(json.dumps(JORDAN))
+    data["tuple"]["loops"][0]["matrix"][0][1] = entry
+    path = write(tmp_path, "exponent.json", data)
+    assert run_command(["analyze", "--instance", path, "--format", "machine"]) == 2
+    assert "bad scalar" in capsys.readouterr().err
+
+
+def test_parser_reused_across_commands(tmp_path, capsys):
+    path = write(tmp_path, "jordan.json", JORDAN)
+    outs = []
+    for argv in (["analyze", "--instance", path, "--format", "machine"],
+                 ["frobnicate"],
+                 ["analyze", "--instance", path, "--format", "machine"]):
+        outs.append((run_command(argv), capsys.readouterr().out))
+    assert outs[0] == outs[2] and outs[0][0] == 0 and outs[1][0] == 2
+
+
 def test_unknown_subcommand():
     assert run_command(["frobnicate", "--instance", "x"]) == 2
 

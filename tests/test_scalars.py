@@ -1,8 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import FractionScalar
+from wildcat.algebra import _image_mod_p
+from wildcat.linalg import Matrix
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -96,3 +102,106 @@ def test_json_round_trip():
     r = Scalar.rational(Fraction(9, 2))
     assert Scalar.from_json(r.to_json(), 1) == r
     assert Scalar.from_json("-3/7", 1) == Scalar.rational(Fraction(-3, 7))
+
+
+@pytest.mark.parametrize("text", ["1e5", "1_0"])
+def test_scalar_grammar_rejects_exponents_and_underscores(text):
+    with pytest.raises(ValueError):
+        Scalar.from_json(text, 1)
+    with pytest.raises(ValueError):
+        Scalar.from_json(["0", text], 4)
+
+
+def test_scalar_grammar_accepts_integers_fractions_and_decimals():
+    for text, value in (("-3", -3), ("+3/4", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
+                        (".5", Fraction(1, 2)), ("2.", 2), (7, 7)):
+        assert Scalar.from_json(text, 1) == value
+    assert Scalar.from_json(["1/2", "-0.5"], 4) == Scalar.from_coeffs(4, ["1/2", "-1/2"])
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator scalars against the Fraction-coefficient reference
+
+P = 241  # 240 is a multiple of every conductor below
+RPOW = [pow(7, j, P) for j in range(4)]
+
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.one_of(st.sampled_from([P, 2 * P, 3 * 10 ** 20 + 7]),
+                        st.integers(1, 10 ** 25))),
+)
+
+
+@st.composite
+def operands(draw):
+    m = draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    phi = euler_phi(m)
+    return m, [draw(st.lists(coefficients, min_size=phi, max_size=phi)) for _ in range(3)]
+
+
+def _canonical(x: Scalar, m: int):
+    assert x.m == m and len(x.num) == euler_phi(m)
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def _agrees(x: Scalar, ref: FractionScalar):
+    _canonical(x, ref.m)
+    assert x.coeffs == ref.coeffs
+    assert x.is_zero() == ref.is_zero() == (not x)
+    assert x.to_json() == ref.to_json() and repr(x) == repr(ref)
+    assert x.to_complex() == ref.to_complex()
+    if ref.is_rational():
+        assert x.as_fraction() == ref.coeffs[0]
+
+
+@settings(max_examples=150)
+@given(operands())
+def test_arithmetic_matches_fraction_reference(case):
+    m, (ca, cb, cc) = case
+    a, b, c = (Scalar.from_coeffs(m, v) for v in (ca, cb, cc))
+    ra, rb, rc = (FractionScalar(m, v) for v in (ca, cb, cc))
+    for x, ref in ((a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (a - a, ra - ra),
+                   (a * b, ra * rb), (a * b + c, ra * rb + rc), (-a, FractionScalar(m, []) - ra),
+                   (a + ca[0], ra + FractionScalar(m, [ca[0]])),
+                   (a * 3, ra * FractionScalar(m, [3]))):
+        _agrees(x, ref)
+    if not rb.is_zero():
+        _agrees(a / b, ra / rb)
+        _agrees(b.inverse(), FractionScalar(m, [1]) / rb)
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    assert a == Scalar.from_json(a.to_json(), m)
+    assert (a == ca[0]) == (ra.coeffs == FractionScalar(m, [ca[0]]).coeffs)
+
+
+@settings(max_examples=100)
+@given(operands())
+def test_image_mod_p_matches_fraction_reference(case):
+    m, rows = case
+    entries = [Scalar.from_coeffs(m, v) for v in rows]
+    refs = [FractionScalar(m, v).image_mod_p(P, RPOW) for v in rows]
+    want = None if None in refs else refs
+    assert _image_mod_p(Matrix(1, 3, tuple(entries)), P, RPOW) == want
+
+
+def test_image_mod_p_refuses_a_denominator_divisible_by_p():
+    x = Scalar.from_coeffs(4, [Fraction(1, 3), Fraction(5, 2 * P)])
+    assert FractionScalar(4, x.coeffs).image_mod_p(P, RPOW) is None
+    assert _image_mod_p(Matrix(1, 1, (x,)), P, RPOW) is None
+
+
+def test_arithmetic_makes_no_fraction(monkeypatch):
+    pairs = [(Scalar.from_coeffs(5, ["1/2", "-3/7", "5", "0"]),
+              Scalar.from_coeffs(5, ["2/3", "1", "-1/9", "4/5"])),
+             (Scalar.rational(Fraction(3, 4)), Scalar.rational(Fraction(-5, 6)))]
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    for a, b in pairs:
+        _ = (a + b, a - b, a * b, a == b, a.is_zero(), bool(a), a + 1, 2 * a, a == 1, -a,
+             a.inverse(), a / b)
+    assert made == []

@@ -293,3 +293,18 @@ class TestSampling:
         a = random_candidate(sc, 7).to_json()
         b = random_candidate(sc, 7).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("surface", [
+        WildSurface(0, [IrregularClass([Circle(3, [(1, 1)], 1)])], 3),  # ram 3, exponent 1
+        WildSurface(1, [IrregularClass([Circle(1, [(1, 1)], 1), Circle(1, [(1, -1)], 1),
+                                        Circle(1, [(1, 2)], 1)])], 3),  # genus one, rank 3
+    ])
+    def test_failure_counts_every_reason(self, surface):
+        with pytest.raises(UnsolvableRelation) as info:
+            random_candidate(build_scaffold(surface), 0)
+        reasons = info.value.reasons
+        assert reasons and sum(reasons.values()) == 40
+        message = str(info.value)
+        assert "\n" not in message and "after 40 seeded attempts" in message
+        for reason, count in reasons.items():
+            assert f"{count} x {reason}" in message
