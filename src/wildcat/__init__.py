@@ -19,7 +19,7 @@ from .algebra import (
     radical_trace,
     spin_algebra,
 )
-from .twists import Automorphism, TwistedElement, differential_action, embed_doubled, normalize
+from .twists import Automorphism, TwistedElement, embed_doubled, normalize
 from .engine import (
     FramedPoint,
     NotPolystable,
@@ -42,11 +42,8 @@ from .stokes import (
     UnsolvableRelation,
     WildSurface,
     build_scaffold,
-    circle_invariants,
-    katz_guarantee,
     random_candidate,
     singular_directions,
-    stokes_pattern,
     to_framed_point,
     verify_candidate,
 )

@@ -131,10 +131,16 @@ def _modulus(m: int):
     raise AssertionError("no primitive root of unity modulo p")
 
 
-def _image_mod_p(g: Matrix, p: int, rpow):
-    """Row-major entries of g under zeta_m -> r, or None if p divides a denominator."""
+def _ring_map(m: int):
+    """(p, [r^0, r^1, ...]): zeta_m -> r on power-basis coefficients modulo p."""
+    p, r = _modulus(m)
+    return p, [pow(r, j, p) for j in range(euler_phi(m))]
+
+
+def _image_mod_p(entries, p: int, rpow):
+    """The entries' images under zeta_m -> r, or None if p divides a denominator."""
     out = []
-    for x in g.entries:
+    for x in entries:
         if x.den % p == 0:
             return None
         v = sum(c * rj for c, rj in zip(x.num, rpow))
@@ -142,24 +148,8 @@ def _image_mod_p(g: Matrix, p: int, rpow):
     return out
 
 
-def _spans_full_mod_p(generators, n: int, m: int) -> bool:
-    """True only if words in the generators span all of M_n(Q(zeta_m)).
-
-    The generators are mapped to F_p by zeta_m -> r (``_modulus``), a ring
-    map on Z_(p)[zeta_m], so the image of a word is the word in the images.
-    Their left words are spun from I with an echelon over F_p.  n^2 images
-    independent over F_p are images of n^2 words independent over the field,
-    since the determinant of the words' coordinates maps to a nonzero one.
-    False proves nothing: p may divide a denominator, or be unlucky.
-    """
-    p, r = _modulus(m)
-    rpow = [pow(r, j, p) for j in range(euler_phi(m))]
-    gens = []
-    for g in generators:
-        img = _image_mod_p(g, p, rpow)
-        if img is None:
-            return False
-        gens.append(img)
+def _echelon_mod_p(p: int):
+    """``add(vec)`` for one echelon over F_p: inserts vec, True if it was independent."""
     pivots = []   # sorted pivot columns
     tails = {}    # pivot -> echelon row from its pivot on, leading entry 1
 
@@ -177,13 +167,46 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
         insort(pivots, piv)
         return True
 
+    return add
+
+
+def _spans_full_mod_p(generators, n: int, m: int) -> bool:
+    """True only if words in the generators span all of M_n(Q(zeta_m)).
+
+    The generators are mapped to F_p by zeta_m -> r (``_modulus``), a ring
+    map on Z_(p)[zeta_m], so the image of a word is the word in the images.
+    Their left words are spun from I with an echelon over F_p.  n^2 images
+    independent over F_p are images of n^2 words independent over the field,
+    since the determinant of the words' coordinates maps to a nonzero one.
+    False proves nothing: p may divide a denominator, or be unlucky.
+    """
+    p, rpow = _ring_map(m)
+    gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
+    if None in gens:
+        return False
+
     def mul(a, b):
         cols = [b[j::n] for j in range(n)]
         return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col)) % p
                 for i in range(n) for col in cols]
 
     ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
-    return len(_spin_left([ident], gens, mul, add, n * n)) == n * n
+    return len(_spin_left([ident], gens, mul, _echelon_mod_p(p), n * n)) == n * n
+
+
+def kernel_dim_mod_p(rows, width: int, m: int) -> Optional[int]:
+    """An upper bound on the kernel dimension of the rows over Q(zeta_m), or None.
+
+    The rows are mapped to F_p by the ring map of ``_spans_full_mod_p``.  A
+    minor that is nonzero mod p is the image of a nonzero minor, so the
+    kernel mod p is at least as large.  None if p divides a denominator.
+    """
+    p, rpow = _ring_map(m)
+    images = [_image_mod_p(row, p, rpow) for row in rows]
+    if None in images:
+        return None
+    add = _echelon_mod_p(p)
+    return width - sum(add(img) for img in images)
 
 
 def _matrix_units(n: int, m: int):
@@ -322,13 +345,8 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     m = _field_of(generators)
     d = sub.dim
     # complete the echelon basis of sub to a basis of the ambient space
-    full = _EchelonSet(n, sub.basis)
-    extra = []
-    for j in range(n):
-        e = [Scalar.zero(m)] * n
-        e[j] = Scalar.one(m)
-        if full.add(e):
-            extra.append(tuple(e))
+    full, units = _EchelonSet(n, sub.basis), Matrix.identity(n, m)
+    extra = [units.row(j) for j in range(n) if full.add(units.row(j))]
     f = Matrix.from_rows(list(sub.basis) + extra)
     g_test = f.transpose().inverse()
     # conditions on the projection e (n^2 unknowns), each a family L.e.R = rhs:
@@ -460,30 +478,20 @@ _MEATAXE_SEED = 0x5EED
 _HUNT_BUDGET = 64
 
 
-def _first_line(n: int, m: int = 1) -> Subspace:
-    v = [Scalar.zero(m)] * n
-    v[0] = Scalar.one(m)
-    return Subspace.from_vectors(n, [v])
-
-
 def _is_scalar_matrix(g: Matrix) -> bool:
-    n = g.rows
-    c = g[0, 0]
-    for i in range(n):
-        for j in range(n):
-            if (i == j and not (g[i, j] == c)) or (i != j and g[i, j]):
-                return False
-    return True
+    n, c = g.rows, g[0, 0]
+    return all(x == c if k % (n + 1) == 0 else not x for k, x in enumerate(g.entries))
 
 
 def _split_by_element(f: Matrix, n: int, m: int):
-    """A proper nonzero kernel of p(f) for a factor p of the char poly, or None."""
+    """A proper nonzero kernel of q(f) for an irreducible factor q of the
+    minimal polynomial of f (the characteristic polynomial has the same ones), or None."""
     if f.is_zero() or _is_scalar_matrix(f):
         return None
     ker_f = kernel(f)
     if 0 < ker_f.dim < n:
         return ker_f
-    factors = factor_over_field(f.char_poly(), m)
+    factors = factor_over_field(minimal_polynomial(f), m)
     for fc, _ in factors:
         pf = _eval_poly(fc, f)
         if pf.is_zero():
@@ -518,11 +526,14 @@ def _primitive_element(basis, n: int, m: int) -> Matrix:
     return f if f is not None else Matrix.identity(n, m)
 
 
-def invariant_subspace(generators) -> Optional[Subspace]:
+def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subspace]:
     """A proper nonzero subspace invariant under all generators, if one exists.
 
     Over the coefficient field: ``None`` certifies that the natural module is
-    irreducible over that field.
+    irreducible over that field.  ``semisimple=True`` says the caller has
+    proven the module semisimple (a zero radical); the search then skips the
+    spin and the radical, whose answer is known, and returns what it would
+    return without them.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -535,7 +546,7 @@ def invariant_subspace(generators) -> Optional[Subspace]:
     m = _field_of(generators)
 
     if all(_is_scalar_matrix(g) for g in generators):
-        return _first_line(n, m)
+        return Subspace.from_vectors(n, [Matrix.identity(n, m).row(0)])
     if _spans_full_mod_p(generators, n, m):
         return None  # the algebra is M_n(K): absolutely irreducible
 
@@ -547,14 +558,10 @@ def invariant_subspace(generators) -> Optional[Subspace]:
             if 0 < sub.dim < n:
                 return sub
 
-    alg = spin_algebra(generators)
-    rad = radical_trace(alg)
-    if rad.dim > 0:
-        cols = []
-        for row in rad.radical.basis:
-            mat = Matrix(n, n, tuple(row))
-            cols.extend([mat.col(j) for j in range(n)])
-        sub = Subspace.from_vectors(n, cols)
+    rad = None if semisimple else radical_trace(spin_algebra(generators))
+    if rad is not None and rad.dim > 0:
+        sub = Subspace.from_vectors(n, [Matrix(n, n, tuple(row)).col(j)
+                                        for row in rad.radical.basis for j in range(n)])
         if not (0 < sub.dim < n):
             raise AssertionError("radical image must be proper and nonzero")
         return sub
@@ -569,16 +576,7 @@ def invariant_subspace(generators) -> Optional[Subspace]:
         if sub is not None:
             return sub
 
-    commutative = True
-    for i in range(len(comm)):
-        for j in range(i + 1, len(comm)):
-            if not (comm[i] @ comm[j] - comm[j] @ comm[i]).is_zero():
-                commutative = False
-                break
-        if not commutative:
-            break
-
-    if commutative:
+    if all((a @ b - b @ a).is_zero() for i, a in enumerate(comm) for b in comm[i + 1:]):
         f = _primitive_element(comm, n, m)
         sub = _split_by_element(f, n, m)
         if sub is not None:
@@ -604,9 +602,7 @@ def invariant_subspace(generators) -> Optional[Subspace]:
     # hunt for zero divisors before giving up
     ident = Matrix.identity(n, m)
     for j in range(n):
-        e = [Scalar.zero(m)] * n
-        e[j] = Scalar.one(m)
-        sub = spin_subspace(generators, [e], n)
+        sub = spin_subspace(generators, [ident.row(j)], n)
         if 0 < sub.dim < n:
             return sub
     rng = random.Random(_MEATAXE_SEED)
@@ -626,32 +622,44 @@ def invariant_subspace(generators) -> Optional[Subspace]:
 # decomposition
 
 
-def decompose_irreducibles(generators, n: Optional[int] = None):
+def decompose_irreducibles(generators, n: Optional[int] = None, *,
+                           semisimple: bool = False, split: Optional[Subspace] = None):
     """Direct sum decomposition of K^n into irreducible submodules.
 
-    Requires a semisimple module (raises NotSemisimpleError otherwise via the
-    complement computation).  Deterministic; result sorted canonically.
+    Requires a semisimple module.  ``semisimple=True`` says the caller has
+    proven it (the engine reads it off the polystability verdict); else one
+    radical is computed here, and a nonzero one raises NotSemisimpleError.
+    Summands of a semisimple module are semisimple, so no search below spins.
+    ``split`` is a proper submodule the caller's ``invariant_subspace`` of
+    the generators returned: the first split.  Result sorted canonically.
     """
     if not generators and n is None:
         raise ValueError("need generators or an ambient size")
     size = generators[0].rows if generators else n
     m = _field_of(generators)
+    if not semisimple and radical_trace(spin_algebra(generators, ambient_n=size)).dim:
+        raise NotSemisimpleError("module has a nonzero radical")
+    whole = Subspace.full(size, m)
+    if not generators:
+        return [Subspace.from_vectors(size, [row]) for row in whole.basis]
 
-    def rec(sub: Subspace):
-        acts = [restrict_matrix(g, sub) for g in generators]
-        if sub.dim == 1:
-            return [sub]
-        if not acts:
-            return [Subspace.from_vectors(size, [row]) for row in sub.basis]
-        inner = invariant_subspace(acts)
+    def summands(sub: Subspace, acts, inner: Optional[Subspace]):
+        """Irreducible summands of sub, on which the generators act by acts;
+        inner is the search's proper submodule of sub's coordinates, or None."""
         if inner is None:
             return [sub]
-        part = lift_subspace(inner, sub)
-        comp_inner = invariant_complement(acts, inner)
-        comp = lift_subspace(comp_inner, sub)
-        return rec(part) + rec(comp)
+        halves = [lift_subspace(h, sub) for h in (inner, invariant_complement(acts, inner))]
+        return [s for half in halves for s in decompose(half)]
 
-    parts = rec(Subspace.full(size, m))
+    def decompose(sub: Subspace):
+        if sub.dim == 1:
+            return [sub]
+        acts = [restrict_matrix(g, sub) for g in generators]
+        return summands(sub, acts, invariant_subspace(acts, semisimple=True))
+
+    if split is None:
+        split = invariant_subspace(generators, semisimple=True)
+    parts = summands(whole, generators, split)
     parts.sort(key=lambda s: s.sort_key())
     return parts
 
@@ -659,21 +667,15 @@ def decompose_irreducibles(generators, n: Optional[int] = None):
 def isotypic_decomposition(generators, n: Optional[int] = None):
     """Isotypic components of a semisimple module: sums of isomorphic irreducibles."""
     size = generators[0].rows if generators else n
-    alg = spin_algebra(generators, ambient_n=size)
-    if radical_trace(alg).dim > 0:
-        raise NotSemisimpleError("module has a nonzero radical")
     parts = decompose_irreducibles(generators, n=size)
     groups = []
     for part in parts:
-        placed = False
-        for group in groups:
-            rep = group[0]
-            if part.dim == rep.dim and module_homs(generators, part, rep):
-                group.append(part)
-                placed = True
-                break
-        if not placed:
+        group = next((g for g in groups
+                      if part.dim == g[0].dim and module_homs(generators, part, g[0])), None)
+        if group is None:
             groups.append([part])
+        else:
+            group.append(part)
     components = []
     for group in groups:
         total = group[0]

@@ -12,16 +12,29 @@ Verdicts reduce to exact linear algebra:
   faithfully on the doubled module K^n + (K^n)^* first.
 * stable      <=>  polystable and the stabilizer Lie algebra is no bigger
   than the kernel of the action (scalars fixed by every twist).
+
+The stabilizer embeds in the commutant of the Galois generators (it is
+that commutant when untwisted; under sigma, xi -> diag(xi, -xi^T)), so an
+algebra proven to be M_N(K) leaves only the kernel.  Otherwise the kernel
+dimension, or for a polystable untwisted point the number of Levi blocks
+(their projections commute with every generator), bounds it from below,
+and the kernel of the stabilizer rows modulo the prime of the algebra
+certificate from above.  Only if the bounds differ, or the prime divides a
+denominator, is the exact system solved.  ``is_polystable`` normalizes the
+point and builds its generators once; the later steps read its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
+    MatrixAlgebra,
     decompose_irreducibles,
     invariant_subspace,
+    kernel_dim_mod_p,
     radical_trace,
     restrict_matrix,
     spin_algebra,
@@ -95,6 +108,14 @@ class FramedPoint:
 
 
 @dataclass
+class GaloisAlgebra:
+    """What a polystability verdict was computed from."""
+    point: FramedPoint            # the normalized point
+    generators: list              # galois_generators(point)
+    algebra: MatrixAlgebra        # their unital algebra
+
+
+@dataclass
 class StabilityReport:
     polystable: bool
     stable: Optional[bool] = None
@@ -103,6 +124,8 @@ class StabilityReport:
     stabilizer_dim: Optional[int] = None
     kernel_dim: Optional[int] = None
     levi_decomposition: Optional[list] = None
+    # kept for the steps after the verdict; never serialized
+    galois: Optional[GaloisAlgebra] = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -120,8 +143,15 @@ class StabilityReport:
 
 
 def normalize_point(p: FramedPoint) -> FramedPoint:
-    """Normalize all loop twists into the outer group {id, sigma}."""
-    return FramedPoint(p.n, p.gradings, p.connectors, normalize(p.loops))
+    """Normalize all loop twists into the outer group {id, sigma}.
+
+    A normalized point comes back as it is; else only the loops change, to
+    g A of invertible g and A, so the copy needs no validation again."""
+    if all(x.is_normalized() for x in p.loops):
+        return p
+    pn = copy.copy(p)
+    pn.loops = normalize(p.loops)
+    return pn
 
 
 def transported_projectors(p: FramedPoint):
@@ -155,9 +185,8 @@ def galois_generators(p: FramedPoint):
     space on the first block plus the dual of the -u weight space on the
     second, so each doubled projector is diag(Q_u, Q_{-u}^T).
     """
-    for x in p.loops:
-        if not x.is_normalized():
-            raise ValueError("loops must be normalized first")
+    if not all(x.is_normalized() for x in p.loops):
+        raise ValueError("loops must be normalized first")
     cond = p.conductor()
     projs = transported_projectors(p)
     if p.is_untwisted():
@@ -188,19 +217,17 @@ def is_polystable(p: FramedPoint) -> StabilityReport:
     ambient = pn.n if pn.is_untwisted() else 2 * pn.n
     alg = spin_algebra(gens, ambient_n=ambient)
     rad = radical_trace(alg)
-    return StabilityReport(polystable=rad.dim == 0, radical_witness=rad.witness)
+    return StabilityReport(polystable=rad.dim == 0, radical_witness=rad.witness,
+                           galois=GaloisAlgebra(pn, gens, alg))
 
 
 def kernel_lie_dim(p: FramedPoint) -> int:
     """Lie dimension of the action kernel: scalars fixed by every loop twist."""
-    for x in p.loops:
-        if x.phi.outer:
-            return 0  # sigma negates scalars
-    return 1
+    return 0 if any(x.phi.outer for x in p.loops) else 1  # sigma negates scalars
 
 
-def stabilizer_lie_dim(p: FramedPoint) -> int:
-    """Dimension of the linearized stabilizer, measured in xi_1.
+def _stabilizer_rows(p: FramedPoint) -> list:
+    """Coefficient rows of the linearized stabilizer, measured in xi_1.
 
     xi_i := C_i xi_1 C_i^-1 must lie in Lie H_i for every i, and xi_1 must
     satisfy the twisted commutation xi_1 M_j = M_j dphi_j(xi_1) per loop.
@@ -224,7 +251,25 @@ def stabilizer_lie_dim(p: FramedPoint) -> int:
     for x in normalize(p.loops):
         twist = (x.g, None, True) if x.phi.outer else (-x.g, None, False)
         rows += sandwich_rows([(None, x.g, False), twist], n, n, m)
-    return kernel(Matrix.build(rows, m)).dim
+    return rows
+
+
+def stabilizer_lie_dim(p: FramedPoint) -> int:
+    """Dimension of the linearized stabilizer, by an exact solve (see ``_stabilizer_rows``)."""
+    return kernel(Matrix.build(_stabilizer_rows(p), p.conductor())).dim
+
+
+def _certified_stabilizer_dim(report: StabilityReport) -> int:
+    """The stabilizer dimension off the certificates (module docstring), else solved."""
+    pn, alg = report.galois.point, report.galois.algebra
+    if alg.dim == alg.ambient_n ** 2:
+        return report.kernel_dim  # the commutant is the scalars
+    blocks = report.levi_decomposition
+    lower = report.kernel_dim if blocks is None else len(blocks)
+    upper = kernel_dim_mod_p(_stabilizer_rows(pn), pn.n ** 2, pn.conductor())
+    if upper == lower:
+        return lower
+    return stabilizer_lie_dim(pn)
 
 
 def is_stable(p: FramedPoint) -> StabilityReport:
@@ -234,22 +279,24 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     classical cross-check runs too: a proper invariant subspace of the loop
     matrices is recorded as a witness (its presence refutes stability; its
     absence plus the dimension match confirms it).  A polystable untwisted
-    point also gets its Levi blocks (as ``levi_reduction`` gives them), read
-    off this verdict without deciding polystability again.
+    point also gets its Levi blocks (as ``levi_reduction`` gives them); the
+    witness, when searched, is their first split.
     """
     report = is_polystable(p)
-    sdim = stabilizer_lie_dim(p)
-    kdim = kernel_lie_dim(p)
-    report.stabilizer_dim = sdim
-    report.kernel_dim = kdim
-    report.stable = bool(report.polystable and sdim == kdim)
-    if p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial() and p.loops:
-        mats = [x.g @ x.phi.inner for x in p.loops]  # adjoint matrices
-        witness = invariant_subspace(mats)
-        report.invariant_subspace_witness = witness
-    if report.polystable and p.is_untwisted():
-        report.levi_decomposition = decompose_irreducibles(
-            galois_generators(normalize_point(p)), n=p.n)
+    pn, gens = report.galois.point, report.galois.generators
+    searched = pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial() and pn.loops
+    # the generators are then the normalized loops g A, the adjoint matrices
+    witness = invariant_subspace(gens, semisimple=report.polystable) if searched else None
+    report.invariant_subspace_witness = witness
+    if report.polystable and pn.is_untwisted():
+        if searched and witness is None:
+            report.levi_decomposition = [Subspace.full(pn.n, pn.conductor())]
+        else:
+            report.levi_decomposition = decompose_irreducibles(
+                gens, n=pn.n, semisimple=True, split=witness)
+    report.kernel_dim = kernel_lie_dim(pn)
+    report.stabilizer_dim = _certified_stabilizer_dim(report)
+    report.stable = bool(report.polystable and report.stabilizer_dim == report.kernel_dim)
     return report
 
 
@@ -257,17 +304,18 @@ def levi_reduction(p: FramedPoint):
     """Decomposition of the natural module into irreducible summands.
 
     The block group of the decomposition is a Levi subgroup invariant under
-    the whole Galois group, with no proper invariant parabolic blockwise:
-    restricting the point to each summand yields a stable point.
+    the whole Galois group, with no proper invariant parabolic blockwise.
+    The blocks are irreducible over the coefficient field K, but a block
+    need not restrict to a stable point: its endomorphism ring may be a
+    field bigger than K.  The loop [[0, -1], [1, 0]] over Q gives one block
+    whose endomorphism ring is Q(i), and its restriction has stabilizer 2.
     """
     if not p.is_untwisted():
         raise TwistedInput("Levi extraction requires untwisted loops")
     report = is_polystable(p)
     if not report.polystable:
         raise NotPolystable("point is not polystable")
-    pn = normalize_point(p)
-    gens = galois_generators(pn)
-    return decompose_irreducibles(gens, n=p.n)
+    return decompose_irreducibles(report.galois.generators, n=p.n, semisimple=True)
 
 
 def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
@@ -321,8 +369,7 @@ def act(h, p: FramedPoint) -> FramedPoint:
             for v in piece.basis:
                 if not piece.contains(elt.mul_vector(v)):
                     raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
-    h1 = hs[0]
-    h1inv = h1.inverse()
+    h1, h1inv = hs[0], hs[0].inverse()
     connectors = [hs[i + 1] @ c @ h1inv for i, c in enumerate(p.connectors)]
     loops = [TwistedElement(h1 @ x.g @ x.phi.apply(h1).inverse(), x.phi) for x in p.loops]
     return FramedPoint(p.n, p.gradings, connectors, loops)

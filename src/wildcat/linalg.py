@@ -14,7 +14,6 @@ written with ``Matrix.place``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .scalars import Scalar
@@ -206,7 +205,6 @@ class Matrix:
                         term = x * b[t * p + j]
                         s = term if s is None else s + term
                 out.append(s if s is not None else Scalar.zero(self._conductor()))
-            # row done
         return Matrix(n, p, tuple(out))
 
     def mul_vector(self, v: tuple) -> tuple:
@@ -270,21 +268,6 @@ class Matrix:
         if ech.pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(n, n, tuple(x for row in ech.rows[:n] for x in row[n:]))
-
-    def char_poly(self) -> list:
-        """Characteristic polynomial coefficients, low -> high, monic."""
-        # Faddeev-LeVerrier: exact, divisions by integers only
-        n = self.rows
-        m = self._conductor()
-        coeffs = [Scalar.zero(m)] * (n + 1)
-        coeffs[n] = Scalar.one(m)
-        M = Matrix.zero(n, n, m)
-        ident = Matrix.identity(n, m)
-        for k in range(1, n + 1):
-            M = self @ M + ident.scale(coeffs[n - k + 1])
-            c = (self @ M).trace() * Fraction(-1, k)
-            coeffs[n - k] = c
-        return coeffs
 
     def __repr__(self):
         return "Matrix(" + "; ".join(

@@ -188,13 +188,16 @@ class Scalar:
         return _canonical(m_new, _reduce(out, m_new), self.den)
 
     def _pair(self, other) -> "Scalar":
-        """The other operand in this field: ints and Fractions lift, other fields raise."""
+        """The other operand in this field: ints and Fractions lift, other
+        fields raise ValueError, and anything else TypeError."""
         if isinstance(other, Scalar):
             if other.m != self.m:
                 raise ValueError(f"scalars of conductors {self.m} and {other.m} meet; "
                                  "promote one explicitly")
             return other
-        return Scalar.rational(other, self.m)
+        if isinstance(other, (int, Fraction)):
+            return Scalar.rational(other, self.m)
+        raise TypeError(f"a scalar meets a {type(other).__name__}")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -271,7 +274,7 @@ class Scalar:
         return self * self._pair(other).inverse()
 
     def __rtruediv__(self, other):
-        return Scalar.rational(other, self.m) / self
+        return self._pair(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -304,8 +307,8 @@ class Scalar:
     def __eq__(self, other):
         try:
             b = self._pair(other)
-        except ValueError:
-            return NotImplemented  # elements of two fields are never equal
+        except (ValueError, TypeError):
+            return NotImplemented  # not equal: another field, or not a number here
         return self.den == b.den and self.num == b.num
 
     __hash__ = None  # equality lifts ints and Fractions, which hash differently

@@ -96,11 +96,6 @@ class Circle:
         return Fraction(max(j for j, _ in self.coeffs), self.ram)
 
 
-def circle_invariants(c: Circle):
-    """(ramification, slope) of a circle; slope 0 for a tame circle."""
-    return c.ram, c.slope
-
-
 @dataclass
 class IrregularClass:
     circles: list
@@ -237,15 +232,6 @@ def grouped_directions(cls: IrregularClass):
     return [(theta, sorted(pairs)) for theta, pairs in groups]
 
 
-def stokes_pattern(cls: IrregularClass, theta: float):
-    """Sheet pairs whose difference decays maximally at the given direction."""
-    dtheta = theta % (2 * math.pi)
-    for gtheta, pairs in grouped_directions(cls):
-        if abs(gtheta - dtheta) <= ANGLE_TOL or abs(abs(gtheta - dtheta) - 2 * math.pi) <= ANGLE_TOL:
-            return pairs
-    raise ValueError(f"direction {theta} is not singular for this class")
-
-
 def exponential_torus_grading(cls: IrregularClass, conductor: Optional[int] = None) -> Grading:
     """Grading of the fibre by sheet weights.
 
@@ -330,15 +316,6 @@ def _hermite_row_basis(int_rows):
         if r == len(rows):
             break
     return [row for row in rows[:r] if any(row)]
-
-
-def katz_guarantee(cls: IrregularClass) -> bool:
-    """True when the class forces irreducibility: a single multiplicity-one
-    circle whose ramification equals the rank."""
-    if len(cls.circles) != 1:
-        return False
-    c = cls.circles[0]
-    return c.multiplicity == 1 and c.ram == cls.rank
 
 
 # ---------------------------------------------------------------------------

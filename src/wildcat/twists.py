@@ -73,14 +73,6 @@ class Automorphism:
     __hash__ = None
 
 
-def differential_action(phi: Automorphism, xi: Matrix) -> Matrix:
-    """Derivative of the automorphism at the identity: inner . (+-xi^T) . inner^-1."""
-    core = -xi.transpose() if phi.outer else xi
-    if phi.is_inner_trivial():
-        return core
-    return phi.inner @ core @ phi.inner.inverse()
-
-
 @dataclass
 class TwistedElement:
     g: Matrix
@@ -120,13 +112,12 @@ def normalize(tuple_elements) -> list:
     """
     out = []
     for x in tuple_elements:
-        if not x.phi.inner.is_invertible():
-            raise ValueError("automorphism inner part is not invertible")
         if x.phi.is_inner_trivial():
             out.append(x)
             continue
-        m = x.g._conductor()
-        pure = Automorphism(Matrix.identity(x.n, m), x.phi.outer)
+        if not x.phi.inner.is_invertible():
+            raise ValueError("automorphism inner part is not invertible")
+        pure = Automorphism(Matrix.identity(x.n, x.g._conductor()), x.phi.outer)
         out.append(TwistedElement(x.g @ x.phi.inner, pure))
     return out
 

@@ -259,6 +259,15 @@ class TestDecomposition:
         with pytest.raises(NotSemisimpleError):
             isotypic_decomposition([J])
 
+    def test_non_split_extension_is_refused(self):
+        # upper triangular 2x2 matrices: the line e1 and the quotient are
+        # non-isomorphic (E11 acts by 1 and 0), the extension does not split
+        # and the commutant is the scalars, so only the radical shows it
+        gens = [Matrix.build([[2, 1], [0, 3]]), Matrix.build([[1, 0], [0, 2]])]
+        assert len(commutant(gens, 2)) == 1
+        with pytest.raises(NotSemisimpleError):
+            decompose_irreducibles(gens)
+
     def test_direct_sum_is_everything(self):
         rng = random.Random(31)
         for _ in range(10):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcat.algebra import invariant_subspace, radical_trace, spin_algebra
+from wildcat import algebra, engine
+from wildcat.algebra import _modulus, invariant_subspace, radical_trace, spin_algebra
 from wildcat.engine import (
     FramedPoint,
     NotPolystable,
@@ -350,3 +351,171 @@ def test_verdicts_invariant_under_field_extension(p):
     q = promote_point(p, 5)
     assert q.conductor() == 5
     assert verdicts(q) == verdicts(p)
+
+
+def block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    out, at = Matrix.zero(n, n), 0
+    for b in blocks:
+        out, at = out.place(at, at, b), at + b.rows
+    return out
+
+
+@st.composite
+def block_points(draw):
+    """Points whose loops are one basis change of block diagonal matrices.
+
+    With ``same`` every block of one size repeats, so the summands are
+    isomorphic; a sigma twist or a basepoint torus whose pieces are unions
+    of blocks may follow.
+    """
+    layout = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 2)]))
+    n, same = sum(layout), draw(st.booleans())
+    basis = draw(invertibles(n))
+    binv = basis.inverse()
+
+    def conjugated():
+        seen = {}
+        for s in layout:
+            if not (same and s in seen):
+                seen[s] = draw(invertibles(s))
+        return basis @ block_diagonal([seen[s] for s in layout]) @ binv
+
+    twisted = draw(st.booleans())
+    loops = [TwistedElement(conjugated(),
+                            Automorphism(conjugated() if draw(st.booleans()) else Matrix.identity(n),
+                                         twisted and draw(st.booleans())))
+             for _ in range(draw(st.integers(1, 2)))]
+    grading = Grading.trivial(n)
+    if draw(st.booleans()):
+        cols, pieces, at = basis.transpose(), [], 0
+        for k, s in enumerate(layout):
+            pieces.append(((k % 2,) if same else (k,), [cols.row(at + j) for j in range(s)]))
+            at += s
+        if len({w for w, _ in pieces}) == len(pieces):
+            grading = Grading(n, pieces)
+    return FramedPoint(n, [grading], [], loops)
+
+
+@settings(max_examples=40)
+@given(st.one_of(small_points(), block_points()))
+def test_certified_stabilizer_matches_exact_solve(p):
+    rep = is_stable(p)
+    assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
+    if rep.polystable and p.is_untwisted():
+        assert rep.levi_decomposition == levi_reduction(p)
+    if rep.polystable:
+        # a search told the module is semisimple skips the radical: same answer
+        gens = galois_generators(normalize_point(p))
+        assert invariant_subspace(gens, semisimple=True) == invariant_subspace(gens)
+    if rep.invariant_subspace_witness is not None or (
+            p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial()):
+        # the witness of a polystable point skips the radical step: same subspace
+        mats = [x.g for x in normalize_point(p).loops]
+        assert rep.invariant_subspace_witness == invariant_subspace(mats)
+
+
+class TestCertifiedStabilizer:
+    def exact_calls(self, monkeypatch):
+        calls = []
+        exact = engine.stabilizer_lie_dim
+
+        def counted(p):
+            calls.append(p)
+            return exact(p)
+        monkeypatch.setattr(engine, "stabilizer_lie_dim", counted)
+        return calls
+
+    def test_full_algebra_decides(self, monkeypatch):
+        calls = self.exact_calls(monkeypatch)
+        rep = is_stable(simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)]))
+        assert rep.stable and rep.stabilizer_dim == 1 and calls == []
+        # sigma-twisted: the doubled algebra is M_4(Q), so the stabilizer is 0
+        grading = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        p = FramedPoint(2, [grading], [], [
+            TwistedElement(Matrix.build([[1, 1], [1, 2]]), Automorphism.sigma(2)),
+            TwistedElement.plain(SWAP)])
+        rep = is_stable(p)
+        assert rep.galois.algebra.dim == 16
+        assert rep.stable and rep.stabilizer_dim == 0 == stabilizer_lie_dim(p)
+        assert calls == []  # the direct call above is not the engine's
+
+    def test_modular_bound_decides_distinct_blocks(self, monkeypatch):
+        calls = self.exact_calls(monkeypatch)
+        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
+                         n=3)
+        rep = is_stable(p)
+        assert (rep.polystable, rep.stable, rep.stabilizer_dim) == (True, False, 3)
+        assert len(rep.levi_decomposition) == 3 and calls == []
+
+    def test_isomorphic_blocks_reach_the_exact_solve(self, monkeypatch):
+        # two copies of the absolutely irreducible pair (SWAP, DIAG): the
+        # commutant is M_2(Q), of dimension 4, over 2 Levi blocks
+        calls = self.exact_calls(monkeypatch)
+        basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        loops = [TwistedElement.plain(basis @ block_diagonal([g, g]) @ basis.inverse())
+                 for g in (SWAP, DIAG)]
+        rep = is_stable(simple_point(loops, n=4))
+        assert rep.polystable and not rep.stable
+        assert rep.stabilizer_dim == 4 and len(rep.levi_decomposition) == 2
+        assert len(calls) == 1
+
+    def test_prime_dividing_a_denominator_reaches_the_exact_solve(self, monkeypatch):
+        calls = self.exact_calls(monkeypatch)
+        p, _ = _modulus(1)
+        loop = TwistedElement.plain(Matrix.build([[Fraction(1, p), 0], [0, 3]]))
+        rep = is_stable(simple_point([loop]))
+        assert rep.polystable and rep.stabilizer_dim == 2 and len(rep.levi_decomposition) == 2
+        assert len(calls) == 1
+
+
+class TestOneAnalysis:
+    def counted(self, monkeypatch, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(engine, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            for module in (engine, algebra):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        return counts
+
+    def test_one_spin_and_one_search_per_module(self, monkeypatch):
+        names = ["normalize_point", "galois_generators", "spin_algebra", "invariant_subspace"]
+        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
+                         n=3)
+        counts = self.counted(monkeypatch, names)
+        rep = is_stable(p)
+        # the witness is the first split; only the 2-dim half is searched again
+        assert len(rep.levi_decomposition) == 3 and rep.invariant_subspace_witness.dim == 2
+        assert counts == {"normalize_point": 1, "galois_generators": 1,
+                          "spin_algebra": 1, "invariant_subspace": 2}
+        counts.update(dict.fromkeys(names, 0))
+        assert levi_reduction(p) == rep.levi_decomposition
+        assert counts == {"normalize_point": 1, "galois_generators": 1,
+                          "spin_algebra": 1, "invariant_subspace": 2}
+
+    def test_normalized_point_comes_back_unchanged(self):
+        p = simple_point([TwistedElement.plain(J)])
+        assert normalize_point(p) is p
+
+    def test_normalizing_copies_without_revalidation(self, monkeypatch):
+        a = Matrix.build([[2, 1], [1, 1]])
+        p = simple_point([TwistedElement(J, Automorphism(a, True))])
+        monkeypatch.setattr(FramedPoint, "__post_init__",
+                            lambda self: pytest.fail("validated again"))
+        q = normalize_point(p)
+        assert q.loops[0] == TwistedElement(J @ a, Automorphism.sigma(2))
+        assert p.loops[0].phi.inner == a  # the input point is untouched
+
+    def test_every_entry_point_still_validates(self):
+        singular = Matrix.build([[1, 1], [1, 1]])
+        with pytest.raises(ValueError):
+            simple_point([TwistedElement.plain(singular)])
+        with pytest.raises(ValueError):
+            simple_point([TwistedElement(J, Automorphism(singular, False))])
+        with pytest.raises(ValueError):
+            act([singular], simple_point([TwistedElement.plain(J)]))

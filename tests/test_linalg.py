@@ -172,11 +172,6 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix.build([[1, 1], [1, 1]]).inverse()
 
-    def test_char_poly(self):
-        j = Matrix.build([[1, 1], [0, 1]])
-        coeffs = j.char_poly()
-        assert [c.as_fraction() for c in coeffs] == [1, -2, 1]
-
     def test_cyclotomic_entries(self):
         z = Scalar.zeta(4)
         a = Matrix.build([[z, 0], [0, z]], 4)

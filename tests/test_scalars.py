@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import FractionScalar
 from wildcat.algebra import _image_mod_p
-from wildcat.linalg import Matrix
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -86,6 +85,20 @@ def test_mixed_conductor_arithmetic():
         _ = Scalar.zeta(3) + Scalar.zeta(4)
     with pytest.raises(ValueError):
         _ = Scalar.one(1) + Scalar.zeta(5)  # one field per instance: no silent promotion
+
+
+def test_scalars_meet_only_scalars_ints_and_fractions():
+    one = Scalar.one()
+    assert (one == None) is False  # noqa: E711
+    assert (one == "1") is False
+    assert (one == 1.0) is False
+    assert None not in [one]
+    assert one == 1 and one == Fraction(2, 2) and one == Scalar.one()
+    assert 1 / Scalar.rational(2) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        _ = one + "1"
+    with pytest.raises(TypeError):
+        _ = "1" / one
 
 
 def test_to_complex():
@@ -185,13 +198,13 @@ def test_image_mod_p_matches_fraction_reference(case):
     entries = [Scalar.from_coeffs(m, v) for v in rows]
     refs = [FractionScalar(m, v).image_mod_p(P, RPOW) for v in rows]
     want = None if None in refs else refs
-    assert _image_mod_p(Matrix(1, 3, tuple(entries)), P, RPOW) == want
+    assert _image_mod_p(entries, P, RPOW) == want
 
 
 def test_image_mod_p_refuses_a_denominator_divisible_by_p():
     x = Scalar.from_coeffs(4, [Fraction(1, 3), Fraction(5, 2 * P)])
     assert FractionScalar(4, x.coeffs).image_mod_p(P, RPOW) is None
-    assert _image_mod_p(Matrix(1, 1, (x,)), P, RPOW) is None
+    assert _image_mod_p([x], P, RPOW) is None
 
 
 def test_arithmetic_makes_no_fraction(monkeypatch):

@@ -13,14 +13,11 @@ from wildcat.stokes import (
     UnsolvableRelation,
     WildSurface,
     build_scaffold,
-    circle_invariants,
     exponential_torus_grading,
     expand_sheets,
     grouped_directions,
-    katz_guarantee,
     random_candidate,
     singular_directions,
-    stokes_pattern,
     to_framed_point,
     verify_candidate,
 )
@@ -36,13 +33,16 @@ def close(a, b, tol=1e-9):
 
 class TestCircles:
     def test_katz_slope(self):
-        assert circle_invariants(Circle(2, [(3, 1)], 1)) == (2, Fraction(3, 2))
+        c = Circle(2, [(3, 1)], 1)
+        assert (c.ram, c.slope) == (2, Fraction(3, 2))
 
     def test_tame(self):
-        assert circle_invariants(Circle(1, [], 3)) == (1, Fraction(0))
+        c = Circle(1, [], 3)
+        assert (c.ram, c.slope) == (1, Fraction(0))
 
     def test_max_exponent(self):
-        assert circle_invariants(Circle(1, [(2, 2), (1, 1)], 1)) == (1, Fraction(2))
+        c = Circle(1, [(2, 2), (1, 1)], 1)
+        assert (c.ram, c.slope) == (1, Fraction(2))
 
     def test_gcd_normalization(self):
         with pytest.raises(ValueError):
@@ -114,14 +114,9 @@ class TestDirections:
 
 class TestPatterns:
     def test_two_circle_patterns(self):
-        assert stokes_pattern(TWO_CIRCLE, math.pi) == [(0, 1)]
-        assert stokes_pattern(TWO_CIRCLE, 0.0) == [(1, 0)]
-
-    def test_non_singular_rejected(self):
-        with pytest.raises(ValueError):
-            stokes_pattern(TWO_CIRCLE, 1.0)
-        with pytest.raises(ValueError):
-            stokes_pattern(TAME2, 0.0)
+        (t0, p0), (t1, p1) = grouped_directions(TWO_CIRCLE)
+        assert close(t0, 0.0) and p0 == [(1, 0)]
+        assert close(t1, math.pi) and p1 == [(0, 1)]
 
 
 class TestGrading:
@@ -143,17 +138,6 @@ class TestGrading:
         sheets = expand_sheets(KATZ)
         assert len(sheets) == 2
         assert sheets[0].q != sheets[1].q
-
-
-class TestKatzGuarantee:
-    def test_positive(self):
-        assert katz_guarantee(KATZ)
-
-    def test_two_circles(self):
-        assert not katz_guarantee(TWO_CIRCLE)
-
-    def test_multiplicity(self):
-        assert not katz_guarantee(IrregularClass([Circle(2, [(3, 1)], 2)]))
 
 
 class TestScaffold:

@@ -6,7 +6,6 @@ from wildcat.linalg import Matrix
 from wildcat.twists import (
     Automorphism,
     TwistedElement,
-    differential_action,
     embed_doubled,
     normalize,
     transpose_inverse,
@@ -103,32 +102,6 @@ class TestEmbedding:
                 if f == e:
                     assert y == x
             seen.append((x, e))
-
-
-class TestDifferentialAction:
-    def test_identity(self):
-        xi = Matrix.build([[1, 2], [3, 4]])
-        assert differential_action(Automorphism.identity(2), xi) == xi
-
-    def test_sigma_on_nilpotent(self):
-        e12 = Matrix.build([[0, 1], [0, 0]])
-        assert differential_action(Automorphism.sigma(2), e12) == \
-            Matrix.build([[0, 0], [-1, 0]])
-
-    def test_sigma_negates_scalars(self):
-        c = Matrix.identity(2).scale(Matrix.build([[5]]).entries[0])
-        assert differential_action(Automorphism.sigma(2), c) == -c
-
-    def test_lie_algebra_map_randomized(self):
-        rng = random.Random(12)
-        for _ in range(25):
-            n = rng.choice([2, 3])
-            phi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
-            xi = Matrix.build([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-            eta = Matrix.build([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-            bracket = xi @ eta - eta @ xi
-            dxi, deta = differential_action(phi, xi), differential_action(phi, eta)
-            assert differential_action(phi, bracket) == dxi @ deta - deta @ dxi
 
 
 class TestAutomorphismAlgebra:
