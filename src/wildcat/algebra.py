@@ -311,16 +311,19 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
     return Subspace(ech)
 
 
+def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
+    """Echelon basis of the db x da matrices h with b h = h a for every pair
+    (a, b) of actions; all of them when there is no pair."""
+    rows = []
+    for ga, gb in zip(acts_a, acts_b):
+        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
+    ker = kernel(Matrix.build(rows or [[Scalar.zero(m)] * (db * da)], m))
+    return [Matrix(db, da, tuple(v)) for v in ker.basis]
+
+
 def commutant(generators, n: int):
     """Echelon basis of {x : x g = g x for all generators g}."""
-    m = _field_of(generators)
-    rows = []
-    for g in generators:
-        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
-    if not rows:
-        return [Matrix.identity(n, m)]
-    ker = kernel(Matrix.build(rows, m))
-    return [Matrix(n, n, tuple(v)) for v in ker.basis]
+    return intertwiners(generators, generators, n, n, _field_of(generators))
 
 
 def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
@@ -373,17 +376,9 @@ def module_homs(generators, sub_a: Subspace, sub_b: Subspace):
     """Basis of module maps sub_a -> sub_b (as coordinate matrices)."""
     if sub_a.dim == 0 or sub_b.dim == 0:
         return []
-    m = _field_of(generators)
-    da, db = sub_a.dim, sub_b.dim
-    rows = []
-    # unknown h (db x da) with act_b h = h act_a
-    for g in generators:
-        ga, gb = restrict_matrix(g, sub_a), restrict_matrix(g, sub_b)
-        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
-    if not rows:
-        return [Matrix.identity(da, m)] if da == db else []
-    ker = kernel(Matrix.build(rows, m))
-    return [Matrix(db, da, tuple(v)) for v in ker.basis]
+    return intertwiners([restrict_matrix(g, sub_a) for g in generators],
+                        [restrict_matrix(g, sub_b) for g in generators],
+                        sub_a.dim, sub_b.dim, _field_of(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -664,20 +659,30 @@ def decompose_irreducibles(generators, n: Optional[int] = None, *,
     return parts
 
 
+def isotypic_classes(generators, blocks):
+    """Irreducible blocks grouped by isomorphism, first occurrences in order:
+    (the generators' actions on a class's first block, its blocks) per class.
+
+    Blocks of equal dimension are isomorphic iff a module map joins them."""
+    m = _field_of(generators)
+    classes = []
+    for b in blocks:
+        acts = [restrict_matrix(g, b) for g in generators]
+        same = next((c for c in classes if c[1][0].dim == b.dim
+                     and intertwiners(c[0], acts, b.dim, b.dim, m)), None)
+        if same is None:
+            classes.append((acts, [b]))
+        else:
+            same[1].append(b)
+    return classes
+
+
 def isotypic_decomposition(generators, n: Optional[int] = None):
     """Isotypic components of a semisimple module: sums of isomorphic irreducibles."""
     size = generators[0].rows if generators else n
     parts = decompose_irreducibles(generators, n=size)
-    groups = []
-    for part in parts:
-        group = next((g for g in groups
-                      if part.dim == g[0].dim and module_homs(generators, part, g[0])), None)
-        if group is None:
-            groups.append([part])
-        else:
-            group.append(part)
     components = []
-    for group in groups:
+    for _, group in isotypic_classes(generators, parts):
         total = group[0]
         for extra in group[1:]:
             total = total.sum(extra)

@@ -15,13 +15,17 @@ Verdicts reduce to exact linear algebra:
 
 The stabilizer embeds in the commutant of the Galois generators (it is
 that commutant when untwisted; under sigma, xi -> diag(xi, -xi^T)), so an
-algebra proven to be M_N(K) leaves only the kernel.  Otherwise the kernel
-dimension, or for a polystable untwisted point the number of Levi blocks
-(their projections commute with every generator), bounds it from below,
-and the kernel of the stabilizer rows modulo the prime of the algebra
-certificate from above.  Only if the bounds differ, or the prime divides a
-denominator, is the exact system solved.  ``is_polystable`` normalizes the
-point and builds its generators once; the later steps read its report.
+algebra proven to be M_N(K) leaves only the kernel.  A polystable
+untwisted point is the direct sum of its Levi blocks B_i, so its
+stabilizer is the sum of the Hom(B_j, B_i) (Richardson's tame case): the
+sum over isomorphism classes of blocks of multiplicity^2 * dim End, from
+Hom systems of d_i * d_j unknowns between blocks of equal dimension d.  A
+non-polystable or sigma-twisted point is left: the kernel of the stabilizer
+rows modulo the prime of the algebra certificate bounds the dimension from
+above, and when it meets the kernel dimension that is the answer; else, or
+when the prime divides a denominator, the same rows are solved exactly.
+``is_polystable`` normalizes the point and builds its generators once; the
+later steps read its report.
 """
 
 from __future__ import annotations
@@ -32,8 +36,11 @@ from typing import Optional
 
 from .algebra import (
     MatrixAlgebra,
+    _is_scalar_matrix,
     decompose_irreducibles,
+    intertwiners,
     invariant_subspace,
+    isotypic_classes,
     kernel_dim_mod_p,
     radical_trace,
     restrict_matrix,
@@ -84,7 +91,7 @@ class FramedPoint:
                 raise ValueError("loop size mismatch")
             if not x.g.is_invertible():
                 raise ValueError("loop matrix is not invertible")
-            if not x.phi.inner.is_invertible():
+            if not (x.phi.is_inner_trivial() or x.phi.inner.is_invertible()):
                 raise ValueError("loop twist inner part is not invertible")
         self.conductor()  # one field for every grading and matrix, or ValueError
 
@@ -184,6 +191,14 @@ def galois_generators(p: FramedPoint):
     diag(t, (t^T)^-1): the joint eigenspace of a character u is the u weight
     space on the first block plus the dual of the -u weight space on the
     second, so each doubled projector is diag(Q_u, Q_{-u}^T).
+
+    Scalar generators (an identity loop, say) and repeats of an earlier one
+    are dropped, first occurrences kept in order; if every generator is
+    scalar, the first stays.  No verdict or certificate changes: a dropped
+    generator adds nothing to the unital algebra (also modulo p), the
+    commutant, a spun submodule or the row space of an
+    ``invariant_complement`` system, and its kernel is trivial or one an
+    earlier generator already offered the MeatAxe.
     """
     if not all(x.is_normalized() for x in p.loops):
         raise ValueError("loops must be normalized first")
@@ -193,7 +208,7 @@ def galois_generators(p: FramedPoint):
         gens = [x.g for x in p.loops]
         for per_grading in projs:
             gens.extend(q for _, q in per_grading)
-        return gens
+        return _distinct_nonscalar(gens)
     n = p.n
     gens = [embed_doubled(x) for x in p.loops]
     for per_grading in projs:
@@ -207,7 +222,16 @@ def galois_generators(p: FramedPoint):
             if minus in by_weight:
                 q = q.place(n, n, by_weight[minus].transpose())
             gens.append(q)
-    return gens
+    return _distinct_nonscalar(gens)
+
+
+def _distinct_nonscalar(gens: list) -> list:
+    """gens less scalars and repeats, in order; the first if all are scalar."""
+    kept = []
+    for g in gens:
+        if not (_is_scalar_matrix(g) or g in kept):
+            kept.append(g)
+    return kept or gens[:1]
 
 
 def is_polystable(p: FramedPoint) -> StabilityReport:
@@ -254,9 +278,12 @@ def _stabilizer_rows(p: FramedPoint) -> list:
     return rows
 
 
-def stabilizer_lie_dim(p: FramedPoint) -> int:
-    """Dimension of the linearized stabilizer, by an exact solve (see ``_stabilizer_rows``)."""
-    return kernel(Matrix.build(_stabilizer_rows(p), p.conductor())).dim
+def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
+    """Dimension of the linearized stabilizer, by an exact solve of its rows
+    (``_stabilizer_rows(p)`` unless the caller built them already)."""
+    if rows is None:
+        rows = _stabilizer_rows(p)
+    return kernel(Matrix.build(rows, p.conductor())).dim
 
 
 def _certified_stabilizer_dim(report: StabilityReport) -> int:
@@ -264,12 +291,16 @@ def _certified_stabilizer_dim(report: StabilityReport) -> int:
     pn, alg = report.galois.point, report.galois.algebra
     if alg.dim == alg.ambient_n ** 2:
         return report.kernel_dim  # the commutant is the scalars
-    blocks = report.levi_decomposition
-    lower = report.kernel_dim if blocks is None else len(blocks)
-    upper = kernel_dim_mod_p(_stabilizer_rows(pn), pn.n ** 2, pn.conductor())
-    if upper == lower:
-        return lower
-    return stabilizer_lie_dim(pn)
+    m = pn.conductor()
+    if report.levi_decomposition is not None:
+        # the commutant of the blocks: multiplicity^2 * dim End per class
+        classes = isotypic_classes(report.galois.generators, report.levi_decomposition)
+        return sum(len(blocks) ** 2 * len(intertwiners(acts, acts, blocks[0].dim, blocks[0].dim, m))
+                   for acts, blocks in classes)
+    rows = _stabilizer_rows(pn)
+    if kernel_dim_mod_p(rows, pn.n ** 2, m) == report.kernel_dim:
+        return report.kernel_dim
+    return stabilizer_lie_dim(pn, rows)
 
 
 def is_stable(p: FramedPoint) -> StabilityReport:
@@ -280,16 +311,20 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     matrices is recorded as a witness (its presence refutes stability; its
     absence plus the dimension match confirms it).  A polystable untwisted
     point also gets its Levi blocks (as ``levi_reduction`` gives them); the
-    witness, when searched, is their first split.
+    witness, when searched, is their first split.  An algebra proven to be
+    M_N(K) is not searched: no witness, and the whole space is one block.
     """
     report = is_polystable(p)
-    pn, gens = report.galois.point, report.galois.generators
-    searched = pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial() and pn.loops
-    # the generators are then the normalized loops g A, the adjoint matrices
+    pn, gens, alg = report.galois.point, report.galois.generators, report.galois.algebra
+    full = alg.dim == alg.ambient_n ** 2  # M_N(K): the module is irreducible
+    searched = (not full and pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial()
+                and pn.loops)
+    # the generators are then the normalized loops g A (the adjoint
+    # matrices) less scalars and repeats
     witness = invariant_subspace(gens, semisimple=report.polystable) if searched else None
     report.invariant_subspace_witness = witness
     if report.polystable and pn.is_untwisted():
-        if searched and witness is None:
+        if full or (searched and witness is None):
             report.levi_decomposition = [Subspace.full(pn.n, pn.conductor())]
         else:
             report.levi_decomposition = decompose_irreducibles(

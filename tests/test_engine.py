@@ -93,6 +93,20 @@ class TestGaloisGenerators:
         gens = galois_generators(p)
         assert gens == [Matrix.build([[1, 1], [0, 0]]), Matrix.build([[0, -1], [0, 1]])]
 
+    def test_scalars_and_repeats_dropped(self):
+        two = Matrix.identity(2).scale(Fraction(2))
+        loops = [TwistedElement.plain(g) for g in (Matrix.identity(2), J, SWAP, J, two)]
+        assert galois_generators(simple_point(loops)) == [J, SWAP]
+        # every generator scalar: the first stays, so the algebra keeps its size
+        loops = [TwistedElement.plain(g) for g in (two, Matrix.identity(2))]
+        assert galois_generators(simple_point(loops)) == [two]
+        # under sigma, +-I doubles to a scalar and 2I does not
+        sig = TwistedElement(J, Automorphism.sigma(2))
+        loops = [sig, TwistedElement.plain(Matrix.identity(2).scale(-1)),
+                 TwistedElement.plain(two), sig]
+        gens = galois_generators(simple_point(loops))
+        assert len(gens) == 2 and gens[1][0, 0] == 2
+
     def test_unnormalized_rejected(self):
         p = simple_point([TwistedElement(J, Automorphism(J, False))])
         with pytest.raises(ValueError):
@@ -415,14 +429,32 @@ def test_certified_stabilizer_matches_exact_solve(p):
         assert rep.invariant_subspace_witness == invariant_subspace(mats)
 
 
+def appended_loop(p, extra):
+    return FramedPoint(p.n, p.gradings, p.connectors, p.loops + [extra])
+
+
+@settings(max_examples=30)
+@given(st.one_of(small_points(), block_points()), st.data())
+def test_scalar_and_repeated_loops_change_nothing(p, data):
+    # a scalar loop fixes every point of the orbit and a repeated loop adds
+    # no constraint; under sigma only +-I double to a scalar generator
+    values = [1, -1, 2, Fraction(-1, 3)] if p.is_untwisted() else [1, -1, 2]
+    scalar = st.sampled_from(values).map(
+        lambda c: TwistedElement.plain(Matrix.identity(p.n).scale(Fraction(c))))
+    q = appended_loop(p, data.draw(st.one_of(scalar, st.sampled_from(p.loops))))
+    assert is_stable(q).to_json() == is_stable(p).to_json()
+    if p.is_untwisted() and is_polystable(p).polystable:
+        assert levi_reduction(q) == levi_reduction(p)
+
+
 class TestCertifiedStabilizer:
     def exact_calls(self, monkeypatch):
         calls = []
         exact = engine.stabilizer_lie_dim
 
-        def counted(p):
+        def counted(p, *rows):
             calls.append(p)
-            return exact(p)
+            return exact(p, *rows)
         monkeypatch.setattr(engine, "stabilizer_lie_dim", counted)
         return calls
 
@@ -448,9 +480,10 @@ class TestCertifiedStabilizer:
         assert (rep.polystable, rep.stable, rep.stabilizer_dim) == (True, False, 3)
         assert len(rep.levi_decomposition) == 3 and calls == []
 
-    def test_isomorphic_blocks_reach_the_exact_solve(self, monkeypatch):
-        # two copies of the absolutely irreducible pair (SWAP, DIAG): the
-        # commutant is M_2(Q), of dimension 4, over 2 Levi blocks
+    def test_isomorphic_blocks_are_read_off_the_levi_blocks(self, monkeypatch):
+        # two copies of the absolutely irreducible pair (SWAP, DIAG): one
+        # class of multiplicity 2 with End = Q, so the commutant is M_2(Q),
+        # of dimension 4, over 2 Levi blocks
         calls = self.exact_calls(monkeypatch)
         basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         loops = [TwistedElement.plain(basis @ block_diagonal([g, g]) @ basis.inverse())
@@ -458,15 +491,32 @@ class TestCertifiedStabilizer:
         rep = is_stable(simple_point(loops, n=4))
         assert rep.polystable and not rep.stable
         assert rep.stabilizer_dim == 4 and len(rep.levi_decomposition) == 2
-        assert len(calls) == 1
+        assert calls == []
 
-    def test_prime_dividing_a_denominator_reaches_the_exact_solve(self, monkeypatch):
+    def test_prime_dividing_a_denominator_is_read_off_the_levi_blocks(self, monkeypatch):
+        # the Levi blocks are solved exactly, so no modular image is needed
         calls = self.exact_calls(monkeypatch)
         p, _ = _modulus(1)
         loop = TwistedElement.plain(Matrix.build([[Fraction(1, p), 0], [0, 3]]))
         rep = is_stable(simple_point([loop]))
         assert rep.polystable and rep.stabilizer_dim == 2 and len(rep.levi_decomposition) == 2
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_non_polystable_point_with_a_prime_denominator_reaches_the_exact_solve(
+            self, monkeypatch):
+        # no Levi blocks and no modular bound: the rows built for the bound
+        # are handed to the exact solve
+        calls = self.exact_calls(monkeypatch)
+        p, _ = _modulus(1)
+        point = simple_point([TwistedElement.plain(Matrix.build([[Fraction(1, p), 1],
+                                                                 [0, Fraction(1, p)]]))])
+        built = []
+        rows = engine._stabilizer_rows
+        monkeypatch.setattr(engine, "_stabilizer_rows", lambda q: built.append(q) or rows(q))
+        rep = is_stable(point)
+        assert not rep.polystable and rep.levi_decomposition is None
+        assert rep.stabilizer_dim == 2 == stabilizer_lie_dim_commutant(point)
+        assert calls == [point] and built == [point]
 
 
 class TestOneAnalysis:
@@ -497,6 +547,13 @@ class TestOneAnalysis:
         assert levi_reduction(p) == rep.levi_decomposition
         assert counts == {"normalize_point": 1, "galois_generators": 1,
                           "spin_algebra": 1, "invariant_subspace": 2}
+
+    def test_full_algebra_is_not_searched(self, monkeypatch):
+        counts = self.counted(monkeypatch, ["invariant_subspace", "decompose_irreducibles"])
+        rep = is_stable(simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)]))
+        assert rep.invariant_subspace_witness is None
+        assert rep.levi_decomposition == [Subspace.full(2)]
+        assert counts == {"invariant_subspace": 0, "decompose_irreducibles": 0}
 
     def test_normalized_point_comes_back_unchanged(self):
         p = simple_point([TwistedElement.plain(J)])

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wildcat.engine import is_stable
+from wildcat.engine import is_stable, stabilizer_lie_dim
 from wildcat.linalg import Matrix
 from wildcat.stokes import (
     Circle,
@@ -21,6 +23,8 @@ from wildcat.stokes import (
     to_framed_point,
     verify_candidate,
 )
+
+from oracles import stabilizer_lie_dim_commutant
 
 TWO_CIRCLE = IrregularClass([Circle(1, [(1, 1)], 1), Circle(1, [(1, -1)], 1)])
 KATZ = IrregularClass([Circle(2, [(3, 1)], 1)])
@@ -292,3 +296,21 @@ class TestSampling:
         assert "\n" not in message and "after 40 seeded attempts" in message
         for reason, count in reasons.items():
             assert f"{count} x {reason}" in message
+
+
+@settings(max_examples=15)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)]), min_size=3, max_size=3,
+                unique=True),
+       st.booleans(), st.integers(0, 10 ** 6))
+def test_stokes_stabilizer_matches_exact_solve(coeffs, tame, seed):
+    # three exponent-1 circles at n = 3: distinct 1-dim Levi blocks, or with
+    # a second, tame puncture usually the whole algebra
+    wild = IrregularClass([Circle(1, [(1, a)], 1) for a in coeffs])
+    punctures = [wild, IrregularClass([Circle(1, [], 3)])] if tame else [wild]
+    sc = build_scaffold(WildSurface(0, punctures, 3))
+    try:
+        cand = random_candidate(sc, seed)
+    except UnsolvableRelation:
+        assume(False)
+    p = to_framed_point(sc, cand)
+    assert is_stable(p).stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
