@@ -25,6 +25,21 @@ M_N(K), which is simple (radical 0, module irreducible).  A lower rank mod p
 proves nothing (p may divide a denominator or be unlucky); the exact spin
 decides then.
 
+The modular layer works on packed rows: a vector over F_p of width W is one
+Python int of W fixed-width slots, each of k 64-bit words (``_pack``), so
+adding a multiple of a row is one big-int ``vec += c * row`` and a product
+g w is n C-level ``sum(map(mul, ...))`` calls.  Slots are never reduced
+during elimination; they start at most n (p-1)^2 (a product) or p-1 (a
+row image) and grow by at most (p-1)^2 per elimination step, of which there
+are at most W, and ``_slot_words`` picks k so that start + W (p-1)^2 fits
+(in the spin, k = 2 for every 1 < n < 2^33).  A vector is reduced mod p
+once, by one ``array('Q')`` unpack, when it is kept.  It is counted
+dependent when vec = 0 (mod p) as an int; that holds when every slot is 0
+mod p, and rarely also otherwise, which only understates the rank mod p:
+``True`` from ``_spans_full_mod_p`` still proves M_N(K), and
+``kernel_dim_mod_p`` stays an upper bound.  ``tests/oracles.py`` keeps the
+list-based route, reduced at every step, as the reference.
+
 The radical is ``radical_trace``: the null space of the trace form of the
 natural module, zero without any Gram matrix once the algebra has dimension
 N^2.  An independent second route (the trace form of the left regular
@@ -41,12 +56,14 @@ field.
 
 from __future__ import annotations
 
+import operator
 import random
+import sys
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Optional
 
 from .linalg import Matrix, Subspace, _EchelonSet, kernel, linear_solve, sandwich_rows
@@ -110,10 +127,31 @@ def _spin_left(words, gens, mul, add, full: int) -> list:
 
 
 _MODULUS_BOUND = 1 << 31
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+    """Miller-Rabin to the first twelve prime bases: deterministic for
+    q < 3.18e23 (Sorenson and Webster, 2015), far above every modulus here."""
+    if q < 2:
+        return False
+    for b in _WITNESSES:
+        if q % b == 0:
+            return q == b
+    s = ((q - 1) & (1 - q)).bit_length() - 1   # q - 1 = d 2^s, d odd
+    d = (q - 1) >> s
+    for b in _WITNESSES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -131,43 +169,89 @@ def _modulus(m: int):
     raise AssertionError("no primitive root of unity modulo p")
 
 
+@lru_cache(maxsize=None)
 def _ring_map(m: int):
-    """(p, [r^0, r^1, ...]): zeta_m -> r on power-basis coefficients modulo p."""
+    """(p, (r^0, r^1, ...)): zeta_m -> r on power-basis coefficients modulo p."""
     p, r = _modulus(m)
-    return p, [pow(r, j, p) for j in range(euler_phi(m))]
+    return p, tuple(pow(r, j, p) for j in range(euler_phi(m)))
 
 
 def _image_mod_p(entries, p: int, rpow):
     """The entries' images under zeta_m -> r, or None if p divides a denominator."""
     out = []
     for x in entries:
-        if x.den % p == 0:
+        v = sum(map(operator.mul, x.num, rpow))
+        if x.den == 1:
+            out.append(v % p)
+        elif x.den % p:
+            out.append(v * pow(x.den, -1, p) % p)
+        else:
             return None
-        v = sum(c * rj for c, rj in zip(x.num, rpow))
-        out.append(v * pow(x.den, -1, p) % p)
     return out
 
 
-def _echelon_mod_p(p: int):
-    """``add(vec)`` for one echelon over F_p: inserts vec, True if it was independent."""
-    pivots = []   # sorted pivot columns
-    tails = {}    # pivot -> echelon row from its pivot on, leading entry 1
+def _slot_words(start: int, width: int, p: int) -> int:
+    """64-bit words per slot of a packed row of ``width`` slots that starts
+    with slots <= start and then takes up to ``width`` elimination steps,
+    each adding at most (p-1)^2 to a slot (``_echelon_mod_p``)."""
+    return -(-(start + width * (p - 1) ** 2).bit_length() // 64)
 
-    def add(vec) -> bool:
-        vec = list(vec)
-        for piv in pivots:
-            f = vec[piv]
+
+def _pack(values, k: int) -> int:
+    """One int whose k-word slots hold the values (each < 2^64), slot 0 lowest."""
+    words = array("Q", [0]) * (k * len(values))
+    words[::k] = array("Q", values)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _residues(vec: int, count: int, k: int, p: int) -> list:
+    """The count k-word slots of vec, each reduced mod p."""
+    words = array("Q", vec.to_bytes(8 * k * count, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    if k == 1:
+        return [x % p for x in words]
+    c = pow(2, 64, p)
+    slots = words[k - 1::k]
+    for t in range(k - 2, -1, -1):   # Horner in 2^64
+        slots = [(s * c + w) % p for s, w in zip(slots, words[t::k])]
+    return slots
+
+
+def _echelon_mod_p(p: int, width: int, k: int):
+    """``insert(vec)`` for one echelon over F_p of packed rows: inserts vec
+    and returns its echelon row, or None if vec was dependent.
+
+    A row is one int of ``width`` slots of k 64-bit words (``_pack``); an
+    echelon row has slots < p, 0 before its pivot and 1 at it.  Eliminating
+    a pivot adds (p - f) times its row, f the residue of vec's slot there,
+    so slots only grow, by at most (p-1)^2 per step, and are reduced mod p
+    once, when vec is kept; ``_slot_words`` sizes k for that growth.  A
+    residue with vec = 0 (mod p) is counted as dependent: all slots = 0 mod
+    p implies it, but it can also hold with a slot nonzero mod p, and then
+    the rank is only understated, which no caller's proof relies on.
+    """
+    bits = 64 * k
+    mask = (1 << bits) - 1
+    rows = []   # (bit offset of the pivot slot, echelon row), by pivot
+
+    def insert(vec: int) -> Optional[int]:
+        for shift, row in rows:
+            f = (vec >> shift & mask) % p
             if f:
-                vec[piv:] = [(x - f * y) % p for x, y in zip(vec[piv:], tails[piv])]
-        piv = next((j for j, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        inv = pow(vec[piv], -1, p)
-        tails[piv] = [x * inv % p for x in vec[piv:]]
-        insort(pivots, piv)
-        return True
+                vec += (p - f) * row
+        if vec % p == 0:
+            return None
+        res = _residues(vec, width, k, p)
+        piv = next(j for j, x in enumerate(res) if x)
+        inv = pow(res[piv], -1, p)
+        row = _pack([x * inv % p for x in res], k)
+        insort(rows, (bits * piv, row))
+        return row
 
-    return add
+    return insert
 
 
 def _spans_full_mod_p(generators, n: int, m: int) -> bool:
@@ -179,19 +263,42 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     independent over F_p are images of n^2 words independent over the field,
     since the determinant of the words' coordinates maps to a nonzero one.
     False proves nothing: p may divide a denominator, or be unlucky.
+
+    A word is one packed int of n^2 slots, row-major (``_echelon_mod_p``).
+    A kept word w is extended through its echelon row e, whose slots are
+    reduced.  e is a nonzero multiple of w plus earlier kept words, so g e
+    is a multiple of g w plus products the spin has already tested: each
+    product is independent exactly when g w would be, and the same steps
+    keep a word.  With e's rows e_k as packed ints, row i of g e is
+    sum_k g_ik e_k, one C-level ``sum(map(mul, ...))``; its slots are at
+    most n (p-1)^2 before the echelon's n^2 steps, which ``_slot_words``
+    covers.
     """
     p, rpow = _ring_map(m)
     gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
     if None in gens:
         return False
+    full = n * n
+    k = _slot_words(n * (p - 1) ** 2, full, p)
+    row_bits = 64 * k * n
+    row_mask = (1 << row_bits) - 1
+    gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in gens]
+    rows_of = {}   # kept word -> the rows of its echelon row
+    insert = _echelon_mod_p(p, full, k)
 
-    def mul(a, b):
-        cols = [b[j::n] for j in range(n)]
-        return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col)) % p
-                for i in range(n) for col in cols]
+    def keep(w: int) -> bool:
+        e = insert(w)
+        if e is None:
+            return False
+        rows_of[w] = [e >> row_bits * i & row_mask for i in range(n)]
+        return True
 
-    ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
-    return len(_spin_left([ident], gens, mul, _echelon_mod_p(p), n * n)) == n * n
+    def times(g, w: int) -> int:
+        rows = rows_of[w]
+        return sum(sum(map(operator.mul, gi, rows)) << row_bits * i for i, gi in enumerate(g))
+
+    ident = _pack([1 if j % (n + 1) == 0 else 0 for j in range(full)], k)
+    return len(_spin_left([ident], gens, times, keep, full)) == full
 
 
 def kernel_dim_mod_p(rows, width: int, m: int) -> Optional[int]:
@@ -199,14 +306,16 @@ def kernel_dim_mod_p(rows, width: int, m: int) -> Optional[int]:
 
     The rows are mapped to F_p by the ring map of ``_spans_full_mod_p``.  A
     minor that is nonzero mod p is the image of a nonzero minor, so the
-    kernel mod p is at least as large.  None if p divides a denominator.
+    kernel mod p is at least as large; the packed echelon only understates
+    the rank mod p.  None if p divides a denominator.
     """
     p, rpow = _ring_map(m)
     images = [_image_mod_p(row, p, rpow) for row in rows]
     if None in images:
         return None
-    add = _echelon_mod_p(p)
-    return width - sum(add(img) for img in images)
+    k = _slot_words(p - 1, width, p)
+    insert = _echelon_mod_p(p, width, k)
+    return width - sum(insert(_pack(img, k)) is not None for img in images)
 
 
 def _matrix_units(n: int, m: int):

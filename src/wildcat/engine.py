@@ -66,6 +66,15 @@ class TwistedInput(Exception):
     pass
 
 
+class SingularMatrixError(ValueError):
+    """A matrix a point needs invertible is singular; ``where`` names it by
+    its key in the instance format, e.g. ``loops[0].matrix``."""
+
+    def __init__(self, where: str):
+        super().__init__(f"{where} is singular")
+        self.where = where
+
+
 @dataclass
 class FramedPoint:
     n: int
@@ -81,18 +90,18 @@ class FramedPoint:
         for g in self.gradings:
             if g.ambient_dim != self.n:
                 raise ValueError("grading dimension mismatch")
-        for c in self.connectors:
+        for i, c in enumerate(self.connectors):
             if c.rows != self.n or c.cols != self.n:
                 raise ValueError("connector size mismatch")
             if not c.is_invertible():
-                raise ValueError("connector is not invertible")
-        for x in self.loops:
+                raise SingularMatrixError(f"connectors[{i}]")
+        for i, x in enumerate(self.loops):
             if x.n != self.n:
                 raise ValueError("loop size mismatch")
             if not x.g.is_invertible():
-                raise ValueError("loop matrix is not invertible")
+                raise SingularMatrixError(f"loops[{i}].matrix")
             if not (x.phi.is_inner_trivial() or x.phi.inner.is_invertible()):
-                raise ValueError("loop twist inner part is not invertible")
+                raise SingularMatrixError(f"loops[{i}].inner")
         self.conductor()  # one field for every grading and matrix, or ValueError
 
     @property

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import FramedPoint
+from .engine import FramedPoint, SingularMatrixError
 from .linalg import Grading, Matrix
 from .scalars import Scalar
 from .stokes import Circle, IrregularClass, WildSurface
@@ -53,7 +53,7 @@ class _Reader:
             self.fail(path, f"bad scalar: {exc}")
             return Scalar.zero(m)
 
-    def matrix(self, data, m, path, square=None, invertible=False):
+    def matrix(self, data, m, path, square=None):
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             self.fail(path, "expected a matrix as a list of rows")
             return Matrix.identity(square or 1, m)
@@ -64,12 +64,9 @@ class _Reader:
         if square is not None and (len(data) != square or width != square):
             self.fail(path, f"expected a square {square}x{square} matrix")
             return Matrix.identity(square, m)
-        mat = Matrix.build([[self.scalar(x, m, f"{path}[{i}][{j}]")
-                             for j, x in enumerate(row)]
-                            for i, row in enumerate(data)], m)
-        if invertible and not self.errors and not mat.is_invertible():
-            self.fail(path, "matrix declared invertible is singular")
-        return mat
+        return Matrix.build([[self.scalar(x, m, f"{path}[{i}][{j}]")
+                              for j, x in enumerate(row)]
+                             for i, row in enumerate(data)], m)
 
 
 def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
@@ -125,18 +122,17 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
                 reader.fail(gpath, str(exc))
     connectors = []
     for ci, raw in enumerate(data.get("connectors", [])):
-        connectors.append(reader.matrix(raw, m, f"{path}.connectors[{ci}]",
-                                        square=n, invertible=True))
+        connectors.append(reader.matrix(raw, m, f"{path}.connectors[{ci}]", square=n))
     loops = []
     for li, raw in enumerate(data.get("loops", [])):
         lpath = f"{path}.loops[{li}]"
         if not isinstance(raw, dict) or "matrix" not in raw:
             reader.fail(lpath, "expected an object with a matrix")
             continue
-        g = reader.matrix(raw["matrix"], m, f"{lpath}.matrix", square=n, invertible=True)
+        g = reader.matrix(raw["matrix"], m, f"{lpath}.matrix", square=n)
         inner_raw = raw.get("inner")
         inner = Matrix.identity(n, m) if inner_raw is None else \
-            reader.matrix(inner_raw, m, f"{lpath}.inner", square=n, invertible=True)
+            reader.matrix(inner_raw, m, f"{lpath}.inner", square=n)
         outer_raw = raw.get("outer", "identity")
         if outer_raw not in ("identity", "sigma"):
             reader.fail(f"{lpath}.outer", 'expected "identity" or "sigma"')
@@ -145,10 +141,12 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
     if reader.errors:
         return None
     try:
-        return FramedPoint(n, gradings, connectors, loops)
+        return FramedPoint(n, gradings, connectors, loops)  # ranks each matrix once
+    except SingularMatrixError as exc:
+        reader.fail(f"{path}.{exc.where}", "matrix declared invertible is singular")
     except ValueError as exc:
         reader.fail(path, str(exc))
-        return None
+    return None
 
 
 def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:

@@ -645,17 +645,16 @@ def _apply_framing_spread(rng, sc: Scaffold, assignment: dict):
             h = h.place(s.start, s.start, _random_block(rng, s.size, s.size, m, invertible=True))
         hs.append(h)
     h1 = hs[0]
-    h1inv = h1.inverse()
+    invs = [h.inverse() for h in hs]
     out = {}
     for gen in sc.generators:
         mat = assignment[gen.name]
         if gen.kind in ("handle_a", "handle_b"):
-            out[gen.name] = h1 @ mat @ h1inv
+            out[gen.name] = h1 @ mat @ invs[0]
         elif gen.kind == "connector":
-            out[gen.name] = hs[gen.puncture] @ mat @ h1inv
+            out[gen.name] = hs[gen.puncture] @ mat @ invs[0]
         else:
-            h = hs[gen.puncture]
-            out[gen.name] = h @ mat @ h.inverse()
+            out[gen.name] = hs[gen.puncture] @ mat @ invs[gen.puncture]
     return out
 
 

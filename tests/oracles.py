@@ -14,13 +14,26 @@ of the two:
   writes its rows with ``sandwich_rows``);
 * ``FractionScalar``: Q(zeta_m) with one Fraction per power-basis coefficient
   and division by a linear solve (``Scalar`` keeps integer numerators over one
-  denominator and inverts by extended Euclid).
+  denominator and inverts by extended Euclid);
+* ``spans_full_mod_p`` and ``kernel_dim_mod_p``: the modular certificates on
+  lists of residues, reduced mod p at every step (the library packs each row
+  into one int and reduces once per kept row);
+* ``is_prime``: trial division (the library runs Miller-Rabin).
 """
 
 import cmath
+from bisect import insort
 from fractions import Fraction
+from math import isqrt
 
-from wildcat.algebra import MatrixAlgebra, RadicalCertificate, _certificate_from_rows
+from wildcat.algebra import (
+    MatrixAlgebra,
+    RadicalCertificate,
+    _certificate_from_rows,
+    _image_mod_p,
+    _ring_map,
+    _spin_left,
+)
 from wildcat.engine import FramedPoint, transported_projectors
 from wildcat.linalg import Matrix, _EchelonSet, kernel
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
@@ -211,3 +224,55 @@ class FractionScalar:
                     return None
                 v += c.numerator * pow(c.denominator, -1, p) * rj
         return v % p
+
+
+def is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+def _echelon_mod_p(p: int):
+    """``add(vec)`` for one echelon over F_p of residue lists: True if vec was independent."""
+    pivots = []   # sorted pivot columns
+    tails = {}    # pivot -> echelon row from its pivot on, leading entry 1
+
+    def add(vec) -> bool:
+        vec = list(vec)
+        for piv in pivots:
+            f = vec[piv]
+            if f:
+                vec[piv:] = [(x - f * y) % p for x, y in zip(vec[piv:], tails[piv])]
+        piv = next((j for j, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        inv = pow(vec[piv], -1, p)
+        tails[piv] = [x * inv % p for x in vec[piv:]]
+        insort(pivots, piv)
+        return True
+
+    return add
+
+
+def spans_full_mod_p(generators, n: int, m: int) -> bool:
+    """The left spin of the generators' images from I has rank n^2 over F_p."""
+    p, rpow = _ring_map(m)
+    gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
+    if None in gens:
+        return False
+
+    def mul(a, b):
+        cols = [b[j::n] for j in range(n)]
+        return [sum(x * y for x, y in zip(a[i * n:(i + 1) * n], col)) % p
+                for i in range(n) for col in cols]
+
+    ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
+    return len(_spin_left([ident], gens, mul, _echelon_mod_p(p), n * n)) == n * n
+
+
+def kernel_dim_mod_p(rows, width: int, m: int):
+    """width minus the rank of the rows' images over F_p, or None."""
+    p, rpow = _ring_map(m)
+    images = [_image_mod_p(row, p, rpow) for row in rows]
+    if None in images:
+        return None
+    add = _echelon_mod_p(p)
+    return width - sum(add(img) for img in images)

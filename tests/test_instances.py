@@ -8,6 +8,7 @@ from wildcat.instances import (
     parse_instance_data,
     render_instance,
 )
+from wildcat.linalg import Matrix
 from wildcat.stokes import build_scaffold, random_candidate
 
 MINIMAL_TUPLE = {
@@ -77,6 +78,29 @@ def test_singular_declared_invertible():
     with pytest.raises(InstanceError) as err:
         parse_instance_data(bad)
     assert any("singular" in e for e in err.value.errors)
+
+
+def test_parse_ranks_each_matrix_once_and_names_a_singular_one(monkeypatch):
+    ident = [["1", "0"], ["0", "1"]]
+    grading = [{"weight": [], "basis": ident}]
+
+    def doc(connector, inner):
+        return {"mode": "tuple", "tuple": {
+            "n": 2, "gradings": [grading, grading], "connectors": [connector],
+            "loops": [{"matrix": [["1", "1"], ["0", "1"]]},
+                      {"matrix": [["0", "1"], ["1", "0"]], "inner": inner, "outer": "sigma"}]}}
+
+    good, singular = [["2", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]
+    ranked = []
+    real = Matrix.is_invertible
+    monkeypatch.setattr(Matrix, "is_invertible", lambda self: ranked.append(self) or real(self))
+    parse_instance_data(doc(good, good))
+    assert len(ranked) == 4  # the connector, two loops, one inner part; the identity is not ranked
+    for bad, where in ((doc(singular, good), "tuple.connectors[0]"),
+                       (doc(good, singular), "tuple.loops[1].inner")):
+        with pytest.raises(InstanceError) as err:
+            parse_instance_data(bad)
+        assert err.value.errors == [f"{where}: matrix declared invertible is singular"]
 
 
 def test_unknown_mode():

@@ -1,0 +1,154 @@
+"""The packed modular layer of ``wildcat.algebra`` against the list reference
+in ``oracles``: the full-algebra certificate, the kernel bound, the slot
+sizes, the prime test and the modulus."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wildcat.algebra import (
+    _echelon_mod_p,
+    _is_prime,
+    _modulus,
+    _pack,
+    _residues,
+    _slot_words,
+    _spans_full_mod_p,
+    kernel_dim_mod_p,
+)
+from wildcat.linalg import Matrix, kernel, sandwich_rows
+from wildcat.scalars import Scalar, euler_phi
+
+import oracles
+
+SWAP = Matrix.build([[0, 1], [1, 0]])
+
+
+def commutant_rows(gens, n, m):
+    """The rows of x g = g x for every generator: kernel dimension = dim commutant."""
+    rows = []
+    for g in gens:
+        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
+    return rows
+
+
+@st.composite
+def modular_cases(draw):
+    """One to three n x n matrices over Q(zeta_m), n = 1..12, entries with
+    small numerators over denominators 1, 2 or 3; block upper triangular
+    (never the full algebra) or not."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.sampled_from([1, 3, 4, 5]))
+    split = draw(st.one_of(st.none(), st.integers(1, n - 1))) if n > 1 else None
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry(i, j):
+        if split is not None and i >= split and j < split:
+            return Scalar.zero(m)
+        return Scalar.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                                      for _ in range(euler_phi(m))])
+
+    gens = [Matrix(n, n, tuple(entry(i, j) for i in range(n) for j in range(n)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return gens, n, m
+
+
+@settings(max_examples=30)
+@given(modular_cases())
+def test_packed_certificates_match_the_list_reference(case):
+    gens, n, m = case
+    full = _spans_full_mod_p(gens, n, m)
+    assert full == oracles.spans_full_mod_p(gens, n, m)
+    rows = commutant_rows(gens, n, m)
+    bound = kernel_dim_mod_p(rows, n * n, m)
+    assert bound == oracles.kernel_dim_mod_p(rows, n * n, m)
+    if full:
+        assert bound == 1  # the commutant of M_n(K) is the scalars
+
+
+class TestSlots:
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("width", [1, 3, 4, 256])
+    def test_slots_hold_the_largest_value_and_no_more_words(self, m, width):
+        p, _ = _modulus(m)
+        step = width * (p - 1) ** 2
+        for top in (1 << 64, 1 << 128):  # start so that the bound is top - 1, then top
+            for start in (top - 1 - step, top - step):
+                if start < 0:
+                    continue
+                k = _slot_words(start, width, p)
+                bound = start + step
+                assert bound < 1 << 64 * k and (k == 1 or bound >= 1 << 64 * (k - 1))
+
+    def test_pack_and_residues_round_trip_at_the_bound(self):
+        p, _ = _modulus(1)
+        k = _slot_words(16 * (p - 1) ** 2, 256, p)
+        big = 16 * (p - 1) ** 2 + 256 * (p - 1) ** 2
+        vals = [big - j for j in range(5)]
+        vec = sum(v << 64 * k * j for j, v in enumerate(vals))
+        assert _residues(vec, 5, k, p) == [v % p for v in vals]
+        assert _residues(_pack([p - 1, 0, 1], k), 3, k, p) == [p - 1, 0, 1]
+
+    def test_all_entries_p_minus_one_at_n16(self):
+        # the largest products: every slot of g w is 16 (p-1)^2 before elimination
+        p, _ = _modulus(1)
+        n = 16
+        ones = Matrix.build([[p - 1] * n for _ in range(n)])
+        diag = Matrix.build([[p - 1 - i if i == j else 0 for j in range(n)] for i in range(n)])
+        assert not _spans_full_mod_p([ones], n, 1)  # span{I, J}: dimension 2
+        assert not oracles.spans_full_mod_p([ones], n, 1)
+        assert _spans_full_mod_p([ones, diag], n, 1)  # D^a J D^b span M_n
+        assert oracles.spans_full_mod_p([ones, diag], n, 1)
+        rows = [[Scalar.rational(p - 1)] * 64 for _ in range(3)]
+        rows.append([Scalar.rational(p - 1 - j) for j in range(64)])
+        assert kernel_dim_mod_p(rows, 64, 1) == oracles.kernel_dim_mod_p(rows, 64, 1) == 62
+
+    def test_echelon_returns_reduced_rows_with_unit_pivots(self):
+        p, _ = _modulus(1)
+        k = _slot_words(p - 1, 3, p)
+        insert = _echelon_mod_p(p, 3, k)
+        row = insert(_pack([0, 2, 4], k))
+        assert _residues(row, 3, k, p) == [0, 1, 2]
+        assert insert(_pack([0, p - 1, p - 2], k)) is None  # -1/2 times the first
+        assert _residues(insert(_pack([5, 2, 4], k)), 3, k, p) == [1, 0, 0]
+
+
+class TestFixedCases:
+    def test_unlucky_prime_overstates_the_kernel(self):
+        p, _ = _modulus(1)
+        gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
+        assert not _spans_full_mod_p(gens, 2, 1)
+        rows = commutant_rows(gens, 2, 1)
+        assert kernel_dim_mod_p(rows, 4, 1) == oracles.kernel_dim_mod_p(rows, 4, 1) == 2
+        assert kernel(Matrix.build(rows)).dim == 1
+
+    def test_denominator_divisible_by_p_decides_nothing(self):
+        p, _ = _modulus(5)
+        z = Scalar.zeta(5)
+        x = Scalar.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
+        gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
+        assert not _spans_full_mod_p(gens, 2, 5)
+        assert not oracles.spans_full_mod_p(gens, 2, 5)
+        rows = commutant_rows(gens, 2, 5)
+        assert kernel_dim_mod_p(rows, 4, 5) is None
+        assert oracles.kernel_dim_mod_p(rows, 4, 5) is None
+
+
+def test_is_prime_matches_trial_division():
+    assert [q for q in range(200_000) if _is_prime(q)] == \
+        [q for q in range(200_000) if oracles.is_prime(q)]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..23
+    assert not _is_prime(3_215_031_751) and not _is_prime(3_825_123_056_546_413_051)
+    assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
+
+
+def test_modulus_is_unchanged():
+    # (p, r) as found with trial division; a change alters every certificate
+    assert [_modulus(m) for m in range(1, 13)] == [
+        (2147483647, 1), (2147483647, 2147483646), (2147483647, 1513477735),
+        (2147483629, 1518275076), (2147483171, 2066432606), (2147483647, 1513477736),
+        (2147483647, 1752599774), (2147483497, 291288225), (2147483647, 765383222),
+        (2147483171, 566890146), (2147483647, 298192073), (2147483629, 1803057106)]

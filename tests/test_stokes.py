@@ -14,6 +14,7 @@ from wildcat.stokes import (
     RepCandidate,
     UnsolvableRelation,
     WildSurface,
+    _apply_framing_spread,
     build_scaffold,
     exponential_torus_grading,
     expand_sheets,
@@ -259,6 +260,16 @@ class TestSampling:
         for seed in range(6):
             cand = random_candidate(sc, seed)
             assert verify_candidate(sc, cand) == []
+
+    def test_framing_spread_inverts_once_per_puncture(self, monkeypatch):
+        sc = build_scaffold(WildSurface(1, [TWO_CIRCLE, TAME2], 2))
+        assignment = random_candidate(sc, 3).assignment
+        inverted = []
+        real = Matrix.inverse
+        monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or real(self))
+        spread = _apply_framing_spread(random.Random(0), sc, assignment)
+        assert len(inverted) == len(sc.punctures) == 2
+        assert verify_candidate(sc, RepCandidate(spread)) == []
 
     def test_katz_seeds_verify(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))
