@@ -8,14 +8,13 @@ Levi blocks).
 """
 
 from .scalars import Scalar
-from .linalg import Grading, Matrix, Subspace, kernel, linear_solve, rref, weight_projectors
+from .linalg import Grading, Matrix, Subspace, kernel, linear_solve
 from .algebra import (
     MatrixAlgebra,
     MeatAxeInconclusive,
     NotSemisimpleError,
     RadicalCertificate,
     invariant_subspace,
-    isotypic_decomposition,
     radical_trace,
     spin_algebra,
 )

@@ -481,15 +481,6 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     return kernel(proj)
 
 
-def module_homs(generators, sub_a: Subspace, sub_b: Subspace):
-    """Basis of module maps sub_a -> sub_b (as coordinate matrices)."""
-    if sub_a.dim == 0 or sub_b.dim == 0:
-        return []
-    return intertwiners([restrict_matrix(g, sub_a) for g in generators],
-                        [restrict_matrix(g, sub_b) for g in generators],
-                        sub_a.dim, sub_b.dim, _field_of(generators))
-
-
 # ---------------------------------------------------------------------------
 # polynomial factorisation over the coefficient field (sympy bridge)
 
@@ -785,16 +776,3 @@ def isotypic_classes(generators, blocks):
             same[1].append(b)
     return classes
 
-
-def isotypic_decomposition(generators, n: Optional[int] = None):
-    """Isotypic components of a semisimple module: sums of isomorphic irreducibles."""
-    size = generators[0].rows if generators else n
-    parts = decompose_irreducibles(generators, n=size)
-    components = []
-    for _, group in isotypic_classes(generators, parts):
-        total = group[0]
-        for extra in group[1:]:
-            total = total.sum(extra)
-        components.append(total)
-    components.sort(key=lambda s: s.sort_key())
-    return components

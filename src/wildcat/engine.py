@@ -53,7 +53,6 @@ from .linalg import (
     kernel,
     linear_solve,
     sandwich_rows,
-    weight_projectors,
 )
 from .twists import TwistedElement, embed_doubled, normalize
 
@@ -170,25 +169,32 @@ def normalize_point(p: FramedPoint) -> FramedPoint:
     return pn
 
 
+def _transported_factors(p: FramedPoint, i: int) -> list:
+    """Grading i's projector factors (B_k, R_k), moved to the basepoint:
+    (C_i^-1 B_k, R_k C_i) for i > 0."""
+    factors = p.gradings[i].projector_factors()
+    if i == 0:
+        return factors
+    c = p.connectors[i - 1]
+    cinv = c.inverse()
+    return [(cinv @ b, r @ c) for b, r in factors]
+
+
 def transported_projectors(p: FramedPoint):
     """Weight projectors of every torus, conjugated back to the basepoint.
 
     Returns a list of (weight, projector) per grading; identity projectors of
     trivial gradings are dropped (a one-piece torus only adds scalars, which
-    change no verdict).
+    change no verdict).  A projector is the product of its thin factors, so
+    it costs n^2 d for a piece of dimension d.
     """
     out = []
     for i, grading in enumerate(p.gradings):
         if grading.is_trivial():
             out.append([])
             continue
-        projs = weight_projectors(grading)
-        if i == 0:
-            out.append([(w, proj) for (w, _), proj in zip(grading.pieces, projs)])
-        else:
-            c = p.connectors[i - 1]
-            cinv = c.inverse()
-            out.append([(w, cinv @ proj @ c) for (w, _), proj in zip(grading.pieces, projs)])
+        out.append([(w, b @ r) for (w, _), (b, r) in
+                    zip(grading.pieces, _transported_factors(p, i))])
     return out
 
 
@@ -267,18 +273,16 @@ def _stabilizer_rows(p: FramedPoint) -> list:
     """
     n = p.n
     m = p.conductor()
-    ident = Matrix.identity(n, m)
     rows = []
     for i, grading in enumerate(p.gradings):
-        # C_i xi C_i^-1 preserves every piece: (I - P) . C_i xi C_i^-1 . P = 0
-        conj = p.connectors[i - 1] if i else None
-        cinv = conj.inverse() if i else None
-        for proj in weight_projectors(grading):
-            if conj is None:
-                left, right = ident - proj, proj
-            else:
-                left, right = (ident - proj) @ conj, cinv @ proj
-            rows += sandwich_rows([(left, right, False)], n, n, m)
+        if grading.is_trivial():
+            continue
+        # C_i xi C_i^-1 keeps every piece: R_j . C_i xi C_i^-1 . B_k = 0 for j != k
+        factors = _transported_factors(p, i)
+        for j, (_, left) in enumerate(factors):
+            for k, (right, _) in enumerate(factors):
+                if j != k:
+                    rows += sandwich_rows([(left, right, False)], n, n, m)
     # xi g = g A s(xi) A^-1 is xi G = G s(xi) for the normalized loop G = g A,
     # with s(xi) = xi, or -xi^T under sigma
     for x in normalize(p.loops):
@@ -292,7 +296,8 @@ def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
     (``_stabilizer_rows(p)`` unless the caller built them already)."""
     if rows is None:
         rows = _stabilizer_rows(p)
-    return kernel(Matrix.build(rows, p.conductor())).dim
+    # no rows at all when every torus is trivial and there is no loop
+    return kernel(Matrix(len(rows), p.n ** 2, tuple(x for row in rows for x in row))).dim
 
 
 def _certified_stabilizer_dim(report: StabilityReport) -> int:

@@ -5,8 +5,8 @@ subspaces is equality of representations.  Vectors are tuples of Scalar and
 matrices act on column vectors.
 
 There is one elimination kernel, the incremental echelon ``_EchelonSet``:
-``rref``, ``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and
-the algebra spinning all run on it.  Linear conditions of the form
+``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and the
+algebra spinning all run on it.  Linear conditions of the form
 X -> sum L.X.R are turned into coefficient rows by ``sandwich_rows`` alone.
 Block matrices (the doubled realisation, block-supported samples) are
 written with ``Matrix.place``.
@@ -215,14 +215,6 @@ class Matrix:
                       tuple(self.entries[i * self.cols + j]
                             for j in range(self.cols) for i in range(self.rows)))
 
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        s = Scalar.zero(self._conductor())
-        for i in range(self.rows):
-            s = s + self[i, i]
-        return s
-
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
@@ -279,15 +271,6 @@ class Matrix:
     @staticmethod
     def from_json(data, m: int) -> "Matrix":
         return Matrix.build([[Scalar.from_json(x, m) for x in row] for row in data], m)
-
-
-def rref(a: Matrix):
-    """Reduced row-echelon form.  Returns (R, pivots, rank), deterministic."""
-    ech = _EchelonSet(a.cols, a.row_list())
-    zero = Scalar.zero(a._conductor())
-    entries = tuple(x for row in ech.rows for x in row)
-    entries += (zero,) * (a.rows * a.cols - len(entries))
-    return Matrix(a.rows, a.cols, entries), tuple(ech.pivots), ech.dim
 
 
 def sandwich_rows(terms, rows: int, cols: int, m: int) -> list:
@@ -366,9 +349,6 @@ class Subspace:
         if any(res):
             return None
         return tuple(coords)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: row reduce [A|A; B|0], read the right half of the zero-left rows
@@ -482,6 +462,19 @@ class Grading:
     def is_trivial(self) -> bool:
         return len(self.pieces) == 1
 
+    def projector_factors(self) -> list:
+        """(B_k, R_k) per piece: its basis as columns and the matching rows of
+        B^-1, where B holds every piece's basis as columns.  B_k R_k projects
+        onto piece k along the others, and R_j B_k is 0 for j != k."""
+        b_inv = Matrix.from_cols([v for _, basis in self.pieces for v in basis]).inverse()
+        out, start = [], 0
+        for _, basis in self.pieces:
+            stop = start + len(basis)
+            out.append((Matrix.from_cols(basis),
+                        Matrix.from_rows([b_inv.row(i) for i in range(start, stop)])))
+            start = stop
+        return out
+
     def piece_subspaces(self):
         return [Subspace.from_vectors(self.ambient_dim, basis) for _, basis in self.pieces]
 
@@ -500,25 +493,3 @@ class Grading:
 
     __hash__ = None
 
-
-def weight_projectors(g: Grading) -> list:
-    """Projectors onto each piece along the sum of the others.
-
-    Idempotent, pairwise orthogonal, summing to the identity; exact.
-    """
-    n = g.ambient_dim
-    cols = [v for _, basis in g.pieces for v in basis]
-    b = Matrix.from_cols(cols)
-    if not b.is_invertible():
-        raise ValueError("degenerate grading: pieces do not span")
-    binv = b.inverse()
-    m = b._conductor()
-    out = []
-    start = 0
-    for _, basis in g.pieces:
-        d = len(basis)
-        sel = Matrix.build([[1 if (i == j and start <= i < start + d) else 0
-                             for j in range(n)] for i in range(n)], m)
-        out.append(b @ sel @ binv)
-        start += d
-    return out

@@ -21,10 +21,12 @@ Conventions (fixed here once and used consistently everywhere):
 * The formal monodromy h_i is twisted-graded: it permutes the sheet blocks of
   each circle cyclically (leaf l -> l+1 mod r), so its support is one block
   per sheet; for unramified classes it is plain block diagonal.
-* Sheet weights are the coordinates of the sheet exponential factors in a
-  Z-basis of the lattice they generate; the grading of the fibre by those
-  weights presents the exponential torus, whose centralizer is the framing
-  group at the puncture.
+* Sheet k has weight (k,): the grading of the fibre into sheet blocks
+  presents the exponential torus, whose centralizer (the block group) is
+  the framing group at the puncture.  Sheet indices suffice because Stokes
+  points are untwisted, so only the pieces reach a verdict; a sigma-twisted
+  Stokes side would pair the weights u and -u, and would need the
+  coordinates of the exponential factors in a Z-basis of their lattice.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Optional
 
 from .engine import FramedPoint
 from .linalg import Grading, Matrix, kernel, linear_solve, sandwich_rows
-from .scalars import Scalar, euler_phi
+from .scalars import Scalar
 from .twists import TwistedElement
 
 ANGLE_TOL = 1e-9
@@ -89,12 +91,6 @@ class Circle:
             raise ValueError("circle is not minimally ramified (gcd condition fails)")
         self.coeffs = cleaned
 
-    @property
-    def slope(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return Fraction(max(j for j, _ in self.coeffs), self.ram)
-
 
 @dataclass
 class IrregularClass:
@@ -103,6 +99,9 @@ class IrregularClass:
     def __post_init__(self):
         if not all(isinstance(c, Circle) for c in self.circles):
             raise ValueError("irregular class must consist of circles")
+        qs = [s.q for s in expand_sheets(self)]
+        if any(qs[i] == qs[j] for i in range(len(qs)) for j in range(i)):
+            raise ValueError("two sheets share one exponential factor")
 
     @property
     def rank(self) -> int:
@@ -155,7 +154,8 @@ class Sheet:
 
 
 def expand_sheets(cls: IrregularClass, conductor: Optional[int] = None):
-    """Galois sheets of all circles over the common cyclic cover."""
+    """Galois sheets of all circles over the common cyclic cover; pairwise
+    distinct exponential factors, as ``IrregularClass`` checks."""
     m = conductor if conductor is not None else cls.conductor()
     big_r = cls.cover_degree()
     sheets = []
@@ -169,11 +169,6 @@ def expand_sheets(cls: IrregularClass, conductor: Optional[int] = None):
                 q[j * step] = a.promote(m) * zeta_pow
             sheets.append(Sheet(ci, leaf, q, start, c.multiplicity))
             start += c.multiplicity
-    # sanity: pairwise distinct exponential factors
-    for i in range(len(sheets)):
-        for j in range(i + 1, len(sheets)):
-            if _q_difference(sheets[i], sheets[j], m) is None:
-                raise ValueError("two sheets share one exponential factor")
     return sheets
 
 
@@ -233,89 +228,15 @@ def grouped_directions(cls: IrregularClass):
 
 
 def exponential_torus_grading(cls: IrregularClass, conductor: Optional[int] = None) -> Grading:
-    """Grading of the fibre by sheet weights.
+    """Grading of the fibre by sheet: sheet k's block has weight (k,).
 
-    Weights are coordinates of the sheet exponential factors in a Z-basis of
-    the lattice they span; distinct sheets get distinct weights, so the
-    centralizer of the grading is the block group of the sheet decomposition.
+    The centralizer of the grading is the block group of the sheet
+    decomposition (module docstring).
     """
     m = conductor if conductor is not None else cls.conductor()
-    sheets = expand_sheets(cls, m)
-    n = cls.rank
-    weights = _sheet_weights(sheets, m)
-    pieces = []
-    ident = Matrix.identity(n, m)
-    for s, w in zip(sheets, weights):
-        basis = [ident.row(s.start + t) for t in range(s.size)]
-        pieces.append((w, basis))
-    return Grading(n, pieces)
-
-
-def _sheet_weights(sheets, m: int):
-    exps = sorted({e for s in sheets for e in s.q})
-    if not exps:
-        return [() for _ in sheets]
-    phi = euler_phi(m)
-    rows = []
-    for s in sheets:
-        row = []
-        for e in exps:
-            row.extend(s.q.get(e, Scalar.zero(m)).coeffs)
-        rows.append(row)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    basis = _hermite_row_basis(int_rows)
-    k = len(basis)
-    weights = []
-    for row in int_rows:
-        rem = list(row)
-        w = []
-        for b in basis:
-            p = next(i for i, x in enumerate(b) if x)
-            if rem[p] % b[p] != 0:
-                raise AssertionError("sheet vector escapes its own lattice")
-            c = rem[p] // b[p]
-            w.append(c)
-            rem = [x - c * y for x, y in zip(rem, b)]
-        if any(rem):
-            raise AssertionError("sheet vector escapes its own lattice")
-        weights.append(tuple(w))
-    return weights
-
-
-def _hermite_row_basis(int_rows):
-    """Z-basis of the row span of an integer matrix, in Hermite form."""
-    rows = [list(r) for r in int_rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        nz = [i for i in range(r, len(rows)) if rows[i][c]]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(rows[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = rows[i][c] // rows[i0][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[i0])]
-            nz = [i for i in range(r, len(rows)) if rows[i][c]]
-        i0 = nz[0]
-        rows[r], rows[i0] = rows[i0], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r] if any(row)]
+    ident = Matrix.identity(cls.rank, m)
+    return Grading(cls.rank, [((k,), [ident.row(s.start + t) for t in range(s.size)])
+                              for k, s in enumerate(expand_sheets(cls, m))])
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ class Automorphism:
     def is_inner_trivial(self) -> bool:
         return self.inner == Matrix.identity(self.n, self.inner._conductor())
 
-    def is_identity(self) -> bool:
-        return not self.outer and self.is_inner_trivial()
-
     def apply(self, g: Matrix) -> Matrix:
         core = transpose_inverse(g) if self.outer else g
         if self.is_inner_trivial():

@@ -9,9 +9,14 @@ of the two:
 * ``radical_oracle``: the radical as the null space of the trace form of the
   left regular module, from structure constants (``radical_trace`` uses the
   natural module and skips the Gram matrix for M_N(K));
+* ``transported_projectors``: each weight projector as B . sel . B^-1, with
+  the n x n selector sel of the piece's columns of B, conjugated to the
+  basepoint as C^-1 . P . C (the library multiplies thin factors: the
+  piece's basis columns, and the matching rows of B^-1, each transported);
 * ``stabilizer_lie_dim_commutant``: the stabilizer dimension from the
-  conjugation picture, with hand-written constraint rows (``stabilizer_lie_dim``
-  writes its rows with ``sandwich_rows``);
+  conjugation picture, with hand-written constraint rows, commuting with
+  the projectors above (``stabilizer_lie_dim`` writes its rows with
+  ``sandwich_rows`` and asks each transported piece to be kept);
 * ``FractionScalar``: Q(zeta_m) with one Fraction per power-basis coefficient
   and division by a linear solve (``Scalar`` keeps integer numerators over one
   denominator and inverts by extended Euclid);
@@ -34,8 +39,8 @@ from wildcat.algebra import (
     _ring_map,
     _spin_left,
 )
-from wildcat.engine import FramedPoint, transported_projectors
-from wildcat.linalg import Matrix, _EchelonSet, kernel
+from wildcat.engine import FramedPoint
+from wildcat.linalg import Grading, Matrix, _EchelonSet, kernel
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -103,6 +108,39 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
         if not (mat ** n).is_zero():
             raise AssertionError("radical element is not nilpotent")
     return cert
+
+
+def weight_projectors(g: Grading) -> list:
+    """Projector onto each piece along the others: B . sel . B^-1."""
+    n = g.ambient_dim
+    b = Matrix.from_cols([v for _, basis in g.pieces for v in basis])
+    binv = b.inverse()
+    m = b._conductor()
+    out = []
+    start = 0
+    for _, basis in g.pieces:
+        d = len(basis)
+        sel = Matrix.build([[1 if (i == j and start <= i < start + d) else 0
+                             for j in range(n)] for i in range(n)], m)
+        out.append(b @ sel @ binv)
+        start += d
+    return out
+
+
+def transported_projectors(p: FramedPoint) -> list:
+    """(weight, C_i^-1 . P . C_i) per piece of every non-trivial grading i."""
+    out = []
+    for i, grading in enumerate(p.gradings):
+        if grading.is_trivial():
+            out.append([])
+            continue
+        projs = weight_projectors(grading)
+        if i:
+            c = p.connectors[i - 1]
+            cinv = c.inverse()
+            projs = [cinv @ proj @ c for proj in projs]
+        out.append([(w, proj) for (w, _), proj in zip(grading.pieces, projs)])
+    return out
 
 
 def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:

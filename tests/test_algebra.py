@@ -14,11 +14,11 @@ from wildcat.algebra import (
     commutant,
     decompose_irreducibles,
     factor_over_field,
+    intertwiners,
     invariant_complement,
     invariant_subspace,
-    isotypic_decomposition,
+    isotypic_classes,
     minimal_polynomial,
-    module_homs,
     radical_trace,
     restrict_matrix,
     spin_algebra,
@@ -221,8 +221,8 @@ class TestInvariantSubspace:
             if not rad_zero:
                 assert not absent
                 continue
-            comps = isotypic_decomposition(gens)
-            irr_single = len(comps) == 1 and len(decompose_irreducibles(gens)) == 1
+            blocks = decompose_irreducibles(gens)
+            irr_single = len(isotypic_classes(gens, blocks)) == 1 and len(blocks) == 1
             assert absent == irr_single
 
     def test_witness_is_invariant(self):
@@ -239,25 +239,32 @@ class TestInvariantSubspace:
                     assert sub.contains(g.mul_vector(v))
 
 
+def isotypic_dims(gens):
+    """Dimensions of the isotypic components: blocks per class times their size."""
+    return sorted(len(blocks) * blocks[0].dim
+                  for _, blocks in isotypic_classes(gens, decompose_irreducibles(gens)))
+
+
 class TestDecomposition:
     def test_eigenspace_grouping(self):
-        comps = isotypic_decomposition([Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])])
-        assert sorted(c.dim for c in comps) == [1, 2]
+        assert isotypic_dims([Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])]) == [1, 2]
 
     def test_identity_single_component(self):
-        comps = isotypic_decomposition([Matrix.identity(3)])
-        assert len(comps) == 1 and comps[0].dim == 3
+        gens = [Matrix.identity(3)]
+        classes = isotypic_classes(gens, decompose_irreducibles(gens))
+        assert len(classes) == 1 and [b.dim for b in classes[0][1]] == [1, 1, 1]
 
     def test_swap_eigenlines(self):
-        comps = isotypic_decomposition([SWAP])
-        assert [c.basis for c in comps] == [
-            Subspace.from_vectors(2, [(1, -1)]).basis,
-            Subspace.from_vectors(2, [(1, 1)]).basis,
+        gens = [SWAP]
+        classes = isotypic_classes(gens, decompose_irreducibles(gens))
+        assert [[b.basis for b in blocks] for _, blocks in classes] == [
+            [Subspace.from_vectors(2, [(1, -1)]).basis],
+            [Subspace.from_vectors(2, [(1, 1)]).basis],
         ]
 
     def test_not_semisimple(self):
         with pytest.raises(NotSemisimpleError):
-            isotypic_decomposition([J])
+            decompose_irreducibles([J])
 
     def test_non_split_extension_is_refused(self):
         # upper triangular 2x2 matrices: the line e1 and the quotient are
@@ -276,12 +283,10 @@ class TestDecomposition:
                 g = rand_matrix(rng, n)
                 if radical_trace(spin_algebra([g])).dim == 0:
                     break
-            comps = isotypic_decomposition([g])
-            assert sum(c.dim for c in comps) == n
-            total = comps[0]
-            for c in comps[1:]:
-                total = total.sum(c)
-            assert total.dim == n
+            blocks = decompose_irreducibles([g])
+            assert sum(b.dim for b in blocks) == n
+            assert Subspace.from_vectors(n, [v for b in blocks for v in b.basis]).dim == n
+            assert sum(isotypic_dims([g])) == n
 
     def test_invariant_complement(self):
         gens = [Matrix.build([[2, 0], [0, 3]])]
@@ -290,12 +295,14 @@ class TestDecomposition:
         assert comp == Subspace.from_vectors(2, [(0, 1)])
 
     def test_module_homs_schur(self):
-        a = Subspace.from_vectors(3, [(1, 0, 0)])
-        b = Subspace.from_vectors(3, [(0, 1, 0)])
-        c = Subspace.from_vectors(3, [(0, 0, 1)])
+        a, b, c = (Subspace.from_vectors(3, [v]) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         gens = [Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])]
-        assert module_homs(gens, a, b)
-        assert not module_homs(gens, a, c)
+
+        def homs(x, y):
+            return intertwiners([restrict_matrix(g, x) for g in gens],
+                                [restrict_matrix(g, y) for g in gens], x.dim, y.dim, 1)
+        assert homs(a, b)
+        assert not homs(a, c)
 
 
 class TestPolynomialTools:

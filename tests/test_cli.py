@@ -183,6 +183,22 @@ def test_scalar_outside_the_grammar_exit_code(tmp_path, capsys, entry):
     assert "bad scalar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("circles", [
+    [{"ram": 1, "coeffs": [[1, "1"]]}, {"ram": 1, "coeffs": [[1, "1"]]}],  # repeated
+    [{"ram": 1, "coeffs": []}, {"ram": 1, "coeffs": []}],  # two tame circles
+    [{"ram": 2, "coeffs": [[1, "1"]]}, {"ram": 2, "coeffs": [[1, "-1"]]}],  # swapped sheets
+])
+def test_shared_sheet_is_an_input_error(tmp_path, capsys, circles):
+    data = {"field": 1, "mode": "stokes",
+            "stokes": {"n": sum(c["ram"] for c in circles),
+                       "punctures": [{"circles": circles}]}}
+    path = write(tmp_path, "shared.json", data)
+    for command in ("analyze", "reduce", "directions", "scaffold", "verify", "sample"):
+        assert run_command([command, "--instance", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "stokes.punctures[0]: two sheets share one exponential factor\n"
+
+
 def test_parser_reused_across_commands(tmp_path, capsys):
     path = write(tmp_path, "jordan.json", JORDAN)
     outs = []

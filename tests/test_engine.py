@@ -20,11 +20,14 @@ from wildcat.engine import (
     normalize_point,
     restrict_point,
     stabilizer_lie_dim,
+    transported_projectors,
 )
 from wildcat.linalg import Grading, Matrix, Subspace
+from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
 from oracles import radical_oracle, stabilizer_lie_dim_commutant
+from oracles import transported_projectors as reference_projectors
 
 J = Matrix.build([[1, 1], [0, 1]])
 SWAP = Matrix.build([[0, 1], [1, 0]])
@@ -156,6 +159,7 @@ class TestPolystable:
 class TestDimensions:
     def test_identity_loop_full_stabilizer(self):
         assert stabilizer_lie_dim(simple_point([TwistedElement.plain(Matrix.identity(2))])) == 4
+        assert stabilizer_lie_dim(simple_point([])) == 4  # no torus or loop condition
 
     def test_diagonal_commutant(self):
         assert stabilizer_lie_dim(simple_point(
@@ -211,10 +215,7 @@ class TestLevi:
             [[2, 0, 0], [0, 2, 0], [0, 0, 3]]))], n=3)
         blocks = levi_reduction(p)
         assert [b.dim for b in blocks] == [1, 1, 1]
-        total = blocks[0]
-        for b in blocks[1:]:
-            total = total.sum(b)
-        assert total.dim == 3
+        assert Subspace.from_vectors(3, [v for b in blocks for v in b.basis]).dim == 3
 
     def test_irreducible_whole_space(self):
         p = simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)])
@@ -320,9 +321,12 @@ class TestRichardsonSpecialization:
             assert rep.stable == oracle_stable
 
 
-def invertibles(n):
-    return st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
-        lambda es: Matrix.build([es[i * n:(i + 1) * n] for i in range(n)])).filter(
+def invertibles(n, m=1):
+    """Invertible n x n matrices over Q(zeta_m), coordinates in -2..2."""
+    d = euler_phi(m)
+    return st.lists(st.integers(-2, 2), min_size=n * n * d, max_size=n * n * d).map(
+        lambda cs: Matrix.build([[Scalar.from_coeffs(m, cs[(i * n + j) * d:(i * n + j + 1) * d])
+                                  for j in range(n)] for i in range(n)], m)).filter(
         lambda g: g.is_invertible())
 
 
@@ -338,6 +342,28 @@ def small_points(draw, n=2):
                             Automorphism(draw(invertibles(n)), twisted and draw(st.booleans())))
              for _ in range(draw(st.integers(1, 2)))]
     return FramedPoint(n, gradings, connectors, loops)
+
+
+@st.composite
+def graded_points(draw):
+    """A random grading of 1-3 pieces over Q or Q(zeta5), with no loops: at
+    the basepoint, or behind a random connector."""
+    m = draw(st.sampled_from([1, 5]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(3, n)))
+    b = draw(invertibles(n, m))
+    bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:k - 1]) + [n]
+    g = Grading(n, [((i,), [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+                    for i in range(k)])
+    if draw(st.booleans()):
+        return FramedPoint(n, [Grading.trivial(n, m), g], [draw(invertibles(n, m))], [])
+    return FramedPoint(n, [g], [], [])
+
+
+@settings(max_examples=30)
+@given(graded_points())
+def test_thin_factor_projectors_match_the_reference(p):
+    assert transported_projectors(p) == reference_projectors(p)
 
 
 def promote_point(p, m):

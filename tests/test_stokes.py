@@ -37,18 +37,6 @@ def close(a, b, tol=1e-9):
 
 
 class TestCircles:
-    def test_katz_slope(self):
-        c = Circle(2, [(3, 1)], 1)
-        assert (c.ram, c.slope) == (2, Fraction(3, 2))
-
-    def test_tame(self):
-        c = Circle(1, [], 3)
-        assert (c.ram, c.slope) == (1, Fraction(0))
-
-    def test_max_exponent(self):
-        c = Circle(1, [(2, 2), (1, 1)], 1)
-        assert (c.ram, c.slope) == (1, Fraction(2))
-
     def test_gcd_normalization(self):
         with pytest.raises(ValueError):
             Circle(2, [(2, 1)], 1)  # gcd(2, 2) = 2: not minimally ramified
@@ -126,12 +114,14 @@ class TestPatterns:
 
 class TestGrading:
     def test_two_circle_weights(self):
+        # two sheet lines, so the centralizer is the diagonal torus
         g = exponential_torus_grading(TWO_CIRCLE)
-        assert [w for w, _ in g.pieces] == [(1,), (-1,)]
+        assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_katz_weights(self):
+        # the two Galois sheets of one ramified circle are two blocks
         g = exponential_torus_grading(KATZ)
-        assert sorted(w for w, _ in g.pieces) == [(-1,), (1,)]
+        assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_multiplicity_blocks(self):
         cls = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [], 1)])
@@ -238,7 +228,7 @@ class TestFramedAssembly:
         cand = random_candidate(sc, 0)
         fp = to_framed_point(sc, cand)
         assert fp.n == 2 and len(fp.gradings) == 1
-        assert [w for w, _ in fp.gradings[0].pieces] == [(1,), (-1,)]
+        assert [basis for _, basis in fp.gradings[0].pieces] == [[(1, 0)], [(0, 1)]]
 
 
 class TestSampling:

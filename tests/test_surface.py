@@ -1,0 +1,66 @@
+"""Every library function, class and method has a caller outside the tests.
+
+The guard reads the syntax trees of ``src/wildcat`` (less ``__init__``, whose
+imports only re-export) and of ``bench``.  A definition in the library is
+used when its name appears, as a Name or as an Attribute, anywhere outside
+its own body; a method counts only as an Attribute, so the builtin ``sum``
+does not use a method ``sum``.  Dunder methods are called by the language.
+A name that only tests call is test-only API: delete it, give it a caller,
+or, where the tests check a law the library relies on, allow it below with
+the reason."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted(p for p in (ROOT / "src" / "wildcat").glob("*.py") if p.name != "__init__.py")
+CALLERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
+
+ALLOWED = {
+    "engine.restrict_point": "ROADMAP item 3 decides whether the Levi blocks restrict to points",
+    "engine.act": "the group action under which the invariance tests move points",
+    "twists.Automorphism.sigma": "the group law that the twists tests check normalize against",
+    "twists.TwistedElement.multiply": "the group law that embed_doubled must be a homomorphism of",
+    "twists.TwistedElement.adjoint": "the adjoint action that normalize must preserve",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _walk(node, enclosing, defs, uses):
+    """Record (qualified name, node, is a method) of each definition under
+    node, and each name read: (name, as an Attribute, the enclosing defs)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFS):
+            qual = enclosing[-1][0] + "." + child.name if enclosing else child.name
+            defs.append((qual, child, isinstance(node, ast.ClassDef)))
+            _walk(child, enclosing + [(qual, child)], defs, uses)
+            continue
+        if isinstance(child, ast.Name):
+            uses.append((child.id, False, {id(d) for _, d in enclosing}))
+        elif isinstance(child, ast.Attribute):
+            uses.append((child.attr, True, {id(d) for _, d in enclosing}))
+        _walk(child, enclosing, defs, uses)
+
+
+def unused_definitions():
+    defs, uses = [], []
+    for path in CALLERS:
+        found = []
+        _walk(ast.parse(path.read_text(encoding="utf-8")), [], found, uses)
+        if path in LIBRARY:
+            defs += [(f"{path.stem}.{qual}", node, method) for qual, node, method in found]
+    return sorted(qual for qual, node, method in defs
+                  if not (node.name.startswith("__") and node.name.endswith("__"))
+                  and not any(name == node.name and (attr or not method) and id(node) not in inside
+                              for name, attr, inside in uses))
+
+
+def test_no_library_code_is_test_only():
+    unused = [qual for qual in unused_definitions() if qual not in ALLOWED]
+    assert unused == [], "named only by tests or by nothing: " + ", ".join(unused)
+
+
+def test_every_allowed_name_still_needs_its_entry():
+    stale = sorted(set(ALLOWED) - set(unused_definitions()))
+    assert stale == [], "allowed but used elsewhere: " + ", ".join(stale)

@@ -27,7 +27,7 @@ class TestNormalize:
         x = TwistedElement(J, Automorphism(J.inverse(), False))
         out = normalize([x])[0]
         assert out.g == Matrix.identity(2)
-        assert out.phi.is_identity()
+        assert not out.phi.outer and out.phi.is_inner_trivial()
 
     def test_untwisted_unchanged(self):
         x = TwistedElement.plain(J)
