@@ -346,7 +346,6 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
 @dataclass
 class RadicalCertificate:
     radical: Subspace              # of the flattened n^2 space
-    nilpotency_index: int          # least k with radical^k = 0 (1 when radical = 0)
     witness: Optional[Matrix]      # a nonzero radical element, absent iff radical = 0
 
     @property
@@ -355,25 +354,9 @@ class RadicalCertificate:
 
 
 def _certificate_from_rows(n: int, rows) -> RadicalCertificate:
+    """The radical spanned by the rows; its witness is the first echelon row."""
     sub = Subspace.from_vectors(n * n, rows)
-    if sub.dim == 0:
-        return RadicalCertificate(sub, 1, None)
-    mats = [Matrix(n, n, tuple(row)) for row in sub.basis]
-    index = 1
-    current = mats
-    while current:
-        index += 1
-        ech = _EchelonSet(n * n)
-        nxt = []
-        for a in current:
-            for b in mats:
-                p = a @ b
-                if ech.add(list(p.flatten())):
-                    nxt.append(p)
-        current = nxt
-        if index > n + 1:
-            raise AssertionError("radical fails to be nilpotent")
-    return RadicalCertificate(sub, index, mats[0])
+    return RadicalCertificate(sub, Matrix(n, n, sub.basis[0]) if sub.dim else None)
 
 
 def radical_trace(alg: MatrixAlgebra) -> RadicalCertificate:
@@ -420,12 +403,18 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
     return Subspace(ech)
 
 
-def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
-    """Echelon basis of the db x da matrices h with b h = h a for every pair
-    (a, b) of actions; all of them when there is no pair."""
+def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
+    """Coefficient rows of b h - h a, h a db x da unknown, for every pair (a, b)."""
     rows = []
     for ga, gb in zip(acts_a, acts_b):
         rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
+    return rows
+
+
+def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
+    """Echelon basis of the db x da matrices h with b h = h a for every pair
+    (a, b) of actions; all of them when there is no pair."""
+    rows = intertwiner_rows(acts_a, acts_b, da, db, m)
     ker = kernel(Matrix.build(rows or [[Scalar.zero(m)] * (db * da)], m))
     return [Matrix(db, da, tuple(v)) for v in ker.basis]
 

@@ -180,7 +180,7 @@ def _cmd_directions(inst: InstanceFile, args, started) -> int:
     lines = []
     for i, cls in enumerate(inst.surface.punctures):
         infos = singular_directions(cls)
-        groups = grouped_directions(cls)
+        groups = grouped_directions(infos)
         payload["punctures"].append({
             "incidences": [{"theta": d.theta, "pair": list(d.pair), "level": str(d.level)}
                            for d in infos],

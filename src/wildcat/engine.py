@@ -13,17 +13,20 @@ Verdicts reduce to exact linear algebra:
 * stable      <=>  polystable and the stabilizer Lie algebra is no bigger
   than the kernel of the action (scalars fixed by every twist).
 
-The stabilizer embeds in the commutant of the Galois generators (it is
-that commutant when untwisted; under sigma, xi -> diag(xi, -xi^T)), so an
-algebra proven to be M_N(K) leaves only the kernel.  A polystable
-untwisted point is the direct sum of its Levi blocks B_i, so its
-stabilizer is the sum of the Hom(B_j, B_i) (Richardson's tame case): the
-sum over isomorphism classes of blocks of multiplicity^2 * dim End, from
-Hom systems of d_i * d_j unknowns between blocks of equal dimension d.  A
-non-polystable or sigma-twisted point is left: the kernel of the stabilizer
-rows modulo the prime of the algebra certificate bounds the dimension from
-above, and when it meets the kernel dimension that is the answer; else, or
-when the prime divides a denominator, the same rows are solved exactly.
+The stabilizer rows are the commutant rows of the Galois generators, in
+X = xi untwisted and X = diag(xi, -xi^T) under sigma.  A doubled generator
+is block diagonal or antidiagonal, and its last n rows repeat the first n
+of its dual partner (a loop is its own, the u projector's is the -u one),
+so the top blocks alone give the rows.  An algebra proven to be M_N(K)
+leaves only the kernel.  A polystable untwisted point is the direct sum
+of its Levi blocks B_i, so its stabilizer is the sum of the Hom(B_j, B_i)
+(Richardson's tame case): the sum over isomorphism classes of blocks of
+multiplicity^2 * dim End, from Hom systems of d_i * d_j unknowns between
+blocks of equal dimension d.  A non-polystable or sigma-twisted point is
+left: the kernel of the stabilizer rows modulo the prime of the algebra
+certificate bounds the dimension from above, and when it meets the kernel
+dimension that is the answer; else, or when the prime divides a
+denominator, the same rows are solved exactly.
 ``is_polystable`` normalizes the point and builds its generators once; the
 later steps read its report.
 """
@@ -38,6 +41,7 @@ from .algebra import (
     MatrixAlgebra,
     _is_scalar_matrix,
     decompose_irreducibles,
+    intertwiner_rows,
     intertwiners,
     invariant_subspace,
     isotypic_classes,
@@ -169,32 +173,23 @@ def normalize_point(p: FramedPoint) -> FramedPoint:
     return pn
 
 
-def _transported_factors(p: FramedPoint, i: int) -> list:
-    """Grading i's projector factors (B_k, R_k), moved to the basepoint:
-    (C_i^-1 B_k, R_k C_i) for i > 0."""
-    factors = p.gradings[i].projector_factors()
-    if i == 0:
-        return factors
-    c = p.connectors[i - 1]
-    cinv = c.inverse()
-    return [(cinv @ b, r @ c) for b, r in factors]
-
-
 def transported_projectors(p: FramedPoint):
     """Weight projectors of every torus, conjugated back to the basepoint.
 
     Returns a list of (weight, projector) per grading; identity projectors of
     trivial gradings are dropped (a one-piece torus only adds scalars, which
-    change no verdict).  A projector is the product of its thin factors, so
-    it costs n^2 d for a piece of dimension d.
+    change no verdict).  A projector is the product B_k R_k of its thin
+    factors, moved to the basepoint as (C_i^-1 B_k)(R_k C_i) for i > 0, so it
+    costs n^2 d for a piece of dimension d.
     """
     out = []
     for i, grading in enumerate(p.gradings):
-        if grading.is_trivial():
-            out.append([])
-            continue
-        out.append([(w, b @ r) for (w, _), (b, r) in
-                    zip(grading.pieces, _transported_factors(p, i))])
+        factors = [] if grading.is_trivial() else grading.projector_factors()
+        if i and factors:
+            c = p.connectors[i - 1]
+            cinv = c.inverse()
+            factors = [(cinv @ b, r @ c) for b, r in factors]
+        out.append([(w, b @ r) for (w, _), (b, r) in zip(grading.pieces, factors)])
     return out
 
 
@@ -265,37 +260,37 @@ def kernel_lie_dim(p: FramedPoint) -> int:
     return 0 if any(x.phi.outer for x in p.loops) else 1  # sigma negates scalars
 
 
-def _stabilizer_rows(p: FramedPoint) -> list:
-    """Coefficient rows of the linearized stabilizer, measured in xi_1.
+def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
+    """Coefficient rows of the linearized stabilizer: X G = G X for every
+    Galois generator G of the normalized point p (module docstring).
 
-    xi_i := C_i xi_1 C_i^-1 must lie in Lie H_i for every i, and xi_1 must
-    satisfy the twisted commutation xi_1 M_j = M_j dphi_j(xi_1) per loop.
+    Untwisted, X = xi and these are the commutant rows.  Under sigma,
+    X = diag(xi, -xi^T) and G is block diagonal, top block A, or block
+    antidiagonal, top-right block B; the last n rows of X G = G X repeat the
+    first n of G's dual partner, so A gives xi A = A xi and B gives
+    xi B + B xi^T = 0.
     """
-    n = p.n
-    m = p.conductor()
+    n, m = p.n, p.conductor()
+    if p.is_untwisted():
+        return intertwiner_rows(gens, gens, n, n, m)
     rows = []
-    for i, grading in enumerate(p.gradings):
-        if grading.is_trivial():
-            continue
-        # C_i xi C_i^-1 keeps every piece: R_j . C_i xi C_i^-1 . B_k = 0 for j != k
-        factors = _transported_factors(p, i)
-        for j, (_, left) in enumerate(factors):
-            for k, (right, _) in enumerate(factors):
-                if j != k:
-                    rows += sandwich_rows([(left, right, False)], n, n, m)
-    # xi g = g A s(xi) A^-1 is xi G = G s(xi) for the normalized loop G = g A,
-    # with s(xi) = xi, or -xi^T under sigma
-    for x in normalize(p.loops):
-        twist = (x.g, None, True) if x.phi.outer else (-x.g, None, False)
-        rows += sandwich_rows([(None, x.g, False), twist], n, n, m)
+    for g in gens:
+        top = [g.row(i) for i in range(n)]
+        b = Matrix(n, n, tuple(x for row in top for x in row[n:]))
+        if b.is_zero():
+            a = Matrix(n, n, tuple(x for row in top for x in row[:n]))
+            rows += intertwiner_rows([a], [a], n, n, m)
+        else:
+            rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)
     return rows
 
 
 def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
     """Dimension of the linearized stabilizer, by an exact solve of its rows
-    (``_stabilizer_rows(p)`` unless the caller built them already)."""
+    (built from ``galois_generators`` unless the caller built them already)."""
     if rows is None:
-        rows = _stabilizer_rows(p)
+        pn = normalize_point(p)
+        rows = _stabilizer_rows(pn, galois_generators(pn))
     # no rows at all when every torus is trivial and there is no loop
     return kernel(Matrix(len(rows), p.n ** 2, tuple(x for row in rows for x in row))).dim
 
@@ -311,7 +306,7 @@ def _certified_stabilizer_dim(report: StabilityReport) -> int:
         classes = isotypic_classes(report.galois.generators, report.levi_decomposition)
         return sum(len(blocks) ** 2 * len(intertwiners(acts, acts, blocks[0].dim, blocks[0].dim, m))
                    for acts, blocks in classes)
-    rows = _stabilizer_rows(pn)
+    rows = _stabilizer_rows(pn, report.galois.generators)
     if kernel_dim_mod_p(rows, pn.n ** 2, m) == report.kernel_dim:
         return report.kernel_dim
     return stabilizer_lie_dim(pn, rows)

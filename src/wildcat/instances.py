@@ -36,12 +36,25 @@ class InstanceFile:
     candidate: Optional[dict]         # generator name -> Matrix
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class _Reader:
     def __init__(self):
         self.errors = []
 
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
+
+    def listed(self, data: dict, key: str, path: str) -> list:
+        """data[key], a list ([] when absent); [] and an error when it is not one."""
+        raw = data.get(key, [])
+        if isinstance(raw, list):
+            return raw
+        self.fail(f"{path}.{key}", "expected a list")
+        return []
 
     def scalar(self, data, m, path):
         if isinstance(data, float):
@@ -75,7 +88,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
         reader.fail(path, "expected an object")
         return None
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         reader.fail(f"{path}.n", "expected a positive integer")
         return None
     gradings = []
@@ -98,7 +111,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
                     reader.fail(ppath, "expected an object with weight and basis")
                     continue
                 weight = piece.get("weight", [])
-                if not isinstance(weight, list) or not all(isinstance(w, int) for w in weight):
+                if not isinstance(weight, list) or not all(map(_is_int, weight)):
                     reader.fail(f"{ppath}.weight", "expected a list of integers")
                     weight = []
                 basis_raw = piece.get("basis")
@@ -121,10 +134,10 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
             except ValueError as exc:
                 reader.fail(gpath, str(exc))
     connectors = []
-    for ci, raw in enumerate(data.get("connectors", [])):
+    for ci, raw in enumerate(reader.listed(data, "connectors", path)):
         connectors.append(reader.matrix(raw, m, f"{path}.connectors[{ci}]", square=n))
     loops = []
-    for li, raw in enumerate(data.get("loops", [])):
+    for li, raw in enumerate(reader.listed(data, "loops", path)):
         lpath = f"{path}.loops[{li}]"
         if not isinstance(raw, dict) or "matrix" not in raw:
             reader.fail(lpath, "expected an object with a matrix")
@@ -155,11 +168,11 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
         reader.fail(path, "expected an object")
         return None
     genus = data.get("genus", 0)
-    if not isinstance(genus, int) or genus < 0:
+    if not _is_int(genus) or genus < 0:
         reader.fail(f"{path}.genus", "expected a nonnegative integer")
         genus = 0
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         reader.fail(f"{path}.n", "expected a positive integer")
         return None
     raw_punctures = data.get("punctures")
@@ -180,16 +193,16 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
                 continue
             ram = rc.get("ram", 1)
             mult = rc.get("multiplicity", 1)
-            if not isinstance(ram, int) or ram < 1:
+            if not _is_int(ram) or ram < 1:
                 reader.fail(f"{cpath}.ram", "expected a positive integer")
                 ram = 1
-            if not isinstance(mult, int) or mult < 1:
+            if not _is_int(mult) or mult < 1:
                 reader.fail(f"{cpath}.multiplicity", "expected a positive integer")
                 mult = 1
             coeffs = []
-            for ki, pair in enumerate(rc.get("coeffs", [])):
+            for ki, pair in enumerate(reader.listed(rc, "coeffs", cpath)):
                 kpath = f"{cpath}.coeffs[{ki}]"
-                if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], int):
+                if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                     reader.fail(kpath, "expected [exponent, coefficient]")
                     continue
                 coeffs.append((pair[0], reader.scalar(pair[1], m, f"{kpath}[1]")))
@@ -219,7 +232,7 @@ def parse_instance_data(data) -> InstanceFile:
     if not isinstance(data, dict):
         raise InstanceError(["top-level: expected a JSON object"])
     m = data.get("field", 1)
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         reader.fail("field", "expected a positive integer conductor")
         m = 1
     mode = data.get("mode")

@@ -5,7 +5,9 @@ Conventions (fixed here once and used consistently everywhere):
 * Every puncture's circles are expanded into their Galois sheets over one
   cyclic cover z = w^R, R = lcm of the ramifications, so all exponents of the
   local exponential factors become integral in w.  Sheet l of a circle
-  q = sum a_j z^(-j/r) is q_l = sum a_j zeta_r^(jl) w^(-jR/r).
+  q = sum a_j z^(-j/r) is q_l = sum a_j zeta_r^(jl) w^(-jR/r).  The sheets
+  are expanded once per class, over the class's own field, when the class
+  is built (``IrregularClass.sheets``); every later step reads them there.
 * Directions are measured on the cover circle.  A pair of sheets with
   difference leading term a w^(-s) supports maximal decay of e^(q_i - q_j)
   where cos(Arg(a) - s theta) = -1, i.e. at the s directions
@@ -32,6 +34,7 @@ Conventions (fixed here once and used consistently everywhere):
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -95,11 +98,13 @@ class Circle:
 @dataclass
 class IrregularClass:
     circles: list
+    sheets: list = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(isinstance(c, Circle) for c in self.circles):
             raise ValueError("irregular class must consist of circles")
-        qs = [s.q for s in expand_sheets(self)]
+        self.sheets = expand_sheets(self)
+        qs = [s.q for s in self.sheets]
         if any(qs[i] == qs[j] for i in range(len(qs)) for j in range(i)):
             raise ValueError("two sheets share one exponential factor")
 
@@ -108,18 +113,10 @@ class IrregularClass:
         return sum(c.ram * c.multiplicity for c in self.circles)
 
     def cover_degree(self) -> int:
-        out = 1
-        for c in self.circles:
-            out = lcm(out, c.ram)
-        return out
+        return lcm(*(c.ram for c in self.circles))
 
     def conductor(self) -> int:
-        out = 1
-        for c in self.circles:
-            out = lcm(out, c.ram)
-            for _, a in c.coeffs:
-                out = lcm(out, a.m)
-        return out
+        return lcm(self.cover_degree(), *(a.m for c in self.circles for _, a in c.coeffs))
 
 
 @dataclass
@@ -138,10 +135,7 @@ class WildSurface:
 
     def conductor(self) -> int:
         """The working field: the declared one plus every class's roots of unity."""
-        out = self.field
-        for cls in self.punctures:
-            out = lcm(out, cls.conductor())
-        return out
+        return lcm(self.field, *(cls.conductor() for cls in self.punctures))
 
 
 @dataclass
@@ -153,10 +147,11 @@ class Sheet:
     size: int                     # block size = circle multiplicity
 
 
-def expand_sheets(cls: IrregularClass, conductor: Optional[int] = None):
-    """Galois sheets of all circles over the common cyclic cover; pairwise
-    distinct exponential factors, as ``IrregularClass`` checks."""
-    m = conductor if conductor is not None else cls.conductor()
+def expand_sheets(cls: IrregularClass):
+    """Galois sheets of all circles over the common cyclic cover, over the
+    class's own field; ``IrregularClass`` expands them once, keeps them as
+    ``sheets`` and checks that their exponential factors are distinct."""
+    m = cls.conductor()
     big_r = cls.cover_degree()
     sheets = []
     start = 0
@@ -197,10 +192,9 @@ def singular_directions(cls: IrregularClass):
     there.  Sorted by (theta, pair).
     """
     m = cls.conductor()
-    sheets = expand_sheets(cls, m)
     out = []
-    for i, sa in enumerate(sheets):
-        for j, sb in enumerate(sheets):
+    for i, sa in enumerate(cls.sheets):
+        for j, sb in enumerate(cls.sheets):
             if i == j:
                 continue
             level, coeff = _q_difference(sa, sb, m)
@@ -215,9 +209,9 @@ def singular_directions(cls: IrregularClass):
     return out
 
 
-def grouped_directions(cls: IrregularClass):
-    """Distinct singular angles with their supported pairs, ascending angle."""
-    infos = singular_directions(cls)
+def grouped_directions(infos):
+    """Distinct singular angles with their supported pairs, ascending angle,
+    from the incidences ``singular_directions`` gives."""
     groups = []
     for info in infos:
         if groups and abs(groups[-1][0] - info.theta) <= ANGLE_TOL:
@@ -236,7 +230,7 @@ def exponential_torus_grading(cls: IrregularClass, conductor: Optional[int] = No
     m = conductor if conductor is not None else cls.conductor()
     ident = Matrix.identity(cls.rank, m)
     return Grading(cls.rank, [((k,), [ident.row(s.start + t) for t in range(s.size)])
-                              for k, s in enumerate(expand_sheets(cls, m))])
+                              for k, s in enumerate(cls.sheets)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +276,8 @@ def _formal_blocks(sheets):
     by_circle = {}
     for idx, s in enumerate(sheets):
         by_circle.setdefault(s.circle_index, []).append(idx)
-    blocks = []
-    for _, idxs in sorted(by_circle.items()):
-        r = len(idxs)
-        for pos, src in enumerate(idxs):
-            tgt = idxs[(pos + 1) % r]
-            blocks.append((tgt, src))
-    return sorted(blocks)
+    return sorted((idxs[(pos + 1) % len(idxs)], src)
+                  for idxs in by_circle.values() for pos, src in enumerate(idxs))
 
 
 def build_scaffold(ws: WildSurface) -> Scaffold:
@@ -301,10 +290,9 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
         generators.append(GeneratorSpec(f"b{k}", "handle_b"))
         relation += [(f"a{k}", 1), (f"b{k}", 1), (f"a{k}", -1), (f"b{k}", -1)]
     for i, cls in enumerate(ws.punctures):
-        sheets = expand_sheets(cls, conductor)
         grading = exponential_torus_grading(cls, conductor)
-        directions = grouped_directions(cls)
-        pd = PunctureData(cls, sheets, grading, directions, _formal_blocks(sheets))
+        directions = grouped_directions(singular_directions(cls))
+        pd = PunctureData(cls, cls.sheets, grading, directions, _formal_blocks(cls.sheets))
         punctures.append(pd)
         label = i + 1
         if i > 0:

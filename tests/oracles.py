@@ -8,15 +8,17 @@ of the two:
   of its basis elements;
 * ``radical_oracle``: the radical as the null space of the trace form of the
   left regular module, from structure constants (``radical_trace`` uses the
-  natural module and skips the Gram matrix for M_N(K));
+  natural module and skips the Gram matrix for M_N(K)), asserted nilpotent
+  by ``nilpotency_index``;
 * ``transported_projectors``: each weight projector as B . sel . B^-1, with
   the n x n selector sel of the piece's columns of B, conjugated to the
   basepoint as C^-1 . P . C (the library multiplies thin factors: the
   piece's basis columns, and the matching rows of B^-1, each transported);
 * ``stabilizer_lie_dim_commutant``: the stabilizer dimension from the
   conjugation picture, with hand-written constraint rows, commuting with
-  the projectors above (``stabilizer_lie_dim`` writes its rows with
-  ``sandwich_rows`` and asks each transported piece to be kept);
+  the projectors above and twisted-commuting with the loops as given
+  (``stabilizer_lie_dim`` writes the commutant rows of the Galois
+  generators, doubled under sigma, with ``sandwich_rows``);
 * ``FractionScalar``: Q(zeta_m) with one Fraction per power-basis coefficient
   and division by a linear solve (``Scalar`` keeps integer numerators over one
   denominator and inverts by extended Euclid);
@@ -103,11 +105,28 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
                 elem = elem + b.scale(c)
         rows.append(list(elem.flatten()))
     cert = _certificate_from_rows(n, rows)
-    for row in cert.radical.basis:
-        mat = Matrix(n, n, tuple(row))
-        if not (mat ** n).is_zero():
-            raise AssertionError("radical element is not nilpotent")
+    nilpotency_index(cert, n)
     return cert
+
+
+def nilpotency_index(cert: RadicalCertificate, n: int) -> int:
+    """Least k with radical^k = 0 (1 when the radical is 0), from the
+    products of the radical's powers with it; raises unless it is nilpotent."""
+    mats = [Matrix(n, n, tuple(row)) for row in cert.radical.basis]
+    index, current = 1, mats
+    while current:
+        index += 1
+        ech = _EchelonSet(n * n)
+        nxt = []
+        for a in current:
+            for b in mats:
+                prod = a @ b
+                if ech.add(list(prod.flatten())):
+                    nxt.append(prod)
+        current = nxt
+        if index > n + 1:
+            raise AssertionError("radical fails to be nilpotent")
+    return index
 
 
 def weight_projectors(g: Grading) -> list:

@@ -26,7 +26,7 @@ from wildcat.algebra import (
 from wildcat.linalg import Matrix, Subspace, _EchelonSet
 from wildcat.scalars import Scalar, euler_phi
 
-from oracles import is_closed, radical_oracle
+from oracles import is_closed, nilpotency_index, radical_oracle
 
 I2 = Matrix.identity(2)
 J = Matrix.build([[1, 1], [0, 1]])
@@ -142,13 +142,13 @@ class TestModularCertificate:
 class TestRadical:
     def test_scalars(self):
         cert = radical_trace(spin_algebra([I2]))
-        assert cert.dim == 0 and cert.witness is None and cert.nilpotency_index == 1
+        assert cert.dim == 0 and cert.witness is None and nilpotency_index(cert, 2) == 1
 
     def test_jordan_gram(self):
         cert = radical_trace(spin_algebra([J]))
         assert cert.dim == 1
         assert cert.witness == N
-        assert cert.nilpotency_index == 2
+        assert nilpotency_index(cert, 2) == 2
 
     def test_full_matrix_algebra(self):
         cert = radical_trace(spin_algebra([Matrix.build([[0, 1], [0, 0]]),
@@ -164,7 +164,7 @@ class TestRadical:
         alg = spin_algebra([Matrix.build([[1, 0], [0, 0]]), N])
         assert alg.dim == 3
         cert = radical_oracle(alg)
-        assert cert.dim == 1 and cert.witness == N and cert.nilpotency_index == 2
+        assert cert.dim == 1 and cert.witness == N and nilpotency_index(cert, 2) == 2
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(77)
@@ -174,10 +174,8 @@ class TestRadical:
             alg = spin_algebra(gens)
             a, b = radical_trace(alg), radical_oracle(alg)
             assert a.radical == b.radical
-            # radical elements are nilpotent as matrices
-            for row in a.radical.basis:
-                mat = Matrix(n, n, tuple(row))
-                assert (mat ** n).is_zero()
+            # the radical is a nilpotent ideal: its n-th power is 0
+            assert nilpotency_index(a, n) <= n
 
 
 class TestInvariantSubspace:

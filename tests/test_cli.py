@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import wildcat
+from wildcat import cli, stokes
 from wildcat.cli import Report, run_command
 
 JORDAN = {
@@ -197,6 +198,65 @@ def test_shared_sheet_is_an_input_error(tmp_path, capsys, circles):
         assert run_command([command, "--instance", path]) == 2
         err = capsys.readouterr().err
         assert err == "stokes.punctures[0]: two sheets share one exponential factor\n"
+
+
+GRADED = {"field": 1, "mode": "tuple", "tuple": {
+    "n": 2, "gradings": [[{"weight": [1], "basis": [["1", "0"]]},
+                          {"weight": [0], "basis": [["0", "1"]]}]],
+    "loops": [{"matrix": [["1", "1"], ["0", "1"]]}]}}
+CIRCLE0 = ("stokes", "punctures", 0, "circles", 0)
+
+
+@pytest.mark.parametrize("doc, where, value, key", [
+    (JORDAN, ("field",), True, "field"),
+    (JORDAN, ("tuple", "n"), True, "tuple.n"),
+    (GRADED, ("tuple", "gradings", 0, 0, "weight"), [True], "tuple.gradings[0][0].weight"),
+    (JORDAN, ("tuple", "loops"), 5, "tuple.loops"),
+    (JORDAN, ("tuple", "connectors"), 5, "tuple.connectors"),
+    (TWO_CIRCLE, ("stokes", "genus"), True, "stokes.genus"),
+    (TWO_CIRCLE, ("stokes", "n"), True, "stokes.n"),
+    (TWO_CIRCLE, CIRCLE0 + ("ram",), True, "stokes.punctures[0].circles[0].ram"),
+    (TWO_CIRCLE, CIRCLE0 + ("multiplicity",), True,
+     "stokes.punctures[0].circles[0].multiplicity"),
+    (TWO_CIRCLE, CIRCLE0 + ("coeffs", 0), [True, "1"], "stokes.punctures[0].circles[0].coeffs[0]"),
+    (TWO_CIRCLE, CIRCLE0 + ("coeffs",), 5, "stokes.punctures[0].circles[0].coeffs"),
+])
+def test_bool_and_non_list_values_are_input_errors(tmp_path, capsys, doc, where, value, key):
+    # JSON true passes an int check, and a number in place of a list is not iterable
+    data = json.loads(json.dumps(doc))
+    target = data
+    for step in where[:-1]:
+        target = target[step]
+    target[where[-1]] = value
+    path = write(tmp_path, "schema.json", data)
+    for command in ("analyze", "reduce", "directions", "scaffold", "verify", "sample"):
+        assert run_command([command, "--instance", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(key + ": "), (command, err)
+
+
+def test_sheets_are_expanded_once_per_class(tmp_path, capsys, monkeypatch):
+    counts = {"expand_sheets": 0, "singular_directions": 0}
+    for name in counts:
+        original = getattr(stokes, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        for module in (stokes, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    tame = {"circles": [{"ram": 1, "coeffs": [], "multiplicity": 2}]}
+    data = {"field": 1, "mode": "stokes", "stokes": {
+        "genus": 0, "n": 2, "punctures": [TWO_CIRCLE["stokes"]["punctures"][0], tame]}}
+    path = write(tmp_path, "two_punctures.json", data)
+    for command in ("scaffold", "sample", "directions"):
+        counts.update(dict.fromkeys(counts, 0))
+        assert run_command([command, "--instance", path, "--format", "machine"]) == 0
+        capsys.readouterr()
+        # one expansion per class, when the instance is parsed, and one
+        # set of incidences per puncture
+        assert counts == {"expand_sheets": 2, "singular_directions": 2}, command
 
 
 def test_parser_reused_across_commands(tmp_path, capsys):

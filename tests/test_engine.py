@@ -437,8 +437,44 @@ def block_points(draw):
     return FramedPoint(n, [grading], [], loops)
 
 
-@settings(max_examples=40)
-@given(st.one_of(small_points(), block_points()))
+@st.composite
+def twisted_points(draw):
+    """Sigma-twisted points that are not full: every loop is block diagonal
+    on K^a + K^b behind one basis change B (B d B^T under sigma, B d B^-1
+    without), so the doubled module splits.  The torus pieces are B times
+    coordinate groups that refine the blocks, with distinct weights from
+    -2..2 (symmetric under negation or not), at the basepoint or behind a
+    random connector.  A block split into lines makes the stabilizer depend
+    on the torus; a block of dimension 2 kept whole, on the transposed term
+    of xi g + g xi^T."""
+    layout = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    n = sum(layout)
+    basis = draw(invertibles(n))
+    groups, at = [], 0
+    for s in layout:
+        groups += [[at + j] for j in range(s)] if s > 1 and draw(st.booleans()) \
+            else [list(range(at, at + s))]
+        at += s
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(groups), max_size=len(groups),
+                            unique=True))
+    connector = draw(st.one_of(st.none(), invertibles(n)))
+    cols = (basis if connector is None else connector @ basis).transpose()
+    grading = Grading(n, [((w,), [cols.row(j) for j in group])
+                          for w, group in zip(weights, groups)])
+
+    def loop(sigma):
+        d = block_diagonal([draw(invertibles(s)) for s in layout])
+        g = basis @ d @ (basis.transpose() if sigma else basis.inverse())
+        return TwistedElement(g, Automorphism(Matrix.identity(n), sigma))
+
+    loops = [loop(True)] + [loop(draw(st.booleans())) for _ in range(draw(st.integers(0, 1)))]
+    if connector is None:
+        return FramedPoint(n, [grading], [], loops)
+    return FramedPoint(n, [Grading.trivial(n), grading], [connector], loops)
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_points(), block_points(), twisted_points()))
 def test_certified_stabilizer_matches_exact_solve(p):
     rep = is_stable(p)
     assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
@@ -538,11 +574,13 @@ class TestCertifiedStabilizer:
                                                                  [0, Fraction(1, p)]]))])
         built = []
         rows = engine._stabilizer_rows
-        monkeypatch.setattr(engine, "_stabilizer_rows", lambda q: built.append(q) or rows(q))
+        monkeypatch.setattr(engine, "_stabilizer_rows",
+                            lambda q, gens: built.append((q, gens)) or rows(q, gens))
         rep = is_stable(point)
         assert not rep.polystable and rep.levi_decomposition is None
         assert rep.stabilizer_dim == 2 == stabilizer_lie_dim_commutant(point)
-        assert calls == [point] and built == [point]
+        # the rows are built once, from the generators the verdict kept
+        assert calls == [point] and built == [(point, rep.galois.generators)]
 
 
 class TestOneAnalysis:

@@ -98,7 +98,7 @@ class TestDirections:
                         assert any(close(t + math.pi, s) for s in opposite)
 
     def test_katz_cover_directions(self):
-        groups = grouped_directions(KATZ)
+        groups = grouped_directions(singular_directions(KATZ))
         assert len(groups) == 6
         for k, (theta, pattern) in enumerate(groups):
             assert close(theta, k * math.pi / 3)
@@ -107,7 +107,7 @@ class TestDirections:
 
 class TestPatterns:
     def test_two_circle_patterns(self):
-        (t0, p0), (t1, p1) = grouped_directions(TWO_CIRCLE)
+        (t0, p0), (t1, p1) = grouped_directions(singular_directions(TWO_CIRCLE))
         assert close(t0, 0.0) and p0 == [(1, 0)]
         assert close(t1, math.pi) and p1 == [(0, 1)]
 
