@@ -11,7 +11,11 @@ generator times a shorter word, so only kept words are extended, and only by
 left factors; the spin stops as soon as it holds N^2 independent words.
 ``_spin_left`` is the one closure loop: the algebra spin (exact and modulo
 p), the submodule spanned by vectors, and the powers of one matrix (minimal
-polynomial, primitive element) all run on it.
+polynomial, primitive element) all run on it.  The exact spins of the
+algebra and of a submodule (``_spin_exact``) convert the generators once to
+integer matrices on power-basis numerators and extend each kept word through
+its integer echelon row, so a product is integer dot products, with no
+Matrix or Scalar built per product.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 word-size prime p = 1 (mod m) (``_spans_full_mod_p``, after Cohen, Ivanyos and
@@ -66,7 +70,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .linalg import Matrix, Subspace, _EchelonSet, kernel, linear_solve, sandwich_rows
+from .linalg import (
+    Matrix,
+    Subspace,
+    _EchelonSet,
+    _int_row,
+    _left_action,
+    _left_product,
+    kernel,
+    linear_solve,
+    sandwich_rows,
+)
 from .scalars import Scalar, euler_phi
 
 
@@ -102,15 +116,20 @@ class MatrixAlgebra:
 
 
 def _spin_left(words, gens, mul, add, full: int) -> list:
-    """The independent words kept by a left-multiplication spin, in order.
+    """What ``add`` kept of each independent word of a left-multiplication
+    spin, in order.
 
-    ``add(w)`` inserts a word into an echelon and says whether it was
-    independent.  Kept words are extended by ``mul(g, w)`` for every
-    generator g until no new word is independent or ``full`` words are kept.
-    The kept words span the closure: their span holds the start words and is
-    closed under left multiplication by every generator.
+    ``add(w)`` inserts a word into an echelon and returns what the spin
+    extends it by, or None if it was dependent: the word itself, or its
+    echelon row e.  e is a nonzero multiple of w plus earlier kept words,
+    which are extended first, so g e is a multiple of g w plus products
+    already inserted: it is independent exactly when g w is, and keeps the
+    same span.  Kept words are extended by ``mul(g, e)`` for every generator
+    g until no new word is independent or ``full`` words are kept.  They
+    span the closure: their span holds the start words and is closed under
+    left multiplication by every generator.
     """
-    kept = [w for w in words if add(w)]
+    kept = [e for e in map(add, words) if e is not None]
     frontier = list(kept)
     while frontier and len(kept) < full:
         nxt = []
@@ -118,10 +137,10 @@ def _spin_left(words, gens, mul, add, full: int) -> list:
             for g in gens:
                 if len(kept) == full:
                     return kept
-                prod = mul(g, w)
-                if add(prod):
-                    kept.append(prod)
-                    nxt.append(prod)
+                e = add(mul(g, w))
+                if e is not None:
+                    kept.append(e)
+                    nxt.append(e)
         frontier = nxt
     return kept
 
@@ -265,14 +284,11 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     False proves nothing: p may divide a denominator, or be unlucky.
 
     A word is one packed int of n^2 slots, row-major (``_echelon_mod_p``).
-    A kept word w is extended through its echelon row e, whose slots are
-    reduced.  e is a nonzero multiple of w plus earlier kept words, so g e
-    is a multiple of g w plus products the spin has already tested: each
-    product is independent exactly when g w would be, and the same steps
-    keep a word.  With e's rows e_k as packed ints, row i of g e is
-    sum_k g_ik e_k, one C-level ``sum(map(mul, ...))``; its slots are at
-    most n (p-1)^2 before the echelon's n^2 steps, which ``_slot_words``
-    covers.
+    A kept word is extended through its echelon row e, whose slots are
+    reduced, as ``_spin_left`` allows.  With e's rows e_k as packed ints,
+    row i of g e is sum_k g_ik e_k, one C-level ``sum(map(mul, ...))``; its
+    slots are at most n (p-1)^2 before the echelon's n^2 steps, which
+    ``_slot_words`` covers.
     """
     p, rpow = _ring_map(m)
     gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
@@ -283,18 +299,14 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     row_bits = 64 * k * n
     row_mask = (1 << row_bits) - 1
     gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in gens]
-    rows_of = {}   # kept word -> the rows of its echelon row
     insert = _echelon_mod_p(p, full, k)
 
-    def keep(w: int) -> bool:
+    def keep(w: int) -> Optional[list]:
+        """The rows of w's echelon row, or None."""
         e = insert(w)
-        if e is None:
-            return False
-        rows_of[w] = [e >> row_bits * i & row_mask for i in range(n)]
-        return True
+        return None if e is None else [e >> row_bits * i & row_mask for i in range(n)]
 
-    def times(g, w: int) -> int:
-        rows = rows_of[w]
+    def times(g, rows: list) -> int:
         return sum(sum(map(operator.mul, gi, rows)) << row_bits * i for i, gi in enumerate(g))
 
     ident = _pack([1 if j % (n + 1) == 0 else 0 for j in range(full)], k)
@@ -325,6 +337,22 @@ def _matrix_units(n: int, m: int):
                  for u in range(n * n))
 
 
+def _spin_exact(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
+    """The echelon of the left spin of the start vectors (n x cols matrices,
+    row-major) over Q(zeta_m), on integer rows.
+
+    The generators are converted once (``_left_action``), and each kept word
+    is extended through its integer echelon row (``_spin_left``), so a
+    product is integer dot products and no Matrix or Scalar is built.
+    """
+    ech = _EchelonSet(n * cols)
+    phi = euler_phi(m)
+    _spin_left([_int_row(v, m, phi)[0] for v in starts], [_left_action(g, m) for g in generators],
+               lambda a, e: _left_product(a, e, cols, phi), lambda v: ech.insert(v, m),
+               n * cols)
+    return ech
+
+
 def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
     """Smallest unital algebra of n x n matrices containing the generators."""
     if not generators and ambient_n is None:
@@ -336,11 +364,9 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
     m = _field_of(generators)
     if _spans_full_mod_p(generators, n, m):
         return MatrixAlgebra(n, _matrix_units(n, m), m)
-    ech = _EchelonSet(n * n)
-    _spin_left([Matrix.identity(n, m)] + list(generators), generators,
-               lambda g, w: g @ w, lambda w: ech.add(list(w.flatten())), n * n)
-    basis = tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
-    return MatrixAlgebra(n, basis, m)
+    starts = [w.entries for w in [Matrix.identity(n, m)] + list(generators)]
+    ech = _spin_exact(generators, starts, n, n, m)
+    return MatrixAlgebra(n, tuple(Matrix(n, n, tuple(row)) for row in ech.rows), m)
 
 
 @dataclass
@@ -395,12 +421,7 @@ def radical_trace(alg: MatrixAlgebra) -> RadicalCertificate:
 
 def spin_subspace(generators, vectors, n: int) -> Subspace:
     """Submodule of K^n generated by the given vectors."""
-    m = _field_of(generators)
-    ech = _EchelonSet(n)
-    starts = [[x if isinstance(x, Scalar) else Scalar.rational(Fraction(x), m) for x in v]
-              for v in vectors]
-    _spin_left(starts, generators, lambda g, v: g.mul_vector(v), ech.add, n)
-    return Subspace(ech)
+    return Subspace(_spin_exact(generators, vectors, n, 1, _field_of(generators)))
 
 
 def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
@@ -540,7 +561,7 @@ def _powers(f: Matrix):
     n = f.rows
     ech = _EchelonSet(n * n)
     powers = _spin_left([Matrix.identity(n, f._conductor())], [f], lambda g, w: w @ g,
-                        lambda w: ech.add(list(w.flatten())), n * n)
+                        lambda w: w if ech.add(w.flatten()) else None, n * n)
     return powers, ech
 
 

@@ -268,21 +268,23 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
     X = diag(xi, -xi^T) and G is block diagonal, top block A, or block
     antidiagonal, top-right block B; the last n rows of X G = G X repeat the
     first n of G's dual partner, so A gives xi A = A xi and B gives
-    xi B + B xi^T = 0.
+    xi B + B xi^T = 0.  All-zero rows (a zero block, or rank-one
+    generators) are dropped.
     """
     n, m = p.n, p.conductor()
     if p.is_untwisted():
-        return intertwiner_rows(gens, gens, n, n, m)
-    rows = []
-    for g in gens:
-        top = [g.row(i) for i in range(n)]
-        b = Matrix(n, n, tuple(x for row in top for x in row[n:]))
-        if b.is_zero():
-            a = Matrix(n, n, tuple(x for row in top for x in row[:n]))
-            rows += intertwiner_rows([a], [a], n, n, m)
-        else:
-            rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)
-    return rows
+        rows = intertwiner_rows(gens, gens, n, n, m)
+    else:
+        rows = []
+        for g in gens:
+            top = [g.row(i) for i in range(n)]
+            b = Matrix(n, n, tuple(x for row in top for x in row[n:]))
+            if b.is_zero():
+                a = Matrix(n, n, tuple(x for row in top for x in row[:n]))
+                rows += intertwiner_rows([a], [a], n, n, m)
+            else:
+                rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)
+    return [row for row in rows if any(row)]
 
 
 def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:

@@ -6,17 +6,24 @@ matrices act on column vectors.
 
 There is one elimination kernel, the incremental echelon ``_EchelonSet``:
 ``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and the
-algebra spinning all run on it.  Linear conditions of the form
-X -> sum L.X.R are turned into coefficient rows by ``sandwich_rows`` alone.
+algebra spinning all run on it.  It keeps each row as integers, the
+power-basis numerators of its entries over one denominator per row, so
+eliminating a row is integer arithmetic with one gcd, not one Scalar
+operation per entry; Scalars are made only for the rows or blocks a caller
+reads.  Linear conditions of the form X -> sum L.X.R are turned into
+coefficient rows by ``sandwich_rows`` alone.
 Block matrices (the doubled realisation, block-supported samples) are
 written with ``Matrix.place``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
-from .scalars import Scalar
+from .scalars import Scalar, euler_phi, inverse_numerators, multiplication_matrix
 
 
 def _coerce_scalar(x, m: int = 1) -> Scalar:
@@ -42,58 +49,265 @@ def _field_rows(rows, m: Optional[int] = None):
     return [[_coerce_scalar(x, m) for x in row] for row in rows], m
 
 
+def _int_row(vec, m: int, phi: int):
+    """(numerators, denominator) of a vector over Q(zeta_m): the phi = phi(m)
+    power-basis numerators of each entry, flattened, over the entries' least
+    common denominator, which leaves no common factor.  Ints and Fractions
+    lift into the field; Scalars of another field raise ValueError."""
+    try:
+        fields = {x.m for x in vec}
+    except AttributeError:  # ints and Fractions lift into the field
+        vec = [_coerce_scalar(x, m) for x in vec]
+        fields = {x.m for x in vec}
+    if fields and fields != {m}:
+        raise ValueError(f"a vector over conductor {m} has entries of conductors {sorted(fields)}")
+    den = lcm(*[x.den for x in vec])
+    if phi == 1:
+        if den == 1:
+            return [x.num[0] for x in vec], 1
+        return [x.num[0] * (den // x.den) for x in vec], den
+    if den == 1:
+        return [c for x in vec for c in x.num], 1
+    return [c * (den // x.den) for x in vec for c in x.num], den
+
+
+def _scalar_row(nums, den: int, m: int, phi: int, start: int, stop: int) -> list:
+    """Entries start .. stop of the row with these numerators over den, as Scalars."""
+    zero = Scalar(m, (0,) * phi)
+    if phi == 1:
+        if den == 1:
+            return [Scalar(m, (x,)) if x else zero for x in nums[start:stop]]
+        out = []
+        for x in nums[start:stop]:
+            if not x:
+                out.append(zero)
+                continue
+            g = gcd(x, den)
+            out.append(Scalar(m, (x // g,), den // g) if g != 1 else Scalar(m, (x,), den))
+        return out
+    out = []
+    for t in range(start * phi, stop * phi, phi):
+        x = nums[t:t + phi]
+        if not any(x):
+            out.append(zero)
+            continue
+        g = gcd(den, *x)
+        out.append(Scalar(m, tuple(c // g for c in x), den // g) if g != 1
+                   else Scalar(m, tuple(x), den))
+    return out
+
+
+def _times(table: list, v: list, s: int, phi: int) -> list:
+    """The entries of v from numerator s on, each multiplied by the element
+    whose multiplication matrix is ``table``, flattened.  Up to four entries
+    go one by one; longer rows take coefficient c of every entry at once,
+    from the strided slices of v's coefficients, which costs phi^2 list
+    passes whatever the length."""
+    if len(v) - s <= 4 * phi:
+        return [sum(map(mul, tc, v[t:t + phi])) for t in range(s, len(v), phi) for tc in table]
+    coeffs = [v[s + b::phi] for b in range(phi)]
+    out = [0] * (len(v) - s)
+    for c, tc in enumerate(table):
+        terms = [(k, x) for k, x in zip(tc, coeffs) if k]
+        if terms:
+            k, x = terms[0]
+            acc = [k * w for w in x]
+            for k, x in terms[1:]:
+                acc = [z + k * w for z, w in zip(acc, x)]
+            out[c::phi] = acc
+    return out
+
+
+def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
+    """v/dv - f row/dr, canonical, where row/dr has pivot entry 1 at
+    numerator s and f is the entry of v/dv there: d v - f row on ints, with
+    d = dr over the gcd of dr and f's numerators, then one gcd divided out.
+    A rational f (always, over Q) scales row's numerators by one int."""
+    if phi == 1 or not any(v[s + 1:s + phi]):
+        f = v[s]
+        g = gcd(dr, f)
+        a, b = dr // g, f // g
+        if a == 1:
+            v = v[:s] + [x - b * y for x, y in zip(v[s:], row[s:])]
+        else:
+            v = [a * x - b * y for x, y in zip(v, row)]
+            dv *= a
+    else:
+        f = v[s:s + phi]
+        g = gcd(dr, *f)
+        a = dr // g
+        fy = _times(multiplication_matrix(m, [x // g for x in f]), row, s, phi)
+        if a == 1:
+            v = v[:s] + [x - y for x, y in zip(v[s:], fy)]
+        else:
+            v = [a * x for x in v[:s]] + [a * x - y for x, y in zip(v[s:], fy)]
+            dv *= a
+    if dv != 1:
+        g = gcd(dv, *v)
+        if g != 1:
+            v, dv = [x // g for x in v], dv // g
+    return v, dv
+
+
+def _normalized(v: list, s: int, phi: int, m: int):
+    """v divided by its entry at numerator s, canonical: one field inverse,
+    or one sign and one gcd when that entry is rational."""
+    if phi == 1 or not any(v[s + 1:s + phi]):
+        p = v[s]
+        if p < 0:
+            v, p = [-x for x in v], -p
+        g = gcd(*v)  # divides p, which is one of the entries
+        return ([x // g for x in v], p // g) if g != 1 else (v, p)
+    y, d = inverse_numerators(m, v[s:s + phi])
+    out = [0] * s + _times(multiplication_matrix(m, y), v, s, phi)
+    g = gcd(d, *out)
+    return ([x // g for x in out], d // g) if g != 1 else (out, d)
+
+
 class _EchelonSet:
     """Incremental reduced row echelon basis with exact membership.
 
-    Rows stay sorted by pivot and fully reduced, so after any sequence of
-    insertions they are the unique reduced row echelon form of their span.
+    Rows stay sorted by pivot with pivot entry 1, and are reduced at the
+    later pivots when they are read (``rows``, ``block``), so what is read
+    after any sequence of insertions is the unique reduced row echelon form
+    of the span.  A row is kept as integers (``_int_row``): the power-basis
+    numerators of its entries, flattened, over one positive denominator with
+    no common factor, so its pivot entry has numerators (den, 0, ..., 0).
+    Eliminating a row is integer work with one gcd (``_eliminate``), a new
+    pivot is normalized with one field inverse, and Scalars are made on
+    read.  The field is that of the first vector inserted.
     """
 
     def __init__(self, width: int, rows=()):
         self.width = width
-        self.rows = []          # echelon rows, pivot order
-        self.pivots = []        # pivot column per row
+        self.m = self.phi = None    # the field, fixed by the first insertion
+        self.pivots = []            # pivot column per row
+        self._nums = []             # integer echelon rows, pivot order
+        self._dens = []
+        self._reduced = True        # zero at every other row's pivot
+        self._rows = None           # Scalar rows, made on read
         for row in rows:
             self.add(row)
 
+    def _field(self, vec):
+        """(m, phi(m)) of the echelon, else of the vector's Scalars, else of Q."""
+        if self.m is not None:
+            return self.m, self.phi
+        m = next((x.m for x in vec if isinstance(x, Scalar)), 1)
+        return m, euler_phi(m)
+
+    def _residue(self, v: list, dv: int, m: int, phi: int):
+        for row, dr, piv in zip(self._nums, self._dens, self.pivots):
+            s = piv * phi
+            if v[s] if phi == 1 else any(v[s:s + phi]):
+                v, dv = _eliminate(v, dv, row, dr, s, phi, m)
+        return v, dv
+
+    def insert(self, nums: list, m: int) -> Optional[list]:
+        """Insert the vector with these integer numerators (any nonzero
+        multiple of it will do) over Q(zeta_m): the numerators of its echelon
+        row, or None if it was dependent."""
+        if self.m is None:
+            self.m, self.phi = m, euler_phi(m)
+        elif m != self.m:
+            raise ValueError(f"a vector over conductor {m} meets an echelon over {self.m}")
+        phi = self.phi
+        v, _ = self._residue(nums, 1, m, phi)
+        for j, x in enumerate(v):
+            if x:
+                break
+        else:
+            return None
+        piv = j // phi
+        row, den = _normalized(v, piv * phi, phi, m)
+        at = bisect(self.pivots, piv)
+        self._nums.insert(at, row)
+        self._dens.insert(at, den)
+        self.pivots.insert(at, piv)
+        self._reduced = self.dim == 1
+        self._rows = None
+        return row
+
+    def _reduce_rows(self):
+        """Clear every row at the later pivots, bottom row first, so each row
+        eliminated from another is already reduced."""
+        if self._reduced:
+            return
+        nums, dens, phi = self._nums, self._dens, self.phi
+        for i in range(len(nums) - 2, -1, -1):
+            r, d = nums[i], dens[i]
+            for j in range(i + 1, len(nums)):
+                s = self.pivots[j] * phi
+                if r[s] if phi == 1 else any(r[s:s + phi]):
+                    r, d = _eliminate(r, d, nums[j], dens[j], s, phi, self.m)
+            nums[i], dens[i] = r, d
+        self._reduced = True
+
     def reduce(self, vec):
-        """(residue of vec modulo the span, coordinates along the echelon rows)."""
+        """(residue of vec modulo the span, coordinates along the echelon rows).
+
+        The residue is the unique element of vec + span that vanishes at
+        every pivot, and the coordinates are vec's entries at the pivots.
+        """
         vec = list(vec)
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            f = vec[piv]
-            coords.append(f)
-            if f:
-                for j in range(piv, self.width):
-                    if row[j]:
-                        vec[j] = vec[j] - f * row[j]
-        return vec, coords
+        m, phi = self._field(vec)
+        v, dv = self._residue(*_int_row(vec, m, phi), m, phi)
+        return (_scalar_row(v, dv, m, phi, 0, self.width),
+                [_coerce_scalar(vec[p], m) for p in self.pivots])
 
     def add(self, vec) -> bool:
         """Insert vec into the span; True if it was independent."""
-        res, _ = self.reduce(vec)
-        piv = next((j for j, x in enumerate(res) if x), None)
-        if piv is None:
-            return False
-        inv = res[piv].inverse()
-        res = [x * inv if x else x for x in res]
-        for row in self.rows:
-            f = row[piv]
-            if f:
-                for j in range(self.width):
-                    if res[j]:
-                        row[j] = row[j] - f * res[j]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.rows))
-        self.rows.insert(at, res)
-        self.pivots.insert(at, piv)
-        return True
+        m, phi = self._field(vec)
+        return self.insert(_int_row(vec, m, phi)[0], m) is not None
 
     def contains(self, vec) -> bool:
-        return all(not x for x in self.reduce(vec)[0])
+        m, phi = self._field(vec)
+        return not any(self._residue(*_int_row(vec, m, phi), m, phi)[0])
+
+    @property
+    def rows(self) -> list:
+        """The echelon rows as lists of Scalars."""
+        if self._rows is None:
+            self._rows = [self.block(i, 0, self.width) for i in range(self.dim)]
+        return self._rows
+
+    def block(self, i: int, start: int, stop: int) -> list:
+        """Entries start .. stop of echelon row i as Scalars."""
+        self._reduce_rows()
+        return _scalar_row(self._nums[i], self._dens[i], self.m, self.phi, start, stop)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+
+def _left_action(g: Matrix, m: int) -> list:
+    """g as an integer matrix on the power-basis numerators of K^n, up to
+    the common denominator of its entries: per row i of g, the rows (i, c)
+    for c < phi(m), each over the numerators (k, b) of a column."""
+    n = g.rows
+    phi = euler_phi(m)
+    nums, _ = _int_row(g.entries, m, phi)
+    if phi == 1:
+        return [[nums[i * n:(i + 1) * n]] for i in range(n)]
+    out = []
+    for i in range(n):
+        tables = [multiplication_matrix(m, nums[t:t + phi])
+                  for t in range(i * n * phi, (i + 1) * n * phi, phi)]
+        out.append([[x for table in tables for x in table[c]] for c in range(phi)])
+    return out
+
+
+def _left_product(action: list, e: list, cols: int, phi: int) -> list:
+    """Numerators of g w, w the n x cols matrix with numerators e (row-major,
+    phi per entry) and ``action`` that of g: one ``sum(map(mul, ...))`` per
+    numerator of the product."""
+    if phi == 1:
+        columns = [e[j::cols] for j in range(cols)]
+    else:
+        columns = [[x for t in range(j * phi, len(e), cols * phi) for x in e[t:t + phi]]
+                   for j in range(cols)]
+    return [sum(map(mul, tc, col)) for rows in action for col in columns for tc in rows]
 
 
 class Matrix:
@@ -254,12 +468,17 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        ident = Matrix.identity(n, self._conductor())
-        ech = _EchelonSet(2 * n, [self.row(i) + ident.row(i) for i in range(n)])
+        n, m = self.rows, self._conductor()
+        phi = euler_phi(m)
+        ech = _EchelonSet(2 * n)
+        for i in range(n):  # the row [a_i | e_i] over the denominator of a_i
+            nums, den = _int_row(self.row(i), m, phi)
+            unit = [0] * (n * phi)
+            unit[i * phi] = den
+            ech.insert(nums + unit, m)
         if ech.pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(n, n, tuple(x for row in ech.rows[:n] for x in row[n:]))
+        return Matrix(n, n, tuple(x for i in range(n) for x in ech.block(i, n, 2 * n)))
 
     def __repr__(self):
         return "Matrix(" + "; ".join(
@@ -359,7 +578,7 @@ class Subspace:
         ech = _EchelonSet(2 * n, [r + r for r in self.basis] +
                           [r + (zero,) * n for r in other.basis])
         return Subspace.from_vectors(
-            n, [row[n:] for row, piv in zip(ech.rows, ech.pivots) if piv >= n])
+            n, [ech.block(i, n, 2 * n) for i, piv in enumerate(ech.pivots) if piv >= n])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -393,16 +612,23 @@ class Subspace:
 
 
 def _null_space(ech: _EchelonSet, n: int, m: int) -> Subspace:
-    """Null space of the first n columns of an echelon form, in K^n."""
-    pivots = [p for p in ech.pivots if p < n]  # these rows come first
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [Scalar.zero(m)] * n
-        v[f] = Scalar.one(m)
-        for row, p in zip(ech.rows, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return Subspace.from_vectors(n, basis)
+    """Null space of the first n columns of an echelon form, in K^n: per free
+    column f, e_f less the rows' entries at f placed at their pivots, built
+    on integer rows."""
+    phi = euler_phi(m)
+    ech._reduce_rows()
+    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots) if p < n]
+    out = _EchelonSet(n)
+    for f in sorted(set(range(n)) - set(ech.pivots)):
+        t = f * phi
+        hits = [(r[t:t + phi], d, s) for r, d, s in rows if any(r[t:t + phi])]
+        den = lcm(*[d for _, d, _ in hits])
+        v = [0] * (n * phi)
+        v[t] = den
+        for x, d, s in hits:
+            v[s:s + phi] = [-c * (den // d) for c in x]
+        out.insert(v, m)
+    return Subspace(out)
 
 
 def kernel(a: Matrix) -> Subspace:
@@ -423,8 +649,8 @@ def linear_solve(a: Matrix, b: Matrix):
     if any(p >= n for p in ech.pivots):
         return None, ker  # inconsistent system
     xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
-    for row, p in zip(ech.rows, ech.pivots):
-        xs[p] = row[n:]
+    for i, p in enumerate(ech.pivots):
+        xs[p] = ech.block(i, n, n + b.cols)
     return Matrix.build(xs, m), ker
 
 

@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +91,49 @@ def _reduce(num: list, m: int) -> tuple:
     return tuple(num[:phi])
 
 
+def multiplication_matrix(m: int, num) -> list:
+    """Rows c of the integer matrix of x -> num * x on power-basis numerators:
+    coefficient c of num * x is ``sum(map(mul, rows[c], x))``.  Column b is
+    num * zeta^b, each column zeta times the last, reduced by Phi_m."""
+    col = list(num)
+    cols = [col]
+    terms = _reduction_terms(m)
+    for _ in range(len(num) - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            for j, c in terms:
+                col[j] -= top * c
+        cols.append(col)
+    return list(zip(*cols))
+
+
+def inverse_numerators(m: int, num) -> tuple:
+    """(y, d), d > 0, with y / d the inverse of the nonzero element with
+    integer numerators num.  x y = 1 is M y = e_0, M the matrix of
+    multiplication by x (``multiplication_matrix``); fraction-free (Bareiss)
+    elimination makes its last pivot d = det M, and d y is integral by
+    Cramer's rule, so back substitution divides exactly."""
+    phi = len(num)
+    a = [[*row, int(c == 0)] for c, row in enumerate(multiplication_matrix(m, num))]
+    prev = 1
+    for k in range(phi):
+        if not a[k][k]:  # M is invertible, so some later row has a nonzero here
+            r = next(r for r in range(k + 1, phi) if a[r][k])
+            a[k], a[r] = a[r], a[k]
+        ak, p = a[k], a[k][k]
+        for ai in a[k + 1:]:
+            f = ai[k]
+            for j in range(k + 1, phi + 1):
+                ai[j] = (p * ai[j] - f * ak[j]) // prev
+        prev = p
+    y = [0] * phi
+    for i in range(phi - 1, -1, -1):
+        ai = a[i]
+        y[i] = (prev * ai[phi] - sum(map(mul, ai[i + 1:phi], y[i + 1:]))) // ai[i]
+    return (y, prev) if prev > 0 else ([-c for c in y], -prev)
+
+
 def _canonical(m: int, num: tuple, den: int) -> "Scalar":
     """The Scalar num/den, dividing out the common gcd (den > 0)."""
     if den != 1:
@@ -110,21 +153,26 @@ def _unlike_sum(a: "Scalar", b: "Scalar", op) -> "Scalar":
     return _canonical(a.m, tuple([op(x * t, y * s) for x, y in zip(a.num, b.num)]), s * db)
 
 
-def _trimmed(poly: list) -> list:
-    while len(poly) > 1 and not poly[-1]:
-        poly.pop()
-    return poly
-
-
 # the scalar grammar of instance files: integers, fractions and plain decimals
 _RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
 
-def _parse_rational(data) -> Fraction:
+def _parse_rational(data) -> tuple:
+    """(numerator, denominator) in lowest terms, denominator > 0, of an
+    instance scalar: integers and fractions by ``int`` and one gcd, plain
+    decimals through Fraction."""
     text = str(data)
     if not _RATIONAL_TEXT.fullmatch(text):
         raise ValueError(f"not an integer, fraction or plain decimal: {text[:40]!r}")
-    return Fraction(text)
+    if "." in text:
+        q = Fraction(text)
+        return q.numerator, q.denominator
+    num, _, den = text.partition("/")
+    p, q = int(num), int(den or 1)
+    if not q:
+        raise ZeroDivisionError(f"zero denominator: {text[:40]!r}")
+    g = gcd(p, q)
+    return (p // g, q // g) if g != 1 else (p, q)
 
 
 class Scalar:
@@ -249,26 +297,8 @@ class Scalar:
         if len(self.num) == 1:
             n = self.num[0]
             return Scalar(self.m, (self.den if n > 0 else -self.den,), abs(n))
-        # extended euclid in Z[x] against the (irreducible) cyclotomic polynomial:
-        # r = s * num (mod Phi_m) holds for both rows, each kept primitive
-        r0, s0 = list(cyclotomic_polynomial(self.m)), [0]
-        r1, s1 = _trimmed(list(self.num)), [1]
-        while len(r1) > 1:
-            while len(r0) >= len(r1):  # cancel the leading term of r0
-                c0, c1, shift = r0[-1], r1[-1], len(r0) - len(r1)
-                r0, s0 = [c1 * x for x in r0], [c1 * x for x in s0]
-                s0 += [0] * (len(s1) + shift - len(s0))
-                for j, y in enumerate(r1, shift):
-                    r0[j] -= c0 * y
-                for j, y in enumerate(s1, shift):
-                    s0[j] -= c0 * y
-                r0, s0 = _trimmed(r0), _trimmed(s0)
-                g = gcd(*r0, *s0)
-                r0, s0 = [x // g for x in r0], [x // g for x in s0]
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        c = r1[0]  # c = s1 * num, so 1 / (num / den) = den * s1 / c
-        f = self.den if c > 0 else -self.den
-        return _canonical(self.m, _reduce([f * x for x in s1], self.m), abs(c))
+        y, d = inverse_numerators(self.m, self.num)
+        return _canonical(self.m, tuple([self.den * c for c in y]), d)
 
     def __truediv__(self, other):
         return self * self._pair(other).inverse()
@@ -342,9 +372,12 @@ class Scalar:
     @staticmethod
     def from_json(data, m: int) -> "Scalar":
         if isinstance(data, (str, int)):
-            return Scalar.rational(_parse_rational(data), m)
+            p, q = _parse_rational(data)
+            return Scalar(m, (p,) + (0,) * (euler_phi(m) - 1), q)
         if isinstance(data, list):
             if len(data) > euler_phi(m):
                 raise ValueError(f"coefficient vector longer than phi({m})")
-            return Scalar.from_coeffs(m, [_parse_rational(c) for c in data])
+            pairs = [_parse_rational(c) for c in data]
+            den = lcm(*[q for _, q in pairs])
+            return _canonical(m, _reduce([p * (den // q) for p, q in pairs], m), den)
         raise ValueError(f"bad scalar encoding: {data!r}")

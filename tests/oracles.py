@@ -25,7 +25,13 @@ of the two:
 * ``spans_full_mod_p`` and ``kernel_dim_mod_p``: the modular certificates on
   lists of residues, reduced mod p at every step (the library packs each row
   into one int and reduces once per kept row);
-* ``is_prime``: trial division (the library runs Miller-Rabin).
+* ``is_prime``: trial division (the library runs Miller-Rabin);
+* ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
+  Scalar operation per entry (``linalg._EchelonSet`` keeps integer
+  numerators over one denominator per row); the other oracles here run on it;
+* ``spin_algebra_reference``: the algebra spin with a Matrix product per
+  word and a ``ScalarEchelon`` (the library extends integer echelon rows,
+  after a modular certificate).
 """
 
 import cmath
@@ -42,12 +48,78 @@ from wildcat.algebra import (
     _spin_left,
 )
 from wildcat.engine import FramedPoint
-from wildcat.linalg import Grading, Matrix, _EchelonSet, kernel
+from wildcat.linalg import Grading, Matrix, kernel
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
-def _echelon(alg: MatrixAlgebra) -> _EchelonSet:
-    return _EchelonSet(alg.ambient_n ** 2, [b.flatten() for b in alg.basis])
+class ScalarEchelon:
+    """Incremental reduced row echelon basis on lists of Scalars.
+
+    Rows stay sorted by pivot and fully reduced, so after any sequence of
+    insertions they are the unique reduced row echelon form of their span.
+    """
+
+    def __init__(self, width: int, rows=()):
+        self.width = width
+        self.rows = []          # echelon rows, pivot order
+        self.pivots = []        # pivot column per row
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vec):
+        """(residue of vec modulo the span, coordinates along the echelon rows)."""
+        vec = list(vec)
+        coords = []
+        for row, piv in zip(self.rows, self.pivots):
+            f = vec[piv]
+            coords.append(f)
+            if f:
+                for j in range(piv, self.width):
+                    if row[j]:
+                        vec[j] = vec[j] - f * row[j]
+        return vec, coords
+
+    def add(self, vec) -> bool:
+        """Insert vec into the span; True if it was independent."""
+        res, _ = self.reduce(vec)
+        piv = next((j for j, x in enumerate(res) if x), None)
+        if piv is None:
+            return False
+        inv = res[piv].inverse()
+        res = [x * inv if x else x for x in res]
+        for row in self.rows:
+            f = row[piv]
+            if f:
+                for j in range(self.width):
+                    if res[j]:
+                        row[j] = row[j] - f * res[j]
+        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.rows))
+        self.rows.insert(at, res)
+        self.pivots.insert(at, piv)
+        return True
+
+    def contains(self, vec) -> bool:
+        return all(not x for x in self.reduce(vec)[0])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def spin_algebra_reference(generators, n: int, m: int) -> tuple:
+    """Echelon basis of the unital algebra of the generators: every kept word
+    times every generator on the left, until no product is new."""
+    ech = ScalarEchelon(n * n)
+    frontier = [w for w in [Matrix.identity(n, m)] + list(generators)
+                if ech.add(w.flatten())]
+    while frontier:
+        frontier = [prod for w in frontier for prod in [g @ w for g in generators]
+                    if ech.add(prod.flatten())]
+    return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
+
+
+def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
+    return ScalarEchelon(alg.ambient_n ** 2, [b.flatten() for b in alg.basis])
 
 
 def is_closed(alg: MatrixAlgebra) -> bool:
@@ -116,7 +188,7 @@ def nilpotency_index(cert: RadicalCertificate, n: int) -> int:
     index, current = 1, mats
     while current:
         index += 1
-        ech = _EchelonSet(n * n)
+        ech = ScalarEchelon(n * n)
         nxt = []
         for a in current:
             for b in mats:
@@ -322,7 +394,9 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
                 for i in range(n) for col in cols]
 
     ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
-    return len(_spin_left([ident], gens, mul, _echelon_mod_p(p), n * n)) == n * n
+    add = _echelon_mod_p(p)
+    return len(_spin_left([ident], gens, mul, lambda w: w if add(w) else None,
+                          n * n)) == n * n
 
 
 def kernel_dim_mod_p(rows, width: int, m: int):

@@ -22,11 +22,18 @@ from wildcat.algebra import (
     radical_trace,
     restrict_matrix,
     spin_algebra,
+    spin_subspace,
 )
-from wildcat.linalg import Matrix, Subspace, _EchelonSet
+from wildcat.linalg import Matrix, Subspace
 from wildcat.scalars import Scalar, euler_phi
 
-from oracles import is_closed, nilpotency_index, radical_oracle
+from oracles import (
+    ScalarEchelon,
+    is_closed,
+    nilpotency_index,
+    radical_oracle,
+    spin_algebra_reference,
+)
 
 I2 = Matrix.identity(2)
 J = Matrix.build([[1, 1], [0, 1]])
@@ -68,7 +75,7 @@ class TestSpin:
 
 def reference_spin(gens, n, m):
     """Echelon basis of the unital algebra: products on both sides, no early stop."""
-    ech = _EchelonSet(n * n)
+    ech = ScalarEchelon(n * n)
     frontier = [w for w in [Matrix.identity(n, m)] + gens if ech.add(list(w.flatten()))]
     while frontier:
         nxt = []
@@ -107,6 +114,34 @@ def test_spin_matches_two_sided_reference(case):
     assert spin_algebra(gens).basis == reference
     if len(reference) == n * n:
         assert invariant_subspace(gens) is None
+
+
+@st.composite
+def non_full_generators(draw):
+    """One to three block upper triangular n x n matrices, n = 2 or 3, over
+    Q, Q(i) or Q(zeta5), with assorted denominators, and a start vector."""
+    m = draw(st.sampled_from([1, 4, 5]))
+    n = draw(st.integers(2, 3))
+    split = draw(st.integers(1, n - 1))
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda cs: Scalar.from_coeffs(m, cs))
+    gens = [Matrix(n, n, tuple(Scalar.zero(m) if i >= split and j < split else draw(scalar)
+                               for i in range(n) for j in range(n)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return gens, n, m, [draw(scalar) for _ in range(n)]
+
+
+@settings(max_examples=60)
+@given(non_full_generators())
+def test_integer_spin_matches_the_scalar_reference(case):
+    gens, n, m, start = case
+    assert spin_algebra(gens).basis == spin_algebra_reference(gens, n, m)
+    ech = ScalarEchelon(n)
+    frontier = [start] if ech.add(start) else []
+    while frontier:
+        frontier = [v for w in frontier for v in [g.mul_vector(w) for g in gens] if ech.add(v)]
+    assert spin_subspace(gens, [start], n).basis == tuple(tuple(row) for row in ech.rows)
 
 
 class TestModularCertificate:

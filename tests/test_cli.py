@@ -184,6 +184,15 @@ def test_scalar_outside_the_grammar_exit_code(tmp_path, capsys, entry):
     assert "bad scalar" in capsys.readouterr().err
 
 
+def test_zero_denominator_exit_code(tmp_path, capsys):
+    data = json.loads(json.dumps(JORDAN))
+    data["tuple"]["loops"][0]["matrix"][0][1] = "3/0"
+    path = write(tmp_path, "zero.json", data)
+    assert run_command(["analyze", "--instance", path, "--format", "machine"]) == 2
+    err = capsys.readouterr().err
+    assert "tuple.loops[0].matrix[0][1]: bad scalar" in err and "3/0" in err
+
+
 @pytest.mark.parametrize("circles", [
     [{"ram": 1, "coeffs": [[1, "1"]]}, {"ram": 1, "coeffs": [[1, "1"]]}],  # repeated
     [{"ram": 1, "coeffs": []}, {"ram": 1, "coeffs": []}],  # two tame circles

@@ -478,6 +478,7 @@ def twisted_points(draw):
 def test_certified_stabilizer_matches_exact_solve(p):
     rep = is_stable(p)
     assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
+    assert all(any(row) for row in engine._stabilizer_rows(rep.galois.point, rep.galois.generators))
     if rep.polystable and p.is_untwisted():
         assert rep.levi_decomposition == levi_reduction(p)
     if rep.polystable:
@@ -489,6 +490,20 @@ def test_certified_stabilizer_matches_exact_solve(p):
         # the witness of a polystable point skips the radical step: same subspace
         mats = [x.g for x in normalize_point(p).loops]
         assert rep.invariant_subspace_witness == invariant_subspace(mats)
+
+
+def test_stabilizer_rows_drop_zero_rows():
+    # a sigma loop and coordinate weights 1, 2, 0: the -u generator of the
+    # torus meets no u piece, and rank-one projectors leave most rows zero
+    e = Matrix.identity(3)
+    grading = Grading(3, [((1,), [e.row(0)]), ((2,), [e.row(1)]), ((0,), [e.row(2)])])
+    loop = TwistedElement(Matrix.build([[1, 2, 0], [0, 1, 1], [1, 0, 2]]),
+                          Automorphism(Matrix.identity(3), True))
+    p = FramedPoint(3, [grading], [], [loop])
+    pn = normalize_point(p)
+    rows = engine._stabilizer_rows(pn, galois_generators(pn))
+    assert rows and all(any(row) for row in rows)
+    assert is_stable(p).stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
 
 
 def appended_loop(p, extra):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from wildcat.linalg import (
     sandwich_rows,
 )
 from wildcat.scalars import Scalar, euler_phi
+
+from oracles import ScalarEchelon
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -88,6 +91,53 @@ class TestRref:
             assert (r2.rows, r2.pivots) == (r1.rows, r1.pivots)
             assert all(row[p] == 1 and all(not other[p] for other in r1.rows if other is not row)
                        for row, p in zip(r1.rows, r1.pivots))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Rows of width 1-5 over Q, Q(zeta3), Q(i) or Q(zeta5) with assorted
+    denominators, zero rows and combinations of earlier rows, in shuffled
+    order, and probe vectors: fresh, in the span, or zero."""
+    m = draw(st.sampled_from([1, 3, 4, 5]))
+    width = draw(st.integers(1, 5))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
+    scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda cs: Scalar.from_coeffs(m, cs))
+    vector = st.lists(st.one_of(st.just(Scalar.zero(m)), scalar), min_size=width,
+                      max_size=width)
+    base = draw(st.lists(vector, max_size=4))
+
+    def combination():
+        out = [Scalar.zero(m)] * width
+        for row in base:
+            c = draw(scalar)
+            out = [x + c * y for x, y in zip(out, row)]
+        return out
+
+    rows = base + [combination() for _ in range(draw(st.integers(0, 2)))]
+    rows += [[Scalar.zero(m)] * width] * draw(st.integers(0, 1))
+    probes = [draw(vector), combination(), [Scalar.zero(m)] * width]
+    return width, draw(st.permutations(rows)), probes
+
+
+@settings(max_examples=120)
+@given(echelon_inputs())
+def test_integer_echelon_matches_the_scalar_reference(case):
+    width, rows, probes = case
+    ech, ref = _EchelonSet(width), ScalarEchelon(width)
+    for row in rows:
+        assert ech.add(row) == ref.add(row)
+    assert (ech.rows, ech.pivots, ech.dim) == (ref.rows, ref.pivots, ref.dim)
+    for vec in probes:
+        assert ech.reduce(vec) == ref.reduce(vec)
+        assert ech.contains(vec) == ref.contains(vec)
+    # each integer row is canonical: a positive denominator with no common
+    # factor, numerators (den, 0, ..., 0) at its pivot and zeros at the others
+    phi = len(ech._nums[0]) // width if ech.dim else 1
+    for nums, den, piv in zip(ech._nums, ech._dens, ech.pivots):
+        assert den > 0 and gcd(den, *nums) == 1
+        assert nums[piv * phi:(piv + 1) * phi] == [den] + [0] * (phi - 1)
+        assert not any(any(nums[p * phi:(p + 1) * phi]) for p in ech.pivots if p != piv)
 
 
 class TestWeightProjectors:

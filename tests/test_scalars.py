@@ -132,6 +132,24 @@ def test_scalar_grammar_accepts_integers_fractions_and_decimals():
     assert Scalar.from_json(["1/2", "-0.5"], 4) == Scalar.from_coeffs(4, ["1/2", "-1/2"])
 
 
+@settings(max_examples=200)
+@given(st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 30),
+       st.one_of(st.none(), st.integers(1, 10 ** 12)), st.sampled_from([1, 4, 5]))
+def test_scalar_text_parses_as_fraction_does(sign, num, den, m):
+    text = f"{sign}{num}" if den is None else f"{sign}{num:03d}/{den}"
+    got = Scalar.from_json(text, m)
+    assert got == Scalar.rational(Fraction(text), m)
+    assert got.den > 0 and gcd(got.den, *got.num) == 1
+    coeffs = [text, text][:euler_phi(m)]
+    assert Scalar.from_json(coeffs, m) == Scalar.from_coeffs(m, coeffs)
+
+
+def test_zero_denominator_is_an_error():
+    for data in ("3/0", "-0/000", ["1", "2/0"]):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.from_json(data, 4)
+
+
 # ---------------------------------------------------------------------------
 # integer-numerator scalars against the Fraction-coefficient reference
 

@@ -2,12 +2,15 @@
 
 The guard reads the syntax trees of ``src/wildcat`` (less ``__init__``, whose
 imports only re-export) and of ``bench``.  A definition in the library is
-used when its name appears, as a Name or as an Attribute, anywhere outside
-its own body; a method counts only as an Attribute, so the builtin ``sum``
-does not use a method ``sum``.  Dunder methods are called by the language.
-A name that only tests call is test-only API: delete it, give it a caller,
-or, where the tests check a law the library relies on, allow it below with
-the reason."""
+used when its name appears, as a Name or as an Attribute, outside its own
+body and inside no library definition that is itself unused; a method counts
+only as an Attribute, so the builtin ``sum`` does not use a method ``sum``.
+The used definitions are the least fixpoint of that rule, so code that only
+other unused code names (or a cycle of such code) is unused too.  Dunder
+methods are called by the language, and the allowed names below keep what
+their bodies name in use.  A name that only tests call is test-only API:
+delete it, give it a caller, or, where the tests check a law the library
+relies on, allow it below with the reason."""
 
 import ast
 from pathlib import Path
@@ -43,6 +46,10 @@ def _walk(node, enclosing, defs, uses):
         _walk(child, enclosing, defs, uses)
 
 
+def _is_dunder(node) -> bool:
+    return node.name.startswith("__") and node.name.endswith("__")
+
+
 def unused_definitions():
     defs, uses = [], []
     for path in CALLERS:
@@ -50,10 +57,20 @@ def unused_definitions():
         _walk(ast.parse(path.read_text(encoding="utf-8")), [], found, uses)
         if path in LIBRARY:
             defs += [(f"{path.stem}.{qual}", node, method) for qual, node, method in found]
-    return sorted(qual for qual, node, method in defs
-                  if not (node.name.startswith("__") and node.name.endswith("__"))
-                  and not any(name == node.name and (attr or not method) and id(node) not in inside
-                              for name, attr, inside in uses))
+    library = {id(node) for _, node, _ in defs}
+    live = {id(node) for qual, node, _ in defs if _is_dunder(node) or qual in ALLOWED}
+    used = set()
+    while True:
+        context = live | used
+        grown = {id(node) for _, node, method in defs
+                 if id(node) not in used
+                 and any(name == node.name and (attr or not method) and id(node) not in inside
+                         and inside & library <= context
+                         for name, attr, inside in uses)}
+        if not grown:
+            break
+        used |= grown
+    return sorted(qual for qual, node, _ in defs if not _is_dunder(node) and id(node) not in used)
 
 
 def test_no_library_code_is_test_only():
