@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
-from .scalars import Scalar, euler_phi, inverse_numerators, multiplication_matrix
+from .scalars import Scalar, _canonical, euler_phi, inverse_numerators, multiplication_matrix
 
 
 def _coerce_scalar(x, m: int = 1) -> Scalar:
@@ -62,60 +62,18 @@ def _int_row(vec, m: int, phi: int):
     if fields and fields != {m}:
         raise ValueError(f"a vector over conductor {m} has entries of conductors {sorted(fields)}")
     den = lcm(*[x.den for x in vec])
-    if phi == 1:
-        if den == 1:
-            return [x.num[0] for x in vec], 1
-        return [x.num[0] * (den // x.den) for x in vec], den
-    if den == 1:
-        return [c for x in vec for c in x.num], 1
     return [c * (den // x.den) for x in vec for c in x.num], den
 
 
 def _scalar_row(nums, den: int, m: int, phi: int, start: int, stop: int) -> list:
     """Entries start .. stop of the row with these numerators over den, as Scalars."""
-    zero = Scalar(m, (0,) * phi)
-    if phi == 1:
-        if den == 1:
-            return [Scalar(m, (x,)) if x else zero for x in nums[start:stop]]
-        out = []
-        for x in nums[start:stop]:
-            if not x:
-                out.append(zero)
-                continue
-            g = gcd(x, den)
-            out.append(Scalar(m, (x // g,), den // g) if g != 1 else Scalar(m, (x,), den))
-        return out
-    out = []
-    for t in range(start * phi, stop * phi, phi):
-        x = nums[t:t + phi]
-        if not any(x):
-            out.append(zero)
-            continue
-        g = gcd(den, *x)
-        out.append(Scalar(m, tuple(c // g for c in x), den // g) if g != 1
-                   else Scalar(m, tuple(x), den))
-    return out
+    return [_canonical(m, tuple(nums[t:t + phi]), den) for t in range(start * phi, stop * phi, phi)]
 
 
 def _times(table: list, v: list, s: int, phi: int) -> list:
     """The entries of v from numerator s on, each multiplied by the element
-    whose multiplication matrix is ``table``, flattened.  Up to four entries
-    go one by one; longer rows take coefficient c of every entry at once,
-    from the strided slices of v's coefficients, which costs phi^2 list
-    passes whatever the length."""
-    if len(v) - s <= 4 * phi:
-        return [sum(map(mul, tc, v[t:t + phi])) for t in range(s, len(v), phi) for tc in table]
-    coeffs = [v[s + b::phi] for b in range(phi)]
-    out = [0] * (len(v) - s)
-    for c, tc in enumerate(table):
-        terms = [(k, x) for k, x in zip(tc, coeffs) if k]
-        if terms:
-            k, x = terms[0]
-            acc = [k * w for w in x]
-            for k, x in terms[1:]:
-                acc = [z + k * w for z, w in zip(acc, x)]
-            out[c::phi] = acc
-    return out
+    whose multiplication matrix is ``table``, flattened."""
+    return [sum(map(mul, tc, v[t:t + phi])) for t in range(s, len(v), phi) for tc in table]
 
 
 def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
@@ -123,45 +81,35 @@ def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
     numerator s and f is the entry of v/dv there: d v - f row on ints, with
     d = dr over the gcd of dr and f's numerators, then one gcd divided out.
     A rational f (always, over Q) scales row's numerators by one int."""
-    if phi == 1 or not any(v[s + 1:s + phi]):
-        f = v[s]
-        g = gcd(dr, f)
-        a, b = dr // g, f // g
-        if a == 1:
-            v = v[:s] + [x - b * y for x, y in zip(v[s:], row[s:])]
-        else:
-            v = [a * x - b * y for x, y in zip(v, row)]
-            dv *= a
+    if not any(v[s + 1:s + phi]):
+        g = gcd(dr, v[s])
+        a, b = dr // g, v[s] // g
+        tail = [a * x - b * y for x, y in zip(v[s:], row[s:])]
     else:
         f = v[s:s + phi]
         g = gcd(dr, *f)
         a = dr // g
         fy = _times(multiplication_matrix(m, [x // g for x in f]), row, s, phi)
-        if a == 1:
-            v = v[:s] + [x - y for x, y in zip(v[s:], fy)]
-        else:
-            v = [a * x for x in v[:s]] + [a * x - y for x, y in zip(v[s:], fy)]
-            dv *= a
-    if dv != 1:
-        g = gcd(dv, *v)
-        if g != 1:
-            v, dv = [x // g for x in v], dv // g
-    return v, dv
+        tail = [a * x - y for x, y in zip(v[s:], fy)]
+    v = [a * x for x in v[:s]] + tail
+    dv *= a
+    g = gcd(dv, *v)
+    return [x // g for x in v], dv // g
 
 
 def _normalized(v: list, s: int, phi: int, m: int):
     """v divided by its entry at numerator s, canonical: one field inverse,
     or one sign and one gcd when that entry is rational."""
-    if phi == 1 or not any(v[s + 1:s + phi]):
+    if not any(v[s + 1:s + phi]):
         p = v[s]
         if p < 0:
             v, p = [-x for x in v], -p
         g = gcd(*v)  # divides p, which is one of the entries
-        return ([x // g for x in v], p // g) if g != 1 else (v, p)
+        return [x // g for x in v], p // g
     y, d = inverse_numerators(m, v[s:s + phi])
-    out = [0] * s + _times(multiplication_matrix(m, y), v, s, phi)
-    g = gcd(d, *out)
-    return ([x // g for x in out], d // g) if g != 1 else (out, d)
+    v = [0] * s + _times(multiplication_matrix(m, y), v, s, phi)
+    g = gcd(d, *v)
+    return [x // g for x in v], d // g
 
 
 class _EchelonSet:

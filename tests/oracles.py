@@ -21,7 +21,8 @@ of the two:
   generators, doubled under sigma, with ``sandwich_rows``);
 * ``FractionScalar``: Q(zeta_m) with one Fraction per power-basis coefficient
   and division by a linear solve (``Scalar`` keeps integer numerators over one
-  denominator and inverts by extended Euclid);
+  denominator and inverts by fraction-free elimination of its
+  multiplication matrix);
 * ``spans_full_mod_p`` and ``kernel_dim_mod_p``: the modular certificates on
   lists of residues, reduced mod p at every step (the library packs each row
   into one int and reduces once per kept row);
@@ -29,6 +30,10 @@ of the two:
 * ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
   Scalar operation per entry (``linalg._EchelonSet`` keeps integer
   numerators over one denominator per row); the other oracles here run on it;
+* ``kernel_reference``, ``linear_solve_reference`` and ``inverse_reference``:
+  null space, solution and inverse read off ``ScalarEchelon`` rows (the
+  library reads them off integer echelon rows, converting only the block it
+  needs);
 * ``spin_algebra_reference``: the algebra spin with a Matrix product per
   word and a ``ScalarEchelon`` (the library extends integer echelon rows,
   after a modular certificate).
@@ -48,7 +53,7 @@ from wildcat.algebra import (
     _spin_left,
 )
 from wildcat.engine import FramedPoint
-from wildcat.linalg import Grading, Matrix, kernel
+from wildcat.linalg import Grading, Matrix
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -104,6 +109,44 @@ class ScalarEchelon:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def kernel_reference(rows, width: int, m: int) -> list:
+    """Reduced echelon basis of {x : rows . x = 0} on ``ScalarEchelon``: per
+    free column f, e_f less the echelon rows' entries at f at their pivots."""
+    ech, out = ScalarEchelon(width, rows), ScalarEchelon(width)
+    for f in range(width):
+        if f not in ech.pivots:
+            v = [Scalar.zero(m)] * width
+            v[f] = Scalar.one(m)
+            for row, piv in zip(ech.rows, ech.pivots):
+                v[piv] = -row[f]
+            out.add(v)
+    return out.rows
+
+
+def linear_solve_reference(a: Matrix, b: Matrix):
+    """(X, kernel rows) with a X = b and X zero at the free columns, or
+    (None, kernel rows) when there is no solution, on ``ScalarEchelon``."""
+    n, m = a.cols, a._conductor()
+    ech = ScalarEchelon(n + b.cols, [list(a.row(i) + b.row(i)) for i in range(a.rows)])
+    ker = kernel_reference([list(a.row(i)) for i in range(a.rows)], n, m)
+    if any(piv >= n for piv in ech.pivots):
+        return None, ker
+    xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
+    for row, piv in zip(ech.rows, ech.pivots):
+        xs[piv] = row[n:]
+    return Matrix.build(xs, m), ker
+
+
+def inverse_reference(a: Matrix) -> Matrix:
+    """a^-1, read off the echelon form of [a | 1] on ``ScalarEchelon``."""
+    n, m = a.rows, a._conductor()
+    one = Matrix.identity(n, m)
+    ech = ScalarEchelon(2 * n, [list(a.row(i) + one.row(i)) for i in range(n)])
+    if ech.pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix(n, n, tuple(x for row in ech.rows for x in row[n:]))
 
 
 def spin_algebra_reference(generators, n: int, m: int) -> tuple:
@@ -168,9 +211,8 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
                     s = s + c * tau[l]
             row.append(s)
         gram.append(row)
-    ker = kernel(Matrix.build(gram, alg.conductor))
     rows = []
-    for coeffs in ker.basis:
+    for coeffs in kernel_reference(gram, d, alg.conductor):
         elem = Matrix.zero(n, n, alg.conductor)
         for c, b in zip(coeffs, alg.basis):
             if c:
@@ -205,7 +247,7 @@ def weight_projectors(g: Grading) -> list:
     """Projector onto each piece along the others: B . sel . B^-1."""
     n = g.ambient_dim
     b = Matrix.from_cols([v for _, basis in g.pieces for v in basis])
-    binv = b.inverse()
+    binv = inverse_reference(b)
     m = b._conductor()
     out = []
     start = 0
@@ -228,7 +270,7 @@ def transported_projectors(p: FramedPoint) -> list:
         projs = weight_projectors(grading)
         if i:
             c = p.connectors[i - 1]
-            cinv = c.inverse()
+            cinv = inverse_reference(c)
             projs = [cinv @ proj @ c for proj in projs]
         out.append([(w, proj) for (w, _), proj in zip(grading.pieces, projs)])
     return out
@@ -255,7 +297,7 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
     for x in p.loops:
         g = x.g
         ga = g @ x.phi.inner
-        inner_inv = x.phi.inner.inverse()
+        inner_inv = inverse_reference(x.phi.inner)
         for r in range(n):
             for c in range(n):
                 row = [Scalar.zero(m)] * (n * n)
@@ -274,7 +316,7 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
                 rows.append(row)
     if not rows:
         return n * n
-    return kernel(Matrix.build(rows, m)).dim
+    return len(kernel_reference(rows, n * n, m))
 
 
 class FractionScalar:

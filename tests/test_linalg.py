@@ -17,7 +17,7 @@ from wildcat.linalg import (
 )
 from wildcat.scalars import Scalar, euler_phi
 
-from oracles import ScalarEchelon
+from oracles import ScalarEchelon, inverse_reference, kernel_reference, linear_solve_reference
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -138,6 +138,44 @@ def test_integer_echelon_matches_the_scalar_reference(case):
         assert den > 0 and gcd(den, *nums) == 1
         assert nums[piv * phi:(piv + 1) * phi] == [den] + [0] * (phi - 1)
         assert not any(any(nums[p * phi:(p + 1) * phi]) for p in ech.pivots if p != piv)
+
+
+@settings(max_examples=120)
+@given(echelon_inputs(), st.data())
+def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
+    width, rows, probes = case
+    if rows:
+        m = rows[0][0].m
+        a = Matrix.build(rows, m)
+        assert kernel(a).basis == tuple(map(tuple, kernel_reference(rows, width, m)))
+        # a consistent right-hand side, and a unit vector, consistent only
+        # when the last row is independent of the others
+        unit = [Scalar.zero(m)] * (a.rows - 1) + [Scalar.one(m)]
+        b = Matrix.from_cols([a.mul_vector(probes[0]), unit])
+        for rhs in (b, Matrix.from_cols([b.col(0)])):
+            part, ker = linear_solve(a, rhs)
+            ref_part, ref_ker = linear_solve_reference(a, rhs)
+            assert part == ref_part and ker.basis == tuple(map(tuple, ref_ker))
+        # the intersection with the probes' span: inside both, of the dimension
+        # dim U + dim W - dim (U + W)
+        inter = Subspace.from_vectors(width, rows).intersection(
+            Subspace.from_vectors(width, probes))
+        u, w = ScalarEchelon(width, rows), ScalarEchelon(width, probes)
+        assert inter.dim == u.dim + w.dim - ScalarEchelon(width, rows + probes).dim
+        assert all(u.contains(v) and w.contains(v) for v in inter.basis)
+    # square matrices: the rows with a fresh vector on top, and random n x n
+    n = data.draw(st.integers(1, 4))
+    m = probes[0][0].m
+    squares = [data.draw(matrices(m, n, n)),
+               Matrix.from_rows((probes[:1] + rows + probes * 2)[:width])]
+    for sq in squares:
+        try:
+            inv = inverse_reference(sq)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sq.inverse()
+            continue
+        assert sq.inverse() == inv
 
 
 class TestWeightProjectors:
