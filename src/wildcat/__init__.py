@@ -13,7 +13,6 @@ from .algebra import (
     MatrixAlgebra,
     MeatAxeInconclusive,
     NotSemisimpleError,
-    RadicalCertificate,
     invariant_subspace,
     radical_trace,
     spin_algebra,

@@ -369,50 +369,25 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
     return MatrixAlgebra(n, tuple(Matrix(n, n, tuple(row)) for row in ech.rows), m)
 
 
-@dataclass
-class RadicalCertificate:
-    radical: Subspace              # of the flattened n^2 space
-    witness: Optional[Matrix]      # a nonzero radical element, absent iff radical = 0
+def radical_trace(alg: MatrixAlgebra) -> Subspace:
+    """Radical, as a subspace of the flattened n^2 space: the null space of
+    the Gram matrix tr(b_i b_j) on the algebra.
 
-    @property
-    def dim(self) -> int:
-        return self.radical.dim
-
-
-def _certificate_from_rows(n: int, rows) -> RadicalCertificate:
-    """The radical spanned by the rows; its witness is the first echelon row."""
-    sub = Subspace.from_vectors(n * n, rows)
-    return RadicalCertificate(sub, Matrix(n, n, sub.basis[0]) if sub.dim else None)
-
-
-def radical_trace(alg: MatrixAlgebra) -> RadicalCertificate:
-    """Radical as the null space of the Gram matrix tr(b_i b_j) on the algebra.
-
-    An algebra of dimension N^2 is M_N(K), which is simple: radical 0.
+    An algebra of dimension N^2 is M_N(K), which is simple: radical 0.  The
+    Gram matrix is one product, since tr(b_i b_j) = vec(b_i) . vec(b_j^T):
+    its entries are those of the trace form, and the radical, an echelon
+    basis, is unique, so it is the same Subspace whichever way they are
+    summed.
     """
-    d = alg.dim
     n = alg.ambient_n
-    if d == n * n:
-        return _certificate_from_rows(n, [])
-    gram = []
-    for i in range(d):
-        bi = alg.basis[i]
-        row = []
-        for j in range(d):
-            bj = alg.basis[j]
-            s = Scalar.zero(alg.conductor)
-            for r in range(n):
-                for c in range(n):
-                    x = bi[r, c]
-                    if x:
-                        s = s + x * bj[c, r]
-            row.append(s)
-        gram.append(row)
-    ker = kernel(Matrix.build(gram, alg.conductor))
+    if alg.dim == n * n:
+        return Subspace.zero(n * n)
+    vecs = Matrix.from_rows([b.entries for b in alg.basis])
+    ker = kernel(vecs @ Matrix.from_cols([b.transpose().entries for b in alg.basis]))
     if ker.dim == 0:
-        return _certificate_from_rows(n, [])
-    elems = Matrix.from_rows(ker.basis) @ Matrix.from_rows([b.flatten() for b in alg.basis])
-    return _certificate_from_rows(n, elems.row_list())
+        return Subspace.zero(n * n)
+    elems = Matrix.from_rows(ker.basis) @ vecs
+    return Subspace.from_vectors(n * n, elems.row_list())
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +437,21 @@ def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
 
 
 def invariant_complement(generators, sub: Subspace) -> Subspace:
-    """A complementary submodule (exists whenever the module is semisimple)."""
+    """A complementary submodule (exists whenever the module is semisimple).
+
+    It is the kernel of a projection e onto sub that commutes with every
+    generator.  The conditions are linear in e's n^2 entries: the columns of
+    e lie in sub (the rows of sub's annihilator kill them), e fixes sub
+    pointwise, and e commutes with every generator.  ``linear_solve`` reads
+    e off the reduced echelon form of the system's row space, which every
+    system with the same solution set shares, so any rows stating that the
+    columns lie in sub give the same complement.
+    """
     n = sub.ambient_dim
     m = _field_of(generators)
-    d = sub.dim
-    # complete the echelon basis of sub to a basis of the ambient space
-    full, units = _EchelonSet(n, sub.basis), Matrix.identity(n, m)
-    extra = [units.row(j) for j in range(n) if full.add(units.row(j))]
-    f = Matrix.from_rows(list(sub.basis) + extra)
-    g_test = f.transpose().inverse()
-    # conditions on the projection e (n^2 unknowns), each a family L.e.R = rhs:
-    # columns of e lie in sub (bottom coordinates vanish), e fixes sub pointwise,
-    # e commutes with every generator
-    bottom = Matrix.from_rows([g_test.row(i) for i in range(d, n)])
+    ann = Matrix.from_rows(kernel(Matrix.from_rows(sub.basis)).basis)
     fixed = Matrix.from_cols(sub.basis)
-    rows = sandwich_rows([(bottom, None, False)], n, n, m)
+    rows = sandwich_rows([(ann, None, False)], n, n, m)
     rhs = [Scalar.zero(m)] * len(rows)
     rows += sandwich_rows([(None, fixed, False)], n, n, m)
     rhs += fixed.entries
@@ -590,7 +565,12 @@ def _is_scalar_matrix(g: Matrix) -> bool:
 
 def _split_by_element(f: Matrix, n: int, m: int):
     """A proper nonzero kernel of q(f) for an irreducible factor q of the
-    minimal polynomial of f (the characteristic polynomial has the same ones), or None."""
+    minimal polynomial of f (the characteristic polynomial has the same ones), or None.
+
+    None for a non-scalar f proves its minimal polynomial irreducible: each
+    factor q then has q(f) = 0 or q(f) invertible, not all are invertible
+    (their product, with multiplicities, kills f), and q(f) = 0 makes q the
+    minimal polynomial itself."""
     if f.is_zero() or _is_scalar_matrix(f):
         return None
     ker_f = kernel(f)
@@ -666,7 +646,7 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
     rad = None if semisimple else radical_trace(spin_algebra(generators))
     if rad is not None and rad.dim > 0:
         sub = Subspace.from_vectors(n, [Matrix(n, n, tuple(row)).col(j)
-                                        for row in rad.radical.basis for j in range(n)])
+                                        for row in rad.basis for j in range(n)])
         if not (0 < sub.dim < n):
             raise AssertionError("radical image must be proper and nonzero")
         return sub
@@ -682,14 +662,9 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
             return sub
 
     if all((a @ b - b @ a).is_zero() for i, a in enumerate(comm) for b in comm[i + 1:]):
-        f = _primitive_element(comm, n, m)
-        sub = _split_by_element(f, n, m)
-        if sub is not None:
-            return sub
-        factors = factor_over_field(minimal_polynomial(f), m)
-        if len(factors) == 1 and factors[0][1] == 1:
-            return None  # the commutant is a field: irreducible over it
-        raise AssertionError("commutative endomorphism ring escaped splitting")
+        # None: the generator of the commutant has an irreducible minimal
+        # polynomial, so the commutant is a field: irreducible over it
+        return _split_by_element(_primitive_element(comm, n, m), n, m)
 
     # noncommutative endomorphism ring: try its centre, then bounded hunts
     # the centre is the commutant intersected with its own commutant

@@ -158,9 +158,6 @@ def _cmd_reduce(inst: InstanceFile, args, started) -> int:
     if point is None:
         print(err, file=sys.stderr)
         return code
-    if not point.is_untwisted():
-        print("Levi extraction requires untwisted loops", file=sys.stderr)
-        return EXIT_INPUT
     try:
         blocks = levi_reduction(point)
     except NotPolystable:

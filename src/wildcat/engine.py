@@ -251,7 +251,8 @@ def is_polystable(p: FramedPoint) -> StabilityReport:
     ambient = pn.n if pn.is_untwisted() else 2 * pn.n
     alg = spin_algebra(gens, ambient_n=ambient)
     rad = radical_trace(alg)
-    return StabilityReport(polystable=rad.dim == 0, radical_witness=rad.witness,
+    witness = Matrix(ambient, ambient, rad.basis[0]) if rad.dim else None
+    return StabilityReport(polystable=rad.dim == 0, radical_witness=witness,
                            galois=GaloisAlgebra(pn, gens, alg))
 
 

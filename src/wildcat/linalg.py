@@ -377,20 +377,6 @@ class Matrix:
                       tuple(self.entries[i * self.cols + j]
                             for j in range(self.cols) for i in range(self.rows)))
 
-    def __pow__(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Matrix.identity(self.rows, self._conductor())
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     def _conductor(self) -> int:
         for e in self.entries:
             return e.m

@@ -248,7 +248,6 @@ class GeneratorSpec:
 
 @dataclass
 class PunctureData:
-    cls: IrregularClass
     sheets: list
     grading: Grading
     directions: list              # [(theta, pattern pairs)] ascending theta
@@ -292,7 +291,7 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
     for i, cls in enumerate(ws.punctures):
         grading = exponential_torus_grading(cls, conductor)
         directions = grouped_directions(singular_directions(cls))
-        pd = PunctureData(cls, cls.sheets, grading, directions, _formal_blocks(cls.sheets))
+        pd = PunctureData(cls.sheets, grading, directions, _formal_blocks(cls.sheets))
         punctures.append(pd)
         label = i + 1
         if i > 0:

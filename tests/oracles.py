@@ -36,7 +36,11 @@ of the two:
   needs);
 * ``spin_algebra_reference``: the algebra spin with a Matrix product per
   word and a ``ScalarEchelon`` (the library extends integer echelon rows,
-  after a modular certificate).
+  after a modular certificate);
+* ``complement_reference``: the invariant complement with "the columns of
+  the projection lie in sub" stated by the last rows of F^-T, F sub's basis
+  completed by unit vectors, solved on ``ScalarEchelon`` (the library states
+  it by the rows of sub's annihilator, a kernel).
 """
 
 import cmath
@@ -46,14 +50,12 @@ from math import isqrt
 
 from wildcat.algebra import (
     MatrixAlgebra,
-    RadicalCertificate,
-    _certificate_from_rows,
     _image_mod_p,
     _ring_map,
     _spin_left,
 )
 from wildcat.engine import FramedPoint
-from wildcat.linalg import Grading, Matrix
+from wildcat.linalg import Grading, Matrix, Subspace, sandwich_rows
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -161,6 +163,34 @@ def spin_algebra_reference(generators, n: int, m: int) -> tuple:
     return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
 
 
+def complement_reference(generators, sub: Subspace) -> Subspace:
+    """The kernel of the projection e onto sub that commutes with every
+    generator and fixes sub pointwise, or None if there is none.  The columns
+    of e lie in sub when the last n - d rows of F^-T kill them, F the rows of
+    sub's basis and of the unit vectors that complete it to a basis."""
+    n, d = sub.ambient_dim, sub.dim
+    m = generators[0]._conductor()
+    units = Matrix.identity(n, m)
+    full = ScalarEchelon(n, sub.basis)
+    extra = [units.row(j) for j in range(n) if full.add(units.row(j))]
+    f_inv_t = inverse_reference(Matrix.from_rows(list(sub.basis) + extra).transpose())
+    bottom = Matrix.from_rows([f_inv_t.row(i) for i in range(d, n)])
+    fixed = Matrix.from_cols(sub.basis)
+    rows = sandwich_rows([(bottom, None, False)], n, n, m)
+    rhs = [Scalar.zero(m)] * len(rows)
+    rows += sandwich_rows([(None, fixed, False)], n, n, m)
+    rhs += fixed.entries
+    for g in generators:
+        commuting = sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
+        rows += commuting
+        rhs += [Scalar.zero(m)] * len(commuting)
+    sol, _ = linear_solve_reference(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
+    if sol is None:
+        return None
+    proj = Matrix(n, n, tuple(sol.entries))
+    return Subspace.from_vectors(n, kernel_reference(proj.row_list(), n, m))
+
+
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
     return ScalarEchelon(alg.ambient_n ** 2, [b.flatten() for b in alg.basis])
 
@@ -174,7 +204,7 @@ def is_closed(alg: MatrixAlgebra) -> bool:
     return ech.contains(list(Matrix.identity(alg.ambient_n, alg.conductor).flatten()))
 
 
-def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
+def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     """Radical via the trace form of the left regular module.
 
     Structure constants are computed first; the Gram matrix lives on the
@@ -218,15 +248,15 @@ def radical_oracle(alg: MatrixAlgebra) -> RadicalCertificate:
             if c:
                 elem = elem + b.scale(c)
         rows.append(list(elem.flatten()))
-    cert = _certificate_from_rows(n, rows)
-    nilpotency_index(cert, n)
-    return cert
+    radical = Subspace.from_vectors(n * n, rows)
+    nilpotency_index(radical, n)
+    return radical
 
 
-def nilpotency_index(cert: RadicalCertificate, n: int) -> int:
+def nilpotency_index(radical: Subspace, n: int) -> int:
     """Least k with radical^k = 0 (1 when the radical is 0), from the
     products of the radical's powers with it; raises unless it is nilpotent."""
-    mats = [Matrix(n, n, tuple(row)) for row in cert.radical.basis]
+    mats = [Matrix(n, n, tuple(row)) for row in radical.basis]
     index, current = 1, mats
     while current:
         index += 1

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wildcat.algebra
 from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
@@ -29,6 +30,7 @@ from wildcat.scalars import Scalar, euler_phi
 
 from oracles import (
     ScalarEchelon,
+    complement_reference,
     is_closed,
     nilpotency_index,
     radical_oracle,
@@ -176,30 +178,30 @@ class TestModularCertificate:
 
 class TestRadical:
     def test_scalars(self):
-        cert = radical_trace(spin_algebra([I2]))
-        assert cert.dim == 0 and cert.witness is None and nilpotency_index(cert, 2) == 1
+        rad = radical_trace(spin_algebra([I2]))
+        assert rad.dim == 0 and rad.basis == () and nilpotency_index(rad, 2) == 1
 
     def test_jordan_gram(self):
-        cert = radical_trace(spin_algebra([J]))
-        assert cert.dim == 1
-        assert cert.witness == N
-        assert nilpotency_index(cert, 2) == 2
+        rad = radical_trace(spin_algebra([J]))
+        assert rad.dim == 1
+        assert Matrix(2, 2, rad.basis[0]) == N
+        assert nilpotency_index(rad, 2) == 2
 
     def test_full_matrix_algebra(self):
-        cert = radical_trace(spin_algebra([Matrix.build([[0, 1], [0, 0]]),
-                                           Matrix.build([[0, 0], [1, 0]])]))
-        assert cert.dim == 0
+        rad = radical_trace(spin_algebra([Matrix.build([[0, 1], [0, 0]]),
+                                          Matrix.build([[0, 0], [1, 0]])]))
+        assert rad.dim == 0
 
     def test_oracle_agrees_on_examples(self):
         for gens in ([I2], [J], [Matrix.build([[1, 0], [0, 0]]), N]):
             alg = spin_algebra(gens)
-            assert radical_trace(alg).radical == radical_oracle(alg).radical
+            assert radical_trace(alg) == radical_oracle(alg)
 
     def test_upper_triangular(self):
         alg = spin_algebra([Matrix.build([[1, 0], [0, 0]]), N])
         assert alg.dim == 3
-        cert = radical_oracle(alg)
-        assert cert.dim == 1 and cert.witness == N and nilpotency_index(cert, 2) == 2
+        rad = radical_oracle(alg)
+        assert rad.dim == 1 and Matrix(2, 2, rad.basis[0]) == N and nilpotency_index(rad, 2) == 2
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(77)
@@ -208,7 +210,7 @@ class TestRadical:
             gens = [rand_matrix(rng, n) for _ in range(rng.randint(1, 2))]
             alg = spin_algebra(gens)
             a, b = radical_trace(alg), radical_oracle(alg)
-            assert a.radical == b.radical
+            assert a == b
             # the radical is a nilpotent ideal: its n-th power is 0
             assert nilpotency_index(a, n) <= n
 
@@ -227,6 +229,18 @@ class TestInvariantSubspace:
 
     def test_rotation_irreducible_over_rationals(self):
         assert invariant_subspace([ROT]) is None
+
+    def test_field_commutant_is_factored_once_per_element(self, monkeypatch):
+        # the commutant Q(i) is a field: one factorisation for its non-scalar
+        # basis element, one for its primitive element, none after them
+        calls = []
+
+        def counted(coeffs, m):
+            calls.append(m)
+            return factor_over_field(coeffs, m)
+        monkeypatch.setattr(wildcat.algebra, "factor_over_field", counted)
+        assert invariant_subspace([ROT]) is None
+        assert len(calls) == 2
 
     def test_rotation_splits_over_gaussian_field(self):
         z = Scalar.zeta(4)
@@ -278,6 +292,51 @@ def isotypic_dims(gens):
                   for _, blocks in isotypic_classes(gens, decompose_irreducibles(gens)))
 
 
+@st.composite
+def semisimple_modules(draw):
+    """Two generators conjugate by P = L L^T, L unit lower triangular, to
+    block diagonal ones over Q, Q(i) or Q(zeta5), and a proper submodule.
+    The blocks are of one or two types, 1 x 1 or 2 x 2, each repeated once
+    or twice, so isotypic blocks occur.  A type's part of the submodule is
+    nothing, its block, or for a repeated type the diagonal copy
+    {(v, c v)}, which has many complements.  Types whose algebra has a
+    radical are discarded, so the module is semisimple."""
+    m = draw(st.sampled_from([1, 4, 5]))
+    phi = euler_phi(m)
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: Scalar.from_coeffs(m, cs))
+    types = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from([1, 2]))
+        acts = [Matrix(d, d, tuple(draw(scalar) for _ in range(d * d))) for _ in range(2)]
+        assume(radical_trace(spin_algebra(acts)).dim == 0)
+        types.append((acts, draw(st.integers(1, 2))))
+    n = sum(acts[0].rows * mult for acts, mult in types)
+    assume(n >= 2)
+    gens = [Matrix.zero(n, n, m) for _ in range(2)]
+    vectors, at = [], 0
+    for acts, mult in types:
+        d = acts[0].rows
+        for k in range(mult):
+            gens = [g.place(at + k * d, at + k * d, a) for g, a in zip(gens, acts)]
+        if draw(st.booleans()):  # this type's part of the submodule
+            c = draw(scalar) if mult == 2 else Scalar.zero(m)
+            for t in range(d):
+                v = [Scalar.zero(m)] * n
+                v[at + t] = Scalar.one(m)
+                if mult == 2:
+                    v[at + d + t] = c
+                vectors.append(v)
+        at += d * mult
+    assume(0 < len(vectors) < n)
+    lower = Matrix(n, n, tuple(Scalar.one(m) if i == j else draw(scalar) if i > j
+                               else Scalar.zero(m) for i in range(n) for j in range(n)))
+    p = lower @ lower.transpose()
+    p_inv = p.inverse()
+    sub = Subspace.from_vectors(n, [p.mul_vector(v) for v in vectors])
+    return [p @ g @ p_inv for g in gens], sub
+
+
 class TestDecomposition:
     def test_eigenspace_grouping(self):
         assert isotypic_dims([Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])]) == [1, 2]
@@ -326,6 +385,14 @@ class TestDecomposition:
         sub = Subspace.from_vectors(2, [(1, 0)])
         comp = invariant_complement(gens, sub)
         assert comp == Subspace.from_vectors(2, [(0, 1)])
+
+    @settings(max_examples=30)
+    @given(semisimple_modules())
+    def test_invariant_complement_matches_the_completed_basis_route(self, case):
+        gens, sub = case
+        comp = invariant_complement(gens, sub)
+        assert comp == complement_reference(gens, sub)
+        assert comp.dim == sub.ambient_dim - sub.dim
 
     def test_module_homs_schur(self):
         a, b, c = (Subspace.from_vectors(3, [v]) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

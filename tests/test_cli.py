@@ -147,6 +147,16 @@ def test_reduce_not_polystable(tmp_path, capsys):
     assert run_command(["reduce", "--instance", path]) == 1
 
 
+def test_reduce_twisted_is_an_input_error(tmp_path, capsys):
+    twisted = {"field": 1, "mode": "tuple",
+               "tuple": {"n": 2, "loops": [{"matrix": [["0", "1"], ["1", "0"]],
+                                            "outer": "sigma"}]}}
+    path = write(tmp_path, "twisted.json", twisted)
+    assert run_command(["reduce", "--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "Levi extraction requires untwisted loops\n" and captured.out == ""
+
+
 def test_sample_and_reuse(tmp_path, capsys):
     path = write(tmp_path, "tc.json", TWO_CIRCLE)
     code = run_command(["sample", "--instance", path, "--seed", "3", "--format", "machine"])

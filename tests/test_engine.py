@@ -137,7 +137,7 @@ class TestPolystable:
         assert not rep.polystable
         assert rep.radical_witness is not None
         w = rep.radical_witness
-        assert (w ** 2).is_zero() and not w.is_zero()
+        assert (w @ w).is_zero() and not w.is_zero()
 
     def test_diagonal_polystable(self):
         rep = is_polystable(simple_point([TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))]))
