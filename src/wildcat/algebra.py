@@ -108,7 +108,6 @@ class MatrixAlgebra:
 
     ambient_n: int
     basis: tuple
-    conductor: int
 
     @property
     def dim(self) -> int:
@@ -363,10 +362,10 @@ def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
             raise ValueError("generators must be square of one common size")
     m = _field_of(generators)
     if _spans_full_mod_p(generators, n, m):
-        return MatrixAlgebra(n, _matrix_units(n, m), m)
+        return MatrixAlgebra(n, _matrix_units(n, m))
     starts = [w.entries for w in [Matrix.identity(n, m)] + list(generators)]
     ech = _spin_exact(generators, starts, n, n, m)
-    return MatrixAlgebra(n, tuple(Matrix(n, n, tuple(row)) for row in ech.rows), m)
+    return MatrixAlgebra(n, tuple(Matrix(n, n, tuple(row)) for row in ech.rows))
 
 
 def radical_trace(alg: MatrixAlgebra) -> Subspace:
@@ -619,6 +618,14 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
     proven the module semisimple (a zero radical); the search then skips the
     spin and the radical, whose answer is known, and returns what it would
     return without them.
+
+    A commutative commutant whose basis elements do not split proves the
+    module irreducible.  Being semisimple, it is a product of fields K_i,
+    one per summand V_i of dimension d_i; a basis element z with an
+    irreducible minimal polynomial has it on every V_i, so
+    d_j Tr_i(z) = d_i Tr_j(z) for its traces on the V_i.  With two or more
+    summands that is a proper subspace (the projection onto V_1 is not in
+    it), which holds no basis.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -661,20 +668,14 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
         if sub is not None:
             return sub
 
-    if all((a @ b - b @ a).is_zero() for i, a in enumerate(comm) for b in comm[i + 1:]):
-        # None: the generator of the commutant has an irreducible minimal
-        # polynomial, so the commutant is a field: irreducible over it
-        return _split_by_element(_primitive_element(comm, n, m), n, m)
+    # the centre of the commutant commutes with the generators and with it
+    centre = commutant(list(generators) + comm, n)
+    if len(centre) == len(comm):
+        return None  # a commutative commutant no basis element splits (docstring)
 
     # noncommutative endomorphism ring: try its centre, then bounded hunts
-    # the centre is the commutant intersected with its own commutant
-    double_comm = Subspace.from_vectors(n * n, [b.flatten() for b in commutant(comm, n)])
-    comm_span = Subspace.from_vectors(n * n, [list(b.flatten()) for b in comm])
-    centre_sub = double_comm.intersection(comm_span)
-    centre_mats = [Matrix(n, n, tuple(row)) for row in centre_sub.basis]
-    if len(centre_mats) >= 2:
-        f = _primitive_element(centre_mats, n, m)
-        sub = _split_by_element(f, n, m)
+    if len(centre) >= 2:
+        sub = _split_by_element(_primitive_element(centre, n, m), n, m)
         if sub is not None:
             return sub
 

@@ -72,17 +72,6 @@ class Report:
         )
         return Report(data["command"], m, stability)
 
-    def __eq__(self, other):
-        if not isinstance(other, Report):
-            return NotImplemented
-        a, b = self.stability, other.stability
-        return (self.command, self.field) == (other.command, other.field) and \
-            (a.polystable, a.stable, a.stabilizer_dim, a.kernel_dim) == \
-            (b.polystable, b.stable, b.stabilizer_dim, b.kernel_dim) and \
-            a.radical_witness == b.radical_witness and \
-            a.invariant_subspace_witness == b.invariant_subspace_witness and \
-            a.levi_decomposition == b.levi_decomposition
-
 
 def _emit(payload: dict, fmt: str, text_lines, started: float):
     if fmt == "machine":
@@ -93,8 +82,8 @@ def _emit(payload: dict, fmt: str, text_lines, started: float):
         print(f"elapsed: {time.perf_counter() - started:.3f}s")
 
 
-def _matrix_text(mat: Matrix, indent: str = "    "):
-    return [indent + "[" + "  ".join(repr(x) for x in mat.row(i)) + "]"
+def _matrix_text(mat: Matrix):
+    return ["    [" + "  ".join(repr(x) for x in mat.row(i)) + "]"
             for i in range(mat.rows)]
 
 

@@ -6,19 +6,19 @@ acts by h . (C, M) = (h_i C_i h_1^-1, h_1 M_j phi_j(h_1)^-1).
 
 Verdicts reduce to exact linear algebra:
 
-* polystable  <=>  the unital algebra spanned by the loop matrices and the
-  transported torus weight projectors has zero radical (semisimple natural
-  module).  With a sigma twist present the loops and the torus are realised
+* polystable  <=>  the unital algebra spanned by the loop matrices and one
+  transported weight operator per torus (whose algebra is spanned by the
+  torus's weight projectors) has zero radical (semisimple natural module).
+  With a sigma twist present the loops and the torus are realised
   faithfully on the doubled module K^n + (K^n)^* first.
 * stable      <=>  polystable and the stabilizer Lie algebra is no bigger
   than the kernel of the action (scalars fixed by every twist).
 
 The stabilizer rows are the commutant rows of the Galois generators, in
 X = xi untwisted and X = diag(xi, -xi^T) under sigma.  A doubled generator
-is block diagonal or antidiagonal, and its last n rows repeat the first n
-of its dual partner (a loop is its own, the u projector's is the -u one),
-so the top blocks alone give the rows.  An algebra proven to be M_N(K)
-leaves only the kernel.  A polystable untwisted point is the direct sum
+is block diagonal or antidiagonal, and the last n rows of its condition
+restate the first n, so the top blocks alone give the rows.  An algebra
+proven to be M_N(K) leaves only the kernel.  A polystable untwisted point is the direct sum
 of its Levi blocks B_i, so its stabilizer is the sum of the Hom(B_j, B_i)
 (Richardson's tame case): the sum over isomorphism classes of blocks of
 multiplicity^2 * dim End, from Hom systems of d_i * d_j unknowns between
@@ -173,34 +173,28 @@ def normalize_point(p: FramedPoint) -> FramedPoint:
     return pn
 
 
-def transported_projectors(p: FramedPoint):
-    """Weight projectors of every torus, conjugated back to the basepoint.
-
-    Returns a list of (weight, projector) per grading; identity projectors of
-    trivial gradings are dropped (a one-piece torus only adds scalars, which
-    change no verdict).  A projector is the product B_k R_k of its thin
-    factors, moved to the basepoint as (C_i^-1 B_k)(R_k C_i) for i > 0, so it
-    costs n^2 d for a piece of dimension d.
-    """
-    out = []
-    for i, grading in enumerate(p.gradings):
-        factors = [] if grading.is_trivial() else grading.projector_factors()
-        if i and factors:
-            c = p.connectors[i - 1]
-            cinv = c.inverse()
-            factors = [(cinv @ b, r @ c) for b, r in factors]
-        out.append([(w, b @ r) for (w, _), (b, r) in zip(grading.pieces, factors)])
-    return out
-
-
 def galois_generators(p: FramedPoint):
     """Matrix generators whose unital algebra decides linear reductivity.
 
-    Loops must be normalized.  Untwisted points stay in size n; a sigma twist
-    forces the doubled realisation, where a torus element t acts as
-    diag(t, (t^T)^-1): the joint eigenspace of a character u is the u weight
-    space on the first block plus the dual of the -u weight space on the
-    second, so each doubled projector is diag(Q_u, Q_{-u}^T).
+    Loops must be normalized.  A non-trivial torus enters as its weight
+    operator X (``Grading.weight_operator``) moved to the basepoint,
+    C_i^-1 X C_i; a one-piece torus adds only scalars.  A sigma twist forces
+    the doubled realisation, where a torus element t acts as
+    diag(t, (t^T)^-1) and X as its derivative diag(X, -X^T).
+
+    Entering every weight projector P_u instead changes nothing the engine
+    reads.  The eigenvalues <lambda, u> of X are distinct, so its unital
+    algebra is the span of its spectral projectors, the P_u; those of
+    diag(X, -X^T) are distinct too (<lambda, .> is linear and injective on
+    the weights and their negatives), and its spectral projectors are the
+    joint ones of the characters u, diag(Q_u, Q_{-u}^T) with Q_u = P_u or 0.
+    So the spun algebra, its radical, the commutant, the stabilizer rows and
+    every ``invariant_complement`` system keep their solution sets and
+    echelon bases; modulo p an eigenvalue collision can only make
+    ``_spans_full_mod_p`` say False or ``kernel_dim_mod_p`` over-bound, and
+    the exact routes settle both.  Only the MeatAxe's kernel candidates,
+    read off the generators, can differ: they may change which first split
+    is found, not the Levi blocks where these are unique.
 
     Scalar generators (an identity loop, say) and repeats of an earlier one
     are dropped, first occurrences kept in order; if every generator is
@@ -212,31 +206,22 @@ def galois_generators(p: FramedPoint):
     """
     if not all(x.is_normalized() for x in p.loops):
         raise ValueError("loops must be normalized first")
-    cond = p.conductor()
-    projs = transported_projectors(p)
+    tori = []
+    for grading, c in zip(p.gradings, [None] + p.connectors):
+        if not grading.is_trivial():
+            x = grading.weight_operator()
+            tori.append(x if c is None else c.inverse() @ x @ c)
     if p.is_untwisted():
-        gens = [x.g for x in p.loops]
-        for per_grading in projs:
-            gens.extend(q for _, q in per_grading)
-        return _distinct_nonscalar(gens)
-    n = p.n
-    gens = [embed_doubled(x) for x in p.loops]
-    for per_grading in projs:
-        by_weight = {w: q for w, q in per_grading}
-        weights = sorted(set(by_weight) | {tuple(-c for c in w) for w in by_weight})
-        for u in weights:
-            q = Matrix.zero(2 * n, 2 * n, cond)
-            if u in by_weight:
-                q = q.place(0, 0, by_weight[u])
-            minus = tuple(-c for c in u)
-            if minus in by_weight:
-                q = q.place(n, n, by_weight[minus].transpose())
-            gens.append(q)
-    return _distinct_nonscalar(gens)
+        return _distinct_nonscalar([x.g for x in p.loops] + tori)
+    n, cond = p.n, p.conductor()
+    doubled = [Matrix.zero(2 * n, 2 * n, cond).place(0, 0, x).place(n, n, -x.transpose())
+               for x in tori]
+    return _distinct_nonscalar([embed_doubled(x) for x in p.loops] + doubled)
 
 
 def _distinct_nonscalar(gens: list) -> list:
-    """gens less scalars and repeats, in order; the first if all are scalar."""
+    """gens less scalars and repeats, in order; the first if all are scalar
+    (a weight operator, with two or more eigenvalues, is never scalar)."""
     kept = []
     for g in gens:
         if not (_is_scalar_matrix(g) or g in kept):
@@ -266,11 +251,11 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
     Galois generator G of the normalized point p (module docstring).
 
     Untwisted, X = xi and these are the commutant rows.  Under sigma,
-    X = diag(xi, -xi^T) and G is block diagonal, top block A, or block
-    antidiagonal, top-right block B; the last n rows of X G = G X repeat the
-    first n of G's dual partner, so A gives xi A = A xi and B gives
-    xi B + B xi^T = 0.  All-zero rows (a zero block, or rank-one
-    generators) are dropped.
+    X = diag(xi, -xi^T) and G is block diagonal, diag(A, D), or block
+    antidiagonal, top-right block B; the last n rows of X G = G X restate
+    the first n (D is A^-T for a loop and -A^T for a weight operator), so
+    A gives xi A = A xi and B gives xi B + B xi^T = 0.  All-zero rows are
+    dropped.
     """
     n, m = p.n, p.conductor()
     if p.is_untwisted():

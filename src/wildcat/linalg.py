@@ -489,9 +489,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def contains(self, vector) -> bool:
         return self._echelon.contains(vector)
 
@@ -622,18 +619,20 @@ class Grading:
     def is_trivial(self) -> bool:
         return len(self.pieces) == 1
 
-    def projector_factors(self) -> list:
-        """(B_k, R_k) per piece: its basis as columns and the matching rows of
-        B^-1, where B holds every piece's basis as columns.  B_k R_k projects
-        onto piece k along the others, and R_j B_k is 0 for j != k."""
-        b_inv = Matrix.from_cols([v for _, basis in self.pieces for v in basis]).inverse()
-        out, start = [], 0
-        for _, basis in self.pieces:
-            stop = start + len(basis)
-            out.append((Matrix.from_cols(basis),
-                        Matrix.from_rows([b_inv.row(i) for i in range(start, stop)])))
-            start = stop
-        return out
+    def weight_operator(self) -> Matrix:
+        """X = B diag(<lambda, u>) B^-1, B every piece's basis as columns:
+        piece u is the eigenspace of X for <lambda, u>.  lambda = (1, s, s^2,
+        ...) with s = 2 max|u_i| + 1 reads u as balanced base-s digits, so
+        <lambda, .> is linear and injective on the weights and their
+        negatives, and the unital algebra of X is the span of the weight
+        projectors (Lagrange interpolation)."""
+        s = 2 * max((abs(c) for w, _ in self.pieces for c in w), default=0) + 1
+        vectors, scaled = [], []
+        for w, basis in self.pieces:
+            eigenvalue = sum(c * s ** i for i, c in enumerate(w))
+            vectors += basis
+            scaled += [[x * eigenvalue for x in v] for v in basis]
+        return Matrix.from_cols(scaled) @ Matrix.from_cols(vectors).inverse()
 
     def piece_subspaces(self):
         return [Subspace.from_vectors(self.ambient_dim, basis) for _, basis in self.pieces]

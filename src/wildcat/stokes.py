@@ -141,7 +141,6 @@ class WildSurface:
 @dataclass
 class Sheet:
     circle_index: int
-    leaf: int
     q: dict                       # cover exponent -> Scalar coefficient
     start: int                    # first fibre coordinate of the sheet block
     size: int                     # block size = circle multiplicity
@@ -162,7 +161,7 @@ def expand_sheets(cls: IrregularClass):
             for j, a in c.coeffs:
                 zeta_pow = Scalar.zeta(m, (m // c.ram) * ((j * leaf) % c.ram))
                 q[j * step] = a.promote(m) * zeta_pow
-            sheets.append(Sheet(ci, leaf, q, start, c.multiplicity))
+            sheets.append(Sheet(ci, q, start, c.multiplicity))
             start += c.multiplicity
     return sheets
 
@@ -221,14 +220,13 @@ def grouped_directions(infos):
     return [(theta, sorted(pairs)) for theta, pairs in groups]
 
 
-def exponential_torus_grading(cls: IrregularClass, conductor: Optional[int] = None) -> Grading:
+def exponential_torus_grading(cls: IrregularClass, conductor: int) -> Grading:
     """Grading of the fibre by sheet: sheet k's block has weight (k,).
 
     The centralizer of the grading is the block group of the sheet
     decomposition (module docstring).
     """
-    m = conductor if conductor is not None else cls.conductor()
-    ident = Matrix.identity(cls.rank, m)
+    ident = Matrix.identity(cls.rank, conductor)
     return Grading(cls.rank, [((k,), [ident.row(s.start + t) for t in range(s.size)])
                               for k, s in enumerate(cls.sheets)])
 
@@ -426,11 +424,8 @@ def to_framed_point(sc: Scaffold, cand: RepCandidate) -> FramedPoint:
 # sampling
 
 
-def _random_rational(rng, zero_ok=True):
+def _random_rational(rng):
     num = rng.randint(-2, 2)
-    if not zero_ok:
-        while num == 0:
-            num = rng.randint(-2, 2)
     den = rng.choice([1, 1, 1, 2])
     return Fraction(num, den)
 

@@ -57,18 +57,6 @@ class Automorphism:
         b = transpose_inverse(other.inner) if self.outer else other.inner
         return Automorphism(self.inner @ b, self.outer != other.outer)
 
-    def inverse(self) -> "Automorphism":
-        # (Inn(A) s)^{-1} = Inn(s^{-1}(A^{-1})) s
-        ainv = self.inner.inverse()
-        return Automorphism(transpose_inverse(ainv) if self.outer else ainv, self.outer)
-
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    __hash__ = None
-
 
 @dataclass
 class TwistedElement:
@@ -92,13 +80,6 @@ class TwistedElement:
     def adjoint(self) -> Automorphism:
         """The induced automorphism Inn(g) o phi; invariant under normalize."""
         return Automorphism(self.g, False).compose(self.phi)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedElement):
-            return NotImplemented
-        return self.g == other.g and self.phi == other.phi
-
-    __hash__ = None
 
 
 def normalize(tuple_elements) -> list:

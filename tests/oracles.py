@@ -12,8 +12,11 @@ of the two:
   by ``nilpotency_index``;
 * ``transported_projectors``: each weight projector as B . sel . B^-1, with
   the n x n selector sel of the piece's columns of B, conjugated to the
-  basepoint as C^-1 . P . C (the library multiplies thin factors: the
-  piece's basis columns, and the matching rows of B^-1, each transported);
+  basepoint as C^-1 . P . C;
+* ``galois_generators_reference``: the loops and those projectors, doubled
+  under sigma into the joint projectors diag(Q_u, Q_{-u}^T) of the
+  characters u (``galois_generators`` enters each torus as one weight
+  operator, whose unital algebra is the span of the projectors);
 * ``stabilizer_lie_dim_commutant``: the stabilizer dimension from the
   conjugation picture, with hand-written constraint rows, commuting with
   the projectors above and twisted-commuting with the loops as given
@@ -57,6 +60,7 @@ from wildcat.algebra import (
 from wildcat.engine import FramedPoint
 from wildcat.linalg import Grading, Matrix, Subspace, sandwich_rows
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
+from wildcat.twists import embed_doubled
 
 
 class ScalarEchelon:
@@ -195,13 +199,17 @@ def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
     return ScalarEchelon(alg.ambient_n ** 2, [b.flatten() for b in alg.basis])
 
 
+def _conductor(alg: MatrixAlgebra) -> int:
+    return alg.basis[0]._conductor() if alg.basis else 1
+
+
 def is_closed(alg: MatrixAlgebra) -> bool:
     ech = _echelon(alg)
     for a in alg.basis:
         for b in alg.basis:
             if not ech.contains(list((a @ b).flatten())):
                 return False
-    return ech.contains(list(Matrix.identity(alg.ambient_n, alg.conductor).flatten()))
+    return ech.contains(list(Matrix.identity(alg.ambient_n, _conductor(alg)).flatten()))
 
 
 def radical_oracle(alg: MatrixAlgebra) -> Subspace:
@@ -212,7 +220,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     module traces.  Every element of the result is certified nilpotent.
     """
     d = alg.dim
-    n = alg.ambient_n
+    n, m = alg.ambient_n, _conductor(alg)
     ech = _echelon(alg)
     struct = []
     for i in range(d):
@@ -226,7 +234,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     # tau[l] = trace of left multiplication by basis element l
     tau = []
     for l in range(d):
-        s = Scalar.zero(alg.conductor)
+        s = Scalar.zero(m)
         for k in range(d):
             s = s + struct[l][k][k]
         tau.append(s)
@@ -234,7 +242,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     for i in range(d):
         row = []
         for j in range(d):
-            s = Scalar.zero(alg.conductor)
+            s = Scalar.zero(m)
             for l in range(d):
                 c = struct[i][j][l]
                 if c:
@@ -242,8 +250,8 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
             row.append(s)
         gram.append(row)
     rows = []
-    for coeffs in kernel_reference(gram, d, alg.conductor):
-        elem = Matrix.zero(n, n, alg.conductor)
+    for coeffs in kernel_reference(gram, d, m):
+        elem = Matrix.zero(n, n, m)
         for c, b in zip(coeffs, alg.basis):
             if c:
                 elem = elem + b.scale(c)
@@ -304,6 +312,28 @@ def transported_projectors(p: FramedPoint) -> list:
             projs = [cinv @ proj @ c for proj in projs]
         out.append([(w, proj) for (w, _), proj in zip(grading.pieces, projs)])
     return out
+
+
+def galois_generators_reference(p: FramedPoint) -> list:
+    """The loops of a normalized point and every transported weight
+    projector.  Under sigma the loops are doubled, and a torus element t
+    acts as diag(t, (t^T)^-1): the joint eigenspace of a character u is the
+    u weight space on the first block plus the dual of the -u weight space
+    on the second, so its projector is diag(Q_u, Q_{-u}^T), Q_u the u
+    projector or 0 when u is no weight."""
+    per_grading = transported_projectors(p)
+    if p.is_untwisted():
+        return [x.g for x in p.loops] + [q for projs in per_grading for _, q in projs]
+    n, m = p.n, p.conductor()
+    zero = Matrix.zero(n, n, m)
+    gens = [embed_doubled(x) for x in p.loops]
+    for projs in per_grading:
+        by_weight = dict(projs)
+        for u in sorted(set(by_weight) | {tuple(-c for c in w) for w in by_weight}):
+            minus = tuple(-c for c in u)
+            gens.append(Matrix.zero(2 * n, 2 * n, m).place(0, 0, by_weight.get(u, zero))
+                        .place(n, n, by_weight.get(minus, zero).transpose()))
+    return gens
 
 
 def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildcat import algebra, engine
-from wildcat.algebra import _modulus, invariant_subspace, radical_trace, spin_algebra
+from wildcat.algebra import (
+    _modulus,
+    commutant,
+    invariant_subspace,
+    radical_trace,
+    spin_algebra,
+)
 from wildcat.engine import (
     FramedPoint,
     NotPolystable,
@@ -20,14 +26,12 @@ from wildcat.engine import (
     normalize_point,
     restrict_point,
     stabilizer_lie_dim,
-    transported_projectors,
 )
 from wildcat.linalg import Grading, Matrix, Subspace
 from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
-from oracles import radical_oracle, stabilizer_lie_dim_commutant
-from oracles import transported_projectors as reference_projectors
+from oracles import galois_generators_reference, radical_oracle, stabilizer_lie_dim_commutant
 
 J = Matrix.build([[1, 1], [0, 1]])
 SWAP = Matrix.build([[0, 1], [1, 0]])
@@ -83,18 +87,18 @@ class TestGaloisGenerators:
         p = simple_point([TwistedElement.plain(J)])
         assert galois_generators(p) == [J]
 
-    def test_projectors_only(self):
+    def test_torus_only_gives_its_weight_operator(self):
         g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [g], [], [])
-        gens = galois_generators(p)
-        assert gens == [Matrix.build([[1, 0], [0, 0]]), Matrix.build([[0, 0], [0, 1]])]
+        assert galois_generators(p) == [Matrix.build([[1, 0], [0, 0]])]
 
     def test_transported_projectors(self):
+        # the weight operator diag(1, 0), moved to the basepoint as C^-1 X C:
+        # the projector onto the weight 1 line along the transported 0 line
         c2 = Matrix.build([[1, 1], [0, 1]])
         g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [Grading.trivial(2), g], [c2], [])
-        gens = galois_generators(p)
-        assert gens == [Matrix.build([[1, 1], [0, 0]]), Matrix.build([[0, -1], [0, 1]])]
+        assert galois_generators(p) == [Matrix.build([[1, 1], [0, 0]])]
 
     def test_scalars_and_repeats_dropped(self):
         two = Matrix.identity(2).scale(Fraction(2))
@@ -116,19 +120,20 @@ class TestGaloisGenerators:
             galois_generators(p)
 
     def test_doubled_torus_projectors_span_torus_algebra(self):
-        # diag(t, 1/t) doubles to diag(t, 1/t, 1/t, t): the joint projectors of
-        # the characters t and 1/t pair weight spaces across the two blocks
+        # diag(t, 1/t) doubles to diag(t, 1/t, 1/t, t), and the weight
+        # operator diag(1, -1) to diag(1, -1, -1, 1): its algebra is spanned
+        # by the joint projectors of the characters t and 1/t, which pair
+        # weight spaces across the two blocks
         g = Grading(2, [((1,), [(1, 0)]), ((-1,), [(0, 1)])])
         sig = TwistedElement(Matrix.identity(2), Automorphism.sigma(2))
         p = FramedPoint(2, [g], [], [sig])
         gens = galois_generators(p)
-        projs = [m for m in gens if m.rows == 4 and not m.is_invertible()]
-        assert len(projs) == 2
-        got = set()
-        for q in projs:
-            assert q @ q == q
-            got.add(tuple(0 if q[i, i].is_zero() else 1 for i in range(4)))
-        assert got == {(1, 0, 0, 1), (0, 1, 1, 0)}
+        torus = Matrix.build([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        assert gens[1:] == [torus]
+        joint = [Matrix.build([[int(i == j and i in rows) for j in range(4)] for i in range(4)])
+                 for rows in ((0, 3), (1, 2))]
+        assert spin_algebra([torus]).basis == spin_algebra(joint).basis
+        assert spin_algebra([torus]).dim == 2
 
 
 class TestPolystable:
@@ -360,12 +365,6 @@ def graded_points(draw):
     return FramedPoint(n, [g], [], [])
 
 
-@settings(max_examples=30)
-@given(graded_points())
-def test_thin_factor_projectors_match_the_reference(p):
-    assert transported_projectors(p) == reference_projectors(p)
-
-
 def promote_point(p, m):
     """The same point with every entry promoted into Q(zeta_m)."""
     def lift(mat):
@@ -492,9 +491,21 @@ def test_certified_stabilizer_matches_exact_solve(p):
         assert rep.invariant_subspace_witness == invariant_subspace(mats)
 
 
+@settings(max_examples=40)
+@given(st.one_of(graded_points(), block_points(), twisted_points()))
+def test_weight_operators_span_the_weight_projectors(p):
+    # one weight operator per torus (diag(X, -X^T) under sigma) generates
+    # the algebra and commutant that every weight projector does
+    pn = normalize_point(p)
+    n = pn.n if pn.is_untwisted() else 2 * pn.n
+    gens, reference = galois_generators(pn), galois_generators_reference(pn)
+    assert spin_algebra(gens, ambient_n=n).basis == spin_algebra(reference, ambient_n=n).basis
+    assert commutant(gens, n) == commutant(reference, n)
+
+
 def test_stabilizer_rows_drop_zero_rows():
-    # a sigma loop and coordinate weights 1, 2, 0: the -u generator of the
-    # torus meets no u piece, and rank-one projectors leave most rows zero
+    # a sigma loop and coordinate weights 1, 2, 0: the diagonal entries of
+    # the weight operator's commutator with xi are zero rows
     e = Matrix.identity(3)
     grading = Grading(3, [((1,), [e.row(0)]), ((2,), [e.row(1)]), ((0,), [e.row(2)])])
     loop = TwistedElement(Matrix.build([[1, 2, 0], [0, 1, 1], [1, 0, 2]]),

@@ -17,7 +17,13 @@ from wildcat.linalg import (
 )
 from wildcat.scalars import Scalar, euler_phi
 
-from oracles import ScalarEchelon, inverse_reference, kernel_reference, linear_solve_reference
+from oracles import (
+    ScalarEchelon,
+    inverse_reference,
+    kernel_reference,
+    linear_solve_reference,
+    weight_projectors,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -65,8 +71,27 @@ def echelon(a: Matrix) -> _EchelonSet:
     return _EchelonSet(a.cols, a.row_list())
 
 
+def eigenvalue(x: Matrix, v: tuple):
+    """c with x v = c v, or None when v is no eigenvector of x."""
+    i = next(i for i, y in enumerate(v) if y)
+    c = x.mul_vector(v)[i] / v[i]
+    return c if x.mul_vector(v) == tuple(y * c for y in v) else None
+
+
 def projectors(g: Grading) -> list:
-    return [b @ r for b, r in g.projector_factors()]
+    """The spectral projectors of the weight operator, one per piece, by
+    Lagrange interpolation at the eigenvalues on the pieces."""
+    x = g.weight_operator()
+    ident = Matrix.identity(g.ambient_dim, x._conductor())
+    values = [eigenvalue(x, basis[0]) for _, basis in g.pieces]
+    out = []
+    for i, e in enumerate(values):
+        p = ident
+        for j, f in enumerate(values):
+            if j != i:
+                p = p @ (x - ident.scale(f)).scale((e - f).inverse())
+        out.append(p)
+    return out
 
 
 class TestRref:
@@ -178,6 +203,42 @@ def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
         assert sq.inverse() == inv
 
 
+@st.composite
+def gradings(draw):
+    """A grading of K^n, n in 1..4, into 1..n pieces behind a random basis,
+    with distinct weights in Z^k, k = 1 or 2, negative ones included."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2))
+    pieces = draw(st.integers(1, n))
+    weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k),
+                            min_size=pieces, max_size=pieces, unique=True))
+
+    def unit_triangular(lower):
+        return Matrix.build([[1 if i == j else draw(st.integers(-2, 2)) if (i > j) == lower else 0
+                              for j in range(n)] for i in range(n)])
+    b = unit_triangular(True) @ unit_triangular(False)  # invertible
+    bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:pieces - 1]) + [n]
+    return Grading(n, [(w, [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+                       for i, w in enumerate(weights)])
+
+
+@settings(max_examples=40)
+@given(gradings())
+def test_weight_operator_has_each_piece_as_an_eigenspace(g):
+    # eigenvalue <lambda, u> on piece u, lambda = (1, s, s^2, ...) with
+    # s = 2 max|u_i| + 1; the linear extension u -> <lambda, u> is
+    # injective on the weights and their negatives
+    x = g.weight_operator()
+    s = 2 * max(abs(c) for w, _ in g.pieces for c in w) + 1
+    value = {}
+    for w, basis in g.pieces:
+        inner = sum(c * s ** i for i, c in enumerate(w))
+        assert all(eigenvalue(x, v) == inner for v in basis)
+        for u, e in ((w, inner), (tuple(-c for c in w), -inner)):
+            assert value.setdefault(u, e) == e
+    assert len(set(value.values())) == len(value)
+
+
 class TestWeightProjectors:
     def test_coordinate_grading(self):
         g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
@@ -220,6 +281,7 @@ class TestWeightProjectors:
                     if i != j:
                         assert (p @ q).is_zero()
             assert total == Matrix.identity(n)
+            assert projs == weight_projectors(g)
 
     def test_grading_validation(self):
         with pytest.raises(ValueError):

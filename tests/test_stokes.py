@@ -115,17 +115,17 @@ class TestPatterns:
 class TestGrading:
     def test_two_circle_weights(self):
         # two sheet lines, so the centralizer is the diagonal torus
-        g = exponential_torus_grading(TWO_CIRCLE)
+        g = exponential_torus_grading(TWO_CIRCLE, TWO_CIRCLE.conductor())
         assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_katz_weights(self):
         # the two Galois sheets of one ramified circle are two blocks
-        g = exponential_torus_grading(KATZ)
+        g = exponential_torus_grading(KATZ, KATZ.conductor())
         assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_multiplicity_blocks(self):
         cls = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [], 1)])
-        g = exponential_torus_grading(cls)
+        g = exponential_torus_grading(cls, cls.conductor())
         dims = [len(basis) for _, basis in g.pieces]
         assert dims == [2, 1]
 

