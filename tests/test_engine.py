@@ -88,9 +88,9 @@ class TestGaloisGenerators:
         assert galois_generators(p) == [J]
 
     def test_torus_only_gives_its_weight_operator(self):
-        g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = Grading(2, [((2,), [(1, 0)]), ((-1,), [(0, 1)])])
         p = FramedPoint(2, [g], [], [])
-        assert galois_generators(p) == [Matrix.build([[1, 0], [0, 0]])]
+        assert galois_generators(p) == [Matrix.build([[2, 0], [0, -1]])]
 
     def test_transported_projectors(self):
         # the weight operator diag(1, 0), moved to the basepoint as C^-1 X C:
