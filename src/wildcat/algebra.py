@@ -420,12 +420,15 @@ def commutant(generators, n: int):
 
 
 def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
-    """Coordinate matrix of g acting on an invariant subspace."""
+    """Coordinate matrix R of g on an invariant subspace: g B = B R, B the
+    echelon basis as columns.  Row i of R is row p_i of g B, p_i the i-th
+    pivot, since row p_i of B is e_i; g B = B R checks the invariance."""
     cols = Matrix.from_cols(sub.basis)
-    sol, _ = linear_solve(cols, g @ cols)
-    if sol is None:
+    image = g @ cols
+    coords = Matrix.from_rows([image.row(p) for p in sub.pivots])
+    if cols @ coords != image:
         raise ValueError("subspace is not invariant under the matrix")
-    return sol
+    return coords
 
 
 def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
@@ -518,18 +521,6 @@ def factor_over_field(coeffs, m: int):
     return out
 
 
-def _eval_poly(coeffs, f: Matrix) -> Matrix:
-    n = f.rows
-    m = f._conductor()
-    out = Matrix.zero(n, n, m)
-    power = Matrix.identity(n, m)
-    for c in coeffs:
-        if c:
-            out = out + power.scale(c)
-        power = power @ f
-    return out
-
-
 def _powers(f: Matrix):
     """(I, f, ..., f^(d-1), their echelon), d the degree of f's minimal polynomial."""
     n = f.rows
@@ -540,13 +531,15 @@ def _powers(f: Matrix):
 
 
 def minimal_polynomial(f: Matrix):
-    """Monic minimal polynomial coefficients, low -> high."""
+    """(monic minimal polynomial coefficients, low -> high, the powers
+    I, f, ..., f^d they were solved on)."""
     n = f.rows
     powers, _ = _powers(f)
     # f^d is the first dependent power: solve sum a_i f^i = f^d
     cols = Matrix.from_cols([p.flatten() for p in powers])
-    sol, _ = linear_solve(cols, Matrix(n * n, 1, (powers[-1] @ f).flatten()))
-    return [-sol[i, 0] for i in range(len(powers))] + [Scalar.one(f._conductor())]
+    powers.append(powers[-1] @ f)
+    sol, _ = linear_solve(cols, Matrix(n * n, 1, powers[-1].flatten()))
+    return [-sol[i, 0] for i in range(len(powers) - 1)] + [Scalar.one(f._conductor())], powers
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +568,11 @@ def _split_by_element(f: Matrix, n: int, m: int):
     ker_f = kernel(f)
     if 0 < ker_f.dim < n:
         return ker_f
-    factors = factor_over_field(minimal_polynomial(f), m)
-    for fc, _ in factors:
-        pf = _eval_poly(fc, f)
+    coeffs, powers = minimal_polynomial(f)
+    for fc, _ in factor_over_field(coeffs, m):
+        # q(f) = sum c_i f^i, entry by entry over the powers
+        pf = Matrix(n, n, tuple(sum((c * x for c, x in zip(fc, xs) if c), Scalar.zero(m))
+                                for xs in zip(*(p.entries for p in powers))))
         if pf.is_zero():
             continue
         kp = kernel(pf)
@@ -743,22 +738,3 @@ def decompose_irreducibles(generators, n: Optional[int] = None, *,
     parts = summands(whole, generators, split)
     parts.sort(key=lambda s: s.sort_key())
     return parts
-
-
-def isotypic_classes(generators, blocks):
-    """Irreducible blocks grouped by isomorphism, first occurrences in order:
-    (the generators' actions on a class's first block, its blocks) per class.
-
-    Blocks of equal dimension are isomorphic iff a module map joins them."""
-    m = _field_of(generators)
-    classes = []
-    for b in blocks:
-        acts = [restrict_matrix(g, b) for g in generators]
-        same = next((c for c in classes if c[1][0].dim == b.dim
-                     and intertwiners(c[0], acts, b.dim, b.dim, m)), None)
-        if same is None:
-            classes.append((acts, [b]))
-        else:
-            same[1].append(b)
-    return classes
-

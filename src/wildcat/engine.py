@@ -18,15 +18,22 @@ The stabilizer rows are the commutant rows of the Galois generators, in
 X = xi untwisted and X = diag(xi, -xi^T) under sigma.  A doubled generator
 is block diagonal or antidiagonal, and the last n rows of its condition
 restate the first n, so the top blocks alone give the rows.  An algebra
-proven to be M_N(K) leaves only the kernel.  A polystable untwisted point is the direct sum
-of its Levi blocks B_i, so its stabilizer is the sum of the Hom(B_j, B_i)
-(Richardson's tame case): the sum over isomorphism classes of blocks of
-multiplicity^2 * dim End, from Hom systems of d_i * d_j unknowns between
-blocks of equal dimension d.  A non-polystable or sigma-twisted point is
-left: the kernel of the stabilizer rows modulo the prime of the algebra
-certificate bounds the dimension from above, and when it meets the kernel
-dimension that is the answer; else, or when the prime divides a
-denominator, the same rows are solved exactly.
+proven to be M_N(K) leaves only the kernel.
+
+A polystable untwisted point is the direct sum of its Levi blocks B_i, so
+its stabilizer, End(+ B_i), is the sum of the Hom(B_j, B_i) (Richardson's
+tame case).  Between semisimple modules Hom has the same dimension both
+ways, so each pair of blocks is solved once: the sum over i <= j of
+(1 if i = j else 2) * dim Hom(B_j, B_i), from Hom systems of d_i * d_j
+unknowns.  Only Hom's additivity and that symmetry are used, never that a
+block is irreducible, so the sum stays exact on blocks left unsplit; its
+diagonal terms are the blocks' End dimensions.
+
+A non-polystable or sigma-twisted point is left: the kernel of the
+stabilizer rows modulo the prime of the algebra certificate bounds the
+dimension from above, and when it meets the kernel dimension that is the
+answer; else, or when the prime divides a denominator, the same rows are
+solved exactly.
 ``is_polystable`` normalizes the point and builds its generators once; the
 later steps read its report.
 """
@@ -44,7 +51,6 @@ from .algebra import (
     intertwiner_rows,
     intertwiners,
     invariant_subspace,
-    isotypic_classes,
     kernel_dim_mod_p,
     radical_trace,
     restrict_matrix,
@@ -55,7 +61,6 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel,
-    linear_solve,
     sandwich_rows,
 )
 from .twists import TwistedElement, embed_doubled, normalize
@@ -284,16 +289,21 @@ def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
 
 
 def _certified_stabilizer_dim(report: StabilityReport) -> int:
-    """The stabilizer dimension off the certificates (module docstring), else solved."""
+    """The stabilizer dimension off the certificates (module docstring), else solved.
+
+    With Levi blocks B_i it is dim End(+ B_i), the sum over i <= j of
+    (1 if i = j else 2) * dim Hom(B_j, B_i): Hom is additive over the direct
+    sum, and dim Hom(B_j, B_i) = dim Hom(B_i, B_j) as the blocks are
+    semisimple.  Neither fact needs a block to be irreducible."""
     pn, alg = report.galois.point, report.galois.algebra
     if alg.dim == alg.ambient_n ** 2:
         return report.kernel_dim  # the commutant is the scalars
     m = pn.conductor()
     if report.levi_decomposition is not None:
-        # the commutant of the blocks: multiplicity^2 * dim End per class
-        classes = isotypic_classes(report.galois.generators, report.levi_decomposition)
-        return sum(len(blocks) ** 2 * len(intertwiners(acts, acts, blocks[0].dim, blocks[0].dim, m))
-                   for acts, blocks in classes)
+        blocks = report.levi_decomposition
+        acts = [[restrict_matrix(g, b) for g in report.galois.generators] for b in blocks]
+        return sum((1 if i == j else 2) * len(intertwiners(acts[j], acts[i], b.dim, a.dim, m))
+                   for j, b in enumerate(blocks) for i, a in enumerate(blocks[:j + 1]))
     rows = _stabilizer_rows(pn, report.galois.generators)
     if kernel_dim_mod_p(rows, pn.n ** 2, m) == report.kernel_dim:
         return report.kernel_dim
@@ -367,13 +377,10 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
         if i == 0:
             image = block
         else:
-            c = pn.connectors[i - 1]
-            image = Subspace.from_vectors(
-                pn.n, [c.mul_vector(v) for v in block.basis])
-            cols = Matrix.from_cols(block.basis)
-            img_cols = Matrix.from_cols(image.basis)
-            coord, _ = linear_solve(img_cols, c @ cols)
-            connectors.append(coord)
+            # the connector's coordinates on the image are its pivot rows
+            moved = pn.connectors[i - 1] @ Matrix.from_cols(block.basis)
+            image = Subspace.from_vectors(pn.n, [moved.col(j) for j in range(nb)])
+            connectors.append(Matrix.from_rows([moved.row(q) for q in image.pivots]))
         pieces = []
         for (w, basis) in grading.pieces:
             piece = Subspace.from_vectors(pn.n, basis)

@@ -191,18 +191,6 @@ class _EchelonSet:
             nums[i], dens[i] = r, d
         self._reduced = True
 
-    def reduce(self, vec):
-        """(residue of vec modulo the span, coordinates along the echelon rows).
-
-        The residue is the unique element of vec + span that vanishes at
-        every pivot, and the coordinates are vec's entries at the pivots.
-        """
-        vec = list(vec)
-        m, phi = self._field(vec)
-        v, dv = self._residue(*_int_row(vec, m, phi), m, phi)
-        return (_scalar_row(v, dv, m, phi, 0, self.width),
-                [_coerce_scalar(vec[p], m) for p in self.pivots])
-
     def add(self, vec) -> bool:
         """Insert vec into the span; True if it was independent."""
         m, phi = self._field(vec)
@@ -489,16 +477,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def pivots(self) -> tuple:
+        """The pivot column of each basis row: the row has 1 there and every
+        other row 0, so a vector of the span has its coordinates there."""
+        return tuple(self._echelon.pivots)
+
     def contains(self, vector) -> bool:
         return self._echelon.contains(vector)
 
     def coordinates(self, vector):
-        """Coordinates of vector in the echelon basis, or None."""
-        m = self.basis[0][0].m if self.basis else 1
-        res, coords = self._echelon.reduce([_coerce_scalar(x, m) for x in vector])
-        if any(res):
+        """Coordinates of vector in the echelon basis (its pivot entries), or None."""
+        if not self.contains(vector):
             return None
-        return tuple(coords)
+        m = self.basis[0][0].m if self.basis else 1
+        return tuple(_coerce_scalar(vector[p], m) for p in self.pivots)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: row reduce [A|A; B|0], read the right half of the zero-left rows
@@ -590,17 +583,15 @@ class Grading:
     jointly independent spanning bases.  This is how a torus is presented:
     the torus is recovered from its weight spaces."""
 
-    __slots__ = ("ambient_dim", "k", "pieces")
+    __slots__ = ("ambient_dim", "pieces")
 
     def __init__(self, ambient_dim: int, pieces):
         self.ambient_dim = ambient_dim
         pieces = [(tuple(int(w) for w in weight), list(basis)) for weight, basis in pieces]
         vectors = iter(_field_rows([v for _, basis in pieces for v in basis])[0])
         pieces = [(weight, [tuple(next(vectors)) for _ in basis]) for weight, basis in pieces]
-        ks = {len(w) for w, _ in pieces}
-        if len(ks) > 1:
+        if len({len(w) for w, _ in pieces}) > 1:
             raise ValueError("grading weights have mixed lengths")
-        self.k = ks.pop() if ks else 0
         weights = [w for w, _ in pieces]
         if len(set(weights)) != len(weights):
             raise ValueError("grading weights are not pairwise distinct")
@@ -636,19 +627,3 @@ class Grading:
 
     def piece_subspaces(self):
         return [Subspace.from_vectors(self.ambient_dim, basis) for _, basis in self.pieces]
-
-    def __eq__(self, other):
-        if not isinstance(other, Grading):
-            return NotImplemented
-        if (self.ambient_dim, self.k) != (other.ambient_dim, other.k):
-            return False
-        if len(self.pieces) != len(other.pieces):
-            return False
-        for (w1, b1), (w2, b2) in zip(self.pieces, other.pieces):
-            if w1 != w2 or Subspace.from_vectors(self.ambient_dim, b1) != \
-                    Subspace.from_vectors(self.ambient_dim, b2):
-                return False
-        return True
-
-    __hash__ = None
-

@@ -266,9 +266,6 @@ class Scalar:
             return _canonical(self.m, tuple(map(sub, self.num, b.num)), self.den)
         return _unlike_sum(self, b, sub)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
         a_num, b_num = self.num, b.num
@@ -302,21 +299,6 @@ class Scalar:
 
     def __truediv__(self, other):
         return self * self._pair(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._pair(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Scalar.one(self.m)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- predicates and conversions ---------------------------------------
 

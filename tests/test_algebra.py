@@ -18,14 +18,13 @@ from wildcat.algebra import (
     intertwiners,
     invariant_complement,
     invariant_subspace,
-    isotypic_classes,
     minimal_polynomial,
     radical_trace,
     restrict_matrix,
     spin_algebra,
     spin_subspace,
 )
-from wildcat.linalg import Matrix, Subspace
+from wildcat.linalg import Matrix, Subspace, linear_solve
 from wildcat.scalars import Scalar, euler_phi
 
 from oracles import (
@@ -254,7 +253,7 @@ class TestInvariantSubspace:
         assert sub.contains(image)
 
     def test_consistency_triangle(self):
-        # absent <=> zero radical and a single irreducible isotypic component
+        # absent <=> zero radical and a single irreducible block
         rng = random.Random(13)
         corpus = [[J], [I2], [SWAP, DIAG], [ROT],
                   [Matrix.build([[2, 0], [0, 3]])],
@@ -270,8 +269,7 @@ class TestInvariantSubspace:
                 assert not absent
                 continue
             blocks = decompose_irreducibles(gens)
-            irr_single = len(isotypic_classes(gens, blocks)) == 1 and len(blocks) == 1
-            assert absent == irr_single
+            assert absent == (len(blocks) == 1)
 
     def test_witness_is_invariant(self):
         rng = random.Random(4)
@@ -287,10 +285,21 @@ class TestInvariantSubspace:
                     assert sub.contains(g.mul_vector(v))
 
 
+def hom_dims(gens, blocks):
+    """dim Hom(B_j, B_i) in row i, column j, for the blocks B_i."""
+    m = gens[0]._conductor()
+    acts = [[restrict_matrix(g, b) for g in gens] for b in blocks]
+    return [[len(intertwiners(acts[j], acts[i], b.dim, a.dim, m)) for j, b in enumerate(blocks)]
+            for i, a in enumerate(blocks)]
+
+
 def isotypic_dims(gens):
-    """Dimensions of the isotypic components: blocks per class times their size."""
-    return sorted(len(blocks) * blocks[0].dim
-                  for _, blocks in isotypic_classes(gens, decompose_irreducibles(gens)))
+    """Dimensions of the isotypic components: two irreducible blocks lie in
+    one iff a nonzero module map joins them (Schur)."""
+    blocks = decompose_irreducibles(gens)
+    homs = hom_dims(gens, blocks)
+    first = [next(j for j, d in enumerate(row) if d) for row in homs]
+    return sorted(sum(b.dim for b, f in zip(blocks, first) if f == c) for c in set(first))
 
 
 @st.composite
@@ -344,16 +353,18 @@ class TestDecomposition:
 
     def test_identity_single_component(self):
         gens = [Matrix.identity(3)]
-        classes = isotypic_classes(gens, decompose_irreducibles(gens))
-        assert len(classes) == 1 and [b.dim for b in classes[0][1]] == [1, 1, 1]
+        blocks = decompose_irreducibles(gens)
+        assert [b.dim for b in blocks] == [1, 1, 1]
+        assert hom_dims(gens, blocks) == [[1, 1, 1]] * 3
 
     def test_swap_eigenlines(self):
         gens = [SWAP]
-        classes = isotypic_classes(gens, decompose_irreducibles(gens))
-        assert [[b.basis for b in blocks] for _, blocks in classes] == [
-            [Subspace.from_vectors(2, [(1, -1)]).basis],
-            [Subspace.from_vectors(2, [(1, 1)]).basis],
+        blocks = decompose_irreducibles(gens)
+        assert [b.basis for b in blocks] == [
+            Subspace.from_vectors(2, [(1, -1)]).basis,
+            Subspace.from_vectors(2, [(1, 1)]).basis,
         ]
+        assert hom_dims(gens, blocks) == [[1, 0], [0, 1]]
 
     def test_not_semisimple(self):
         with pytest.raises(NotSemisimpleError):
@@ -408,10 +419,12 @@ class TestDecomposition:
 
 class TestPolynomialTools:
     def test_minimal_polynomial(self):
-        coeffs = minimal_polynomial(J)
+        coeffs, powers = minimal_polynomial(J)
         assert [c.as_fraction() for c in coeffs] == [1, -2, 1]
-        coeffs = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
+        assert powers == [I2, J, J @ J]
+        coeffs, powers = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
         assert [c.as_fraction() for c in coeffs] == [-2, 1]
+        assert powers == [I2, Matrix.build([[2, 0], [0, 2]])]
 
     def test_primitive_element_sweep(self):
         # E11 alone generates span{I, E11}; E22 forces the sweep to E11 + c E22
@@ -421,7 +434,7 @@ class TestPolynomialTools:
         powers = Subspace.from_vectors(9, [g.flatten() for g in (Matrix.identity(3), f, f @ f)])
         assert powers.dim == 3
         assert powers == Subspace.from_vectors(9, [g.flatten() for g in units])
-        assert len(minimal_polynomial(f)) == 4
+        assert len(minimal_polynomial(f)[0]) == 4
 
     def test_factor_over_rationals(self):
         x2m1 = [Scalar.rational(-1), Scalar.zero(), Scalar.one()]
@@ -446,3 +459,20 @@ class TestPolynomialTools:
         sub = Subspace.from_vectors(2, [(0, 1)])
         r = restrict_matrix(g, sub)
         assert r == Matrix.build([[3]])
+
+    def test_restrict_matrix_refuses_a_subspace_that_is_not_invariant(self):
+        with pytest.raises(ValueError):
+            restrict_matrix(SWAP, Subspace.from_vectors(2, [(0, 1)]))
+        # the pivot read alone would accept it: g B read at the pivot is 1
+        with pytest.raises(ValueError):
+            restrict_matrix(Matrix.build([[1, 0], [1, 1]]), Subspace.from_vectors(2, [(1, 0)]))
+
+    @settings(max_examples=30)
+    @given(semisimple_modules())
+    def test_restrict_matrix_matches_the_solve_route(self, case):
+        # R read at the pivots is the one solution of B R = g B
+        gens, sub = case
+        for s in (sub, invariant_complement(gens, sub)):
+            cols = Matrix.from_cols(s.basis)
+            for g in gens:
+                assert restrict_matrix(g, s) == linear_solve(cols, g @ cols)[0]

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildcat import algebra, engine
@@ -472,11 +473,27 @@ def twisted_points(draw):
     return FramedPoint(n, [Grading.trivial(n), grading], [connector], loops)
 
 
+# diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic
+BASIS3 = Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+CONJUGATED_223 = simple_point([TwistedElement.plain(
+    BASIS3 @ Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) @ BASIS3.inverse())], n=3)
+
+
 @settings(max_examples=60)
 @given(st.one_of(small_points(), block_points(), twisted_points()))
+@example(CONJUGATED_223)
 def test_certified_stabilizer_matches_exact_solve(p):
     rep = is_stable(p)
     assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
+    if rep.levi_decomposition is not None:
+        # coarser blocks, two adjacent ones merged, still give the exact
+        # stabilizer: the Hom sum needs no block to be irreducible
+        blocks = rep.levi_decomposition
+        for i in range(len(blocks) - 1):
+            merged = Subspace.from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
+            coarse = dataclasses.replace(
+                rep, levi_decomposition=blocks[:i] + [merged] + blocks[i + 2:])
+            assert engine._certified_stabilizer_dim(coarse) == rep.stabilizer_dim
     assert all(any(row) for row in engine._stabilizer_rows(rep.galois.point, rep.galois.generators))
     if rep.polystable and p.is_untwisted():
         assert rep.levi_decomposition == levi_reduction(p)

@@ -153,9 +153,11 @@ def test_integer_echelon_matches_the_scalar_reference(case):
     for row in rows:
         assert ech.add(row) == ref.add(row)
     assert (ech.rows, ech.pivots, ech.dim) == (ref.rows, ref.pivots, ref.dim)
+    sub = Subspace(ech)
     for vec in probes:
-        assert ech.reduce(vec) == ref.reduce(vec)
-        assert ech.contains(vec) == ref.contains(vec)
+        res, coords = ref.reduce(vec)
+        assert sub.coordinates(vec) == (None if any(res) else tuple(coords))
+        assert ech.contains(vec) == ref.contains(vec) == sub.contains(vec)
     # each integer row is canonical: a positive denominator with no common
     # factor, numerators (den, 0, ..., 0) at its pivot and zeros at the others
     phi = len(ech._nums[0]) // width if ech.dim else 1

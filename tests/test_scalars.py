@@ -26,12 +26,12 @@ def test_euler_phi():
 
 def test_zeta_relations():
     z3 = Scalar.zeta(3)
-    assert z3 ** 3 == 1
+    assert z3 * z3 * z3 == 1
     assert (z3 * z3 + z3 + 1).is_zero()
     z4 = Scalar.zeta(4)
     assert z4 * z4 == -1
     z8 = Scalar.zeta(8)
-    assert z8 ** 4 == -1
+    assert z8 * z8 * z8 * z8 == -1
 
 
 def test_canonical_representation():
@@ -94,7 +94,7 @@ def test_scalars_meet_only_scalars_ints_and_fractions():
     assert (one == 1.0) is False
     assert None not in [one]
     assert one == 1 and one == Fraction(2, 2) and one == Scalar.one()
-    assert 1 / Scalar.rational(2) == Fraction(1, 2)
+    assert one / 2 == Fraction(1, 2) and Scalar.rational(2).inverse() == Fraction(1, 2)
     with pytest.raises(TypeError):
         _ = one + "1"
     with pytest.raises(TypeError):
