@@ -97,11 +97,6 @@ class MeatAxeInconclusive(Exception):
     """
 
 
-def _field_of(generators) -> int:
-    """Conductor of the generators' one field (Q for no generators)."""
-    return generators[0]._conductor() if generators else 1
-
-
 @dataclass
 class MatrixAlgebra:
     """A unital subalgebra of n x n matrices, basis in canonical echelon order."""
@@ -352,15 +347,16 @@ def _spin_exact(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
     return ech
 
 
-def spin_algebra(generators, ambient_n: Optional[int] = None) -> MatrixAlgebra:
-    """Smallest unital algebra of n x n matrices containing the generators."""
-    if not generators and ambient_n is None:
-        raise ValueError("need generators or an ambient size")
-    n = generators[0].rows if generators else ambient_n
+def spin_algebra(generators) -> MatrixAlgebra:
+    """Smallest unital algebra of n x n matrices containing the generators,
+    of which there is at least one (the identity spins the scalars)."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = generators[0].rows
     for g in generators:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square of one common size")
-    m = _field_of(generators)
+    m = generators[0]._conductor()
     if _spans_full_mod_p(generators, n, m):
         return MatrixAlgebra(n, _matrix_units(n, m))
     starts = [w.entries for w in [Matrix.identity(n, m)] + list(generators)]
@@ -395,7 +391,7 @@ def radical_trace(alg: MatrixAlgebra) -> Subspace:
 
 def spin_subspace(generators, vectors, n: int) -> Subspace:
     """Submodule of K^n generated by the given vectors."""
-    return Subspace(_spin_exact(generators, vectors, n, 1, _field_of(generators)))
+    return Subspace(_spin_exact(generators, vectors, n, 1, generators[0]._conductor()))
 
 
 def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
@@ -408,15 +404,14 @@ def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
 
 def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
     """Echelon basis of the db x da matrices h with b h = h a for every pair
-    (a, b) of actions; all of them when there is no pair."""
-    rows = intertwiner_rows(acts_a, acts_b, da, db, m)
-    ker = kernel(Matrix.build(rows or [[Scalar.zero(m)] * (db * da)], m))
+    (a, b) of actions; there is at least one pair."""
+    ker = kernel(Matrix.build(intertwiner_rows(acts_a, acts_b, da, db, m), m))
     return [Matrix(db, da, tuple(v)) for v in ker.basis]
 
 
 def commutant(generators, n: int):
     """Echelon basis of {x : x g = g x for all generators g}."""
-    return intertwiners(generators, generators, n, n, _field_of(generators))
+    return intertwiners(generators, generators, n, n, generators[0]._conductor())
 
 
 def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
@@ -450,7 +445,7 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     columns lie in sub give the same complement.
     """
     n = sub.ambient_dim
-    m = _field_of(generators)
+    m = generators[0]._conductor()
     ann = Matrix.from_rows(kernel(Matrix.from_rows(sub.basis)).basis)
     fixed = Matrix.from_cols(sub.basis)
     rows = sandwich_rows([(ann, None, False)], n, n, m)
@@ -630,7 +625,7 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
             raise ValueError("generators must be square of one common size")
     if n <= 1:
         return None
-    m = _field_of(generators)
+    m = generators[0]._conductor()
 
     if all(_is_scalar_matrix(g) for g in generators):
         return Subspace.from_vectors(n, [Matrix.identity(n, m).row(0)])
@@ -698,43 +693,32 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
 # decomposition
 
 
-def decompose_irreducibles(generators, n: Optional[int] = None, *,
-                           semisimple: bool = False, split: Optional[Subspace] = None):
-    """Direct sum decomposition of K^n into irreducible submodules.
+def decompose_irreducibles(generators, split: Optional[Subspace]):
+    """Irreducible summands of K^n, each with the generators' action on it.
 
-    Requires a semisimple module.  ``semisimple=True`` says the caller has
-    proven it (the engine reads it off the polystability verdict); else one
-    radical is computed here, and a nonzero one raises NotSemisimpleError.
-    Summands of a semisimple module are semisimple, so no search below spins.
-    ``split`` is a proper submodule the caller's ``invariant_subspace`` of
-    the generators returned: the first split.  Result sorted canonically.
+    Requires a semisimple module; the caller proves it (the engine reads it
+    off the polystability verdict), and summands of a semisimple module are
+    semisimple, so no search below spins.  ``split`` is the first split, a
+    proper submodule as ``invariant_subspace(generators)`` returns it, or
+    None for an irreducible module.  A summand with no invariant complement
+    raises NotSemisimpleError.  Returns (block, actions) pairs sorted
+    canonically by block; the actions, ``restrict_matrix`` of each
+    generator, are made once per block.
     """
-    if not generators and n is None:
-        raise ValueError("need generators or an ambient size")
-    size = generators[0].rows if generators else n
-    m = _field_of(generators)
-    if not semisimple and radical_trace(spin_algebra(generators, ambient_n=size)).dim:
-        raise NotSemisimpleError("module has a nonzero radical")
-    whole = Subspace.full(size, m)
-    if not generators:
-        return [Subspace.from_vectors(size, [row]) for row in whole.basis]
-
     def summands(sub: Subspace, acts, inner: Optional[Subspace]):
         """Irreducible summands of sub, on which the generators act by acts;
         inner is the search's proper submodule of sub's coordinates, or None."""
         if inner is None:
-            return [sub]
+            return [(sub, acts)]
         halves = [lift_subspace(h, sub) for h in (inner, invariant_complement(acts, inner))]
-        return [s for half in halves for s in decompose(half)]
+        return [part for half in halves for part in decompose(half)]
 
     def decompose(sub: Subspace):
-        if sub.dim == 1:
-            return [sub]
         acts = [restrict_matrix(g, sub) for g in generators]
-        return summands(sub, acts, invariant_subspace(acts, semisimple=True))
+        inner = None if sub.dim == 1 else invariant_subspace(acts, semisimple=True)
+        return summands(sub, acts, inner)
 
-    if split is None:
-        split = invariant_subspace(generators, semisimple=True)
+    whole = Subspace.full(generators[0].rows, generators[0]._conductor())
     parts = summands(whole, generators, split)
-    parts.sort(key=lambda s: s.sort_key())
+    parts.sort(key=lambda part: part[0].sort_key())
     return parts

@@ -27,15 +27,18 @@ ways, so each pair of blocks is solved once: the sum over i <= j of
 (1 if i = j else 2) * dim Hom(B_j, B_i), from Hom systems of d_i * d_j
 unknowns.  Only Hom's additivity and that symmetry are used, never that a
 block is irreducible, so the sum stays exact on blocks left unsplit; its
-diagonal terms are the blocks' End dimensions.
+diagonal terms are the blocks' End dimensions.  ``is_stable`` and
+``levi_reduction`` share one route to the blocks, ``decompose_irreducibles``
+from one first split; it restricts the generators to each block once, and
+the Hom systems are built on those actions.
 
 A non-polystable or sigma-twisted point is left: the kernel of the
 stabilizer rows modulo the prime of the algebra certificate bounds the
 dimension from above, and when it meets the kernel dimension that is the
 answer; else, or when the prime divides a denominator, the same rows are
 solved exactly.
-``is_polystable`` normalizes the point and builds its generators once; the
-later steps read its report.
+``is_polystable`` normalizes the point and builds its generators once (never
+none); the later steps read its report.
 """
 
 from __future__ import annotations
@@ -203,8 +206,9 @@ def galois_generators(p: FramedPoint):
 
     Scalar generators (an identity loop, say) and repeats of an earlier one
     are dropped, first occurrences kept in order; if every generator is
-    scalar, the first stays.  No verdict or certificate changes: a dropped
-    generator adds nothing to the unital algebra (also modulo p), the
+    scalar, the first stays, and with none the identity does, so the list
+    is never empty.  No verdict or certificate changes: a dropped generator,
+    or that identity, adds nothing to the unital algebra (also modulo p), the
     commutant, a spun submodule or the row space of an
     ``invariant_complement`` system, and its kernel is trivial or one an
     earlier generator already offered the MeatAxe.
@@ -216,12 +220,14 @@ def galois_generators(p: FramedPoint):
         if not grading.is_trivial():
             x = grading.weight_operator()
             tori.append(x if c is None else c.inverse() @ x @ c)
-    if p.is_untwisted():
-        return _distinct_nonscalar([x.g for x in p.loops] + tori)
     n, cond = p.n, p.conductor()
-    doubled = [Matrix.zero(2 * n, 2 * n, cond).place(0, 0, x).place(n, n, -x.transpose())
-               for x in tori]
-    return _distinct_nonscalar([embed_doubled(x) for x in p.loops] + doubled)
+    if p.is_untwisted():
+        gens = [x.g for x in p.loops] + tori
+    else:
+        gens = [embed_doubled(x) for x in p.loops] + [
+            Matrix.zero(2 * n, 2 * n, cond).place(0, 0, x).place(n, n, -x.transpose())
+            for x in tori]
+    return _distinct_nonscalar(gens) or [Matrix.identity(n, cond)]
 
 
 def _distinct_nonscalar(gens: list) -> list:
@@ -238,10 +244,9 @@ def is_polystable(p: FramedPoint) -> StabilityReport:
     """Polystable iff the algebra of the Galois generators is semisimple."""
     pn = normalize_point(p)
     gens = galois_generators(pn)
-    ambient = pn.n if pn.is_untwisted() else 2 * pn.n
-    alg = spin_algebra(gens, ambient_n=ambient)
+    alg = spin_algebra(gens)
     rad = radical_trace(alg)
-    witness = Matrix(ambient, ambient, rad.basis[0]) if rad.dim else None
+    witness = Matrix(alg.ambient_n, alg.ambient_n, rad.basis[0]) if rad.dim else None
     return StabilityReport(polystable=rad.dim == 0, radical_witness=witness,
                            galois=GaloisAlgebra(pn, gens, alg))
 
@@ -284,30 +289,38 @@ def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
     if rows is None:
         pn = normalize_point(p)
         rows = _stabilizer_rows(pn, galois_generators(pn))
-    # no rows at all when every torus is trivial and there is no loop
+    # no rows at all when every generator is scalar (all-zero rows are dropped)
     return kernel(Matrix(len(rows), p.n ** 2, tuple(x for row in rows for x in row))).dim
 
 
-def _certified_stabilizer_dim(report: StabilityReport) -> int:
+def _certified_stabilizer_dim(report: StabilityReport, levi: Optional[list]) -> int:
     """The stabilizer dimension off the certificates (module docstring), else solved.
 
-    With Levi blocks B_i it is dim End(+ B_i), the sum over i <= j of
-    (1 if i = j else 2) * dim Hom(B_j, B_i): Hom is additive over the direct
-    sum, and dim Hom(B_j, B_i) = dim Hom(B_i, B_j) as the blocks are
-    semisimple.  Neither fact needs a block to be irreducible."""
+    With the Levi blocks B_i and their actions (``levi``) it is dim End(+ B_i),
+    the sum over i <= j of (1 if i = j else 2) * dim Hom(B_j, B_i): Hom is
+    additive over the direct sum, and dim Hom(B_j, B_i) = dim Hom(B_i, B_j)
+    as the blocks are semisimple.  Neither fact needs a block irreducible."""
     pn, alg = report.galois.point, report.galois.algebra
     if alg.dim == alg.ambient_n ** 2:
         return report.kernel_dim  # the commutant is the scalars
     m = pn.conductor()
-    if report.levi_decomposition is not None:
-        blocks = report.levi_decomposition
-        acts = [[restrict_matrix(g, b) for g in report.galois.generators] for b in blocks]
-        return sum((1 if i == j else 2) * len(intertwiners(acts[j], acts[i], b.dim, a.dim, m))
-                   for j, b in enumerate(blocks) for i, a in enumerate(blocks[:j + 1]))
+    if levi is not None:
+        return sum((1 if i == j else 2) * len(intertwiners(acts_b, acts_a, b.dim, a.dim, m))
+                   for j, (b, acts_b) in enumerate(levi)
+                   for i, (a, acts_a) in enumerate(levi[:j + 1]))
     rows = _stabilizer_rows(pn, report.galois.generators)
     if kernel_dim_mod_p(rows, pn.n ** 2, m) == report.kernel_dim:
         return report.kernel_dim
     return stabilizer_lie_dim(pn, rows)
+
+
+def _first_split(report: StabilityReport) -> Optional[Subspace]:
+    """The generators' first split: none on a proven M_N(K), with no search,
+    else the MeatAxe's, told whether the verdict proved a zero radical."""
+    alg = report.galois.algebra
+    if alg.dim == alg.ambient_n ** 2:
+        return None
+    return invariant_subspace(report.galois.generators, semisimple=report.polystable)
 
 
 def is_stable(p: FramedPoint) -> StabilityReport:
@@ -317,47 +330,46 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     classical cross-check runs too: a proper invariant subspace of the loop
     matrices is recorded as a witness (its presence refutes stability; its
     absence plus the dimension match confirms it).  A polystable untwisted
-    point also gets its Levi blocks (as ``levi_reduction`` gives them); the
-    witness, when searched, is their first split.  An algebra proven to be
-    M_N(K) is not searched: no witness, and the whole space is one block.
+    point also gets its Levi blocks, by ``levi_reduction``'s route; the
+    witness, when searched, is their first split, and the stabilizer is the
+    Hom sum on their actions.  An algebra proven to be M_N(K) is not
+    searched: no witness, and the whole space is one block.
     """
     report = is_polystable(p)
-    pn, gens, alg = report.galois.point, report.galois.generators, report.galois.algebra
-    full = alg.dim == alg.ambient_n ** 2  # M_N(K): the module is irreducible
-    searched = (not full and pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial()
-                and pn.loops)
-    # the generators are then the normalized loops g A (the adjoint
-    # matrices) less scalars and repeats
-    witness = invariant_subspace(gens, semisimple=report.polystable) if searched else None
-    report.invariant_subspace_witness = witness
-    if report.polystable and pn.is_untwisted():
-        if full or (searched and witness is None):
-            report.levi_decomposition = [Subspace.full(pn.n, pn.conductor())]
-        else:
-            report.levi_decomposition = decompose_irreducibles(
-                gens, n=pn.n, semisimple=True, split=witness)
+    pn = report.galois.point
+    # a witness is searched where the generators are the normalized loops
+    # g A (the adjoint matrices) less scalars and repeats
+    searched = pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial() and pn.loops
+    has_levi = report.polystable and pn.is_untwisted()
+    split = _first_split(report) if searched or has_levi else None
+    report.invariant_subspace_witness = split if searched else None
+    levi = decompose_irreducibles(report.galois.generators, split) if has_levi else None
+    if levi is not None:
+        report.levi_decomposition = [block for block, _ in levi]
     report.kernel_dim = kernel_lie_dim(pn)
-    report.stabilizer_dim = _certified_stabilizer_dim(report)
+    report.stabilizer_dim = _certified_stabilizer_dim(report, levi)
     report.stable = bool(report.polystable and report.stabilizer_dim == report.kernel_dim)
     return report
 
 
 def levi_reduction(p: FramedPoint):
-    """Decomposition of the natural module into irreducible summands.
+    """Decomposition of the natural module into irreducible summands: the
+    blocks ``is_stable`` reports.
 
-    The block group of the decomposition is a Levi subgroup invariant under
-    the whole Galois group, with no proper invariant parabolic blockwise.
-    The blocks are irreducible over the coefficient field K, but a block
-    need not restrict to a stable point: its endomorphism ring may be a
-    field bigger than K.  The loop [[0, -1], [1, 0]] over Q gives one block
-    whose endomorphism ring is Q(i), and its restriction has stabilizer 2.
+    The block group is a Levi subgroup invariant under the whole Galois
+    group, with no proper invariant parabolic blockwise.  The blocks are
+    irreducible over the coefficient field K, but a block need not restrict
+    to a stable point: its endomorphism ring may be a field bigger than K.
+    The loop [[0, -1], [1, 0]] over Q gives one block whose endomorphism
+    ring is Q(i), and its restriction has stabilizer 2.
     """
     if not p.is_untwisted():
         raise TwistedInput("Levi extraction requires untwisted loops")
     report = is_polystable(p)
     if not report.polystable:
         raise NotPolystable("point is not polystable")
-    return decompose_irreducibles(report.galois.generators, n=p.n, semisimple=True)
+    levi = decompose_irreducibles(report.galois.generators, _first_split(report))
+    return [block for block, _ in levi]
 
 
 def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:

@@ -292,13 +292,22 @@ def test_unknown_subcommand():
     assert run_command(["frobnicate", "--instance", "x"]) == 2
 
 
-def test_report_round_trip(tmp_path, capsys):
-    path = write(tmp_path, "jordan.json", JORDAN)
+@pytest.mark.parametrize("doc", [
+    pytest.param(JORDAN, id="jordan"),
+    # no loop and no torus: the blocks are read over Q(zeta5), not Q
+    pytest.param({"field": 5, "mode": "tuple", "tuple": {"n": 2}}, id="loopless_zeta5"),
+])
+def test_report_round_trip(tmp_path, capsys, doc):
+    path = write(tmp_path, "point.json", doc)
     run_command(["analyze", "--instance", path, "--format", "machine"])
     payload = json.loads(capsys.readouterr().out)
     report = Report.from_json(payload)
     assert report.to_json() == payload
     assert Report.from_json(report.to_json()) == report
+    # reduce prints the blocks analyze reports, if any
+    code = run_command(["reduce", "--instance", path, "--format", "machine"])
+    blocks = json.loads(capsys.readouterr().out)["blocks"] if code == 0 else None
+    assert blocks == payload["report"]["levi_decomposition"]
 
 
 def test_console_script(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from wildcat.algebra import (
     commutant,
     invariant_subspace,
     radical_trace,
+    restrict_matrix,
     spin_algebra,
 )
 from wildcat.engine import (
@@ -379,9 +379,7 @@ def promote_point(p, m):
 
 def verdicts(p):
     rep = is_stable(p)
-    pn = normalize_point(p)
-    ambient = p.n if pn.is_untwisted() else 2 * p.n
-    radical = radical_trace(spin_algebra(galois_generators(pn), ambient_n=ambient))
+    radical = radical_trace(spin_algebra(galois_generators(normalize_point(p))))
     return rep.polystable, rep.stable, rep.stabilizer_dim, radical.dim
 
 
@@ -477,23 +475,26 @@ def twisted_points(draw):
 BASIS3 = Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 CONJUGATED_223 = simple_point([TwistedElement.plain(
     BASIS3 @ Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) @ BASIS3.inverse())], n=3)
+# no loop and no torus over Q(zeta5): its one generator is the identity
+LOOPLESS_ZETA5 = FramedPoint(1, [Grading.trivial(1, 5)], [], [])
 
 
 @settings(max_examples=60)
 @given(st.one_of(small_points(), block_points(), twisted_points()))
 @example(CONJUGATED_223)
+@example(LOOPLESS_ZETA5)
 def test_certified_stabilizer_matches_exact_solve(p):
     rep = is_stable(p)
     assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
     if rep.levi_decomposition is not None:
         # coarser blocks, two adjacent ones merged, still give the exact
         # stabilizer: the Hom sum needs no block to be irreducible
-        blocks = rep.levi_decomposition
+        blocks, gens = rep.levi_decomposition, rep.galois.generators
         for i in range(len(blocks) - 1):
             merged = Subspace.from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
-            coarse = dataclasses.replace(
-                rep, levi_decomposition=blocks[:i] + [merged] + blocks[i + 2:])
-            assert engine._certified_stabilizer_dim(coarse) == rep.stabilizer_dim
+            coarse = blocks[:i] + [merged] + blocks[i + 2:]
+            levi = [(b, [restrict_matrix(g, b) for g in gens]) for b in coarse]
+            assert engine._certified_stabilizer_dim(rep, levi) == rep.stabilizer_dim
     assert all(any(row) for row in engine._stabilizer_rows(rep.galois.point, rep.galois.generators))
     if rep.polystable and p.is_untwisted():
         assert rep.levi_decomposition == levi_reduction(p)
@@ -502,7 +503,7 @@ def test_certified_stabilizer_matches_exact_solve(p):
         gens = galois_generators(normalize_point(p))
         assert invariant_subspace(gens, semisimple=True) == invariant_subspace(gens)
     if rep.invariant_subspace_witness is not None or (
-            p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial()):
+            p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial() and p.loops):
         # the witness of a polystable point skips the radical step: same subspace
         mats = [x.g for x in normalize_point(p).loops]
         assert rep.invariant_subspace_witness == invariant_subspace(mats)
@@ -512,11 +513,14 @@ def test_certified_stabilizer_matches_exact_solve(p):
 @given(st.one_of(graded_points(), block_points(), twisted_points()))
 def test_weight_operators_span_the_weight_projectors(p):
     # one weight operator per torus (diag(X, -X^T) under sigma) generates
-    # the algebra and commutant that every weight projector does
+    # the algebra and commutant that every weight projector does; the
+    # identity, which changes neither, joins the reference, which is empty
+    # on a point with no loop and no non-trivial torus
     pn = normalize_point(p)
     n = pn.n if pn.is_untwisted() else 2 * pn.n
-    gens, reference = galois_generators(pn), galois_generators_reference(pn)
-    assert spin_algebra(gens, ambient_n=n).basis == spin_algebra(reference, ambient_n=n).basis
+    gens = galois_generators(pn)
+    reference = galois_generators_reference(pn) + [Matrix.identity(n, pn.conductor())]
+    assert spin_algebra(gens).basis == spin_algebra(reference).basis
     assert commutant(gens, n) == commutant(reference, n)
 
 
@@ -630,7 +634,7 @@ class TestOneAnalysis:
     def counted(self, monkeypatch, names):
         counts = dict.fromkeys(names, 0)
         for name in names:
-            original = getattr(engine, name)
+            original = getattr(engine, name, None) or getattr(algebra, name)
 
             def wrapper(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
@@ -656,11 +660,27 @@ class TestOneAnalysis:
                           "spin_algebra": 1, "invariant_subspace": 2}
 
     def test_full_algebra_is_not_searched(self, monkeypatch):
-        counts = self.counted(monkeypatch, ["invariant_subspace", "decompose_irreducibles"])
+        counts = self.counted(monkeypatch, ["invariant_subspace", "invariant_complement"])
         rep = is_stable(simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)]))
         assert rep.invariant_subspace_witness is None
         assert rep.levi_decomposition == [Subspace.full(2)]
-        assert counts == {"invariant_subspace": 0, "decompose_irreducibles": 0}
+        assert counts == {"invariant_subspace": 0, "invariant_complement": 0}
+
+    def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
+        # the rotation (+) (2) over Q: the search of the 2-dimensional
+        # irreducible block and the Hom sum share its actions
+        restricted = []
+        original = algebra.restrict_matrix
+
+        def counted(g, sub):
+            restricted.append((g, sub))
+            return original(g, sub)
+        for module in (engine, algebra):
+            monkeypatch.setattr(module, "restrict_matrix", counted)
+        loop = Matrix.build([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
+        rep = is_stable(simple_point([TwistedElement.plain(loop)], n=3))
+        assert [b.dim for b in rep.levi_decomposition] == [1, 2] and rep.stabilizer_dim == 3
+        assert restricted and all(restricted.count(pair) == 1 for pair in restricted)
 
     def test_normalized_point_comes_back_unchanged(self):
         p = simple_point([TwistedElement.plain(J)])
