@@ -442,7 +442,9 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     pointwise, and e commutes with every generator.  ``linear_solve`` reads
     e off the reduced echelon form of the system's row space, which every
     system with the same solution set shares, so any rows stating that the
-    columns lie in sub give the same complement.
+    columns lie in sub give the same complement.  The commuting rows are
+    ``intertwiner_rows`` of the generators with themselves, g e - e g: the
+    negatives of e g - g e, so they span the same rows and give the same e.
     """
     n = sub.ambient_dim
     m = generators[0]._conductor()
@@ -452,11 +454,10 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     rhs = [Scalar.zero(m)] * len(rows)
     rows += sandwich_rows([(None, fixed, False)], n, n, m)
     rhs += fixed.entries
-    for g in generators:
-        commuting = sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
-        rows += commuting
-        rhs += [Scalar.zero(m)] * len(commuting)
-    sol, _ = linear_solve(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
+    commuting = intertwiner_rows(generators, generators, n, n, m)
+    rows += commuting
+    rhs += [Scalar.zero(m)] * len(commuting)
+    sol = linear_solve(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
     if sol is None:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
     proj = Matrix(n, n, tuple(sol.entries))
@@ -533,7 +534,7 @@ def minimal_polynomial(f: Matrix):
     # f^d is the first dependent power: solve sum a_i f^i = f^d
     cols = Matrix.from_cols([p.flatten() for p in powers])
     powers.append(powers[-1] @ f)
-    sol, _ = linear_solve(cols, Matrix(n * n, 1, powers[-1].flatten()))
+    sol = linear_solve(cols, Matrix(n * n, 1, powers[-1].flatten()))
     return [-sol[i, 0] for i in range(len(powers) - 1)] + [Scalar.one(f._conductor())], powers
 
 

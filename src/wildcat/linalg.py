@@ -535,13 +535,15 @@ class Subspace:
             [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
 
 
-def _null_space(ech: _EchelonSet, n: int, m: int) -> Subspace:
-    """Null space of the first n columns of an echelon form, in K^n: per free
-    column f, e_f less the rows' entries at f placed at their pivots, built
-    on integer rows."""
+def kernel(a: Matrix) -> Subspace:
+    """Null space {x : a @ x = 0} as a canonical Subspace of K^cols: per free
+    column f of a's echelon form, e_f less the rows' entries at f placed at
+    their pivots, built on integer rows."""
+    n, m = a.cols, a._conductor()
     phi = euler_phi(m)
+    ech = _EchelonSet(n, a.row_list())
     ech._reduce_rows()
-    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots) if p < n]
+    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots)]
     out = _EchelonSet(n)
     for f in sorted(set(range(n)) - set(ech.pivots)):
         t = f * phi
@@ -555,27 +557,23 @@ def _null_space(ech: _EchelonSet, n: int, m: int) -> Subspace:
     return Subspace(out)
 
 
-def kernel(a: Matrix) -> Subspace:
-    """Null space {x : a @ x = 0} as a canonical Subspace of K^cols."""
-    return _null_space(_EchelonSet(a.cols, a.row_list()), a.cols, a._conductor())
+def linear_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """One solution X of a @ X = b, or None when there is none.
 
-
-def linear_solve(a: Matrix, b: Matrix):
-    """One solution X of a @ X = b (or None) together with the kernel of a.
-
-    The kernel describes the solution ambiguity per column of b.
+    X is read off the reduced echelon form of [a | b]: zero at a's free
+    columns, so it depends only on the row space of [a | b].  The solution
+    ambiguity is ``kernel(a)``.
     """
     if a.rows != b.rows:
         raise ValueError("dimension mismatch: a and b must have equal row count")
     n, m = a.cols, a._conductor()
     ech = _EchelonSet(n + b.cols, [a.row(i) + b.row(i) for i in range(a.rows)])
-    ker = _null_space(ech, n, m)
     if any(p >= n for p in ech.pivots):
-        return None, ker  # inconsistent system
+        return None  # inconsistent system
     xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
     for i, p in enumerate(ech.pivots):
         xs[p] = ech.block(i, n, n + b.cols)
-    return Matrix.build(xs, m), ker
+    return Matrix.build(xs, m)
 
 
 class Grading:

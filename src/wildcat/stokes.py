@@ -261,12 +261,6 @@ class Scaffold:
     generators: list              # GeneratorSpec, fixed order
     relation: list                # [(generator name, +1 | -1)]
 
-    def generator(self, name: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
 
 def _formal_blocks(sheets):
     """Allowed support of the formal monodromy: leaf l -> leaf l+1 per circle."""
@@ -334,12 +328,23 @@ def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity
     return None
 
 
-def _word_product(sc: Scaffold, assignment: dict, items) -> Matrix:
-    out = Matrix.identity(sc.n, sc.conductor)
-    for name, exp in items:
-        mat = assignment[name]
-        out = out @ (mat if exp == 1 else mat.inverse())
+def _word_product(assignment: dict, word) -> Matrix:
+    """The product of a nonempty word in the generators, from its first factor on."""
+    out = None
+    for name, exp in word:
+        mat = assignment[name] if exp == 1 else assignment[name].inverse()
+        out = mat if out is None else out @ mat
     return out
+
+
+def _residual(sc: Scaffold, assignment: dict, start: int, stop: int) -> Matrix:
+    """What the relation's factors start..stop-1 must multiply to for the
+    relation to hold: pre^-1 . post^-1 = (post . pre)^-1, pre and post the
+    relation's words before ``start`` and from ``stop`` on."""
+    rest = sc.relation[stop:] + sc.relation[:start]
+    if not rest:
+        return Matrix.identity(sc.n, sc.conductor)
+    return _word_product(assignment, rest).inverse()
 
 
 def verify_candidate(sc: Scaffold, cand: RepCandidate):
@@ -355,11 +360,9 @@ def verify_candidate(sc: Scaffold, cand: RepCandidate):
             violations.append(f"{gen.name}: expected a {sc.n}x{sc.n} matrix")
             continue
         assignment[gen.name] = mat
-    for name in cand.assignment:
-        try:
-            sc.generator(name)
-        except KeyError:
-            violations.append(f"{name}: not a scaffold generator")
+    names = {gen.name for gen in sc.generators}
+    violations += [f"{name}: not a scaffold generator"
+                   for name in cand.assignment if name not in names]
     if violations:
         return violations
     for gen in sc.generators:
@@ -381,7 +384,7 @@ def verify_candidate(sc: Scaffold, cand: RepCandidate):
                     f"{gen.name}: entry {bad} leaves the twisted graded support")
     if violations:
         return violations
-    if not (_word_product(sc, assignment, sc.relation) == Matrix.identity(sc.n, sc.conductor)):
+    if not (_word_product(assignment, sc.relation) == Matrix.identity(sc.n, sc.conductor)):
         violations.append("relation: the surface relation does not evaluate to the identity")
     return violations
 
@@ -389,35 +392,26 @@ def verify_candidate(sc: Scaffold, cand: RepCandidate):
 def to_framed_point(sc: Scaffold, cand: RepCandidate) -> FramedPoint:
     """Assemble the framed point: loops based at the first puncture's basepoint.
 
-    The candidate is verified first; ValueError("invalid candidate: ...")
-    names its violations.
+    The loops follow the scaffold's generator order: the handles as they
+    are, then per puncture h_i and S_i.* conjugated by that puncture's
+    connector C_i (as C_i^-1 x C_i; the first puncture has none).  The
+    candidate is verified first; ValueError("invalid candidate: ...") names
+    its violations.
     """
     violations = verify_candidate(sc, cand)
     if violations:
         raise ValueError("invalid candidate: " + "; ".join(violations))
-    a = cand.assignment
-    loops = []
-    for k in range(1, sc.genus + 1):
-        loops.append(TwistedElement.plain(a[f"a{k}"]))
-        loops.append(TwistedElement.plain(a[f"b{k}"]))
-    connectors = []
-    gradings = []
-    for i, pd in enumerate(sc.punctures):
-        label = i + 1
-        if i == 0:
-            conj = None
-        else:
-            c = a[f"C{label}"]
-            connectors.append(c)
-            conj = (c.inverse(), c)
-        local = [a[f"h{label}"]]
-        local += [a[f"S{label}.{di}"] for di in range(len(pd.directions))]
-        for mat in local:
-            if conj is not None:
-                mat = conj[0] @ mat @ conj[1]
-            loops.append(TwistedElement.plain(mat))
-        gradings.append(pd.grading)
-    return FramedPoint(sc.n, gradings, connectors, loops)
+    loops, connectors, conj = [], [], None
+    for gen in sc.generators:
+        mat = cand.assignment[gen.name]
+        if gen.kind == "connector":
+            connectors.append(mat)
+            conj = (mat.inverse(), mat)
+            continue
+        if conj is not None:
+            mat = conj[0] @ mat @ conj[1]
+        loops.append(TwistedElement.plain(mat))
+    return FramedPoint(sc.n, [pd.grading for pd in sc.punctures], connectors, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -437,31 +431,21 @@ def _random_block(rng, rows: int, cols: int, m: int, invertible: bool) -> Matrix
             return mat
 
 
-def _random_formal(rng, pd: PunctureData, n: int, m: int) -> Matrix:
-    out = Matrix.zero(n, n, m)
-    for tgt, src in pd.formal_blocks:
-        st, ss = pd.sheets[tgt], pd.sheets[src]
-        out = out.place(st.start, ss.start,
-                        _random_block(rng, st.size, ss.size, m, invertible=True))
-    return out
-
-
-def _random_stokes(rng, pd: PunctureData, pattern, n: int, m: int) -> Matrix:
-    out = Matrix.identity(n, m)
-    for i, j in pattern:
+def _random_blocks(rng, pd: PunctureData, base: Matrix, pairs, invertible: bool) -> Matrix:
+    """``base`` with a random block written at each (target sheet, source
+    sheet) pair, drawn in the pairs' order: a formal monodromy is zero plus
+    invertible blocks on its twisted graded support, a Stokes matrix the
+    identity plus blocks on its direction's pattern, a framing element zero
+    plus invertible diagonal blocks."""
+    m = base._conductor()
+    for i, j in pairs:
         si, sj = pd.sheets[i], pd.sheets[j]
-        out = out.place(si.start, sj.start,
-                        _random_block(rng, si.size, sj.size, m, invertible=False))
-    return out
+        base = base.place(si.start, sj.start, _random_block(rng, si.size, sj.size, m, invertible))
+    return base
 
 
 class _RetryError(Exception):
     pass
-
-
-def _free_punctures(sc: Scaffold):
-    return [i for i, pd in enumerate(sc.punctures)
-            if pd.grading.is_trivial() and not pd.directions]
 
 
 def _solve_commutator(rng, v: Matrix, n: int, m: int):
@@ -488,44 +472,39 @@ def _greedy_local_factor(rng, sc: Scaffold, pd: PunctureData, v: Matrix, randomi
 
     Works right to left on a = v . S_1^-1 ... S_K^-1 by block column
     operations; the residue a must land in the twisted graded support.
-    Returns (h, [S_1..S_K]) or raises _RetryError.
+    Returns [h, S_1, ..., S_K], the puncture's generators in scaffold order,
+    or raises _RetryError.
     """
-    n = sc.n
-    m = sc.conductor
+    n, m = sc.n, sc.conductor
     sheets = pd.sheets
     allowed = set(pd.formal_blocks)
-    nsheets = len(sheets)
     a = v
     inverses = []
-    for theta, pattern in pd.directions:
+
+    def block(rb: int, col: Sheet) -> Matrix:
+        # the current a's block at sheet rb's rows and the columns of sheet col
+        sr = sheets[rb]
+        return Matrix(sr.size, col.size, tuple(a[sr.start + r, col.start + c]
+                                               for r in range(sr.size) for c in range(col.size)))
+    for _, pattern in pd.directions:
         t = Matrix.identity(n, m)
         for (i, j) in sorted(pattern):
             si, sj = sheets[i], sheets[j]
-            # forbidden row blocks of column block j
-            target = None
-            solvable_y = None
-            for rb in range(nsheets - 1, -1, -1):
+            # clear the forbidden row blocks of column block j, last first
+            y, blocked = None, False
+            for rb in reversed(range(len(sheets))):
                 if (rb, j) in allowed:
                     continue
-                sr = sheets[rb]
-                chunk = Matrix.build([[a[sr.start + rr, sj.start + cc]
-                                       for cc in range(sj.size)]
-                                      for rr in range(sr.size)], m)
+                chunk = block(rb, sj)
                 if chunk.is_zero():
                     continue
-                pivot = Matrix.build([[a[sr.start + rr, si.start + cc]
-                                       for cc in range(si.size)]
-                                      for rr in range(sr.size)], m)
-                sol, _ = linear_solve(pivot, -chunk)
-                if sol is not None:
-                    target, solvable_y = rb, sol
+                y = linear_solve(block(rb, si), -chunk)
+                if y is not None:
                     break
-                target = rb
-            if solvable_y is not None:
-                y = solvable_y
-            elif target is not None and randomized:
+                blocked = True
+            if y is None and blocked and randomized:
                 y = _random_block(rng, si.size, sj.size, m, invertible=False)
-            else:
+            if y is None:
                 continue
             elem = Matrix.identity(n, m).place(si.start, sj.start, y)
             a = a @ elem
@@ -534,26 +513,19 @@ def _greedy_local_factor(rng, sc: Scaffold, pd: PunctureData, v: Matrix, randomi
     bad = _block_support_violation(a, sheets, pd.formal_blocks, False)
     if bad is not None or not a.is_invertible():
         raise _RetryError("local factorization missed the twisted graded support")
-    factors = [t.inverse() for t in inverses]
-    return a, factors
+    return [a] + [t.inverse() for t in inverses]
 
 
 def _apply_framing_spread(rng, sc: Scaffold, assignment: dict):
     """Twist a verified candidate by a random framing-group element."""
-    m = sc.conductor
-    hs = []
-    for pd in sc.punctures:
-        h = Matrix.zero(sc.n, sc.n, m)
-        for s in pd.sheets:
-            h = h.place(s.start, s.start, _random_block(rng, s.size, s.size, m, invertible=True))
-        hs.append(h)
-    h1 = hs[0]
+    hs = [_random_blocks(rng, pd, Matrix.zero(sc.n, sc.n, sc.conductor),
+                         [(k, k) for k in range(len(pd.sheets))], True) for pd in sc.punctures]
     invs = [h.inverse() for h in hs]
     out = {}
     for gen in sc.generators:
         mat = assignment[gen.name]
         if gen.kind in ("handle_a", "handle_b"):
-            out[gen.name] = h1 @ mat @ invs[0]
+            out[gen.name] = hs[0] @ mat @ invs[0]
         elif gen.kind == "connector":
             out[gen.name] = hs[gen.puncture] @ mat @ invs[0]
         else:
@@ -564,16 +536,30 @@ def _apply_framing_spread(rng, sc: Scaffold, assignment: dict):
 def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
     """A seeded random verified candidate.
 
-    Assigns random pattern-respecting matrices everywhere except one solve
-    target, then solves the surface relation for that target: the formal
-    monodromy of a free (tame, ungraded) puncture when one exists, else one
-    genus handle through the linearized commutator equation, else the first
-    puncture's whole local word through greedy block factorization.  Raises
-    UnsolvableRelation when every seeded attempt fails.
+    Assigns random pattern-respecting matrices to every generator, then
+    solves the surface relation for one target, whose value must be the
+    residual of the rest of the relation (``_residual``, one solve for all
+    three routes): the formal monodromy of a free (tame, ungraded) puncture
+    is the residual itself when one exists, else the last genus handle pair
+    meets it through the linearized commutator equation, else the first
+    puncture's whole local word h_1 S_1,last ... S_1,first factors it
+    greedily by blocks.  Raises UnsolvableRelation when every seeded attempt
+    fails.
     """
     rng = random.Random(seed)
     n, m = sc.n, sc.conductor
-    free = _free_punctures(sc)
+    free = [gen.name for gen in sc.generators if gen.kind == "formal"
+            and sc.punctures[gen.puncture].grading.is_trivial()
+            and not sc.punctures[gen.puncture].directions]
+    if free:
+        targets = free[:1]
+    elif sc.genus:
+        targets = [gen.name for gen in sc.generators[2 * sc.genus - 2:2 * sc.genus]]
+    else:
+        targets = [gen.name for gen in sc.generators if gen.puncture == 0]
+    # the targets' letters are consecutive in the relation, the first one first
+    start = sc.relation.index((targets[0], 1))
+    stop = start + sum(name in targets for name, _ in sc.relation)
     reasons = Counter()
     for attempt in range(40):
         randomized = attempt > 0
@@ -583,37 +569,20 @@ def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
                 if gen.kind in ("handle_a", "handle_b", "connector"):
                     assignment[gen.name] = _random_block(rng, n, n, m, invertible=True)
                 elif gen.kind == "formal":
-                    assignment[gen.name] = _random_formal(rng, sc.punctures[gen.puncture], n, m)
+                    pd = sc.punctures[gen.puncture]
+                    assignment[gen.name] = _random_blocks(
+                        rng, pd, Matrix.zero(n, n, m), pd.formal_blocks, True)
                 else:
-                    assignment[gen.name] = _random_stokes(
-                        rng, sc.punctures[gen.puncture], gen.pattern, n, m)
+                    assignment[gen.name] = _random_blocks(
+                        rng, sc.punctures[gen.puncture], Matrix.identity(n, m), gen.pattern, False)
+            v = _residual(sc, assignment, start, stop)
             if free:
-                target = f"h{free[0] + 1}"
-                pos = next(k for k, (name, _) in enumerate(sc.relation) if name == target)
-                pre = _word_product(sc, assignment, sc.relation[:pos])
-                post = _word_product(sc, assignment, sc.relation[pos + 1:])
-                assignment[target] = pre.inverse() @ post.inverse()
-            elif sc.genus >= 1:
-                # solve the last handle pair: [a_g, b_g] = V
-                g = sc.genus
-                idx = sc.relation.index((f"a{g}", 1))
-                pre = _word_product(sc, assignment, sc.relation[:idx])
-                post = _word_product(sc, assignment, sc.relation[idx + 4:])
-                v = pre.inverse() @ post.inverse()
-                a, b = _solve_commutator(rng, v, n, m)
-                assignment[f"a{g}"], assignment[f"b{g}"] = a, b
+                values = [v]
+            elif sc.genus:
+                values = _solve_commutator(rng, v, n, m)
             else:
-                # factor the first puncture's local word
-                pd = sc.punctures[0]
-                start = next(k for k, (name, _) in enumerate(sc.relation) if name == "h1")
-                stop = start + 1 + len(pd.directions)
-                pre = _word_product(sc, assignment, sc.relation[:start])
-                post = _word_product(sc, assignment, sc.relation[stop:])
-                v = pre.inverse() @ post.inverse()
-                h, factors = _greedy_local_factor(rng, sc, pd, v, randomized)
-                assignment["h1"] = h
-                for di, s in enumerate(factors):
-                    assignment[f"S1.{di}"] = s
+                values = _greedy_local_factor(rng, sc, sc.punctures[0], v, randomized)
+            assignment.update(zip(targets, values))
         except _RetryError as exc:
             reasons[str(exc)] += 1
             continue

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -195,6 +197,12 @@ class TestVerify:
         v = verify_candidate(self.sc, RepCandidate({"h1": Matrix.identity(2)}))
         assert any("missing" in s for s in v)
 
+    def test_unknown_and_missing_assignments_are_both_reported(self):
+        cand = RepCandidate({"h1": Matrix.identity(2), "S1.0": Matrix.identity(2),
+                             "X9": Matrix.identity(2)})
+        assert verify_candidate(self.sc, cand) == ["S1.1: missing assignment",
+                                                   "X9: not a scaffold generator"]
+
     def test_katz_formal_pattern_is_cyclic(self):
         sck = build_scaffold(WildSurface(0, [KATZ], 2))
         pd = sck.punctures[0]
@@ -222,6 +230,20 @@ class TestFramedAssembly:
                              "S1.0": Matrix.identity(2), "S1.1": Matrix.identity(2)})
         with pytest.raises(ValueError):
             to_framed_point(sc, cand)
+
+    def test_loops_follow_the_generator_order(self):
+        # handles as they are, then h_1 (a tame puncture has no S_1.*), then
+        # C_2^-1 x C_2 for h_2 and S_2.*; the gradings are the punctures' own
+        sc = build_scaffold(WildSurface(1, [TAME2, TWO_CIRCLE], 2))
+        a = random_candidate(sc, 3).assignment
+        c = a["C2"]
+        expected = [a["a1"], a["b1"], a["h1"]]
+        expected += [c.inverse() @ a[name] @ c for name in ("h2", "S2.0", "S2.1")]
+        fp = to_framed_point(sc, RepCandidate(a))
+        assert [loop.g for loop in fp.loops] == expected
+        assert all(loop.is_normalized() for loop in fp.loops)
+        assert fp.connectors == [c]
+        assert all(g is pd.grading for g, pd in zip(fp.gradings, sc.punctures, strict=True))
 
     def test_grading_compatibility(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))
@@ -282,6 +304,17 @@ class TestSampling:
         a = random_candidate(sc, 7).to_json()
         b = random_candidate(sc, 7).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("surface, seed, digest", [
+        (WildSurface(0, [TWO_CIRCLE, TAME2], 2), 3, "b85ef2304b1b276a"),  # free formal
+        (WildSurface(1, [TWO_CIRCLE], 2), 2, "4c670bcbad2dbcbe"),  # genus commutator
+        (WildSurface(0, [KATZ], 2), 7, "826061ac603f7172"),  # local factor
+    ], ids=["free_formal", "genus_commutator", "local_factor"])
+    def test_seeded_candidate_bytes(self, surface, seed, digest):
+        # one pin per solve route of random_candidate
+        cand = random_candidate(build_scaffold(surface), seed)
+        text = json.dumps(cand.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("surface", [
         WildSurface(0, [IrregularClass([Circle(3, [(1, 1)], 1)])], 3),  # ram 3, exponent 1
