@@ -53,9 +53,11 @@ test oracle in ``tests/oracles.py``; the two must agree on every input.
 Invariant-subspace search is a MeatAxe over the exact coefficient field:
 the modular certificate of M_N(K), kernel and eigenvalue candidates, then a
 proof-grade fallback through the radical, the commutant, and polynomial
-factorisation over the field.  A returned subspace is always a genuine
-submodule; ``None`` is only returned with a proof of irreducibility over the
-field.
+factorisation over the field.  That factorisation (``factor_over_field``)
+follows Trager: sympy factors only the norm, an integer polynomial, and
+Euclid's algorithm on Scalar coefficients recovers the factors over the
+field.  A returned subspace is always a genuine submodule; ``None`` is only
+returned with a proof of irreducibility over the field.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional
 
 from .linalg import (
@@ -465,56 +468,113 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# polynomial factorisation over the coefficient field (sympy bridge)
+# polynomial factorisation over the coefficient field (Trager's norm method)
 
 
-@lru_cache(maxsize=None)
-def _sympy_field(m: int):
-    import sympy
-
-    if m == 1:
-        return sympy.QQ
-    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / m))
-
-
-def _scalar_to_domain(x: Scalar, m: int, dom):
-    import sympy
-
-    if m == 1:
-        q = x.as_fraction()
-        return dom(q.numerator) / dom(q.denominator)
-    coeffs = list(reversed([sympy.QQ(c.numerator, c.denominator) for c in x.coeffs]))
-    return dom(coeffs)
+def _poly_mul(a, b, m: int) -> list:
+    """The product of two polynomials, Scalar coefficients low -> high."""
+    out = [Scalar.zero(m)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
 
 
-def _domain_to_scalar(val, m: int) -> Scalar:
-    if m == 1:
-        return Scalar.rational(Fraction(int(val.numerator), int(val.denominator)))
-    lst = list(reversed(val.to_list()))
-    return Scalar.from_coeffs(m, [Fraction(int(c.numerator), int(c.denominator)) for c in lst])
+def _shift(p, a: Scalar) -> list:
+    """The coefficients of p(x + a), by Horner's rule in x + a."""
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = [c + a * out[0]] + [u + a * v for u, v in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def _monic(p) -> list:
+    inv = p[-1].inverse()
+    return [c * inv for c in p[:-1]] + [Scalar.one(p[-1].m)]
+
+
+def _poly_rem(a, b) -> list:
+    """a mod b for a monic b, without trailing zero coefficients."""
+    a, db = list(a), len(b) - 1
+    for d in range(len(a) - 1, db - 1, -1):
+        c = a[d]
+        if c:
+            for j in range(db):
+                a[d - db + j] = a[d - db + j] - c * b[j]
+    rem = a[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _poly_gcd(a, b) -> list:
+    """The monic gcd of a nonzero polynomial a and a monic b, by Euclid's
+    algorithm."""
+    while True:
+        r = _poly_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _monic(r)
 
 
 def factor_over_field(coeffs, m: int):
-    """Irreducible monic factors (with multiplicity) of a monic polynomial.
+    """Irreducible monic factors (with multiplicity) of a monic polynomial
+    over K = Q(zeta_m), by Trager's norm method (Trager, "Algebraic factoring
+    and rational function integration", SYMSAC 1976).
 
     ``coeffs`` are Scalar coefficients, low -> high.  Returns a list of
-    (factor_coeffs_low_to_high, multiplicity).
-    """
-    import sympy
+    (factor_coeffs_low_to_high, multiplicity), sorted by degree and then by
+    coefficients.
 
-    dom = _sympy_field(m)
-    x = sympy.symbols("x")
-    poly = sympy.Poly([_scalar_to_domain(c, m, dom) for c in reversed(coeffs)],
-                      x, domain=dom)
-    _, factors = poly.factor_list()
-    out = []
-    for f, mult in factors:
-        fc = [_domain_to_scalar(c, m) for c in f.rep.to_list()]  # highest first
-        lead = fc[0]
-        fc = [c / lead for c in fc]
-        out.append((list(reversed(fc)), mult))
-    out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
-    return out
+    For s = 0, 1, 2, ... the shift p_s(x) = p(x + s zeta) has the norm
+    N_s = prod_k sigma_k(p_s) over the phi(m) automorphisms sigma_k: zeta ->
+    zeta^k of K, a polynomial over Q, which is factored over Z.  Each
+    irreducible factor r of N_s, of multiplicity e, gives q = gcd_K(p_s, r),
+    and the shift is accepted when phi(m) deg q = deg r for every r.  Then
+    (q(x - s zeta), e) are the factors of p.
+
+    Why acceptance proves the result: write p_s = prod g_i^(a_i) over K, the
+    g_i distinct, monic and irreducible.  N(g_i) = h_i^(c_i) for a
+    Q-irreducible h_i, and g_i divides h_i (it divides N(g_i)) and no other
+    irreducible r.  So q = prod of the g_i with h_i = r, and phi deg q =
+    sum c_i deg r, which equals deg r only if exactly one g_i has h_i = r,
+    with N(g_i) = r.  Every g_i has its h_i among the r, so the q are all
+    the factors, and N_s = prod N(g_i)^(a_i) makes e the multiplicity a_i
+    of q in p_s.
+
+    Why the loop ends: a shift fails only when the norm of the squarefree
+    part of p_s has a repeated root.  Conjugating by an automorphism of the
+    splitting field, a repeat is alpha - s zeta = beta - s zeta^l for a root
+    alpha of p, a root beta of sigma_l(p) and l != 1, so
+    s = (alpha - beta) / (zeta - zeta^l): at most d^2 (phi(m) - 1) shifts
+    fail, d = deg p.  When phi(m) = 1, N_0 = p and q = r / lead(r).
+    """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    phi, d = euler_phi(m), len(coeffs) - 1
+    units = [k for k in range(2, m) if gcd(k, m) == 1]
+    zeta = Scalar.zeta(m)
+    for s in range(d * d * (phi - 1) + 1):
+        ps = _shift(coeffs, zeta * s) if s else coeffs
+        norm = ps
+        for k in units:
+            norm = _poly_mul(norm, [c.conjugate(k) for c in ps], m)
+        den = lcm(*(c.den for c in norm))
+        _, factors = dup_factor_list([c.num[0] * (den // c.den) for c in reversed(norm)], ZZ)
+        out = []
+        for r, mult in factors:
+            rk = [Scalar.rational(Fraction(c, r[0]), m) for c in reversed(r)]
+            q = rk if phi == 1 else _poly_gcd(ps, rk)
+            if phi * (len(q) - 1) != len(r) - 1:
+                break
+            out.append((_shift(q, zeta * -s) if s else q, mult))
+        else:
+            out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
+            return out
+    raise ArithmeticError(f"no shift s <= {d * d * (phi - 1)} separates the norm")
 
 
 def _powers(f: Matrix):

@@ -4,6 +4,12 @@ Machine output is a JSON document with stable key order and no timing data,
 so repeated runs on one instance (and seed) are byte-identical; certificates
 are included so every verdict can be rechecked by a few lines of script.
 Text output is the same content rendered for people, plus wall-clock time.
+
+Exit codes: 0 success; 1 a well-formed input that fails (a candidate that
+violates the Stokes conditions, a point with no Levi reduction, a relation
+the sampler cannot solve); 2 a malformed or unsuitable input; 3 an
+inconclusive analysis, when the MeatAxe can neither split a module nor
+certify it irreducible over the field (the reason goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .algebra import MeatAxeInconclusive
 from .engine import (
     NotPolystable,
     StabilityReport,
@@ -40,6 +47,7 @@ from .stokes import (
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
+EXIT_INCONCLUSIVE = 3
 
 
 @dataclass
@@ -136,7 +144,11 @@ def _cmd_analyze(inst: InstanceFile, args, started) -> int:
     if point is None:
         print(err, file=sys.stderr)
         return code
-    report = is_stable(point)
+    try:
+        report = is_stable(point)
+    except MeatAxeInconclusive as exc:
+        print(f"analysis inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     payload = Report("analyze", inst.conductor, report).to_json()
     _emit(payload, args.format, _report_text(report), started)
     return EXIT_OK
@@ -155,6 +167,9 @@ def _cmd_reduce(inst: InstanceFile, args, started) -> int:
     except TwistedInput as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except MeatAxeInconclusive as exc:
+        print(f"reduction inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     payload = {"command": "reduce", "field": inst.conductor,
                "blocks": [b.to_json() for b in blocks]}
     _emit(payload, args.format, _levi_text(blocks), started)

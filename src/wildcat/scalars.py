@@ -209,13 +209,6 @@ class Scalar:
         num[power] = 1
         return Scalar(m, _reduce(num, m))
 
-    @staticmethod
-    def from_coeffs(m: int, coeffs) -> "Scalar":
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        return _canonical(m, _reduce([c.numerator * (den // c.denominator) for c in coeffs], m),
-                          den)
-
     @property
     def coeffs(self) -> tuple:
         """The power-basis coefficients as Fractions."""
@@ -288,6 +281,13 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def conjugate(self, k: int) -> "Scalar":
+        """The image under the automorphism zeta_m -> zeta_m^k, k prime to m."""
+        out = [0] * self.m
+        for j, x in enumerate(self.num):
+            out[j * k % self.m] += x
+        return _canonical(self.m, _reduce(out, self.m), self.den)
+
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
@@ -310,11 +310,6 @@ class Scalar:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         try:

@@ -43,12 +43,20 @@ of the two:
 * ``complement_reference``: the invariant complement with "the columns of
   the projection lie in sub" stated by the last rows of F^-T, F sub's basis
   completed by unit vectors, solved on ``ScalarEchelon`` (the library states
-  it by the rows of sub's annihilator, a kernel).
+  it by the rows of sub's annihilator, a kernel);
+* ``factor_over_field_reference``: sympy's ``factor_list`` over
+  ``QQ.algebraic_field(exp(2 pi i / m))`` (the library factors the norm over
+  Z and recovers the factors by gcds over Q(zeta_m)).
+
+``from_coeffs`` builds the Scalar sum c_j zeta_m^j from any number of
+rational coefficients with the field's own arithmetic, for the tests that
+write scalars as coefficient lists.
 """
 
 import cmath
 from bisect import insort
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from wildcat.algebra import (
@@ -509,3 +517,46 @@ def kernel_dim_mod_p(rows, width: int, m: int):
         return None
     add = _echelon_mod_p(p)
     return width - sum(add(img) for img in images)
+
+
+def from_coeffs(m: int, coeffs) -> Scalar:
+    """sum c_j zeta_m^j in Q(zeta_m), for ints, Fractions or their text."""
+    return sum((Scalar.rational(Fraction(c), m) * Scalar.zeta(m, j)
+                for j, c in enumerate(coeffs)), Scalar.zero(m))
+
+
+@lru_cache(maxsize=None)
+def _sympy_field(m: int):
+    import sympy
+
+    if m == 1:
+        return sympy.QQ
+    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / m))
+
+
+def factor_over_field_reference(coeffs, m: int):
+    """The monic irreducible factors over Q(zeta_m) with their multiplicities,
+    from sympy's ``factor_list`` over the algebraic field, sorted as
+    ``factor_over_field`` sorts them."""
+    import sympy
+
+    dom = _sympy_field(m)
+
+    def to_domain(c: Scalar):
+        if m == 1:
+            return dom(c.num[0]) / dom(c.den)
+        return dom([sympy.QQ(x, c.den) for x in reversed(c.num)])
+
+    def to_scalar(val) -> Scalar:
+        if m == 1:
+            return Scalar.rational(Fraction(int(val.numerator), int(val.denominator)))
+        return from_coeffs(m, [Fraction(int(c.numerator), int(c.denominator))
+                               for c in reversed(val.to_list())])
+
+    poly = sympy.Poly([to_domain(c) for c in reversed(coeffs)], sympy.symbols("x"), domain=dom)
+    out = []
+    for f, mult in poly.factor_list()[1]:
+        fc = [to_scalar(c) for c in reversed(f.rep.to_list())]
+        out.append(([c / fc[-1] for c in fc], mult))
+    out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
+    return out

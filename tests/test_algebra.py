@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy.polys.factortools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,8 @@ from wildcat.scalars import Scalar, euler_phi
 from oracles import (
     ScalarEchelon,
     complement_reference,
+    factor_over_field_reference,
+    from_coeffs,
     is_closed,
     nilpotency_index,
     radical_oracle,
@@ -111,7 +115,7 @@ def generator_tuples(draw):
     split = draw(st.one_of(st.none(), st.integers(1, n - 1)))
     coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
     scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
-        lambda cs: Scalar.from_coeffs(m, cs))
+        lambda cs: from_coeffs(m, cs))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         entries = [Scalar.zero(m) if split is not None and i >= split and j < split
@@ -139,7 +143,7 @@ def non_full_generators(draw):
     split = draw(st.integers(1, n - 1))
     coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
     scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
-        lambda cs: Scalar.from_coeffs(m, cs))
+        lambda cs: from_coeffs(m, cs))
     gens = [Matrix(n, n, tuple(Scalar.zero(m) if i >= split and j < split else draw(scalar)
                                for i in range(n) for j in range(n)))
             for _ in range(draw(st.integers(1, 3)))]
@@ -327,7 +331,7 @@ def semisimple_modules(draw):
     m = draw(st.sampled_from([1, 4, 5]))
     phi = euler_phi(m)
     coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
-    scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: Scalar.from_coeffs(m, cs))
+    scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: from_coeffs(m, cs))
     types = []
     for _ in range(draw(st.integers(1, 2))):
         d = draw(st.sampled_from([1, 2]))
@@ -430,13 +434,51 @@ class TestDecomposition:
         assert not homs(a, c)
 
 
+def poly_product(polys, m):
+    """The product of polynomials with Scalar coefficients, low -> high."""
+    out = [Scalar.one(m)]
+    for f in polys:
+        prod = [Scalar.zero(m)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] = prod[i + j] + x * y
+        out = prod
+    return out
+
+
+@st.composite
+def factor_products(draw, m):
+    """A monic polynomial of degree at most 6 over Q(zeta_m): a product of
+    random monic factors of degree 1 or 2, each taken once, twice, or times
+    one of its Galois conjugates."""
+    phi = euler_phi(m)
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: from_coeffs(m, cs))
+    units = [k for k in range(2, m) if gcd(k, m) == 1]
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = [draw(scalar) for _ in range(draw(st.integers(1, 2)))] + [Scalar.one(m)]
+        kind = draw(st.sampled_from(["once", "twice", "with a conjugate"]))
+        if kind == "twice":
+            more = [f, f]
+        elif kind == "with a conjugate" and units:
+            k = draw(st.sampled_from(units))
+            more = [f, [c.conjugate(k) for c in f]]
+        else:
+            more = [f]
+        if sum(len(g) - 1 for g in factors + more) > 6:
+            break
+        factors += more
+    return poly_product(factors, m)
+
+
 class TestPolynomialTools:
     def test_minimal_polynomial(self):
         coeffs, powers = minimal_polynomial(J)
-        assert [c.as_fraction() for c in coeffs] == [1, -2, 1]
+        assert coeffs == [1, -2, 1]
         assert powers == [I2, J, J @ J]
         coeffs, powers = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
-        assert [c.as_fraction() for c in coeffs] == [-2, 1]
+        assert coeffs == [-2, 1]
         assert powers == [I2, Matrix.build([[2, 0], [0, 2]])]
 
     def test_primitive_element_sweep(self):
@@ -454,15 +496,35 @@ class TestPolynomialTools:
         factors = factor_over_field(x2m1, 1)
         assert len(factors) == 2
 
-    def test_factor_over_gaussian(self):
+    def test_factor_over_gaussian(self, monkeypatch):
+        # the norms of x^2 + 1 at s = 0 and 1, (x^2 + 1)^2 and x^2 (x^2 + 4),
+        # fail the degree check; at s = 2 it is (x^2 + 1)(x^2 + 9)
+        norms = []
+        factor = sympy.polys.factortools.dup_factor_list
+        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list",
+                            lambda f, dom: norms.append(f) or factor(f, dom))
         x2p1 = [Scalar.one(4), Scalar.zero(4), Scalar.one(4)]
         factors = factor_over_field(x2p1, 4)
-        assert len(factors) == 2
-        for fc, mult in factors:
-            assert len(fc) == 2 and mult == 1
-        roots = [-fc[0] for fc, _ in factors]
-        assert any(r == Scalar.zeta(4) for r in roots)
-        assert any(r == -Scalar.zeta(4) for r in roots)
+        assert norms == [[1, 0, 2, 0, 1], [1, 0, 4, 0, 0], [1, 0, 10, 0, 9]]
+        i = Scalar.zeta(4)
+        assert factors == [([-i, 1], 1), ([i, 1], 1)]
+
+    def test_factor_with_a_repeated_factor_and_its_conjugate(self):
+        # (x - zeta5)^2 (x - zeta5^4): zeta5^4 is a Galois conjugate of zeta5
+        z, z4 = Scalar.zeta(5), Scalar.zeta(5, 4)
+        p = poly_product([[-z, 1], [-z, 1], [-z4, 1]], 5)
+        assert factor_over_field(p, 5) == [([-z, 1], 2), ([-z4, 1], 1)]
+
+    @pytest.mark.parametrize("m", [1, 4, 3, 5, 8])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_factor_over_field_matches_the_sympy_reference(self, m, data):
+        p = data.draw(factor_products(m))
+        factors = factor_over_field(p, m)
+        reference = factor_over_field_reference(p, m)
+        assert [([(c.num, c.den) for c in fc], e) for fc, e in factors] == \
+            [([(c.num, c.den) for c in fc], e) for fc, e in reference]
+        assert poly_product([fc for fc, e in factors for _ in range(e)], m) == p
 
     def test_commutant_of_irreducible_is_scalars(self):
         assert len(commutant([SWAP, DIAG], 2)) == 1

@@ -203,6 +203,29 @@ def test_zero_denominator_exit_code(tmp_path, capsys):
     assert "tuple.loops[0].matrix[0][1]: bad scalar" in err and "3/0" in err
 
 
+# left multiplication by i and j on the rational quaternions (1, i, j, k): the
+# module is irreducible over Q with End a division algebra of dimension 4,
+# which the MeatAxe can neither split nor certify
+QUATERNION_PAIR = {
+    "field": 1,
+    "mode": "tuple",
+    "tuple": {"n": 4, "loops": [
+        {"matrix": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                    ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]},
+        {"matrix": [["0", "0", "-1", "0"], ["0", "0", "0", "1"],
+                    ["1", "0", "0", "0"], ["0", "-1", "0", "0"]]}]},
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce"])
+def test_inconclusive_meataxe_exit_code(tmp_path, capsys, command):
+    path = write(tmp_path, "quaternion.json", QUATERNION_PAIR)
+    assert run_command([command, "--instance", path, "--format", "machine"]) == \
+        cli.EXIT_INCONCLUSIVE == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "inconclusive" in err and "division algebra" in err
+
+
 @pytest.mark.parametrize("circles", [
     [{"ram": 1, "coeffs": [[1, "1"]]}, {"ram": 1, "coeffs": [[1, "1"]]}],  # repeated
     [{"ram": 1, "coeffs": []}, {"ram": 1, "coeffs": []}],  # two tame circles

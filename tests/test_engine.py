@@ -32,7 +32,12 @@ from wildcat.linalg import Grading, Matrix, Subspace
 from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
-from oracles import galois_generators_reference, radical_oracle, stabilizer_lie_dim_commutant
+from oracles import (
+    from_coeffs,
+    galois_generators_reference,
+    radical_oracle,
+    stabilizer_lie_dim_commutant,
+)
 
 J = Matrix.build([[1, 1], [0, 1]])
 SWAP = Matrix.build([[0, 1], [1, 0]])
@@ -64,7 +69,7 @@ def rand_block_diag(rng, sizes):
         b = rand_invertible(rng, s)
         for r in range(s):
             for c in range(s):
-                out[start + r][start + c] = b[r, c].as_fraction()
+                out[start + r][start + c] = b[r, c]
         start += s
     return Matrix.build(out)
 
@@ -331,8 +336,8 @@ def invertibles(n, m=1):
     """Invertible n x n matrices over Q(zeta_m), coordinates in -2..2."""
     d = euler_phi(m)
     return st.lists(st.integers(-2, 2), min_size=n * n * d, max_size=n * n * d).map(
-        lambda cs: Matrix.build([[Scalar.from_coeffs(m, cs[(i * n + j) * d:(i * n + j + 1) * d])
-                                  for j in range(n)] for i in range(n)], m)).filter(
+        lambda cs: Matrix.build([[from_coeffs(m, cs[(i * n + j) * d:(i * n + j + 1) * d])
+                           for j in range(n)] for i in range(n)], m)).filter(
         lambda g: g.is_invertible())
 
 

@@ -20,6 +20,7 @@ from wildcat.scalars import Scalar, euler_phi
 from oracles import (
     ScalarEchelon,
     inverse_reference,
+    from_coeffs,
     kernel_reference,
     linear_solve_reference,
     weight_projectors,
@@ -128,7 +129,7 @@ def echelon_inputs(draw):
     width = draw(st.integers(1, 5))
     coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
     scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
-        lambda cs: Scalar.from_coeffs(m, cs))
+        lambda cs: from_coeffs(m, cs))
     vector = st.lists(st.one_of(st.just(Scalar.zero(m)), scalar), min_size=width,
                       max_size=width)
     base = draw(st.lists(vector, max_size=4))
@@ -366,7 +367,7 @@ class TestMatrix:
 def scalars(m):
     phi = euler_phi(m)
     coeffs = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)
-    return st.one_of(st.just(Scalar.zero(m)), coeffs.map(lambda cs: Scalar.from_coeffs(m, cs)))
+    return st.one_of(st.just(Scalar.zero(m)), coeffs.map(lambda cs: from_coeffs(m, cs)))
 
 
 def matrices(m, rows, cols):

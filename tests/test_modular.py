@@ -48,8 +48,8 @@ def modular_cases(draw):
     def entry(i, j):
         if split is not None and i >= split and j < split:
             return Scalar.zero(m)
-        return Scalar.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
-                                      for _ in range(euler_phi(m))])
+        return oracles.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                                       for _ in range(euler_phi(m))])
 
     gens = [Matrix(n, n, tuple(entry(i, j) for i in range(n) for j in range(n)))
             for _ in range(draw(st.integers(1, 3)))]
@@ -128,7 +128,7 @@ class TestFixedCases:
     def test_denominator_divisible_by_p_decides_nothing(self):
         p, _ = _modulus(5)
         z = Scalar.zeta(5)
-        x = Scalar.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
+        x = oracles.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
         gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
         assert not _spans_full_mod_p(gens, 2, 5)
         assert not oracles.spans_full_mod_p(gens, 2, 5)
