@@ -34,8 +34,8 @@ from .engine import (
 )
 from .stokes import (
     Circle,
+    InvalidCandidate,
     IrregularClass,
-    RepCandidate,
     Scaffold,
     UnsolvableRelation,
     WildSurface,

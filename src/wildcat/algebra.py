@@ -51,9 +51,11 @@ module, from structure constants, with no shortcut for M_N(K)) is kept as a
 test oracle in ``tests/oracles.py``; the two must agree on every input.
 
 Invariant-subspace search is a MeatAxe over the exact coefficient field:
-the modular certificate of M_N(K), kernel and eigenvalue candidates, then a
-proof-grade fallback through the radical, the commutant, and polynomial
-factorisation over the field.  That factorisation (``factor_over_field``)
+kernel and eigenvalue candidates, then a proof-grade fallback through the
+radical, the commutant, and polynomial factorisation over the field.  The
+modular certificate of M_N(K) runs once per module before it: in
+``spin_algebra`` for the whole module, in ``decompose_irreducibles`` for
+each summand.  That factorisation (``factor_over_field``)
 follows Trager: sympy factors only the norm, an integer polynomial, and
 Euclid's algorithm on Scalar coefficients recovers the factors over the
 field.  A returned subspace is always a genuine submodule; ``None`` is only
@@ -92,12 +94,10 @@ class NotSemisimpleError(Exception):
 
 
 class MeatAxeInconclusive(Exception):
-    """Raised when irreducibility over the field cannot be certified.
-
-    Only reachable when the endomorphism ring is a noncommutative
-    division-algebra candidate; deciding that case amounts to solving norm
-    equations, which is out of scope.  Never returns a wrong verdict.
-    """
+    """Raised when irreducibility over the field cannot be certified: the
+    endomorphism ring is not a field (a division algebra, or M_k(K) on k
+    isomorphic blocks) and no element tried splits the module.  Never
+    returns a wrong verdict."""
 
 
 @dataclass
@@ -690,8 +690,6 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
 
     if all(_is_scalar_matrix(g) for g in generators):
         return Subspace.from_vectors(n, [Matrix.identity(n, m).row(0)])
-    if _spans_full_mod_p(generators, n, m):
-        return None  # the algebra is M_n(K): absolutely irreducible
 
     # cheap kernel candidates straight from the generators
     for f in generators:
@@ -730,8 +728,8 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
         if sub is not None:
             return sub
 
-    # isotypic with division endomorphisms is the only remaining shape;
-    # hunt for zero divisors before giving up
+    # an isotypic module whose End (M_k(D), D a division algebra) is not a
+    # field is the only remaining shape; hunt for zero divisors before giving up
     ident = Matrix.identity(n, m)
     for j in range(n):
         sub = spin_subspace(generators, [ident.row(j)], n)
@@ -747,7 +745,8 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
             if sub is not None:
                 return sub
     raise MeatAxeInconclusive(
-        "endomorphism ring resists splitting: division algebra candidate")
+        f"MeatAxe inconclusive: the endomorphism ring (dimension {len(comm)}, centre "
+        f"dimension {len(centre)}) is not a field, and no element tried splits the module")
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +775,12 @@ def decompose_irreducibles(generators, split: Optional[Subspace]):
 
     def decompose(sub: Subspace):
         acts = [restrict_matrix(g, sub) for g in generators]
-        inner = None if sub.dim == 1 else invariant_subspace(acts, semisimple=True)
+        irreducible = sub.dim == 1 or _spans_full_mod_p(acts, sub.dim, m)  # M_d(K)
+        inner = None if irreducible else invariant_subspace(acts, semisimple=True)
         return summands(sub, acts, inner)
 
-    whole = Subspace.full(generators[0].rows, generators[0]._conductor())
+    m = generators[0]._conductor()
+    whole = Subspace.full(generators[0].rows, m)
     parts = summands(whole, generators, split)
     parts.sort(key=lambda part: part[0].sort_key())
     return parts

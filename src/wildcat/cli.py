@@ -5,11 +5,15 @@ so repeated runs on one instance (and seed) are byte-identical; certificates
 are included so every verdict can be rechecked by a few lines of script.
 Text output is the same content rendered for people, plus wall-clock time.
 
+A command returns (payload, text lines, exit code) or raises; only
+``run_command`` prints, reads the clock and maps a failure to an exit code.
 Exit codes: 0 success; 1 a well-formed input that fails (a candidate that
 violates the Stokes conditions, a point with no Levi reduction, a relation
 the sampler cannot solve); 2 a malformed or unsuitable input; 3 an
 inconclusive analysis, when the MeatAxe can neither split a module nor
-certify it irreducible over the field (the reason goes to stderr).
+certify it irreducible over the field.  Past parsing, a failure's code is
+chosen in ``_FAILURES`` and its message goes to stderr; ``verify`` returns
+1 itself, with the violations on stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .algebra import MeatAxeInconclusive
 from .engine import (
@@ -33,8 +36,7 @@ from .engine import (
 from .instances import InstanceError, InstanceFile, parse_instance
 from .linalg import Matrix, Subspace
 from .stokes import (
-    RepCandidate,
-    Scaffold,
+    InvalidCandidate,
     UnsolvableRelation,
     build_scaffold,
     grouped_directions,
@@ -48,6 +50,21 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+
+
+class _Refused(Exception):
+    """An instance of the wrong kind for its command."""
+
+
+# the exit code of every failure a schema-valid instance can meet
+_FAILURES = {
+    InvalidCandidate: EXIT_INVALID,
+    NotPolystable: EXIT_INVALID,
+    UnsolvableRelation: EXIT_INVALID,
+    TwistedInput: EXIT_INPUT,
+    _Refused: EXIT_INPUT,
+    MeatAxeInconclusive: EXIT_INCONCLUSIVE,
+}
 
 
 @dataclass
@@ -79,15 +96,6 @@ class Report:
             else [Subspace.from_json(s, m) for s in raw["levi_decomposition"]],
         )
         return Report(data["command"], m, stability)
-
-
-def _emit(payload: dict, fmt: str, text_lines, started: float):
-    if fmt == "machine":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-        print(f"elapsed: {time.perf_counter() - started:.3f}s")
 
 
 def _matrix_text(mat: Matrix):
@@ -122,61 +130,28 @@ def _report_text(report: StabilityReport):
     return lines
 
 
-def _resolve_point(inst: InstanceFile):
-    """The framed point of an instance, building and verifying as needed.
-
-    Returns (point, error_message, exit_code)."""
+def _point(inst: InstanceFile):
+    """The framed point of an instance, a Stokes candidate's built and verified."""
     if inst.mode == "tuple":
-        if inst.point is None:
-            return None, "tuple instance carries no point", EXIT_INPUT
-        return inst.point, None, EXIT_OK
-    sc = build_scaffold(inst.surface)
+        return inst.point
     if inst.candidate is None:
-        return None, "stokes instance needs a candidate (use sample to create one)", EXIT_INPUT
-    try:
-        return to_framed_point(sc, RepCandidate(inst.candidate)), None, EXIT_OK
-    except ValueError as exc:  # the candidate fails verification
-        return None, str(exc), EXIT_INVALID
+        raise _Refused("stokes instance needs a candidate (use sample to create one)")
+    return to_framed_point(build_scaffold(inst.surface), inst.candidate)
 
 
-def _cmd_analyze(inst: InstanceFile, args, started) -> int:
-    point, err, code = _resolve_point(inst)
-    if point is None:
-        print(err, file=sys.stderr)
-        return code
-    try:
-        report = is_stable(point)
-    except MeatAxeInconclusive as exc:
-        print(f"analysis inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    payload = Report("analyze", inst.conductor, report).to_json()
-    _emit(payload, args.format, _report_text(report), started)
-    return EXIT_OK
+def _cmd_analyze(inst: InstanceFile, args):
+    report = is_stable(_point(inst))
+    return Report("analyze", inst.conductor, report).to_json(), _report_text(report), EXIT_OK
 
 
-def _cmd_reduce(inst: InstanceFile, args, started) -> int:
-    point, err, code = _resolve_point(inst)
-    if point is None:
-        print(err, file=sys.stderr)
-        return code
-    try:
-        blocks = levi_reduction(point)
-    except NotPolystable:
-        print("point is not polystable: no Levi reduction", file=sys.stderr)
-        return EXIT_INVALID
-    except TwistedInput as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except MeatAxeInconclusive as exc:
-        print(f"reduction inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+def _cmd_reduce(inst: InstanceFile, args):
+    blocks = levi_reduction(_point(inst))
     payload = {"command": "reduce", "field": inst.conductor,
                "blocks": [b.to_json() for b in blocks]}
-    _emit(payload, args.format, _levi_text(blocks), started)
-    return EXIT_OK
+    return payload, _levi_text(blocks), EXIT_OK
 
 
-def _cmd_directions(inst: InstanceFile, args, started) -> int:
+def _cmd_directions(inst: InstanceFile, args):
     payload = {"command": "directions", "field": inst.conductor, "punctures": []}
     lines = []
     for i, cls in enumerate(inst.surface.punctures):
@@ -191,12 +166,13 @@ def _cmd_directions(inst: InstanceFile, args, started) -> int:
         lines.append(f"puncture {i + 1}: {len(groups)} singular directions")
         for t, pairs in groups:
             lines.append(f"    theta = {t:.12g}: pattern blocks {pairs}")
-    _emit(payload, args.format, lines, started)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _scaffold_json(sc: Scaffold):
-    return {
+def _cmd_scaffold(inst: InstanceFile, args):
+    sc = build_scaffold(inst.surface)
+    payload = {
+        "command": "scaffold",
         "n": sc.n,
         "genus": sc.genus,
         "field": sc.conductor,
@@ -208,11 +184,6 @@ def _scaffold_json(sc: Scaffold):
                        for g in sc.generators],
         "relation": [[name, exp] for name, exp in sc.relation],
     }
-
-
-def _cmd_scaffold(inst: InstanceFile, args, started) -> int:
-    sc = build_scaffold(inst.surface)
-    payload = {"command": "scaffold", **_scaffold_json(sc)}
     word = " ".join(name if exp == 1 else f"{name}^-1" for name, exp in sc.relation)
     lines = [f"{len(sc.generators)} generators:"]
     for g in sc.generators:
@@ -223,54 +194,50 @@ def _cmd_scaffold(inst: InstanceFile, args, started) -> int:
             extra = "  (twisted graded support)"
         lines.append(f"    {g.name}: {g.kind}{extra}")
     lines.append(f"relation: {word} = 1")
-    _emit(payload, args.format, lines, started)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_verify(inst: InstanceFile, args, started) -> int:
+def _cmd_verify(inst: InstanceFile, args):
     if inst.candidate is None:
-        print("verify requires a candidate", file=sys.stderr)
-        return EXIT_INPUT
-    sc = build_scaffold(inst.surface)
-    violations = verify_candidate(sc, RepCandidate(inst.candidate))
+        raise _Refused("verify requires a candidate")
+    violations = verify_candidate(build_scaffold(inst.surface), inst.candidate)
     payload = {"command": "verify", "field": inst.conductor, "violations": violations}
     lines = ["candidate verifies: no violations"] if not violations else \
         [f"{len(violations)} violations:"] + [f"    {v}" for v in violations]
-    _emit(payload, args.format, lines, started)
-    return EXIT_OK if not violations else EXIT_INVALID
+    return payload, lines, EXIT_OK if not violations else EXIT_INVALID
 
 
-def _cmd_sample(inst: InstanceFile, args, started) -> int:
+def _cmd_sample(inst: InstanceFile, args):
     sc = build_scaffold(inst.surface)
-    try:
-        cand = random_candidate(sc, args.seed)
-    except UnsolvableRelation as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+    cand = sorted(random_candidate(sc, args.seed).items())
     payload = {"command": "sample", "field": sc.conductor, "seed": args.seed,
-               "candidate": cand.to_json()}
+               "candidate": {name: mat.to_json() for name, mat in cand}}
     lines = [f"verified candidate for seed {args.seed}:"]
-    for name, mat in sorted(cand.assignment.items()):
+    for name, mat in cand:
         lines.append(f"  {name}:")
         lines += _matrix_text(mat)
-    _emit(payload, args.format, lines, started)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, whether it needs the surface of a stokes instance, help)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, False, "decide polystability and stability, print certificates"),
+    "directions": (_cmd_directions, True, "list singular directions and Stokes block patterns"),
+    "scaffold": (_cmd_scaffold, True, "print the generators and the surface relation"),
+    "verify": (_cmd_verify, True, "check a candidate against the Stokes conditions"),
+    "reduce": (_cmd_reduce, False, "print the Levi decomposition of a polystable point"),
+    "sample": (_cmd_sample, True, "emit a random verified candidate for a seed"),
+}
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="wildcat",
         description="Exact stability analysis of twisted tuples and Stokes representations")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "analyze": "decide polystability and stability, print certificates",
-        "directions": "list singular directions and Stokes block patterns",
-        "scaffold": "print the generators and the surface relation",
-        "verify": "check a candidate against the Stokes conditions",
-        "reduce": "print the Levi decomposition of a polystable point",
-        "sample": "emit a random verified candidate for a seed",
-    }
-    for name, help_text in helps.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--instance", required=True, help="path to a JSON instance file")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
@@ -278,41 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command and reused by every later one."""
-    return build_parser()
-
-
-# commands that need the surface of a stokes instance
-_SURFACE_COMMANDS = ("directions", "scaffold", "verify", "sample")
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "directions": _cmd_directions,
-    "scaffold": _cmd_scaffold,
-    "verify": _cmd_verify,
-    "reduce": _cmd_reduce,
-    "sample": _cmd_sample,
-}
-
-
 def run_command(argv) -> int:
     started = time.perf_counter()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0,) else EXIT_OK
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    handler, needs_surface, _ = _COMMANDS[args.command]
     try:
         inst = parse_instance(args.instance)
+        if needs_surface and inst.mode != "stokes":
+            raise _Refused(f"{args.command} requires a stokes instance")
+        payload, lines, code = handler(inst, args)
     except InstanceError as exc:
         for err in exc.errors:
             print(err, file=sys.stderr)
         return EXIT_INPUT
-    if args.command in _SURFACE_COMMANDS and (inst.mode != "stokes" or inst.surface is None):
-        print(f"{args.command} requires a stokes instance", file=sys.stderr)
-        return EXIT_INPUT
-    return _COMMANDS[args.command](inst, args, started)
+    except tuple(_FAILURES) as exc:
+        print(exc, file=sys.stderr)
+        return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
+    if args.format == "machine":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+        print(f"elapsed: {time.perf_counter() - started:.3f}s")
+    return code
 
 
 def main():

@@ -367,7 +367,7 @@ def levi_reduction(p: FramedPoint):
         raise TwistedInput("Levi extraction requires untwisted loops")
     report = is_polystable(p)
     if not report.polystable:
-        raise NotPolystable("point is not polystable")
+        raise NotPolystable("point is not polystable: no Levi reduction")
     levi = decompose_irreducibles(report.galois.generators, _first_split(report))
     return [block for block, _ in levi]
 

@@ -51,6 +51,11 @@ from .twists import TwistedElement
 ANGLE_TOL = 1e-9
 
 
+class InvalidCandidate(ValueError):
+    """A candidate that is not a point of the scaffold's variety; the
+    message names its violations."""
+
+
 class UnsolvableRelation(Exception):
     """No seeded attempt gave a verified candidate; ``reasons`` counts the
     attempts each distinct failure reason ended, in first-seen order."""
@@ -304,14 +309,6 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
     return Scaffold(ws.n, ws.genus, conductor, punctures, generators, relation)
 
 
-@dataclass
-class RepCandidate:
-    assignment: dict              # generator name -> Matrix
-
-    def to_json(self):
-        return {name: mat.to_json() for name, mat in sorted(self.assignment.items())}
-
-
 def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity: bool):
     """Check that (mat - I if shift_identity else mat) is supported in the blocks."""
     n = mat.rows
@@ -347,22 +344,23 @@ def _residual(sc: Scaffold, assignment: dict, start: int, stop: int) -> Matrix:
     return _word_product(assignment, rest).inverse()
 
 
-def verify_candidate(sc: Scaffold, cand: RepCandidate):
-    """Empty list iff the candidate is a genuine point of the scaffold's variety."""
+def verify_candidate(sc: Scaffold, cand: dict):
+    """Empty list iff the candidate, a dict from generator name to Matrix, is
+    a genuine point of the scaffold's variety."""
     violations = []
     assignment = {}
     for gen in sc.generators:
-        if gen.name not in cand.assignment:
+        if gen.name not in cand:
             violations.append(f"{gen.name}: missing assignment")
             continue
-        mat = cand.assignment[gen.name]
+        mat = cand[gen.name]
         if mat.rows != sc.n or mat.cols != sc.n:
             violations.append(f"{gen.name}: expected a {sc.n}x{sc.n} matrix")
             continue
         assignment[gen.name] = mat
     names = {gen.name for gen in sc.generators}
     violations += [f"{name}: not a scaffold generator"
-                   for name in cand.assignment if name not in names]
+                   for name in cand if name not in names]
     if violations:
         return violations
     for gen in sc.generators:
@@ -389,21 +387,21 @@ def verify_candidate(sc: Scaffold, cand: RepCandidate):
     return violations
 
 
-def to_framed_point(sc: Scaffold, cand: RepCandidate) -> FramedPoint:
+def to_framed_point(sc: Scaffold, cand: dict) -> FramedPoint:
     """Assemble the framed point: loops based at the first puncture's basepoint.
 
     The loops follow the scaffold's generator order: the handles as they
     are, then per puncture h_i and S_i.* conjugated by that puncture's
     connector C_i (as C_i^-1 x C_i; the first puncture has none).  The
-    candidate is verified first; ValueError("invalid candidate: ...") names
-    its violations.
+    candidate, a dict from generator name to Matrix, is verified first;
+    InvalidCandidate("invalid candidate: ...") names its violations.
     """
     violations = verify_candidate(sc, cand)
     if violations:
-        raise ValueError("invalid candidate: " + "; ".join(violations))
+        raise InvalidCandidate("invalid candidate: " + "; ".join(violations))
     loops, connectors, conj = [], [], None
     for gen in sc.generators:
-        mat = cand.assignment[gen.name]
+        mat = cand[gen.name]
         if gen.kind == "connector":
             connectors.append(mat)
             conj = (mat.inverse(), mat)
@@ -533,8 +531,8 @@ def _apply_framing_spread(rng, sc: Scaffold, assignment: dict):
     return out
 
 
-def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
-    """A seeded random verified candidate.
+def random_candidate(sc: Scaffold, seed: int) -> dict:
+    """A seeded random verified candidate, a dict from generator name to Matrix.
 
     Assigns random pattern-respecting matrices to every generator, then
     solves the surface relation for one target, whose value must be the
@@ -587,9 +585,8 @@ def random_candidate(sc: Scaffold, seed: int) -> RepCandidate:
             reasons[str(exc)] += 1
             continue
         assignment = _apply_framing_spread(rng, sc, assignment)
-        cand = RepCandidate(assignment)
-        violations = verify_candidate(sc, cand)
+        violations = verify_candidate(sc, assignment)
         if not violations:
-            return cand
+            return assignment
         reasons[", ".join(violations)] += 1
     raise UnsolvableRelation(seed, reasons)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wildcat
 from wildcat import cli, stokes
@@ -223,7 +228,9 @@ def test_inconclusive_meataxe_exit_code(tmp_path, capsys, command):
     assert run_command([command, "--instance", path, "--format", "machine"]) == \
         cli.EXIT_INCONCLUSIVE == 3
     out, err = capsys.readouterr()
-    assert out == "" and "inconclusive" in err and "division algebra" in err
+    assert out == "" and err == ("MeatAxe inconclusive: the endomorphism ring (dimension 4, "
+                                 "centre dimension 1) is not a field, and no element tried "
+                                 "splits the module\n")
 
 
 @pytest.mark.parametrize("circles", [
@@ -240,6 +247,93 @@ def test_shared_sheet_is_an_input_error(tmp_path, capsys, circles):
         assert run_command([command, "--instance", path]) == 2
         err = capsys.readouterr().err
         assert err == "stokes.punctures[0]: two sheets share one exponential factor\n"
+
+
+TWISTED = {"field": 1, "mode": "tuple",
+           "tuple": {"n": 2, "loops": [{"matrix": [["0", "1"], ["1", "0"]], "outer": "sigma"}]}}
+# one circle of ramification 3 with exponent 1: the variety is empty
+RAM3_SLOPE1 = {"field": 1, "mode": "stokes", "stokes": {"genus": 0, "n": 3, "punctures": [
+    {"circles": [{"ram": 3, "coeffs": [[1, "1"]]}]}]}}
+BAD_CANDIDATE = dict(TWO_CIRCLE, candidate=dict(IDENTITY_CANDIDATE,
+                                                **{"S1.0": [["1", "2"], ["0", "1"]]}))
+INVALID = "invalid candidate: S1.0: entry (0, 1) leaves the direction's block pattern"
+INCONCLUSIVE = ("MeatAxe inconclusive: the endomorphism ring (dimension 4, centre dimension 1) "
+                "is not a field, and no element tried splits the module")
+NO_CANDIDATE = "stokes instance needs a candidate (use sample to create one)"
+
+# (row of cli._FAILURES, its exit code, command, document, stderr line)
+FAILURE_CASES = [
+    ("InvalidCandidate", 1, "analyze", BAD_CANDIDATE, INVALID),
+    ("InvalidCandidate", 1, "reduce", BAD_CANDIDATE, INVALID),
+    ("NotPolystable", 1, "reduce", JORDAN, "point is not polystable: no Levi reduction"),
+    ("UnsolvableRelation", 1, "sample", RAM3_SLOPE1,
+     "no verified candidate after 40 seeded attempts (seed 0): "
+     "40 x local factorization missed the twisted graded support"),
+    ("TwistedInput", 2, "reduce", TWISTED, "Levi extraction requires untwisted loops"),
+    ("MeatAxeInconclusive", 3, "analyze", QUATERNION_PAIR, INCONCLUSIVE),
+    ("MeatAxeInconclusive", 3, "reduce", QUATERNION_PAIR, INCONCLUSIVE),
+    *(("_Refused", 2, command, JORDAN, f"{command} requires a stokes instance")
+      for command in ("directions", "scaffold", "verify", "sample")),
+    ("_Refused", 2, "analyze", TWO_CIRCLE, NO_CANDIDATE),
+    ("_Refused", 2, "reduce", TWO_CIRCLE, NO_CANDIDATE),
+    ("_Refused", 2, "verify", TWO_CIRCLE, "verify requires a candidate"),
+]
+
+
+@pytest.mark.parametrize("failure, code, command, doc, err", FAILURE_CASES,
+                         ids=[f"{case[0]}-{case[2]}-{i}" for i, case in enumerate(FAILURE_CASES)])
+def test_failure_table(tmp_path, capsys, failure, code, command, doc, err):
+    path = write(tmp_path, "doc.json", doc)
+    assert cli._FAILURES[getattr(cli, failure)] == code
+    assert run_command([command, "--instance", path, "--format", "machine"]) == code
+    assert capsys.readouterr() == ("", err + "\n")
+
+
+def test_every_failure_row_has_a_case():
+    assert {kind.__name__ for kind in cli._FAILURES} == {case[0] for case in FAILURE_CASES}
+
+
+def test_a_fault_building_a_verified_point_escapes(tmp_path, monkeypatch):
+    # only a candidate that fails verification exits 1; a ValueError raised
+    # while the verified candidate is assembled is a fault, not a verdict
+    def broken(*args):
+        raise ValueError("broken point")
+    monkeypatch.setattr(stokes, "FramedPoint", broken)
+    path = write(tmp_path, "tc.json", dict(TWO_CIRCLE, candidate=IDENTITY_CANDIDATE))
+    with pytest.raises(ValueError, match="broken point"):
+        run_command(["analyze", "--instance", path, "--format", "machine"])
+
+
+ENTRIES = st.sampled_from(["-2", "-1", "-1/2", "0", "1/2", "1", "2"])
+
+
+@st.composite
+def tuple_documents(draw):
+    """Schema-valid tuple documents; a singular loop or inner part is allowed."""
+    n = draw(st.integers(1, 3))
+    matrices = st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    loops = []
+    for _ in range(draw(st.integers(1, 2))):
+        loop = {"matrix": draw(matrices), "outer": draw(st.sampled_from(["identity", "sigma"]))}
+        if draw(st.booleans()):
+            loop["inner"] = draw(matrices)
+        loops.append(loop)
+    return {"field": draw(st.sampled_from([1, 4])), "mode": "tuple",
+            "tuple": {"n": n, "loops": loops}}
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(doc=tuple_documents())
+def test_every_command_ends_in_a_defined_exit_code(tmp_path_factory, doc):
+    path = write(tmp_path_factory.mktemp("doc"), "doc.json", doc)
+    for command in cli._COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run_command([command, "--instance", path, "--format", "machine"])
+        assert code in (0, 1, 2, 3), (command, code)
+        if command == "analyze" and code == 0:
+            payload = json.loads(out.getvalue())
+            assert Report.from_json(payload).to_json() == payload
 
 
 GRADED = {"field": 1, "mode": "tuple", "tuple": {

@@ -671,6 +671,21 @@ class TestOneAnalysis:
         assert rep.levi_decomposition == [Subspace.full(2)]
         assert counts == {"invariant_subspace": 0, "invariant_complement": 0}
 
+    def test_full_algebra_certificate_runs_once_per_module(self, monkeypatch):
+        # (swap, diag) (+) (2, 3): the spin certifies nothing on the whole
+        # module, the first split runs no certificate, and the 2-dimensional
+        # block's M_2(Q) is certified before any search of it
+        calls = []
+        original = algebra._spans_full_mod_p
+        monkeypatch.setattr(algebra, "_spans_full_mod_p",
+                            lambda gens, n, m: calls.append(n) or original(gens, n, m))
+        counts = self.counted(monkeypatch, ["invariant_subspace"])
+        loops = [Matrix.build([[0, 1, 0], [1, 0, 0], [0, 0, 2]]),
+                 Matrix.build([[1, 0, 0], [0, -1, 0], [0, 0, 3]])]
+        rep = is_stable(simple_point([TwistedElement.plain(g) for g in loops], n=3))
+        assert [b.dim for b in rep.levi_decomposition] == [1, 2]
+        assert calls == [3, 2] and counts == {"invariant_subspace": 1}
+
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
         # the rotation (+) (2) over Q: the search of the 2-dimensional
         # irreducible block and the Hom sum share its actions

@@ -54,7 +54,7 @@ def test_tame_surface_keeps_declared_field():
     sc = build_scaffold(inst.surface)
     assert inst.conductor == sc.conductor == 5
     cand = random_candidate(sc, 0)
-    assert all(x.m == 5 for mat in cand.assignment.values() for x in mat.entries)
+    assert all(x.m == 5 for mat in cand.values() for x in mat.entries)
 
 
 def test_schema_error_names_key():

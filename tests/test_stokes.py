@@ -12,8 +12,8 @@ from wildcat.engine import is_stable, stabilizer_lie_dim
 from wildcat.linalg import Matrix
 from wildcat.stokes import (
     Circle,
+    InvalidCandidate,
     IrregularClass,
-    RepCandidate,
     UnsolvableRelation,
     WildSurface,
     _apply_framing_spread,
@@ -166,40 +166,40 @@ class TestVerify:
         self.sc = build_scaffold(WildSurface(0, [TWO_CIRCLE], 2))
 
     def test_forced_point_verifies(self):
-        cand = RepCandidate({"h1": Matrix.identity(2),
-                             "S1.0": Matrix.identity(2),
-                             "S1.1": Matrix.identity(2)})
+        cand = {"h1": Matrix.identity(2),
+                "S1.0": Matrix.identity(2),
+                "S1.1": Matrix.identity(2)}
         assert verify_candidate(self.sc, cand) == []
 
     def test_relation_violation(self):
         x = Fraction(1)
-        cand = RepCandidate({"h1": Matrix.identity(2),
-                             "S1.0": Matrix.build([[1, 0], [x, 1]]),
-                             "S1.1": Matrix.build([[1, -x], [0, 1]])})
+        cand = {"h1": Matrix.identity(2),
+                "S1.0": Matrix.build([[1, 0], [x, 1]]),
+                "S1.1": Matrix.build([[1, -x], [0, 1]])}
         v = verify_candidate(self.sc, cand)
         assert len(v) == 1 and "relation" in v[0]
 
     def test_pattern_violation(self):
-        cand = RepCandidate({"h1": Matrix.identity(2),
-                             "S1.0": Matrix.build([[1, 1], [0, 1]]),  # wrong block
-                             "S1.1": Matrix.identity(2)})
+        cand = {"h1": Matrix.identity(2),
+                "S1.0": Matrix.build([[1, 1], [0, 1]]),  # wrong block
+                "S1.1": Matrix.identity(2)}
         v = verify_candidate(self.sc, cand)
         assert any("S1.0" in s and "pattern" in s for s in v)
 
     def test_formal_off_block(self):
-        cand = RepCandidate({"h1": Matrix.build([[0, 1], [1, 0]]),
-                             "S1.0": Matrix.identity(2),
-                             "S1.1": Matrix.identity(2)})
+        cand = {"h1": Matrix.build([[0, 1], [1, 0]]),
+                "S1.0": Matrix.identity(2),
+                "S1.1": Matrix.identity(2)}
         v = verify_candidate(self.sc, cand)
         assert any("h1" in s and "graded" in s for s in v)
 
     def test_missing_assignment(self):
-        v = verify_candidate(self.sc, RepCandidate({"h1": Matrix.identity(2)}))
+        v = verify_candidate(self.sc, {"h1": Matrix.identity(2)})
         assert any("missing" in s for s in v)
 
     def test_unknown_and_missing_assignments_are_both_reported(self):
-        cand = RepCandidate({"h1": Matrix.identity(2), "S1.0": Matrix.identity(2),
-                             "X9": Matrix.identity(2)})
+        cand = {"h1": Matrix.identity(2), "S1.0": Matrix.identity(2),
+                "X9": Matrix.identity(2)}
         assert verify_candidate(self.sc, cand) == ["S1.1: missing assignment",
                                                    "X9: not a scaffold generator"]
 
@@ -212,34 +212,34 @@ class TestVerify:
 class TestFramedAssembly:
     def test_tame_sphere_verdict(self):
         sc = build_scaffold(WildSurface(0, [TAME2], 2))
-        fp = to_framed_point(sc, RepCandidate({"h1": Matrix.identity(2)}))
+        fp = to_framed_point(sc, {"h1": Matrix.identity(2)})
         rep = is_stable(fp)
         assert rep.polystable and not rep.stable
         assert rep.stabilizer_dim == 4
 
     def test_two_circle_forced_point(self):
         sc = build_scaffold(WildSurface(0, [TWO_CIRCLE], 2))
-        cand = RepCandidate({"h1": Matrix.identity(2), "S1.0": Matrix.identity(2),
-                             "S1.1": Matrix.identity(2)})
+        cand = {"h1": Matrix.identity(2), "S1.0": Matrix.identity(2),
+                "S1.1": Matrix.identity(2)}
         rep = is_stable(to_framed_point(sc, cand))
         assert rep.polystable and not rep.stable
 
     def test_unverified_rejected(self):
         sc = build_scaffold(WildSurface(0, [TWO_CIRCLE], 2))
-        cand = RepCandidate({"h1": Matrix.build([[2, 0], [0, 1]]),
-                             "S1.0": Matrix.identity(2), "S1.1": Matrix.identity(2)})
-        with pytest.raises(ValueError):
+        cand = {"h1": Matrix.build([[2, 0], [0, 1]]),
+                "S1.0": Matrix.identity(2), "S1.1": Matrix.identity(2)}
+        with pytest.raises(InvalidCandidate):
             to_framed_point(sc, cand)
 
     def test_loops_follow_the_generator_order(self):
         # handles as they are, then h_1 (a tame puncture has no S_1.*), then
         # C_2^-1 x C_2 for h_2 and S_2.*; the gradings are the punctures' own
         sc = build_scaffold(WildSurface(1, [TAME2, TWO_CIRCLE], 2))
-        a = random_candidate(sc, 3).assignment
+        a = random_candidate(sc, 3)
         c = a["C2"]
         expected = [a["a1"], a["b1"], a["h1"]]
         expected += [c.inverse() @ a[name] @ c for name in ("h2", "S2.0", "S2.1")]
-        fp = to_framed_point(sc, RepCandidate(a))
+        fp = to_framed_point(sc, a)
         assert [loop.g for loop in fp.loops] == expected
         assert all(loop.is_normalized() for loop in fp.loops)
         assert fp.connectors == [c]
@@ -257,14 +257,14 @@ class TestSampling:
     def test_tame_sphere_forced(self):
         sc = build_scaffold(WildSurface(0, [TAME2], 2))
         cand = random_candidate(sc, 5)
-        assert cand.assignment["h1"] == Matrix.identity(2)
+        assert cand["h1"] == Matrix.identity(2)
 
     def test_genus_one_tame(self):
         sc = build_scaffold(WildSurface(1, [TAME2], 2))
         for seed in range(4):
             cand = random_candidate(sc, seed)
             assert verify_candidate(sc, cand) == []
-        a, b, h = (cand.assignment[k] for k in ("a1", "b1", "h1"))
+        a, b, h = (cand[k] for k in ("a1", "b1", "h1"))
         assert a @ b @ a.inverse() @ b.inverse() @ h == Matrix.identity(2)
 
     def test_two_circle_seeds(self):
@@ -275,13 +275,13 @@ class TestSampling:
 
     def test_framing_spread_inverts_once_per_puncture(self, monkeypatch):
         sc = build_scaffold(WildSurface(1, [TWO_CIRCLE, TAME2], 2))
-        assignment = random_candidate(sc, 3).assignment
+        assignment = random_candidate(sc, 3)
         inverted = []
         real = Matrix.inverse
         monkeypatch.setattr(Matrix, "inverse", lambda self: inverted.append(self) or real(self))
         spread = _apply_framing_spread(random.Random(0), sc, assignment)
         assert len(inverted) == len(sc.punctures) == 2
-        assert verify_candidate(sc, RepCandidate(spread)) == []
+        assert verify_candidate(sc, spread) == []
 
     def test_katz_seeds_verify(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))
@@ -301,9 +301,7 @@ class TestSampling:
 
     def test_determinism(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))
-        a = random_candidate(sc, 7).to_json()
-        b = random_candidate(sc, 7).to_json()
-        assert a == b
+        assert random_candidate(sc, 7) == random_candidate(sc, 7)
 
     @pytest.mark.parametrize("surface, seed, digest", [
         (WildSurface(0, [TWO_CIRCLE, TAME2], 2), 3, "b85ef2304b1b276a"),  # free formal
@@ -313,7 +311,7 @@ class TestSampling:
     def test_seeded_candidate_bytes(self, surface, seed, digest):
         # one pin per solve route of random_candidate
         cand = random_candidate(build_scaffold(surface), seed)
-        text = json.dumps(cand.to_json(), sort_keys=True)
+        text = json.dumps({name: mat.to_json() for name, mat in cand.items()}, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("surface", [
