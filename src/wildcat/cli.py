@@ -53,7 +53,7 @@ EXIT_INCONCLUSIVE = 3
 
 
 class _Refused(Exception):
-    """An instance of the wrong kind for its command."""
+    """An instance its command cannot run on: the wrong mode, or no candidate."""
 
 
 # the exit code of every failure a schema-valid instance can meet

@@ -222,15 +222,17 @@ QUATERNION_PAIR = {
 }
 
 
+INCONCLUSIVE = ("MeatAxe inconclusive: the endomorphism ring (dimension 4, centre dimension 1) "
+                "is not a field, and no element tried splits the module")
+
+
 @pytest.mark.parametrize("command", ["analyze", "reduce"])
 def test_inconclusive_meataxe_exit_code(tmp_path, capsys, command):
     path = write(tmp_path, "quaternion.json", QUATERNION_PAIR)
     assert run_command([command, "--instance", path, "--format", "machine"]) == \
         cli.EXIT_INCONCLUSIVE == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == ("MeatAxe inconclusive: the endomorphism ring (dimension 4, "
-                                 "centre dimension 1) is not a field, and no element tried "
-                                 "splits the module\n")
+    assert out == "" and err == INCONCLUSIVE + "\n"
 
 
 @pytest.mark.parametrize("circles", [
@@ -257,8 +259,6 @@ RAM3_SLOPE1 = {"field": 1, "mode": "stokes", "stokes": {"genus": 0, "n": 3, "pun
 BAD_CANDIDATE = dict(TWO_CIRCLE, candidate=dict(IDENTITY_CANDIDATE,
                                                 **{"S1.0": [["1", "2"], ["0", "1"]]}))
 INVALID = "invalid candidate: S1.0: entry (0, 1) leaves the direction's block pattern"
-INCONCLUSIVE = ("MeatAxe inconclusive: the endomorphism ring (dimension 4, centre dimension 1) "
-                "is not a field, and no element tried splits the module")
 NO_CANDIDATE = "stokes instance needs a candidate (use sample to create one)"
 
 # (row of cli._FAILURES, its exit code, command, document, stderr line)
