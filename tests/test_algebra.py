@@ -12,7 +12,9 @@ from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
     _modulus,
+    _norton_full,
     _primitive_element,
+    _small_modulus,
     _spans_full_mod_p,
     commutant,
     decompose_irreducibles,
@@ -190,6 +192,40 @@ class TestModularCertificate:
         gens = [Matrix.build([[z, 0], [0, 1]]), Matrix.build([[0, 1], [1, 0]], 5)]
         assert _spans_full_mod_p(gens, 2, 5)
         assert spin_algebra(gens).basis == reference_spin(gens, 2, 5)
+
+    # the same cases at n = 5, where Norton's test mod q runs before the spin:
+    # diag(1, 1 + c, ..., 1 + 4c) and the cyclic shift span M_5 over Q
+    @staticmethod
+    def diag_and_shift(c, shift_scale=1):
+        diag = Matrix.build([[1 + i * c if i == j else 0 for j in range(5)] for i in range(5)])
+        shift = Matrix.build([[1 if (i - j) % 5 == 1 else 0 for j in range(5)] for i in range(5)])
+        return [diag, Matrix.identity(5) + shift.scale(Fraction(shift_scale))]
+
+    def test_scalar_images_mod_q_fall_back_to_the_spin(self):
+        q, _ = _small_modulus(1)
+        gens = self.diag_and_shift(q, q)  # both = I mod q
+        assert not _norton_full(gens, 5, 1)
+        assert _spans_full_mod_p(gens, 5, 1)  # by the spin mod p
+        assert spin_algebra(gens).basis == reference_spin(gens, 5, 1)
+
+    def test_unlucky_at_both_primes_falls_back_to_exact_spin(self):
+        q, _ = _small_modulus(1)
+        p, _ = _modulus(1)
+        gens = self.diag_and_shift(p * q)  # mod p and mod q: I and I + shift
+        # the first element is 2I + shift, its one eigenvalue mod q is 3, and
+        # the null line of shift - I, (1, ..., 1), spins to itself
+        assert not _norton_full(gens, 5, 1)
+        assert not _spans_full_mod_p(gens, 5, 1)
+        alg = spin_algebra(gens)
+        assert alg.dim == 25 and alg.basis == reference_spin(gens, 5, 1)
+        assert invariant_subspace(gens) is None
+
+    def test_denominator_divisible_by_q_falls_back_to_the_spin(self):
+        q, _ = _small_modulus(1)
+        gens = self.diag_and_shift(Fraction(1, q))
+        assert not _norton_full(gens, 5, 1)
+        assert _spans_full_mod_p(gens, 5, 1)  # by the spin mod p
+        assert spin_algebra(gens).basis == reference_spin(gens, 5, 1)
 
 
 class TestRadical:

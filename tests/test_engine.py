@@ -49,8 +49,8 @@ def simple_point(loops, n=2, gradings=None, connectors=None):
                        connectors or [], loops)
 
 
-def coordinate_grading(n):
-    ident = Matrix.identity(n)
+def coordinate_grading(n, m=1):
+    ident = Matrix.identity(n, m)
     return Grading(n, [((i,), [ident.row(i)]) for i in range(n)])
 
 
@@ -72,6 +72,25 @@ def rand_block_diag(rng, sizes):
                 out[start + r][start + c] = b[r, c]
         start += s
     return Matrix.build(out)
+
+
+def generic_twisted_point(rng, n, m):
+    """Two sigma-twisted loops, the coordinate torus at a second basepoint and
+    a connector, all random: entries +-1 or +-2, plus +-zeta^k over Q(zeta_m).
+    The doubled module is M_2n(K)'s, so the point is stable with stabilizer 0."""
+    def entry():
+        x = Scalar.rational(rng.choice((-2, -1, 1, 2)), m)
+        if m > 1:
+            x = x + Scalar.rational(rng.choice((-1, 1)), m) * Scalar.zeta(m, rng.randrange(1, euler_phi(m)))
+        return x
+
+    def invertible():
+        while True:
+            g = Matrix(n, n, tuple(entry() for _ in range(n * n)))
+            if g.is_invertible():
+                return g
+    loops = [TwistedElement(invertible(), Automorphism.sigma(n, m)) for _ in range(2)]
+    return FramedPoint(n, [Grading.trivial(n, m), coordinate_grading(n, m)], [invertible()], loops)
 
 
 def rand_point(rng, n=2, twisted=True, m2=True):
@@ -685,6 +704,16 @@ class TestOneAnalysis:
         rep = is_stable(simple_point([TwistedElement.plain(g) for g in loops], n=3))
         assert [b.dim for b in rep.levi_decomposition] == [1, 2]
         assert calls == [3, 2] and counts == {"invariant_subspace": 1}
+
+    @pytest.mark.parametrize("n, m", [(10, 1), (5, 5)])
+    def test_twisted_generic_point_is_certified_without_the_spin(self, monkeypatch, n, m):
+        # Norton's test mod a small prime proves M_2n(K) on the doubled
+        # module, so the N^2-word spin mod p, the only packed echelon this
+        # point would build, never starts
+        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        rep = is_stable(generic_twisted_point(random.Random(0), n, m))
+        assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
+        assert counts == {"_echelon_mod_p": 0}
 
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
         # the rotation (+) (2) over Q: the search of the 2-dimensional

@@ -1,6 +1,6 @@
 """The packed modular layer of ``wildcat.algebra`` against the list reference
-in ``oracles``: the full-algebra certificate, the kernel bound, the slot
-sizes, the prime test and the modulus."""
+in ``oracles``: the full-algebra certificate, with Norton's test in front of
+it, the kernel bound, the slot sizes, the prime test and the moduli."""
 
 import random
 from fractions import Fraction
@@ -13,9 +13,11 @@ from wildcat.algebra import (
     _echelon_mod_p,
     _is_prime,
     _modulus,
+    _norton_full,
     _pack,
     _residues,
     _slot_words,
+    _small_modulus,
     _spans_full_mod_p,
     kernel_dim_mod_p,
 )
@@ -67,6 +69,58 @@ def test_packed_certificates_match_the_list_reference(case):
     assert bound == oracles.kernel_dim_mod_p(rows, n * n, m)
     if full:
         assert bound == 1  # the commutant of M_n(K) is the scalars
+
+
+@st.composite
+def norton_cases(draw):
+    """Two or three n x n matrices over Q(zeta_m), n = 5..9, of one shape:
+    full (random), block upper triangular, block diagonal with isomorphic
+    blocks (d x d, d the least divisor > 1 of n that is below n, else 1),
+    scalar, or complex: A (x) I + B (x) R on K^(n/2) (x) K^2, n made even,
+    with R the rotation by a right angle, irreducible over K = Q(zeta_m)
+    for m != 4 but not absolutely (its End holds R, R^2 = -1, and -1 is no
+    square mod the small prime either); entries as in ``modular_cases``."""
+    shape = draw(st.sampled_from(["full", "triangular", "isotypic", "scalar", "complex"]))
+    n = draw(st.integers(5, 9))
+    n += n % 2 if shape == "complex" else 0
+    m = draw(st.sampled_from([1, 3, 4, 5]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    split = rng.randint(1, n - 1)
+    d = next((d for d in range(2, n) if n % d == 0), 1)
+    rot = [[0, -1], [1, 0]]
+
+    def entry():
+        return oracles.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                                       for _ in range(euler_phi(m))])
+
+    def generator():
+        if shape == "scalar":
+            c = entry()
+            return [[c if i == j else Scalar.zero(m) for j in range(n)] for i in range(n)]
+        if shape == "complex":
+            a, b = ([[entry() for _ in range(n // 2)] for _ in range(n // 2)] for _ in range(2))
+            return [[(a[i // 2][j // 2] if i % 2 == j % 2 else Scalar.zero(m))
+                     + b[i // 2][j // 2] * Scalar.rational(rot[i % 2][j % 2], m)
+                     for j in range(n)] for i in range(n)]
+        if shape == "isotypic":
+            b = [[entry() for _ in range(d)] for _ in range(d)]
+            return [[b[i % d][j % d] if i // d == j // d else Scalar.zero(m) for j in range(n)]
+                    for i in range(n)]
+        return [[Scalar.zero(m) if shape == "triangular" and i >= split and j < split
+                 else entry() for j in range(n)] for i in range(n)]
+
+    gens = [Matrix(n, n, tuple(x for row in generator() for x in row))
+            for _ in range(draw(st.integers(2, 3)))]
+    return gens, n, m
+
+
+@settings(max_examples=60)
+@given(norton_cases())
+def test_norton_test_and_spin_agree_with_the_list_reference(case):
+    gens, n, m = case
+    reference = oracles.spans_full_mod_p(gens, n, m)
+    assert _spans_full_mod_p(gens, n, m) == reference
+    assert reference or not _norton_full(gens, n, m)  # True from Norton's test is a proof
 
 
 class TestSlots:
@@ -152,3 +206,15 @@ def test_modulus_is_unchanged():
         (2147483629, 1518275076), (2147483171, 2066432606), (2147483647, 1513477736),
         (2147483647, 1752599774), (2147483497, 291288225), (2147483647, 765383222),
         (2147483171, 566890146), (2147483647, 298192073), (2147483629, 1803057106)]
+
+
+def test_small_modulus_is_unchanged():
+    # (q, r) for Norton's test: the smallest prime q > 64 with q = 1 (mod m)
+    assert [_small_modulus(m) for m in range(1, 13)] == [
+        (67, 1), (67, 66), (67, 37), (73, 27), (71, 54), (67, 38),
+        (71, 30), (73, 10), (73, 37), (71, 14), (67, 64), (73, 3)]
+    for m in range(1, 13):
+        q, r = _small_modulus(m)
+        assert [x for x in range(65, q) if (x - 1) % m == 0 and oracles.is_prime(x)] == []
+        assert oracles.is_prime(q) and (q - 1) % m == 0
+        assert pow(r, m, q) == 1 and all(pow(r, k, q) != 1 for k in range(1, m))
