@@ -17,7 +17,7 @@ from .algebra import (
     radical_trace,
     spin_algebra,
 )
-from .twists import Automorphism, TwistedElement, embed_doubled, normalize
+from .twists import Automorphism, TwistedElement, embed_doubled
 from .engine import (
     FramedPoint,
     NotPolystable,

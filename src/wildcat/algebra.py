@@ -82,6 +82,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .linalg import (
+    IntRows,
     Matrix,
     Subspace,
     _EchelonSet,
@@ -395,6 +396,20 @@ def _norton_elements(gens, q: int):
         yield y
 
 
+def _norton_images(generators, m: int):
+    """(q, images): the generators' entries mapped to F_q by zeta_m -> r,
+    q the first prime > 64 with q = 1 (mod m) that divides none of their
+    denominators, from ``_small_modulus`` on.  Only finitely many primes
+    divide the denominators, so the walk ends."""
+    q, r = _small_modulus(m)
+    while True:
+        rpow = [pow(r, j, q) for j in range(euler_phi(m))]
+        images = [_image_mod_p(g.entries, q, rpow) for g in generators]
+        if None not in images:
+            return q, images
+        q, r = _prime_and_root(q + m, m, m)
+
+
 def _norton_full(generators, n: int, m: int) -> bool:
     """True only if words in the generators span all of M_n(Q(zeta_m)), by
     Norton's irreducibility test over a small prime field (Parker, "The
@@ -402,14 +417,15 @@ def _norton_full(generators, n: int, m: int) -> bool:
     Holt and Rees, "Testing modules for irreducibility", J. Austral. Math.
     Soc. 1994).
 
-    The generators are mapped to F_q, q the smallest prime > 64 with
-    q = 1 (mod m) (``_small_modulus``), by zeta_m -> r, the ring map of
-    ``_spans_full_mod_p``.  For each element a of ``_norton_elements`` and
-    each eigenvalue l in F_q of a (a root of its characteristic polynomial),
-    theta = a - l I is kept if its null space is a line <v>; the null space
-    of theta^T is then a line <w> too.  Then True iff v spins to all of F_q^n
-    under the images and w under their transposes.  The first kept theta
-    decides; with none, or if q divides a denominator, False.
+    The generators are mapped to F_q by zeta_m -> r, the ring map of
+    ``_spans_full_mod_p``, where q is the smallest prime > 64 with q = 1
+    (mod m) (``_small_modulus``) or, when q divides a denominator, the next
+    such prime that divides none (``_norton_images``).  For each element a
+    of ``_norton_elements`` and each eigenvalue l in F_q of a (a root of its
+    characteristic polynomial), theta = a - l I is kept if its null space is
+    a line <v>; the null space of theta^T is then a line <w> too.  Then True
+    iff v spins to all of F_q^n under the images and w under their
+    transposes.  The first kept theta decides; with none, False.
 
     Why True proves M_n(K).  Let U be a proper nonzero submodule mod q.  If
     theta is singular on U, then v lies in U.  Otherwise theta is invertible
@@ -433,11 +449,7 @@ def _norton_full(generators, n: int, m: int) -> bool:
     reducible or not absolutely irreducible mod q, or images scalar mod q,
     make the test say False, never lie.
     """
-    q, r = _small_modulus(m)
-    images = [_image_mod_p(g.entries, q, [pow(r, j, q) for j in range(euler_phi(m))])
-              for g in generators]
-    if None in images:
-        return False
+    q, images = _norton_images(generators, m)
     gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in images]
     for a in _norton_elements(gens, q):
         chi = _charpoly_mod(a, q)
@@ -461,10 +473,10 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     (``_norton_full``, whose docstring has the proof) is asked first, in
     about n^3 steps per element tried; True from it is the answer.  The
     spin below, about n^6 steps, still runs for n < 5, and wherever the test
-    says False: q divides a denominator, the module is reducible or not
-    absolutely irreducible mod q, or no element tried has an eigenvalue of
-    geometric multiplicity 1.  Measured on two random generators of a full
-    algebra over Q (x86-64, CPython 3.11), one call:
+    says False: the module is reducible or not absolutely irreducible mod
+    q, or no element tried has an eigenvalue of geometric multiplicity 1.
+    Measured on two random generators of a full algebra over Q (x86-64,
+    CPython 3.11), one call:
 
         n        3      4      5      6      8
         Norton  0.12   0.17   0.43   0.31   0.58 ms
@@ -514,21 +526,26 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     return len(_spin_left([ident], gens, times, keep, full)) == full
 
 
-def kernel_dim_mod_p(rows, width: int, m: int) -> Optional[int]:
-    """An upper bound on the kernel dimension of the rows over Q(zeta_m), or None.
+def kernel_dim_mod_p(rows, width: int, m: int) -> int:
+    """An upper bound on the kernel dimension over Q(zeta_m) of integer rows
+    in the ``_int_row`` layout (``sandwich_rows``).
 
-    The rows are mapped to F_p by the ring map of ``_spans_full_mod_p``.  A
-    minor that is nonzero mod p is the image of a nonzero minor, so the
+    The rows are mapped to F_p by the ring map of ``_spans_full_mod_p``,
+    which is defined on every integer row, so no denominator can stop it.
+    A minor that is nonzero mod p is the image of a nonzero minor, so the
     kernel mod p is at least as large; the packed echelon only understates
-    the rank mod p.  None if p divides a denominator.
+    the rank mod p.
     """
     p, rpow = _ring_map(m)
-    images = [_image_mod_p(row, p, rpow) for row in rows]
-    if None in images:
-        return None
+    phi = len(rpow)
     k = _slot_words(p - 1, width, p)
     insert = _echelon_mod_p(p, width, k)
-    return width - sum(insert(_pack(img, k)) is not None for img in images)
+    rank = 0
+    for row in rows:
+        img = [x % p for x in row] if phi == 1 else \
+            [sum(map(operator.mul, row[t:t + phi], rpow)) % p for t in range(0, len(row), phi)]
+        rank += insert(_pack(img, k)) is not None
+    return width - rank
 
 
 def _matrix_units(n: int, m: int):
@@ -609,17 +626,18 @@ def spin_subspace(generators, vectors, n: int) -> Subspace:
 
 
 def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
-    """Coefficient rows of b h - h a, h a db x da unknown, for every pair (a, b)."""
+    """Integer coefficient rows (``sandwich_rows``) of b h - h a, h a db x da
+    unknown, for every pair (a, b)."""
     rows = []
     for ga, gb in zip(acts_a, acts_b):
-        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
+        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)[0]
     return rows
 
 
 def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
     """Echelon basis of the db x da matrices h with b h = h a for every pair
     (a, b) of actions; there is at least one pair."""
-    ker = kernel(Matrix.build(intertwiner_rows(acts_a, acts_b, da, db, m), m))
+    ker = kernel(IntRows(intertwiner_rows(acts_a, acts_b, da, db, m), da * db, m))
     return [Matrix(db, da, tuple(v)) for v in ker.basis]
 
 
@@ -653,25 +671,29 @@ def invariant_complement(generators, sub: Subspace) -> Subspace:
     It is the kernel of a projection e onto sub that commutes with every
     generator.  The conditions are linear in e's n^2 entries: the columns of
     e lie in sub (the rows of sub's annihilator kill them), e fixes sub
-    pointwise, and e commutes with every generator.  ``linear_solve`` reads
-    e off the reduced echelon form of the system's row space, which every
-    system with the same solution set shares, so any rows stating that the
-    columns lie in sub give the same complement.  The commuting rows are
-    ``intertwiner_rows`` of the generators with themselves, g e - e g: the
-    negatives of e g - g e, so they span the same rows and give the same e.
+    pointwise, and e commutes with every generator.  They are integer rows
+    (``sandwich_rows``), so the fixing rows' right-hand side is scaled by
+    their denominator.  ``linear_solve`` reads e off the reduced echelon
+    form of the system's row space, which every system with the same
+    solution set shares, so any rows stating that the columns lie in sub
+    give the same complement.  The commuting rows are ``intertwiner_rows``
+    of the generators with themselves, g e - e g: the negatives of
+    e g - g e, so they span the same rows and give the same e.
     """
     n = sub.ambient_dim
     m = generators[0]._conductor()
     ann = Matrix.from_rows(kernel(Matrix.from_rows(sub.basis)).basis)
     fixed = Matrix.from_cols(sub.basis)
-    rows = sandwich_rows([(ann, None, False)], n, n, m)
+    rows, _ = sandwich_rows([(ann, None, False)], n, n, m)
     rhs = [Scalar.zero(m)] * len(rows)
-    rows += sandwich_rows([(None, fixed, False)], n, n, m)
-    rhs += fixed.entries
+    fixing, den = sandwich_rows([(None, fixed, False)], n, n, m)
+    rows += fixing
+    # den x for each entry x of fixed: integral, as den is their lcm
+    rhs += [Scalar(m, tuple([c * (den // x.den) for c in x.num])) for x in fixed.entries]
     commuting = intertwiner_rows(generators, generators, n, n, m)
     rows += commuting
     rhs += [Scalar.zero(m)] * len(commuting)
-    sol = linear_solve(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
+    sol = linear_solve(IntRows(rows, n * n, m), Matrix(len(rhs), 1, tuple(rhs)))
     if sol is None:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
     proj = Matrix(n, n, tuple(sol.entries))

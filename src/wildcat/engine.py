@@ -34,9 +34,9 @@ the Hom systems are built on those actions.
 
 A non-polystable or sigma-twisted point is left: the kernel of the
 stabilizer rows modulo the prime of the algebra certificate bounds the
-dimension from above, and when it meets the kernel dimension that is the
-answer; else, or when the prime divides a denominator, the same rows are
-solved exactly.
+dimension from above (the rows are integer, so no denominator stops it),
+and when it meets the kernel dimension that is the answer; else the same
+rows are solved exactly.
 ``is_polystable`` normalizes the point and builds its generators once (never
 none); the later steps read its report.
 """
@@ -61,6 +61,7 @@ from .algebra import (
 )
 from .linalg import (
     Grading,
+    IntRows,
     Matrix,
     Subspace,
     kernel,
@@ -257,8 +258,9 @@ def kernel_lie_dim(p: FramedPoint) -> int:
 
 
 def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
-    """Coefficient rows of the linearized stabilizer: X G = G X for every
-    Galois generator G of the normalized point p (module docstring).
+    """Integer coefficient rows (``sandwich_rows``) of the linearized
+    stabilizer: X G = G X for every Galois generator G of the normalized
+    point p (module docstring).
 
     Untwisted, X = xi and these are the commutant rows.  Under sigma,
     X = diag(xi, -xi^T) and G is block diagonal, diag(A, D), or block
@@ -279,7 +281,7 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
                 a = Matrix(n, n, tuple(x for row in top for x in row[:n]))
                 rows += intertwiner_rows([a], [a], n, n, m)
             else:
-                rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)
+                rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)[0]
     return [row for row in rows if any(row)]
 
 
@@ -290,7 +292,7 @@ def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
         pn = normalize_point(p)
         rows = _stabilizer_rows(pn, galois_generators(pn))
     # no rows at all when every generator is scalar (all-zero rows are dropped)
-    return kernel(Matrix(len(rows), p.n ** 2, tuple(x for row in rows for x in row))).dim
+    return kernel(IntRows(rows, p.n ** 2, p.conductor())).dim
 
 
 def _certified_stabilizer_dim(report: StabilityReport, levi: Optional[list]) -> int:

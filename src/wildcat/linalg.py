@@ -8,12 +8,28 @@ There is one elimination kernel, the incremental echelon ``_EchelonSet``:
 ``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and the
 algebra spinning all run on it.  It keeps each row as integers, the
 power-basis numerators of its entries over one denominator per row, so
-eliminating a row is integer arithmetic with one gcd, not one Scalar
-operation per entry; Scalars are made only for the rows or blocks a caller
-reads.  Linear conditions of the form X -> sum L.X.R are turned into
-coefficient rows by ``sandwich_rows`` alone.
-Block matrices (the doubled realisation, block-supported samples) are
-written with ``Matrix.place``.
+eliminating a row is integer arithmetic, not one Scalar operation per
+entry; Scalars are made only for the rows or blocks a caller reads.
+
+The echelon removes a row's content by one rule on every field
+(``_eliminate``, after Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 1968): a step whose
+multiplier d = dr / gcd(dr, f) is 1 leaves the row as it is and takes no
+gcd, a step with d > 1 divides the content out at once, and each row takes
+one more gcd when it is finished.  Deferring the d > 1 gcds as well lets the
+coefficients grow: it made ``is_stable`` on the reducible a3 b3 c3 point of
+the benchmark corpus (seed 0, over Q) twice as slow, 1.5 -> 3.1 s (x86-64,
+CPython 3.11).  The reduced echelon form is unique, so where the content is
+removed does not change what is read.
+
+Products run on the same integer rows: ``Matrix.__matmul__`` puts each row
+of the left factor over its row lcm and each column of the right factor
+over its column lcm, so an entry is one integer dot product (phi(m) of
+them) and one gcd.  Linear conditions of the form X -> sum L.X.R are
+turned into integer coefficient rows over one denominator by
+``sandwich_rows`` alone, and ``kernel`` and ``linear_solve`` eliminate
+them as they are (``IntRows``).  Block matrices (the doubled realisation,
+block-supported samples) are written with ``Matrix.place``.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .scalars import Scalar, _canonical, euler_phi, inverse_numerators, multiplication_matrix
 
@@ -61,6 +77,11 @@ def _int_row(vec, m: int, phi: int):
         fields = {x.m for x in vec}
     if fields and fields != {m}:
         raise ValueError(f"a vector over conductor {m} has entries of conductors {sorted(fields)}")
+    return _lcm_nums(vec)
+
+
+def _lcm_nums(vec):
+    """``_int_row`` of Scalars known to be in its field."""
     den = lcm(*[x.den for x in vec])
     return [c * (den // x.den) for x in vec for c in x.num], den
 
@@ -77,22 +98,30 @@ def _times(table: list, v: list, s: int, phi: int) -> list:
 
 
 def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
-    """v/dv - f row/dr, canonical, where row/dr has pivot entry 1 at
-    numerator s and f is the entry of v/dv there: d v - f row on ints, with
-    d = dr over the gcd of dr and f's numerators, then one gcd divided out.
-    A rational f (always, over Q) scales row's numerators by one int."""
+    """v/dv - f row/dr, where row/dr has pivot entry 1 at numerator s and f
+    is the entry of v/dv there: d v - f row on ints, with multiplier d = dr
+    over the gcd of dr and f's numerators.  A step with d = 1 returns v's
+    prefix (the numerators before s) and dv as they are and takes no gcd;
+    one with d > 1 scales them by d and divides the content out at once, so
+    the row's growth stays that of one step.  Whoever holds the row last
+    takes its one remaining gcd (``_normalized``, ``_reduce_rows``).  A
+    rational f (always, over Q) scales row's numerators by one int."""
     if not any(v[s + 1:s + phi]):
         g = gcd(dr, v[s])
-        a, b = dr // g, v[s] // g
-        tail = [a * x - b * y for x, y in zip(v[s:], row[s:])]
+        d, b = dr // g, v[s] // g
+        if d == 1:
+            return v[:s] + [x - b * y for x, y in zip(v[s:], row[s:])], dv
+        tail = [d * x - b * y for x, y in zip(v[s:], row[s:])]
     else:
         f = v[s:s + phi]
         g = gcd(dr, *f)
-        a = dr // g
+        d = dr // g
         fy = _times(multiplication_matrix(m, [x // g for x in f]), row, s, phi)
-        tail = [a * x - y for x, y in zip(v[s:], fy)]
-    v = [a * x for x in v[:s]] + tail
-    dv *= a
+        if d == 1:
+            return v[:s] + [x - y for x, y in zip(v[s:], fy)], dv
+        tail = [d * x - y for x, y in zip(v[s:], fy)]
+    v = [d * x for x in v[:s]] + tail
+    dv *= d
     g = gcd(dv, *v)
     return [x // g for x in v], dv // g
 
@@ -145,6 +174,10 @@ class _EchelonSet:
         return m, euler_phi(m)
 
     def _residue(self, v: list, dv: int, m: int, phi: int):
+        """v/dv less its components along the echelon rows, with whatever
+        content the unscaled steps left: ``insert`` hands it to
+        ``_normalized``, whose gcd is the row's one, and ``contains`` only
+        asks whether it is zero."""
         for row, dr, piv in zip(self._nums, self._dens, self.pivots):
             s = piv * phi
             if v[s] if phi == 1 else any(v[s:s + phi]):
@@ -178,7 +211,8 @@ class _EchelonSet:
 
     def _reduce_rows(self):
         """Clear every row at the later pivots, bottom row first, so each row
-        eliminated from another is already reduced."""
+        eliminated from another is already reduced; one gcd per changed row
+        at the end keeps it canonical."""
         if self._reduced:
             return
         nums, dens, phi = self._nums, self._dens, self.phi
@@ -188,6 +222,9 @@ class _EchelonSet:
                 s = self.pivots[j] * phi
                 if r[s] if phi == 1 else any(r[s:s + phi]):
                     r, d = _eliminate(r, d, nums[j], dens[j], s, phi, self.m)
+            if r is not nums[i]:
+                g = gcd(d, *r)
+                r, d = [x // g for x in r], d // g
             nums[i], dens[i] = r, d
         self._reduced = True
 
@@ -217,6 +254,20 @@ class _EchelonSet:
         return len(self.pivots)
 
 
+def _row_action(nums: list, m: int, phi: int) -> list:
+    """The phi = phi(m) integer rows c of x -> a . x on power-basis
+    numerators, a the row with numerators ``nums``: coefficient c of a . x
+    is ``sum(map(mul, rows[c], x))``, from the multiplication matrices of
+    a's entries.  Zero entries get zero blocks, with no table built."""
+    if phi == 1:
+        return [nums]
+    zero = [0] * phi
+    tables = [multiplication_matrix(m, nums[t:t + phi]) if any(nums[t:t + phi]) else None
+              for t in range(0, len(nums), phi)]
+    return [[x for table in tables for x in (zero if table is None else table[c])]
+            for c in range(phi)]
+
+
 def _left_action(g: Matrix, m: int) -> list:
     """g as an integer matrix on the power-basis numerators of K^n, up to
     the common denominator of its entries: per row i of g, the rows (i, c)
@@ -224,14 +275,7 @@ def _left_action(g: Matrix, m: int) -> list:
     n = g.rows
     phi = euler_phi(m)
     nums, _ = _int_row(g.entries, m, phi)
-    if phi == 1:
-        return [[nums[i * n:(i + 1) * n]] for i in range(n)]
-    out = []
-    for i in range(n):
-        tables = [multiplication_matrix(m, nums[t:t + phi])
-                  for t in range(i * n * phi, (i + 1) * n * phi, phi)]
-        out.append([[x for table in tables for x in table[c]] for c in range(phi)])
-    return out
+    return [_row_action(nums[i * n * phi:(i + 1) * n * phi], m, phi) for i in range(n)]
 
 
 def _left_product(action: list, e: list, cols: int, phi: int) -> list:
@@ -340,21 +384,45 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(a * c for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, exact and canonical, on integers: each row of self
+        over its row lcm and each column of other over its column lcm, so an
+        entry is one ``sum(map(mul, ...))`` over the product of the two lcms,
+        made canonical by one gcd.  When phi(m) > 1 an entry takes phi(m)
+        of them, through the multiplication matrices of the row's entries
+        (``_row_action``).  Zero rows of self give zeros with no product;
+        entries of two fields raise ValueError."""
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
         n, k, p = self.rows, self.cols, other.cols
+        m = self._conductor()
+        zero = Scalar.zero(m)
+        if not (n and k and p):
+            return Matrix(n, p, (zero,) * (n * p))
         a, b = self.entries, other.entries
+        fields = {x.m for x in a} | {x.m for x in b}
+        if fields != {m}:
+            raise ValueError(f"a product of matrices over conductors {sorted(fields)}")
+        phi = euler_phi(m)
+        cols = [_lcm_nums(b[j::p]) for j in range(p)]
         out = []
         for i in range(n):
-            arow = a[i * k: (i + 1) * k]
-            for j in range(p):
-                s = None
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        term = x * b[t * p + j]
-                        s = term if s is None else s + term
-                out.append(s if s is not None else Scalar.zero(self._conductor()))
+            row, da = _lcm_nums(a[i * k:(i + 1) * k])
+            if not any(row):
+                out += [zero] * p
+            elif phi == 1:
+                for col, db in cols:
+                    s = sum(map(mul, row, col))
+                    if not s:
+                        out.append(zero)
+                        continue
+                    d = da * db
+                    g = gcd(s, d)
+                    out.append(Scalar(m, (s // g,), d // g))
+            else:
+                action = _row_action(row, m, phi)
+                for col, db in cols:
+                    s = tuple([sum(map(mul, tc, col)) for tc in action])
+                    out.append(_canonical(m, s, da * db) if any(s) else zero)
         return Matrix(n, p, tuple(out))
 
     def mul_vector(self, v: tuple) -> tuple:
@@ -414,38 +482,76 @@ class Matrix:
         return Matrix.build([[Scalar.from_json(x, m) for x in row] for row in data], m)
 
 
-def sandwich_rows(terms, rows: int, cols: int, m: int) -> list:
-    """Coefficient rows of the linear map X -> sum over terms of L.X.R.
+class IntRows(NamedTuple):
+    """A linear system over Q(zeta_m) as integer rows in the ``_int_row``
+    layout (phi(m) numerators per unknown, ``width`` unknowns).  Each row
+    stands for any nonzero multiple of itself, so only the span is read:
+    ``kernel`` and ``linear_solve`` take it in place of a Matrix and insert
+    the rows into their echelon as they are."""
+    nums: list
+    width: int
+    m: int
+
+
+def _nonzero(nums: list, start: int, step: int, count: int, phi: int) -> list:
+    """(i, numerators) of the nonzero entries start + i step, i < count, of
+    the entries with these numerators, phi per entry."""
+    spans = [(i, (start + i * step) * phi) for i in range(count)]
+    return [(i, nums[t:t + phi]) for i, t in spans if any(nums[t:t + phi])]
+
+
+def sandwich_rows(terms, rows: int, cols: int, m: int):
+    """Integer coefficient rows of the linear map X -> sum over terms of L.X.R.
 
     X is a rows x cols matrix of unknowns, flattened row-major.  A term is
     (L, R, transposed); a transposed term contributes L.X^T.R.  L or R may be
-    None for the identity.  Returns one row per entry of the result, in
-    row-major order of the result.  Zero entries of L and R are skipped.
+    None for the identity.  Returns (nums, den): one row per entry of the
+    result, in row-major order of the result, in the ``_int_row`` layout,
+    such that nums / den are the coefficient rows.  Each factor is taken
+    over the lcm of its entries' denominators and den is the lcm of the
+    terms' products of these, so a coefficient is a sum of integer products
+    of numerators and no Scalar is made.  Zero entries of L and R are
+    skipped.  ``kernel`` reads the rows as they are (``IntRows``); a
+    right-hand side for them is scaled by den.
     """
-    zero, one = Scalar.zero(m), Scalar.one(m)
+    phi = euler_phi(m)
+    ints = [(([], 1) if left is None else _int_row(left.entries, m, phi),
+             ([], 1) if right is None else _int_row(right.entries, m, phi))
+            for left, right, _ in terms]
+    den = lcm(*[dl * dr for (_, dl), (_, dr) in ints])
     out = None
-    for left, right, transposed in terms:
+    for (left, right, transposed), ((ln, dl), (rn, dr)) in zip(terms, ints):
         # the sandwiched matrix is X or X^T; its entry (a, b) is unknown k(a, b)
         inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
         height = inner_rows if left is None else left.rows
         width = inner_cols if right is None else right.cols
         if out is None:
-            out = [[zero] * (rows * cols) for _ in range(height * width)]
+            out = [[0] * (rows * cols * phi) for _ in range(height * width)]
         elif len(out) != height * width:
             raise ValueError("sandwich terms have results of different shapes")
-        # an identity factor is the sentinel ``one``, which needs no product
-        lefts = [[(r, one)] if left is None else
-                 [(a, x) for a, x in enumerate(left.row(r)) if x] for r in range(height)]
-        rights = [[(c, one)] if right is None else
-                  [(b, y) for b, y in enumerate(right.col(c)) if y] for c in range(width)]
+        scale = den // (dl * dr)  # folded into the left factor
+        # per row r of L, its nonzero entries (a, x, the multiplication table
+        # of x, or None when x is rational); per column c of R, its nonzero
+        # entries (b, y), or (c, None) for the identity
+        lefts = [[(r, [scale] + [0] * (phi - 1))] if left is None else
+                 [(a, [scale * c for c in x])
+                  for a, x in _nonzero(ln, r * left.cols, 1, left.cols, phi)]
+                 for r in range(height)]
+        lefts = [[(a, x, multiplication_matrix(m, x) if any(x[1:]) else None) for a, x in line]
+                 for line in lefts]
+        rights = [[(c, None)] if right is None else _nonzero(rn, c, width, right.rows, phi)
+                  for c in range(width)]
         for r in range(height):
             for c in range(width):
                 row = out[r * width + c]
-                for a, x in lefts[r]:
+                for a, x, table in lefts[r]:
                     for b, y in rights[c]:
-                        k = b * cols + a if transposed else a * cols + b
-                        row[k] = row[k] + (y if x is one else x if y is one else x * y)
-    return out
+                        k = (b * cols + a if transposed else a * cols + b) * phi
+                        prod = x if y is None else [x[0] * z for z in y] if table is None \
+                            else [sum(map(mul, tc, y)) for tc in table]
+                        for t, z in enumerate(prod, k):
+                            row[t] += z
+    return out, den
 
 
 class Subspace:
@@ -535,13 +641,25 @@ class Subspace:
             [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
 
 
-def kernel(a: Matrix) -> Subspace:
-    """Null space {x : a @ x = 0} as a canonical Subspace of K^cols: per free
-    column f of a's echelon form, e_f less the rows' entries at f placed at
-    their pivots, built on integer rows."""
-    n, m = a.cols, a._conductor()
+def _system(a):
+    """(width, m, rows) of a Matrix or ``IntRows``: its rows in the
+    ``_int_row`` layout with their denominators (1 for ``IntRows``)."""
+    if isinstance(a, IntRows):
+        return a.width, a.m, [(r, 1) for r in a.nums]
+    m = a._conductor()
     phi = euler_phi(m)
-    ech = _EchelonSet(n, a.row_list())
+    return a.cols, m, [_int_row(a.row(i), m, phi) for i in range(a.rows)]
+
+
+def kernel(a) -> Subspace:
+    """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
+    Subspace of K^width: per free column f of a's echelon form, e_f less the
+    rows' entries at f placed at their pivots, built on integer rows."""
+    n, m, rows = _system(a)
+    phi = euler_phi(m)
+    ech = _EchelonSet(n)
+    for r, _ in rows:
+        ech.insert(r, m)
     ech._reduce_rows()
     rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots)]
     out = _EchelonSet(n)
@@ -557,17 +675,24 @@ def kernel(a: Matrix) -> Subspace:
     return Subspace(out)
 
 
-def linear_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One solution X of a @ X = b, or None when there is none.
+def linear_solve(a, b: Matrix) -> Optional[Matrix]:
+    """One solution X of a @ X = b, a a Matrix or ``IntRows``, or None when
+    there is none.
 
     X is read off the reduced echelon form of [a | b]: zero at a's free
     columns, so it depends only on the row space of [a | b].  The solution
-    ambiguity is ``kernel(a)``.
+    ambiguity is ``kernel(a)``.  Rows of ``IntRows`` are taken as they
+    are, so b must be given for those rows, not for rows up to a multiple.
     """
-    if a.rows != b.rows:
+    n, m, rows = _system(a)
+    if len(rows) != b.rows:
         raise ValueError("dimension mismatch: a and b must have equal row count")
-    n, m = a.cols, a._conductor()
-    ech = _EchelonSet(n + b.cols, [a.row(i) + b.row(i) for i in range(a.rows)])
+    phi = euler_phi(m)
+    ech = _EchelonSet(n + b.cols)
+    for i, (r, d) in enumerate(rows):
+        rhs, e = _int_row(b.row(i), m, phi)
+        g = gcd(d, e)  # r/d | rhs/e over lcm(d, e)
+        ech.insert([x * (e // g) for x in r] + [x * (d // g) for x in rhs], m)
     if any(p >= n for p in ech.pivots):
         return None  # inconsistent system
     xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]

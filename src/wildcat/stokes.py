@@ -44,7 +44,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .engine import FramedPoint
-from .linalg import Grading, Matrix, kernel, linear_solve, sandwich_rows
+from .linalg import Grading, IntRows, Matrix, kernel, linear_solve, sandwich_rows
 from .scalars import Scalar
 from .twists import TwistedElement
 
@@ -451,7 +451,8 @@ def _solve_commutator(rng, v: Matrix, n: int, m: int):
     for _ in range(10):
         a = _random_block(rng, n, n, m, invertible=True)
         # a b - v b a = 0, linear in b
-        ker = kernel(Matrix.build(sandwich_rows([(a, None, False), (-v, a, False)], n, n, m), m))
+        rows, _ = sandwich_rows([(a, None, False), (-v, a, False)], n, n, m)
+        ker = kernel(IntRows(rows, n * n, m))
         if ker.dim == 0:
             continue
         basis = Matrix.from_rows(ker.basis)

@@ -86,15 +86,17 @@ def normalize(tuple_elements) -> list:
     """Push every inner twist into the group part: (g, Inn(A) o s) -> (g A, s).
 
     The adjoint action of each element, hence every stability verdict, is
-    unchanged.  Output elements carry a trivial inner part.
+    unchanged.  Output elements carry a trivial inner part.  Each inner part
+    A must be invertible and is not ranked again here: the one library
+    caller, ``engine.normalize_point``, passes loops of a ``FramedPoint``,
+    which ranked them when it was made, and ``wildcat`` does not export
+    this function.
     """
     out = []
     for x in tuple_elements:
         if x.phi.is_inner_trivial():
             out.append(x)
             continue
-        if not x.phi.inner.is_invertible():
-            raise ValueError("automorphism inner part is not invertible")
         pure = Automorphism(Matrix.identity(x.n, x.g._conductor()), x.phi.outer)
         out.append(TwistedElement(x.g @ x.phi.inner, pure))
     return out

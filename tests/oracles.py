@@ -28,11 +28,18 @@ of the two:
   multiplication matrix);
 * ``spans_full_mod_p`` and ``kernel_dim_mod_p``: the modular certificates on
   lists of residues, reduced mod p at every step (the library packs each row
-  into one int and reduces once per kept row);
+  into one int and reduces once per kept row); both bound the kernel of the
+  same integer rows;
 * ``is_prime``: trial division (the library runs Miller-Rabin);
 * ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
   Scalar operation per entry (``linalg._EchelonSet`` keeps integer
   numerators over one denominator per row); the other oracles here run on it;
+* ``matmul_reference``: the matrix product with one Scalar product and one
+  Scalar sum per term (``Matrix.__matmul__`` takes integer dot products over
+  row and column lcms, one gcd per entry);
+* ``sandwich_rows_reference``: the L.X.R coefficient rows as Scalars, one
+  product per pair of entries (``sandwich_rows`` builds integer rows over
+  one denominator);
 * ``kernel_reference``, ``linear_solve_reference`` and ``inverse_reference``:
   null space, solution and inverse read off ``ScalarEchelon`` rows (the
   library reads them off integer echelon rows, converting only the block it
@@ -66,7 +73,7 @@ from wildcat.algebra import (
     _spin_left,
 )
 from wildcat.engine import FramedPoint
-from wildcat.linalg import Grading, Matrix, Subspace, sandwich_rows
+from wildcat.linalg import Grading, Matrix, Subspace
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 from wildcat.twists import embed_doubled
 
@@ -123,6 +130,54 @@ class ScalarEchelon:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with one Scalar product and one Scalar sum per nonzero term of
+    a, zero entries of a skipped, and Scalar zeros of a's field where no
+    term is left."""
+    if a.cols != b.rows:
+        raise ValueError("matrix shape mismatch in product")
+    n, k, p = a.rows, a.cols, b.cols
+    out = []
+    for i in range(n):
+        arow = a.entries[i * k:(i + 1) * k]
+        for j in range(p):
+            s = None
+            for t in range(k):
+                x = arow[t]
+                if x:
+                    term = x * b.entries[t * p + j]
+                    s = term if s is None else s + term
+            out.append(s if s is not None else Scalar.zero(a._conductor()))
+    return Matrix(n, p, tuple(out))
+
+
+def sandwich_rows_reference(terms, rows: int, cols: int, m: int) -> list:
+    """Scalar coefficient rows of X -> sum over terms of L.X.R, X a rows x
+    cols matrix of unknowns flattened row-major, one Scalar product and sum
+    per nonzero pair of entries of L and R (a term is (L, R, transposed), a
+    transposed one contributing L.X^T.R, and None is the identity)."""
+    zero, one = Scalar.zero(m), Scalar.one(m)
+    out = None
+    for left, right, transposed in terms:
+        inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
+        height = inner_rows if left is None else left.rows
+        width = inner_cols if right is None else right.cols
+        if out is None:
+            out = [[zero] * (rows * cols) for _ in range(height * width)]
+        lefts = [[(r, one)] if left is None else
+                 [(a, x) for a, x in enumerate(left.row(r)) if x] for r in range(height)]
+        rights = [[(c, one)] if right is None else
+                  [(b, y) for b, y in enumerate(right.col(c)) if y] for c in range(width)]
+        for r in range(height):
+            for c in range(width):
+                row = out[r * width + c]
+                for a, x in lefts[r]:
+                    for b, y in rights[c]:
+                        k = b * cols + a if transposed else a * cols + b
+                        row[k] = row[k] + x * y
+    return out
 
 
 def kernel_reference(rows, width: int, m: int) -> list:
@@ -188,12 +243,12 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     f_inv_t = inverse_reference(Matrix.from_rows(list(sub.basis) + extra).transpose())
     bottom = Matrix.from_rows([f_inv_t.row(i) for i in range(d, n)])
     fixed = Matrix.from_cols(sub.basis)
-    rows = sandwich_rows([(bottom, None, False)], n, n, m)
+    rows = sandwich_rows_reference([(bottom, None, False)], n, n, m)
     rhs = [Scalar.zero(m)] * len(rows)
-    rows += sandwich_rows([(None, fixed, False)], n, n, m)
+    rows += sandwich_rows_reference([(None, fixed, False)], n, n, m)
     rhs += fixed.entries
     for g in generators:
-        commuting = sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
+        commuting = sandwich_rows_reference([(None, g, False), (-g, None, False)], n, n, m)
         rows += commuting
         rhs += [Scalar.zero(m)] * len(commuting)
     sol, _ = linear_solve_reference(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
@@ -509,13 +564,14 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
                           n * n)) == n * n
 
 
-def kernel_dim_mod_p(rows, width: int, m: int):
-    """width minus the rank of the rows' images over F_p, or None."""
+def kernel_dim_mod_p(rows, width: int, m: int) -> int:
+    """width minus the rank over F_p of integer rows in the ``_int_row``
+    layout, each entry's phi(m) numerators mapped by zeta_m -> r."""
     p, rpow = _ring_map(m)
-    images = [_image_mod_p(row, p, rpow) for row in rows]
-    if None in images:
-        return None
+    phi = len(rpow)
     add = _echelon_mod_p(p)
+    images = [[sum(c * x for c, x in zip(row[t:t + phi], rpow)) % p
+               for t in range(0, len(row), phi)] for row in rows]
     return width - sum(add(img) for img in images)
 
 

@@ -13,6 +13,7 @@ from wildcat.algebra import (
     NotSemisimpleError,
     _modulus,
     _norton_full,
+    _norton_images,
     _primitive_element,
     _small_modulus,
     _spans_full_mod_p,
@@ -40,6 +41,7 @@ from oracles import (
     nilpotency_index,
     radical_oracle,
     spin_algebra_reference,
+    spans_full_mod_p,
 )
 
 I2 = Matrix.identity(2)
@@ -220,11 +222,14 @@ class TestModularCertificate:
         assert alg.dim == 25 and alg.basis == reference_spin(gens, 5, 1)
         assert invariant_subspace(gens) is None
 
-    def test_denominator_divisible_by_q_falls_back_to_the_spin(self):
+    def test_denominator_divisible_by_q_moves_on_to_the_next_prime(self):
+        # q = 67 divides the denominator, so Norton's test maps to F_71, where
+        # the diagonal entries stay distinct and the module absolutely irreducible
         q, _ = _small_modulus(1)
         gens = self.diag_and_shift(Fraction(1, q))
-        assert not _norton_full(gens, 5, 1)
-        assert _spans_full_mod_p(gens, 5, 1)  # by the spin mod p
+        assert _norton_images(gens, 1)[0] == 71
+        assert _norton_full(gens, 5, 1)
+        assert _spans_full_mod_p(gens, 5, 1) and spans_full_mod_p(gens, 5, 1)
         assert spin_algebra(gens).basis == reference_spin(gens, 5, 1)
 
 

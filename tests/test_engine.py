@@ -637,8 +637,10 @@ class TestCertifiedStabilizer:
 
     def test_non_polystable_point_with_a_prime_denominator_reaches_the_exact_solve(
             self, monkeypatch):
-        # no Levi blocks and no modular bound: the rows built for the bound
-        # are handed to the exact solve
+        # no Levi blocks, and the bound decides nothing: the integer rows are
+        # those of p times the loop, the identity mod p, so every row
+        # vanishes mod p and the bound is 4; the rows built for it are
+        # handed to the exact solve
         calls = self.exact_calls(monkeypatch)
         p, _ = _modulus(1)
         point = simple_point([TwistedElement.plain(Matrix.build([[Fraction(1, p), 1],
@@ -714,6 +716,17 @@ class TestOneAnalysis:
         rep = is_stable(generic_twisted_point(random.Random(0), n, m))
         assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
         assert counts == {"_echelon_mod_p": 0}
+
+    def test_twisted_point_with_q_in_a_denominator_is_certified_at_the_next_prime(
+            self, monkeypatch):
+        # 67, the first small prime for Q, divides a denominator of this
+        # point's Galois generators, so Norton's test walks on to 71 and
+        # still proves M_20(Q) without the spin mod p
+        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        rep = is_stable(generic_twisted_point(random.Random(1), 10, 1))
+        assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
+        assert counts == {"_echelon_mod_p": 0}
+        assert algebra._norton_images(rep.galois.generators, 1)[0] == 71
 
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
         # the rotation (+) (2) over Q: the search of the 2-dimensional

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wildcat.engine import is_stable
 from wildcat.instances import (
     InstanceError,
     parse_instance,
@@ -101,6 +102,19 @@ def test_parse_ranks_each_matrix_once_and_names_a_singular_one(monkeypatch):
         with pytest.raises(InstanceError) as err:
             parse_instance_data(bad)
         assert err.value.errors == [f"{where}: matrix declared invertible is singular"]
+
+
+def test_each_inner_part_is_ranked_once_from_parse_to_verdict(monkeypatch):
+    # parse ranks the inner part; normalizing the loop for the verdict does not again
+    doc = {"mode": "tuple", "tuple": {"n": 2, "loops": [
+        {"matrix": [["1", "1"], ["0", "1"]], "inner": [["2", "1"], ["1", "1"]],
+         "outer": "sigma"}]}}
+    inner = Matrix.build([[2, 1], [1, 1]])
+    ranked = []
+    real = Matrix.is_invertible
+    monkeypatch.setattr(Matrix, "is_invertible", lambda self: ranked.append(self) or real(self))
+    is_stable(parse_instance_data(doc).point)
+    assert sum(x == inner for x in ranked) == 1
 
 
 def test_unknown_mode():

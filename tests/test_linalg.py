@@ -11,11 +11,12 @@ from wildcat.linalg import (
     Matrix,
     Subspace,
     _EchelonSet,
+    _eliminate,
     kernel,
     linear_solve,
     sandwich_rows,
 )
-from wildcat.scalars import Scalar, euler_phi
+from wildcat.scalars import Scalar, _canonical, euler_phi
 
 from oracles import (
     ScalarEchelon,
@@ -23,6 +24,8 @@ from oracles import (
     from_coeffs,
     kernel_reference,
     linear_solve_reference,
+    matmul_reference,
+    sandwich_rows_reference,
     weight_projectors,
 )
 
@@ -123,11 +126,15 @@ class TestRref:
 @st.composite
 def echelon_inputs(draw):
     """Rows of width 1-5 over Q, Q(zeta3), Q(i) or Q(zeta5) with assorted
-    denominators, zero rows and combinations of earlier rows, in shuffled
-    order, and probe vectors: fresh, in the span, or zero."""
+    denominators (small ones, or up to about 10^12 with shared and coprime
+    factors), zero rows and combinations of earlier rows, in shuffled order,
+    and probe vectors: fresh, in the span, or zero."""
     m = draw(st.sampled_from([1, 3, 4, 5]))
     width = draw(st.integers(1, 5))
-    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
+    coeff = st.one_of(
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6])),
+        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                  st.sampled_from([7, 2 ** 20, 3 ** 12, 10 ** 12 + 39, 6 * 10 ** 9 + 7])))
     scalar = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)).map(
         lambda cs: from_coeffs(m, cs))
     vector = st.lists(st.one_of(st.just(Scalar.zero(m)), scalar), min_size=width,
@@ -365,8 +372,11 @@ class TestMatrix:
 
 
 def scalars(m):
+    """Zero, or small numerators over assorted denominators, so that the rows
+    and columns of a matrix have mixed lcms."""
     phi = euler_phi(m)
-    coeffs = st.lists(st.integers(-2, 2), min_size=phi, max_size=phi)
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5, 12]))
+    coeffs = st.lists(coeff, min_size=phi, max_size=phi)
     return st.one_of(st.just(Scalar.zero(m)), coeffs.map(lambda cs: from_coeffs(m, cs)))
 
 
@@ -395,5 +405,63 @@ def test_sandwich_rows_match_products(data):
         terms.append((left, right, transposed))
         total = total + (inner if left is None else left @ inner) @ \
             (Matrix.identity(width, m) if right is None else right)
-    coeffs = Matrix.from_rows(sandwich_rows(terms, rows, cols, m))
+    nums, den = sandwich_rows(terms, rows, cols, m)
+    phi = euler_phi(m)
+    assert den > 0 and all(isinstance(c, int) and len(row) == rows * cols * phi
+                           for row in nums for c in row)
+    # the integer rows over their denominator are the Scalar rows, entry by entry
+    coeffs = Matrix.from_rows([[_canonical(m, tuple(row[t:t + phi]), den)
+                                for t in range(0, len(row), phi)] for row in nums])
+    assert coeffs.row_list() == sandwich_rows_reference(terms, rows, cols, m)
     assert coeffs @ Matrix(rows * cols, 1, x.entries) == Matrix(height * width, 1, total.entries)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_integer_product_matches_the_scalar_reference(data):
+    m = data.draw(st.sampled_from([1, 3, 4, 5, 8]))
+    n, k, p = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(matrices(m, n, k))
+    b = data.draw(matrices(m, k, p))
+    prod = a @ b
+    ref = matmul_reference(a, b)
+    assert (prod.rows, prod.cols) == (ref.rows, ref.cols) == (n, p)
+    # the same canonical Scalars, so the same printed bytes, empty shapes included
+    assert [(x.m, x.num, x.den) for x in prod.entries] == \
+        [(x.m, x.num, x.den) for x in ref.entries]
+    assert repr(prod) == repr(ref) and prod.to_json() == ref.to_json()
+    if k and n and p:
+        other = next(f for f in (1, 5) if f != m)
+        foreign = Matrix(k, p, tuple(Scalar.one(other) for _ in range(k * p)))
+        with pytest.raises(ValueError):
+            Matrix(n, k, tuple(Scalar.one(m) for _ in range(n * k))) @ foreign
+
+
+class TestEliminationStep:
+    # the pivot row (0, 1, 3/2) over Q: numerators (0, 2, 3) over 2
+    ROW, DR = [0, 2, 3], 2
+
+    def test_an_unscaled_step_keeps_the_prefix_and_denominator_and_takes_no_gcd(self):
+        # (5, 4, 6)/3 less 2 (0, 1, 3/2): f = 4 is a multiple of dr = 2, so d = 1;
+        # the result (5, 0, 0)/3 comes back with v's prefix, as is
+        v = [5, 4, 6]
+        out, dv = _eliminate(v, 3, self.ROW, self.DR, 1, 1, 1)
+        assert (out, dv) == ([5, 0, 0], 3) and out[:1] == v[:1]
+        # with content: (6, 4, 12)/3 = (2, 4/3, 4) gives (6, 0, 6)/3, content 3 left
+        assert _eliminate([6, 4, 12], 3, self.ROW, self.DR, 1, 1, 1) == ([6, 0, 6], 3)
+
+    def test_a_scaled_step_returns_a_content_free_row(self):
+        # (4, 3, 1)/2 less 3/2 (0, 1, 3/2): d = 2, giving (8, 0, -7)/4, content 1
+        out, dv = _eliminate([4, 3, 1], 2, self.ROW, self.DR, 1, 1, 1)
+        assert (out, dv) == ([8, 0, -7], 4) and gcd(dv, *out) == 1
+        # (2, 1, 1) less (0, 1, 3/2), v over 3: d = 2, (12, 0, -3)/6 less its content 3
+        assert _eliminate([6, 3, 3], 3, self.ROW, self.DR, 1, 1, 1) == ([4, 0, -1], 2)
+
+    def test_the_rule_holds_over_a_cyclotomic_field(self):
+        # over Q(i), phi = 2: the pivot row (1, 1 + i) is (1, 0, 1, 1) over 1;
+        # v = (i, 2) = (0, 1, 2, 0) over 1 has f = i, d = 1: v - i row = (0, 2 - i + 1)
+        out, dv = _eliminate([0, 1, 2, 0], 1, [1, 0, 1, 1], 1, 0, 2, 4)
+        assert dv == 1 and out == [0, 0, 3, -1]
+        # v = (i/2, 1) = (0, 1, 2, 0) over 2 against the row (1, i/3) = (3, 0, 0, 1)
+        # over 3: f = i, gcd(3, 0, 1) = 1, d = 3, and v - (i/2) row = (0, 7/6)
+        assert _eliminate([0, 1, 2, 0], 2, [3, 0, 0, 1], 3, 0, 2, 4) == ([0, 0, 7, 0], 6)

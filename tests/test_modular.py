@@ -14,6 +14,7 @@ from wildcat.algebra import (
     _is_prime,
     _modulus,
     _norton_full,
+    _norton_images,
     _pack,
     _residues,
     _slot_words,
@@ -21,7 +22,7 @@ from wildcat.algebra import (
     _spans_full_mod_p,
     kernel_dim_mod_p,
 )
-from wildcat.linalg import Matrix, kernel, sandwich_rows
+from wildcat.linalg import IntRows, Matrix, kernel, sandwich_rows
 from wildcat.scalars import Scalar, euler_phi
 
 import oracles
@@ -30,10 +31,11 @@ SWAP = Matrix.build([[0, 1], [1, 0]])
 
 
 def commutant_rows(gens, n, m):
-    """The rows of x g = g x for every generator: kernel dimension = dim commutant."""
+    """The integer rows of x g = g x for every generator: kernel dimension =
+    dim commutant."""
     rows = []
     for g in gens:
-        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)
+        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)[0]
     return rows
 
 
@@ -156,8 +158,8 @@ class TestSlots:
         assert not oracles.spans_full_mod_p([ones], n, 1)
         assert _spans_full_mod_p([ones, diag], n, 1)  # D^a J D^b span M_n
         assert oracles.spans_full_mod_p([ones, diag], n, 1)
-        rows = [[Scalar.rational(p - 1)] * 64 for _ in range(3)]
-        rows.append([Scalar.rational(p - 1 - j) for j in range(64)])
+        rows = [[p - 1] * 64 for _ in range(3)]
+        rows.append([p - 1 - j for j in range(64)])
         assert kernel_dim_mod_p(rows, 64, 1) == oracles.kernel_dim_mod_p(rows, 64, 1) == 62
 
     def test_echelon_returns_reduced_rows_with_unit_pivots(self):
@@ -177,7 +179,7 @@ class TestFixedCases:
         assert not _spans_full_mod_p(gens, 2, 1)
         rows = commutant_rows(gens, 2, 1)
         assert kernel_dim_mod_p(rows, 4, 1) == oracles.kernel_dim_mod_p(rows, 4, 1) == 2
-        assert kernel(Matrix.build(rows)).dim == 1
+        assert kernel(IntRows(rows, 4, 1)).dim == 1
 
     def test_denominator_divisible_by_p_decides_nothing(self):
         p, _ = _modulus(5)
@@ -186,9 +188,23 @@ class TestFixedCases:
         gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
         assert not _spans_full_mod_p(gens, 2, 5)
         assert not oracles.spans_full_mod_p(gens, 2, 5)
+        # the integer rows have no denominator, so the bound still holds
         rows = commutant_rows(gens, 2, 5)
-        assert kernel_dim_mod_p(rows, 4, 5) is None
-        assert oracles.kernel_dim_mod_p(rows, 4, 5) is None
+        bound = kernel_dim_mod_p(rows, 4, 5)
+        assert bound == oracles.kernel_dim_mod_p(rows, 4, 5)
+        assert bound >= kernel(IntRows(rows, 4, 5)).dim
+
+
+def test_norton_images_walk_past_primes_in_a_denominator():
+    # the first prime q = 1 (mod m) from the small modulus on that divides
+    # no denominator: past 67 and 71 over Q, past 71 over Q(zeta5)
+    for dens, m, q in [(1, 1, 67), (67, 1, 71), (67 * 71, 1, 73), (71, 5, 101)]:
+        g = Matrix.build([[Fraction(1, dens), 0], [0, Scalar.zeta(m) if m > 1 else 2]], m)
+        found, images = _norton_images([g], m)
+        assert found == q and oracles.is_prime(q) and (q - 1) % m == 0
+        assert all((c - 1) % m or not oracles.is_prime(c) or dens % c == 0
+                   for c in range(65, q))
+        assert images[0][0] == pow(dens, -1, q)
 
 
 def test_is_prime_matches_trial_division():
