@@ -9,46 +9,43 @@ is linearly reductive.
 Spinning keeps an echelon basis of words in the generators.  Every word is a
 generator times a shorter word, so only kept words are extended, and only by
 left factors; the spin stops as soon as it holds N^2 independent words.
-``_spin_left`` is the one closure loop: the algebra spin (exact and modulo
-p), the submodule spanned by vectors, and the powers of one matrix (minimal
-polynomial, primitive element) all run on it.  The exact spins of the
-algebra and of a submodule (``_spin_exact``) convert the generators once to
-integer matrices on power-basis numerators and extend each kept word through
-its integer echelon row, so a product is integer dot products, with no
-Matrix or Scalar built per product.
+``_spin_left`` is the one closure loop: the exact algebra spin, the
+submodule spanned by vectors, the spins of one vector modulo a prime in
+Norton's test, and the powers of one matrix (minimal polynomial, primitive
+element) all run on it.  The exact spins of the algebra and of a submodule
+(``_spin_exact``) convert the generators once to integer matrices on
+power-basis numerators and extend each kept word through its integer
+echelon row, so a product is integer dot products, with no Matrix or Scalar
+built per product.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
-word-size prime p = 1 (mod m) (``_spans_full_mod_p``, after Cohen, Ivanyos and
-Wales, JPAA 1997, and Dixon, 1982).  With r a root of the m-th cyclotomic
-polynomial mod p, zeta_m -> r is a ring map from Z_(p)[zeta_m] (coefficients
-with denominators prime to p) onto F_p; it carries a word in the generators
-to the same word in their images.  If N^2 words have images independent over
-F_p, the determinant of their N^2 coordinate rows maps to a nonzero element,
-so it is nonzero: the words are independent over K, and the algebra is
-M_N(K), which is simple (radical 0, module irreducible).  A lower rank mod p
-proves nothing (p may divide a denominator or be unlucky); the exact spin
-decides then.  For N >= 5 that spin of N^2 words (about N^6 steps) is
-preceded by Norton's irreducibility test over a small prime field F_q, q > 64
-(``_norton_full``, after Parker 1984 and Holt and Rees 1994), which costs
-about N^3 steps per element tried: a null vector of a - l I, a line, that
-spins to F_q^N, and one of its transpose that spins to the dual, prove the
-images absolutely irreducible, so by Burnside they span M_N(F_q), the same
-implication.  Where the test says False, the spin runs as before.
+small prime q = 1 (mod m) by Norton's irreducibility test
+(``_spans_full_mod_p``, after Parker 1984 and Holt and Rees 1994), in about
+N^3 steps per element tried.  With r a root of the m-th cyclotomic
+polynomial mod q, zeta_m -> r is a ring map from Z_(q)[zeta_m]
+(coefficients with denominators prime to q) onto F_q; it carries a word in
+the generators to the same word in their images.  A null vector of a - l I,
+a line, that spins to F_q^N, and one of its transpose that spins to the
+dual, prove the images absolutely irreducible, so by Burnside they span
+M_N(F_q): N^2 words have images independent over F_q, the determinant of
+their N^2 coordinate rows maps to a nonzero element, so it is nonzero, and
+the algebra is M_N(K), which is simple (radical 0, module irreducible).
+False proves nothing (q may be unlucky, or no element tried has a simple
+eigenvalue); the exact spin decides then.
 
-The modular layer works on packed rows: a vector over F_p of width W is one
-Python int of W fixed-width slots, each of k 64-bit words (``_pack``), so
-adding a multiple of a row is one big-int ``vec += c * row`` and a product
-g w is n C-level ``sum(map(mul, ...))`` calls.  Slots are never reduced
-during elimination; they start at most n (p-1)^2 (a product) or p-1 (a
-row image) and grow by at most (p-1)^2 per elimination step, of which there
-are at most W, and ``_slot_words`` picks k so that start + W (p-1)^2 fits
-(in the spin, k = 2 for every 1 < n < 2^33).  A vector is reduced mod p
-once, by one ``array('Q')`` unpack, when it is kept.  It is counted
-dependent when vec = 0 (mod p) as an int; that holds when every slot is 0
-mod p, and rarely also otherwise, which only understates the rank mod p:
-``True`` from ``_spans_full_mod_p`` still proves M_N(K), and
-``kernel_dim_mod_p`` stays an upper bound.  ``tests/oracles.py`` keeps the
-list-based route, reduced at every step, as the reference.
+The kernel bound ``kernel_dim_mod_p`` works modulo a word-size prime
+p = 1 (mod m) (``_modulus``) on packed rows: a vector over F_p of width W is
+one Python int of W fixed-width slots, each of k 64-bit words (``_pack``),
+so adding a multiple of a row is one big-int ``vec += c * row``.  Slots are
+never reduced during elimination; they start at most p-1 (a row image) and
+grow by at most (p-1)^2 per elimination step, of which there are at most W,
+and ``_slot_words`` picks k so that p - 1 + W (p-1)^2 fits.  A vector is
+reduced mod p once, by one ``array('Q')`` unpack, when it is kept.  It is
+counted dependent when vec = 0 (mod p) as an int; that holds when every slot
+is 0 mod p, and rarely also otherwise, which only understates the rank mod
+p, so the bound stays an upper bound.  ``tests/oracles.py`` keeps list-based
+routes mod p, reduced at every step, as references: the kernel bound, and a
+spin of N^2 words that answers the certificate's question at p.
 
 The radical is ``radical_trace``: the null space of the trace form of the
 natural module, zero without any Gram matrix once the algebra has dimension
@@ -151,7 +148,6 @@ def _spin_left(words, gens, mul, add, full: int) -> list:
 
 _MODULUS_BOUND = 1 << 31
 _SMALL_PRIME_FLOOR = 64
-_NORTON_MIN_N = 5
 _NORTON_TRIALS = 8
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -204,7 +200,7 @@ def _modulus(m: int):
 @lru_cache(maxsize=None)
 def _small_modulus(m: int):
     """(q, r): the smallest prime q > 64 with q = 1 (mod m), and a root r of
-    the m-th cyclotomic polynomial mod q, for ``_norton_full``."""
+    the m-th cyclotomic polynomial mod q, for ``_spans_full_mod_p``."""
     return _prime_and_root(-(-_SMALL_PRIME_FLOOR // m) * m + 1, m, m)
 
 
@@ -229,11 +225,12 @@ def _image_mod_p(entries, p: int, rpow):
     return out
 
 
-def _slot_words(start: int, width: int, p: int) -> int:
+def _slot_words(width: int, p: int) -> int:
     """64-bit words per slot of a packed row of ``width`` slots that starts
-    with slots <= start and then takes up to ``width`` elimination steps,
-    each adding at most (p-1)^2 to a slot (``_echelon_mod_p``)."""
-    return -(-(start + width * (p - 1) ** 2).bit_length() // 64)
+    with slots <= p - 1 (a row image) and then takes up to ``width``
+    elimination steps, each adding at most (p-1)^2 to a slot
+    (``_echelon_mod_p``)."""
+    return -(-(p - 1 + width * (p - 1) ** 2).bit_length() // 64)
 
 
 def _pack(values, k: int) -> int:
@@ -410,22 +407,22 @@ def _norton_images(generators, m: int):
         q, r = _prime_and_root(q + m, m, m)
 
 
-def _norton_full(generators, n: int, m: int) -> bool:
+def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     """True only if words in the generators span all of M_n(Q(zeta_m)), by
     Norton's irreducibility test over a small prime field (Parker, "The
     computer calculation of modular characters (the Meat-Axe)", 1984;
     Holt and Rees, "Testing modules for irreducibility", J. Austral. Math.
     Soc. 1994).
 
-    The generators are mapped to F_q by zeta_m -> r, the ring map of
-    ``_spans_full_mod_p``, where q is the smallest prime > 64 with q = 1
-    (mod m) (``_small_modulus``) or, when q divides a denominator, the next
-    such prime that divides none (``_norton_images``).  For each element a
-    of ``_norton_elements`` and each eigenvalue l in F_q of a (a root of its
-    characteristic polynomial), theta = a - l I is kept if its null space is
-    a line <v>; the null space of theta^T is then a line <w> too.  Then True
-    iff v spins to all of F_q^n under the images and w under their
-    transposes.  The first kept theta decides; with none, False.
+    The generators are mapped to F_q by zeta_m -> r, where q is the smallest
+    prime > 64 with q = 1 (mod m) (``_small_modulus``) or, when q divides a
+    denominator, the next such prime that divides none (``_norton_images``).
+    For each element a of ``_norton_elements`` and each eigenvalue l in F_q
+    of a (a root of its characteristic polynomial), theta = a - l I is kept
+    if its null space is a line <v>; the null space of theta^T is then a
+    line <w> too.  Then True iff v spins to all of F_q^n under the images
+    and w under their transposes.  The first kept theta decides; with none,
+    False.
 
     Why True proves M_n(K).  Let U be a proper nonzero submodule mod q.  If
     theta is singular on U, then v lies in U.  Otherwise theta is invertible
@@ -436,8 +433,10 @@ def _norton_full(generators, n: int, m: int) -> bool:
     ring, a field F_(q^e); they commute with theta, so ker theta is a vector
     space over that field, and e divides dim ker theta = 1: the module is
     absolutely irreducible.  By Burnside the images span M_n(F_q), so n^2
-    words have images independent mod q, and these words are independent
-    over K, the implication ``_spans_full_mod_p`` uses at p.
+    words have images independent mod q.  zeta_m -> r is a ring map on
+    Z_(q)[zeta_m], so the determinant of those words' n^2 coordinate rows
+    maps to a nonzero element of F_q: it is nonzero, and the words are
+    independent over K.
 
     q is small so that all of F_q is searched for eigenvalues by evaluating
     the characteristic polynomial; it is above 64 so that an element of
@@ -445,9 +444,9 @@ def _norton_full(generators, n: int, m: int) -> bool:
     On 400 random draws of one to three generators (n = 5..9) and 194
     sigma-twisted generic points (n = 6..14), every draw that reached such
     an element did so by the seventh, so ``_NORTON_TRIALS`` = 8 elements
-    make a miss rare, and a miss only costs the spin.  A module that is
-    reducible or not absolutely irreducible mod q, or images scalar mod q,
-    make the test say False, never lie.
+    make a miss rare.  A module that is reducible or not absolutely
+    irreducible mod q, images scalar mod q, or a miss make the test say
+    False, which proves nothing: the callers then decide exactly.
     """
     q, images = _norton_images(generators, m)
     gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in images]
@@ -466,79 +465,20 @@ def _norton_full(generators, n: int, m: int) -> bool:
     return False
 
 
-def _spans_full_mod_p(generators, n: int, m: int) -> bool:
-    """True only if words in the generators span all of M_n(Q(zeta_m)).
-
-    For n >= 5 (``_NORTON_MIN_N``), Norton's test over a small prime field
-    (``_norton_full``, whose docstring has the proof) is asked first, in
-    about n^3 steps per element tried; True from it is the answer.  The
-    spin below, about n^6 steps, still runs for n < 5, and wherever the test
-    says False: the module is reducible or not absolutely irreducible mod
-    q, or no element tried has an eigenvalue of geometric multiplicity 1.
-    Measured on two random generators of a full algebra over Q (x86-64,
-    CPython 3.11), one call:
-
-        n        3      4      5      6      8
-        Norton  0.12   0.17   0.43   0.31   0.58 ms
-        spin    0.16   0.44   0.87   1.95   7.49 ms
-
-    Below 5 the test saves little, and a failed test, which costs about as
-    much as a passed one (up to ``_NORTON_TRIALS`` elements when none has a
-    simple eigenvalue), can cost more than the spin; the modules met on
-    reducible points and Stokes surfaces are mostly that small.
-
-    The spin maps the generators to F_p by zeta_m -> r (``_modulus``), a ring
-    map on Z_(p)[zeta_m], so the image of a word is the word in the images.
-    Their left words are spun from I with an echelon over F_p.  n^2 images
-    independent over F_p are images of n^2 words independent over the field,
-    since the determinant of the words' coordinates maps to a nonzero one.
-    False proves nothing: p may divide a denominator, or be unlucky.
-
-    A word is one packed int of n^2 slots, row-major (``_echelon_mod_p``).
-    A kept word is extended through its echelon row e, whose slots are
-    reduced, as ``_spin_left`` allows.  With e's rows e_k as packed ints,
-    row i of g e is sum_k g_ik e_k, one C-level ``sum(map(mul, ...))``; its
-    slots are at most n (p-1)^2 before the echelon's n^2 steps, which
-    ``_slot_words`` covers.
-    """
-    if n >= _NORTON_MIN_N and _norton_full(generators, n, m):
-        return True
-    p, rpow = _ring_map(m)
-    gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
-    if None in gens:
-        return False
-    full = n * n
-    k = _slot_words(n * (p - 1) ** 2, full, p)
-    row_bits = 64 * k * n
-    row_mask = (1 << row_bits) - 1
-    gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in gens]
-    insert = _echelon_mod_p(p, full, k)
-
-    def keep(w: int) -> Optional[list]:
-        """The rows of w's echelon row, or None."""
-        e = insert(w)
-        return None if e is None else [e >> row_bits * i & row_mask for i in range(n)]
-
-    def times(g, rows: list) -> int:
-        return sum(sum(map(operator.mul, gi, rows)) << row_bits * i for i, gi in enumerate(g))
-
-    ident = _pack([1 if j % (n + 1) == 0 else 0 for j in range(full)], k)
-    return len(_spin_left([ident], gens, times, keep, full)) == full
-
-
 def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     """An upper bound on the kernel dimension over Q(zeta_m) of integer rows
     in the ``_int_row`` layout (``sandwich_rows``).
 
-    The rows are mapped to F_p by the ring map of ``_spans_full_mod_p``,
-    which is defined on every integer row, so no denominator can stop it.
+    The rows are mapped to F_p by zeta_m -> r (``_ring_map``), p the
+    word-size prime of ``_modulus``; that map is defined on every integer
+    row, so no denominator can stop it.
     A minor that is nonzero mod p is the image of a nonzero minor, so the
     kernel mod p is at least as large; the packed echelon only understates
     the rank mod p.
     """
     p, rpow = _ring_map(m)
     phi = len(rpow)
-    k = _slot_words(p - 1, width, p)
+    k = _slot_words(width, p)
     insert = _echelon_mod_p(p, width, k)
     rank = 0
     for row in rows:
@@ -575,12 +515,12 @@ def spin_algebra(generators) -> MatrixAlgebra:
     """Smallest unital algebra of n x n matrices containing the generators,
     of which there is at least one (the identity spins the scalars).
 
-    The matrix units are returned without an exact spin when
-    ``_spans_full_mod_p`` proves the algebra all of M_n(K): by Norton's test
-    mod a small prime for n >= 5, else by the spin mod p.  Where it cannot
-    (an unlucky prime, or a smaller algebra), the exact spin decides, and it
-    returns the same matrix units on a full algebra, so the basis does not
-    depend on which route ran."""
+    The matrix units are returned without an exact spin when Norton's test
+    mod a small prime (``_spans_full_mod_p``) proves the algebra all of
+    M_n(K).  Where it cannot (an unlucky prime, no simple eigenvalue, or a
+    smaller algebra), the exact spin decides, and it returns the same
+    matrix units on a full algebra, so the basis does not depend on which
+    route ran."""
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].rows

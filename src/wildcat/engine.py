@@ -33,7 +33,7 @@ from one first split; it restricts the generators to each block once, and
 the Hom systems are built on those actions.
 
 A non-polystable or sigma-twisted point is left: the kernel of the
-stabilizer rows modulo the prime of the algebra certificate bounds the
+stabilizer rows modulo a word-size prime (``kernel_dim_mod_p``) bounds the
 dimension from above (the rows are integer, so no denominator stops it),
 and when it meets the kernel dimension that is the answer; else the same
 rows are solved exactly.
@@ -199,7 +199,7 @@ def galois_generators(p: FramedPoint):
     joint ones of the characters u, diag(Q_u, Q_{-u}^T) with Q_u = P_u or 0.
     So the spun algebra, its radical, the commutant, the stabilizer rows and
     every ``invariant_complement`` system keep their solution sets and
-    echelon bases; modulo p an eigenvalue collision can only make
+    echelon bases; modulo a prime an eigenvalue collision can only make
     ``_spans_full_mod_p`` say False or ``kernel_dim_mod_p`` over-bound, and
     the exact routes settle both.  Only the MeatAxe's kernel candidates,
     read off the generators, can differ: they may change which first split
@@ -209,8 +209,8 @@ def galois_generators(p: FramedPoint):
     are dropped, first occurrences kept in order; if every generator is
     scalar, the first stays, and with none the identity does, so the list
     is never empty.  No verdict or certificate changes: a dropped generator,
-    or that identity, adds nothing to the unital algebra (also modulo p), the
-    commutant, a spun submodule or the row space of an
+    or that identity, adds nothing to the unital algebra (also modulo a
+    prime), the commutant, a spun submodule or the row space of an
     ``invariant_complement`` system, and its kernel is trivial or one an
     earlier generator already offered the MeatAxe.
     """

@@ -26,10 +26,12 @@ of the two:
   and division by a linear solve (``Scalar`` keeps integer numerators over one
   denominator and inverts by fraction-free elimination of its
   multiplication matrix);
-* ``spans_full_mod_p`` and ``kernel_dim_mod_p``: the modular certificates on
-  lists of residues, reduced mod p at every step (the library packs each row
-  into one int and reduces once per kept row); both bound the kernel of the
-  same integer rows;
+* ``spans_full_mod_p``: the left spin of N^2 words from I over F_p, on lists
+  of residues (the library asks Norton's test over a small prime field
+  instead; its True must be a True here);
+* ``kernel_dim_mod_p``: the kernel bound on lists of residues, reduced mod p
+  at every step (the library packs each row into one int and reduces once
+  per kept row);
 * ``is_prime``: trial division (the library runs Miller-Rabin);
 * ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
   Scalar operation per entry (``linalg._EchelonSet`` keeps integer

@@ -12,7 +12,6 @@ from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
     _modulus,
-    _norton_full,
     _norton_images,
     _primitive_element,
     _small_modulus,
@@ -176,18 +175,25 @@ class TestModularCertificate:
 
     def test_unlucky_prime_falls_back_to_exact_spin(self):
         p, _ = _modulus(1)
-        gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: only I and SWAP
+        q, _ = _small_modulus(1)
+        gens = [Matrix.build([[1, 0], [0, 1 + p * q]]), SWAP]  # mod p and q: only I and SWAP
+        assert not spans_full_mod_p(gens, 2, 1)
         assert not _spans_full_mod_p(gens, 2, 1)
         alg = spin_algebra(gens)
         assert alg.dim == 4 and alg.basis == reference_spin(gens, 2, 1)
         assert invariant_subspace(gens) is None
 
-    def test_denominator_divisible_by_prime_falls_back(self):
+    def test_denominator_divisible_by_prime_falls_back(self, monkeypatch):
+        # p divides a denominator, so the spin at p proves nothing; Norton's
+        # test at q does, and the exact spin, forced, gives the same basis
         p, _ = _modulus(1)
         gens = [Matrix.build([[1, 0], [0, Fraction(1, p)]]), SWAP]
-        assert not _spans_full_mod_p(gens, 2, 1)
+        assert not spans_full_mod_p(gens, 2, 1)
+        assert _spans_full_mod_p(gens, 2, 1)
+        full = spin_algebra(gens).basis
+        monkeypatch.setattr(wildcat.algebra, "_spans_full_mod_p", lambda *args: False)
         alg = spin_algebra(gens)
-        assert alg.dim == 4 and alg.basis == reference_spin(gens, 2, 1)
+        assert alg.dim == 4 and alg.basis == reference_spin(gens, 2, 1) == full
 
     def test_full_algebra_over_cyclotomic_field(self):
         z = Scalar.zeta(5)
@@ -195,7 +201,7 @@ class TestModularCertificate:
         assert _spans_full_mod_p(gens, 2, 5)
         assert spin_algebra(gens).basis == reference_spin(gens, 2, 5)
 
-    # the same cases at n = 5, where Norton's test mod q runs before the spin:
+    # the same cases at n = 5, Norton's test mod q against the spin at p:
     # diag(1, 1 + c, ..., 1 + 4c) and the cyclic shift span M_5 over Q
     @staticmethod
     def diag_and_shift(c, shift_scale=1):
@@ -206,9 +212,10 @@ class TestModularCertificate:
     def test_scalar_images_mod_q_fall_back_to_the_spin(self):
         q, _ = _small_modulus(1)
         gens = self.diag_and_shift(q, q)  # both = I mod q
-        assert not _norton_full(gens, 5, 1)
-        assert _spans_full_mod_p(gens, 5, 1)  # by the spin mod p
-        assert spin_algebra(gens).basis == reference_spin(gens, 5, 1)
+        assert not _spans_full_mod_p(gens, 5, 1)
+        assert spans_full_mod_p(gens, 5, 1)  # the spin at p is not fooled
+        alg = spin_algebra(gens)  # by the exact spin
+        assert alg.dim == 25 and alg.basis == reference_spin(gens, 5, 1)
 
     def test_unlucky_at_both_primes_falls_back_to_exact_spin(self):
         q, _ = _small_modulus(1)
@@ -216,8 +223,8 @@ class TestModularCertificate:
         gens = self.diag_and_shift(p * q)  # mod p and mod q: I and I + shift
         # the first element is 2I + shift, its one eigenvalue mod q is 3, and
         # the null line of shift - I, (1, ..., 1), spins to itself
-        assert not _norton_full(gens, 5, 1)
         assert not _spans_full_mod_p(gens, 5, 1)
+        assert not spans_full_mod_p(gens, 5, 1)
         alg = spin_algebra(gens)
         assert alg.dim == 25 and alg.basis == reference_spin(gens, 5, 1)
         assert invariant_subspace(gens) is None
@@ -228,7 +235,6 @@ class TestModularCertificate:
         q, _ = _small_modulus(1)
         gens = self.diag_and_shift(Fraction(1, q))
         assert _norton_images(gens, 1)[0] == 71
-        assert _norton_full(gens, 5, 1)
         assert _spans_full_mod_p(gens, 5, 1) and spans_full_mod_p(gens, 5, 1)
         assert spin_algebra(gens).basis == reference_spin(gens, 5, 1)
 

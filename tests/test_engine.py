@@ -693,7 +693,7 @@ class TestOneAnalysis:
         assert counts == {"invariant_subspace": 0, "invariant_complement": 0}
 
     def test_full_algebra_certificate_runs_once_per_module(self, monkeypatch):
-        # (swap, diag) (+) (2, 3): the spin certifies nothing on the whole
+        # (swap, diag) (+) (2, 3): the certificate says False on the whole
         # module, the first split runs no certificate, and the 2-dimensional
         # block's M_2(Q) is certified before any search of it
         calls = []
@@ -710,8 +710,8 @@ class TestOneAnalysis:
     @pytest.mark.parametrize("n, m", [(10, 1), (5, 5)])
     def test_twisted_generic_point_is_certified_without_the_spin(self, monkeypatch, n, m):
         # Norton's test mod a small prime proves M_2n(K) on the doubled
-        # module, so the N^2-word spin mod p, the only packed echelon this
-        # point would build, never starts
+        # module, so the stabilizer is the kernel and the kernel bound mod p,
+        # the one user of the packed echelon, never runs
         counts = self.counted(monkeypatch, ["_echelon_mod_p"])
         rep = is_stable(generic_twisted_point(random.Random(0), n, m))
         assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
@@ -721,12 +721,25 @@ class TestOneAnalysis:
             self, monkeypatch):
         # 67, the first small prime for Q, divides a denominator of this
         # point's Galois generators, so Norton's test walks on to 71 and
-        # still proves M_20(Q) without the spin mod p
+        # still proves M_20(Q), with no packed echelon mod p
         counts = self.counted(monkeypatch, ["_echelon_mod_p"])
         rep = is_stable(generic_twisted_point(random.Random(1), 10, 1))
         assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
         assert counts == {"_echelon_mod_p": 0}
         assert algebra._norton_images(rep.galois.generators, 1)[0] == 71
+
+    def test_reducible_point_builds_no_packed_echelon(self, monkeypatch):
+        # three 3-dimensional blocks over Q: Norton's test says False on the
+        # whole module and on the 6-dimensional summand, which the exact
+        # routes then decide, and the stabilizer is the Hom sum, so no
+        # packed echelon mod p is built
+        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        rng = random.Random(0)
+        loops = [TwistedElement.plain(rand_block_diag(rng, [3, 3, 3])) for _ in range(2)]
+        rep = is_stable(simple_point(loops, n=9))
+        assert rep.polystable and not rep.stable and rep.stabilizer_dim == 3
+        assert [b.dim for b in rep.levi_decomposition] == [3, 3, 3]
+        assert counts == {"_echelon_mod_p": 0}
 
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
         # the rotation (+) (2) over Q: the search of the 2-dimensional

@@ -1,6 +1,7 @@
-"""The packed modular layer of ``wildcat.algebra`` against the list reference
-in ``oracles``: the full-algebra certificate, with Norton's test in front of
-it, the kernel bound, the slot sizes, the prime test and the moduli."""
+"""The modular layer of ``wildcat.algebra`` against the list references in
+``oracles``: the packed kernel bound and its slot sizes, the full-algebra
+certificate (Norton's test mod a small prime q), whose True the list spin
+at the word-size prime p must confirm, the prime test and the moduli."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from wildcat.algebra import (
     _echelon_mod_p,
     _is_prime,
     _modulus,
-    _norton_full,
     _norton_images,
     _pack,
     _residues,
@@ -65,7 +65,7 @@ def modular_cases(draw):
 def test_packed_certificates_match_the_list_reference(case):
     gens, n, m = case
     full = _spans_full_mod_p(gens, n, m)
-    assert full == oracles.spans_full_mod_p(gens, n, m)
+    assert oracles.spans_full_mod_p(gens, n, m) or not full  # True is a proof
     rows = commutant_rows(gens, n, m)
     bound = kernel_dim_mod_p(rows, n * n, m)
     assert bound == oracles.kernel_dim_mod_p(rows, n * n, m)
@@ -75,7 +75,7 @@ def test_packed_certificates_match_the_list_reference(case):
 
 @st.composite
 def norton_cases(draw):
-    """Two or three n x n matrices over Q(zeta_m), n = 5..9, of one shape:
+    """Two or three n x n matrices over Q(zeta_m), n = 1..9, of one shape:
     full (random), block upper triangular, block diagonal with isomorphic
     blocks (d x d, d the least divisor > 1 of n that is below n, else 1),
     scalar, or complex: A (x) I + B (x) R on K^(n/2) (x) K^2, n made even,
@@ -83,11 +83,11 @@ def norton_cases(draw):
     for m != 4 but not absolutely (its End holds R, R^2 = -1, and -1 is no
     square mod the small prime either); entries as in ``modular_cases``."""
     shape = draw(st.sampled_from(["full", "triangular", "isotypic", "scalar", "complex"]))
-    n = draw(st.integers(5, 9))
+    n = draw(st.integers(1, 9))
     n += n % 2 if shape == "complex" else 0
     m = draw(st.sampled_from([1, 3, 4, 5]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    split = rng.randint(1, n - 1)
+    split = rng.randint(1, max(n - 1, 1))
     d = next((d for d in range(2, n) if n % d == 0), 1)
     rot = [[0, -1], [1, 0]]
 
@@ -121,8 +121,7 @@ def norton_cases(draw):
 def test_norton_test_and_spin_agree_with_the_list_reference(case):
     gens, n, m = case
     reference = oracles.spans_full_mod_p(gens, n, m)
-    assert _spans_full_mod_p(gens, n, m) == reference
-    assert reference or not _norton_full(gens, n, m)  # True from Norton's test is a proof
+    assert reference or not _spans_full_mod_p(gens, n, m)  # True from Norton's test is a proof
 
 
 class TestSlots:
@@ -130,26 +129,27 @@ class TestSlots:
     @pytest.mark.parametrize("width", [1, 3, 4, 256])
     def test_slots_hold_the_largest_value_and_no_more_words(self, m, width):
         p, _ = _modulus(m)
-        step = width * (p - 1) ** 2
-        for top in (1 << 64, 1 << 128):  # start so that the bound is top - 1, then top
-            for start in (top - 1 - step, top - step):
-                if start < 0:
-                    continue
-                k = _slot_words(start, width, p)
-                bound = start + step
-                assert bound < 1 << 64 * k and (k == 1 or bound >= 1 << 64 * (k - 1))
+        step = (p - 1) ** 2
+        # width, and the widths whose bound p - 1 + w step is just below and
+        # just at 2^64 and 2^128
+        edges = [(top - p) // step for top in (1 << 64, 1 << 128)]
+        for w in [width] + edges + [e + 1 for e in edges]:
+            k = _slot_words(w, p)
+            bound = p - 1 + w * step
+            assert bound < 1 << 64 * k and (k == 1 or bound >= 1 << 64 * (k - 1))
 
     def test_pack_and_residues_round_trip_at_the_bound(self):
         p, _ = _modulus(1)
-        k = _slot_words(16 * (p - 1) ** 2, 256, p)
-        big = 16 * (p - 1) ** 2 + 256 * (p - 1) ** 2
+        k = _slot_words(256, p)
+        big = p - 1 + 256 * (p - 1) ** 2
         vals = [big - j for j in range(5)]
         vec = sum(v << 64 * k * j for j, v in enumerate(vals))
         assert _residues(vec, 5, k, p) == [v % p for v in vals]
         assert _residues(_pack([p - 1, 0, 1], k), 3, k, p) == [p - 1, 0, 1]
 
     def test_all_entries_p_minus_one_at_n16(self):
-        # the largest products: every slot of g w is 16 (p-1)^2 before elimination
+        # entries p - 1, the largest residues: for the certificate at q, and
+        # in every slot of the kernel bound's rows
         p, _ = _modulus(1)
         n = 16
         ones = Matrix.build([[p - 1] * n for _ in range(n)])
@@ -164,7 +164,7 @@ class TestSlots:
 
     def test_echelon_returns_reduced_rows_with_unit_pivots(self):
         p, _ = _modulus(1)
-        k = _slot_words(p - 1, 3, p)
+        k = _slot_words(3, p)
         insert = _echelon_mod_p(p, 3, k)
         row = insert(_pack([0, 2, 4], k))
         assert _residues(row, 3, k, p) == [0, 1, 2]
@@ -176,7 +176,8 @@ class TestFixedCases:
     def test_unlucky_prime_overstates_the_kernel(self):
         p, _ = _modulus(1)
         gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
-        assert not _spans_full_mod_p(gens, 2, 1)
+        assert not oracles.spans_full_mod_p(gens, 2, 1)
+        assert _spans_full_mod_p(gens, 2, 1)  # Norton's test at q is not fooled
         rows = commutant_rows(gens, 2, 1)
         assert kernel_dim_mod_p(rows, 4, 1) == oracles.kernel_dim_mod_p(rows, 4, 1) == 2
         assert kernel(IntRows(rows, 4, 1)).dim == 1
@@ -186,8 +187,8 @@ class TestFixedCases:
         z = Scalar.zeta(5)
         x = oracles.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
         gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
-        assert not _spans_full_mod_p(gens, 2, 5)
         assert not oracles.spans_full_mod_p(gens, 2, 5)
+        assert _spans_full_mod_p(gens, 2, 5)  # Norton's test at q is not stopped by p
         # the integer rows have no denominator, so the bound still holds
         rows = commutant_rows(gens, 2, 5)
         bound = kernel_dim_mod_p(rows, 4, 5)
