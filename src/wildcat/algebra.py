@@ -780,8 +780,8 @@ _HUNT_BUDGET = 64
 
 
 def _is_scalar_matrix(g: Matrix) -> bool:
-    n, c = g.rows, g[0, 0]
-    return all(x == c if k % (n + 1) == 0 else not x for k, x in enumerate(g.entries))
+    c = g[0, 0]
+    return g._is_scalar_of(c.num, c.den)
 
 
 def _split_by_element(f: Matrix, n: int, m: int):
@@ -799,9 +799,9 @@ def _split_by_element(f: Matrix, n: int, m: int):
         return ker_f
     coeffs, powers = minimal_polynomial(f)
     for fc, _ in factor_over_field(coeffs, m):
-        # q(f) = sum c_i f^i, entry by entry over the powers
-        pf = Matrix(n, n, tuple(sum((c * x for c, x in zip(fc, xs) if c), Scalar.zero(m))
-                                for xs in zip(*(p.entries for p in powers))))
+        # q(f) = sum c_i f^i: the coefficient row times the powers as rows
+        rows = Matrix.from_rows([p.entries for p in powers[:len(fc)]])
+        pf = Matrix(n, n, (Matrix(1, len(fc), tuple(fc)) @ rows).entries)
         if pf.is_zero():
             continue
         kp = kernel(pf)

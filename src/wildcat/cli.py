@@ -5,8 +5,10 @@ so repeated runs on one instance (and seed) are byte-identical; certificates
 are included so every verdict can be rechecked by a few lines of script.
 Text output is the same content rendered for people, plus wall-clock time.
 
-A command returns (payload, text lines, exit code) or raises; only
-``run_command`` prints, reads the clock and maps a failure to an exit code.
+A command returns (payload, text, exit code) or raises, with its text lines
+as a zero-argument function that ``run_command`` calls only for text output,
+so ``--format machine`` renders no matrix as text; only ``run_command``
+prints, reads the clock and maps a failure to an exit code.
 Exit codes: 0 success; 1 a well-formed input that fails (a candidate that
 violates the Stokes conditions, a point with no Levi reduction, a relation
 the sampler cannot solve); 2 a malformed or unsuitable input; 3 an
@@ -141,31 +143,37 @@ def _point(inst: InstanceFile):
 
 def _cmd_analyze(inst: InstanceFile, args):
     report = is_stable(_point(inst))
-    return Report("analyze", inst.conductor, report).to_json(), _report_text(report), EXIT_OK
+    payload = Report("analyze", inst.conductor, report).to_json()
+    return payload, lambda: _report_text(report), EXIT_OK
 
 
 def _cmd_reduce(inst: InstanceFile, args):
     blocks = levi_reduction(_point(inst))
     payload = {"command": "reduce", "field": inst.conductor,
                "blocks": [b.to_json() for b in blocks]}
-    return payload, _levi_text(blocks), EXIT_OK
+    return payload, lambda: _levi_text(blocks), EXIT_OK
 
 
 def _cmd_directions(inst: InstanceFile, args):
     payload = {"command": "directions", "field": inst.conductor, "punctures": []}
-    lines = []
-    for i, cls in enumerate(inst.surface.punctures):
+    grouped = []
+    for cls in inst.surface.punctures:
         infos = singular_directions(cls)
         groups = grouped_directions(infos)
+        grouped.append(groups)
         payload["punctures"].append({
             "incidences": [{"theta": d.theta, "pair": list(d.pair), "level": str(d.level)}
                            for d in infos],
             "directions": [{"theta": t, "pattern": [list(p) for p in pairs]}
                            for t, pairs in groups],
         })
-        lines.append(f"puncture {i + 1}: {len(groups)} singular directions")
-        for t, pairs in groups:
-            lines.append(f"    theta = {t:.12g}: pattern blocks {pairs}")
+
+    def lines():
+        out = []
+        for i, groups in enumerate(grouped):
+            out.append(f"puncture {i + 1}: {len(groups)} singular directions")
+            out += [f"    theta = {t:.12g}: pattern blocks {pairs}" for t, pairs in groups]
+        return out
     return payload, lines, EXIT_OK
 
 
@@ -184,16 +192,19 @@ def _cmd_scaffold(inst: InstanceFile, args):
                        for g in sc.generators],
         "relation": [[name, exp] for name, exp in sc.relation],
     }
-    word = " ".join(name if exp == 1 else f"{name}^-1" for name, exp in sc.relation)
-    lines = [f"{len(sc.generators)} generators:"]
-    for g in sc.generators:
-        extra = ""
-        if g.kind == "stokes":
-            extra = f"  theta={g.theta:.12g}  pattern={g.pattern}"
-        elif g.kind == "formal":
-            extra = "  (twisted graded support)"
-        lines.append(f"    {g.name}: {g.kind}{extra}")
-    lines.append(f"relation: {word} = 1")
+
+    def lines():
+        word = " ".join(name if exp == 1 else f"{name}^-1" for name, exp in sc.relation)
+        out = [f"{len(sc.generators)} generators:"]
+        for g in sc.generators:
+            extra = ""
+            if g.kind == "stokes":
+                extra = f"  theta={g.theta:.12g}  pattern={g.pattern}"
+            elif g.kind == "formal":
+                extra = "  (twisted graded support)"
+            out.append(f"    {g.name}: {g.kind}{extra}")
+        out.append(f"relation: {word} = 1")
+        return out
     return payload, lines, EXIT_OK
 
 
@@ -202,8 +213,11 @@ def _cmd_verify(inst: InstanceFile, args):
         raise _Refused("verify requires a candidate")
     violations = verify_candidate(build_scaffold(inst.surface), inst.candidate)
     payload = {"command": "verify", "field": inst.conductor, "violations": violations}
-    lines = ["candidate verifies: no violations"] if not violations else \
-        [f"{len(violations)} violations:"] + [f"    {v}" for v in violations]
+
+    def lines():
+        if not violations:
+            return ["candidate verifies: no violations"]
+        return [f"{len(violations)} violations:"] + [f"    {v}" for v in violations]
     return payload, lines, EXIT_OK if not violations else EXIT_INVALID
 
 
@@ -212,10 +226,13 @@ def _cmd_sample(inst: InstanceFile, args):
     cand = sorted(random_candidate(sc, args.seed).items())
     payload = {"command": "sample", "field": sc.conductor, "seed": args.seed,
                "candidate": {name: mat.to_json() for name, mat in cand}}
-    lines = [f"verified candidate for seed {args.seed}:"]
-    for name, mat in cand:
-        lines.append(f"  {name}:")
-        lines += _matrix_text(mat)
+
+    def lines():
+        out = [f"verified candidate for seed {args.seed}:"]
+        for name, mat in cand:
+            out.append(f"  {name}:")
+            out += _matrix_text(mat)
+        return out
     return payload, lines, EXIT_OK
 
 
@@ -267,7 +284,7 @@ def run_command(argv) -> int:
     if args.format == "machine":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
         print(f"elapsed: {time.perf_counter() - started:.3f}s")
     return code

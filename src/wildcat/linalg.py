@@ -30,11 +30,23 @@ turned into integer coefficient rows over one denominator by
 ``sandwich_rows`` alone, and ``kernel`` and ``linear_solve`` eliminate
 them as they are (``IntRows``).  Block matrices (the doubled realisation,
 block-supported samples) are written with ``Matrix.place``.
+
+Stokes data carry the identity everywhere: a Stokes matrix is I plus
+blocks, and a loop's twist is I unless it is inner.  So the identity is a
+property read in place (``Matrix.is_identity``, on the canonical entries:
+numerators (1, 0, ...) over 1 on the diagonal, zero elsewhere), and a
+product with a square identity factor returns the other factor, after the
+same shape and field checks.  Returning the operand itself is safe because
+no code mutates a Matrix: its entries are a tuple of immutable Scalars, no
+code assigns its fields after construction, and ``place`` returns a copy.
+For the same reason ``Matrix.identity`` hands out one shared object per
+(n, m).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional
@@ -315,7 +327,10 @@ class Matrix:
         return Matrix(nr, nc, tuple(x for row in data for x in row))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int, m: int = 1) -> "Matrix":
+        """The n x n identity over Q(zeta_m), one shared object per (n, m):
+        no code mutates a Matrix (``place`` copies), so callers may share it."""
         one, zero = Scalar.one(m), Scalar.zero(m)
         return Matrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
@@ -390,7 +405,8 @@ class Matrix:
         made canonical by one gcd.  When phi(m) > 1 an entry takes phi(m)
         of them, through the multiplication matrices of the row's entries
         (``_row_action``).  Zero rows of self give zeros with no product;
-        entries of two fields raise ValueError."""
+        entries of two fields raise ValueError.  A square identity factor
+        returns the other one as it is (module docstring)."""
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
         n, k, p = self.rows, self.cols, other.cols
@@ -402,6 +418,10 @@ class Matrix:
         fields = {x.m for x in a} | {x.m for x in b}
         if fields != {m}:
             raise ValueError(f"a product of matrices over conductors {sorted(fields)}")
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         phi = euler_phi(m)
         cols = [_lcm_nums(b[j::p]) for j in range(p)]
         out = []
@@ -440,6 +460,24 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
+
+    def _is_scalar_of(self, num: tuple, den: int) -> bool:
+        """Whether self is square with every diagonal entry the canonical
+        num / den and every other entry zero: the one entry walk of
+        ``is_identity`` and ``algebra._is_scalar_matrix``.  Builds no Scalar."""
+        n = self.rows
+        if self.cols != n:
+            return False
+        step = n + 1
+        for k, x in enumerate(self.entries):
+            if (x.den != den or x.num != num) if k % step == 0 else any(x.num):
+                return False
+        return True
+
+    def is_identity(self) -> bool:
+        """Whether self is a square identity, read off the canonical entries
+        (numerators (1, 0, ...) over 1 on the diagonal), with no Matrix built."""
+        return self._is_scalar_of((1,) + (0,) * (euler_phi(self._conductor()) - 1), 1)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

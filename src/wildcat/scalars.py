@@ -9,8 +9,9 @@ denominators are.  m = 1 is plain Q.
 
 Products are integer convolutions reduced by the monic integer cyclotomic
 polynomial and normalised by one gcd; sums of elements over one denominator
-add numerators.  No Fraction is made by + - * == or ``is_zero``; ``coeffs``
-gives the Fraction coefficients for printing and other cold readers.
+add numerators.  No Fraction is made by + - * == ``is_zero`` or
+``to_json``; ``coeffs`` gives the Fraction coefficients for printing and
+other cold readers.
 
 One conductor is fixed per problem instance, and every scalar of the instance
 lives in that field.  Arithmetic lifts ints and Fractions into the field of
@@ -141,6 +142,12 @@ def _canonical(m: int, num: tuple, den: int) -> "Scalar":
         if g != 1:
             return Scalar(m, tuple([x // g for x in num]), den // g)
     return Scalar(m, num, den)
+
+
+def _rational_text(p: int, q: int) -> str:
+    """p / q (q > 0) in lowest terms, as ``str`` of its Fraction prints it."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _unlike_sum(a: "Scalar", b: "Scalar", op) -> "Scalar":
@@ -342,9 +349,11 @@ class Scalar:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        if self.m == 1:
-            return str(self.coeffs[0])
-        return [str(c) for c in self.coeffs]
+        """The coefficients as text, "p" or "p/q" in lowest terms: one string
+        over Q, else a list of phi(m), each reduced by one gcd."""
+        if self.m == 1:  # canonical: num / den is in lowest terms
+            return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
+        return [_rational_text(x, self.den) for x in self.num]
 
     @staticmethod
     def from_json(data, m: int) -> "Scalar":

@@ -310,9 +310,11 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
 
 
 def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity: bool):
-    """Check that (mat - I if shift_identity else mat) is supported in the blocks."""
+    """The first entry (r, c), in row-major order, where mat - I (if
+    shift_identity) or mat is nonzero outside the allowed (row sheet,
+    column sheet) blocks, or None.  mat - I is read entry by entry off mat:
+    a diagonal entry counts when it is not 1, any other when it is nonzero."""
     n = mat.rows
-    probe = mat - Matrix.identity(n, mat._conductor()) if shift_identity else mat
     block_of = {}
     for idx, s in enumerate(sheets):
         for t in range(s.size):
@@ -320,7 +322,9 @@ def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity
     allowed = set(allowed_blocks)
     for r in range(n):
         for c in range(n):
-            if probe[r, c] and (block_of[r], block_of[c]) not in allowed:
+            x = mat[r, c]
+            if (x != 1 if shift_identity and r == c else x) and \
+                    (block_of[r], block_of[c]) not in allowed:
                 return (r, c)
     return None
 
@@ -382,7 +386,7 @@ def verify_candidate(sc: Scaffold, cand: dict):
                     f"{gen.name}: entry {bad} leaves the twisted graded support")
     if violations:
         return violations
-    if not (_word_product(assignment, sc.relation) == Matrix.identity(sc.n, sc.conductor)):
+    if not _word_product(assignment, sc.relation).is_identity():
         violations.append("relation: the surface relation does not evaluate to the identity")
     return violations
 

@@ -44,7 +44,7 @@ class Automorphism:
         return self.inner.rows
 
     def is_inner_trivial(self) -> bool:
-        return self.inner == Matrix.identity(self.n, self.inner._conductor())
+        return self.inner.is_identity()
 
     def apply(self, g: Matrix) -> Matrix:
         core = transpose_inverse(g) if self.outer else g

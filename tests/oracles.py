@@ -38,7 +38,13 @@ of the two:
   numerators over one denominator per row); the other oracles here run on it;
 * ``matmul_reference``: the matrix product with one Scalar product and one
   Scalar sum per term (``Matrix.__matmul__`` takes integer dot products over
-  row and column lcms, one gcd per entry);
+  row and column lcms, one gcd per entry, and returns the other factor of a
+  square identity);
+* ``scalar_to_json_reference``: a Scalar's JSON text through its Fraction
+  coefficients (``Scalar.to_json`` prints the numerators, one gcd each);
+* ``block_support_violation_reference``: the first entry of S - I (or S)
+  outside the allowed sheet blocks, with S - I built as a Matrix
+  (``stokes._block_support_violation`` reads it off S entry by entry);
 * ``sandwich_rows_reference``: the L.X.R coefficient rows as Scalars, one
   product per pair of entries (``sandwich_rows`` builds integer rows over
   one denominator);
@@ -153,6 +159,26 @@ def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
                     s = term if s is None else s + term
             out.append(s if s is not None else Scalar.zero(a._conductor()))
     return Matrix(n, p, tuple(out))
+
+
+def scalar_to_json_reference(x: Scalar):
+    """``Scalar.to_json`` through the Fraction coefficients."""
+    return str(x.coeffs[0]) if x.m == 1 else [str(c) for c in x.coeffs]
+
+
+def block_support_violation_reference(mat: Matrix, sheets, allowed_blocks,
+                                      shift_identity: bool):
+    """The first (r, c), row-major, where mat - I (if shift_identity) or mat
+    is nonzero outside the allowed (row sheet, column sheet) blocks, or None."""
+    n = mat.rows
+    probe = mat - Matrix.identity(n, mat._conductor()) if shift_identity else mat
+    block_of = {s.start + t: idx for idx, s in enumerate(sheets) for t in range(s.size)}
+    allowed = set(allowed_blocks)
+    for r in range(n):
+        for c in range(n):
+            if probe[r, c] and (block_of[r], block_of[c]) not in allowed:
+                return (r, c)
+    return None
 
 
 def sandwich_rows_reference(terms, rows: int, cols: int, m: int) -> list:

@@ -438,3 +438,67 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["polystable"] is False
+
+
+GENUS_ONE = {
+    "field": 1,
+    "mode": "stokes",
+    "stokes": dict(TWO_CIRCLE["stokes"], genus=1),
+}
+
+# ``wildcat sample --seed 2`` on GENUS_ONE, and ``wildcat analyze`` on its candidate
+GENUS_ONE_SAMPLE_TEXT = [
+    "verified candidate for seed 2:",
+    "  S1.0:", "    [1  0]", "    [-2  1]",
+    "  S1.1:", "    [1  1]", "    [0  1]",
+    "  a1:", "    [-1/2  1/2]", "    [0  1/2]",
+    "  b1:", "    [-1  1/2]", "    [-1  2]",
+    "  h1:", "    [-1  0]", "    [0  -1]",
+]
+GENUS_ONE_ANALYZE_TEXT = [
+    "polystable: True",
+    "stable: True",
+    "stabilizer Lie dimension: 1",
+    "action kernel Lie dimension: 1",
+    "Levi blocks (1):",
+    "    dim 2: (1, 0); (0, 1)",
+]
+
+
+def text_lines(capsys):
+    """The text lines printed, less the closing wall-clock line."""
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("elapsed: ")
+    return lines[:-1]
+
+
+def test_sample_and_analyze_text(tmp_path, capsys):
+    path = write(tmp_path, "g1.json", GENUS_ONE)
+    assert run_command(["sample", "--instance", path, "--seed", "2"]) == 0
+    assert text_lines(capsys) == GENUS_ONE_SAMPLE_TEXT
+    assert run_command(["sample", "--instance", path, "--seed", "2", "--format", "machine"]) == 0
+    candidate = json.loads(capsys.readouterr().out)["candidate"]
+    path = write(tmp_path, "g1c.json", dict(GENUS_ONE, candidate=candidate))
+    assert run_command(["analyze", "--instance", path]) == 0
+    assert text_lines(capsys) == GENUS_ONE_ANALYZE_TEXT
+
+
+def test_machine_format_renders_no_text(tmp_path, capsys, monkeypatch):
+    # every command succeeds in machine format with the text renderers broken
+    def broken(*args):
+        raise AssertionError("text rendered for machine output")
+    for name in ("_matrix_text", "_report_text", "_levi_text"):
+        monkeypatch.setattr(cli, name, broken)
+    diag = {"field": 1, "mode": "tuple",
+            "tuple": {"n": 2, "loops": [{"matrix": [["2", "0"], ["0", "3"]]}]}}
+    tuple_path = write(tmp_path, "diag.json", diag)
+    stokes_path = write(tmp_path, "tc.json", dict(TWO_CIRCLE, candidate=IDENTITY_CANDIDATE))
+    jordan_path = write(tmp_path, "jordan.json", JORDAN)
+    runs = [("analyze", jordan_path), ("analyze", stokes_path)] + \
+        [(command, tuple_path if command == "reduce" else stokes_path)
+         for command in cli._COMMANDS]
+    for command, path in runs:
+        assert run_command([command, "--instance", path, "--format", "machine"]) == 0, command
+        assert json.loads(capsys.readouterr().out)["command"] == command
+    with pytest.raises(AssertionError, match="text rendered"):
+        run_command(["sample", "--instance", stokes_path])

@@ -437,6 +437,77 @@ def test_integer_product_matches_the_scalar_reference(data):
             Matrix(n, k, tuple(Scalar.one(m) for _ in range(n * k))) @ foreign
 
 
+@st.composite
+def near_identities(draw):
+    """Matrices that are identities, or nearly: a square or non-square
+    identity pattern (the empty one included) with at most one entry
+    replaced, by a drawn Scalar or by a diagonal value that is almost 1."""
+    m = draw(st.sampled_from([1, 5]))
+    rows = draw(st.integers(0, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 4))
+    one, zero = Scalar.one(m), Scalar.zero(m)
+    entries = [one if i == j else zero for i in range(rows) for j in range(cols)]
+    if entries and draw(st.booleans()):
+        k = draw(st.integers(0, len(entries) - 1))
+        near_one = [Scalar.rational(-1, m), Scalar.rational(Fraction(1, 2), m), one]
+        if m == 5:  # numerators (1, 1, 0, 0) over 1: rational part 1, not rational
+            near_one.append(one + Scalar.zeta(5))
+        entries[k] = draw(st.one_of(scalars(m), st.sampled_from(near_one)))
+    return Matrix(rows, cols, tuple(entries)), m
+
+
+@settings(max_examples=120)
+@given(near_identities())
+def test_is_identity_agrees_with_equality_to_the_identity(case):
+    a, m = case
+    assert a.is_identity() == (a == Matrix.identity(a.rows, m))
+
+
+def test_is_identity_cases():
+    z5 = Scalar.zeta(5)
+    assert Matrix.identity(0).is_identity() and Matrix(0, 0, ()).is_identity()
+    assert not Matrix(0, 2, ()).is_identity() and not Matrix(2, 0, ()).is_identity()
+    assert Matrix.identity(3, 5).is_identity()
+    assert not Matrix.build([[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not Matrix.build([[1, 0], [0, -1]]).is_identity()
+    assert not Matrix.build([[1, 0], [0, Fraction(1, 2)]]).is_identity()
+    assert not Matrix.build([[1, 0], [0, 1 + z5]]).is_identity()
+    assert not Matrix.build([[1, z5], [0, 1]]).is_identity()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_identity_factor_returns_the_other_factor(data):
+    m = data.draw(st.sampled_from([1, 3, 4, 5, 8]))
+    n, p = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    x = data.draw(matrices(m, n, p))
+    y = data.draw(matrices(m, p, n))
+    ident = Matrix.identity(n, m)
+    for prod, ref in ((ident @ x, matmul_reference(ident, x)),
+                      (y @ ident, matmul_reference(y, ident))):
+        assert [(e.m, e.num, e.den) for e in prod.entries] == \
+            [(e.m, e.num, e.den) for e in ref.entries]
+        assert (prod.rows, prod.cols) == (ref.rows, ref.cols)
+    if p:
+        assert ident @ x is x and y @ ident is (ident if y.is_identity() else y)
+        other = next(f for f in (1, 5) if f != m)
+        with pytest.raises(ValueError):
+            Matrix.identity(n, other) @ x
+        with pytest.raises(ValueError):
+            y @ Matrix.identity(n, other)
+
+
+def test_identity_is_shared_and_place_leaves_it_unchanged():
+    for m in (1, 5):
+        ident = Matrix.identity(3, m)
+        assert Matrix.identity(3, m) is ident
+        placed = ident.place(0, 1, Matrix.build([[7, 8], [9, 10]], m))
+        assert placed == Matrix.build([[1, 7, 8], [0, 9, 10], [0, 0, 1]], m)
+        assert Matrix.identity(3, m) is ident and ident.is_identity()
+        assert [(e.num, e.den) for e in ident.entries] == \
+            [((int(i == j),) + (0,) * (euler_phi(m) - 1), 1) for i in range(3) for j in range(3)]
+
+
 class TestEliminationStep:
     # the pivot row (0, 1, 3/2) over Q: numerators (0, 2, 3) over 2
     ROW, DR = [0, 2, 3], 2

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionScalar, from_coeffs
+from oracles import FractionScalar, from_coeffs, scalar_to_json_reference
 from wildcat.algebra import _image_mod_p
-from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
+from wildcat.scalars import Scalar, _canonical as canonical, cyclotomic_polynomial, euler_phi
 
 
 def test_cyclotomic_polynomials():
@@ -237,6 +237,27 @@ def test_image_mod_p_refuses_a_denominator_divisible_by_p():
     assert _image_mod_p([x], P, RPOW) is None
 
 
+@st.composite
+def canonical_scalars(draw):
+    """Canonical Scalars whose numerators are zero, negative, or share a
+    factor with the denominator, which ``to_json`` must divide out."""
+    m = draw(st.sampled_from([1, 3, 4, 5, 8]))
+    den = draw(st.sampled_from([1, 2, 6, 12, 35, 10 ** 20 + 39]))
+    shared = st.builds(lambda g, k: g * k, st.sampled_from([d for d in (1, 2, 3, 5, 6, 7)
+                                                             if den % d == 0]),
+                       st.integers(-40, 40))
+    num = draw(st.lists(st.one_of(st.just(0), st.integers(-10 ** 25, 10 ** 25), shared),
+                        min_size=euler_phi(m), max_size=euler_phi(m)))
+    return canonical(m, tuple(num), den)
+
+
+@settings(max_examples=150)
+@given(canonical_scalars())
+def test_to_json_matches_the_fraction_route(x):
+    assert x.to_json() == scalar_to_json_reference(x)
+    assert Scalar.from_json(x.to_json(), x.m) == x
+
+
 def test_arithmetic_makes_no_fraction(monkeypatch):
     pairs = [(from_coeffs(5, ["1/2", "-3/7", "5", "0"]),
               from_coeffs(5, ["2/3", "1", "-1/9", "4/5"])),
@@ -246,5 +267,5 @@ def test_arithmetic_makes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
     for a, b in pairs:
         _ = (a + b, a - b, a * b, a == b, a.is_zero(), bool(a), a + 1, 2 * a, a == 1, -a,
-             a.inverse(), a / b)
+             a.inverse(), a / b, a.to_json())
     assert made == []

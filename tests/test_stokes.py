@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wildcat.engine import is_stable, stabilizer_lie_dim
 from wildcat.linalg import Matrix
+from wildcat.scalars import Scalar
 from wildcat.stokes import (
     Circle,
     InvalidCandidate,
@@ -17,6 +18,7 @@ from wildcat.stokes import (
     UnsolvableRelation,
     WildSurface,
     _apply_framing_spread,
+    _block_support_violation,
     build_scaffold,
     exponential_torus_grading,
     expand_sheets,
@@ -27,11 +29,14 @@ from wildcat.stokes import (
     verify_candidate,
 )
 
-from oracles import stabilizer_lie_dim_commutant
+from oracles import block_support_violation_reference, stabilizer_lie_dim_commutant
 
 TWO_CIRCLE = IrregularClass([Circle(1, [(1, 1)], 1), Circle(1, [(1, -1)], 1)])
 KATZ = IrregularClass([Circle(2, [(3, 1)], 1)])
 TAME2 = IrregularClass([Circle(1, [], 2)])
+# three sheets with blocks of sizes 2, 1, 1, and a ramified class of three
+MULTI = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [(1, -1)], 1), Circle(1, [(1, 2)], 1)])
+RAM3 = IrregularClass([Circle(3, [(1, 1)], 1)])
 
 
 def close(a, b, tol=1e-9):
@@ -346,3 +351,28 @@ def test_stokes_stabilizer_matches_exact_solve(coeffs, tame, seed):
         assume(False)
     p = to_framed_point(sc, cand)
     assert is_stable(p).stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_block_support_violation_matches_the_identity_difference(data):
+    # block-supported Stokes and formal matrices, then up to two entries
+    # overwritten anywhere, the diagonal included
+    cls = data.draw(st.sampled_from([TWO_CIRCLE, KATZ, MULTI, RAM3]))
+    sc = build_scaffold(WildSurface(0, [cls], cls.rank))
+    pd, n, m = sc.punctures[0], sc.n, sc.conductor
+    shift = data.draw(st.booleans())
+    pattern = data.draw(st.sampled_from([pairs for _, pairs in pd.directions])) if shift \
+        else pd.formal_blocks
+    value = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+    mat = Matrix.identity(n, m) if shift else Matrix.zero(n, n, m)
+    for i, j in pattern:
+        si, sj = pd.sheets[i], pd.sheets[j]
+        block = [[data.draw(value) for _ in range(sj.size)] for _ in range(si.size)]
+        mat = mat.place(si.start, sj.start, Matrix.build(block, m))
+    for _ in range(data.draw(st.integers(0, 2))):
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        entry = data.draw(st.one_of(value, st.just(Scalar.zeta(m)) if m > 1 else value))
+        mat = mat.place(r, c, Matrix.build([[entry]], m))
+    assert _block_support_violation(mat, pd.sheets, pattern, shift) == \
+        block_support_violation_reference(mat, pd.sheets, pattern, shift)
