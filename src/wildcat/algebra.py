@@ -11,8 +11,8 @@ generator times a shorter word, so only kept words are extended, and only by
 left factors; the spin stops as soon as it holds N^2 independent words.
 ``_spin_left`` is the one closure loop: the exact algebra spin, the
 submodule spanned by vectors, the spins of one vector modulo a prime in
-Norton's test, and the powers of one matrix (minimal polynomial, primitive
-element) all run on it.  The exact spins of the algebra and of a submodule
+Norton's test, and the powers of one matrix (its minimal polynomial) all
+run on it.  The exact spins of the algebra and of a submodule
 (``_spin_exact``) convert the generators once to integer matrices on
 power-basis numerators and extend each kept word through its integer
 echelon row, so a product is integer dot products, with no Matrix or Scalar
@@ -98,10 +98,10 @@ class NotSemisimpleError(Exception):
 
 
 class MeatAxeInconclusive(Exception):
-    """Raised when irreducibility over the field cannot be certified: the
-    endomorphism ring is not a field (a division algebra, or M_k(K) on k
-    isomorphic blocks) and no element tried splits the module.  Never
-    returns a wrong verdict."""
+    """Raised when irreducibility over the field cannot be certified: only
+    on an isotypic module V^k whose endomorphism ring M_k(D) is not
+    commutative (a noncommutative division algebra D, or k > 1), when no
+    element tried splits it.  Never returns a wrong verdict."""
 
 
 @dataclass
@@ -750,24 +750,18 @@ def factor_over_field(coeffs, m: int):
     raise ArithmeticError(f"no shift s <= {d * d * (phi - 1)} separates the norm")
 
 
-def _powers(f: Matrix):
-    """(I, f, ..., f^(d-1), their echelon), d the degree of f's minimal polynomial."""
+def minimal_polynomial(f: Matrix):
+    """(monic minimal polynomial coefficients, low -> high, the powers
+    I, f, ..., f^d they were solved on): the powers are spun until f^d is
+    the first that depends on the earlier ones."""
     n = f.rows
     ech = _EchelonSet(n * n)
     powers = _spin_left([Matrix.identity(n, f._conductor())], [f], lambda g, w: w @ g,
-                        lambda w: w if ech.add(w.flatten()) else None, n * n)
-    return powers, ech
-
-
-def minimal_polynomial(f: Matrix):
-    """(monic minimal polynomial coefficients, low -> high, the powers
-    I, f, ..., f^d they were solved on)."""
-    n = f.rows
-    powers, _ = _powers(f)
+                        lambda w: w if ech.add(w.entries) else None, n * n)
     # f^d is the first dependent power: solve sum a_i f^i = f^d
-    cols = Matrix.from_cols([p.flatten() for p in powers])
+    cols = Matrix.from_cols([p.entries for p in powers])
     powers.append(powers[-1] @ f)
-    sol = linear_solve(cols, Matrix(n * n, 1, powers[-1].flatten()))
+    sol = linear_solve(cols, Matrix(n * n, 1, powers[-1].entries))
     return [-sol[i, 0] for i in range(len(powers) - 1)] + [Scalar.one(f._conductor())], powers
 
 
@@ -810,30 +804,6 @@ def _split_by_element(f: Matrix, n: int, m: int):
     return None
 
 
-def _primitive_element(basis, n: int, m: int) -> Matrix:
-    """Generator of a commutative algebra span(basis) (deterministic sweep)."""
-    f = None
-    for b in basis:
-        if _is_scalar_matrix(b):
-            continue
-        if f is None:
-            f, span = b, _powers(b)[1]
-            continue
-        if span.contains(list(b.flatten())):  # b already lies in K[f]
-            continue
-        for c in range(n * n + 2):
-            g = f + b.scale(Scalar.rational(c, m))
-            g_span = _powers(g)[1]
-            if g_span.dim > span.dim:
-                f, span = g, g_span
-                break
-        else:
-            raise AssertionError("primitive element sweep failed")
-        if span.dim == len(basis):
-            break
-    return f if f is not None else Matrix.identity(n, m)
-
-
 def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subspace]:
     """A proper nonzero subspace invariant under all generators, if one exists.
 
@@ -843,13 +813,19 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
     spin and the radical, whose answer is known, and returns what it would
     return without them.
 
-    A commutative commutant whose basis elements do not split proves the
-    module irreducible.  Being semisimple, it is a product of fields K_i,
-    one per summand V_i of dimension d_i; a basis element z with an
-    irreducible minimal polynomial has it on every V_i, so
-    d_j Tr_i(z) = d_i Tr_j(z) for its traces on the V_i.  With two or more
-    summands that is a proper subspace (the projection onto V_1 is not in
-    it), which holds no basis.
+    A semisimple module whose commutant basis splits nothing is isotypic.
+    A basis element b that ``_split_by_element`` does not split has an
+    irreducible minimal polynomial mu, and it has mu on every isotypic
+    component W_j, so Tr(b | W_j) = -(dim W_j / deg mu) c, c the coefficient
+    of x^(deg mu - 1) in mu.  With two components, the linear form
+    dim W_2 Tr_1 - dim W_1 Tr_2 then kills every basis element, so all of
+    the commutant; but the projection onto W_1 lies in the commutant, and
+    the form takes dim W_1 dim W_2 on it.  So the module is V^k with V
+    irreducible, and its commutant is M_k(D), D = End(V) a division
+    algebra.  Its centre is the field Z(D), in which no element has a
+    reducible minimal polynomial, so no central element can split.  A
+    commutative commutant (k = 1, D a field) proves the module irreducible;
+    a noncommutative one leaves the unit-vector spins and the hunt.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -890,19 +866,14 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
         if sub is not None:
             return sub
 
-    # the centre of the commutant commutes with the generators and with it
+    # no basis element splits, so the module is isotypic (docstring); the
+    # centre of the commutant commutes with the generators and with it
     centre = commutant(list(generators) + comm, n)
     if len(centre) == len(comm):
-        return None  # a commutative commutant no basis element splits (docstring)
+        return None  # a commutative commutant: the module is irreducible
 
-    # noncommutative endomorphism ring: try its centre, then bounded hunts
-    if len(centre) >= 2:
-        sub = _split_by_element(_primitive_element(centre, n, m), n, m)
-        if sub is not None:
-            return sub
-
-    # an isotypic module whose End (M_k(D), D a division algebra) is not a
-    # field is the only remaining shape; hunt for zero divisors before giving up
+    # an isotypic module whose End (M_k(D), D a division algebra) is not
+    # commutative; hunt for zero divisors before giving up
     ident = Matrix.identity(n, m)
     for j in range(n):
         sub = spin_subspace(generators, [ident.row(j)], n)

@@ -363,9 +363,6 @@ class Matrix:
     def row_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def flatten(self) -> tuple:
-        return self.entries
-
     def place(self, row: int, col: int, block: "Matrix") -> "Matrix":
         """A copy with ``block`` written over the entries from (row, col) on."""
         if row < 0 or col < 0 or row + block.rows > self.rows or col + block.cols > self.cols:
@@ -733,10 +730,10 @@ def linear_solve(a, b: Matrix) -> Optional[Matrix]:
         ech.insert([x * (e // g) for x in r] + [x * (d // g) for x in rhs], m)
     if any(p >= n for p in ech.pivots):
         return None  # inconsistent system
-    xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
+    xs = [Scalar.zero(m)] * (n * b.cols)
     for i, p in enumerate(ech.pivots):
-        xs[p] = ech.block(i, n, n + b.cols)
-    return Matrix.build(xs, m)
+        xs[p * b.cols:(p + 1) * b.cols] = ech.block(i, n, n + b.cols)
+    return Matrix(n, b.cols, tuple(xs))
 
 
 class Grading:

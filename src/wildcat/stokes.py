@@ -225,15 +225,15 @@ def grouped_directions(infos):
     return [(theta, sorted(pairs)) for theta, pairs in groups]
 
 
-def exponential_torus_grading(cls: IrregularClass, conductor: int) -> Grading:
-    """Grading of the fibre by sheet: sheet k's block has weight (k,).
+def exponential_torus_grading(sheets, n: int, conductor: int) -> Grading:
+    """Grading of the rank-n fibre by sheet: sheet k's block has weight (k,).
 
     The centralizer of the grading is the block group of the sheet
     decomposition (module docstring).
     """
-    ident = Matrix.identity(cls.rank, conductor)
-    return Grading(cls.rank, [((k,), [ident.row(s.start + t) for t in range(s.size)])
-                              for k, s in enumerate(cls.sheets)])
+    ident = Matrix.identity(n, conductor)
+    return Grading(n, [((k,), [ident.row(s.start + t) for t in range(s.size)])
+                       for k, s in enumerate(sheets)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,6 @@ class GeneratorSpec:
 @dataclass
 class PunctureData:
     sheets: list
-    grading: Grading
     directions: list              # [(theta, pattern pairs)] ascending theta
     formal_blocks: list           # [(target sheet, source sheet)] allowed support
 
@@ -286,9 +285,8 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
         generators.append(GeneratorSpec(f"b{k}", "handle_b"))
         relation += [(f"a{k}", 1), (f"b{k}", 1), (f"a{k}", -1), (f"b{k}", -1)]
     for i, cls in enumerate(ws.punctures):
-        grading = exponential_torus_grading(cls, conductor)
         directions = grouped_directions(singular_directions(cls))
-        pd = PunctureData(cls.sheets, grading, directions, _formal_blocks(cls.sheets))
+        pd = PunctureData(cls.sheets, directions, _formal_blocks(cls.sheets))
         punctures.append(pd)
         label = i + 1
         if i > 0:
@@ -413,7 +411,8 @@ def to_framed_point(sc: Scaffold, cand: dict) -> FramedPoint:
         if conj is not None:
             mat = conj[0] @ mat @ conj[1]
         loops.append(TwistedElement.plain(mat))
-    return FramedPoint(sc.n, [pd.grading for pd in sc.punctures], connectors, loops)
+    gradings = [exponential_torus_grading(pd.sheets, sc.n, sc.conductor) for pd in sc.punctures]
+    return FramedPoint(sc.n, gradings, connectors, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +551,7 @@ def random_candidate(sc: Scaffold, seed: int) -> dict:
     rng = random.Random(seed)
     n, m = sc.n, sc.conductor
     free = [gen.name for gen in sc.generators if gen.kind == "formal"
-            and sc.punctures[gen.puncture].grading.is_trivial()
+            and len(sc.punctures[gen.puncture].sheets) == 1
             and not sc.punctures[gen.puncture].directions]
     if free:
         targets = free[:1]

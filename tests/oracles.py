@@ -251,10 +251,10 @@ def spin_algebra_reference(generators, n: int, m: int) -> tuple:
     times every generator on the left, until no product is new."""
     ech = ScalarEchelon(n * n)
     frontier = [w for w in [Matrix.identity(n, m)] + list(generators)
-                if ech.add(w.flatten())]
+                if ech.add(w.entries)]
     while frontier:
         frontier = [prod for w in frontier for prod in [g @ w for g in generators]
-                    if ech.add(prod.flatten())]
+                    if ech.add(prod.entries)]
     return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
 
 
@@ -287,7 +287,7 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
 
 
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
-    return ScalarEchelon(alg.ambient_n ** 2, [b.flatten() for b in alg.basis])
+    return ScalarEchelon(alg.ambient_n ** 2, [b.entries for b in alg.basis])
 
 
 def _conductor(alg: MatrixAlgebra) -> int:
@@ -298,9 +298,9 @@ def is_closed(alg: MatrixAlgebra) -> bool:
     ech = _echelon(alg)
     for a in alg.basis:
         for b in alg.basis:
-            if not ech.contains(list((a @ b).flatten())):
+            if not ech.contains(list((a @ b).entries)):
                 return False
-    return ech.contains(list(Matrix.identity(alg.ambient_n, _conductor(alg)).flatten()))
+    return ech.contains(list(Matrix.identity(alg.ambient_n, _conductor(alg)).entries))
 
 
 def radical_oracle(alg: MatrixAlgebra) -> Subspace:
@@ -317,7 +317,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     for i in range(d):
         row = []
         for j in range(d):
-            res, coords = ech.reduce((alg.basis[i] @ alg.basis[j]).flatten())
+            res, coords = ech.reduce((alg.basis[i] @ alg.basis[j]).entries)
             if any(res):
                 raise AssertionError("algebra is not multiplicatively closed")
             row.append(coords)
@@ -346,7 +346,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
         for c, b in zip(coeffs, alg.basis):
             if c:
                 elem = elem + b.scale(c)
-        rows.append(list(elem.flatten()))
+        rows.append(list(elem.entries))
     radical = Subspace.from_vectors(n * n, rows)
     nilpotency_index(radical, n)
     return radical
@@ -364,7 +364,7 @@ def nilpotency_index(radical: Subspace, n: int) -> int:
         for a in current:
             for b in mats:
                 prod = a @ b
-                if ech.add(list(prod.flatten())):
+                if ech.add(list(prod.entries)):
                     nxt.append(prod)
         current = nxt
         if index > n + 1:

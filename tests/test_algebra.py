@@ -13,8 +13,8 @@ from wildcat.algebra import (
     NotSemisimpleError,
     _modulus,
     _norton_images,
-    _primitive_element,
     _small_modulus,
+    _split_by_element,
     _spans_full_mod_p,
     commutant,
     decompose_irreducibles,
@@ -97,13 +97,13 @@ class TestSpin:
 def reference_spin(gens, n, m):
     """Echelon basis of the unital algebra: products on both sides, no early stop."""
     ech = ScalarEchelon(n * n)
-    frontier = [w for w in [Matrix.identity(n, m)] + gens if ech.add(list(w.flatten()))]
+    frontier = [w for w in [Matrix.identity(n, m)] + gens if ech.add(list(w.entries))]
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
                 for prod in (g @ w, w @ g):
-                    if ech.add(list(prod.flatten())):
+                    if ech.add(list(prod.entries)):
                         nxt.append(prod)
         frontier = nxt
     return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
@@ -411,6 +411,42 @@ def semisimple_modules(draw):
     return [p @ g @ p_inv for g in gens], sub
 
 
+@st.composite
+def two_isotypic_components(draw):
+    """a I_k1 (+) C^(+k2) over Q, Q(i) or Q(zeta5), k1, k2 in {1, 2}, C the
+    companion matrix of x^2 - c, c in {2, 3}, which is irreducible over
+    each of them, conjugated by P = L L^T as in ``semisimple_modules``.  The
+    irreducible blocks have dimensions 1 and 2, so there are two isotypic
+    components."""
+    m = draw(st.sampled_from([1, 4, 5]))
+    phi = euler_phi(m)
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: from_coeffs(m, cs))
+    a, c = draw(scalar), draw(st.sampled_from([2, 3]))
+    k1, k2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n = k1 + 2 * k2
+    one, zero = Scalar.one(m), Scalar.zero(m)
+    g = Matrix.zero(n, n, m)
+    for i in range(k1):
+        g = g.place(i, i, Matrix(1, 1, (a,)))
+    companion = Matrix(2, 2, (zero, Scalar.rational(c, m), one, zero))
+    for k in range(k2):
+        g = g.place(k1 + 2 * k, k1 + 2 * k, companion)
+    lower = Matrix(n, n, tuple(one if i == j else draw(scalar) if i > j else zero
+                               for i in range(n) for j in range(n)))
+    p = lower @ lower.transpose()
+    return p @ g @ p.inverse(), n, m
+
+
+@settings(max_examples=30)
+@given(two_isotypic_components())
+def test_a_commutant_basis_element_splits_a_module_with_two_isotypic_components(case):
+    # the invariant_subspace docstring: a commutant basis that splits
+    # nothing makes the module isotypic, so here some basis element splits
+    g, n, m = case
+    assert any(_split_by_element(b, n, m) is not None for b in commutant([g], n))
+
+
 class TestDecomposition:
     def test_eigenspace_grouping(self):
         assert isotypic_dims([Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])]) == [1, 2]
@@ -527,16 +563,6 @@ class TestPolynomialTools:
         coeffs, powers = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
         assert coeffs == [-2, 1]
         assert powers == [I2, Matrix.build([[2, 0], [0, 2]])]
-
-    def test_primitive_element_sweep(self):
-        # E11 alone generates span{I, E11}; E22 forces the sweep to E11 + c E22
-        units = [Matrix.build([[int(i == j == k) for j in range(3)] for i in range(3)])
-                 for k in range(3)]
-        f = _primitive_element(units, 3, 1)
-        powers = Subspace.from_vectors(9, [g.flatten() for g in (Matrix.identity(3), f, f @ f)])
-        assert powers.dim == 3
-        assert powers == Subspace.from_vectors(9, [g.flatten() for g in units])
-        assert len(minimal_polynomial(f)[0]) == 4
 
     def test_factor_over_rationals(self):
         x2m1 = [Scalar.rational(-1), Scalar.zero(), Scalar.one()]

@@ -427,17 +427,39 @@ def test_report_round_trip(tmp_path, capsys, doc):
     assert blocks == payload["report"]["levi_decomposition"]
 
 
+def child_env():
+    """The environment of a child process that finds the package where this
+    process found it, installed or not."""
+    src = str(Path(wildcat.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_console_script(tmp_path):
     path = write(tmp_path, "jordan.json", JORDAN)
-    # the child finds the package where this process found it, installed or not
-    src = str(Path(wildcat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "wildcat.cli", "analyze",
                            "--instance", path, "--format", "machine"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["polystable"] is False
+
+
+def test_a_run_that_factors_nothing_imports_no_sympy(tmp_path):
+    # sympy, most of a process's start-up, is imported only to factor a
+    # polynomial; the Jordan block is decided by its radical, with none
+    path = write(tmp_path, "jordan.json", JORDAN)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import wildcat",
+        "from wildcat import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = cli.run_command(['analyze', '--instance', {path!r}, '--format', 'machine'])",
+        "print(code, sorted(name for name in sys.modules if name.split('.')[0] == 'sympy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
 
 
 GENUS_ONE = {

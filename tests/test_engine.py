@@ -228,6 +228,22 @@ class TestStable:
         rep = is_stable(simple_point([TwistedElement.plain(J)]))
         assert not rep.polystable and not rep.stable
 
+    def test_two_rotations_split_at_the_commutant_basis(self):
+        # diag(R, R), R the rotation by a quarter turn, in a fixed basis:
+        # an isotypic module whose End M_2(Q(i)) has dimension 8 and the
+        # field Q(i) as centre; a commutant basis element splits it, so no
+        # element of the centre is needed
+        rot = Matrix.build([[0, -1], [1, 0]])
+        lower = Matrix.build([[1, 0, 0, 0], [1, 1, 0, 0], [0, -1, 1, 0], [2, 0, 1, 1]])
+        p = lower @ lower.transpose()
+        g = p @ Matrix.zero(4, 4).place(0, 0, rot).place(2, 2, rot) @ p.inverse()
+        comm = commutant([g], 4)
+        assert len(comm) == 8 and len(commutant([g] + comm, 4)) == 2
+        assert any(algebra._split_by_element(b, 4, 1) is not None for b in comm)
+        rep = is_stable(simple_point([TwistedElement.plain(g)], n=4))
+        assert rep.polystable and not rep.stable and rep.stabilizer_dim == 8
+        assert [b.dim for b in rep.levi_decomposition] == [2, 2]
+
     def test_stable_implies_polystable_on_corpus(self):
         rng = random.Random(3)
         for _ in range(25):

@@ -122,17 +122,17 @@ class TestPatterns:
 class TestGrading:
     def test_two_circle_weights(self):
         # two sheet lines, so the centralizer is the diagonal torus
-        g = exponential_torus_grading(TWO_CIRCLE, TWO_CIRCLE.conductor())
+        g = exponential_torus_grading(TWO_CIRCLE.sheets, TWO_CIRCLE.rank, TWO_CIRCLE.conductor())
         assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_katz_weights(self):
         # the two Galois sheets of one ramified circle are two blocks
-        g = exponential_torus_grading(KATZ, KATZ.conductor())
+        g = exponential_torus_grading(KATZ.sheets, KATZ.rank, KATZ.conductor())
         assert [basis for _, basis in g.pieces] == [[(1, 0)], [(0, 1)]]
 
     def test_multiplicity_blocks(self):
         cls = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [], 1)])
-        g = exponential_torus_grading(cls, cls.conductor())
+        g = exponential_torus_grading(cls.sheets, cls.rank, cls.conductor())
         dims = [len(basis) for _, basis in g.pieces]
         assert dims == [2, 1]
 
@@ -238,7 +238,7 @@ class TestFramedAssembly:
 
     def test_loops_follow_the_generator_order(self):
         # handles as they are, then h_1 (a tame puncture has no S_1.*), then
-        # C_2^-1 x C_2 for h_2 and S_2.*; the gradings are the punctures' own
+        # C_2^-1 x C_2 for h_2 and S_2.*; the gradings are the punctures' sheet gradings
         sc = build_scaffold(WildSurface(1, [TAME2, TWO_CIRCLE], 2))
         a = random_candidate(sc, 3)
         c = a["C2"]
@@ -248,7 +248,8 @@ class TestFramedAssembly:
         assert [loop.g for loop in fp.loops] == expected
         assert all(loop.is_normalized() for loop in fp.loops)
         assert fp.connectors == [c]
-        assert all(g is pd.grading for g, pd in zip(fp.gradings, sc.punctures, strict=True))
+        assert [g.pieces for g in fp.gradings] == \
+            [exponential_torus_grading(pd.sheets, sc.n, sc.conductor).pieces for pd in sc.punctures]
 
     def test_grading_compatibility(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))

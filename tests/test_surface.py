@@ -33,8 +33,10 @@ ALLOWED = {
 REACHED_ONLY_FROM_ALLOWED = {
     "linalg.Grading.piece_subspaces",
     "linalg.Matrix.mul_vector",
+    "linalg.Subspace.contains",
     "linalg.Subspace.coordinates",
     "linalg.Subspace.intersection",
+    "linalg._EchelonSet.contains",
     "twists.Automorphism.apply",
     "twists.Automorphism.compose",
 }
