@@ -21,9 +21,8 @@ built per product.
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 small prime q = 1 (mod m) by Norton's irreducibility test
 (``_spans_full_mod_p``, after Parker 1984 and Holt and Rees 1994), in about
-N^3 steps per element tried.  With r a root of the m-th cyclotomic
-polynomial mod q, zeta_m -> r is a ring map from Z_(q)[zeta_m]
-(coefficients with denominators prime to q) onto F_q; it carries a word in
+N^3 steps per element tried.  The ring map zeta_m -> r onto F_q
+(``modular``, which also gives the prime and the echelon) carries a word in
 the generators to the same word in their images.  A null vector of a - l I,
 a line, that spins to F_q^N, and one of its transpose that spins to the
 dual, prove the images absolutely irreducible, so by Burnside they span
@@ -32,20 +31,6 @@ their N^2 coordinate rows maps to a nonzero element, so it is nonzero, and
 the algebra is M_N(K), which is simple (radical 0, module irreducible).
 False proves nothing (q may be unlucky, or no element tried has a simple
 eigenvalue); the exact spin decides then.
-
-The kernel bound ``kernel_dim_mod_p`` works modulo a word-size prime
-p = 1 (mod m) (``_modulus``) on packed rows: a vector over F_p of width W is
-one Python int of W fixed-width slots, each of k 64-bit words (``_pack``),
-so adding a multiple of a row is one big-int ``vec += c * row``.  Slots are
-never reduced during elimination; they start at most p-1 (a row image) and
-grow by at most (p-1)^2 per elimination step, of which there are at most W,
-and ``_slot_words`` picks k so that p - 1 + W (p-1)^2 fits.  A vector is
-reduced mod p once, by one ``array('Q')`` unpack, when it is kept.  It is
-counted dependent when vec = 0 (mod p) as an int; that holds when every slot
-is 0 mod p, and rarely also otherwise, which only understates the rank mod
-p, so the bound stays an upper bound.  ``tests/oracles.py`` keeps list-based
-routes mod p, reduced at every step, as references: the kernel bound, and a
-spin of N^2 words that answers the certificate's question at p.
 
 The radical is ``radical_trace``: the null space of the trace form of the
 natural module, zero without any Gram matrix once the algebra has dimension
@@ -69,12 +54,8 @@ from __future__ import annotations
 
 import operator
 import random
-import sys
-from array import array
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
@@ -89,6 +70,14 @@ from .linalg import (
     kernel,
     linear_solve,
     sandwich_rows,
+)
+from .modular import (
+    _charpoly_mod,
+    _EchelonModP,
+    _horner_mod,
+    _image_map,
+    _null_line,
+    _prime_and_root,
 )
 from .scalars import Scalar, euler_phi
 
@@ -146,239 +135,15 @@ def _spin_left(words, gens, mul, add, full: int) -> list:
     return kept
 
 
-_MODULUS_BOUND = 1 << 31
 _SMALL_PRIME_FLOOR = 64
 _NORTON_TRIALS = 8
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: deterministic for
-    q < 3.18e23 (Sorenson and Webster, 2015), far above every modulus here."""
-    if q < 2:
-        return False
-    for b in _WITNESSES:
-        if q % b == 0:
-            return q == b
-    s = ((q - 1) & (1 - q)).bit_length() - 1   # q - 1 = d 2^s, d odd
-    d = (q - 1) >> s
-    for b in _WITNESSES:
-        x = pow(b, d, q)
-        if x == 1 or x == q - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_and_root(p: int, step: int, m: int):
-    """(p', r): the first prime p' among p, p + step, p + 2 step, ..., where
-    p = 1 (mod m) and m | step, and a root r of the m-th cyclotomic
-    polynomial mod p' (r^m = 1, r^(m/q) != 1 for primes q | m)."""
-    while not _is_prime(p):
-        p += step
-    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
-    for g in range(2, p):
-        r = pow(g, (p - 1) // m, p)
-        if all(pow(r, m // q, p) != 1 for q in primes):
-            return p, r
-    raise AssertionError("no primitive root of unity modulo p")
-
-
-@lru_cache(maxsize=None)
-def _modulus(m: int):
-    """(p, r): the largest prime p < 2^31 with p = 1 (mod m), and a root r of
-    the m-th cyclotomic polynomial mod p (``_prime_and_root``)."""
-    return _prime_and_root((_MODULUS_BOUND - 2) // m * m + 1, -m, m)
-
-
-@lru_cache(maxsize=None)
-def _small_modulus(m: int):
-    """(q, r): the smallest prime q > 64 with q = 1 (mod m), and a root r of
-    the m-th cyclotomic polynomial mod q, for ``_spans_full_mod_p``."""
-    return _prime_and_root(-(-_SMALL_PRIME_FLOOR // m) * m + 1, m, m)
-
-
-@lru_cache(maxsize=None)
-def _ring_map(m: int):
-    """(p, (r^0, r^1, ...)): zeta_m -> r on power-basis coefficients modulo p."""
-    p, r = _modulus(m)
-    return p, tuple(pow(r, j, p) for j in range(euler_phi(m)))
-
-
-def _image_mod_p(entries, p: int, rpow):
-    """The entries' images under zeta_m -> r, or None if p divides a denominator."""
-    out = []
-    for x in entries:
-        v = sum(map(operator.mul, x.num, rpow))
-        if x.den == 1:
-            out.append(v % p)
-        elif x.den % p:
-            out.append(v * pow(x.den, -1, p) % p)
-        else:
-            return None
-    return out
-
-
-def _slot_words(width: int, p: int) -> int:
-    """64-bit words per slot of a packed row of ``width`` slots that starts
-    with slots <= p - 1 (a row image) and then takes up to ``width``
-    elimination steps, each adding at most (p-1)^2 to a slot
-    (``_echelon_mod_p``)."""
-    return -(-(p - 1 + width * (p - 1) ** 2).bit_length() // 64)
-
-
-def _pack(values, k: int) -> int:
-    """One int whose k-word slots hold the values (each < 2^64), slot 0 lowest."""
-    words = array("Q", [0]) * (k * len(values))
-    words[::k] = array("Q", values)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return int.from_bytes(words, "little")
-
-
-def _residues(vec: int, count: int, k: int, p: int) -> list:
-    """The count k-word slots of vec, each reduced mod p."""
-    words = array("Q", vec.to_bytes(8 * k * count, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    if k == 1:
-        return [x % p for x in words]
-    c = pow(2, 64, p)
-    slots = words[k - 1::k]
-    for t in range(k - 2, -1, -1):   # Horner in 2^64
-        slots = [(s * c + w) % p for s, w in zip(slots, words[t::k])]
-    return slots
-
-
-def _echelon_mod_p(p: int, width: int, k: int):
-    """``insert(vec)`` for one echelon over F_p of packed rows: inserts vec
-    and returns its echelon row, or None if vec was dependent.
-
-    A row is one int of ``width`` slots of k 64-bit words (``_pack``); an
-    echelon row has slots < p, 0 before its pivot and 1 at it.  Eliminating
-    a pivot adds (p - f) times its row, f the residue of vec's slot there,
-    so slots only grow, by at most (p-1)^2 per step, and are reduced mod p
-    once, when vec is kept; ``_slot_words`` sizes k for that growth.  A
-    residue with vec = 0 (mod p) is counted as dependent: all slots = 0 mod
-    p implies it, but it can also hold with a slot nonzero mod p, and then
-    the rank is only understated, which no caller's proof relies on.
-    """
-    bits = 64 * k
-    mask = (1 << bits) - 1
-    rows = []   # (bit offset of the pivot slot, echelon row), by pivot
-
-    def insert(vec: int) -> Optional[int]:
-        for shift, row in rows:
-            f = (vec >> shift & mask) % p
-            if f:
-                vec += (p - f) * row
-        if vec % p == 0:
-            return None
-        res = _residues(vec, width, k, p)
-        piv = next(j for j, x in enumerate(res) if x)
-        inv = pow(res[piv], -1, p)
-        row = _pack([x * inv % p for x in res], k)
-        insort(rows, (bits * piv, row))
-        return row
-
-    return insert
-
-
-def _small_echelon(q: int):
-    """(insert, rows) for one echelon over F_q of residue lists: ``insert(vec)``
-    returns vec's echelon row (0 before its pivot, 1 at it), or None if vec
-    was dependent; ``rows`` holds the (pivot, row) pairs by pivot."""
-    rows = []
-
-    def insert(vec) -> Optional[list]:
-        for piv, row in rows:
-            f = vec[piv] % q
-            if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
-        vec = [x % q for x in vec]
-        piv = next((j for j, x in enumerate(vec) if x), None)
-        if piv is None:
-            return None
-        inv = pow(vec[piv], -1, q)
-        row = [x * inv % q for x in vec]
-        insort(rows, (piv, row))
-        return row
-
-    return insert, rows
-
-
-def _null_line(rows, n: int, q: int) -> Optional[list]:
-    """A vector spanning the null space of the n x n matrix with these rows
-    over F_q, or None if that null space is not a line."""
-    insert, ech = _small_echelon(q)
-    for row in rows:
-        insert(row)
-    if len(ech) != n - 1:
-        return None
-    pivots = {piv for piv, _ in ech}
-    v = [0] * n
-    v[next(j for j in range(n) if j not in pivots)] = 1
-    for piv, row in reversed(ech):   # back substitution, pivots high -> low
-        v[piv] = -sum(map(operator.mul, row[piv + 1:], v[piv + 1:])) % q
-    return v
-
-
-def _charpoly_mod(a, q: int) -> list:
-    """det(x I - a) over F_q, coefficients low -> high: a is reduced to upper
-    Hessenberg form h by similarity, and p_k, the polynomial of h's leading
-    k x k block, follows p_(k+1) = (x - h_kk) p_k - sum_(i<k) h_ik
-    h_(i+1,i) ... h_(k,k-1) p_i (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.2.9)."""
-    n = len(a)
-    h = [list(row) for row in a]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j + 1:   # swap rows and columns piv, j + 1
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = pow(h[j + 1][j], -1, q)
-        for i in range(j + 2, n):
-            u = h[i][j] * inv % q
-            if u:   # row i -= u row j+1, then column j+1 += u column i
-                h[i] = [(x - u * y) % q for x, y in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] = (row[j + 1] + u * row[i]) % q
-    polys = [[1]]
-    for k in range(n):
-        p = [0] + polys[k]
-        for d, c in enumerate(polys[k]):
-            p[d] -= h[k][k] * c
-        t = 1
-        for i in range(k - 1, -1, -1):
-            t = t * h[i + 1][i] % q
-            u = h[i][k] * t
-            for d, c in enumerate(polys[i]):
-                p[d] -= u * c
-        polys.append([c % q for c in p])
-    return polys[n]
-
-
-def _horner_mod(poly, x: int, q: int) -> int:
-    out = 0
-    for c in reversed(poly):
-        out = (out * x + c) % q
-    return out
 
 
 def _spins_to_all(gens, v, n: int, q: int) -> bool:
     """Whether v spins to all of F_q^n under the matrices gens (rows)."""
-    insert, _ = _small_echelon(q)
+    ech = _EchelonModP(q, n)
     return len(_spin_left([v], gens, lambda g, e: [sum(map(operator.mul, gi, e)) for gi in g],
-                          insert, n)) == n
+                          ech.insert, n)) == n
 
 
 def _norton_elements(gens, q: int):
@@ -396,15 +161,17 @@ def _norton_elements(gens, q: int):
 def _norton_images(generators, m: int):
     """(q, images): the generators' entries mapped to F_q by zeta_m -> r,
     q the first prime > 64 with q = 1 (mod m) that divides none of their
-    denominators, from ``_small_modulus`` on.  Only finitely many primes
-    divide the denominators, so the walk ends."""
-    q, r = _small_modulus(m)
+    denominators (``_prime_and_root``, from ``_SMALL_PRIME_FLOOR`` up).
+    Only finitely many primes divide the denominators, so the walk ends."""
+    phi = euler_phi(m)
+    rows = [_int_row(g.entries, m, phi) for g in generators]
+    q = _SMALL_PRIME_FLOOR
     while True:
-        rpow = [pow(r, j, q) for j in range(euler_phi(m))]
-        images = [_image_mod_p(g.entries, q, rpow) for g in generators]
+        q, r = _prime_and_root(m, q, True)
+        image = _image_map(q, r, phi)
+        images = [image(nums, den) for nums, den in rows]
         if None not in images:
             return q, images
-        q, r = _prime_and_root(q + m, m, m)
 
 
 def _spans_full_mod_p(generators, n: int, m: int) -> bool:
@@ -415,8 +182,8 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     Soc. 1994).
 
     The generators are mapped to F_q by zeta_m -> r, where q is the smallest
-    prime > 64 with q = 1 (mod m) (``_small_modulus``) or, when q divides a
-    denominator, the next such prime that divides none (``_norton_images``).
+    prime > 64 with q = 1 (mod m) or, when q divides a denominator, the next
+    such prime that divides none (``_norton_images``).
     For each element a of ``_norton_elements`` and each eigenvalue l in F_q
     of a (a root of its characteristic polynomial), theta = a - l I is kept
     if its null space is a line <v>; the null space of theta^T is then a
@@ -463,29 +230,6 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
                 return _spins_to_all(gens, v, n, q) and \
                     _spins_to_all([list(zip(*g)) for g in gens], w, n, q)
     return False
-
-
-def kernel_dim_mod_p(rows, width: int, m: int) -> int:
-    """An upper bound on the kernel dimension over Q(zeta_m) of integer rows
-    in the ``_int_row`` layout (``sandwich_rows``).
-
-    The rows are mapped to F_p by zeta_m -> r (``_ring_map``), p the
-    word-size prime of ``_modulus``; that map is defined on every integer
-    row, so no denominator can stop it.
-    A minor that is nonzero mod p is the image of a nonzero minor, so the
-    kernel mod p is at least as large; the packed echelon only understates
-    the rank mod p.
-    """
-    p, rpow = _ring_map(m)
-    phi = len(rpow)
-    k = _slot_words(width, p)
-    insert = _echelon_mod_p(p, width, k)
-    rank = 0
-    for row in rows:
-        img = [x % p for x in row] if phi == 1 else \
-            [sum(map(operator.mul, row[t:t + phi], rpow)) % p for t in range(0, len(row), phi)]
-        rank += insert(_pack(img, k)) is not None
-    return width - rank
 
 
 def _matrix_units(n: int, m: int):

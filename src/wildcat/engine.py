@@ -33,10 +33,10 @@ from one first split; it restricts the generators to each block once, and
 the Hom systems are built on those actions.
 
 A non-polystable or sigma-twisted point is left: the kernel of the
-stabilizer rows modulo a word-size prime (``kernel_dim_mod_p``) bounds the
-dimension from above (the rows are integer, so no denominator stops it),
-and when it meets the kernel dimension that is the answer; else the same
-rows are solved exactly.
+stabilizer rows modulo a word-size prime (``modular.kernel_dim_mod_p``)
+bounds the dimension from above (the rows are integer, so no denominator
+stops it), and when it meets the kernel dimension that is the answer; else
+the same rows are solved exactly.
 ``is_polystable`` normalizes the point and builds its generators once (never
 none); the later steps read its report.
 """
@@ -54,7 +54,6 @@ from .algebra import (
     intertwiner_rows,
     intertwiners,
     invariant_subspace,
-    kernel_dim_mod_p,
     radical_trace,
     restrict_matrix,
     spin_algebra,
@@ -67,6 +66,7 @@ from .linalg import (
     kernel,
     sandwich_rows,
 )
+from .modular import kernel_dim_mod_p
 from .twists import TwistedElement, embed_doubled, normalize
 
 

@@ -29,9 +29,20 @@ of the two:
 * ``spans_full_mod_p``: the left spin of N^2 words from I over F_p, on lists
   of residues (the library asks Norton's test over a small prime field
   instead; its True must be a True here);
-* ``kernel_dim_mod_p``: the kernel bound on lists of residues, reduced mod p
-  at every step (the library packs each row into one int and reduces once
-  per kept row);
+* ``ListEchelonModP``: the echelon mod p on lists of residues, reduced at
+  every step (``modular._EchelonModP`` packs each row into one int and
+  reduces it once, after its elimination);
+* ``null_space_mod_p``: the null space mod p from the reduced row echelon
+  form of the whole matrix (``modular._null_line`` back-substitutes on the
+  rows of the packed echelon);
+* ``kernel_dim_mod_p``: the kernel bound on ``ListEchelonModP``, every row
+  eliminated (``modular.kernel_dim_mod_p`` eliminates packed rows and stops
+  once its echelon is full);
+* ``commutant_radical_dim``: Matsushima's criterion, one way: the radical
+  of E, the commutant of an untwisted point's Galois generators, which is
+  the algebra of its stabilizer.  A polystable point has a reductive
+  stabilizer, so rad E = 0 (the engine reads polystability off the
+  generators' own algebra, never off E); rad E = 0 proves nothing;
 * ``is_prime``: trial division (the library runs Miller-Rabin);
 * ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
   Scalar operation per entry (``linalg._EchelonSet`` keeps integer
@@ -74,14 +85,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from wildcat.algebra import (
-    MatrixAlgebra,
-    _image_mod_p,
-    _ring_map,
-    _spin_left,
-)
-from wildcat.engine import FramedPoint
-from wildcat.linalg import Grading, Matrix, Subspace
+from wildcat.algebra import MatrixAlgebra, _spin_left, commutant, radical_trace, spin_algebra
+from wildcat.engine import FramedPoint, galois_generators, normalize_point
+from wildcat.linalg import Grading, Matrix, Subspace, _int_row
+from wildcat.modular import _image_map, _modulus
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 from wildcat.twists import embed_doubled
 
@@ -548,36 +555,78 @@ class FractionScalar:
         return v % p
 
 
+def commutant_radical_dim(p: FramedPoint) -> int:
+    """dim rad E for an untwisted point, E the commutant of its Galois
+    generators: 0 whenever the point is polystable (Matsushima, "Espaces
+    homogenes de Stein des groupes de Lie complexes", Nagoya Math. J. 1960)."""
+    if not p.is_untwisted():
+        raise ValueError("the commutant is the stabilizer's algebra only without a sigma twist")
+    return radical_trace(spin_algebra(commutant(galois_generators(normalize_point(p)), p.n))).dim
+
+
 def is_prime(q: int) -> bool:
     return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
-def _echelon_mod_p(p: int):
-    """``add(vec)`` for one echelon over F_p of residue lists: True if vec was independent."""
-    pivots = []   # sorted pivot columns
-    tails = {}    # pivot -> echelon row from its pivot on, leading entry 1
+class ListEchelonModP:
+    """One echelon over F_p of residue lists, reduced mod p at every step:
+    ``insert(vec)`` returns vec's echelon row (0 before its pivot, 1 at it),
+    or None if vec was dependent; ``rows`` holds the (pivot, row) pairs by
+    pivot."""
 
-    def add(vec) -> bool:
-        vec = list(vec)
-        for piv in pivots:
+    def __init__(self, p: int):
+        self.p, self.rows = p, []
+
+    def insert(self, vec):
+        p = self.p
+        vec = [x % p for x in vec]
+        for piv, row in self.rows:
             f = vec[piv]
             if f:
-                vec[piv:] = [(x - f * y) % p for x, y in zip(vec[piv:], tails[piv])]
+                vec[piv:] = [(x - f * y) % p for x, y in zip(vec[piv:], row[piv:])]
         piv = next((j for j, x in enumerate(vec) if x), None)
         if piv is None:
-            return False
+            return None
         inv = pow(vec[piv], -1, p)
-        tails[piv] = [x * inv % p for x in vec[piv:]]
-        insort(pivots, piv)
-        return True
+        row = [x * inv % p for x in vec]
+        insort(self.rows, (piv, row))
+        return row
 
-    return add
+
+def null_space_mod_p(rows, n: int, p: int) -> list:
+    """A basis of the null space over F_p of the matrix with these rows and
+    n columns, read off its reduced row echelon form, made by Gauss-Jordan
+    elimination of the whole matrix: one vector per free column, 1 there."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and row[c]:
+                a[j] = [(x - row[c] * y) % p for x, y in zip(row, a[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for row, c in zip(a, pivots):
+            v[c] = -row[free] % p
+        basis.append(v)
+    return basis
 
 
 def spans_full_mod_p(generators, n: int, m: int) -> bool:
     """The left spin of the generators' images from I has rank n^2 over F_p."""
-    p, rpow = _ring_map(m)
-    gens = [_image_mod_p(g.entries, p, rpow) for g in generators]
+    p, r = _modulus(m)
+    phi = euler_phi(m)
+    image = _image_map(p, r, phi)
+    gens = [image(*_int_row(g.entries, m, phi)) for g in generators]
     if None in gens:
         return False
 
@@ -587,20 +636,19 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
                 for i in range(n) for col in cols]
 
     ident = [1 if k % (n + 1) == 0 else 0 for k in range(n * n)]
-    add = _echelon_mod_p(p)
-    return len(_spin_left([ident], gens, mul, lambda w: w if add(w) else None,
-                          n * n)) == n * n
+    return len(_spin_left([ident], gens, mul, ListEchelonModP(p).insert, n * n)) == n * n
 
 
 def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     """width minus the rank over F_p of integer rows in the ``_int_row``
     layout, each entry's phi(m) numerators mapped by zeta_m -> r."""
-    p, rpow = _ring_map(m)
-    phi = len(rpow)
-    add = _echelon_mod_p(p)
+    p, r = _modulus(m)
+    phi = euler_phi(m)
+    rpow = [pow(r, j, p) for j in range(phi)]
+    ech = ListEchelonModP(p)
     images = [[sum(c * x for c, x in zip(row[t:t + phi], rpow)) % p
                for t in range(0, len(row), phi)] for row in rows]
-    return width - sum(add(img) for img in images)
+    return width - sum(ech.insert(img) is not None for img in images)
 
 
 def from_coeffs(m: int, coeffs) -> Scalar:

@@ -11,9 +11,8 @@ import wildcat.algebra
 from wildcat.algebra import (
     MeatAxeInconclusive,
     NotSemisimpleError,
-    _modulus,
+    _SMALL_PRIME_FLOOR,
     _norton_images,
-    _small_modulus,
     _split_by_element,
     _spans_full_mod_p,
     commutant,
@@ -29,6 +28,7 @@ from wildcat.algebra import (
     spin_subspace,
 )
 from wildcat.linalg import Matrix, Subspace, kernel, linear_solve
+from wildcat.modular import _modulus, _prime_and_root
 from wildcat.scalars import Scalar, euler_phi
 
 from oracles import (
@@ -175,7 +175,7 @@ class TestModularCertificate:
 
     def test_unlucky_prime_falls_back_to_exact_spin(self):
         p, _ = _modulus(1)
-        q, _ = _small_modulus(1)
+        q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
         gens = [Matrix.build([[1, 0], [0, 1 + p * q]]), SWAP]  # mod p and q: only I and SWAP
         assert not spans_full_mod_p(gens, 2, 1)
         assert not _spans_full_mod_p(gens, 2, 1)
@@ -210,7 +210,7 @@ class TestModularCertificate:
         return [diag, Matrix.identity(5) + shift.scale(Fraction(shift_scale))]
 
     def test_scalar_images_mod_q_fall_back_to_the_spin(self):
-        q, _ = _small_modulus(1)
+        q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
         gens = self.diag_and_shift(q, q)  # both = I mod q
         assert not _spans_full_mod_p(gens, 5, 1)
         assert spans_full_mod_p(gens, 5, 1)  # the spin at p is not fooled
@@ -218,7 +218,7 @@ class TestModularCertificate:
         assert alg.dim == 25 and alg.basis == reference_spin(gens, 5, 1)
 
     def test_unlucky_at_both_primes_falls_back_to_exact_spin(self):
-        q, _ = _small_modulus(1)
+        q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
         p, _ = _modulus(1)
         gens = self.diag_and_shift(p * q)  # mod p and mod q: I and I + shift
         # the first element is 2I + shift, its one eigenvalue mod q is 3, and
@@ -232,7 +232,7 @@ class TestModularCertificate:
     def test_denominator_divisible_by_q_moves_on_to_the_next_prime(self):
         # q = 67 divides the denominator, so Norton's test maps to F_71, where
         # the diagonal entries stay distinct and the module absolutely irreducible
-        q, _ = _small_modulus(1)
+        q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
         gens = self.diag_and_shift(Fraction(1, q))
         assert _norton_images(gens, 1)[0] == 71
         assert _spans_full_mod_p(gens, 5, 1) and spans_full_mod_p(gens, 5, 1)

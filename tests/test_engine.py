@@ -1,4 +1,5 @@
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from wildcat import algebra, engine
 from wildcat.algebra import (
-    _modulus,
     commutant,
     invariant_subspace,
     radical_trace,
@@ -29,10 +29,12 @@ from wildcat.engine import (
     stabilizer_lie_dim,
 )
 from wildcat.linalg import Grading, Matrix, Subspace
+from wildcat.modular import _modulus
 from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
 from oracles import (
+    commutant_radical_dim,
     from_coeffs,
     galois_generators_reference,
     radical_oracle,
@@ -511,6 +513,25 @@ def twisted_points(draw):
     return FramedPoint(n, [Grading.trivial(n), grading], [connector], loops)
 
 
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(st.one_of(small_points(), small_points(n=3), block_points()).filter(
+    lambda p: p.is_untwisted()))
+def test_a_polystable_point_has_a_semisimple_commutant(p):
+    # Matsushima: the stabilizer of a polystable point is reductive
+    assert not is_polystable(p).polystable or commutant_radical_dim(p) == 0
+
+
+def test_a_radical_in_the_commutant_proves_non_polystability_and_none_proves_nothing():
+    # the Jordan block's commutant is span{I, J - I}, with J - I nilpotent;
+    # J and diag(1, 2) generate the upper triangular algebra, which is not
+    # semisimple, yet their commutant is the scalars
+    jordan = simple_point([TwistedElement.plain(J)])
+    assert not is_polystable(jordan).polystable and commutant_radical_dim(jordan) == 1
+    borel = simple_point([TwistedElement.plain(J),
+                          TwistedElement.plain(Matrix.build([[1, 0], [0, 2]]))])
+    assert not is_polystable(borel).polystable and commutant_radical_dim(borel) == 0
+
+
 # diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic
 BASIS3 = Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 CONJUGATED_223 = simple_point([TwistedElement.plain(
@@ -726,36 +747,36 @@ class TestOneAnalysis:
     @pytest.mark.parametrize("n, m", [(10, 1), (5, 5)])
     def test_twisted_generic_point_is_certified_without_the_spin(self, monkeypatch, n, m):
         # Norton's test mod a small prime proves M_2n(K) on the doubled
-        # module, so the stabilizer is the kernel and the kernel bound mod p,
-        # the one user of the packed echelon, never runs
-        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        # module, so the stabilizer is the kernel and the kernel bound mod p
+        # never runs
+        counts = self.counted(monkeypatch, ["kernel_dim_mod_p"])
         rep = is_stable(generic_twisted_point(random.Random(0), n, m))
         assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
-        assert counts == {"_echelon_mod_p": 0}
+        assert counts == {"kernel_dim_mod_p": 0}
 
     def test_twisted_point_with_q_in_a_denominator_is_certified_at_the_next_prime(
             self, monkeypatch):
         # 67, the first small prime for Q, divides a denominator of this
         # point's Galois generators, so Norton's test walks on to 71 and
-        # still proves M_20(Q), with no packed echelon mod p
-        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        # still proves M_20(Q), and the kernel bound mod p never runs
+        counts = self.counted(monkeypatch, ["kernel_dim_mod_p"])
         rep = is_stable(generic_twisted_point(random.Random(1), 10, 1))
         assert rep.stable and rep.stabilizer_dim == 0 == rep.kernel_dim
-        assert counts == {"_echelon_mod_p": 0}
+        assert counts == {"kernel_dim_mod_p": 0}
         assert algebra._norton_images(rep.galois.generators, 1)[0] == 71
 
     def test_reducible_point_builds_no_packed_echelon(self, monkeypatch):
         # three 3-dimensional blocks over Q: Norton's test says False on the
         # whole module and on the 6-dimensional summand, which the exact
-        # routes then decide, and the stabilizer is the Hom sum, so no
-        # packed echelon mod p is built
-        counts = self.counted(monkeypatch, ["_echelon_mod_p"])
+        # routes then decide, and the stabilizer is the Hom sum, so the
+        # kernel bound mod p never runs
+        counts = self.counted(monkeypatch, ["kernel_dim_mod_p"])
         rng = random.Random(0)
         loops = [TwistedElement.plain(rand_block_diag(rng, [3, 3, 3])) for _ in range(2)]
         rep = is_stable(simple_point(loops, n=9))
         assert rep.polystable and not rep.stable and rep.stabilizer_dim == 3
         assert [b.dim for b in rep.levi_decomposition] == [3, 3, 3]
-        assert counts == {"_echelon_mod_p": 0}
+        assert counts == {"kernel_dim_mod_p": 0}
 
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
         # the rotation (+) (2) over Q: the search of the 2-dimensional

@@ -1,7 +1,8 @@
-"""The modular layer of ``wildcat.algebra`` against the list references in
-``oracles``: the packed kernel bound and its slot sizes, the full-algebra
-certificate (Norton's test mod a small prime q), whose True the list spin
-at the word-size prime p must confirm, the prime test and the moduli."""
+"""The modular layer, ``wildcat.modular``, against the list references in
+``oracles``: the packed echelon, its null lines and slot sizes, the image
+map and the kernel bound; the full-algebra certificate (Norton's test mod a
+small prime q), whose True the list spin at the word-size prime p must
+confirm; the prime test and the primes."""
 
 import random
 from fractions import Fraction
@@ -10,24 +11,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcat.algebra import (
-    _echelon_mod_p,
+from wildcat.algebra import _SMALL_PRIME_FLOOR, _norton_images, _spans_full_mod_p
+from wildcat.linalg import IntRows, Matrix, _int_row, kernel, sandwich_rows
+from wildcat.modular import (
+    _EchelonModP,
+    _image_map,
     _is_prime,
     _modulus,
-    _norton_images,
+    _null_line,
     _pack,
+    _prime_and_root,
     _residues,
     _slot_words,
-    _small_modulus,
-    _spans_full_mod_p,
     kernel_dim_mod_p,
 )
-from wildcat.linalg import IntRows, Matrix, kernel, sandwich_rows
 from wildcat.scalars import Scalar, euler_phi
 
 import oracles
 
 SWAP = Matrix.build([[0, 1], [1, 0]])
+
+
+def small_modulus(m):
+    """(q, r): Norton's prime, the smallest prime q > 64 with q = 1 (mod m)."""
+    return _prime_and_root(m, _SMALL_PRIME_FLOOR, True)
 
 
 def commutant_rows(gens, n, m):
@@ -124,6 +131,58 @@ def test_norton_test_and_spin_agree_with_the_list_reference(case):
     assert reference or not _spans_full_mod_p(gens, n, m)  # True from Norton's test is a proof
 
 
+@st.composite
+def echelon_cases(draw):
+    """(m, p, r, n, rows): rows of n entries over Q(zeta_m), m in {1, 4, 5},
+    for the word-size prime p or Norton's small one.  About n - 1 rows are
+    drawn and then sums of multiples of them, so the rows over the field
+    often have a null line; entries have small numerators over 1, 2 or 3,
+    and one row may have an entry with p in its denominator."""
+    m = draw(st.sampled_from([1, 4, 5]))
+    p, r = draw(st.sampled_from([_modulus(m), small_modulus(m)]))
+    n = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def entry():
+        return oracles.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                                       for _ in range(euler_phi(m))])
+
+    rows = [[entry() for _ in range(n)] for _ in range(draw(st.integers(max(n - 2, 0), n)))]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [Scalar.rational(rng.randint(-2, 2), m) for _ in rows]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Scalar.zero(m))
+                     for j in range(n)])
+    if draw(st.booleans()):
+        bad = [entry() for _ in range(n)]
+        bad[rng.randrange(n)] = oracles.from_coeffs(m, [Fraction(1, p * rng.randint(1, 3))])
+        rows.insert(rng.randint(0, len(rows)), bad)
+    return m, p, r, n, rows
+
+
+@settings(max_examples=60)
+@given(echelon_cases())
+def test_echelon_and_null_line_match_the_list_reference(case):
+    # the image map against the Fraction route, then the packed echelon's
+    # returns, rank, pivots and kept rows, and its null line, against the
+    # list echelon and the null space of the reduced row echelon form
+    m, p, r, n, rows = case
+    phi = euler_phi(m)
+    rpow = [pow(r, j, p) for j in range(phi)]
+    image = _image_map(p, r, phi)
+    ech, ref = _EchelonModP(p, n), oracles.ListEchelonModP(p)
+    images = []
+    for row in rows:
+        img = image(*_int_row(row, m, phi))
+        want = [oracles.FractionScalar(m, x.coeffs).image_mod_p(p, rpow) for x in row]
+        assert img == (None if None in want else want)
+        if img is not None:
+            images.append(img)
+            assert ech.insert(img) == ref.insert(img)
+    assert ech.rows == ref.rows
+    null = oracles.null_space_mod_p(images, n, p)
+    assert _null_line(images, n, p) == (null[0] if len(null) == 1 else None)
+
+
 class TestSlots:
     @pytest.mark.parametrize("m", [1, 5])
     @pytest.mark.parametrize("width", [1, 3, 4, 256])
@@ -164,12 +223,20 @@ class TestSlots:
 
     def test_echelon_returns_reduced_rows_with_unit_pivots(self):
         p, _ = _modulus(1)
-        k = _slot_words(3, p)
-        insert = _echelon_mod_p(p, 3, k)
-        row = insert(_pack([0, 2, 4], k))
-        assert _residues(row, 3, k, p) == [0, 1, 2]
-        assert insert(_pack([0, p - 1, p - 2], k)) is None  # -1/2 times the first
-        assert _residues(insert(_pack([5, 2, 4], k)), 3, k, p) == [1, 0, 0]
+        ech = _EchelonModP(p, 3)
+        assert ech.insert([0, 2, 4]) == [0, 1, 2]
+        assert ech.insert([0, p - 1, p - 2]) is None  # -1/2 times the first
+        assert ech.insert([5, 2, 4]) == [1, 0, 0]
+        assert ech.rows == [(0, [1, 0, 0]), (1, [0, 1, 2])]
+
+    def test_echelon_keeps_a_row_whose_packed_int_is_zero_mod_q(self):
+        # at Norton's q = 67 a slot is one word, and 2^64 = 17 (mod 67), so
+        # [50, 1] packs to 50 + 2^64 = 0 (mod 67) though it is not zero
+        q = 67
+        assert _slot_words(2, q) == 1 and _pack([50, 1], 1) % q == 0
+        ech = _EchelonModP(q, 2)
+        assert ech.insert([50, 1]) == [1, pow(50, -1, q)]
+        assert _null_line([[50, 1], [100, 2]], 2, q) == [-pow(50, -1, q) % q, 1]
 
 
 class TestFixedCases:
@@ -227,11 +294,11 @@ def test_modulus_is_unchanged():
 
 def test_small_modulus_is_unchanged():
     # (q, r) for Norton's test: the smallest prime q > 64 with q = 1 (mod m)
-    assert [_small_modulus(m) for m in range(1, 13)] == [
+    assert [small_modulus(m) for m in range(1, 13)] == [
         (67, 1), (67, 66), (67, 37), (73, 27), (71, 54), (67, 38),
         (71, 30), (73, 10), (73, 37), (71, 14), (67, 64), (73, 3)]
     for m in range(1, 13):
-        q, r = _small_modulus(m)
+        q, r = small_modulus(m)
         assert [x for x in range(65, q) if (x - 1) % m == 0 and oracles.is_prime(x)] == []
         assert oracles.is_prime(q) and (q - 1) % m == 0
         assert pow(r, m, q) == 1 and all(pow(r, k, q) != 1 for k in range(1, m))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionScalar, from_coeffs, scalar_to_json_reference
-from wildcat.algebra import _image_mod_p
+from wildcat.linalg import _int_row
+from wildcat.modular import _image_map
 from wildcat.scalars import Scalar, _canonical as canonical, cyclotomic_polynomial, euler_phi
 
 
@@ -156,6 +157,13 @@ def test_zero_denominator_is_an_error():
 P = 241  # 240 is a multiple of every conductor below
 RPOW = [pow(7, j, P) for j in range(4)]
 
+
+def image_mod_p(entries, m):
+    """The entries' images under zeta_m -> 7 mod P (``_image_map``)."""
+    phi = euler_phi(m)
+    return _image_map(P, 7, phi)(*_int_row(entries, m, phi))
+
+
 coefficients = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
@@ -228,13 +236,13 @@ def test_image_mod_p_matches_fraction_reference(case):
     entries = [from_coeffs(m, v) for v in rows]
     refs = [FractionScalar(m, v).image_mod_p(P, RPOW) for v in rows]
     want = None if None in refs else refs
-    assert _image_mod_p(entries, P, RPOW) == want
+    assert image_mod_p(entries, m) == want
 
 
 def test_image_mod_p_refuses_a_denominator_divisible_by_p():
     x = from_coeffs(4, [Fraction(1, 3), Fraction(5, 2 * P)])
     assert FractionScalar(4, x.coeffs).image_mod_p(P, RPOW) is None
-    assert _image_mod_p([x], P, RPOW) is None
+    assert image_mod_p([x], 4) is None
 
 
 @st.composite
