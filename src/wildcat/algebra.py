@@ -56,6 +56,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -67,6 +68,7 @@ from .linalg import (
     _int_row,
     _left_action,
     _left_product,
+    _row_action,
     kernel,
     linear_solve,
     sandwich_rows,
@@ -349,39 +351,68 @@ def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
     return Subspace.from_vectors(outer.ambient_dim, vectors.row_list())
 
 
-def invariant_complement(generators, sub: Subspace) -> Subspace:
-    """A complementary submodule (exists whenever the module is semisimple).
+def _reversed(v: list, phi: int) -> list:
+    """The entries of v (phi numerators each) in reversed order."""
+    return [x for t in range(len(v) - phi, -1, -phi) for x in v[t:t + phi]]
+
+
+def invariant_complement(comm, sub: Subspace) -> Subspace:
+    """A complementary submodule of sub, given ``comm``, the echelon basis
+    E_i of the module's commutant E (it exists whenever the module is
+    semisimple).
 
     It is the kernel of a projection e onto sub that commutes with every
-    generator.  The conditions are linear in e's n^2 entries: the columns of
-    e lie in sub (the rows of sub's annihilator kill them), e fixes sub
-    pointwise, and e commutes with every generator.  They are integer rows
-    (``sandwich_rows``), so the fixing rows' right-hand side is scaled by
-    their denominator.  ``linear_solve`` reads e off the reduced echelon
-    form of the system's row space, which every system with the same
-    solution set shares, so any rows stating that the columns lie in sub
-    give the same complement.  The commuting rows are ``intertwiner_rows``
-    of the generators with themselves, g e - e g: the negatives of
-    e g - g e, so they span the same rows and give the same e.
+    generator, so e = sum u_i E_i lies in E, and the system has dim E
+    unknowns u, not n^2: the columns of e lie in sub (the rows of sub's
+    annihilator A kill them, A e = 0) and e fixes sub pointwise (B^T e^T =
+    B^T, B sub's basis as columns).  Its rows are the entries of A N_i and
+    B^T N_i^T, N_i the numerators of E_i, as integer products (A and B^T by
+    ``_left_action``), so no Matrix and no Scalar is multiplied.  With b
+    their right-hand side (0, then B^T), the kernel of [-b | rows] in
+    (t, u) has an echelon row with t = 1 exactly when a projection exists;
+    its other rows have t = 0 and give the homogeneous solutions
+    h = sum u_i N_i.
+
+    Where the complement is not unique, the projection is the one that
+    ``linear_solve`` returns on the system in e's n^2 entries (these rows
+    and the commuting ones), which is zero at that system's free columns,
+    so the complement keeps its bytes.  The kernel vector of a free column
+    f is 1 at f, 0 at the other free columns, and nonzero elsewhere only at
+    pivots before f.  So in reversed column order the homogeneous
+    solutions' echelon has exactly the free columns as pivots, and a
+    particular solution reduced by it is zero there: it is that one, up to
+    a factor, which leaves the kernel as it is.
     """
-    n = sub.ambient_dim
-    m = generators[0]._conductor()
-    ann = Matrix.from_rows(kernel(Matrix.from_rows(sub.basis)).basis)
-    fixed = Matrix.from_cols(sub.basis)
-    rows, _ = sandwich_rows([(ann, None, False)], n, n, m)
-    rhs = [Scalar.zero(m)] * len(rows)
-    fixing, den = sandwich_rows([(None, fixed, False)], n, n, m)
-    rows += fixing
-    # den x for each entry x of fixed: integral, as den is their lcm
-    rhs += [Scalar(m, tuple([c * (den // x.den) for c in x.num])) for x in fixed.entries]
-    commuting = intertwiner_rows(generators, generators, n, n, m)
-    rows += commuting
-    rhs += [Scalar.zero(m)] * len(commuting)
-    sol = linear_solve(IntRows(rows, n * n, m), Matrix(len(rhs), 1, tuple(rhs)))
-    if sol is None:
+    n, s = sub.ambient_dim, sub.dim
+    m = comm[0]._conductor()
+    phi = euler_phi(m)
+    width = n * phi
+    fixed = Matrix.from_rows(sub.basis)  # B^T
+    ann = _left_action(Matrix.from_rows(kernel(fixed).basis), m)
+    bt = _left_action(fixed, m)
+    basis = [_int_row(b.entries, m, phi)[0] for b in comm]
+    # per E_i, the entries of A N_i, then those of B^T N_i^T, whose columns
+    # are the rows of N_i
+    cols = [_left_product(ann, x, n, phi) +
+            [sum(map(operator.mul, tc, x[t:t + width])) for line in bt
+             for t in range(0, n * width, width) for tc in line]
+            for x in basis]
+    rhs = [0] * ((n - s) * width) + _int_row(fixed.entries, m, phi)[0]
+    rows = [[-x for x in rhs[t:t + phi]] + [c for col in cols for c in col[t:t + phi]]
+            for t in range(0, n * width, phi)]
+    ker = kernel(IntRows(rows, len(comm) + 1, m))
+    if not ker.dim or ker.pivots[0] != 0:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
-    proj = Matrix(n, n, tuple(sol.entries))
-    return kernel(proj)
+    # sum u_i N_i for every kernel vector (t, u): the u as rows times the N_i as rows
+    sums = _left_product([_row_action(_int_row(v, m, phi)[0][phi:], m, phi) for v in ker.basis],
+                         [x for b in basis for x in b], n * n, phi)
+    first, *rest = [sums[t:t + n * width] for t in range(0, len(sums), n * width)]
+    if rest:
+        ech = _EchelonSet(n * n)
+        for h in rest:
+            ech.insert(_reversed(h, phi), m)
+        first = _reversed(ech.residue(_reversed(first, phi)), phi)
+    return kernel(IntRows([first[t:t + width] for t in range(0, n * width, width)], n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +579,38 @@ def _split_by_element(f: Matrix, n: int, m: int):
     return None
 
 
-def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subspace]:
+def _products(comm, m: int):
+    """prod(k, j): the numerators of d_k d_j e_k e_j, e_k the basis elements
+    and d_k the common denominator of e_k's entries, as an integer product
+    (``_left_product``)."""
+    n, phi = comm[0].rows, euler_phi(m)
+    acts = [_left_action(b, m) for b in comm]
+    nums = [_int_row(b.entries, m, phi)[0] for b in comm]
+    return lambda k, j: _left_product(acts[k], nums[j], n, phi)
+
+
+def _centre_dim(comm, m: int) -> int:
+    """The dimension of the centre of the algebra with basis ``comm``, in its
+    coordinates: the c with sum c_k (e_k e_j - e_j e_k) = 0 for every j.
+    The integer products scale column k by d_k and block j by d_j, which
+    leaves the kernel's dimension as it is."""
+    prod, k, phi = _products(comm, m), len(comm), euler_phi(m)
+    brackets = [[[x - y for x, y in zip(prod(a, j), prod(j, a))] for a in range(k)]
+                for j in range(k)]
+    rows = [[x for col in block for x in col[t:t + phi]]
+            for block in brackets for t in range(0, len(block[0]), phi)]
+    return kernel(IntRows(rows, k, m)).dim
+
+
+def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[Subspace]:
     """A proper nonzero subspace invariant under all generators, if one exists.
 
     Over the coefficient field: ``None`` certifies that the natural module is
-    irreducible over that field.  ``semisimple=True`` says the caller has
-    proven the module semisimple (a zero radical); the search then skips the
-    spin and the radical, whose answer is known, and returns what it would
-    return without them.
+    irreducible over that field.  ``comm``, the echelon basis of the
+    generators' commutant E, says the caller has proven the module
+    semisimple (a zero radical) and solved E; the search then skips the
+    spin, the radical and its own commutant, whose answers are known, and
+    returns what it would return without them.
 
     A semisimple module whose commutant basis splits nothing is isotypic.
     A basis element b that ``_split_by_element`` does not split has an
@@ -568,8 +623,10 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
     irreducible, and its commutant is M_k(D), D = End(V) a division
     algebra.  Its centre is the field Z(D), in which no element has a
     reducible minimal polynomial, so no central element can split.  A
-    commutative commutant (k = 1, D a field) proves the module irreducible;
-    a noncommutative one leaves the unit-vector spins and the hunt.
+    commutative commutant (k = 1, D a field), one whose basis elements
+    commute pairwise, proves the module irreducible; a noncommutative one
+    leaves the unit-vector spins and the hunt.  The centre's dimension, in
+    E's coordinates (``_centre_dim``), is only reported when they fail.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -592,16 +649,17 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
             if 0 < sub.dim < n:
                 return sub
 
-    rad = None if semisimple else radical_trace(spin_algebra(generators))
-    if rad is not None and rad.dim > 0:
-        sub = Subspace.from_vectors(n, [Matrix(n, n, tuple(row)).col(j)
-                                        for row in rad.basis for j in range(n)])
-        if not (0 < sub.dim < n):
-            raise AssertionError("radical image must be proper and nonzero")
-        return sub
+    if comm is None:
+        rad = radical_trace(spin_algebra(generators))
+        if rad.dim > 0:
+            sub = Subspace.from_vectors(n, [Matrix(n, n, tuple(row)).col(j)
+                                            for row in rad.basis for j in range(n)])
+            if not (0 < sub.dim < n):
+                raise AssertionError("radical image must be proper and nonzero")
+            return sub
+        comm = commutant(generators, n)
 
     # semisimple from here on
-    comm = commutant(generators, n)
     if len(comm) == 1:
         return None  # commutant is scalars: absolutely irreducible
 
@@ -610,10 +668,9 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
         if sub is not None:
             return sub
 
-    # no basis element splits, so the module is isotypic (docstring); the
-    # centre of the commutant commutes with the generators and with it
-    centre = commutant(list(generators) + comm, n)
-    if len(centre) == len(comm):
+    # no basis element splits, so the module is isotypic (docstring)
+    prod = _products(comm, m)
+    if all(prod(k, j) == prod(j, k) for k, j in combinations(range(len(comm)), 2)):
         return None  # a commutative commutant: the module is irreducible
 
     # an isotypic module whose End (M_k(D), D a division algebra) is not
@@ -634,41 +691,46 @@ def invariant_subspace(generators, *, semisimple: bool = False) -> Optional[Subs
                 return sub
     raise MeatAxeInconclusive(
         f"MeatAxe inconclusive: the endomorphism ring (dimension {len(comm)}, centre "
-        f"dimension {len(centre)}) is not a field, and no element tried splits the module")
+        f"dimension {_centre_dim(comm, m)}) is not a field, and no element tried splits the module")
 
 
 # ---------------------------------------------------------------------------
 # decomposition
 
 
-def decompose_irreducibles(generators, split: Optional[Subspace]):
-    """Irreducible summands of K^n, each with the generators' action on it.
+def decompose_irreducibles(generators, split: Optional[Subspace], comm: Optional[list]):
+    """Irreducible summands of K^n, sorted canonically.
 
     Requires a semisimple module; the caller proves it (the engine reads it
     off the polystability verdict), and summands of a semisimple module are
     semisimple, so no search below spins.  ``split`` is the first split, a
     proper submodule as ``invariant_subspace(generators)`` returns it, or
-    None for an irreducible module.  A summand with no invariant complement
-    raises NotSemisimpleError.  Returns (block, actions) pairs sorted
-    canonically by block; the actions, ``restrict_matrix`` of each
-    generator, are made once per block.
+    None for an irreducible module; ``comm`` is the generators' commutant,
+    which solves its complement (read only with a split).  A summand of
+    dimension 1 is irreducible as it is; each other summand has the
+    generators restricted to it once, for Norton's test, and if that does
+    not certify it, solves its own commutant once, for its search and its
+    complement alike.  A summand with no invariant complement raises
+    NotSemisimpleError.
     """
-    def summands(sub: Subspace, acts, inner: Optional[Subspace]):
-        """Irreducible summands of sub, on which the generators act by acts;
-        inner is the search's proper submodule of sub's coordinates, or None."""
+    def summands(sub: Subspace, inner: Optional[Subspace], comm):
+        """Irreducible summands of sub, whose commutant is comm; inner is the
+        search's proper submodule of sub's coordinates, or None."""
         if inner is None:
-            return [(sub, acts)]
-        halves = [lift_subspace(h, sub) for h in (inner, invariant_complement(acts, inner))]
-        return [part for half in halves for part in decompose(half)]
+            return [sub]
+        halves = [lift_subspace(h, sub) for h in (inner, invariant_complement(comm, inner))]
+        return [block for half in halves for block in decompose(half)]
 
     def decompose(sub: Subspace):
+        if sub.dim == 1:
+            return [sub]
         acts = [restrict_matrix(g, sub) for g in generators]
-        irreducible = sub.dim == 1 or _spans_full_mod_p(acts, sub.dim, m)  # M_d(K)
-        inner = None if irreducible else invariant_subspace(acts, semisimple=True)
-        return summands(sub, acts, inner)
+        if _spans_full_mod_p(acts, sub.dim, m):  # M_d(K)
+            return [sub]
+        comm = commutant(acts, sub.dim)
+        return summands(sub, invariant_subspace(acts, comm=comm), comm)
 
     m = generators[0]._conductor()
-    whole = Subspace.full(generators[0].rows, m)
-    parts = summands(whole, generators, split)
-    parts.sort(key=lambda part: part[0].sort_key())
-    return parts
+    blocks = summands(Subspace.full(generators[0].rows, m), split, comm)
+    blocks.sort(key=Subspace.sort_key)
+    return blocks

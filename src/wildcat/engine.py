@@ -20,17 +20,15 @@ is block diagonal or antidiagonal, and the last n rows of its condition
 restate the first n, so the top blocks alone give the rows.  An algebra
 proven to be M_N(K) leaves only the kernel.
 
-A polystable untwisted point is the direct sum of its Levi blocks B_i, so
-its stabilizer, End(+ B_i), is the sum of the Hom(B_j, B_i) (Richardson's
-tame case).  Between semisimple modules Hom has the same dimension both
-ways, so each pair of blocks is solved once: the sum over i <= j of
-(1 if i = j else 2) * dim Hom(B_j, B_i), from Hom systems of d_i * d_j
-unknowns.  Only Hom's additivity and that symmetry are used, never that a
-block is irreducible, so the sum stays exact on blocks left unsplit; its
-diagonal terms are the blocks' End dimensions.  ``is_stable`` and
+A polystable untwisted point's stabilizer is the group of units of the
+commutant E = End(K^n) of its generators (Richardson's tame case), so its
+dimension is dim E, and E is the one system in n^2 unknowns solved for the
+whole module (``_first_split``).  The MeatAxe searches with it, and the
+first split's complement is solved in its coordinates.  ``is_stable`` and
 ``levi_reduction`` share one route to the blocks, ``decompose_irreducibles``
-from one first split; it restricts the generators to each block once, and
-the Hom systems are built on those actions.
+from that split and E; it restricts the generators once to each summand of
+dimension > 1, and each summand Norton's test does not certify solves its
+own commutant once.
 
 A non-polystable or sigma-twisted point is left: the kernel of the
 stabilizer rows modulo a word-size prime (``modular.kernel_dim_mod_p``)
@@ -50,9 +48,9 @@ from typing import Optional
 from .algebra import (
     MatrixAlgebra,
     _is_scalar_matrix,
+    commutant,
     decompose_irreducibles,
     intertwiner_rows,
-    intertwiners,
     invariant_subspace,
     radical_trace,
     restrict_matrix,
@@ -197,9 +195,10 @@ def galois_generators(p: FramedPoint):
     diag(X, -X^T) are distinct too (<lambda, .> is linear and injective on
     the weights and their negatives), and its spectral projectors are the
     joint ones of the characters u, diag(Q_u, Q_{-u}^T) with Q_u = P_u or 0.
-    So the spun algebra, its radical, the commutant, the stabilizer rows and
-    every ``invariant_complement`` system keep their solution sets and
-    echelon bases; modulo a prime an eigenvalue collision can only make
+    So the spun algebra, its radical, the commutant and the stabilizer rows
+    keep their solution sets and echelon bases, and so does every
+    ``invariant_complement`` system, built on the commutant's echelon basis;
+    modulo a prime an eigenvalue collision can only make
     ``_spans_full_mod_p`` say False or ``kernel_dim_mod_p`` over-bound, and
     the exact routes settle both.  Only the MeatAxe's kernel candidates,
     read off the generators, can differ: they may change which first split
@@ -210,9 +209,9 @@ def galois_generators(p: FramedPoint):
     scalar, the first stays, and with none the identity does, so the list
     is never empty.  No verdict or certificate changes: a dropped generator,
     or that identity, adds nothing to the unital algebra (also modulo a
-    prime), the commutant, a spun submodule or the row space of an
-    ``invariant_complement`` system, and its kernel is trivial or one an
-    earlier generator already offered the MeatAxe.
+    prime), the commutant (so nothing to an ``invariant_complement``
+    system, solved in its coordinates) or a spun submodule, and its kernel
+    is trivial or one an earlier generator already offered the MeatAxe.
     """
     if not all(x.is_normalized() for x in p.loops):
         raise ValueError("loops must be normalized first")
@@ -295,34 +294,40 @@ def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
     return kernel(IntRows(rows, p.n ** 2, p.conductor())).dim
 
 
-def _certified_stabilizer_dim(report: StabilityReport, levi: Optional[list]) -> int:
+def _certified_stabilizer_dim(report: StabilityReport, comm: Optional[list]) -> int:
     """The stabilizer dimension off the certificates (module docstring), else solved.
 
-    With the Levi blocks B_i and their actions (``levi``) it is dim End(+ B_i),
-    the sum over i <= j of (1 if i = j else 2) * dim Hom(B_j, B_i): Hom is
-    additive over the direct sum, and dim Hom(B_j, B_i) = dim Hom(B_i, B_j)
-    as the blocks are semisimple.  Neither fact needs a block irreducible."""
+    ``comm`` is the commutant E that ``_first_split`` solved for a
+    polystable untwisted point.  Its stabilizer is the group of units of E,
+    whose Lie algebra is E (the untwisted stabilizer rows are E's), so the
+    dimension is dim E and no other system is solved.  Without E, the rows
+    are bounded mod p and, where the bound does not meet the kernel, solved."""
     pn, alg = report.galois.point, report.galois.algebra
     if alg.dim == alg.ambient_n ** 2:
         return report.kernel_dim  # the commutant is the scalars
-    m = pn.conductor()
-    if levi is not None:
-        return sum((1 if i == j else 2) * len(intertwiners(acts_b, acts_a, b.dim, a.dim, m))
-                   for j, (b, acts_b) in enumerate(levi)
-                   for i, (a, acts_a) in enumerate(levi[:j + 1]))
+    if comm is not None:
+        return len(comm)
     rows = _stabilizer_rows(pn, report.galois.generators)
-    if kernel_dim_mod_p(rows, pn.n ** 2, m) == report.kernel_dim:
+    if kernel_dim_mod_p(rows, pn.n ** 2, pn.conductor()) == report.kernel_dim:
         return report.kernel_dim
     return stabilizer_lie_dim(pn, rows)
 
 
-def _first_split(report: StabilityReport) -> Optional[Subspace]:
-    """The generators' first split: none on a proven M_N(K), with no search,
-    else the MeatAxe's, told whether the verdict proved a zero radical."""
-    alg = report.galois.algebra
+def _first_split(report: StabilityReport):
+    """(the generators' first split, their commutant E or None).
+
+    On a proven M_N(K) there is neither, and no search.  A polystable
+    point's E is solved once here: the MeatAxe searches with it, the first
+    complement is solved in its coordinates, and its dimension is the
+    untwisted stabilizer.  A point that is not polystable is searched from
+    the radical on, and no E is kept."""
+    alg, gens = report.galois.algebra, report.galois.generators
     if alg.dim == alg.ambient_n ** 2:
-        return None
-    return invariant_subspace(report.galois.generators, semisimple=report.polystable)
+        return None, None
+    if not report.polystable:
+        return invariant_subspace(gens), None
+    comm = commutant(gens, alg.ambient_n)
+    return invariant_subspace(gens, comm=comm), comm
 
 
 def is_stable(p: FramedPoint) -> StabilityReport:
@@ -333,9 +338,10 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     matrices is recorded as a witness (its presence refutes stability; its
     absence plus the dimension match confirms it).  A polystable untwisted
     point also gets its Levi blocks, by ``levi_reduction``'s route; the
-    witness, when searched, is their first split, and the stabilizer is the
-    Hom sum on their actions.  An algebra proven to be M_N(K) is not
-    searched: no witness, and the whole space is one block.
+    witness, when searched, is their first split, and the stabilizer is
+    dim E, E the commutant that split was searched with.  An algebra proven
+    to be M_N(K) is not searched: no witness, and the whole space is one
+    block.
     """
     report = is_polystable(p)
     pn = report.galois.point
@@ -343,13 +349,12 @@ def is_stable(p: FramedPoint) -> StabilityReport:
     # g A (the adjoint matrices) less scalars and repeats
     searched = pn.is_untwisted() and pn.m == 1 and pn.gradings[0].is_trivial() and pn.loops
     has_levi = report.polystable and pn.is_untwisted()
-    split = _first_split(report) if searched or has_levi else None
+    split, comm = _first_split(report) if searched or has_levi else (None, None)
     report.invariant_subspace_witness = split if searched else None
-    levi = decompose_irreducibles(report.galois.generators, split) if has_levi else None
-    if levi is not None:
-        report.levi_decomposition = [block for block, _ in levi]
+    if has_levi:
+        report.levi_decomposition = decompose_irreducibles(report.galois.generators, split, comm)
     report.kernel_dim = kernel_lie_dim(pn)
-    report.stabilizer_dim = _certified_stabilizer_dim(report, levi)
+    report.stabilizer_dim = _certified_stabilizer_dim(report, comm)
     report.stable = bool(report.polystable and report.stabilizer_dim == report.kernel_dim)
     return report
 
@@ -370,8 +375,7 @@ def levi_reduction(p: FramedPoint):
     report = is_polystable(p)
     if not report.polystable:
         raise NotPolystable("point is not polystable: no Levi reduction")
-    levi = decompose_irreducibles(report.galois.generators, _first_split(report))
-    return [block for block, _ in levi]
+    return decompose_irreducibles(report.galois.generators, *_first_split(report))
 
 
 def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:

@@ -240,6 +240,12 @@ class _EchelonSet:
             nums[i], dens[i] = r, d
         self._reduced = True
 
+    def residue(self, nums: list) -> list:
+        """A nonzero multiple of the vector with these integer numerators
+        less its components along the echelon rows: zero at every pivot, so
+        the one such vector of its coset, up to that multiple."""
+        return self._residue(nums, 1, self.m, self.phi)[0]
+
     def add(self, vec) -> bool:
         """Insert vec into the span; True if it was independent."""
         m, phi = self._field(vec)
@@ -281,13 +287,13 @@ def _row_action(nums: list, m: int, phi: int) -> list:
 
 
 def _left_action(g: Matrix, m: int) -> list:
-    """g as an integer matrix on the power-basis numerators of K^n, up to
-    the common denominator of its entries: per row i of g, the rows (i, c)
-    for c < phi(m), each over the numerators (k, b) of a column."""
-    n = g.rows
+    """g as an integer matrix on the power-basis numerators of K^cols, up
+    to the common denominator of its entries: per row i of g, the rows
+    (i, c) for c < phi(m), each over the numerators (k, b) of a column."""
     phi = euler_phi(m)
     nums, _ = _int_row(g.entries, m, phi)
-    return [_row_action(nums[i * n * phi:(i + 1) * n * phi], m, phi) for i in range(n)]
+    w = g.cols * phi
+    return [_row_action(nums[i * w:(i + 1) * w], m, phi) for i in range(g.rows)]
 
 
 def _left_product(action: list, e: list, cols: int, phi: int) -> list:

@@ -66,10 +66,12 @@ of the two:
 * ``spin_algebra_reference``: the algebra spin with a Matrix product per
   word and a ``ScalarEchelon`` (the library extends integer echelon rows,
   after a modular certificate);
-* ``complement_reference``: the invariant complement with "the columns of
-  the projection lie in sub" stated by the last rows of F^-T, F sub's basis
-  completed by unit vectors, solved on ``ScalarEchelon`` (the library states
-  it by the rows of sub's annihilator, a kernel);
+* ``complement_reference``: the invariant complement from one system in
+  the projection's n^2 entries, commuting rows included, with "the columns
+  of the projection lie in sub" stated by the last rows of F^-T, F sub's
+  basis completed by unit vectors, solved on ``ScalarEchelon`` (the library
+  solves in the commutant's coordinates, states the condition by the rows
+  of sub's annihilator, a kernel, and reduces its solution to this one);
 * ``factor_over_field_reference``: sympy's ``factor_list`` over
   ``QQ.algebraic_field(exp(2 pi i / m))`` (the library factors the norm over
   Z and recovers the factors by gcds over Q(zeta_m)).

@@ -57,7 +57,7 @@ def rand_matrix(rng, n, lo=-2, hi=2):
 
 def levi_blocks(gens):
     """The blocks of ``decompose_irreducibles``, split first where
-    ``invariant_subspace(gens)`` splits.
+    ``invariant_subspace(gens)`` splits, with the generators' commutant.
 
     On a module V with a radical, where no generator has a kernel, the
     search returns the radical image JV (J = rad A), and that has no
@@ -65,7 +65,8 @@ def levi_blocks(gens):
     modules, JC lies in JV and in C, so JC = 0 and JV = J(JV) + JC = J^2 V,
     hence JV = J^k V = 0 for J nilpotent, against JV != 0.
     """
-    return [block for block, _ in decompose_irreducibles(gens, invariant_subspace(gens))]
+    comm = commutant(gens, gens[0].rows)
+    return decompose_irreducibles(gens, invariant_subspace(gens), comm)
 
 
 class TestSpin:
@@ -495,15 +496,30 @@ class TestDecomposition:
     def test_invariant_complement(self):
         gens = [Matrix.build([[2, 0], [0, 3]])]
         sub = Subspace.from_vectors(2, [(1, 0)])
-        comp = invariant_complement(gens, sub)
+        comp = invariant_complement(commutant(gens, 2), sub)
         assert comp == Subspace.from_vectors(2, [(0, 1)])
+
+    def test_a_complement_that_is_not_unique_is_the_one_of_the_full_solve(self):
+        # diag(2, 2, 3) and the line (1, 1, 0) of the 2-eigenspace: every
+        # line of that plane other than it completes it, so the projections
+        # e = sum u_i E_i form a line, not a point; the one chosen is zero
+        # at the free columns of the system in e's 9 entries
+        gens = [Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]])]
+        sub = Subspace.from_vectors(3, [(1, 1, 0)])
+        other = Subspace.from_vectors(3, [(1, 0, 0), (0, 0, 1)])
+        assert all(other.contains(g.mul_vector(v)) for g in gens for v in other.basis)
+        comp = invariant_complement(commutant(gens, 3), sub)
+        assert comp == Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)]) != other
+        assert comp.to_json() == complement_reference(gens, sub).to_json()
 
     @settings(max_examples=30)
     @given(semisimple_modules())
     def test_invariant_complement_matches_the_completed_basis_route(self, case):
+        # byte for byte, where the complement is not unique too: the solve
+        # in the commutant's coordinates picks the n^2-unknown solve's one
         gens, sub = case
-        comp = invariant_complement(gens, sub)
-        assert comp == complement_reference(gens, sub)
+        comp = invariant_complement(commutant(gens, sub.ambient_dim), sub)
+        assert comp.to_json() == complement_reference(gens, sub).to_json()
         assert comp.dim == sub.ambient_dim - sub.dim
 
     def test_module_homs_schur(self):
@@ -620,7 +636,7 @@ class TestPolynomialTools:
     def test_restrict_matrix_matches_the_solve_route(self, case):
         # R read at the pivots is the one solution of B R = g B
         gens, sub = case
-        for s in (sub, invariant_complement(gens, sub)):
+        for s in (sub, invariant_complement(commutant(gens, sub.ambient_dim), sub)):
             cols = Matrix.from_cols(s.basis)
             assert kernel(cols).dim == 0
             for g in gens:

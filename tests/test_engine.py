@@ -3,12 +3,15 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wildcat import algebra, engine
 from wildcat.algebra import (
+    NotSemisimpleError,
     commutant,
+    intertwiners,
+    invariant_complement,
     invariant_subspace,
     radical_trace,
     restrict_matrix,
@@ -35,6 +38,7 @@ from wildcat.twists import Automorphism, TwistedElement
 
 from oracles import (
     commutant_radical_dim,
+    complement_reference,
     from_coeffs,
     galois_generators_reference,
     radical_oracle,
@@ -435,46 +439,59 @@ def test_verdicts_invariant_under_field_extension(p):
 
 def block_diagonal(blocks):
     n = sum(b.rows for b in blocks)
-    out, at = Matrix.zero(n, n), 0
+    out, at = Matrix.zero(n, n, blocks[0]._conductor()), 0
     for b in blocks:
         out, at = out.place(at, at, b), at + b.rows
     return out
 
 
 @st.composite
-def block_points(draw):
-    """Points whose loops are one basis change of block diagonal matrices.
+def block_point_parts(draw, m=1, repeated=False):
+    """(point, blocks): a point over Q(zeta_m) whose loops are one basis
+    change B of block diagonal matrices, and the invariant subspaces that
+    the blocks' columns of B span.
 
     With ``same`` every block of one size repeats, so the summands are
     isomorphic; a sigma twist or a basepoint torus whose pieces are unions
-    of blocks may follow.
+    of blocks may follow.  ``repeated`` fixes ``same`` and a layout with a
+    repeated size, so a class repeats unless the torus tells the copies
+    apart or a block splits further.
     """
-    layout = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 2)]))
-    n, same = sum(layout), draw(st.booleans())
-    basis = draw(invertibles(n))
+    layouts = [(1, 1), (1, 2), (2, 1), (1, 1, 1), (2, 2)]
+    layout = draw(st.sampled_from([t for t in layouts if len(set(t)) < len(t)] if repeated
+                                  else layouts))
+    n, same = sum(layout), repeated or draw(st.booleans())
+    basis = draw(invertibles(n, m))
     binv = basis.inverse()
 
     def conjugated():
         seen = {}
         for s in layout:
             if not (same and s in seen):
-                seen[s] = draw(invertibles(s))
+                seen[s] = draw(invertibles(s, m))
         return basis @ block_diagonal([seen[s] for s in layout]) @ binv
 
     twisted = draw(st.booleans())
     loops = [TwistedElement(conjugated(),
-                            Automorphism(conjugated() if draw(st.booleans()) else Matrix.identity(n),
+                            Automorphism(conjugated() if draw(st.booleans())
+                                         else Matrix.identity(n, m),
                                          twisted and draw(st.booleans())))
              for _ in range(draw(st.integers(1, 2)))]
-    grading = Grading.trivial(n)
+    cols, spans, at = basis.transpose(), [], 0
+    for s in layout:
+        spans.append([cols.row(at + j) for j in range(s)])
+        at += s
+    grading = Grading.trivial(n, m)
     if draw(st.booleans()):
-        cols, pieces, at = basis.transpose(), [], 0
-        for k, s in enumerate(layout):
-            pieces.append(((k % 2,) if same else (k,), [cols.row(at + j) for j in range(s)]))
-            at += s
+        pieces = [((k % 2,) if same else (k,), span) for k, span in enumerate(spans)]
         if len({w for w, _ in pieces}) == len(pieces):
             grading = Grading(n, pieces)
-    return FramedPoint(n, [grading], [], loops)
+    return FramedPoint(n, [grading], [], loops), [Subspace.from_vectors(n, s) for s in spans]
+
+
+def block_points(m=1, repeated=False):
+    """The points of ``block_point_parts``."""
+    return block_point_parts(m, repeated).map(lambda parts: parts[0])
 
 
 @st.composite
@@ -532,6 +549,33 @@ def test_a_radical_in_the_commutant_proves_non_polystability_and_none_proves_not
     assert not is_polystable(borel).polystable and commutant_radical_dim(borel) == 0
 
 
+def hom_sum(gens, blocks) -> int:
+    """The sum of dim Hom(B_j, B_i) over all pairs of the blocks B_i."""
+    m = gens[0]._conductor()
+    acts = [[restrict_matrix(g, b) for g in gens] for b in blocks]
+    return sum(len(intertwiners(acts[j], acts[i], b.dim, a.dim, m))
+               for i, a in enumerate(blocks) for j, b in enumerate(blocks))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 4, 5]).flatmap(lambda m: block_point_parts(m, repeated=True)))
+def test_complements_of_a_repeated_class_match_the_completed_basis_route(parts):
+    # a repeated class leaves a block many complements; the solve in the
+    # commutant's coordinates picks the n^2-unknown solve's, byte for byte,
+    # and refuses where that one finds none (a block with a radical)
+    p, blocks = parts
+    assume(p.is_untwisted())
+    gens = galois_generators(normalize_point(p))
+    comm = commutant(gens, p.n)
+    for block in blocks:
+        reference = complement_reference(gens, block)
+        if reference is None:
+            with pytest.raises(NotSemisimpleError):
+                invariant_complement(comm, block)
+        else:
+            assert invariant_complement(comm, block).to_json() == reference.to_json()
+
+
 # diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic
 BASIS3 = Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 CONJUGATED_223 = simple_point([TwistedElement.plain(
@@ -548,21 +592,22 @@ def test_certified_stabilizer_matches_exact_solve(p):
     rep = is_stable(p)
     assert rep.stabilizer_dim == stabilizer_lie_dim(p) == stabilizer_lie_dim_commutant(p)
     if rep.levi_decomposition is not None:
-        # coarser blocks, two adjacent ones merged, still give the exact
-        # stabilizer: the Hom sum needs no block to be irreducible
+        # dim E, the stabilizer read off a polystable point, is the Hom sum
+        # over the Levi blocks, and over coarser ones, two adjacent blocks
+        # merged: Hom is additive over direct sums, irreducible or not
         blocks, gens = rep.levi_decomposition, rep.galois.generators
+        assert hom_sum(gens, blocks) == rep.stabilizer_dim
         for i in range(len(blocks) - 1):
             merged = Subspace.from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
-            coarse = blocks[:i] + [merged] + blocks[i + 2:]
-            levi = [(b, [restrict_matrix(g, b) for g in gens]) for b in coarse]
-            assert engine._certified_stabilizer_dim(rep, levi) == rep.stabilizer_dim
+            assert hom_sum(gens, blocks[:i] + [merged] + blocks[i + 2:]) == rep.stabilizer_dim
     assert all(any(row) for row in engine._stabilizer_rows(rep.galois.point, rep.galois.generators))
     if rep.polystable and p.is_untwisted():
         assert rep.levi_decomposition == levi_reduction(p)
     if rep.polystable:
-        # a search told the module is semisimple skips the radical: same answer
+        # a search handed the commutant skips the radical: same answer
         gens = galois_generators(normalize_point(p))
-        assert invariant_subspace(gens, semisimple=True) == invariant_subspace(gens)
+        comm = commutant(gens, gens[0].rows)
+        assert invariant_subspace(gens, comm=comm) == invariant_subspace(gens)
     if rep.invariant_subspace_witness is not None or (
             p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial() and p.loops):
         # the witness of a polystable point skips the radical step: same subspace
@@ -722,6 +767,25 @@ class TestOneAnalysis:
         assert counts == {"normalize_point": 1, "galois_generators": 1,
                           "spin_algebra": 1, "invariant_subspace": 2}
 
+    def test_one_commutant_per_searched_module(self, monkeypatch):
+        # (2) + (3) + (swap, diag) behind a basis change, blocks 1 + 1 + 2:
+        # the whole module and the 3-dimensional first split are searched,
+        # each with the one commutant that also solves its complement; the
+        # 2-dimensional block is certified M_2(Q), and the stabilizer is
+        # dim E = 3, with no Hom system outside the commutants
+        names = ["commutant", "intertwiners", "invariant_subspace", "invariant_complement"]
+        counts = self.counted(monkeypatch, names)
+        basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        loops = [TwistedElement.plain(basis @ g @ basis.inverse()) for g in (
+            Matrix.build([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+            Matrix.build([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]))]
+        rep = is_stable(simple_point(loops, n=4))
+        assert [b.dim for b in rep.levi_decomposition] == [1, 1, 2]
+        assert rep.invariant_subspace_witness.dim == 3
+        assert (rep.polystable, rep.stable, rep.stabilizer_dim) == (True, False, 3)
+        assert counts == {"commutant": 2, "intertwiners": 2, "invariant_subspace": 2,
+                          "invariant_complement": 2}
+
     def test_full_algebra_is_not_searched(self, monkeypatch):
         counts = self.counted(monkeypatch, ["invariant_subspace", "invariant_complement"])
         rep = is_stable(simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)]))
@@ -768,8 +832,8 @@ class TestOneAnalysis:
     def test_reducible_point_builds_no_packed_echelon(self, monkeypatch):
         # three 3-dimensional blocks over Q: Norton's test says False on the
         # whole module and on the 6-dimensional summand, which the exact
-        # routes then decide, and the stabilizer is the Hom sum, so the
-        # kernel bound mod p never runs
+        # routes then decide, and the stabilizer is dim E, so the kernel
+        # bound mod p never runs
         counts = self.counted(monkeypatch, ["kernel_dim_mod_p"])
         rng = random.Random(0)
         loops = [TwistedElement.plain(rand_block_diag(rng, [3, 3, 3])) for _ in range(2)]
@@ -779,8 +843,8 @@ class TestOneAnalysis:
         assert counts == {"kernel_dim_mod_p": 0}
 
     def test_each_generator_is_restricted_to_each_block_once(self, monkeypatch):
-        # the rotation (+) (2) over Q: the search of the 2-dimensional
-        # irreducible block and the Hom sum share its actions
+        # the rotation (+) (2) over Q: the certificate and the search of the
+        # 2-dimensional irreducible block share its actions
         restricted = []
         original = algebra.restrict_matrix
 
