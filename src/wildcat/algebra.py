@@ -13,10 +13,11 @@ left factors; the spin stops as soon as it holds N^2 independent words.
 submodule spanned by vectors, the spins of one vector modulo a prime in
 Norton's test, and the powers of one matrix (its minimal polynomial) all
 run on it.  The exact spins of the algebra and of a submodule
-(``_spin_exact``) convert the generators once to integer matrices on
-power-basis numerators and extend each kept word through its integer
-echelon row, so a product is integer dot products, with no Matrix or Scalar
-built per product.
+(``_spin_exact``) and the power spin (``minimal_polynomial``) convert the
+generators once to integer matrices on power-basis numerators
+(``_left_action``) and extend each kept word on its integer row, so a
+product is integer dot products, with no Matrix or Scalar built per
+product.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 small prime q = 1 (mod m) by Norton's irreducibility test
@@ -44,10 +45,12 @@ radical, the commutant, and polynomial factorisation over the field.  The
 modular certificate of M_N(K) runs once per module before it: in
 ``spin_algebra`` for the whole module, in ``decompose_irreducibles`` for
 each summand.  That factorisation (``factor_over_field``)
-follows Trager: sympy factors only the norm, an integer polynomial, and
+follows Trager: the norm, an integer polynomial, is factored over Z by the
+package's own Zassenhaus algorithm (``modular.factor_integer``), and
 Euclid's algorithm on Scalar coefficients recovers the factors over the
-field.  A returned subspace is always a genuine submodule; ``None`` is only
-returned with a proof of irreducibility over the field.
+field; each factor q is evaluated at the element from the integer rows of
+its powers.  A returned subspace is always a genuine submodule; ``None`` is
+only returned with a proof of irreducibility over the field.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
@@ -70,7 +74,6 @@ from .linalg import (
     _left_product,
     _row_action,
     kernel,
-    linear_solve,
     sandwich_rows,
 )
 from .modular import (
@@ -80,8 +83,9 @@ from .modular import (
     _image_map,
     _null_line,
     _prime_and_root,
+    factor_integer,
 )
-from .scalars import Scalar, euler_phi
+from .scalars import Scalar, _canonical, euler_phi
 
 
 class NotSemisimpleError(Exception):
@@ -234,8 +238,12 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
 def _matrix_units(n: int, m: int):
-    """E_11, E_12, ..., E_nn: the reduced echelon basis of all of M_n."""
+    """E_11, E_12, ..., E_nn: the reduced echelon basis of all of M_n(K),
+    one shared tuple per (n, m), as ``Matrix.identity`` is one shared
+    object: a tuple cannot be changed, no code mutates a Matrix, and a
+    ``MatrixAlgebra`` that holds it only reads it."""
     one, zero = Scalar.one(m), Scalar.zero(m)
     return tuple(Matrix(n, n, tuple(one if k == u else zero for k in range(n * n)))
                  for u in range(n * n))
@@ -478,7 +486,8 @@ def factor_over_field(coeffs, m: int):
 
     For s = 0, 1, 2, ... the shift p_s(x) = p(x + s zeta) has the norm
     N_s = prod_k sigma_k(p_s) over the phi(m) automorphisms sigma_k: zeta ->
-    zeta^k of K, a polynomial over Q, which is factored over Z.  Each
+    zeta^k of K, a polynomial over Q, which is cleared of denominators and
+    factored over Z (``modular.factor_integer``, Zassenhaus).  Each
     irreducible factor r of N_s, of multiplicity e, gives q = gcd_K(p_s, r),
     and the shift is accepted when phi(m) deg q = deg r for every r.  Then
     (q(x - s zeta), e) are the factors of p.
@@ -499,9 +508,6 @@ def factor_over_field(coeffs, m: int):
     s = (alpha - beta) / (zeta - zeta^l): at most d^2 (phi(m) - 1) shifts
     fail, d = deg p.  When phi(m) = 1, N_0 = p and q = r / lead(r).
     """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
     phi, d = euler_phi(m), len(coeffs) - 1
     units = [k for k in range(2, m) if gcd(k, m) == 1]
     zeta = Scalar.zeta(m)
@@ -511,10 +517,10 @@ def factor_over_field(coeffs, m: int):
         for k in units:
             norm = _poly_mul(norm, [c.conjugate(k) for c in ps], m)
         den = lcm(*(c.den for c in norm))
-        _, factors = dup_factor_list([c.num[0] * (den // c.den) for c in reversed(norm)], ZZ)
+        _, factors = factor_integer([c.num[0] * (den // c.den) for c in norm])
         out = []
         for r, mult in factors:
-            rk = [Scalar.rational(Fraction(c, r[0]), m) for c in reversed(r)]
+            rk = [Scalar.rational(Fraction(c, r[-1]), m) for c in r]
             q = rk if phi == 1 else _poly_gcd(ps, rk)
             if phi * (len(q) - 1) != len(r) - 1:
                 break
@@ -526,18 +532,34 @@ def factor_over_field(coeffs, m: int):
 
 
 def minimal_polynomial(f: Matrix):
-    """(monic minimal polynomial coefficients, low -> high, the powers
-    I, f, ..., f^d they were solved on): the powers are spun until f^d is
-    the first that depends on the earlier ones."""
-    n = f.rows
+    """(coeffs, powers, den): the monic minimal polynomial of f, Scalar
+    coefficients low -> high, of degree d, and the integer rows it was
+    solved on, powers[i] the numerators of (den f)^i for i < d (row-major,
+    phi(m) per entry), den the common denominator of f's entries.
+
+    The powers are spun into one echelon on integer rows, as in
+    ``_spin_exact`` (``_spin_left`` over ``_left_action`` and
+    ``_left_product``), until (den f)^d is the first that depends on the
+    earlier ones, so no Matrix product is made.  The relation
+    (den f)^d + sum v_i (den f)^i = 0 is the kernel of the powers' entries
+    at the echelon's pivot columns, where the earlier powers are
+    independent, so it is one line, whose echelon vector has v_d = 1 when
+    v_d is the first unknown; then the coefficients are v_i / den^(d - i).
+    """
+    n, m = f.rows, f._conductor()
+    phi = euler_phi(m)
+    action = _left_action(f, m)
+    den = lcm(*(x.den for x in f.entries))
     ech = _EchelonSet(n * n)
-    powers = _spin_left([Matrix.identity(n, f._conductor())], [f], lambda g, w: w @ g,
-                        lambda w: w if ech.add(w.entries) else None, n * n)
-    # f^d is the first dependent power: solve sum a_i f^i = f^d
-    cols = Matrix.from_cols([p.entries for p in powers])
-    powers.append(powers[-1] @ f)
-    sol = linear_solve(cols, Matrix(n * n, 1, powers[-1].entries))
-    return [-sol[i, 0] for i in range(len(powers) - 1)] + [Scalar.one(f._conductor())], powers
+    powers = _spin_left([_int_row(Matrix.identity(n, m).entries, m, phi)[0]], [action],
+                        lambda a, w: _left_product(a, w, n, phi),
+                        lambda w: w if ech.insert(w, m) is not None else None, n * n)
+    d, last = len(powers), _left_product(action, powers[-1], n, phi)
+    # unknowns v_d, ..., v_0: the kernel's echelon vector has v_d = 1
+    rows = [[x for w in [last] + powers[::-1] for x in w[j * phi:(j + 1) * phi]]
+            for j in ech.pivots]
+    v = kernel(IntRows(rows, d + 1, m)).basis[0][::-1]
+    return [_canonical(m, c.num, c.den * den ** (d - i)) for i, c in enumerate(v)], powers, den
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +582,30 @@ def _split_by_element(f: Matrix, n: int, m: int):
     None for a non-scalar f proves its minimal polynomial irreducible: each
     factor q then has q(f) = 0 or q(f) invertible, not all are invertible
     (their product, with multiplicities, kills f), and q(f) = 0 makes q the
-    minimal polynomial itself."""
+    minimal polynomial itself.
+
+    q(f) is evaluated on the integer rows of the powers that
+    ``minimal_polynomial`` spun, as one integer product, with no Matrix
+    product; a q of the minimal polynomial's degree is that polynomial, so
+    q(f) = 0 and it is skipped."""
     if f.is_zero() or _is_scalar_matrix(f):
         return None
     ker_f = kernel(f)
     if 0 < ker_f.dim < n:
         return ker_f
-    coeffs, powers = minimal_polynomial(f)
+    coeffs, powers, den = minimal_polynomial(f)
+    phi = euler_phi(m)
     for fc, _ in factor_over_field(coeffs, m):
-        # q(f) = sum c_i f^i: the coefficient row times the powers as rows
-        rows = Matrix.from_rows([p.entries for p in powers[:len(fc)]])
-        pf = Matrix(n, n, (Matrix(1, len(fc), tuple(fc)) @ rows).entries)
-        if pf.is_zero():
-            continue
-        kp = kernel(pf)
+        k = len(fc) - 1
+        if k == len(powers):
+            continue   # q is the minimal polynomial: q(f) = 0
+        # q(f) den^k = sum c_i den^(k - i) (den f)^i, an integer product of
+        # the scaled coefficient row and the powers as rows
+        nums = _int_row(fc, m, phi)[0]
+        row = [x * den ** (k - t // phi) for t, x in enumerate(nums)]
+        pf = _left_product([_row_action(row, m, phi)], [x for w in powers[:k + 1] for x in w],
+                           n * n, phi)
+        kp = kernel(IntRows([pf[i * n * phi:(i + 1) * n * phi] for i in range(n)], n, m))
         if 0 < kp.dim < n:
             return kp
     return None

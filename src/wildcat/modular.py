@@ -1,4 +1,5 @@
-"""Arithmetic modulo a prime: one prime search, one image map, one echelon.
+"""Arithmetic modulo a prime: one prime search, one image map, one echelon,
+and factoring over Z.
 
 The modular certificates map Q(zeta_m) to F_p for a prime p = 1 (mod m):
 with r a root of the m-th cyclotomic polynomial mod p, zeta_m -> r is a
@@ -19,6 +20,21 @@ dependent exactly when every slot is 0 mod p.  At Norton's small prime a
 slot is one word.  ``tests/oracles.py`` keeps list-based routes mod p,
 reduced at every step, as references: the echelon, the kernel bound, and a
 spin of N^2 words that answers the certificate's question at p.
+
+Integer polynomials are factored here too, by Zassenhaus's algorithm
+(``factor_integer``), with no dependency.  The content and the squarefree
+parts (Yun) come first, each part with its discriminant from one
+subresultant sequence; then odd primes p that divide neither the lead nor
+the discriminant are tried.  f is factored mod p by distinct-degree
+factorisation, its linear factors read off its roots (f is evaluated at
+every residue, p being small), and by Cantor-Zassenhaus equal-degree
+splitting with trial polynomials from a fixed sequence, so every run does
+the same work.  The factors are lifted mod p^(2^k) past a Mignotte bound,
+linear ones by Newton's step on their roots and the others by quadratic
+Hensel steps down a factor tree, and recombined over subsets of increasing
+size, a subset kept when its product divides f exactly.  Every divisor mod
+p or mod p^k is monic, so a division takes no modular inverse.
+``tests/oracles.py`` keeps sympy's ``dup_factor_list`` as the reference.
 """
 
 from __future__ import annotations
@@ -27,12 +43,15 @@ import sys
 from array import array
 from bisect import insort
 from functools import lru_cache
+from itertools import combinations, zip_longest
+from math import comb, gcd, isqrt
 from operator import mul
 from typing import Optional
 
 _MODULUS_BOUND = 1 << 31
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BIG_ENDIAN = sys.byteorder == "big"
+_FACTOR_PRIMES = 3   # primes tried at most for the fewest factors (_zassenhaus)
 
 
 def _is_prime(q: int) -> bool:
@@ -251,3 +270,374 @@ def kernel_dim_mod_p(rows, width: int, m: int) -> int:
             break
         ech.insert(image(row, 1))
     return width - len(ech.rows)
+
+
+# ---------------------------------------------------------------------------
+# factoring over Z (Zassenhaus).  A polynomial is a list of ints, low -> high,
+# with no trailing zero, so [] is 0 and len(a) - 1 is the degree.  Mod p and
+# mod p^k every divisor is monic, so a division needs no inverse.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul(a, b) -> list:
+    """a b over Z (plain loops: the fastest form at these degrees)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _sub_mod(a, b, q: int) -> list:
+    """a - b mod q."""
+    return _reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], q)
+
+
+def _mul_add(q: int, base, *pairs) -> list:
+    """base + the sum of a b over the pairs (a, b), mod q."""
+    out = list(base)
+    for a, b in pairs:
+        if a and b:
+            top = len(a) + len(b) - 1
+            if top > len(out):
+                out += [0] * (top - len(out))
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return _reduce(out, q)
+
+
+def _reduce(a, q: int) -> list:
+    """a mod q."""
+    a = [x % q for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod_monic(a, b, q: int):
+    """(quotient, remainder) of a by a monic b, mod q."""
+    db = len(b) - 1
+    a = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    for d in range(len(a) - 1, db - 1, -1):
+        c = quo[d - db] = a[d] % q
+        if c:
+            for j in range(db):
+                a[d - db + j] -= c * b[j]
+    return quo, _reduce(a[:db], q)
+
+
+def _monic(a, p: int) -> list:
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _gcd_mod(a, b, p: int) -> list:
+    """The monic gcd of a and b mod a prime p (Euclid); [] if both are 0."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod_monic(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _pow_mod(a, e: int, f, q: int) -> list:
+    """a^e mod (f, q), f monic, e >= 1, by squaring from the top bit; a = x
+    is multiplied in by a shift."""
+    shift = a == [0, 1]
+    a = out = _divmod_monic(a, f, q)[1]
+    for bit in bin(e)[3:]:
+        out = _divmod_monic(_mul(out, out), f, q)[1]
+        if bit == "1":
+            out = _divmod_monic([0] + out if shift else _mul(out, a), f, q)[1]
+    return out
+
+
+def _derivative(a) -> list:
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def _primitive(a) -> list:
+    """a over its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
+
+
+def _exact_quotient(a, b) -> Optional[list]:
+    """a / b over Z, or None if b does not divide a."""
+    db = len(b) - 1
+    a, lead = list(a), b[-1]
+    quo = [0] * (len(a) - db)
+    for d in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(a[d], lead)
+        if r:
+            return None
+        quo[d - db] = c
+        if c:
+            for j in range(db):
+                a[d - db + j] -= c * b[j]
+    return None if any(a[:db]) else quo
+
+
+def _gcd_resultant(a, b):
+    """(g, r): the primitive gcd of a and b over Z with a positive lead, and
+    their resultant up to sign, 0 when the gcd is not 1, for deg a >=
+    deg b and b != 0, by the subresultant remainder sequence
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithms
+    3.3.1 and 3.3.7): each pseudo-remainder is divided by g h^delta, which
+    keeps the coefficients as small as the subresultants'."""
+    if len(b) == 1:
+        return [1], b[0] ** (len(a) - 1)
+    t = gcd(*a) ** (len(b) - 1) * gcd(*b) ** (len(a) - 1)   # the contents' share
+    a, b = _primitive(a), _primitive(b)
+    g = h = 1
+    while True:
+        delta, lead = len(a) - len(b), b[-1]
+        r, steps = list(a), 0
+        while len(r) >= len(b):   # r = lead r - c x^k b drops r's degree
+            c, k = r[-1], len(r) - len(b)
+            r = [lead * x for x in r]
+            for j, y in enumerate(b, k):
+                r[j] -= c * y
+            _trim(r)
+            steps += 1
+        if not r:
+            return _primitive(b), 0
+        r = [x * lead ** (delta + 1 - steps) // (g * h ** delta) for x in r]
+        a, b, g = b, r, lead
+        h = g ** delta // h ** (delta - 1) if delta else h
+        if len(b) == 1:
+            return [1], t * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
+
+
+def _squarefree_parts(f) -> list:
+    """(g, e, r) for the squarefree, pairwise coprime, primitive g of
+    positive degree with f = prod g^e, f primitive with a positive lead (Yun,
+    "On square-free decomposition algorithms", SYMSAC 1976), and r =
+    +-res(g, g') = +-lead(g) disc(g), which a prime divides exactly when it
+    divides g's lead or g is not squarefree modulo it.  Each division is
+    exact over Z, by a primitive divisor (Gauss's lemma)."""
+    df = _derivative(f)
+    a, r = _gcd_resultant(f, df)
+    if r:
+        return [(f, 1, r)]
+    b, c, out, e = _exact_quotient(f, a), _exact_quotient(df, a), [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd_resultant(b, d)[0] if d else b
+        if len(a) > 1:
+            out.append((a, e, _gcd_resultant(a, _derivative(a))[1]))
+            b, d = _exact_quotient(b, a), _exact_quotient(d, a) if d else d
+        c, e = d, e + 1
+    return out
+
+
+def _distinct_degree(f, p: int) -> list:
+    """(g, d) for the monic irreducible factors of degree d of a monic
+    squarefree f mod p, all of them: each linear factor x - r by itself,
+    its root r found by evaluating f at every residue (p is small), then
+    for each d > 1 the product g of those of degree d (von zur Gathen and
+    Gerhard, Modern Computer Algebra, Algorithm 14.3)."""
+    values = [1] * p   # f at 0, 1, ..., p - 1, by Horner's rule on all at once
+    for c in reversed(f[:-1]):
+        values = [(v * x + c) % p for x, v in enumerate(values)]
+    out = [([-r % p, 1], 1) for r, v in enumerate(values) if not v]
+    if len(out) == len(f) - 1:
+        return out
+    for u, _ in out:
+        f = _divmod_monic(f, u, p)[0]
+    d, h = 1, _pow_mod([0, 1], p, f, p) if len(f) > 4 else None   # x^(p^d) mod f
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _pow_mod(h, p, f, p)
+        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod_monic(f, g, p)[0]
+            h = _divmod_monic(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g, d: int, p: int) -> list:
+    """The monic irreducible factors, all of degree d, of a monic squarefree
+    g mod an odd prime p (Cantor and Zassenhaus, Math. Comp. 1981):
+    gcd(a^((p^d - 1)/2) - 1, g) splits g for about half of all a of degree
+    < deg g.  The trial polynomials a are drawn from a fixed sequence, so
+    every run does the same work: their coefficients are the successive
+    values of the linear congruential generator of ANSI C's rand, mod p.
+    (Low-degree trials, such as x + c, fail far more often: when d > 1
+    they see only a subspace of the residues mod g's factors.)"""
+    if len(g) - 1 == d:
+        return [g]
+    e, state = (p ** d - 1) // 2, 1
+    while True:
+        a = []
+        for _ in range(len(g) - 1):
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            a.append((state >> 16) % p)
+        h = _gcd_mod(g, _sub_mod(_pow_mod(_trim(a), e, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return _equal_degree(h, d, p) + _equal_degree(_divmod_monic(g, h, p)[0], d, p)
+
+
+def _bezout(g, h, p: int):
+    """(s, t) with s g + t h = 1 mod p, deg s < deg h and deg t < deg g, for
+    coprime monic g and h (the extended Euclidean algorithm)."""
+    r0, s0, r1, s1 = g, [1], h, []   # r_i = s_i g mod h
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, s1 = [x * inv % p for x in r1], [x * inv % p for x in s1]
+        quo, r = _divmod_monic(r0, r1, p)
+        r0, s0, r1, s1 = r1, s1, r, _mul_add(p, s0, ([-x for x in quo], s1))
+    inv = pow(r0[0], -1, p)
+    s = [x * inv % p for x in s0]
+    return s, _divmod_monic(_mul_add(p, [1], ([-x for x in s], g)), h, p)[0]
+
+
+def _hensel_lift(f, factors, p: int, q: int) -> list:
+    """The monic factors mod q = p^(2^k) of a monic f mod q that reduce to
+    its pairwise coprime monic factors mod p, in the order: the linear ones,
+    then the others.
+
+    A linear factor x - r lifts as the root r, a simple root mod p, by
+    Newton's step r -> r - f(r) / f'(r) mod p^2, p^4, ..., q.  The others
+    are the factors of their cofactor, which is one of them or is split in
+    halves, whose products g and h are lifted together by quadratic Hensel
+    steps p -> p^2 -> ... -> q (Modern Computer Algebra, Algorithm 15.10),
+    each half then lifted from its lifted product."""
+    lifted, df = [], _derivative(f)
+    for u in factors:
+        if len(u) == 2:
+            r, m = -u[0], p
+            while m < q:
+                m *= m
+                r = (r - _horner_mod(f, r, m) * pow(_horner_mod(df, r, m), -1, m)) % m
+            lifted.append([-r % q, 1])
+    others = [u for u in factors if len(u) > 2]
+    if not others:
+        return lifted
+    for u in lifted:
+        f = _divmod_monic(f, u, q)[0]
+    return lifted + _hensel_split(f, others, p, q)
+
+
+def _hensel_split(f, factors, p: int, q: int) -> list:
+    """``_hensel_lift`` of factors of degree > 1, by the factor tree."""
+    if len(factors) == 1:
+        return [f]
+    half = len(factors) // 2
+    g, h = factors[0], factors[half]
+    for u in factors[1:half]:
+        g = _reduce(_mul(g, u), p)
+    for u in factors[half + 1:]:
+        h = _reduce(_mul(h, u), p)
+    s, t = _bezout(g, h, p)
+    m = p
+    while m < q:
+        m *= m
+        e = _mul_add(m, f, ([-x for x in g], h))
+        quo, r = _divmod_monic(_mul(s, e), h, m)
+        g, h = _mul_add(m, g, (t, e), (quo, g)), _mul_add(m, h, (r, [1]))
+        if m < q:   # lift s and t for the next step
+            b = _mul_add(m, [-1], (s, g), (t, h))
+            c, d = _divmod_monic(_mul(s, b), h, m)
+            s = _mul_add(m, s, (d, [-1]))
+            t = _mul_add(m, t, ([-x for x in t], b), ([-x for x in c], g))
+    return _hensel_split(g, factors[:half], p, q) + _hensel_split(h, factors[half:], p, q)
+
+
+def _zassenhaus(f, discriminant: int) -> list:
+    """The irreducible factors over Z, primitive with positive leads, of a
+    squarefree primitive f of positive degree n with a positive lead
+    (Zassenhaus, "On Hensel factorization I", J. Number Theory 1969; Modern
+    Computer Algebra, Algorithm 15.19), given +-res(f, f') = +-lead(f)
+    disc(f) (``_squarefree_parts``).
+
+    Odd primes p that divide neither (f is squarefree mod p and keeps its
+    degree) are tried in turn: the first that leaves f
+    irreducible mod p ends the search, as does one that leaves two factors,
+    where recombination tests one split; else the one with the fewest
+    factors of the first ``_FACTOR_PRIMES`` is kept.  Its factors are
+    lifted mod q > 2C, C = binom(n - 1, (n - 1) // 2) ||f||_2, and
+    recombined over subsets of increasing size.  A factor g of f of degree
+    k < n, with lead c, has |g_j| <= binom(k, j) M(f) c / lead(f) (M the
+    Mahler measure, at most ||f||_2; Mignotte 1974), so b/c g, b the lead
+    of what is left of f, has coefficients of at most C: it is b times the
+    product of its lifted factors, mod q in (-q/2, q/2].  A subset is kept
+    when the primitive part of that product divides what is left of f, a
+    test its constant term, which divides b f(0), screens first.  Subsets
+    are tried by size, so a kept one is irreducible, and what is left when
+    no subset of at most half the factors divides is irreducible.
+    """
+    n, lead = len(f) - 1, f[-1]
+    if n == 1:
+        return [f]
+    best, tried, p = None, 0, 1
+    while tried < _FACTOR_PRIMES:
+        p += 2
+        if not _is_prime(p) or discriminant % p == 0:
+            continue
+        tried += 1
+        ddf = _distinct_degree(_monic([c % p for c in f], p), p)
+        count = sum((len(g) - 1) // d for g, d in ddf)
+        if count == 1:
+            return [f]
+        if best is None or count < best[0]:
+            best = count, p, ddf
+        if count == 2:
+            break
+    _, p, ddf = best
+    factors = [u for g, d in ddf for u in _equal_degree(g, d, p)]
+    bound = comb(n - 1, (n - 1) // 2) * (isqrt(sum(c * c for c in f) - 1) + 1)   # ceil ||f||_2
+    q = p
+    while q <= 2 * bound:
+        q *= q
+    lifted = _hensel_lift(_reduce([c * pow(lead, -1, q) for c in f], q), factors, p, q)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            c = lead
+            for i in subset:
+                c = c * lifted[i][0] % q
+            if not c or lead * f[0] % (c - q if 2 * c > q else c):
+                continue
+            g = [lead]
+            for i in subset:
+                g = _reduce(_mul(g, lifted[i]), q)
+            g = _primitive([x - q if 2 * x > q else x for x in g])
+            h = _exact_quotient(f, g)
+            if h is not None:
+                out.append(g)
+                f, lead = h, h[-1]
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def factor_integer(f):
+    """(content, factors) of a nonzero integer polynomial f, coefficients
+    low -> high: f = content prod g^e over the factors (g, e), each g
+    irreducible over Z and primitive with a positive lead, sorted by degree,
+    multiplicity and then coefficients high -> low, as sympy's
+    ``dup_factor_list`` returns them; content has the sign of f's lead."""
+    f = _trim(list(f))
+    content = gcd(*f) if f[-1] > 0 else -gcd(*f)
+    f = [c // content for c in f]
+    j = next(i for i, c in enumerate(f) if c)   # x^j divides f
+    factors = [([0, 1], j)] if j else []
+    if len(f) - j > 1:
+        for part, e, r in _squarefree_parts(f[j:]):
+            factors += [(g, e) for g in _zassenhaus(part, r)]
+    factors.sort(key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+    return content, factors

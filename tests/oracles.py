@@ -74,7 +74,12 @@ of the two:
   of sub's annihilator, a kernel, and reduces its solution to this one);
 * ``factor_over_field_reference``: sympy's ``factor_list`` over
   ``QQ.algebraic_field(exp(2 pi i / m))`` (the library factors the norm over
-  Z and recovers the factors by gcds over Q(zeta_m)).
+  Z and recovers the factors by gcds over Q(zeta_m));
+* ``factor_integer_reference`` and ``resultant_reference``: sympy's
+  ``dup_factor_list`` and ``dup_resultant`` over ZZ (the library factors
+  over Z by its own Zassenhaus algorithm, in ``wildcat.modular``, which
+  reads the primes to avoid off a subresultant sequence).  sympy is a test
+  dependency only.
 
 ``from_coeffs`` builds the Scalar sum c_j zeta_m^j from any number of
 rational coefficients with the field's own arithmetic, for the tests that
@@ -694,3 +699,24 @@ def factor_over_field_reference(coeffs, m: int):
         out.append(([c / fc[-1] for c in fc], mult))
     out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
     return out
+
+
+def factor_integer_reference(f):
+    """(content, factors) of an integer polynomial f, coefficients low ->
+    high, from sympy's ``dup_factor_list`` over ZZ, in the layout of
+    ``wildcat.modular.factor_integer``: each factor low -> high, in sympy's
+    order."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    content, factors = dup_factor_list([ZZ(c) for c in reversed(f)], ZZ)
+    return int(content), [([int(c) for c in reversed(g)], e) for g, e in factors]
+
+
+def resultant_reference(a, b) -> int:
+    """res(a, b) of integer polynomials, coefficients low -> high, from
+    sympy's ``dup_resultant`` over ZZ."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_resultant
+
+    return int(dup_resultant([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ))

@@ -1,9 +1,8 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-import sympy.polys.factortools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +26,8 @@ from wildcat.algebra import (
     spin_algebra,
     spin_subspace,
 )
-from wildcat.linalg import Matrix, Subspace, kernel, linear_solve
-from wildcat.modular import _modulus, _prime_and_root
+from wildcat.linalg import Matrix, Subspace, _int_row, kernel, linear_solve
+from wildcat.modular import _modulus, _prime_and_root, factor_integer
 from wildcat.scalars import Scalar, euler_phi
 
 from oracles import (
@@ -573,12 +572,43 @@ def factor_products(draw, m):
 
 class TestPolynomialTools:
     def test_minimal_polynomial(self):
-        coeffs, powers = minimal_polynomial(J)
+        # the powers I, f, ..., f^(d-1) come back as the integer numerators
+        # of (den f)^i, den the common denominator of f's entries
+        coeffs, powers, den = minimal_polynomial(J)
         assert coeffs == [1, -2, 1]
-        assert powers == [I2, J, J @ J]
-        coeffs, powers = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
+        assert (powers, den) == ([[1, 0, 0, 1], [1, 1, 0, 1]], 1)
+        coeffs, powers, den = minimal_polynomial(Matrix.build([[2, 0], [0, 2]]))
         assert coeffs == [-2, 1]
-        assert powers == [I2, Matrix.build([[2, 0], [0, 2]])]
+        assert (powers, den) == ([[1, 0, 0, 1]], 1)
+        half = Matrix.build([[Fraction(1, 2), 1], [0, Fraction(1, 2)]])
+        coeffs, powers, den = minimal_polynomial(half)   # (x - 1/2)^2
+        assert coeffs == [Fraction(1, 4), -1, 1]
+        assert (powers, den) == ([[1, 0, 0, 1], [1, 2, 0, 1]], 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([1, 4, 5]), data=st.data())
+    def test_minimal_polynomial_kills_f_and_nothing_smaller(self, m, data):
+        # mu(f) = 0, I, f, ..., f^(d-1) are independent (the echelon of
+        # their entries has rank d), and powers[i] holds the numerators of
+        # (den f)^i, on Matrix products as the reference
+        n = data.draw(st.integers(1, 4))
+        entry = st.builds(lambda c, j: Scalar.rational(c, m) * Scalar.zeta(m, j),
+                          st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                          st.integers(0, 3))
+        f = Matrix.build([[data.draw(entry) for _ in range(n)] for _ in range(n)], m)
+        coeffs, powers, den = minimal_polynomial(f)
+        d = len(coeffs) - 1
+        mats = [Matrix.identity(n, m)]
+        for _ in range(d):
+            mats.append(mats[-1] @ f)
+        total = Matrix.zero(n, n, m)
+        for c, a in zip(coeffs, mats):
+            total = total + a.scale(c)
+        assert total.is_zero() and coeffs[-1] == 1
+        assert Subspace.from_vectors(n * n, [a.entries for a in mats[:d]]).dim == d
+        assert den == lcm(*(x.den for x in f.entries))
+        scaled = [a.scale(Scalar.rational(den ** i, m)) for i, a in enumerate(mats[:d])]
+        assert powers == [_int_row(a.entries, m, euler_phi(m))[0] for a in scaled]
 
     def test_factor_over_rationals(self):
         x2m1 = [Scalar.rational(-1), Scalar.zero(), Scalar.one()]
@@ -589,12 +619,11 @@ class TestPolynomialTools:
         # the norms of x^2 + 1 at s = 0 and 1, (x^2 + 1)^2 and x^2 (x^2 + 4),
         # fail the degree check; at s = 2 it is (x^2 + 1)(x^2 + 9)
         norms = []
-        factor = sympy.polys.factortools.dup_factor_list
-        monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list",
-                            lambda f, dom: norms.append(f) or factor(f, dom))
+        monkeypatch.setattr(wildcat.algebra, "factor_integer",
+                            lambda f: norms.append(list(f)) or factor_integer(f))
         x2p1 = [Scalar.one(4), Scalar.zero(4), Scalar.one(4)]
         factors = factor_over_field(x2p1, 4)
-        assert norms == [[1, 0, 2, 0, 1], [1, 0, 4, 0, 0], [1, 0, 10, 0, 9]]
+        assert norms == [[1, 0, 2, 0, 1], [0, 0, 4, 0, 1], [9, 0, 10, 0, 1]]
         i = Scalar.zeta(4)
         assert factors == [([-i, 1], 1), ([i, 1], 1)]
 

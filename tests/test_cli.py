@@ -444,22 +444,40 @@ def test_console_script(tmp_path):
     assert json.loads(proc.stdout)["report"]["polystable"] is False
 
 
-def test_a_run_that_factors_nothing_imports_no_sympy(tmp_path):
-    # sympy, most of a process's start-up, is imported only to factor a
-    # polynomial; the Jordan block is decided by its radical, with none
-    path = write(tmp_path, "jordan.json", JORDAN)
+def factorings_and_sympy_modules(path):
+    """(exit code, factor_over_field calls, loaded sympy modules) of
+    ``analyze`` on the document at path, in a fresh process, and its stderr."""
     script = "\n".join([
         "import contextlib, io, sys",
         "import wildcat",
-        "from wildcat import cli",
+        "from wildcat import algebra, cli",
+        "calls = []",
+        "factor = algebra.factor_over_field",
+        "algebra.factor_over_field = lambda coeffs, m: calls.append(m) or factor(coeffs, m)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    code = cli.run_command(['analyze', '--instance', {path!r}, '--format', 'machine'])",
-        "print(code, sorted(name for name in sys.modules if name.split('.')[0] == 'sympy'))",
+        "sympy = sorted(name for name in sys.modules if name.split('.')[0] == 'sympy')",
+        "print(code, len(calls), sympy)",
     ])
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
+    return proc.stdout.split(), proc.stderr
+
+
+def test_a_run_that_factors_nothing_imports_no_sympy(tmp_path):
+    # the Jordan block is decided by its radical, with no polynomial factored
+    out, _ = factorings_and_sympy_modules(write(tmp_path, "jordan.json", JORDAN))
+    assert out == ["0", "0", "[]"]
+
+
+def test_a_run_that_factors_imports_no_sympy(tmp_path):
+    # the quaternion pair's hunt factors minimal polynomials over Z in the
+    # package's own factoriser before it gives up, with sympy left unloaded
+    out, err = factorings_and_sympy_modules(write(tmp_path, "quaternion.json", QUATERNION_PAIR))
+    code, calls, modules = out
+    assert (code, modules) == ("3", "[]") and int(calls) > 0
+    assert err == INCONCLUSIVE + "\n"
 
 
 GENUS_ONE = {

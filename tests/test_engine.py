@@ -36,6 +36,8 @@ from wildcat.modular import _modulus
 from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
+from test_algebra import semisimple_modules
+
 from oracles import (
     commutant_radical_dim,
     complement_reference,
@@ -530,12 +532,36 @@ def twisted_points(draw):
     return FramedPoint(n, [Grading.trivial(n), grading], [connector], loops)
 
 
+def module_point(case):
+    """The untwisted point whose loops are a ``semisimple_modules`` draw's
+    generators g, each shifted to g + c I for the least c >= 0 that makes
+    it invertible (one of n + 1 does): the shift keeps the unital algebra
+    they generate, hence the module and its commutant."""
+    gens, _ = case
+    n, m = gens[0].rows, gens[0]._conductor()
+    loops = []
+    for g in gens:
+        shifts = (g + Matrix.identity(n, m).scale(Scalar.rational(c, m)) for c in range(n + 1))
+        loops.append(TwistedElement.plain(next(h for h in shifts if h.is_invertible())))
+    return simple_point(loops, n, [Grading.trivial(n, m)])
+
+
 @settings(max_examples=40, deadline=timedelta(seconds=10))
-@given(st.one_of(small_points(), small_points(n=3), block_points()).filter(
-    lambda p: p.is_untwisted()))
+@given(st.one_of(st.one_of(small_points(), small_points(n=3), block_points()),
+                 semisimple_modules().map(module_point)).filter(lambda p: p.is_untwisted()))
 def test_a_polystable_point_has_a_semisimple_commutant(p):
     # Matsushima: the stabilizer of a polystable point is reductive
     assert not is_polystable(p).polystable or commutant_radical_dim(p) == 0
+
+
+def test_a_non_split_self_extension_has_a_radical_in_its_commutant():
+    # [[A, I], [0, A]], A the rotation by a right angle, irreducible over Q:
+    # I is not a commutator A T - T A (its trace is 2), so the extension of
+    # the module of A by itself does not split; the commutant is Q[g] =
+    # Q[x] / (x^2 + 1)^2, whose radical (x^2 + 1) has dimension 2
+    g = Matrix.build([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+    point = simple_point([TwistedElement.plain(g)], n=4)
+    assert not is_polystable(point).polystable and commutant_radical_dim(point) == 2
 
 
 def test_a_radical_in_the_commutant_proves_non_polystability_and_none_proves_nothing():

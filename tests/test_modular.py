@@ -2,7 +2,8 @@
 ``oracles``: the packed echelon, its null lines and slot sizes, the image
 map and the kernel bound; the full-algebra certificate (Norton's test mod a
 small prime q), whose True the list spin at the word-size prime p must
-confirm; the prime test and the primes."""
+confirm; the prime test and the primes; and the factoriser over Z against
+sympy's."""
 
 import random
 from fractions import Fraction
@@ -15,14 +16,19 @@ from wildcat.algebra import _SMALL_PRIME_FLOOR, _norton_images, _spans_full_mod_
 from wildcat.linalg import IntRows, Matrix, _int_row, kernel, sandwich_rows
 from wildcat.modular import (
     _EchelonModP,
+    _distinct_degree,
+    _gcd_mod,
+    _gcd_resultant,
     _image_map,
     _is_prime,
+    _monic,
     _modulus,
     _null_line,
     _pack,
     _prime_and_root,
     _residues,
     _slot_words,
+    factor_integer,
     kernel_dim_mod_p,
 )
 from wildcat.scalars import Scalar, euler_phi
@@ -302,3 +308,80 @@ def test_small_modulus_is_unchanged():
         assert [x for x in range(65, q) if (x - 1) % m == 0 and oracles.is_prime(x)] == []
         assert oracles.is_prime(q) and (q - 1) % m == 0
         assert pow(r, m, q) == 1 and all(pow(r, k, q) != 1 for k in range(1, m))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+@st.composite
+def integer_products(draw):
+    """c x^j prod g_i^(e_i), coefficients low -> high, of degree at most 16:
+    random integer factors of degree 1..5 with leads of either sign and
+    up to 6, some repeated, and a content c of either sign."""
+    f, degree = [draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1]))], 0
+    for _ in range(draw(st.integers(1, 5))):
+        d, e = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        if degree + d * e > 16:
+            break
+        g = [draw(st.integers(-9, 9)) for _ in range(d)]
+        g.append(draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1])))
+        for _ in range(e):
+            f = poly_mul(f, g)
+        degree += d * e
+    return [0] * draw(st.integers(0, min(2, 16 - degree))) + f
+
+
+class TestFactorInteger:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_products())
+    def test_matches_the_sympy_reference(self, f):
+        content, factors = factor_integer(f)
+        assert (content, factors) == oracles.factor_integer_reference(f)
+        product = [content]
+        for g, e in factors:
+            for _ in range(e):
+                product = poly_mul(product, g)
+        assert product == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_products(), integer_products())
+    def test_subresultant_sequence_matches_the_sympy_reference(self, a, b):
+        # the gcd is primitive with a positive lead, and the resultant, whose
+        # primes the factoriser avoids, is sympy's up to sign
+        a, b = (a, b) if len(a) >= len(b) else (b, a)
+        g, r = _gcd_resultant(a, b)
+        assert abs(r) == abs(oracles.resultant_reference(a, b))
+        _, fa = factor_integer(a)
+        _, fb = factor_integer(b)
+        common = [(h, min(e, dict((tuple(k), v) for k, v in fb).get(tuple(h), 0))) for h, e in fa]
+        expected = [1]
+        for h, e in common:
+            for _ in range(e):
+                expected = poly_mul(expected, h)
+        assert g == expected
+
+    def test_x4_minus_10x2_plus_1_is_recombined(self):
+        # sqrt(2) + sqrt(3) has this minimal polynomial, which splits into
+        # factors of degree at most 2 modulo every prime, so the modular
+        # factors must be lifted and recombined to prove it irreducible
+        f = [1, 0, -10, 0, 1]
+        for p in (3, 5, 7, 11, 13):
+            fp = _monic([c % p for c in f], p)
+            if len(_gcd_mod(fp, [i * c % p for i, c in enumerate(fp)][1:], p)) == 1:
+                assert sum((len(g) - 1) // d for g, d in _distinct_degree(fp, p)) > 1
+        assert factor_integer(f) == (1, [(f, 1)]) == oracles.factor_integer_reference(f)
+
+    def test_a_power_of_x_and_a_quadratic(self):
+        # x^2 (x^2 + 4), the norm of x^2 + 1 over Q(i) at the shift s = 1
+        f = [0, 0, 4, 0, 1]
+        assert factor_integer(f) == (1, [([0, 1], 2), ([4, 0, 1], 1)])
+        assert factor_integer(f) == oracles.factor_integer_reference(f)
+
+    def test_content_and_constants(self):
+        assert factor_integer([-6]) == (-6, [])
+        assert factor_integer([6, -4, -2]) == (-2, [([-1, 1], 1), ([3, 1], 1)])
