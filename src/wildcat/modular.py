@@ -22,19 +22,18 @@ reduced at every step, as references: the echelon, the kernel bound, and a
 spin of N^2 words that answers the certificate's question at p.
 
 Integer polynomials are factored here too, by Zassenhaus's algorithm
-(``factor_integer``), with no dependency.  The content and the squarefree
-parts (Yun) come first, each part with its discriminant from one
-subresultant sequence; then odd primes p that divide neither the lead nor
-the discriminant are tried.  f is factored mod p by distinct-degree
-factorisation, its linear factors read off its roots (f is evaluated at
-every residue, p being small), and by Cantor-Zassenhaus equal-degree
-splitting with trial polynomials from a fixed sequence, so every run does
-the same work.  The factors are lifted mod p^(2^k) past a Mignotte bound,
-linear ones by Newton's step on their roots and the others by quadratic
-Hensel steps down a factor tree, and recombined over subsets of increasing
-size, a subset kept when its product divides f exactly.  Every divisor mod
-p or mod p^k is monic, so a division takes no modular inverse.
-``tests/oracles.py`` keeps sympy's ``dup_factor_list`` as the reference.
+(``factor_integer``), with no dependency and one path per step.  The
+content and the squarefree parts (Yun, on gcds from a primitive remainder
+sequence) come first.  Each part f is factored modulo one prime: the first
+odd p that does not divide its lead and modulo which it stays squarefree.
+There distinct-degree factorisation, from degree 1, and Cantor-Zassenhaus
+equal-degree splitting, with trial polynomials from a fixed sequence so
+that every run does the same work, give its irreducible factors.  They are
+lifted mod p^(2^k) past a Mignotte bound by quadratic Hensel steps down one
+factor tree, and recombined over subsets of increasing size, a subset kept
+when its product divides f exactly.  Every divisor mod p or mod p^k is
+monic, so a division takes no modular inverse.  ``tests/oracles.py`` keeps
+sympy's ``dup_factor_list`` as the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from typing import Optional
 _MODULUS_BOUND = 1 << 31
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BIG_ENDIAN = sys.byteorder == "big"
-_FACTOR_PRIMES = 3   # primes tried at most for the fewest factors (_zassenhaus)
 
 
 def _is_prime(q: int) -> bool:
@@ -316,10 +314,7 @@ def _mul_add(q: int, base, *pairs) -> list:
 
 def _reduce(a, q: int) -> list:
     """a mod q."""
-    a = [x % q for x in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
+    return _trim([x % q for x in a])
 
 
 def _divmod_monic(a, b, q: int):
@@ -386,74 +381,51 @@ def _exact_quotient(a, b) -> Optional[list]:
     return None if any(a[:db]) else quo
 
 
-def _gcd_resultant(a, b):
-    """(g, r): the primitive gcd of a and b over Z with a positive lead, and
-    their resultant up to sign, 0 when the gcd is not 1, for deg a >=
-    deg b and b != 0, by the subresultant remainder sequence
-    (Cohen, A Course in Computational Algebraic Number Theory, Algorithms
-    3.3.1 and 3.3.7): each pseudo-remainder is divided by g h^delta, which
-    keeps the coefficients as small as the subresultants'."""
-    if len(b) == 1:
-        return [1], b[0] ** (len(a) - 1)
-    t = gcd(*a) ** (len(b) - 1) * gcd(*b) ** (len(a) - 1)   # the contents' share
+def _gcd_integer(a, b) -> list:
+    """The primitive gcd of a and b over Z with a positive lead, for deg a
+    >= deg b and b != 0, by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content (Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 3.3.1)."""
     a, b = _primitive(a), _primitive(b)
-    g = h = 1
-    while True:
-        delta, lead = len(a) - len(b), b[-1]
-        r, steps = list(a), 0
+    while len(b) > 1:
+        lead, r = b[-1], list(a)
         while len(r) >= len(b):   # r = lead r - c x^k b drops r's degree
             c, k = r[-1], len(r) - len(b)
             r = [lead * x for x in r]
             for j, y in enumerate(b, k):
                 r[j] -= c * y
             _trim(r)
-            steps += 1
         if not r:
-            return _primitive(b), 0
-        r = [x * lead ** (delta + 1 - steps) // (g * h ** delta) for x in r]
-        a, b, g = b, r, lead
-        h = g ** delta // h ** (delta - 1) if delta else h
-        if len(b) == 1:
-            return [1], t * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
 def _squarefree_parts(f) -> list:
-    """(g, e, r) for the squarefree, pairwise coprime, primitive g of
-    positive degree with f = prod g^e, f primitive with a positive lead (Yun,
-    "On square-free decomposition algorithms", SYMSAC 1976), and r =
-    +-res(g, g') = +-lead(g) disc(g), which a prime divides exactly when it
-    divides g's lead or g is not squarefree modulo it.  Each division is
+    """(g, e) for the squarefree, pairwise coprime, primitive g of positive
+    degree with f = prod g^e, f primitive with a positive lead (Yun, "On
+    square-free decomposition algorithms", SYMSAC 1976).  Each division is
     exact over Z, by a primitive divisor (Gauss's lemma)."""
     df = _derivative(f)
-    a, r = _gcd_resultant(f, df)
-    if r:
-        return [(f, 1, r)]
+    a = _gcd_integer(f, df)
     b, c, out, e = _exact_quotient(f, a), _exact_quotient(df, a), [], 1
     while len(b) > 1:
         d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
-        a = _gcd_resultant(b, d)[0] if d else b
+        a = _gcd_integer(b, d) if d else b
         if len(a) > 1:
-            out.append((a, e, _gcd_resultant(a, _derivative(a))[1]))
+            out.append((a, e))
             b, d = _exact_quotient(b, a), _exact_quotient(d, a) if d else d
         c, e = d, e + 1
     return out
 
 
 def _distinct_degree(f, p: int) -> list:
-    """(g, d) for the monic irreducible factors of degree d of a monic
-    squarefree f mod p, all of them: each linear factor x - r by itself,
-    its root r found by evaluating f at every residue (p is small), then
-    for each d > 1 the product g of those of degree d (von zur Gathen and
-    Gerhard, Modern Computer Algebra, Algorithm 14.3)."""
-    values = [1] * p   # f at 0, 1, ..., p - 1, by Horner's rule on all at once
-    for c in reversed(f[:-1]):
-        values = [(v * x + c) % p for x, v in enumerate(values)]
-    out = [([-r % p, 1], 1) for r, v in enumerate(values) if not v]
-    if len(out) == len(f) - 1:
-        return out
-    for u, _ in out:
-        f = _divmod_monic(f, u, p)[0]
-    d, h = 1, _pow_mod([0, 1], p, f, p) if len(f) > 4 else None   # x^(p^d) mod f
+    """(g, d) for each degree d of the irreducible factors of a monic
+    squarefree f mod p, g their product, d = 1, 2, ...: g = gcd(x^(p^d) -
+    x, f) once the factors of lower degree are divided out (von zur Gathen
+    and Gerhard, Modern Computer Algebra, Algorithm 14.3).  What is left
+    when it has no two factors of degree > d is one irreducible factor."""
+    out, d, h = [], 0, [0, 1]   # h = x^(p^d) mod f
     while 2 * (d + 1) < len(f):
         d += 1
         h = _pow_mod(h, p, f, p)
@@ -505,33 +477,11 @@ def _bezout(g, h, p: int):
 
 def _hensel_lift(f, factors, p: int, q: int) -> list:
     """The monic factors mod q = p^(2^k) of a monic f mod q that reduce to
-    its pairwise coprime monic factors mod p, in the order: the linear ones,
-    then the others.
-
-    A linear factor x - r lifts as the root r, a simple root mod p, by
-    Newton's step r -> r - f(r) / f'(r) mod p^2, p^4, ..., q.  The others
-    are the factors of their cofactor, which is one of them or is split in
-    halves, whose products g and h are lifted together by quadratic Hensel
-    steps p -> p^2 -> ... -> q (Modern Computer Algebra, Algorithm 15.10),
-    each half then lifted from its lifted product."""
-    lifted, df = [], _derivative(f)
-    for u in factors:
-        if len(u) == 2:
-            r, m = -u[0], p
-            while m < q:
-                m *= m
-                r = (r - _horner_mod(f, r, m) * pow(_horner_mod(df, r, m), -1, m)) % m
-            lifted.append([-r % q, 1])
-    others = [u for u in factors if len(u) > 2]
-    if not others:
-        return lifted
-    for u in lifted:
-        f = _divmod_monic(f, u, q)[0]
-    return lifted + _hensel_split(f, others, p, q)
-
-
-def _hensel_split(f, factors, p: int, q: int) -> list:
-    """``_hensel_lift`` of factors of degree > 1, by the factor tree."""
+    its pairwise coprime monic factors mod p, in their order, down one
+    factor tree: the factors are split in halves, whose products g and h
+    are lifted together by quadratic Hensel steps p -> p^2 -> ... -> q
+    (Modern Computer Algebra, Algorithm 15.10), and each half is then
+    lifted from its lifted product."""
     if len(factors) == 1:
         return [f]
     half = len(factors) // 2
@@ -552,51 +502,36 @@ def _hensel_split(f, factors, p: int, q: int) -> list:
             c, d = _divmod_monic(_mul(s, b), h, m)
             s = _mul_add(m, s, (d, [-1]))
             t = _mul_add(m, t, ([-x for x in t], b), ([-x for x in c], g))
-    return _hensel_split(g, factors[:half], p, q) + _hensel_split(h, factors[half:], p, q)
+    return _hensel_lift(g, factors[:half], p, q) + _hensel_lift(h, factors[half:], p, q)
 
 
-def _zassenhaus(f, discriminant: int) -> list:
+def _zassenhaus(f) -> list:
     """The irreducible factors over Z, primitive with positive leads, of a
     squarefree primitive f of positive degree n with a positive lead
     (Zassenhaus, "On Hensel factorization I", J. Number Theory 1969; Modern
-    Computer Algebra, Algorithm 15.19), given +-res(f, f') = +-lead(f)
-    disc(f) (``_squarefree_parts``).
+    Computer Algebra, Algorithm 15.19).
 
-    Odd primes p that divide neither (f is squarefree mod p and keeps its
-    degree) are tried in turn: the first that leaves f
-    irreducible mod p ends the search, as does one that leaves two factors,
-    where recombination tests one split; else the one with the fewest
-    factors of the first ``_FACTOR_PRIMES`` is kept.  Its factors are
-    lifted mod q > 2C, C = binom(n - 1, (n - 1) // 2) ||f||_2, and
-    recombined over subsets of increasing size.  A factor g of f of degree
-    k < n, with lead c, has |g_j| <= binom(k, j) M(f) c / lead(f) (M the
-    Mahler measure, at most ||f||_2; Mignotte 1974), so b/c g, b the lead
-    of what is left of f, has coefficients of at most C: it is b times the
-    product of its lifted factors, mod q in (-q/2, q/2].  A subset is kept
-    when the primitive part of that product divides what is left of f, a
-    test its constant term, which divides b f(0), screens first.  Subsets
-    are tried by size, so a kept one is irreducible, and what is left when
-    no subset of at most half the factors divides is irreducible.
+    p is the first odd prime that does not divide lead(f) and modulo which
+    f stays squarefree, that is, that divides neither lead(f) nor disc(f).
+    f's irreducible factors mod p are lifted mod q > 2C, C = binom(n - 1,
+    (n - 1) // 2) ||f||_2, and recombined over subsets of increasing size.
+    A factor g of f of degree k < n, with lead c, has |g_j| <= binom(k, j)
+    M(f) c / lead(f) (M the Mahler measure, at most ||f||_2; Mignotte 1974),
+    so b/c g, b the lead of what is left of f, has coefficients of at most
+    C: it is b times the product of its lifted factors, mod q in (-q/2,
+    q/2].  A subset is kept when the primitive part of that product divides
+    what is left of f exactly.  Subsets are tried by size, so a kept one is
+    irreducible, and what is left when no subset of at most half the
+    factors divides is irreducible.
     """
-    n, lead = len(f) - 1, f[-1]
-    if n == 1:
-        return [f]
-    best, tried, p = None, 0, 1
-    while tried < _FACTOR_PRIMES:
+    n, lead, p = len(f) - 1, f[-1], 1
+    while True:
         p += 2
-        if not _is_prime(p) or discriminant % p == 0:
-            continue
-        tried += 1
-        ddf = _distinct_degree(_monic([c % p for c in f], p), p)
-        count = sum((len(g) - 1) // d for g, d in ddf)
-        if count == 1:
-            return [f]
-        if best is None or count < best[0]:
-            best = count, p, ddf
-        if count == 2:
-            break
-    _, p, ddf = best
-    factors = [u for g, d in ddf for u in _equal_degree(g, d, p)]
+        if _is_prime(p) and lead % p:
+            fp = _monic([c % p for c in f], p)
+            if _gcd_mod(fp, _reduce(_derivative(fp), p), p) == [1]:
+                break
+    factors = [u for g, d in _distinct_degree(fp, p) for u in _equal_degree(g, d, p)]
     bound = comb(n - 1, (n - 1) // 2) * (isqrt(sum(c * c for c in f) - 1) + 1)   # ceil ||f||_2
     q = p
     while q <= 2 * bound:
@@ -605,11 +540,6 @@ def _zassenhaus(f, discriminant: int) -> list:
     out, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            c = lead
-            for i in subset:
-                c = c * lifted[i][0] % q
-            if not c or lead * f[0] % (c - q if 2 * c > q else c):
-                continue
             g = [lead]
             for i in subset:
                 g = _reduce(_mul(g, lifted[i]), q)
@@ -637,7 +567,7 @@ def factor_integer(f):
     j = next(i for i, c in enumerate(f) if c)   # x^j divides f
     factors = [([0, 1], j)] if j else []
     if len(f) - j > 1:
-        for part, e, r in _squarefree_parts(f[j:]):
-            factors += [(g, e) for g in _zassenhaus(part, r)]
+        for part, e in _squarefree_parts(f[j:]):
+            factors += [(g, e) for g in _zassenhaus(part)]
     factors.sort(key=lambda t: (len(t[0]), t[1], t[0][::-1]))
     return content, factors

@@ -32,6 +32,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
 
+from .modular import _exact_quotient
+
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
@@ -42,33 +44,16 @@ def euler_phi(m: int) -> int:
     return count
 
 
-def _int_poly_div(num: tuple, den: tuple) -> tuple:
-    # exact division of integer polynomials, coefficients low -> high
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for d in range(len(num) - 1, len(den) - 2, -1):
-        c = num[d]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[d - len(den) + 1] = q
-        for j, dj in enumerate(den):
-            num[d - len(den) + 1 + j] -= q * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of the m-th cyclotomic polynomial, low -> high, monic."""
     if m == 1:
         return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            num = _int_poly_div(num, cyclotomic_polynomial(d))
-    return num
+            num = _exact_quotient(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)

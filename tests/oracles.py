@@ -75,11 +75,16 @@ of the two:
 * ``factor_over_field_reference``: sympy's ``factor_list`` over
   ``QQ.algebraic_field(exp(2 pi i / m))`` (the library factors the norm over
   Z and recovers the factors by gcds over Q(zeta_m));
-* ``factor_integer_reference`` and ``resultant_reference``: sympy's
-  ``dup_factor_list`` and ``dup_resultant`` over ZZ (the library factors
-  over Z by its own Zassenhaus algorithm, in ``wildcat.modular``, which
-  reads the primes to avoid off a subresultant sequence).  sympy is a test
-  dependency only.
+* ``factor_integer_reference``: sympy's ``dup_factor_list`` over ZZ (the
+  library factors over Z by its own Zassenhaus algorithm, in
+  ``wildcat.modular``);
+* ``cyclotomic_polynomial_reference``: sympy's ``cyclotomic_poly`` (the
+  library divides x^m - 1 by the cyclotomic polynomials of the proper
+  divisors of m).  sympy is a test dependency only;
+* ``shares_an_eigenvector``: two 2 x 2 matrices share an eigenvector over
+  the algebraic closure iff det(AB - BA) = 0 (Shemesh, Linear Algebra
+  Appl. 1984), one determinant and no spin (``is_stable`` decides
+  stability from the spun algebra, the commutant and the MeatAxe).
 
 ``from_coeffs`` builds the Scalar sum c_j zeta_m^j from any number of
 rational coefficients with the field's own arithmetic, for the tests that
@@ -713,10 +718,17 @@ def factor_integer_reference(f):
     return int(content), [([int(c) for c in reversed(g)], e) for g, e in factors]
 
 
-def resultant_reference(a, b) -> int:
-    """res(a, b) of integer polynomials, coefficients low -> high, from
-    sympy's ``dup_resultant`` over ZZ."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_resultant
+def cyclotomic_polynomial_reference(m: int) -> tuple:
+    """The m-th cyclotomic polynomial, coefficients low -> high, from
+    sympy's ``cyclotomic_poly``."""
+    from sympy import cyclotomic_poly, symbols
 
-    return int(dup_resultant([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ))
+    return tuple(int(c) for c in reversed(cyclotomic_poly(m, symbols("x"), polys=True).all_coeffs()))
+
+
+def shares_an_eigenvector(a, b) -> bool:
+    """Whether the 2 x 2 matrices a and b, rows of rationals, share an
+    eigenvector over the algebraic closure: det(ab - ba) = 0 (Shemesh)."""
+    c = [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(2)) for j in range(2)]
+         for i in range(2)]
+    return c[0][0] * c[1][1] - c[0][1] * c[1][0] == 0

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ from oracles import (
     from_coeffs,
     galois_generators_reference,
     radical_oracle,
+    shares_an_eigenvector,
     stabilizer_lie_dim_commutant,
 )
 
@@ -251,6 +254,22 @@ class TestStable:
         rep = is_stable(simple_point([TwistedElement.plain(g)], n=4))
         assert rep.polystable and not rep.stable and rep.stabilizer_dim == 8
         assert [b.dim for b in rep.levi_decomposition] == [2, 2]
+
+    def test_every_pair_of_small_2x2_matrices_against_shemesh(self):
+        # the exhaustive small-scope sweep: all 1,128 unordered pairs of
+        # distinct invertible 2 x 2 matrices with entries in {-1, 0, 1} over
+        # Q, one basepoint and a trivial torus.  A pair is stable exactly when
+        # it shares no eigenvector over the algebraic closure.  98 pairs reach
+        # the MeatAxe's factoring, so its verdicts are known independently
+        mats = [((a, b), (c, d)) for a, b, c, d in itertools.product((-1, 0, 1), repeat=4)
+                if a * d - b * c]
+        verdicts = Counter()
+        for x, y in itertools.combinations(mats, 2):
+            rep = is_stable(simple_point([TwistedElement.plain(Matrix.build(x)),
+                                          TwistedElement.plain(Matrix.build(y))]))
+            assert rep.stable == (not shares_an_eigenvector(x, y)), (x, y)
+            verdicts[rep.stabilizer_dim if rep.polystable else None] += 1
+        assert verdicts == {1: 904, 2: 123, 4: 1, None: 100}
 
     def test_stable_implies_polystable_on_corpus(self):
         rng = random.Random(3)

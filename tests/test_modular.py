@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildcat import modular
 from wildcat.algebra import _SMALL_PRIME_FLOOR, _norton_images, _spans_full_mod_p
 from wildcat.linalg import IntRows, Matrix, _int_row, kernel, sandwich_rows
 from wildcat.modular import (
     _EchelonModP,
     _distinct_degree,
+    _gcd_integer,
     _gcd_mod,
-    _gcd_resultant,
     _image_map,
     _is_prime,
     _monic,
@@ -350,12 +351,11 @@ class TestFactorInteger:
 
     @settings(max_examples=100, deadline=None)
     @given(integer_products(), integer_products())
-    def test_subresultant_sequence_matches_the_sympy_reference(self, a, b):
-        # the gcd is primitive with a positive lead, and the resultant, whose
-        # primes the factoriser avoids, is sympy's up to sign
+    def test_gcd_matches_the_sympy_factors(self, a, b):
+        # the gcd is primitive with a positive lead: the common factors of
+        # the two factorisations, each to the lesser multiplicity
         a, b = (a, b) if len(a) >= len(b) else (b, a)
-        g, r = _gcd_resultant(a, b)
-        assert abs(r) == abs(oracles.resultant_reference(a, b))
+        g = _gcd_integer(a, b)
         _, fa = factor_integer(a)
         _, fb = factor_integer(b)
         common = [(h, min(e, dict((tuple(k), v) for k, v in fb).get(tuple(h), 0))) for h, e in fa]
@@ -375,6 +375,23 @@ class TestFactorInteger:
             if len(_gcd_mod(fp, [i * c % p for i, c in enumerate(fp)][1:], p)) == 1:
                 assert sum((len(g) - 1) // d for g, d in _distinct_degree(fp, p)) > 1
         assert factor_integer(f) == (1, [(f, 1)]) == oracles.factor_integer_reference(f)
+
+    @pytest.mark.parametrize("f, primes", [
+        # (x - 1)(x - 106) has discriminant 105^2 and x^2 - 105 has 420:
+        # 3, 5 and 7 divide both, so 11 is the first admissible prime
+        ([106, -107, 1], [11]),
+        ([-105, 0, 1], [11]),
+        # leads divisible by 3 and 5: (3x - 1)(5x + 2) with discriminant
+        # 11^2, and 15x^2 + x + 1 with -59, are factored mod 7
+        ([-2, 1, 15], [7]),
+        ([1, 1, 15], [7]),
+    ])
+    def test_the_prime_walk(self, f, primes, monkeypatch):
+        seen = []
+        ddf = modular._distinct_degree
+        monkeypatch.setattr(modular, "_distinct_degree", lambda g, p: seen.append(p) or ddf(g, p))
+        assert factor_integer(f) == oracles.factor_integer_reference(f)
+        assert seen == primes
 
     def test_a_power_of_x_and_a_quadratic(self):
         # x^2 (x^2 + 4), the norm of x^2 + 1 over Q(i) at the shift s = 1

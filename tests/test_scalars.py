@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionScalar, from_coeffs, scalar_to_json_reference
+from oracles import (
+    FractionScalar,
+    cyclotomic_polynomial_reference,
+    from_coeffs,
+    scalar_to_json_reference,
+)
 from wildcat.linalg import _int_row
 from wildcat.modular import _image_map
 from wildcat.scalars import Scalar, _canonical as canonical, cyclotomic_polynomial, euler_phi
@@ -19,6 +24,11 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_match_the_sympy_reference():
+    for m in range(1, 61):
+        assert cyclotomic_polynomial(m) == cyclotomic_polynomial_reference(m)
 
 
 def test_euler_phi():
