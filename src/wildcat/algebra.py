@@ -73,6 +73,7 @@ from .linalg import (
     _left_action,
     _left_product,
     _row_action,
+    _times,
     kernel,
     sandwich_rows,
 )
@@ -85,7 +86,7 @@ from .modular import (
     _prime_and_root,
     factor_integer,
 )
-from .scalars import Scalar, _canonical, euler_phi
+from .scalars import Scalar, _canonical, conjugate_numerators, euler_phi, multiplication_matrix
 
 
 class NotSemisimpleError(Exception):
@@ -427,15 +428,26 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
 # polynomial factorisation over the coefficient field (Trager's norm method)
 
 
-def _poly_mul(a, b, m: int) -> list:
-    """The product of two polynomials, Scalar coefficients low -> high."""
-    out = [Scalar.zero(m)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                if y:
-                    out[j] = out[j] + x * y
-    return out
+def _norm(p, m: int) -> list:
+    """Integer coefficients, low -> high, of a nonzero multiple of the norm
+    prod_k sigma_k(p) of p over Q(zeta_m): p's numerators over one
+    denominator, times each conjugate's over Z[zeta_m], coefficient by
+    coefficient through multiplication matrices.  The norm lies in Q[x], so
+    only each coefficient's first numerator can be nonzero."""
+    phi = euler_phi(m)
+    nums, _ = _int_row(p, m, phi)
+    norm = nums
+    for k in range(2, m):
+        if gcd(k, m) != 1:
+            continue
+        out = [0] * (len(norm) + len(nums) - phi)
+        for j in range(0, len(nums), phi):
+            y = conjugate_numerators(m, nums[j:j + phi], k)
+            if any(y):
+                for t, z in enumerate(_times(multiplication_matrix(m, y), norm, 0, phi), j):
+                    out[t] += z
+        norm = out
+    return norm[::phi]
 
 
 def _shift(p, a: Scalar) -> list:
@@ -486,8 +498,10 @@ def factor_over_field(coeffs, m: int):
 
     For s = 0, 1, 2, ... the shift p_s(x) = p(x + s zeta) has the norm
     N_s = prod_k sigma_k(p_s) over the phi(m) automorphisms sigma_k: zeta ->
-    zeta^k of K, a polynomial over Q, which is cleared of denominators and
-    factored over Z (``modular.factor_integer``, Zassenhaus).  Each
+    zeta^k of K, a polynomial over Q, which is computed on integer
+    numerators up to a constant factor (``_norm``) and factored over Z
+    (``modular.factor_integer``, Zassenhaus), whose factors are primitive, so
+    the constant changes none of them.  Each
     irreducible factor r of N_s, of multiplicity e, gives q = gcd_K(p_s, r),
     and the shift is accepted when phi(m) deg q = deg r for every r.  Then
     (q(x - s zeta), e) are the factors of p.
@@ -509,15 +523,10 @@ def factor_over_field(coeffs, m: int):
     fail, d = deg p.  When phi(m) = 1, N_0 = p and q = r / lead(r).
     """
     phi, d = euler_phi(m), len(coeffs) - 1
-    units = [k for k in range(2, m) if gcd(k, m) == 1]
     zeta = Scalar.zeta(m)
     for s in range(d * d * (phi - 1) + 1):
         ps = _shift(coeffs, zeta * s) if s else coeffs
-        norm = ps
-        for k in units:
-            norm = _poly_mul(norm, [c.conjugate(k) for c in ps], m)
-        den = lcm(*(c.den for c in norm))
-        _, factors = factor_integer([c.num[0] * (den // c.den) for c in norm])
+        _, factors = factor_integer(_norm(ps, m))
         out = []
         for r, mult in factors:
             rk = [Scalar.rational(Fraction(c, r[-1]), m) for c in r]

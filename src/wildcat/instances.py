@@ -4,6 +4,14 @@ Exact scalars are strings like "-3/7" (or coefficient vectors of strings for
 cyclotomic entries); floats are rejected, so exactness survives
 serialization.  ``parse_instance`` validates the whole document and reports
 every schema problem with the JSON path of the offending key.
+
+A document repeats its scalars, so its reader, one per document, parses
+each distinct encoding once: the memo key is the conductor and the JSON
+value with each element's type (``true == 1`` in Python, but only ``1``
+parses).  Only successes are stored, so every bad entry is reported at its
+own path, in document order; entries may share a Scalar, which no code
+mutates.  A matrix is made straight from entries already in the document's
+field, and a JSON path is formatted only for an error.
 """
 
 from __future__ import annotations
@@ -42,8 +50,11 @@ def _is_int(x) -> bool:
 
 
 class _Reader:
+    """The errors recorded while reading one document, and its scalar memo."""
+
     def __init__(self):
         self.errors = []
+        self.parsed = {}   # (conductor, typed JSON value) -> Scalar, successes only
 
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
@@ -56,15 +67,28 @@ class _Reader:
         self.fail(f"{path}.{key}", "expected a list")
         return []
 
-    def scalar(self, data, m, path):
-        if isinstance(data, float):
-            self.fail(path, "floats are not allowed; write exact rationals as strings")
-            return Scalar.zero(m)
+    def scalar(self, data, m, path, *index):
+        """The Scalar of data in Q(zeta_m); zero, and an error at path
+        followed by the ``[i]`` of each index, when data is not one."""
+        # the value with its type, element by element in a coefficient vector
+        key = (m, list, tuple([(type(x), x) for x in data])) if type(data) is list \
+            else (m, type(data), data)
         try:
-            return Scalar.from_json(data, m)
-        except (ValueError, ZeroDivisionError) as exc:
-            self.fail(path, f"bad scalar: {exc}")
-            return Scalar.zero(m)
+            return self.parsed[key]
+        except (KeyError, TypeError):  # TypeError: a list or object inside, never a scalar
+            pass
+        if isinstance(data, float):
+            message = "floats are not allowed; write exact rationals as strings"
+        else:
+            try:
+                x = Scalar.from_json(data, m)
+            except (ValueError, ZeroDivisionError) as exc:
+                message = f"bad scalar: {exc}"
+            else:
+                self.parsed[key] = x
+                return x
+        self.fail(path + "".join(f"[{i}]" for i in index), message)
+        return Scalar.zero(m)
 
     def matrix(self, data, m, path, square=None):
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
@@ -77,9 +101,10 @@ class _Reader:
         if square is not None and (len(data) != square or width != square):
             self.fail(path, f"expected a square {square}x{square} matrix")
             return Matrix.identity(square, m)
-        return Matrix.build([[self.scalar(x, m, f"{path}[{i}][{j}]")
-                              for j, x in enumerate(row)]
-                             for i, row in enumerate(data)], m)
+        # every entry is a Scalar of conductor m, as Matrix.build would check
+        return Matrix(len(data), width, tuple([self.scalar(x, m, path, i, j)
+                                               for i, row in enumerate(data)
+                                               for j, x in enumerate(row)]))
 
 
 def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
@@ -118,13 +143,13 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
                 if not isinstance(basis_raw, list) or not basis_raw:
                     reader.fail(f"{ppath}.basis", "expected a nonempty list of vectors")
                     continue
-                basis = []
+                basis, bpath = [], f"{ppath}.basis"
                 for vi, vec in enumerate(basis_raw):
                     if not isinstance(vec, list) or len(vec) != n:
-                        reader.fail(f"{ppath}.basis[{vi}]", f"expected a length-{n} vector")
+                        reader.fail(f"{bpath}[{vi}]", f"expected a length-{n} vector")
                         continue
-                    basis.append(tuple(reader.scalar(x, m, f"{ppath}.basis[{vi}][{k}]")
-                                       for k, x in enumerate(vec)))
+                    basis.append(tuple([reader.scalar(x, m, bpath, vi, k)
+                                        for k, x in enumerate(vec)]))
                 if basis:
                     pieces.append((tuple(weight), basis))
             if reader.errors:
@@ -205,7 +230,7 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
                 if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                     reader.fail(kpath, "expected [exponent, coefficient]")
                     continue
-                coeffs.append((pair[0], reader.scalar(pair[1], m, f"{kpath}[1]")))
+                coeffs.append((pair[0], reader.scalar(pair[1], m, kpath, 1)))
             if reader.errors:
                 continue
             try:

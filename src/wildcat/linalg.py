@@ -40,7 +40,10 @@ same shape and field checks.  Returning the operand itself is safe because
 no code mutates a Matrix: its entries are a tuple of immutable Scalars, no
 code assigns its fields after construction, and ``place`` returns a copy.
 For the same reason ``Matrix.identity`` hands out one shared object per
-(n, m).
+(n, m), ``Matrix.inverse`` of an identity returns that matrix, and a
+``Grading`` whose basis rows, in order, form the identity (the trivial
+grading, a coordinate torus in order, a Stokes sheet grading) is not ranked:
+its rows are independent by construction.
 """
 
 from __future__ import annotations
@@ -497,8 +500,11 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
+        """The inverse; the identity is its own (module docstring)."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
+        if self.is_identity():
+            return self
         n, m = self.rows, self._conductor()
         phi = euler_phi(m)
         ech = _EchelonSet(2 * n)
@@ -762,7 +768,8 @@ class Grading:
         total = [v for _, basis in pieces for v in basis]
         if len(total) != ambient_dim:
             raise ValueError("grading pieces do not have total dimension n")
-        if Matrix.from_rows(total).rank() != ambient_dim:
+        rows = Matrix.from_rows(total)
+        if not rows.is_identity() and rows.rank() != ambient_dim:
             raise ValueError("grading pieces are not jointly independent")
         self.pieces = pieces
 

@@ -50,6 +50,7 @@ from typing import Optional
 _MODULUS_BOUND = 1 << 31
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BIG_ENDIAN = sys.byteorder == "big"
+_SPLIT_TRIALS = 64   # a product of two or more factors survives a trial with probability <= 5/9
 
 
 def _is_prime(q: int) -> bool:
@@ -447,11 +448,14 @@ def _equal_degree(g, d: int, p: int) -> list:
     every run does the same work: their coefficients are the successive
     values of the linear congruential generator of ANSI C's rand, mod p.
     (Low-degree trials, such as x + c, fail far more often: when d > 1
-    they see only a subspace of the residues mod g's factors.)"""
+    they see only a subspace of the residues mod g's factors.)  A g that is
+    not such a product has a part that no trial splits, so after
+    ``_SPLIT_TRIALS`` trials without a split it raises AssertionError: the
+    caller is at fault, and an unbounded search would hang."""
     if len(g) - 1 == d:
         return [g]
     e, state = (p ** d - 1) // 2, 1
-    while True:
+    for _ in range(_SPLIT_TRIALS):
         a = []
         for _ in range(len(g) - 1):
             state = (state * 1103515245 + 12345) & 0x7FFFFFFF
@@ -459,6 +463,8 @@ def _equal_degree(g, d: int, p: int) -> list:
         h = _gcd_mod(g, _sub_mod(_pow_mod(_trim(a), e, g, p), [1], p), p)
         if 1 < len(h) < len(g):
             return _equal_degree(h, d, p) + _equal_degree(_divmod_monic(g, h, p)[0], d, p)
+    raise AssertionError(f"g = {g} (low -> high) mod p = {p} did not split into factors "
+                         f"of degree d = {d} in {_SPLIT_TRIALS} trials")
 
 
 def _bezout(g, h, p: int):

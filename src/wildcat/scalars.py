@@ -120,6 +120,16 @@ def inverse_numerators(m: int, num) -> tuple:
     return (y, prev) if prev > 0 else ([-c for c in y], -prev)
 
 
+def conjugate_numerators(m: int, num, k: int) -> tuple:
+    """The numerators of the image of the element with numerators num under
+    zeta_m -> zeta_m^k, k prime to m: a unimodular integer map, so the
+    image's numerators have num's content."""
+    out = [0] * m
+    for j, x in enumerate(num):
+        out[j * k % m] += x
+    return _reduce(out, m)
+
+
 def _canonical(m: int, num: tuple, den: int) -> "Scalar":
     """The Scalar num/den, dividing out the common gcd (den > 0)."""
     if den != 1:
@@ -272,13 +282,6 @@ class Scalar:
         return _canonical(self.m, _reduce(prod, self.m), self.den * b.den)
 
     __rmul__ = __mul__
-
-    def conjugate(self, k: int) -> "Scalar":
-        """The image under the automorphism zeta_m -> zeta_m^k, k prime to m."""
-        out = [0] * self.m
-        for j, x in enumerate(self.num):
-            out[j * k % self.m] += x
-        return _canonical(self.m, _reduce(out, self.m), self.den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():

@@ -28,7 +28,7 @@ from wildcat.algebra import (
 )
 from wildcat.linalg import Matrix, Subspace, _int_row, kernel, linear_solve
 from wildcat.modular import _modulus, _prime_and_root, factor_integer
-from wildcat.scalars import Scalar, euler_phi
+from wildcat.scalars import Scalar, conjugate_numerators, euler_phi
 
 from oracles import (
     ScalarEchelon,
@@ -561,7 +561,7 @@ def factor_products(draw, m):
             more = [f, f]
         elif kind == "with a conjugate" and units:
             k = draw(st.sampled_from(units))
-            more = [f, [c.conjugate(k) for c in f]]
+            more = [f, [Scalar(m, conjugate_numerators(m, c.num, k), c.den) for c in f]]
         else:
             more = [f]
         if sum(len(g) - 1 for g in factors + more) > 6:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wildcat import scalars
 from wildcat.engine import is_stable
 from wildcat.instances import (
     InstanceError,
@@ -9,8 +10,8 @@ from wildcat.instances import (
     parse_instance_data,
     render_instance,
 )
-from wildcat.linalg import Matrix
-from wildcat.stokes import build_scaffold, random_candidate
+from wildcat.linalg import Grading, Matrix
+from wildcat.stokes import build_scaffold, exponential_torus_grading, random_candidate
 
 MINIMAL_TUPLE = {
     "field": 1,
@@ -92,16 +93,107 @@ def test_parse_ranks_each_matrix_once_and_names_a_singular_one(monkeypatch):
                       {"matrix": [["0", "1"], ["1", "0"]], "inner": inner, "outer": "sigma"}]}}
 
     good, singular = [["2", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]
-    ranked = []
-    real = Matrix.is_invertible
+    ranked, ranks = [], []
+    real, real_rank = Matrix.is_invertible, Matrix.rank
     monkeypatch.setattr(Matrix, "is_invertible", lambda self: ranked.append(self) or real(self))
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or real_rank(self))
     parse_instance_data(doc(good, good))
     assert len(ranked) == 4  # the connector, two loops, one inner part; the identity is not ranked
+    assert ranks == ranked   # nor are the two gradings, whose rows are the identity
     for bad, where in ((doc(singular, good), "tuple.connectors[0]"),
                        (doc(good, singular), "tuple.loops[1].inner")):
         with pytest.raises(InstanceError) as err:
             parse_instance_data(bad)
         assert err.value.errors == [f"{where}: matrix declared invertible is singular"]
+    # a bad scalar is reported at each of its paths, in document order
+    with pytest.raises(InstanceError) as err:
+        parse_instance_data(doc([["x", "1"], ["1", "x"]], [["2", "0.5"], ["1/0", "1/0"]]))
+    bad_x = "bad scalar: not an integer, fraction or plain decimal: 'x'"
+    assert err.value.errors == [
+        f"tuple.connectors[0][0][0]: {bad_x}",
+        f"tuple.connectors[0][1][1]: {bad_x}",
+        "tuple.loops[1].inner[1][0]: bad scalar: zero denominator: '1/0'",
+        "tuple.loops[1].inner[1][1]: bad scalar: zero denominator: '1/0'"]
+
+
+def test_bad_scalars_are_reported_at_every_path():
+    # repeats of one bad encoding, in a basis, matrices and coefficient
+    # vectors, each keep their own error, in document order
+    doc = {"field": 5, "mode": "tuple", "tuple": {
+        "n": 1, "gradings": [[{"weight": [], "basis": [[0.5]]}]],
+        "loops": [{"matrix": [[0.5]]}, {"matrix": [[["1", "x"]]]}, {"matrix": [[["1", "x"]]]}]}}
+    with pytest.raises(InstanceError) as err:
+        parse_instance_data(doc)
+    floats = "floats are not allowed; write exact rationals as strings"
+    bad_x = "bad scalar: not an integer, fraction or plain decimal: 'x'"
+    assert err.value.errors == [f"tuple.gradings[0][0].basis[0][0]: {floats}",
+                                f"tuple.loops[0].matrix[0][0]: {floats}",
+                                f"tuple.loops[1].matrix[0][0]: {bad_x}",
+                                f"tuple.loops[2].matrix[0][0]: {bad_x}"]
+    stokes = {"mode": "stokes", "stokes": {"n": 2, "punctures": [{"circles": [
+        {"ram": 2, "coeffs": [[3, "x"], [1, "x"]]}]}]}}
+    with pytest.raises(InstanceError) as err:
+        parse_instance_data(stokes)
+    assert err.value.errors == [f"stokes.punctures[0].circles[0].coeffs[0][1]: {bad_x}",
+                                f"stokes.punctures[0].circles[0].coeffs[1][1]: {bad_x}"]
+
+
+def test_a_parsed_one_does_not_admit_true():
+    # true == 1 in Python, but only 1 parses: the memo tells the types apart
+    for field, one, true in ((1, 1, True), (5, [1], [True]), (5, ["1", 1], ["1", True])):
+        doc = {"field": field, "mode": "tuple", "tuple": {
+            "n": 1, "loops": [{"matrix": [[one]]}, {"matrix": [[true]]}]}}
+        with pytest.raises(InstanceError) as err:
+            parse_instance_data(doc)
+        assert err.value.errors == ["tuple.loops[1].matrix[0][0]: bad scalar: "
+                                    "not an integer, fraction or plain decimal: 'True'"]
+
+
+def test_texts_land_in_the_field_they_are_parsed_under():
+    # within a document: the circle coefficient "1" is read over the declared
+    # Q, the candidate's "1" over the conductor the surface lifts it to
+    data = dict(STOKES_KATZ, candidate={"h1": [["1", "0"], ["0", "1"]]})
+    inst = parse_instance_data(data)
+    assert inst.conductor == 2
+    assert {x.m for x in inst.candidate["h1"].entries} == {2}
+    # across documents: the same texts under another field, in a new reader
+    parse_instance_data(MINIMAL_TUPLE)
+    inst = parse_instance_data(dict(MINIMAL_TUPLE, field=5))
+    assert {x.m for x in inst.point.loops[0].g.entries} == {5}
+    assert inst.point.loops[0].g == Matrix.build([[1, 1], [0, 1]], 5)
+
+
+def test_each_distinct_text_is_parsed_once(monkeypatch):
+    texts = []
+    real = scalars._parse_rational
+    monkeypatch.setattr(scalars, "_parse_rational", lambda data: texts.append(data) or real(data))
+    doc = {"mode": "tuple", "tuple": {
+        "n": 3, "connectors": [[["1", "2", "0"], ["0", "1", "0"], ["0", "2", "1"]]],
+        "gradings": [[{"weight": [k], "basis": [row]} for k, row in
+                      enumerate([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])],
+                     [{"weight": [], "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}]],
+        "loops": [{"matrix": [["1", "1", "0"], ["0", "1", "-1/2"], ["0", "0", "1"]]}]}}
+    parse_instance_data(doc)
+    assert sorted(texts) == ["-1/2", "0", "1", "2"]
+
+
+def test_gradings_of_identity_rows_are_not_ranked(monkeypatch):
+    ranks = []
+    real = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or real(self))
+    e = Matrix.identity(3)
+    assert Grading.trivial(3).is_trivial()
+    Grading(3, [((k,), [e.row(k)]) for k in range(3)])              # a coordinate torus
+    sc = build_scaffold(parse_instance_data(STOKES_KATZ).surface)
+    for pd in sc.punctures:                                           # the sheet gradings
+        exponential_torus_grading(pd.sheets, sc.n, sc.conductor)
+    assert ranks == []
+    Grading(3, [((k,), [e.row(i)]) for k, i in enumerate((1, 0, 2))])  # permuted: ranked
+    assert len(ranks) == 1
+    with pytest.raises(ValueError, match="not jointly independent"):
+        Grading(2, [((0,), [(1, 1)]), ((1,), [(2, 2)])])
+    assert len(ranks) == 2
+    assert e.inverse() is e
 
 
 def test_each_inner_part_is_ranked_once_from_parse_to_verdict(monkeypatch):

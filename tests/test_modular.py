@@ -18,6 +18,7 @@ from wildcat.linalg import IntRows, Matrix, _int_row, kernel, sandwich_rows
 from wildcat.modular import (
     _EchelonModP,
     _distinct_degree,
+    _equal_degree,
     _gcd_integer,
     _gcd_mod,
     _image_map,
@@ -398,6 +399,13 @@ class TestFactorInteger:
         f = [0, 0, 4, 0, 1]
         assert factor_integer(f) == (1, [([0, 1], 2), ([4, 0, 1], 1)])
         assert factor_integer(f) == oracles.factor_integer_reference(f)
+
+    def test_equal_degree_fails_on_a_g_it_cannot_split(self):
+        # x^2 + 1 is irreducible mod 3, so no trial splits it into linear
+        # factors: a fault of the caller must fail, not hang
+        with pytest.raises(AssertionError, match=r"\[1, 0, 1\].* p = 3 .* d = 1 "):
+            _equal_degree([1, 0, 1], 1, 3)
+        assert _equal_degree([2, 0, 1], 1, 3) == [[1, 1], [2, 1]]   # (x + 1)(x + 2)
 
     def test_content_and_constants(self):
         assert factor_integer([-6]) == (-6, [])
