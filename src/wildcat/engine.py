@@ -34,7 +34,9 @@ A non-polystable or sigma-twisted point is left: the kernel of the
 stabilizer rows modulo a word-size prime (``modular.kernel_dim_mod_p``)
 bounds the dimension from above (the rows are integer, so no denominator
 stops it), and when it meets the kernel dimension that is the answer; else
-the same rows are solved exactly.
+the same rows are solved by ``linalg.kernel``, modulo primes and lifted,
+with the lifted basis checked exactly against the rows.  Every system here,
+E included, is solved that way.
 ``is_polystable`` normalizes the point and builds its generators once (never
 none); the later steps read its report.
 """
@@ -85,6 +87,17 @@ class SingularMatrixError(ValueError):
         self.where = where
 
 
+def _invert(g: Matrix, where: str):
+    """Check that g is invertible by inverting it: the inverse is kept on g
+    (``Matrix.inverse``), so the later inversions of g that a connector and
+    a sigma-twisted loop need (``galois_generators``, ``embed_doubled``)
+    cost no elimination.  SingularMatrixError(where) otherwise."""
+    try:
+        g.inverse()
+    except ValueError:
+        raise SingularMatrixError(where) from None
+
+
 @dataclass
 class FramedPoint:
     n: int
@@ -103,12 +116,13 @@ class FramedPoint:
         for i, c in enumerate(self.connectors):
             if c.rows != self.n or c.cols != self.n:
                 raise ValueError("connector size mismatch")
-            if not c.is_invertible():
-                raise SingularMatrixError(f"connectors[{i}]")
+            _invert(c, f"connectors[{i}]")
         for i, x in enumerate(self.loops):
             if x.n != self.n:
                 raise ValueError("loop size mismatch")
-            if not x.g.is_invertible():
+            if x.phi.outer:
+                _invert(x.g, f"loops[{i}].matrix")
+            elif not x.g.is_invertible():
                 raise SingularMatrixError(f"loops[{i}].matrix")
             if not (x.phi.is_inner_trivial() or x.phi.inner.is_invertible()):
                 raise SingularMatrixError(f"loops[{i}].inner")
@@ -200,7 +214,8 @@ def galois_generators(p: FramedPoint):
     ``invariant_complement`` system, built on the commutant's echelon basis;
     modulo a prime an eigenvalue collision can only make
     ``_spans_full_mod_p`` say False or ``kernel_dim_mod_p`` over-bound, and
-    the exact routes settle both.  Only the MeatAxe's kernel candidates,
+    the exact routes settle both (the spin, and a kernel whose lifted basis
+    is checked exactly).  Only the MeatAxe's kernel candidates,
     read off the generators, can differ: they may change which first split
     is found, not the Levi blocks where these are unique.
 
@@ -285,8 +300,9 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
 
 
 def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
-    """Dimension of the linearized stabilizer, by an exact solve of its rows
-    (built from ``galois_generators`` unless the caller built them already)."""
+    """Dimension of the linearized stabilizer: that of the kernel of its
+    rows (``linalg.kernel``, lifted from primes and checked exactly), built
+    from ``galois_generators`` unless the caller built them already."""
     if rows is None:
         pn = normalize_point(p)
         rows = _stabilizer_rows(pn, galois_generators(pn))

@@ -4,12 +4,28 @@ Everything is canonical: reduced row-echelon forms are unique, so equality of
 subspaces is equality of representations.  Vectors are tuples of Scalar and
 matrices act on column vectors.
 
-There is one elimination kernel, the incremental echelon ``_EchelonSet``:
-``kernel``, ``linear_solve``, ``Matrix.inverse``, ``Subspace`` and the
-algebra spinning all run on it.  It keeps each row as integers, the
+There is one exact elimination, the incremental echelon ``_EchelonSet``:
+the algebra spinning, ``Matrix.inverse`` and ranks, ``Subspace`` and
+``linear_solve`` run on it.  It keeps each row as integers, the
 power-basis numerators of its entries over one denominator per row, so
 eliminating a row is integer arithmetic, not one Scalar operation per
-entry; Scalars are made only for the rows or blocks a caller reads.
+entry; Scalars are made only for the rows or blocks a caller reads.  Over
+Q(zeta_m) a step whose multiplier f is not rational forms f row as
+sum f_j (zeta^j row), from shifts of the row made on its first such step
+and kept until the row changes (``_shifts``), in flat list passes, with no
+multiplication table per step.
+
+``kernel`` does not eliminate exactly.  Every null space the package needs
+(the commutant, the complement, the radical, the minimal polynomial, the
+split, the stabilizer and the Stokes solve) is solved modulo primes, its
+reduced echelon basis lifted by the Chinese remainder theorem and rational
+reconstruction (``modular.lift_kernel``), and the lifted basis is accepted
+only when the integer rows kill each vector exactly.  The rank mod p is at
+most the exact rank, so such a basis is the unique reduced echelon basis
+of the kernel: the bytes are those of an exact elimination, which
+``tests/oracles.py`` keeps as the reference.  ``linear_solve`` stays exact:
+its one caller, the Stokes sampler's greedy factor, solves sheet blocks of
+at most 3 x 3.
 
 The echelon removes a row's content by one rule on every field
 (``_eliminate``, after Bareiss, "Sylvester's identity and multistep
@@ -27,8 +43,8 @@ of the left factor over its row lcm and each column of the right factor
 over its column lcm, so an entry is one integer dot product (phi(m) of
 them) and one gcd.  Linear conditions of the form X -> sum L.X.R are
 turned into integer coefficient rows over one denominator by
-``sandwich_rows`` alone, and ``kernel`` and ``linear_solve`` eliminate
-them as they are (``IntRows``).  Block matrices (the doubled realisation,
+``sandwich_rows`` alone, and ``kernel`` and ``linear_solve`` take them as
+they are (``IntRows``).  Block matrices (the doubled realisation,
 block-supported samples) are written with ``Matrix.place``.
 
 Stokes data carry the identity everywhere: a Stokes matrix is I plus
@@ -50,11 +66,20 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .scalars import Scalar, _canonical, euler_phi, inverse_numerators, multiplication_matrix
+from .modular import lift_kernel
+from .scalars import (
+    Scalar,
+    _canonical,
+    _reduction_terms,
+    euler_phi,
+    inverse_numerators,
+    multiplication_matrix,
+)
 
 
 def _coerce_scalar(x, m: int = 1) -> Scalar:
@@ -112,7 +137,24 @@ def _times(table: list, v: list, s: int, phi: int) -> list:
     return [sum(map(mul, tc, v[t:t + phi])) for t in range(s, len(v), phi) for tc in table]
 
 
-def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
+def _shifts(row: list, m: int, phi: int) -> list:
+    """zeta^j row for j < phi = phi(m), each flattened as row is: zeta times
+    an entry moves its numerators up one place and folds the top one back
+    by Phi_m, in flat list passes."""
+    out, terms = [row], _reduction_terms(m)
+    for _ in range(phi - 1):
+        prev = out[-1]
+        tops = prev[phi - 1::phi]
+        nxt = [0] * len(prev)
+        for c in range(1, phi):
+            nxt[c::phi] = prev[c - 1::phi]
+        for j, cj in terms:
+            nxt[j::phi] = [x - cj * t for x, t in zip(nxt[j::phi], tops)]
+        out.append(nxt)
+    return out
+
+
+def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int, shifts=None):
     """v/dv - f row/dr, where row/dr has pivot entry 1 at numerator s and f
     is the entry of v/dv there: d v - f row on ints, with multiplier d = dr
     over the gcd of dr and f's numerators.  A step with d = 1 returns v's
@@ -120,7 +162,9 @@ def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
     one with d > 1 scales them by d and divides the content out at once, so
     the row's growth stays that of one step.  Whoever holds the row last
     takes its one remaining gcd (``_normalized``, ``_reduce_rows``).  A
-    rational f (always, over Q) scales row's numerators by one int."""
+    rational f (always, over Q) scales row's numerators by one int; any
+    other f is sum f_j (zeta^j row), from ``shifts`` (``_shifts`` of row,
+    made here when the caller keeps none)."""
     if not any(v[s + 1:s + phi]):
         g = gcd(dr, v[s])
         d, b = dr // g, v[s] // g
@@ -131,7 +175,12 @@ def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int):
         f = v[s:s + phi]
         g = gcd(dr, *f)
         d = dr // g
-        fy = _times(multiplication_matrix(m, [x // g for x in f]), row, s, phi)
+        fy = None
+        for fj, shifted in zip(f, shifts or _shifts(row, m, phi)):
+            if fj:
+                fj //= g
+                fy = [fj * y for y in shifted[s:]] if fy is None else \
+                    [z + fj * y for z, y in zip(fy, shifted[s:])]
         if d == 1:
             return v[:s] + [x - y for x, y in zip(v[s:], fy)], dv
         tail = [d * x - y for x, y in zip(v[s:], fy)]
@@ -176,10 +225,22 @@ class _EchelonSet:
         self.pivots = []            # pivot column per row
         self._nums = []             # integer echelon rows, pivot order
         self._dens = []
+        self._shifted = []          # per row, its ``_shifts`` once a step needs them, or None
         self._reduced = True        # zero at every other row's pivot
         self._rows = None           # Scalar rows, made on read
         for row in rows:
             self.add(row)
+
+    @staticmethod
+    def reduced(width: int, m: int, rows) -> "_EchelonSet":
+        """The echelon of canonical reduced rows, (pivot, numerators,
+        denominator) by pivot, as ``insert`` would keep them."""
+        ech = _EchelonSet(width)
+        if rows:
+            ech.m, ech.phi = m, euler_phi(m)
+            ech.pivots, ech._nums, ech._dens = (list(column) for column in zip(*rows))
+            ech._shifted = [None] * len(rows)
+        return ech
 
     def _field(self, vec):
         """(m, phi(m)) of the echelon, else of the vector's Scalars, else of Q."""
@@ -193,11 +254,21 @@ class _EchelonSet:
         content the unscaled steps left: ``insert`` hands it to
         ``_normalized``, whose gcd is the row's one, and ``contains`` only
         asks whether it is zero."""
-        for row, dr, piv in zip(self._nums, self._dens, self.pivots):
+        for i, (row, dr, piv) in enumerate(zip(self._nums, self._dens, self.pivots)):
             s = piv * phi
             if v[s] if phi == 1 else any(v[s:s + phi]):
-                v, dv = _eliminate(v, dv, row, dr, s, phi, m)
+                v, dv = _eliminate(v, dv, row, dr, s, phi, m,
+                                   self._shifts_of(i, v, s) if phi > 1 else None)
         return v, dv
+
+    def _shifts_of(self, i: int, v: list, s: int) -> Optional[list]:
+        """Row i's ``_shifts`` when v's entry at numerator s is not rational,
+        made on the first such step and kept until the row changes; else None."""
+        if not any(v[s + 1:s + self.phi]):
+            return None
+        if self._shifted[i] is None:
+            self._shifted[i] = _shifts(self._nums[i], self.m, self.phi)
+        return self._shifted[i]
 
     def insert(self, nums: list, m: int) -> Optional[list]:
         """Insert the vector with these integer numerators (any nonzero
@@ -219,6 +290,7 @@ class _EchelonSet:
         at = bisect(self.pivots, piv)
         self._nums.insert(at, row)
         self._dens.insert(at, den)
+        self._shifted.insert(at, None)
         self.pivots.insert(at, piv)
         self._reduced = self.dim == 1
         self._rows = None
@@ -236,10 +308,12 @@ class _EchelonSet:
             for j in range(i + 1, len(nums)):
                 s = self.pivots[j] * phi
                 if r[s] if phi == 1 else any(r[s:s + phi]):
-                    r, d = _eliminate(r, d, nums[j], dens[j], s, phi, self.m)
+                    r, d = _eliminate(r, d, nums[j], dens[j], s, phi, self.m,
+                                      self._shifts_of(j, r, s) if phi > 1 else None)
             if r is not nums[i]:
                 g = gcd(d, *r)
                 r, d = [x // g for x in r], d // g
+                self._shifted[i] = None
             nums[i], dens[i] = r, d
         self._reduced = True
 
@@ -312,12 +386,13 @@ def _left_product(action: list, e: list, cols: int, phi: int) -> list:
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_inverse")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
         self.rows = rows
         self.cols = cols
         self.entries = entries  # row-major tuple of Scalar
+        self._inverse = None    # set by ``inverse``
 
     # -- constructors ------------------------------------------------------
 
@@ -500,9 +575,13 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
-        """The inverse; the identity is its own (module docstring)."""
+        """The inverse; the identity is its own (module docstring).  It is
+        kept on the matrix, and points back to it, so each matrix is
+        eliminated once however often it is inverted."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
+        if self._inverse is not None:
+            return self._inverse
         if self.is_identity():
             return self
         n, m = self.rows, self._conductor()
@@ -515,7 +594,9 @@ class Matrix:
             ech.insert(nums + unit, m)
         if ech.pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(n, n, tuple(x for i in range(n) for x in ech.block(i, n, 2 * n)))
+        inv = Matrix(n, n, tuple(x for i in range(n) for x in ech.block(i, n, 2 * n)))
+        self._inverse, inv._inverse = inv, self
+        return inv
 
     def __repr__(self):
         return "Matrix(" + "; ".join(
@@ -533,8 +614,8 @@ class IntRows(NamedTuple):
     """A linear system over Q(zeta_m) as integer rows in the ``_int_row``
     layout (phi(m) numerators per unknown, ``width`` unknowns).  Each row
     stands for any nonzero multiple of itself, so only the span is read:
-    ``kernel`` and ``linear_solve`` take it in place of a Matrix and insert
-    the rows into their echelon as they are."""
+    ``kernel`` and ``linear_solve`` take it in place of a Matrix and use
+    the rows as they are."""
     nums: list
     width: int
     m: int
@@ -700,26 +781,25 @@ def _system(a):
 
 def kernel(a) -> Subspace:
     """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
-    Subspace of K^width: per free column f of a's echelon form, e_f less the
-    rows' entries at f placed at their pivots, built on integer rows."""
+    Subspace of K^width: its reduced echelon basis, solved modulo primes and
+    lifted (``modular.lift_kernel``), and accepted only when a's integer
+    rows, on their nonzero numerators, kill every lifted vector exactly,
+    through the integer matrix of multiplication by it (``_row_action``)."""
     n, m, rows = _system(a)
     phi = euler_phi(m)
-    ech = _EchelonSet(n)
-    for r, _ in rows:
-        ech.insert(r, m)
-    ech._reduce_rows()
-    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots)]
-    out = _EchelonSet(n)
-    for f in sorted(set(range(n)) - set(ech.pivots)):
-        t = f * phi
-        hits = [(r[t:t + phi], d, s) for r, d, s in rows if any(r[t:t + phi])]
-        den = lcm(*[d for _, d, _ in hits])
-        v = [0] * (n * phi)
-        v[t] = den
-        for x, d, s in hits:
-            v[s:s + phi] = [-c * (den // d) for c in x]
-        out.insert(v, m)
-    return Subspace(out)
+    rows = [(r, d) for r, d in rows if any(r)]
+
+    def kills(basis) -> bool:
+        sparse = [(list(compress(range(len(r)), r)), list(compress(r, r))) for r, _ in rows]
+        for _, nums, _ in basis:
+            gets = [tc.__getitem__ for tc in _row_action(nums, m, phi)]
+            for at, vals in sparse:
+                for get in gets:
+                    if sum(map(mul, vals, map(get, at))):
+                        return False
+        return True
+
+    return Subspace(_EchelonSet.reduced(n, m, lift_kernel(rows, n, m, kills)))
 
 
 def linear_solve(a, b: Matrix) -> Optional[Matrix]:

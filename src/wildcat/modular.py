@@ -1,5 +1,5 @@
 """Arithmetic modulo a prime: one prime search, one image map, one echelon,
-and factoring over Z.
+one null space, the lifted kernel, and factoring over Z.
 
 The modular certificates map Q(zeta_m) to F_p for a prime p = 1 (mod m):
 with r a root of the m-th cyclotomic polynomial mod p, zeta_m -> r is a
@@ -7,7 +7,19 @@ ring map from Z_(p)[zeta_m] (coefficients with denominators prime to p) onto
 F_p.  Norton's test (``algebra._spans_full_mod_p``) works at a small prime,
 the kernel bound ``kernel_dim_mod_p`` at the word-size prime of
 ``_modulus``; both find their prime with ``_prime_and_root``, map rows with
-``_image_map`` and eliminate with ``_EchelonModP``.
+``_image_map`` and eliminate with ``_EchelonModP``.  Every null space mod p
+(Norton's null lines, the kernel bound, the lifted kernel) is read off one
+routine, ``null_space_mod_p``, which stops once the rank is full.
+
+The lifted kernel (``lift_kernel``, behind ``linalg.kernel``) solves a
+system over Q(zeta_m) exactly from its images: at primes p = 1 (mod m) from
+2^31 down, under each of the phi(m) maps zeta_m -> r^k, it takes the
+reduced echelon basis of the null space mod p, recovers each entry's
+power-basis numerators mod p through the inverse Vandermonde matrix of the
+roots, combines the primes that agree on the pivots by the Chinese
+remainder theorem (Cabay, "Exact solution of linear equations", SYMSAM
+1971), and reconstructs each vector over one denominator (Wang, SYMSAC
+1981).  It returns a basis only once the integer rows kill it exactly.
 
 The echelon works on packed rows: a vector over F_p of width W is one Python
 int of W fixed-width slots, each of k 64-bit words (``_pack``), so adding a
@@ -15,9 +27,9 @@ multiple of a row is one big-int ``vec += c * row``.  Slots are never
 reduced during elimination; they start at most p-1 (a residue) and grow by
 at most (p-1)^2 per elimination step, of which there are at most W, and
 ``_slot_words`` picks k so that p - 1 + W (p-1)^2 fits.  A vector is reduced
-mod p once, by one ``array('Q')`` unpack, after its elimination: it is
-dependent exactly when every slot is 0 mod p.  At Norton's small prime a
-slot is one word.  ``tests/oracles.py`` keeps list-based routes mod p,
+mod p once, its bytes read in place as 64-bit words, after its elimination:
+it is dependent exactly when every slot is 0 mod p.  At Norton's small
+prime a slot is one word.  ``tests/oracles.py`` keeps list-based routes mod p,
 reduced at every step, as references: the echelon, the kernel bound, and a
 spin of N^2 words that answers the certificate's question at p.
 
@@ -101,6 +113,7 @@ def _modulus(m: int):
     return _prime_and_root(m, _MODULUS_BOUND, False)
 
 
+@lru_cache(maxsize=None)
 def _image_map(p: int, r: int, phi: int):
     """The ring map zeta_m -> r into F_p, phi = phi(m), on rows in the
     ``_int_row`` layout: ``image(nums, den)`` gives the residues of the
@@ -123,6 +136,7 @@ def _image_map(p: int, r: int, phi: int):
     return image
 
 
+@lru_cache(maxsize=None)
 def _slot_words(width: int, p: int) -> int:
     """64-bit words per slot of a packed row of ``width`` slots that starts
     with slots <= p - 1 (a residue) and then takes up to ``width``
@@ -141,16 +155,16 @@ def _pack(values, k: int) -> int:
 
 
 def _residues(vec: int, count: int, k: int, p: int) -> list:
-    """The count k-word slots of vec, each reduced mod p."""
-    words = array("Q", vec.to_bytes(8 * k * count, "little"))
+    """The count k-word slots of vec, each reduced mod p: its bytes in
+    native order read in place as 64-bit words, lowest first."""
+    words = memoryview(vec.to_bytes(8 * k * count, sys.byteorder)).cast("Q")
     if _BIG_ENDIAN:
-        words.byteswap()
+        words = words[::-1]
     if k == 1:
         return [x % p for x in words]
-    c = pow(2, 64, p)
     slots = words[k - 1::k]
     for t in range(k - 2, -1, -1):   # Horner in 2^64
-        slots = [(s * c + w) % p for s, w in zip(slots, words[t::k])]
+        slots = [(s << 64 | w) % p for s, w in zip(slots, words[t::k])]
     return slots
 
 
@@ -179,30 +193,51 @@ class _EchelonModP:
             if f:
                 packed += (p - f) * row
         res = _residues(packed, self.width, k, p)
-        piv = next((j for j, x in enumerate(res) if x), None)
-        if piv is None:
+        lead = next(filter(None, res), 0)   # the first nonzero residue
+        if not lead:
             return None
-        inv = pow(res[piv], -1, p)
+        piv, inv = res.index(lead), pow(lead, -1, p)
         row = [x * inv % p for x in res]
         insort(self._packed, (64 * k * piv, _pack(row, k)))
         insort(self.rows, (piv, row))
         return row
 
 
+def null_space_mod_p(rows, width: int, p: int, rank: Optional[int] = None) -> list:
+    """The null space over F_p of the rows (ints, any representatives, an
+    iterable read only as far as needed), as (f, v) per free column f of
+    their echelon form, f ascending: v is 1 at f, 0 at the other free
+    columns, and its entries at the pivots follow by back substitution, so
+    v is the one null vector with those free entries.  The rows are read
+    until their rank reaches ``rank`` (default the width; [] when the rank
+    is full), so the null space is that of the rows read."""
+    ech = _EchelonModP(p, width)
+    rank = width if rank is None else rank
+    for row in rows:
+        if len(ech.rows) == rank:
+            break
+        ech.insert(row)
+    if len(ech.rows) == width:
+        return []
+    pivots = {piv for piv, _ in ech.rows}
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [0] * width
+        v[f] = 1
+        for piv, row in reversed(ech.rows):   # pivots high -> low; v is 0 past f
+            if piv < f:
+                v[piv] = -sum(map(mul, row[piv + 1:f + 1], v[piv + 1:f + 1])) % p
+        out.append((f, v))
+    return out
+
+
 def _null_line(rows, n: int, q: int) -> Optional[list]:
     """A vector spanning the null space of the n x n matrix with these rows
     over F_q, or None if that null space is not a line."""
-    ech = _EchelonModP(q, n)
-    for row in rows:
-        ech.insert(row)
-    if len(ech.rows) != n - 1:
-        return None
-    pivots = {piv for piv, _ in ech.rows}
-    v = [0] * n
-    v[next(j for j in range(n) if j not in pivots)] = 1
-    for piv, row in reversed(ech.rows):   # back substitution, pivots high -> low
-        v[piv] = -sum(map(mul, row[piv + 1:], v[piv + 1:])) % q
-    return v
+    basis = null_space_mod_p(rows, n, q)
+    return basis[0][1] if len(basis) == 1 else None
 
 
 def _charpoly_mod(a, q: int) -> list:
@@ -262,13 +297,156 @@ def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     are eliminated until the echelon is full, when the kernel mod p is 0.
     """
     p, r = _modulus(m)
-    ech = _EchelonModP(p, width)
     image = _image_map(p, r, len(rows[0]) // width if rows else 1)
-    for row in rows:
-        if len(ech.rows) == width:
-            break
-        ech.insert(image(row, 1))
-    return width - len(ech.rows)
+    return len(null_space_mod_p((image(row, 1) for row in rows), width, p))
+
+
+@lru_cache(maxsize=None)
+def _units(m: int) -> tuple:
+    """The k in 1..m prime to m (k = 1 when m is 1 or 2): phi(m) of them,
+    one ring map zeta_m -> r^k per k."""
+    return tuple(k for k in range(1, max(m, 2)) if gcd(k, m) == 1)
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_inverse(p: int, roots: tuple) -> list:
+    """The inverse mod p of the matrix with row (rho^0, rho^1, ...) per
+    root rho, by Gauss-Jordan elimination: row j of it, dotted with the
+    images of an element under zeta -> rho, gives its numerator j mod p."""
+    k = len(roots)
+    a = [[pow(rho, j, p) for j in range(k)] + [int(i == j) for j in range(k)]
+         for i, rho in enumerate(roots)]
+    for c in range(k):
+        piv = next(i for i in range(c, k) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        inv = pow(a[c][c], -1, p)
+        a[c] = [x * inv % p for x in a[c]]
+        for i in range(k):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return [row[k:] for row in a]
+
+
+def _rational(u: int, modulus: int, bound: int) -> Optional[tuple]:
+    """(a, b) with a = b u (mod modulus), |a| <= bound and 0 < b <= bound,
+    by the extended Euclidean algorithm stopped halfway, or None (Wang, "A
+    p-adic algorithm for univariate partial fractions", SYMSAC 1981)."""
+    r0, r1, s0, s1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _reconstruct(values, modulus: int) -> Optional[tuple]:
+    """(nums, den): integers over one positive denominator with no common
+    factor, nums / den = values (mod modulus), each at most sqrt(modulus /
+    2) in size, or None.  The denominator grows only where the values times
+    the one found so far are not small already."""
+    bound, half = isqrt(modulus >> 1), modulus >> 1
+    den, nums = 1, []
+    for x in values:
+        a = x * den % modulus
+        if a > half:
+            a -= modulus
+        if abs(a) > bound:
+            frac = _rational(a, modulus, bound)
+            if frac is None:
+                return None
+            a, b = frac
+            den *= b
+            if den > bound:
+                return None
+            nums = [y * b for y in nums]
+        nums.append(a)
+    g = gcd(den, *nums)
+    return [y // g for y in nums], den // g
+
+
+def lift_kernel(rows, width: int, m: int, kills) -> list:
+    """The reduced echelon basis over Q(zeta_m) of the null space of the
+    rows ((numerators, denominator) pairs in the ``_int_row`` layout, none
+    zero), as (pivot, numerators, denominator) per vector, pivots
+    ascending: each over one positive denominator with no common factor,
+    numerators (den, 0, ...) at its pivot and zeros at the other pivots.
+
+    The primes p = 1 (mod m) are walked down from ``_MODULUS_BOUND``
+    (``_prime_and_root``); a prime that divides a row denominator is
+    skipped.  At each, the rows are mapped by each of the phi(m) ring maps
+    zeta_m -> r^k, k prime to m (``_image_map``), and the null space of
+    each image is taken with its columns reversed (``null_space_mod_p``;
+    the maps after the first read rows only until they reach its rank):
+    the vector of a free column f is then 1 at f, 0 at the other free
+    columns and nonzero elsewhere only at pivots before f, so reversed back
+    the vectors are the reduced echelon basis of the image's null space.
+    The images of each entry under the phi(m) maps give its power-basis
+    numerators mod p (``_vandermonde_inverse``).
+
+    The rank mod p is at most the rank over the field, and a prime that
+    keeps the rank and divides no denominator of the reduced basis maps it
+    onto the reduced basis mod p.  A prime that does either gives a longer
+    basis, or pivots that are later one by one, so its (dimension,
+    pivots) key is larger.  At a good prime every map has the rank over
+    the field, so the rows read up to that rank span the image of the row
+    space; a map that stops short disagrees, and the prime is skipped.
+    The primes with the smallest key seen are combined by the Chinese
+    remainder theorem and each vector is reconstructed over one
+    denominator (``_reconstruct``); a smaller key starts again.  A
+    candidate is returned when ``kills(candidate)``, the exact check that
+    the rows kill every vector: it has the reduced echelon shape, so its
+    vectors are independent, and there are at least as many as the null
+    space's dimension, so they are its reduced echelon basis.  A full rank
+    mod p proves the null space 0 at once.  Only finitely many primes are
+    bad, and the modulus grows past any fixed basis, so the walk ends.
+    """
+    exps = _units(m)
+    key = values = modulus = None
+    p = _MODULUS_BOUND
+    while True:
+        p, r = _prime_and_root(m, p, False)
+        if any(den % p == 0 for _, den in rows):
+            continue
+        keys, images, rank = set(), [], None
+        for k in exps:
+            image = _image_map(p, pow(r, k, p), len(exps))
+            basis = null_space_mod_p((image(nums, den)[::-1] for nums, den in rows),
+                                     width, p, rank)
+            if not basis:
+                return []
+            rank = width - len(basis)   # the other maps stop at the first one's rank
+            keys.add(tuple(width - 1 - f for f, _ in reversed(basis)))
+            images.append([v[::-1] for _, v in reversed(basis)])
+        if len(keys) > 1:
+            continue   # a bad prime for some of the maps
+        pivots = keys.pop()
+        if len(exps) == 1:
+            new = images[0]
+        else:
+            inv = _vandermonde_inverse(p, tuple(pow(r, k, p) for k in exps))
+            new = [[sum(map(mul, line, entry)) % p for entry in zip(*vecs) for line in inv]
+                   for vecs in zip(*images)]
+        if key is None or (len(pivots), pivots) < key:
+            key, values, modulus = (len(pivots), pivots), new, p
+        elif (len(pivots), pivots) == key:
+            inv = pow(modulus, -1, p)
+            values = [[x + modulus * ((y - x) * inv % p) for x, y in zip(xs, ys)]
+                      for xs, ys in zip(values, new)]
+            modulus *= p
+        else:
+            continue
+        lifted = []
+        for xs in values:
+            vec = _reconstruct(xs, modulus)
+            if vec is None:
+                break
+            lifted.append(vec)
+        else:
+            candidate = [(piv, nums, den) for piv, (nums, den) in zip(pivots, lifted)]
+            if kills(candidate):
+                return candidate
 
 
 # ---------------------------------------------------------------------------

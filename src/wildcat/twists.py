@@ -23,7 +23,8 @@ from .linalg import Matrix
 
 
 def transpose_inverse(g: Matrix) -> Matrix:
-    return g.transpose().inverse()
+    """(g^-1)^T: the transpose of g's one inverse (``Matrix.inverse`` keeps it)."""
+    return g.inverse().transpose()
 
 
 @dataclass

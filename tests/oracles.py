@@ -59,6 +59,10 @@ of the two:
 * ``sandwich_rows_reference``: the L.X.R coefficient rows as Scalars, one
   product per pair of entries (``sandwich_rows`` builds integer rows over
   one denominator);
+* ``exact_kernel``: the null space of a Matrix or ``IntRows`` by exact
+  elimination on ``linalg._EchelonSet`` integer rows, then the echelon of
+  the free columns' vectors (``linalg.kernel`` solves modulo primes, lifts
+  the reduced basis and checks it exactly);
 * ``kernel_reference``, ``linear_solve_reference`` and ``inverse_reference``:
   null space, solution and inverse read off ``ScalarEchelon`` rows (the
   library reads them off integer echelon rows, converting only the block it
@@ -95,11 +99,11 @@ import cmath
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from wildcat.algebra import MatrixAlgebra, _spin_left, commutant, radical_trace, spin_algebra
 from wildcat.engine import FramedPoint, galois_generators, normalize_point
-from wildcat.linalg import Grading, Matrix, Subspace, _int_row
+from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _int_row, _system
 from wildcat.modular import _image_map, _modulus
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
 from wildcat.twists import embed_doubled
@@ -239,6 +243,31 @@ def kernel_reference(rows, width: int, m: int) -> list:
                 v[piv] = -row[f]
             out.add(v)
     return out.rows
+
+
+def exact_kernel(a) -> Subspace:
+    """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
+    Subspace: a's rows eliminated exactly on ``_EchelonSet``, then per free
+    column f the vector e_f less the rows' entries at f placed at their
+    pivots, on integer rows, inserted into a second echelon."""
+    n, m, rows = _system(a)
+    phi = euler_phi(m)
+    ech = _EchelonSet(n)
+    for r, _ in rows:
+        ech.insert(r, m)
+    ech._reduce_rows()
+    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots)]
+    out = _EchelonSet(n)
+    for f in sorted(set(range(n)) - set(ech.pivots)):
+        t = f * phi
+        hits = [(r[t:t + phi], d, s) for r, d, s in rows if any(r[t:t + phi])]
+        den = lcm(*[d for _, d, _ in hits])
+        v = [0] * (n * phi)
+        v[t] = den
+        for x, d, s in hits:
+            v[s:s + phi] = [-c * (den // d) for c in x]
+        out.insert(v, m)
+    return Subspace(out)
 
 
 def linear_solve_reference(a: Matrix, b: Matrix):

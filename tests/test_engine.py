@@ -12,6 +12,7 @@ from wildcat import algebra, engine
 from wildcat.algebra import (
     NotSemisimpleError,
     commutant,
+    intertwiner_rows,
     intertwiners,
     invariant_complement,
     invariant_subspace,
@@ -33,16 +34,18 @@ from wildcat.engine import (
     restrict_point,
     stabilizer_lie_dim,
 )
-from wildcat.linalg import Grading, Matrix, Subspace
+from wildcat.linalg import Grading, IntRows, Matrix, Subspace, _int_row, _scalar_row, kernel
 from wildcat.modular import _modulus
 from wildcat.scalars import Scalar, euler_phi
 from wildcat.twists import Automorphism, TwistedElement
 
 from test_algebra import semisimple_modules
+from test_linalg import echelon_inputs
 
 from oracles import (
     commutant_radical_dim,
     complement_reference,
+    exact_kernel,
     from_coeffs,
     galois_generators_reference,
     radical_oracle,
@@ -924,3 +927,50 @@ class TestOneAnalysis:
             simple_point([TwistedElement(J, Automorphism(singular, False))])
         with pytest.raises(ValueError):
             act([singular], simple_point([TwistedElement.plain(J)]))
+
+
+def commutant_system(gens) -> IntRows:
+    """The commutant rows of the generators (``intertwiner_rows``)."""
+    n, m = gens[0].rows, gens[0]._conductor()
+    return IntRows(intertwiner_rows(gens, gens, n, n, m), n * n, m)
+
+
+def as_matrix(system: IntRows) -> Matrix:
+    """The rows of an ``IntRows`` system as a Matrix of Scalars."""
+    phi = euler_phi(system.m)
+    return Matrix(len(system.nums), system.width,
+                  tuple(x for row in system.nums
+                        for x in _scalar_row(row, 1, system.m, phi, 0, system.width)))
+
+
+@st.composite
+def kernel_systems(draw):
+    """A linear system: the rows of an ``echelon_inputs`` draw, or the
+    commutant rows of the Galois generators of a ``block_points`` draw or of
+    a ``semisimple_modules`` draw's generators, over Q, Q(i) or Q(zeta5),
+    as ``IntRows`` or as a Matrix."""
+    source = draw(st.sampled_from(["rows", "points", "modules"]))
+    if source == "rows":
+        width, rows, _ = draw(echelon_inputs())
+        assume(rows)
+        system = Matrix.build(rows, rows[0][0].m)
+        phi = euler_phi(system._conductor())
+        return system if draw(st.booleans()) else IntRows(
+            [_int_row(system.row(i), system._conductor(), phi)[0] for i in range(system.rows)],
+            width, system._conductor())
+    if source == "points":
+        m = draw(st.sampled_from([1, 4, 5]))
+        gens = galois_generators(normalize_point(draw(block_points(m))))
+    else:
+        gens, _ = draw(semisimple_modules())
+    system = commutant_system(gens)
+    return as_matrix(system) if draw(st.booleans()) else system
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=20))
+@given(kernel_systems())
+def test_modular_kernel_equals_the_exact_kernel(system):
+    # the lifted basis, integer rows and pivots included, is the exact one
+    ker, ref = kernel(system), exact_kernel(system)
+    assert ker == ref and ker.pivots == ref.pivots
+    assert (ker._echelon._nums, ker._echelon._dens) == (ref._echelon._nums, ref._echelon._dens)

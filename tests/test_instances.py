@@ -93,13 +93,25 @@ def test_parse_ranks_each_matrix_once_and_names_a_singular_one(monkeypatch):
                       {"matrix": [["0", "1"], ["1", "0"]], "inner": inner, "outer": "sigma"}]}}
 
     good, singular = [["2", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]
-    ranked, ranks = [], []
-    real, real_rank = Matrix.is_invertible, Matrix.rank
-    monkeypatch.setattr(Matrix, "is_invertible", lambda self: ranked.append(self) or real(self))
-    monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or real_rank(self))
-    parse_instance_data(doc(good, good))
-    assert len(ranked) == 4  # the connector, two loops, one inner part; the identity is not ranked
-    assert ranks == ranked   # nor are the two gradings, whose rows are the identity
+    # one elimination per matrix: a rank, or an inverse that the matrix
+    # keeps (the connector and the sigma-twisted loop, which are inverted
+    # again later); a kept inverse is no elimination
+    eliminated = []
+    real_rank, real_inverse = Matrix.rank, Matrix.inverse
+
+    def inverse(self):
+        if self._inverse is None:
+            eliminated.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(Matrix, "rank", lambda self: eliminated.append(self) or real_rank(self))
+    monkeypatch.setattr(Matrix, "inverse", inverse)
+    point = parse_instance_data(doc(good, good)).point
+    # the connector, two loops, one inner part, each once; the identity is
+    # neither ranked nor inverted, nor are the two gradings, whose rows are
+    # the identity
+    assert len(eliminated) == 4 and len({id(x) for x in eliminated}) == 4
+    assert point.connectors[0]._inverse is not None and point.loops[1].g._inverse is not None
     for bad, where in ((doc(singular, good), "tuple.connectors[0]"),
                        (doc(good, singular), "tuple.loops[1].inner")):
         with pytest.raises(InstanceError) as err:

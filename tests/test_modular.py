@@ -410,3 +410,78 @@ class TestFactorInteger:
     def test_content_and_constants(self):
         assert factor_integer([-6]) == (-6, [])
         assert factor_integer([6, -4, -2]) == (-2, [([-1, 1], 1), ([3, 1], 1)])
+
+
+class TestLiftedKernel:
+    """``kernel`` solves modulo primes p = 1 (mod m), from the largest
+    below 2^31 down, and lifts the reduced basis: each case makes the walk
+    go past the first prime, and its bytes must be the exact kernel's."""
+
+    @staticmethod
+    def walk(monkeypatch, a):
+        """(kernel(a), the primes the walk eliminated at, in order)."""
+        primes, real = [], modular.null_space_mod_p
+
+        def recorded(rows, width, p, rank=None):
+            primes.append(p)
+            return real(rows, width, p, rank)
+
+        monkeypatch.setattr(modular, "null_space_mod_p", recorded)
+        ker = kernel(a)
+        assert ker == oracles.exact_kernel(a)
+        assert ker._echelon._nums == oracles.exact_kernel(a)._echelon._nums
+        return ker, list(dict.fromkeys(primes))
+
+    @pytest.mark.parametrize("m", [1, 4, 5])
+    def test_a_prime_in_a_row_denominator_is_skipped(self, monkeypatch, m):
+        p, _ = _modulus(m)
+        x = oracles.from_coeffs(m, [Fraction(1, 3)] + [Fraction(2, p)] * (euler_phi(m) - 1)) \
+            if m > 1 else Scalar.rational(Fraction(1, p))
+        a = Matrix.build([[x, 1, 0], [0, 1, 1]], m)
+        ker, primes = self.walk(monkeypatch, a)
+        assert ker.dim == 1 and p not in primes and primes[0] == _prime_and_root(m, p, False)[0]
+
+    def test_a_pivot_minor_that_vanishes_mod_the_first_prime(self, monkeypatch):
+        # mod p the rows agree, so the kernel mod p is a plane; the next
+        # prime gives the line, whose smaller key starts the lift again
+        p, _ = _modulus(1)
+        a = Matrix.build([[1, 1, 0], [1, 1 + p, 0]])
+        ker, primes = self.walk(monkeypatch, a)
+        assert ker.basis == ((Scalar.zero(), Scalar.zero(), Scalar.one()),)
+        assert primes[:2] == [p, _prime_and_root(1, p, False)[0]]
+
+    def test_a_prime_in_a_denominator_of_the_basis_gives_later_pivots(self, monkeypatch):
+        # the kernel of [1, p] is spanned by (1, -1/p): mod p the row is
+        # [1, 0], whose kernel (0, 1) has the same dimension and a later pivot
+        p, _ = _modulus(1)
+        ker, primes = self.walk(monkeypatch, Matrix.build([[1, p]]))
+        assert ker.basis == ((Scalar.one(), Scalar.rational(Fraction(-1, p))),)
+        assert primes[0] == p and len(primes) >= 3   # 1/p needs more than one prime
+
+    @pytest.mark.parametrize("m", [1, 4, 5])
+    def test_entries_beyond_one_prime_are_combined(self, monkeypatch, m):
+        big = 10 ** 6 + 3   # above sqrt(p / 2), the reach of one prime
+        z = Scalar.zeta(m) if m > 1 else Scalar.one()
+        a = Matrix.build([[big * z, 1, 0], [0, 0, Fraction(7, big)]], m)
+        ker, primes = self.walk(monkeypatch, a)
+        assert ker.dim == 1 and len(primes) == 2
+
+    def test_the_commutant_of_three_conjugated_blocks(self, monkeypatch):
+        # three irreducible 3 x 3 blocks over Q behind P = L L^T: the
+        # commutant, 162 rows in 81 unknowns, has entries beyond 2^15
+        rng = random.Random(3)
+        n = 9
+        blocks = [Matrix.build([[0, 0, c], [1, 0, 0], [0, 1, 0]]) for c in (2, 3, 5)]
+        gens = [Matrix.zero(n, n) for _ in range(2)]
+        for k, b in enumerate(blocks):
+            gens[0] = gens[0].place(3 * k, 3 * k, b)
+            gens[1] = gens[1].place(3 * k, 3 * k, Matrix.build(
+                [[k + 1, 1, 0], [0, k + 1, 1], [0, 0, k + 1]]))
+        lower = Matrix.build([[1 if i == j else rng.randint(-2, 2) if i > j else 0
+                               for j in range(n)] for i in range(n)])
+        p = lower @ lower.transpose()
+        gens = [p @ g @ p.inverse() for g in gens]
+        ker, primes = self.walk(monkeypatch, IntRows(commutant_rows(gens, n, 1), n * n, 1))
+        assert ker.dim == 3 and len(primes) >= 2
+        assert max(max(abs(c) for c in x.num) for row in ker.basis for x in row) >= 1 << 15 or \
+            max(x.den for row in ker.basis for x in row) >= 1 << 15
