@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wildcat import algebra, engine
+from wildcat import algebra, engine, linalg
 from wildcat.algebra import (
     NotSemisimpleError,
     commutant,
@@ -37,7 +37,7 @@ from wildcat.engine import (
 from wildcat.linalg import Grading, IntRows, Matrix, Subspace, _int_row, _scalar_row, kernel
 from wildcat.modular import _modulus
 from wildcat.scalars import Scalar, euler_phi
-from wildcat.twists import Automorphism, TwistedElement
+from wildcat.twists import Automorphism, TwistedElement, embed_doubled
 
 from test_algebra import semisimple_modules
 from test_linalg import echelon_inputs
@@ -909,6 +909,27 @@ class TestOneAnalysis:
     def test_normalized_point_comes_back_unchanged(self):
         p = simple_point([TwistedElement.plain(J)])
         assert normalize_point(p) is p
+
+    def test_a_connector_and_a_sigma_loop_are_eliminated_once(self, monkeypatch):
+        # FramedPoint inverts them to validate them and the matrices keep
+        # their inverses, so the Galois generators (the connector's
+        # transport of the torus, the doubled sigma loop) eliminate nothing
+        a, g = Matrix.build([[2, 1], [1, 1]]), Matrix.build([[1, 2], [0, 1]])
+        grading = Grading(2, [((0,), [(1, 0)]), ((1,), [(0, 1)])])
+        p = FramedPoint(2, [Grading.trivial(2), grading], [a],
+                        [TwistedElement(g, Automorphism.sigma(2))])
+        assert a._inverse is not None and g._inverse is not None
+        inserts = []
+        real = linalg._EchelonSet.insert
+        monkeypatch.setattr(linalg._EchelonSet, "insert",
+                            lambda self, nums, m: inserts.append(nums) or real(self, nums, m))
+        gens = galois_generators(normalize_point(p))
+        assert not inserts and gens[0] == embed_doubled(p.loops[0])
+        # a singular one is still named by its path
+        with pytest.raises(engine.SingularMatrixError, match=r"connectors\[0\]"):
+            FramedPoint(2, [Grading.trivial(2), grading], [Matrix.build([[1, 1], [1, 1]])], [])
+        with pytest.raises(engine.SingularMatrixError, match=r"loops\[0\]\.matrix"):
+            simple_point([TwistedElement(Matrix.build([[1, 1], [1, 1]]), Automorphism.sigma(2))])
 
     def test_normalizing_copies_without_revalidation(self, monkeypatch):
         a = Matrix.build([[2, 1], [1, 1]])
