@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional
@@ -783,19 +782,18 @@ def kernel(a) -> Subspace:
     """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
     Subspace of K^width: its reduced echelon basis, solved modulo primes and
     lifted (``modular.lift_kernel``), and accepted only when a's integer
-    rows, on their nonzero numerators, kill every lifted vector exactly,
-    through the integer matrix of multiplication by it (``_row_action``)."""
+    rows kill every lifted vector exactly, through the integer matrix of
+    multiplication by it (``_row_action``)."""
     n, m, rows = _system(a)
     phi = euler_phi(m)
     rows = [(r, d) for r, d in rows if any(r)]
 
     def kills(basis) -> bool:
-        sparse = [(list(compress(range(len(r)), r)), list(compress(r, r))) for r, _ in rows]
         for _, nums, _ in basis:
-            gets = [tc.__getitem__ for tc in _row_action(nums, m, phi)]
-            for at, vals in sparse:
-                for get in gets:
-                    if sum(map(mul, vals, map(get, at))):
+            action = _row_action(nums, m, phi)
+            for r, _ in rows:
+                for tc in action:
+                    if sum(map(mul, tc, r)):
                         return False
         return True
 
