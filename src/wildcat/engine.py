@@ -35,8 +35,8 @@ stabilizer rows modulo a word-size prime (``modular.kernel_dim_mod_p``)
 bounds the dimension from above (the rows are integer, so no denominator
 stops it), and when it meets the kernel dimension that is the answer; else
 the same rows are solved by ``linalg.kernel``, modulo primes and lifted,
-with the lifted basis checked exactly against the rows.  Every system here,
-E included, is solved that way.
+with the lifted basis checked exactly against the rows.  Every null space
+the engine needs, E included, is solved that way.
 ``is_polystable`` normalizes the point and builds its generators once (never
 none); the later steps read its report.
 """
