@@ -23,13 +23,11 @@ from .engine import (
     NotPolystable,
     StabilityReport,
     TwistedInput,
-    act,
     galois_generators,
     is_polystable,
     is_stable,
     kernel_lie_dim,
     levi_reduction,
-    restrict_point,
     stabilizer_lie_dim,
 )
 from .stokes import (

@@ -13,11 +13,10 @@ left factors; the spin stops as soon as it holds N^2 independent words.
 submodule spanned by vectors, the spins of one vector modulo a prime in
 Norton's test, and the powers of one matrix (its minimal polynomial) all
 run on it.  The exact spins of the algebra and of a submodule
-(``_spin_exact``) and the power spin (``minimal_polynomial``) convert the
-generators once to integer matrices on power-basis numerators
-(``_left_action``) and extend each kept word on its integer row, so a
-product is integer dot products, with no Matrix or Scalar built per
-product.
+(``_spin_exact``) and the power spin (``minimal_polynomial``) take each
+generator's ``linalg._action`` once and extend each kept word on its
+integer echelon row by the one integer product, ``linalg._product``, with
+no Matrix or Scalar built per word.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 small prime q = 1 (mod m) by Norton's irreducibility test
@@ -61,21 +60,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .linalg import (
-    IntRows,
     Matrix,
     Subspace,
+    _action,
     _EchelonSet,
-    _int_row,
-    _left_action,
-    _left_product,
+    _product,
     _row_action,
     _times,
     kernel,
     sandwich_rows,
+    stack,
 )
 from .modular import (
     _charpoly_mod,
@@ -170,13 +168,11 @@ def _norton_images(generators, m: int):
     q the first prime > 64 with q = 1 (mod m) that divides none of their
     denominators (``_prime_and_root``, from ``_SMALL_PRIME_FLOOR`` up).
     Only finitely many primes divide the denominators, so the walk ends."""
-    phi = euler_phi(m)
-    rows = [_int_row(g.entries, m, phi) for g in generators]
     q = _SMALL_PRIME_FLOOR
     while True:
         q, r = _prime_and_root(m, q, True)
-        image = _image_map(q, r, phi)
-        images = [image(nums, den) for nums, den in rows]
+        image = _image_map(q, r, euler_phi(m))
+        images = [image(g.nums, g.den) for g in generators]
         if None not in images:
             return q, images
 
@@ -245,24 +241,23 @@ def _matrix_units(n: int, m: int):
     one shared tuple per (n, m), as ``Matrix.identity`` is one shared
     object: a tuple cannot be changed, no code mutates a Matrix, and a
     ``MatrixAlgebra`` that holds it only reads it."""
-    one, zero = Scalar.one(m), Scalar.zero(m)
-    return tuple(Matrix(n, n, tuple(one if k == u else zero for k in range(n * n)))
+    phi = euler_phi(m)
+    return tuple(Matrix(n, n, m, [int(t == u * phi) for t in range(n * n * phi)])
                  for u in range(n * n))
 
 
 def _spin_exact(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
-    """The echelon of the left spin of the start vectors (n x cols matrices,
-    row-major) over Q(zeta_m), on integer rows.
+    """The echelon of the left spin over Q(zeta_m) of the start vectors,
+    the numerators of n x cols matrices (row-major, phi(m) per entry).
 
-    The generators are converted once (``_left_action``), and each kept word
-    is extended through its integer echelon row (``_spin_left``), so a
-    product is integer dot products and no Matrix or Scalar is built.
+    Each generator's ``_action`` is taken once, and each kept word is
+    extended through its integer echelon row (``_spin_left``) by
+    ``_product``, so no Matrix or Scalar is built.
     """
-    ech = _EchelonSet(n * cols)
+    ech = _EchelonSet(n * cols, m)
     phi = euler_phi(m)
-    _spin_left([_int_row(v, m, phi)[0] for v in starts], [_left_action(g, m) for g in generators],
-               lambda a, e: _left_product(a, e, cols, phi), lambda v: ech.insert(v, m),
-               n * cols)
+    _spin_left(starts, [_action(g) for g in generators],
+               lambda a, e: _product(a, e, cols, phi), ech.insert, n * cols)
     return ech
 
 
@@ -282,12 +277,12 @@ def spin_algebra(generators) -> MatrixAlgebra:
     for g in generators:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must be square of one common size")
-    m = generators[0]._conductor()
+    m = generators[0].m
     if _spans_full_mod_p(generators, n, m):
         return MatrixAlgebra(n, _matrix_units(n, m))
-    starts = [w.entries for w in [Matrix.identity(n, m)] + list(generators)]
+    starts = [w.nums for w in [Matrix.identity(n, m)] + list(generators)]
     ech = _spin_exact(generators, starts, n, n, m)
-    return MatrixAlgebra(n, tuple(Matrix(n, n, tuple(row)) for row in ech.rows))
+    return MatrixAlgebra(n, tuple(Matrix(n, n, m, nums, den) for nums, den in ech.reduced_rows()))
 
 
 def radical_trace(alg: MatrixAlgebra) -> Subspace:
@@ -300,64 +295,53 @@ def radical_trace(alg: MatrixAlgebra) -> Subspace:
     basis, is unique, so it is the same Subspace whichever way they are
     summed.
     """
-    n = alg.ambient_n
+    n, m = alg.ambient_n, alg.basis[0].m
     if alg.dim == n * n:
-        return Subspace.zero(n * n)
-    vecs = Matrix.from_rows([b.entries for b in alg.basis])
-    ker = kernel(vecs @ Matrix.from_cols([b.transpose().entries for b in alg.basis]))
+        return Subspace.zero(n * n, m)
+    vecs = stack([b.reshape(1, n * n) for b in alg.basis])
+    ker = kernel(vecs @ stack([b.transpose().reshape(1, n * n) for b in alg.basis]).transpose())
     if ker.dim == 0:
-        return Subspace.zero(n * n)
-    elems = Matrix.from_rows(ker.basis) @ vecs
-    return Subspace.from_vectors(n * n, elems.row_list())
+        return Subspace.zero(n * n, m)
+    return Subspace.span(ker.matrix @ vecs)
 
 
 # ---------------------------------------------------------------------------
 # module machinery
 
 
-def spin_subspace(generators, vectors, n: int) -> Subspace:
-    """Submodule of K^n generated by the given vectors."""
-    return Subspace(_spin_exact(generators, vectors, n, 1, generators[0]._conductor()))
+def spin_subspace(generators, starts: Matrix) -> Subspace:
+    """Submodule of K^n generated by the rows of starts."""
+    return Subspace(_spin_exact(generators, starts.int_rows(), starts.cols, 1, starts.m))
 
 
-def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> list:
-    """Integer coefficient rows (``sandwich_rows``) of b h - h a, h a db x da
-    unknown, for every pair (a, b)."""
-    rows = []
-    for ga, gb in zip(acts_a, acts_b):
-        rows += sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)[0]
-    return rows
+def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> Matrix:
+    """The coefficient rows (``sandwich_rows``) of b h - h a, h a db x da
+    unknown, for every pair (a, b); there is at least one pair."""
+    return stack([sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
+                  for ga, gb in zip(acts_a, acts_b)])
 
 
 def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
     """Echelon basis of the db x da matrices h with b h = h a for every pair
     (a, b) of actions; there is at least one pair."""
-    ker = kernel(IntRows(intertwiner_rows(acts_a, acts_b, da, db, m), da * db, m))
-    return [Matrix(db, da, tuple(v)) for v in ker.basis]
+    return kernel(intertwiner_rows(acts_a, acts_b, da, db, m)).matrices(db, da)
 
 
 def commutant(generators, n: int):
     """Echelon basis of {x : x g = g x for all generators g}."""
-    return intertwiners(generators, generators, n, n, generators[0]._conductor())
+    return intertwiners(generators, generators, n, n, generators[0].m)
 
 
 def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
     """Coordinate matrix R of g on an invariant subspace: g B = B R, B the
     echelon basis as columns.  Row i of R is row p_i of g B, p_i the i-th
     pivot, since row p_i of B is e_i; g B = B R checks the invariance."""
-    cols = Matrix.from_cols(sub.basis)
+    cols = sub.matrix.transpose()
     image = g @ cols
-    coords = Matrix.from_rows([image.row(p) for p in sub.pivots])
+    coords = image.submatrix(sub.pivots, 0, image.cols)
     if cols @ coords != image:
         raise ValueError("subspace is not invariant under the matrix")
     return coords
-
-
-def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
-    """Interpret a subspace of coordinates on ``outer`` inside the ambient space."""
-    coords = Matrix(inner.dim, outer.dim, tuple(x for row in inner.basis for x in row))
-    vectors = coords @ Matrix.from_rows(outer.basis)
-    return Subspace.from_vectors(outer.ambient_dim, vectors.row_list())
 
 
 def _reversed(v: list, phi: int) -> list:
@@ -375,12 +359,12 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     unknowns u, not n^2: the columns of e lie in sub (the rows of sub's
     annihilator A kill them, A e = 0) and e fixes sub pointwise (B^T e^T =
     B^T, B sub's basis as columns).  Its rows are the entries of A N_i and
-    B^T N_i^T, N_i the numerators of E_i, as integer products (A and B^T by
-    ``_left_action``), so no Matrix and no Scalar is multiplied.  With b
-    their right-hand side (0, then B^T), the kernel of [-b | rows] in
-    (t, u) has an echelon row with t = 1 exactly when a projection exists;
-    its other rows have t = 0 and give the homogeneous solutions
-    h = sum u_i N_i.
+    B^T N_i^T, N_i the numerators of E_i, as integer products (``_product``
+    of the ``_action`` of A and of B^T), so no Matrix and no Scalar is
+    multiplied.  With b their right-hand side (0, then B^T), the kernel of
+    [-b | rows] in (t, u) has an echelon row with t = 1 exactly when a
+    projection exists; its other rows have t = 0 and give the homogeneous
+    solutions h = sum u_i N_i.
 
     Where the complement is not unique, the projection is the one that
     ``linear_solve`` returns on the system in e's n^2 entries (these rows
@@ -393,35 +377,34 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     a factor, which leaves the kernel as it is.
     """
     n, s = sub.ambient_dim, sub.dim
-    m = comm[0]._conductor()
+    m = comm[0].m
     phi = euler_phi(m)
     width = n * phi
-    fixed = Matrix.from_rows(sub.basis)  # B^T
-    ann = _left_action(Matrix.from_rows(kernel(fixed).basis), m)
-    bt = _left_action(fixed, m)
-    basis = [_int_row(b.entries, m, phi)[0] for b in comm]
+    fixed = sub.matrix  # B^T
+    ann = _action(kernel(fixed).matrix)
+    bt = _action(fixed)
     # per E_i, the entries of A N_i, then those of B^T N_i^T, whose columns
     # are the rows of N_i
-    cols = [_left_product(ann, x, n, phi) +
-            [sum(map(operator.mul, tc, x[t:t + width])) for line in bt
+    cols = [_product(ann, b.nums, n, phi) +
+            [sum(map(operator.mul, tc, b.nums[t:t + width])) for line in bt
              for t in range(0, n * width, width) for tc in line]
-            for x in basis]
-    rhs = [0] * ((n - s) * width) + _int_row(fixed.entries, m, phi)[0]
-    rows = [[-x for x in rhs[t:t + phi]] + [c for col in cols for c in col[t:t + phi]]
-            for t in range(0, n * width, phi)]
-    ker = kernel(IntRows(rows, len(comm) + 1, m))
+            for b in comm]
+    rhs = [0] * ((n - s) * width) + fixed.nums
+    rows = [x for t in range(0, n * width, phi)
+            for x in [-y for y in rhs[t:t + phi]] + [c for col in cols for c in col[t:t + phi]]]
+    ker = kernel(Matrix(n * n, len(comm) + 1, m, rows))
     if not ker.dim or ker.pivots[0] != 0:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
     # sum u_i N_i for every kernel vector (t, u): the u as rows times the N_i as rows
-    sums = _left_product([_row_action(_int_row(v, m, phi)[0][phi:], m, phi) for v in ker.basis],
-                         [x for b in basis for x in b], n * n, phi)
+    sums = _product([_row_action(v.nums[phi:], m, phi) for v in ker.matrices(1, len(comm) + 1)],
+                    [x for b in comm for x in b.nums], n * n, phi)
     first, *rest = [sums[t:t + n * width] for t in range(0, len(sums), n * width)]
     if rest:
-        ech = _EchelonSet(n * n)
+        ech = _EchelonSet(n * n, m)
         for h in rest:
-            ech.insert(_reversed(h, phi), m)
+            ech.insert(_reversed(h, phi))
         first = _reversed(ech.residue(_reversed(first, phi)), phi)
-    return kernel(IntRows([first[t:t + width] for t in range(0, n * width, width)], n, m))
+    return kernel(Matrix(n, n, m, first))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +418,7 @@ def _norm(p, m: int) -> list:
     coefficient through multiplication matrices.  The norm lies in Q[x], so
     only each coefficient's first numerator can be nonzero."""
     phi = euler_phi(m)
-    nums, _ = _int_row(p, m, phi)
+    nums = Matrix.build([p], m).nums   # the coefficients as one row
     norm = nums
     for k in range(2, m):
         if gcd(k, m) != 1:
@@ -547,28 +530,27 @@ def minimal_polynomial(f: Matrix):
     phi(m) per entry), den the common denominator of f's entries.
 
     The powers are spun into one echelon on integer rows, as in
-    ``_spin_exact`` (``_spin_left`` over ``_left_action`` and
-    ``_left_product``), until (den f)^d is the first that depends on the
-    earlier ones, so no Matrix product is made.  The relation
+    ``_spin_exact`` (``_spin_left`` over ``_action`` and ``_product``),
+    until (den f)^d is the first that depends on the earlier ones, so no
+    Matrix product is made.  The relation
     (den f)^d + sum v_i (den f)^i = 0 is the kernel of the powers' entries
     at the echelon's pivot columns, where the earlier powers are
     independent, so it is one line, whose echelon vector has v_d = 1 when
     v_d is the first unknown; then the coefficients are v_i / den^(d - i).
     """
-    n, m = f.rows, f._conductor()
+    n, m, den = f.rows, f.m, f.den
     phi = euler_phi(m)
-    action = _left_action(f, m)
-    den = lcm(*(x.den for x in f.entries))
-    ech = _EchelonSet(n * n)
-    powers = _spin_left([_int_row(Matrix.identity(n, m).entries, m, phi)[0]], [action],
-                        lambda a, w: _left_product(a, w, n, phi),
-                        lambda w: w if ech.insert(w, m) is not None else None, n * n)
-    d, last = len(powers), _left_product(action, powers[-1], n, phi)
+    action = _action(f)
+    ech = _EchelonSet(n * n, m)
+    powers = _spin_left([Matrix.identity(n, m).nums], [action],
+                        lambda a, w: _product(a, w, n, phi),
+                        lambda w: w if ech.insert(w) is not None else None, n * n)
+    d, last = len(powers), _product(action, powers[-1], n, phi)
     # unknowns v_d, ..., v_0: the kernel's echelon vector has v_d = 1
-    rows = [[x for w in [last] + powers[::-1] for x in w[j * phi:(j + 1) * phi]]
-            for j in ech.pivots]
-    v = kernel(IntRows(rows, d + 1, m)).basis[0][::-1]
-    return [_canonical(m, c.num, c.den * den ** (d - i)) for i, c in enumerate(v)], powers, den
+    rows = [x for j in ech.pivots for w in [last] + powers[::-1] for x in w[j * phi:(j + 1) * phi]]
+    (v,) = kernel(Matrix(len(ech.pivots), d + 1, m, rows)).matrices(1, d + 1)
+    return [_canonical(m, tuple(v.nums[(d - i) * phi:(d - i + 1) * phi]), v.den * den ** (d - i))
+            for i in range(d + 1)], powers, den
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +559,6 @@ def minimal_polynomial(f: Matrix):
 
 _MEATAXE_SEED = 0x5EED
 _HUNT_BUDGET = 64
-
-
-def _is_scalar_matrix(g: Matrix) -> bool:
-    c = g[0, 0]
-    return g._is_scalar_of(c.num, c.den)
 
 
 def _split_by_element(f: Matrix, n: int, m: int):
@@ -597,7 +574,7 @@ def _split_by_element(f: Matrix, n: int, m: int):
     ``minimal_polynomial`` spun, as one integer product, with no Matrix
     product; a q of the minimal polynomial's degree is that polynomial, so
     q(f) = 0 and it is skipped."""
-    if f.is_zero() or _is_scalar_matrix(f):
+    if f.is_zero() or f.is_scalar():
         return None
     ker_f = kernel(f)
     if 0 < ker_f.dim < n:
@@ -610,11 +587,11 @@ def _split_by_element(f: Matrix, n: int, m: int):
             continue   # q is the minimal polynomial: q(f) = 0
         # q(f) den^k = sum c_i den^(k - i) (den f)^i, an integer product of
         # the scaled coefficient row and the powers as rows
-        nums = _int_row(fc, m, phi)[0]
+        nums = Matrix.build([fc], m).nums   # the coefficients as one row
         row = [x * den ** (k - t // phi) for t, x in enumerate(nums)]
-        pf = _left_product([_row_action(row, m, phi)], [x for w in powers[:k + 1] for x in w],
-                           n * n, phi)
-        kp = kernel(IntRows([pf[i * n * phi:(i + 1) * n * phi] for i in range(n)], n, m))
+        pf = _product([_row_action(row, m, phi)], [x for w in powers[:k + 1] for x in w],
+                      n * n, phi)
+        kp = kernel(Matrix(n, n, m, pf))
         if 0 < kp.dim < n:
             return kp
     return None
@@ -622,12 +599,10 @@ def _split_by_element(f: Matrix, n: int, m: int):
 
 def _products(comm, m: int):
     """prod(k, j): the numerators of d_k d_j e_k e_j, e_k the basis elements
-    and d_k the common denominator of e_k's entries, as an integer product
-    (``_left_product``)."""
+    and d_k the denominator of e_k, as an integer product (``_product``)."""
     n, phi = comm[0].rows, euler_phi(m)
-    acts = [_left_action(b, m) for b in comm]
-    nums = [_int_row(b.entries, m, phi)[0] for b in comm]
-    return lambda k, j: _left_product(acts[k], nums[j], n, phi)
+    acts = [_action(b) for b in comm]
+    return lambda k, j: _product(acts[k], comm[j].nums, n, phi)
 
 
 def _centre_dim(comm, m: int) -> int:
@@ -635,12 +610,12 @@ def _centre_dim(comm, m: int) -> int:
     coordinates: the c with sum c_k (e_k e_j - e_j e_k) = 0 for every j.
     The integer products scale column k by d_k and block j by d_j, which
     leaves the kernel's dimension as it is."""
-    prod, k, phi = _products(comm, m), len(comm), euler_phi(m)
+    prod, k, n, phi = _products(comm, m), len(comm), comm[0].rows, euler_phi(m)
     brackets = [[[x - y for x, y in zip(prod(a, j), prod(j, a))] for a in range(k)]
                 for j in range(k)]
-    rows = [[x for col in block for x in col[t:t + phi]]
-            for block in brackets for t in range(0, len(block[0]), phi)]
-    return kernel(IntRows(rows, k, m)).dim
+    rows = [x for block in brackets for t in range(0, len(block[0]), phi)
+            for col in block for x in col[t:t + phi]]
+    return kernel(Matrix(k * n * n, k, m, rows)).dim
 
 
 def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[Subspace]:
@@ -677,24 +652,25 @@ def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[S
             raise ValueError("generators must be square of one common size")
     if n <= 1:
         return None
-    m = generators[0]._conductor()
+    m = generators[0].m
+    ident = Matrix.identity(n, m)
 
-    if all(_is_scalar_matrix(g) for g in generators):
-        return Subspace.from_vectors(n, [Matrix.identity(n, m).row(0)])
+    if all(g.is_scalar() for g in generators):
+        return Subspace.span(ident.submatrix([0], 0, n))
 
     # cheap kernel candidates straight from the generators
     for f in generators:
         kf = kernel(f)
         if 0 < kf.dim < n:
-            sub = spin_subspace(generators, [list(v) for v in kf.basis], n)
+            sub = spin_subspace(generators, kf.matrix)
             if 0 < sub.dim < n:
                 return sub
 
     if comm is None:
         rad = radical_trace(spin_algebra(generators))
         if rad.dim > 0:
-            sub = Subspace.from_vectors(n, [Matrix(n, n, tuple(row)).col(j)
-                                            for row in rad.basis for j in range(n)])
+            # the columns of the radical's basis elements
+            sub = Subspace.span(stack([b.transpose() for b in rad.matrices(n, n)]))
             if not (0 < sub.dim < n):
                 raise AssertionError("radical image must be proper and nonzero")
             return sub
@@ -716,16 +692,15 @@ def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[S
 
     # an isotypic module whose End (M_k(D), D a division algebra) is not
     # commutative; hunt for zero divisors before giving up
-    ident = Matrix.identity(n, m)
     for j in range(n):
-        sub = spin_subspace(generators, [ident.row(j)], n)
+        sub = spin_subspace(generators, ident.submatrix([j], 0, n))
         if 0 < sub.dim < n:
             return sub
     rng = random.Random(_MEATAXE_SEED)
     for _ in range(_HUNT_BUDGET):
         f = Matrix.zero(n, n, m)
         for b in comm:
-            f = f + b.scale(Scalar.rational(rng.randint(-3, 3), m))
+            f = f + b.scale(rng.randint(-3, 3))
         for candidate in (f, f @ comm[-1] - comm[-1] @ f):
             sub = _split_by_element(candidate, n, m)
             if sub is not None:
@@ -759,7 +734,9 @@ def decompose_irreducibles(generators, split: Optional[Subspace], comm: Optional
         search's proper submodule of sub's coordinates, or None."""
         if inner is None:
             return [sub]
-        halves = [lift_subspace(h, sub) for h in (inner, invariant_complement(comm, inner))]
+        # each half of sub's coordinates, back in the ambient space
+        halves = [Subspace.span(h.matrix @ sub.matrix)
+                  for h in (inner, invariant_complement(comm, inner))]
         return [block for half in halves for block in decompose(half)]
 
     def decompose(sub: Subspace):
@@ -771,7 +748,7 @@ def decompose_irreducibles(generators, split: Optional[Subspace], comm: Optional
         comm = commutant(acts, sub.dim)
         return summands(sub, invariant_subspace(acts, comm=comm), comm)
 
-    m = generators[0]._conductor()
+    m = generators[0].m
     blocks = summands(Subspace.full(generators[0].rows, m), split, comm)
     blocks.sort(key=Subspace.sort_key)
     return blocks

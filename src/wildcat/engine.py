@@ -49,25 +49,16 @@ from typing import Optional
 
 from .algebra import (
     MatrixAlgebra,
-    _is_scalar_matrix,
     commutant,
     decompose_irreducibles,
     intertwiner_rows,
     invariant_subspace,
     radical_trace,
-    restrict_matrix,
     spin_algebra,
 )
-from .linalg import (
-    Grading,
-    IntRows,
-    Matrix,
-    Subspace,
-    kernel,
-    sandwich_rows,
-)
+from .linalg import Matrix, Subspace, kernel, sandwich_rows, stack
 from .modular import kernel_dim_mod_p
-from .twists import TwistedElement, embed_doubled, normalize
+from .twists import embed_doubled, normalize
 
 
 class NotPolystable(Exception):
@@ -100,6 +91,8 @@ def _invert(g: Matrix, where: str):
 
 @dataclass
 class FramedPoint:
+    """The point's one coefficient field, Q(zeta_m) for m = ``conductor()``,
+    is fixed when it is made: every grading and matrix must be over it."""
     n: int
     gradings: list                 # m Gradings of K^n
     connectors: list               # m-1 invertible Matrices C_2..C_m
@@ -126,7 +119,12 @@ class FramedPoint:
                 raise SingularMatrixError(f"loops[{i}].matrix")
             if not (x.phi.is_inner_trivial() or x.phi.inner.is_invertible()):
                 raise SingularMatrixError(f"loops[{i}].inner")
-        self.conductor()  # one field for every grading and matrix, or ValueError
+        fields = {g.basis.m for g in self.gradings} | {c.m for c in self.connectors}
+        for x in self.loops:
+            fields |= {x.g.m, x.phi.inner.m}
+        if len(fields) > 1:
+            raise ValueError(f"point mixes fields of conductors {sorted(fields)}")
+        self._conductor = fields.pop()
 
     @property
     def m(self) -> int:
@@ -138,13 +136,7 @@ class FramedPoint:
 
     def conductor(self) -> int:
         """Conductor of the one coefficient field of every grading and matrix."""
-        fields = {v[0].m for g in self.gradings for _, basis in g.pieces for v in basis if v}
-        fields.update(c._conductor() for c in self.connectors)
-        for x in self.loops:
-            fields.update((x.g._conductor(), x.phi.inner._conductor()))
-        if len(fields) > 1:
-            raise ValueError(f"point mixes fields of conductors {sorted(fields)}")
-        return fields.pop() if fields else 1
+        return self._conductor
 
 
 @dataclass
@@ -250,7 +242,7 @@ def _distinct_nonscalar(gens: list) -> list:
     (a weight operator, with two or more eigenvalues, is never scalar)."""
     kept = []
     for g in gens:
-        if not (_is_scalar_matrix(g) or g in kept):
+        if not (g.is_scalar() or g in kept):
             kept.append(g)
     return kept or gens[:1]
 
@@ -261,7 +253,7 @@ def is_polystable(p: FramedPoint) -> StabilityReport:
     gens = galois_generators(pn)
     alg = spin_algebra(gens)
     rad = radical_trace(alg)
-    witness = Matrix(alg.ambient_n, alg.ambient_n, rad.basis[0]) if rad.dim else None
+    witness = rad.matrices(alg.ambient_n, alg.ambient_n)[0] if rad.dim else None
     return StabilityReport(polystable=rad.dim == 0, radical_witness=witness,
                            galois=GaloisAlgebra(pn, gens, alg))
 
@@ -271,8 +263,8 @@ def kernel_lie_dim(p: FramedPoint) -> int:
     return 0 if any(x.phi.outer for x in p.loops) else 1  # sigma negates scalars
 
 
-def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
-    """Integer coefficient rows (``sandwich_rows``) of the linearized
+def _stabilizer_rows(p: FramedPoint, gens: list) -> Matrix:
+    """The coefficient rows (``sandwich_rows``) of the linearized
     stabilizer: X G = G X for every Galois generator G of the normalized
     point p (module docstring).
 
@@ -287,27 +279,27 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> list:
     if p.is_untwisted():
         rows = intertwiner_rows(gens, gens, n, n, m)
     else:
-        rows = []
+        systems = []
         for g in gens:
-            top = [g.row(i) for i in range(n)]
-            b = Matrix(n, n, tuple(x for row in top for x in row[n:]))
+            b = g.submatrix(range(n), n, 2 * n)
             if b.is_zero():
-                a = Matrix(n, n, tuple(x for row in top for x in row[:n]))
-                rows += intertwiner_rows([a], [a], n, n, m)
+                a = g.submatrix(range(n), 0, n)
+                systems.append(intertwiner_rows([a], [a], n, n, m))
             else:
-                rows += sandwich_rows([(None, b, False), (b, None, True)], n, n, m)[0]
-    return [row for row in rows if any(row)]
+                systems.append(sandwich_rows([(None, b, False), (b, None, True)], n, n, m))
+        rows = stack(systems)
+    kept = [row for row in rows.int_rows() if any(row)]
+    return Matrix(len(kept), n * n, m, [x for row in kept for x in row], rows.den if kept else 1)
 
 
-def stabilizer_lie_dim(p: FramedPoint, rows: Optional[list] = None) -> int:
+def stabilizer_lie_dim(p: FramedPoint, rows: Optional[Matrix] = None) -> int:
     """Dimension of the linearized stabilizer: that of the kernel of its
     rows (``linalg.kernel``, lifted from primes and checked exactly), built
     from ``galois_generators`` unless the caller built them already."""
     if rows is None:
         pn = normalize_point(p)
         rows = _stabilizer_rows(pn, galois_generators(pn))
-    # no rows at all when every generator is scalar (all-zero rows are dropped)
-    return kernel(IntRows(rows, p.n ** 2, p.conductor())).dim
+    return kernel(rows).dim
 
 
 def _certified_stabilizer_dim(report: StabilityReport, comm: Optional[list]) -> int:
@@ -324,7 +316,7 @@ def _certified_stabilizer_dim(report: StabilityReport, comm: Optional[list]) -> 
     if comm is not None:
         return len(comm)
     rows = _stabilizer_rows(pn, report.galois.generators)
-    if kernel_dim_mod_p(rows, pn.n ** 2, pn.conductor()) == report.kernel_dim:
+    if kernel_dim_mod_p(rows.int_rows(), pn.n ** 2, pn.conductor()) == report.kernel_dim:
         return report.kernel_dim
     return stabilizer_lie_dim(pn, rows)
 
@@ -392,57 +384,3 @@ def levi_reduction(p: FramedPoint):
     if not report.polystable:
         raise NotPolystable("point is not polystable: no Levi reduction")
     return decompose_irreducibles(report.galois.generators, *_first_split(report))
-
-
-def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
-    """Restrict an untwisted framed point to an invariant summand.
-
-    The summand is invariant under loops and transported tori; grading i is
-    restricted on the transported image C_i . block.
-    """
-    if not p.is_untwisted():
-        raise TwistedInput("restriction requires untwisted loops")
-    pn = normalize_point(p)
-    nb = block.dim
-    loops = [TwistedElement.plain(restrict_matrix(x.g, block)) for x in pn.loops]
-    gradings = []
-    connectors = []
-    for i, grading in enumerate(pn.gradings):
-        if i == 0:
-            image = block
-        else:
-            # the connector's coordinates on the image are its pivot rows
-            moved = pn.connectors[i - 1] @ Matrix.from_cols(block.basis)
-            image = Subspace.from_vectors(pn.n, [moved.col(j) for j in range(nb)])
-            connectors.append(Matrix.from_rows([moved.row(q) for q in image.pivots]))
-        pieces = []
-        for (w, basis) in grading.pieces:
-            piece = Subspace.from_vectors(pn.n, basis)
-            inter = piece.intersection(image)
-            if inter.dim:
-                coords = [image.coordinates(v) for v in inter.basis]
-                pieces.append((w, [tuple(c) for c in coords]))
-        gradings.append(Grading(nb, pieces))
-    return FramedPoint(nb, gradings, connectors, loops)
-
-
-def act(h, p: FramedPoint) -> FramedPoint:
-    """The framing-group action; every verdict is invariant under it.
-
-    Each h_i is promoted into the point's field, which must contain it.
-    """
-    if len(h) != p.m:
-        raise ValueError("need one group element per grading")
-    m = p.conductor()
-    hs = [Matrix(elt.rows, elt.cols, tuple(x.promote(m) for x in elt.entries)) for elt in h]
-    for i, (elt, grading) in enumerate(zip(hs, p.gradings)):
-        if not elt.is_invertible():
-            raise ValueError(f"group element {i + 1} is not invertible")
-        for piece in grading.piece_subspaces():
-            for v in piece.basis:
-                if not piece.contains(elt.mul_vector(v)):
-                    raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
-    h1, h1inv = hs[0], hs[0].inverse()
-    connectors = [hs[i + 1] @ c @ h1inv for i, c in enumerate(p.connectors)]
-    loops = [TwistedElement(h1 @ x.g @ x.phi.apply(h1).inverse(), x.phi) for x in p.loops]
-    return FramedPoint(p.n, p.gradings, connectors, loops)

@@ -10,8 +10,9 @@ each distinct encoding once: the memo key is the conductor and the JSON
 value with each element's type (``true == 1`` in Python, but only ``1``
 parses).  Only successes are stored, so every bad entry is reported at its
 own path, in document order; entries may share a Scalar, which no code
-mutates.  A matrix is made straight from entries already in the document's
-field, and a JSON path is formatted only for an error.
+mutates.  A matrix is built from its parsed entries by ``Matrix.build``,
+which puts them over one denominator, and a JSON path is formatted only
+for an error.
 """
 
 from __future__ import annotations
@@ -101,10 +102,8 @@ class _Reader:
         if square is not None and (len(data) != square or width != square):
             self.fail(path, f"expected a square {square}x{square} matrix")
             return Matrix.identity(square, m)
-        # every entry is a Scalar of conductor m, as Matrix.build would check
-        return Matrix(len(data), width, tuple([self.scalar(x, m, path, i, j)
-                                               for i, row in enumerate(data)
-                                               for j, x in enumerate(row)]))
+        return Matrix.build([[self.scalar(x, m, path, i, j) for j, x in enumerate(row)]
+                             for i, row in enumerate(data)], m)
 
 
 def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
@@ -155,7 +154,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
             if reader.errors:
                 continue
             try:
-                gradings.append(Grading(n, pieces))
+                gradings.append(Grading.from_pieces(n, pieces))
             except ValueError as exc:
                 reader.fail(gpath, str(exc))
     connectors = []

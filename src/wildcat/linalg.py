@@ -1,65 +1,54 @@
 """Dense exact linear algebra over Q(zeta_m).
 
-Everything is canonical: reduced row-echelon forms are unique, so equality of
-subspaces is equality of representations.  Vectors are tuples of Scalar and
-matrices act on column vectors.
+A Matrix has one storage: its field, Q(zeta_m) for a conductor m fixed when
+it is made, and the power-basis numerators of its entries, phi(m) per entry,
+row-major, over one positive denominator with no common factor.  The form
+is canonical, so equal matrices store equal numbers, and equality, zero and
+the identity are read off the numerators in place.  Every operation is
+integer work on them ending in at most one gcd.  Matrices act on column
+vectors.  Scalars are made only at the boundary: ``Matrix.build`` and
+``from_json`` take parsed Scalars (ints and Fractions lift into the field),
+and the read-only views ``row`` and ``[i, j]`` give canonical Scalars for
+rendering and the tests.  A ``Subspace`` keeps the integer rows of its
+echelon and makes its Scalar ``basis`` only when that is read.
 
-There is one exact elimination, the incremental echelon ``_EchelonSet``:
-the algebra spinning, ``Matrix.inverse`` and ranks, ``Subspace`` and
-``linear_solve`` run on it.  It keeps each row as integers, the
-power-basis numerators of its entries over one denominator per row, so
-eliminating a row is integer arithmetic, not one Scalar operation per
-entry; Scalars are made only for the rows or blocks a caller reads.  Over
-Q(zeta_m) a step whose multiplier f is not rational forms f row as
-sum f_j (zeta^j row), from shifts of the row made on its first such step
-and kept until the row changes (``_shifts``), in flat list passes, with no
-multiplication table per step.
+There is one integer product, ``_product``: ``Matrix.__matmul__`` and the
+spins run on it, the spins taking each generator's ``_action`` once and
+extending each kept word through its echelon row, with no Matrix built per
+word.  Linear conditions X -> sum L.X.R are written as one Matrix of
+coefficient rows by ``sandwich_rows`` alone, and blocks are written with
+``Matrix.place`` and read with ``Matrix.submatrix``.
 
-``kernel`` does not eliminate exactly.  Every null space the package needs
-(the commutant, the complement, the radical, the minimal polynomial, the
-split, the stabilizer and the Stokes solve) is solved modulo primes, its
-reduced echelon basis lifted by the Chinese remainder theorem and rational
-reconstruction (``modular.lift_kernel``), and the lifted basis is accepted
-only when the integer rows kill each vector exactly.  The rank mod p is at
-most the exact rank, so such a basis is the unique reduced echelon basis
-of the kernel: the bytes are those of an exact elimination, which
-``tests/oracles.py`` keeps as the reference.  ``linear_solve`` stays exact:
-its one caller, the Stokes sampler's greedy factor, solves sheet blocks of
-at most 3 x 3.
+There is one exact elimination, the incremental echelon ``_EchelonSet``,
+behind the spins, inverses, ranks, ``Subspace`` and ``linear_solve``; its
+rows are integer numerators over one denominator per row.  A step whose
+multiplier f is not rational forms f row as sum f_j (zeta^j row), from
+shifts of the row kept until it changes (``_shifts``).  A row's content is
+removed by one rule (``_eliminate``, after Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+a step with multiplier d = dr / gcd(dr, f) = 1 takes no gcd, a step with
+d > 1 divides the content out at once, and a finished row takes one more.
+Deferring the d > 1 gcds too made ``is_stable`` on the reducible a3 b3 c3
+point of the benchmark corpus (seed 0, over Q) twice as slow, 1.5 -> 3.1 s
+(x86-64, CPython 3.11).  The reduced echelon form is unique, so where the
+content goes does not change what is read.
 
-The echelon removes a row's content by one rule on every field
-(``_eliminate``, after Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 1968): a step whose
-multiplier d = dr / gcd(dr, f) is 1 leaves the row as it is and takes no
-gcd, a step with d > 1 divides the content out at once, and each row takes
-one more gcd when it is finished.  Deferring the d > 1 gcds as well lets the
-coefficients grow: it made ``is_stable`` on the reducible a3 b3 c3 point of
-the benchmark corpus (seed 0, over Q) twice as slow, 1.5 -> 3.1 s (x86-64,
-CPython 3.11).  The reduced echelon form is unique, so where the content is
-removed does not change what is read.
+``kernel`` does not eliminate exactly: every null space is solved modulo
+primes, its reduced echelon basis lifted by the Chinese remainder theorem
+and rational reconstruction (``modular.lift_kernel``), and accepted only
+when the integer rows kill each vector exactly.  The rank mod p is at most
+the exact rank, so such a basis is the kernel's unique reduced echelon
+basis, the bytes of an exact elimination (``tests/oracles.py`` keeps it as
+the reference).  ``linear_solve`` stays exact: its one caller, the Stokes
+sampler's greedy factor, solves sheet blocks of at most 3 x 3.
 
-Products run on the same integer rows: ``Matrix.__matmul__`` puts each row
-of the left factor over its row lcm and each column of the right factor
-over its column lcm, so an entry is one integer dot product (phi(m) of
-them) and one gcd.  Linear conditions of the form X -> sum L.X.R are
-turned into integer coefficient rows over one denominator by
-``sandwich_rows`` alone, and ``kernel`` and ``linear_solve`` take them as
-they are (``IntRows``).  Block matrices (the doubled realisation,
-block-supported samples) are written with ``Matrix.place``.
-
-Stokes data carry the identity everywhere: a Stokes matrix is I plus
-blocks, and a loop's twist is I unless it is inner.  So the identity is a
-property read in place (``Matrix.is_identity``, on the canonical entries:
-numerators (1, 0, ...) over 1 on the diagonal, zero elsewhere), and a
-product with a square identity factor returns the other factor, after the
-same shape and field checks.  Returning the operand itself is safe because
-no code mutates a Matrix: its entries are a tuple of immutable Scalars, no
-code assigns its fields after construction, and ``place`` returns a copy.
-For the same reason ``Matrix.identity`` hands out one shared object per
-(n, m), ``Matrix.inverse`` of an identity returns that matrix, and a
-``Grading`` whose basis rows, in order, form the identity (the trivial
-grading, a coordinate torus in order, a Stokes sheet grading) is not ranked:
-its rows are independent by construction.
+Stokes data carry the identity everywhere, so a product with a square
+identity factor returns the other factor, after the shape and field checks.
+That is safe because no code mutates a Matrix (``place`` copies), which is
+also why ``Matrix.identity`` is one shared object per (n, m), the identity
+is its own inverse, and a ``Grading`` whose basis is the identity (the
+trivial grading, a coordinate torus in order, a Stokes sheet grading) is
+not ranked.
 """
 
 from __future__ import annotations
@@ -67,13 +56,14 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
-from typing import NamedTuple, Optional
+from operator import add, mul, sub
+from typing import Optional
 
 from .modular import lift_kernel
 from .scalars import (
     Scalar,
     _canonical,
+    _rational_text,
     _reduction_terms,
     euler_phi,
     inverse_numerators,
@@ -81,53 +71,11 @@ from .scalars import (
 )
 
 
-def _coerce_scalar(x, m: int = 1) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return Scalar.rational(x, m)
-
-
-def _field_rows(rows, m: Optional[int] = None):
-    """Rows of Scalars in one field: that of the Scalar entries, or ``m``.
-
-    Ints and Fractions lift into that field; Scalars of two conductors, or a
-    conductor other than an explicit ``m``, raise ValueError.  Returns
-    (rows, conductor).
-    """
-    rows = [list(row) for row in rows]
-    fields = {x.m for row in rows for x in row if isinstance(x, Scalar)}
-    if m is not None:
-        fields.add(m)
-    if len(fields) > 1:
-        raise ValueError(f"entries from fields of conductors {sorted(fields)}")
-    m = fields.pop() if fields else 1
-    return [[_coerce_scalar(x, m) for x in row] for row in rows], m
-
-
-def _int_row(vec, m: int, phi: int):
-    """(numerators, denominator) of a vector over Q(zeta_m): the phi = phi(m)
-    power-basis numerators of each entry, flattened, over the entries' least
-    common denominator, which leaves no common factor.  Ints and Fractions
-    lift into the field; Scalars of another field raise ValueError."""
-    try:
-        fields = {x.m for x in vec}
-    except AttributeError:  # ints and Fractions lift into the field
-        vec = [_coerce_scalar(x, m) for x in vec]
-        fields = {x.m for x in vec}
-    if fields and fields != {m}:
-        raise ValueError(f"a vector over conductor {m} has entries of conductors {sorted(fields)}")
-    return _lcm_nums(vec)
-
-
-def _lcm_nums(vec):
-    """``_int_row`` of Scalars known to be in its field."""
-    den = lcm(*[x.den for x in vec])
-    return [c * (den // x.den) for x in vec for c in x.num], den
-
-
-def _scalar_row(nums, den: int, m: int, phi: int, start: int, stop: int) -> list:
-    """Entries start .. stop of the row with these numerators over den, as Scalars."""
-    return [_canonical(m, tuple(nums[t:t + phi]), den) for t in range(start * phi, stop * phi, phi)]
+def _scalars(nums, den: int, m: int, phi: int, start: int, stop: int) -> tuple:
+    """Entries start .. stop of the entries with these numerators over den,
+    as canonical Scalars."""
+    return tuple([_canonical(m, tuple(nums[t:t + phi]), den)
+                  for t in range(start * phi, stop * phi, phi)])
 
 
 def _times(table: list, v: list, s: int, phi: int) -> list:
@@ -205,54 +153,44 @@ def _normalized(v: list, s: int, phi: int, m: int):
 
 
 class _EchelonSet:
-    """Incremental reduced row echelon basis with exact membership.
+    """Incremental reduced row echelon basis over Q(zeta_m), of vectors
+    given by their integer numerators (phi(m) per entry, any nonzero
+    multiple of the vector will do).
 
     Rows stay sorted by pivot with pivot entry 1, and are reduced at the
-    later pivots when they are read (``rows``, ``block``), so what is read
-    after any sequence of insertions is the unique reduced row echelon form
-    of the span.  A row is kept as integers (``_int_row``): the power-basis
-    numerators of its entries, flattened, over one positive denominator with
-    no common factor, so its pivot entry has numerators (den, 0, ..., 0).
-    Eliminating a row is integer work with one gcd (``_eliminate``), a new
-    pivot is normalized with one field inverse, and Scalars are made on
-    read.  The field is that of the first vector inserted.
+    later pivots when they are read (``reduced_rows``, ``matrix``), so what
+    is read after any sequence of insertions is the unique reduced row
+    echelon form of the span.  A row is kept as its numerators over one
+    positive denominator with no common factor, so its pivot entry has
+    numerators (den, 0, ..., 0).  Eliminating a row is integer work with
+    one gcd (``_eliminate``), and a new pivot is normalized with one field
+    inverse.
     """
 
-    def __init__(self, width: int, rows=()):
+    def __init__(self, width: int, m: int):
         self.width = width
-        self.m = self.phi = None    # the field, fixed by the first insertion
+        self.m, self.phi = m, euler_phi(m)
         self.pivots = []            # pivot column per row
         self._nums = []             # integer echelon rows, pivot order
         self._dens = []
         self._shifted = []          # per row, its ``_shifts`` once a step needs them, or None
         self._reduced = True        # zero at every other row's pivot
-        self._rows = None           # Scalar rows, made on read
-        for row in rows:
-            self.add(row)
 
     @staticmethod
     def reduced(width: int, m: int, rows) -> "_EchelonSet":
         """The echelon of canonical reduced rows, (pivot, numerators,
         denominator) by pivot, as ``insert`` would keep them."""
-        ech = _EchelonSet(width)
+        ech = _EchelonSet(width, m)
         if rows:
-            ech.m, ech.phi = m, euler_phi(m)
             ech.pivots, ech._nums, ech._dens = (list(column) for column in zip(*rows))
             ech._shifted = [None] * len(rows)
         return ech
 
-    def _field(self, vec):
-        """(m, phi(m)) of the echelon, else of the vector's Scalars, else of Q."""
-        if self.m is not None:
-            return self.m, self.phi
-        m = next((x.m for x in vec if isinstance(x, Scalar)), 1)
-        return m, euler_phi(m)
-
-    def _residue(self, v: list, dv: int, m: int, phi: int):
+    def _residue(self, v: list, dv: int):
         """v/dv less its components along the echelon rows, with whatever
         content the unscaled steps left: ``insert`` hands it to
-        ``_normalized``, whose gcd is the row's one, and ``contains`` only
-        asks whether it is zero."""
+        ``_normalized``, whose gcd is the row's one."""
+        m, phi = self.m, self.phi
         for i, (row, dr, piv) in enumerate(zip(self._nums, self._dens, self.pivots)):
             s = piv * phi
             if v[s] if phi == 1 else any(v[s:s + phi]):
@@ -269,30 +207,24 @@ class _EchelonSet:
             self._shifted[i] = _shifts(self._nums[i], self.m, self.phi)
         return self._shifted[i]
 
-    def insert(self, nums: list, m: int) -> Optional[list]:
-        """Insert the vector with these integer numerators (any nonzero
-        multiple of it will do) over Q(zeta_m): the numerators of its echelon
-        row, or None if it was dependent."""
-        if self.m is None:
-            self.m, self.phi = m, euler_phi(m)
-        elif m != self.m:
-            raise ValueError(f"a vector over conductor {m} meets an echelon over {self.m}")
+    def insert(self, nums: list) -> Optional[list]:
+        """Insert the vector with these integer numerators: the numerators of
+        its echelon row, or None if it was dependent."""
         phi = self.phi
-        v, _ = self._residue(nums, 1, m, phi)
+        v, _ = self._residue(nums, 1)
         for j, x in enumerate(v):
             if x:
                 break
         else:
             return None
         piv = j // phi
-        row, den = _normalized(v, piv * phi, phi, m)
+        row, den = _normalized(v, piv * phi, phi, self.m)
         at = bisect(self.pivots, piv)
         self._nums.insert(at, row)
         self._dens.insert(at, den)
         self._shifted.insert(at, None)
         self.pivots.insert(at, piv)
         self._reduced = self.dim == 1
-        self._rows = None
         return row
 
     def _reduce_rows(self):
@@ -320,28 +252,23 @@ class _EchelonSet:
         """A nonzero multiple of the vector with these integer numerators
         less its components along the echelon rows: zero at every pivot, so
         the one such vector of its coset, up to that multiple."""
-        return self._residue(nums, 1, self.m, self.phi)[0]
+        return self._residue(nums, 1)[0]
 
-    def add(self, vec) -> bool:
-        """Insert vec into the span; True if it was independent."""
-        m, phi = self._field(vec)
-        return self.insert(_int_row(vec, m, phi)[0], m) is not None
-
-    def contains(self, vec) -> bool:
-        m, phi = self._field(vec)
-        return not any(self._residue(*_int_row(vec, m, phi), m, phi)[0])
-
-    @property
-    def rows(self) -> list:
-        """The echelon rows as lists of Scalars."""
-        if self._rows is None:
-            self._rows = [self.block(i, 0, self.width) for i in range(self.dim)]
-        return self._rows
-
-    def block(self, i: int, start: int, stop: int) -> list:
-        """Entries start .. stop of echelon row i as Scalars."""
+    def reduced_rows(self) -> list:
+        """The reduced echelon rows as (numerators, denominator), canonical."""
         self._reduce_rows()
-        return _scalar_row(self._nums[i], self._dens[i], self.m, self.phi, start, stop)
+        return list(zip(self._nums, self._dens))
+
+    def matrix(self, start: int, stop: int) -> "Matrix":
+        """Columns start .. stop of the reduced echelon rows, as one Matrix."""
+        rows = self.reduced_rows()
+        phi = self.phi
+        den = lcm(*self._dens)
+        nums = []
+        for row, d in rows:
+            part = row[start * phi:stop * phi]
+            nums += part if d == den else [x * (den // d) for x in part]
+        return _matrix(len(rows), stop - start, self.m, nums, den)
 
     @property
     def dim(self) -> int:
@@ -362,35 +289,53 @@ def _row_action(nums: list, m: int, phi: int) -> list:
             for c in range(phi)]
 
 
-def _left_action(g: Matrix, m: int) -> list:
-    """g as an integer matrix on the power-basis numerators of K^cols, up
-    to the common denominator of its entries: per row i of g, the rows
-    (i, c) for c < phi(m), each over the numerators (k, b) of a column."""
-    phi = euler_phi(m)
-    nums, _ = _int_row(g.entries, m, phi)
-    w = g.cols * phi
-    return [_row_action(nums[i * w:(i + 1) * w], m, phi) for i in range(g.rows)]
+def _action(a: "Matrix") -> list:
+    """a as the left factor of ``_product``: per row of a, its ``_row_action``
+    on the numerators of a column, or None for a zero row."""
+    phi = euler_phi(a.m)
+    return [_row_action(row, a.m, phi) if any(row) else None for row in a.int_rows()]
 
 
-def _left_product(action: list, e: list, cols: int, phi: int) -> list:
-    """Numerators of g w, w the n x cols matrix with numerators e (row-major,
-    phi per entry) and ``action`` that of g: one ``sum(map(mul, ...))`` per
-    numerator of the product."""
+def _product(action: list, nums: list, cols: int, phi: int) -> list:
+    """The numerators of a b, the left factor a given by its ``_action`` and
+    the right factor b by its numerators (``cols`` columns, phi per entry),
+    over the product of the two denominators: one ``sum(map(mul, ...))``
+    per numerator, and zeros for a zero row of a."""
     if phi == 1:
-        columns = [e[j::cols] for j in range(cols)]
+        columns = [nums[j::cols] for j in range(cols)]
     else:
-        columns = [[x for t in range(j * phi, len(e), cols * phi) for x in e[t:t + phi]]
+        columns = [[x for t in range(j * phi, len(nums), cols * phi) for x in nums[t:t + phi]]
                    for j in range(cols)]
-    return [sum(map(mul, tc, col)) for rows in action for col in columns for tc in rows]
+    zero = [0] * (cols * phi)
+    out = []
+    for lines in action:
+        out += zero if lines is None else [sum(map(mul, tc, col)) for col in columns for tc in lines]
+    return out
+
+
+def _matrix(rows: int, cols: int, m: int, nums: list, den: int) -> "Matrix":
+    """The Matrix nums/den (den > 0), dividing out the common gcd."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return Matrix(rows, cols, m, [x // g for x in nums], den // g)
+    return Matrix(rows, cols, m, nums, den)
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "entries", "_inverse")
+    """A matrix over Q(zeta_m): row-major power-basis numerators, phi(m) per
+    entry, over one positive denominator with no common factor (module
+    docstring).  The constructor takes a canonical form as given;
+    ``build`` makes one from entries."""
 
-    def __init__(self, rows: int, cols: int, entries: tuple):
+    __slots__ = ("rows", "cols", "m", "nums", "den", "_inverse")
+
+    def __init__(self, rows: int, cols: int, m: int, nums: list, den: int = 1):
         self.rows = rows
         self.cols = cols
-        self.entries = entries  # row-major tuple of Scalar
+        self.m = m
+        self.nums = nums
+        self.den = den
         self._inverse = None    # set by ``inverse``
 
     # -- constructors ------------------------------------------------------
@@ -400,175 +345,178 @@ class Matrix:
         """Matrix of nested rows in one field: that of its Scalar entries, or ``m``.
 
         Ints and Fractions lift into the field; entries of two fields, or of a
-        field other than an explicit ``m``, raise ValueError.
+        field other than an explicit ``m``, raise ValueError.  Over the
+        entries' least common denominator the numerators have no common
+        factor, since each entry is canonical.
         """
-        data, _ = _field_rows(rows, m)
+        data = [list(row) for row in rows]
         nr = len(data)
         nc = len(data[0]) if nr else 0
         if any(len(row) != nc for row in data):
             raise ValueError("ragged matrix rows")
-        return Matrix(nr, nc, tuple(x for row in data for x in row))
+        flat = [x for row in data for x in row]
+        fields = {x.m for x in flat if isinstance(x, Scalar)}
+        if m is not None:
+            fields.add(m)
+        if len(fields) > 1:
+            raise ValueError(f"entries from fields of conductors {sorted(fields)}")
+        m = fields.pop() if fields else 1
+        flat = [x if isinstance(x, Scalar) else Scalar.rational(x, m) for x in flat]
+        den = lcm(*[x.den for x in flat])
+        return Matrix(nr, nc, m, [c * (den // x.den) for x in flat for c in x.num], den)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def identity(n: int, m: int = 1) -> "Matrix":
         """The n x n identity over Q(zeta_m), one shared object per (n, m):
         no code mutates a Matrix (``place`` copies), so callers may share it."""
-        one, zero = Scalar.one(m), Scalar.zero(m)
-        return Matrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        phi = euler_phi(m)
+        nums = [0] * (n * n * phi)
+        nums[::(n + 1) * phi] = [1] * n
+        return Matrix(n, n, m, nums)
 
     @staticmethod
     def zero(rows: int, cols: int, m: int = 1) -> "Matrix":
-        z = Scalar.zero(m)
-        return Matrix(rows, cols, (z,) * (rows * cols))
+        return Matrix(rows, cols, m, [0] * (rows * cols * euler_phi(m)))
 
-    @staticmethod
-    def from_rows(vectors) -> "Matrix":
-        return Matrix(len(vectors), len(vectors[0]) if vectors else 0,
-                      tuple(x for v in vectors for x in v))
-
-    @staticmethod
-    def from_cols(vectors) -> "Matrix":
-        return Matrix.from_rows(vectors).transpose()
-
-    # -- access --------------------------------------------------------------
+    # -- Scalar views --------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        k = i * self.cols + j
+        return _scalars(self.nums, self.den, self.m, euler_phi(self.m), k, k + 1)[0]
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols: (i + 1) * self.cols]
+        return _scalars(self.nums, self.den, self.m, euler_phi(self.m),
+                        i * self.cols, (i + 1) * self.cols)
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+    # -- integer views and reshaping -------------------------------------------
 
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+    def int_rows(self) -> list:
+        """The numerators of each row (phi(m) per entry), over ``den``."""
+        w = self.cols * euler_phi(self.m)
+        return [self.nums[i * w:(i + 1) * w] for i in range(self.rows)]
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries, row-major, in a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("reshape changes the number of entries")
+        return Matrix(rows, cols, self.m, self.nums, self.den)
+
+    def submatrix(self, rows, start: int, stop: int) -> "Matrix":
+        """The rows with the given indices, columns start .. stop."""
+        phi = euler_phi(self.m)
+        w, a, b = self.cols * phi, start * phi, stop * phi
+        nums = [x for i in rows for x in self.nums[i * w + a:i * w + b]]
+        return _matrix(len(rows), stop - start, self.m, nums, self.den)
 
     def place(self, row: int, col: int, block: "Matrix") -> "Matrix":
         """A copy with ``block`` written over the entries from (row, col) on."""
         if row < 0 or col < 0 or row + block.rows > self.rows or col + block.cols > self.cols:
             raise ValueError("block does not fit inside the matrix")
-        if block.entries and self.entries and block._conductor() != self._conductor():
-            raise ValueError("block and matrix live in different fields")
-        out = list(self.entries)
+        self._same_field(block, "a block placed in a matrix")
+        den = lcm(self.den, block.den)
+        s, t = den // self.den, den // block.den
+        out = [x * s for x in self.nums] if s != 1 else list(self.nums)
+        phi = euler_phi(self.m)
+        w, bw = self.cols * phi, block.cols * phi
         for i in range(block.rows):
-            start = (row + i) * self.cols + col
-            out[start:start + block.cols] = block.row(i)
-        return Matrix(self.rows, self.cols, tuple(out))
+            start = (row + i) * w + col * phi
+            part = block.nums[i * bw:(i + 1) * bw]
+            out[start:start + bw] = part if t == 1 else [x * t for x in part]
+        return _matrix(self.rows, self.cols, self.m, out, den)
+
+    def transpose(self) -> "Matrix":
+        r, c, nums = self.rows, self.cols, self.nums
+        phi = euler_phi(self.m)
+        if phi == 1:
+            out = [x for j in range(c) for x in nums[j::c]]
+        else:
+            out = [x for j in range(c) for i in range(r)
+                   for x in nums[(i * c + j) * phi:(i * c + j + 1) * phi]]
+        return Matrix(c, r, self.m, out, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _same_field(self, other: "Matrix", what: str):
+        if other.m != self.m:
+            raise ValueError(f"{what} over conductors {sorted({self.m, other.m})}")
+
+    def _combine(self, other: "Matrix", op, what: str) -> "Matrix":
+        """self op other (op add or sub) over the lcm of the denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch in addition")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+            raise ValueError(f"matrix shape mismatch in {what}")
+        self._same_field(other, f"a {what} of matrices")
+        da, db = self.den, other.den
+        if da == db:
+            return _matrix(self.rows, self.cols, self.m, list(map(op, self.nums, other.nums)), da)
+        g = gcd(da, db)
+        s, t = da // g, db // g
+        return _matrix(self.rows, self.cols, self.m,
+                       [op(x * t, y * s) for x, y in zip(self.nums, other.nums)], s * db)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, add, "sum")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape mismatch in subtraction")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, sub, "difference")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix(self.rows, self.cols, self.m, [-x for x in self.nums], self.den)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(a * c for a in self.entries))
+        """c times self, c an int, a Fraction or a Scalar of the field."""
+        c = c if isinstance(c, Scalar) else Scalar.rational(c, self.m)
+        if c.m != self.m:
+            raise ValueError(f"a scalar and a matrix over conductors {sorted({c.m, self.m})}")
+        nums = _times(multiplication_matrix(self.m, c.num), self.nums, 0, euler_phi(self.m))
+        return _matrix(self.rows, self.cols, self.m, nums, self.den * c.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, exact and canonical, on integers: each row of self
-        over its row lcm and each column of other over its column lcm, so an
-        entry is one ``sum(map(mul, ...))`` over the product of the two lcms,
-        made canonical by one gcd.  When phi(m) > 1 an entry takes phi(m)
-        of them, through the multiplication matrices of the row's entries
-        (``_row_action``).  Zero rows of self give zeros with no product;
-        entries of two fields raise ValueError.  A square identity factor
-        returns the other one as it is (module docstring)."""
+        """The product, exact and canonical: one integer ``_product`` of the
+        numerators over the product of the denominators, made canonical by
+        one gcd.  Entries of two fields raise ValueError.  A square identity
+        factor returns the other one as it is (module docstring)."""
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch in product")
-        n, k, p = self.rows, self.cols, other.cols
-        m = self._conductor()
-        zero = Scalar.zero(m)
-        if not (n and k and p):
-            return Matrix(n, p, (zero,) * (n * p))
-        a, b = self.entries, other.entries
-        fields = {x.m for x in a} | {x.m for x in b}
-        if fields != {m}:
-            raise ValueError(f"a product of matrices over conductors {sorted(fields)}")
+        self._same_field(other, "a product of matrices")
         if self.is_identity():
             return other
         if other.is_identity():
             return self
-        phi = euler_phi(m)
-        cols = [_lcm_nums(b[j::p]) for j in range(p)]
-        out = []
-        for i in range(n):
-            row, da = _lcm_nums(a[i * k:(i + 1) * k])
-            if not any(row):
-                out += [zero] * p
-            elif phi == 1:
-                for col, db in cols:
-                    s = sum(map(mul, row, col))
-                    if not s:
-                        out.append(zero)
-                        continue
-                    d = da * db
-                    g = gcd(s, d)
-                    out.append(Scalar(m, (s // g,), d // g))
-            else:
-                action = _row_action(row, m, phi)
-                for col, db in cols:
-                    s = tuple([sum(map(mul, tc, col)) for tc in action])
-                    out.append(_canonical(m, s, da * db) if any(s) else zero)
-        return Matrix(n, p, tuple(out))
+        nums = _product(_action(self), other.nums, other.cols, euler_phi(self.m))
+        return _matrix(self.rows, other.cols, self.m, nums, self.den * other.den)
 
-    def mul_vector(self, v: tuple) -> tuple:
-        return tuple(self.__matmul__(Matrix(len(v), 1, tuple(v))).entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
-
-    def _conductor(self) -> int:
-        for e in self.entries:
-            return e.m
-        return 1
+    # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self.nums)
 
-    def _is_scalar_of(self, num: tuple, den: int) -> bool:
-        """Whether self is square with every diagonal entry the canonical
-        num / den and every other entry zero: the one entry walk of
-        ``is_identity`` and ``algebra._is_scalar_matrix``.  Builds no Scalar."""
-        n = self.rows
-        if self.cols != n:
-            return False
-        step = n + 1
-        for k, x in enumerate(self.entries):
-            if (x.den != den or x.num != num) if k % step == 0 else any(x.num):
-                return False
-        return True
+    def is_scalar(self) -> bool:
+        """Whether self is square with every diagonal entry its first one and
+        every other entry zero, read off the numerators."""
+        n, phi = self.rows, euler_phi(self.m)
+        pattern = [0] * len(self.nums)
+        for t in range(0, len(pattern), (n + 1) * phi):
+            pattern[t:t + phi] = self.nums[:phi]
+        return self.cols == n and pattern == self.nums
 
     def is_identity(self) -> bool:
-        """Whether self is a square identity, read off the canonical entries
-        (numerators (1, 0, ...) over 1 on the diagonal), with no Matrix built."""
-        return self._is_scalar_of((1,) + (0,) * (euler_phi(self._conductor()) - 1), 1)
+        """Whether self is a square identity: denominator 1 and the shared
+        identity's numerators, with no Matrix built."""
+        return self.den == 1 and self.rows == self.cols and \
+            self.nums == Matrix.identity(self.rows, self.m).nums
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(a == b for a, b in zip(self.entries, other.entries))
+        return (self.rows, self.cols, self.m, self.den, self.nums) == \
+            (other.rows, other.cols, other.m, other.den, other.nums)
 
     __hash__ = None
 
     def rank(self) -> int:
-        return _EchelonSet(self.cols, self.row_list()).dim
+        return _echelon(self).dim
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -583,41 +531,57 @@ class Matrix:
             return self._inverse
         if self.is_identity():
             return self
-        n, m = self.rows, self._conductor()
-        phi = euler_phi(m)
-        ech = _EchelonSet(2 * n)
-        for i in range(n):  # the row [a_i | e_i] over the denominator of a_i
-            nums, den = _int_row(self.row(i), m, phi)
+        n, phi = self.rows, euler_phi(self.m)
+        ech = _EchelonSet(2 * n, self.m)
+        for i, row in enumerate(self.int_rows()):  # the row [a_i | e_i], times den
             unit = [0] * (n * phi)
-            unit[i * phi] = den
-            ech.insert(nums + unit, m)
+            unit[i * phi] = self.den
+            ech.insert(row + unit)
         if ech.pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        inv = Matrix(n, n, tuple(x for i in range(n) for x in ech.block(i, n, 2 * n)))
+        inv = ech.matrix(n, 2 * n)
         self._inverse, inv._inverse = inv, self
         return inv
+
+    # -- rendering -------------------------------------------------------------
 
     def __repr__(self):
         return "Matrix(" + "; ".join(
             "[" + ", ".join(repr(x) for x in self.row(i)) + "]" for i in range(self.rows)) + ")"
 
     def to_json(self):
-        return [[x.to_json() for x in self.row(i)] for i in range(self.rows)]
+        """Each entry's coefficients as text, as ``Scalar.to_json`` prints
+        them: p / den in lowest terms is the entry's coefficient p' / d'."""
+        phi, den = euler_phi(self.m), self.den
+        texts = [_rational_text(x, den) for x in self.nums]
+        if self.m != 1:  # a list of phi(m) texts per entry, as for Q(zeta_2) = Q
+            texts = [texts[t:t + phi] for t in range(0, len(texts), phi)]
+        return [texts[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
 
     @staticmethod
     def from_json(data, m: int) -> "Matrix":
         return Matrix.build([[Scalar.from_json(x, m) for x in row] for row in data], m)
 
 
-class IntRows(NamedTuple):
-    """A linear system over Q(zeta_m) as integer rows in the ``_int_row``
-    layout (phi(m) numerators per unknown, ``width`` unknowns).  Each row
-    stands for any nonzero multiple of itself, so only the span is read:
-    ``kernel`` and ``linear_solve`` take it in place of a Matrix and use
-    the rows as they are."""
-    nums: list
-    width: int
-    m: int
+def stack(mats) -> Matrix:
+    """The rows of one or more matrices of one width and field, in order,
+    over the lcm of their denominators (which leaves no common factor)."""
+    first = mats[0]
+    if any((a.cols, a.m) != (first.cols, first.m) for a in mats):
+        raise ValueError("stacked matrices differ in width or field")
+    den = lcm(*[a.den for a in mats])
+    nums = []
+    for a in mats:
+        nums += a.nums if a.den == den else [x * (den // a.den) for x in a.nums]
+    return Matrix(sum(a.rows for a in mats), first.cols, first.m, nums, den)
+
+
+def _echelon(a: Matrix) -> _EchelonSet:
+    """The echelon of a's rows."""
+    ech = _EchelonSet(a.cols, a.m)
+    for row in a.int_rows():
+        ech.insert(row)
+    return ech
 
 
 def _nonzero(nums: list, start: int, step: int, count: int, phi: int) -> list:
@@ -627,88 +591,90 @@ def _nonzero(nums: list, start: int, step: int, count: int, phi: int) -> list:
     return [(i, nums[t:t + phi]) for i, t in spans if any(nums[t:t + phi])]
 
 
-def sandwich_rows(terms, rows: int, cols: int, m: int):
-    """Integer coefficient rows of the linear map X -> sum over terms of L.X.R.
+def sandwich_rows(terms, rows: int, cols: int, m: int) -> Matrix:
+    """The coefficient rows of the linear map X -> sum over terms of L.X.R.
 
     X is a rows x cols matrix of unknowns, flattened row-major.  A term is
     (L, R, transposed); a transposed term contributes L.X^T.R.  L or R may be
-    None for the identity.  Returns (nums, den): one row per entry of the
-    result, in row-major order of the result, in the ``_int_row`` layout,
-    such that nums / den are the coefficient rows.  Each factor is taken
-    over the lcm of its entries' denominators and den is the lcm of the
-    terms' products of these, so a coefficient is a sum of integer products
-    of numerators and no Scalar is made.  Zero entries of L and R are
-    skipped.  ``kernel`` reads the rows as they are (``IntRows``); a
-    right-hand side for them is scaled by den.
+    None for the identity.  Returns a Matrix with one row per entry of the
+    result, in row-major order of the result, and one column per unknown.
+    Each factor's numerators are over its denominator, and the result's is
+    the lcm of the terms' products of these, so a coefficient is a sum of
+    integer products of numerators and no Scalar is made.  Zero entries of
+    L and R are skipped.
     """
     phi = euler_phi(m)
-    ints = [(([], 1) if left is None else _int_row(left.entries, m, phi),
-             ([], 1) if right is None else _int_row(right.entries, m, phi))
+    if any(f is not None and f.m != m for left, right, _ in terms for f in (left, right)):
+        raise ValueError(f"a factor of another field in a system over conductor {m}")
+    dens = [(1 if left is None else left.den) * (1 if right is None else right.den)
             for left, right, _ in terms]
-    den = lcm(*[dl * dr for (_, dl), (_, dr) in ints])
-    out = None
-    for (left, right, transposed), ((ln, dl), (rn, dr)) in zip(terms, ints):
+    den = lcm(*dens)
+    width, out, shape = rows * cols * phi, None, None
+    for (left, right, transposed), d in zip(terms, dens):
         # the sandwiched matrix is X or X^T; its entry (a, b) is unknown k(a, b)
         inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
         height = inner_rows if left is None else left.rows
-        width = inner_cols if right is None else right.cols
+        wide = inner_cols if right is None else right.cols
         if out is None:
-            out = [[0] * (rows * cols * phi) for _ in range(height * width)]
-        elif len(out) != height * width:
+            out, shape = [0] * (height * wide * width), (height, wide)
+        elif shape != (height, wide):
             raise ValueError("sandwich terms have results of different shapes")
-        scale = den // (dl * dr)  # folded into the left factor
+        scale = den // d  # folded into the left factor
         # per row r of L, its nonzero entries (a, x, the multiplication table
         # of x, or None when x is rational); per column c of R, its nonzero
         # entries (b, y), or (c, None) for the identity
         lefts = [[(r, [scale] + [0] * (phi - 1))] if left is None else
                  [(a, [scale * c for c in x])
-                  for a, x in _nonzero(ln, r * left.cols, 1, left.cols, phi)]
+                  for a, x in _nonzero(left.nums, r * left.cols, 1, left.cols, phi)]
                  for r in range(height)]
         lefts = [[(a, x, multiplication_matrix(m, x) if any(x[1:]) else None) for a, x in line]
                  for line in lefts]
-        rights = [[(c, None)] if right is None else _nonzero(rn, c, width, right.rows, phi)
-                  for c in range(width)]
+        rights = [[(c, None)] if right is None else _nonzero(right.nums, c, wide, right.rows, phi)
+                  for c in range(wide)]
         for r in range(height):
-            for c in range(width):
-                row = out[r * width + c]
+            for c in range(wide):
+                base = (r * wide + c) * width
                 for a, x, table in lefts[r]:
                     for b, y in rights[c]:
-                        k = (b * cols + a if transposed else a * cols + b) * phi
+                        k = base + (b * cols + a if transposed else a * cols + b) * phi
                         prod = x if y is None else [x[0] * z for z in y] if table is None \
                             else [sum(map(mul, tc, y)) for tc in table]
                         for t, z in enumerate(prod, k):
-                            row[t] += z
-    return out, den
+                            out[t] += z
+    return _matrix(shape[0] * shape[1], rows * cols, m, out, den)
 
 
 class Subspace:
-    """A subspace of K^n in canonical reduced row-echelon form."""
+    """A subspace of K^n in canonical reduced row-echelon form, kept as the
+    integer rows of its echelon."""
 
-    __slots__ = ("ambient_dim", "basis", "_echelon")
+    __slots__ = ("ambient_dim", "_echelon")
 
     def __init__(self, echelon: _EchelonSet):
         self.ambient_dim = echelon.width
-        self.basis = tuple(tuple(row) for row in echelon.rows)  # canonical echelon rows
         self._echelon = echelon
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vecs, _ = _field_rows(vectors)
-        return Subspace(_EchelonSet(ambient_dim, vecs))
+    def span(a: Matrix) -> "Subspace":
+        """The row space of a."""
+        return Subspace(_echelon(a))
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(_EchelonSet(ambient_dim))
+    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
+        vectors = list(vectors)
+        return Subspace.span(Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+
+    @staticmethod
+    def zero(ambient_dim: int, m: int = 1) -> "Subspace":
+        return Subspace(_EchelonSet(ambient_dim, m))
 
     @staticmethod
     def full(ambient_dim: int, m: int = 1) -> "Subspace":
-        return Subspace.from_vectors(ambient_dim,
-                                     [Matrix.identity(ambient_dim, m).row(i)
-                                      for i in range(ambient_dim)])
+        return Subspace.span(Matrix.identity(ambient_dim, m))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._echelon.dim
 
     @property
     def pivots(self) -> tuple:
@@ -716,33 +682,29 @@ class Subspace:
         other row 0, so a vector of the span has its coordinates there."""
         return tuple(self._echelon.pivots)
 
-    def contains(self, vector) -> bool:
-        return self._echelon.contains(vector)
+    @property
+    def basis(self) -> tuple:
+        """The canonical echelon rows as tuples of Scalars."""
+        ech = self._echelon
+        return tuple(_scalars(nums, den, ech.m, ech.phi, 0, self.ambient_dim)
+                     for nums, den in ech.reduced_rows())
 
-    def coordinates(self, vector):
-        """Coordinates of vector in the echelon basis (its pivot entries), or None."""
-        if not self.contains(vector):
-            return None
-        m = self.basis[0][0].m if self.basis else 1
-        return tuple(_coerce_scalar(vector[p], m) for p in self.pivots)
+    @property
+    def matrix(self) -> Matrix:
+        """The echelon basis as the rows of one Matrix."""
+        return self._echelon.matrix(0, self.ambient_dim)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: row reduce [A|A; B|0], read the right half of the zero-left rows
-        n = self.ambient_dim
-        if not (self.basis and other.basis):
-            return Subspace.zero(n)
-        zero = Scalar.zero(self.basis[0][0].m)
-        ech = _EchelonSet(2 * n, [r + r for r in self.basis] +
-                          [r + (zero,) * n for r in other.basis])
-        return Subspace.from_vectors(
-            n, [ech.block(i, n, 2 * n) for i, piv in enumerate(ech.pivots) if piv >= n])
+    def matrices(self, rows: int, cols: int) -> list:
+        """Each echelon basis vector as a rows x cols Matrix, row-major."""
+        m = self._echelon.m
+        return [Matrix(rows, cols, m, nums, den) for nums, den in self._echelon.reduced_rows()]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and \
-            len(self.basis) == len(other.basis) and \
-            all(all(a == b for a, b in zip(r1, r2)) for r1, r2 in zip(self.basis, other.basis))
+        a, b = self._echelon, other._echelon
+        return self.ambient_dim == other.ambient_dim and a.pivots == b.pivots and \
+            (not a.pivots or a.m == b.m) and a.reduced_rows() == b.reduced_rows()
 
     __hash__ = None
 
@@ -768,96 +730,104 @@ class Subspace:
             [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
 
 
-def _system(a):
-    """(width, m, rows) of a Matrix or ``IntRows``: its rows in the
-    ``_int_row`` layout with their denominators (1 for ``IntRows``)."""
-    if isinstance(a, IntRows):
-        return a.width, a.m, [(r, 1) for r in a.nums]
-    m = a._conductor()
-    phi = euler_phi(m)
-    return a.cols, m, [_int_row(a.row(i), m, phi) for i in range(a.rows)]
-
-
-def kernel(a) -> Subspace:
-    """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
-    Subspace of K^width: its reduced echelon basis, solved modulo primes and
-    lifted (``modular.lift_kernel``), and accepted only when a's integer
-    rows kill every lifted vector exactly, through the integer matrix of
-    multiplication by it (``_row_action``)."""
-    n, m, rows = _system(a)
-    phi = euler_phi(m)
-    rows = [(r, d) for r, d in rows if any(r)]
+def kernel(a: Matrix) -> Subspace:
+    """Null space {x : a @ x = 0} as a canonical Subspace of K^cols: its
+    reduced echelon basis, solved modulo primes and lifted
+    (``modular.lift_kernel``), and accepted only when a's integer rows kill
+    every lifted vector exactly, through the integer matrix of
+    multiplication by it (``_row_action``).  Only the span of a's rows is
+    read, so a system may give each row as any nonzero multiple of itself."""
+    m, phi = a.m, euler_phi(a.m)
+    rows = [r for r in a.int_rows() if any(r)]
 
     def kills(basis) -> bool:
         for _, nums, _ in basis:
             action = _row_action(nums, m, phi)
-            for r, _ in rows:
+            for r in rows:
                 for tc in action:
                     if sum(map(mul, tc, r)):
                         return False
         return True
 
-    return Subspace(_EchelonSet.reduced(n, m, lift_kernel(rows, n, m, kills)))
+    return Subspace(_EchelonSet.reduced(a.cols, m, lift_kernel(rows, a.den, a.cols, m, kills)))
 
 
-def linear_solve(a, b: Matrix) -> Optional[Matrix]:
-    """One solution X of a @ X = b, a a Matrix or ``IntRows``, or None when
-    there is none.
+def linear_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """One solution X of a @ X = b, or None when there is none.
 
     X is read off the reduced echelon form of [a | b]: zero at a's free
     columns, so it depends only on the row space of [a | b].  The solution
-    ambiguity is ``kernel(a)``.  Rows of ``IntRows`` are taken as they
-    are, so b must be given for those rows, not for rows up to a multiple.
+    ambiguity is ``kernel(a)``.
     """
-    n, m, rows = _system(a)
-    if len(rows) != b.rows:
+    if a.rows != b.rows:
         raise ValueError("dimension mismatch: a and b must have equal row count")
-    phi = euler_phi(m)
-    ech = _EchelonSet(n + b.cols)
-    for i, (r, d) in enumerate(rows):
-        rhs, e = _int_row(b.row(i), m, phi)
-        g = gcd(d, e)  # r/d | rhs/e over lcm(d, e)
-        ech.insert([x * (e // g) for x in r] + [x * (d // g) for x in rhs], m)
+    a._same_field(b, "a system and a right-hand side")
+    n, k, phi = a.cols, b.cols, euler_phi(a.m)
+    g = gcd(a.den, b.den)  # a/da | b/db over lcm(da, db)
+    s, t = b.den // g, a.den // g
+    ech = _EchelonSet(n + k, a.m)
+    for r, rhs in zip(a.int_rows(), b.int_rows()):
+        ech.insert([x * s for x in r] + [x * t for x in rhs])
     if any(p >= n for p in ech.pivots):
         return None  # inconsistent system
-    xs = [Scalar.zero(m)] * (n * b.cols)
+    sol, w = ech.matrix(n, n + k), k * phi
+    nums = [0] * (n * w)
     for i, p in enumerate(ech.pivots):
-        xs[p * b.cols:(p + 1) * b.cols] = ech.block(i, n, n + b.cols)
-    return Matrix(n, b.cols, tuple(xs))
+        nums[p * w:(p + 1) * w] = sol.nums[i * w:(i + 1) * w]
+    return Matrix(n, k, a.m, nums, sol.den)
 
 
 class Grading:
     """A weight decomposition of K^n: distinct integer weights in Z^k with
     jointly independent spanning bases.  This is how a torus is presented:
-    the torus is recovered from its weight spaces."""
+    the torus is recovered from its weight spaces.  The bases are the rows
+    of one Matrix, piece by piece, ``sizes`` rows each."""
 
-    __slots__ = ("ambient_dim", "pieces")
+    __slots__ = ("weights", "sizes", "basis")
 
-    def __init__(self, ambient_dim: int, pieces):
-        self.ambient_dim = ambient_dim
-        pieces = [(tuple(int(w) for w in weight), list(basis)) for weight, basis in pieces]
-        vectors = iter(_field_rows([v for _, basis in pieces for v in basis])[0])
-        pieces = [(weight, [tuple(next(vectors)) for _ in basis]) for weight, basis in pieces]
-        if len({len(w) for w, _ in pieces}) > 1:
+    def __init__(self, weights, sizes, basis: Matrix):
+        self.weights = [tuple(int(w) for w in weight) for weight in weights]
+        self.sizes = list(sizes)
+        self.basis = basis
+        if len({len(w) for w in self.weights}) > 1:
             raise ValueError("grading weights have mixed lengths")
-        weights = [w for w, _ in pieces]
-        if len(set(weights)) != len(weights):
+        if len(set(self.weights)) != len(self.weights):
             raise ValueError("grading weights are not pairwise distinct")
-        total = [v for _, basis in pieces for v in basis]
-        if len(total) != ambient_dim:
+        if basis.rows != basis.cols:
             raise ValueError("grading pieces do not have total dimension n")
-        rows = Matrix.from_rows(total)
-        if not rows.is_identity() and rows.rank() != ambient_dim:
+        if not basis.is_identity() and basis.rank() != basis.rows:
             raise ValueError("grading pieces are not jointly independent")
-        self.pieces = pieces
+
+    @staticmethod
+    def from_pieces(ambient_dim: int, pieces) -> "Grading":
+        """The grading with pieces (weight, basis vectors), the vectors of
+        Scalars in one field (ints and Fractions lift into it)."""
+        pieces = [(weight, list(vectors)) for weight, vectors in pieces]
+        vectors = [v for _, basis in pieces for v in basis]
+        if any(len(v) != ambient_dim for v in vectors) or len(vectors) != ambient_dim:
+            raise ValueError("grading pieces do not have total dimension n")
+        return Grading([w for w, _ in pieces], [len(basis) for _, basis in pieces],
+                       Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
 
     @staticmethod
     def trivial(n: int, m: int = 1) -> "Grading":
-        ident = Matrix.identity(n, m)
-        return Grading(n, [((), [ident.row(i) for i in range(n)])])
+        return Grading([()], [n], Matrix.identity(n, m))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
+
+    @property
+    def pieces(self) -> list:
+        """(weight, basis vectors as tuples of Scalars) per piece."""
+        out, start = [], 0
+        for weight, size in zip(self.weights, self.sizes):
+            out.append((weight, [self.basis.row(i) for i in range(start, start + size)]))
+            start += size
+        return out
 
     def is_trivial(self) -> bool:
-        return len(self.pieces) == 1
+        return len(self.weights) == 1
 
     def weight_operator(self) -> Matrix:
         """X = B diag(<lambda, u>) B^-1, B every piece's basis as columns:
@@ -866,13 +836,11 @@ class Grading:
         <lambda, .> is linear and injective on the weights and their
         negatives, and the unital algebra of X is the span of the weight
         projectors (Lagrange interpolation)."""
-        s = 2 * max((abs(c) for w, _ in self.pieces for c in w), default=0) + 1
-        vectors, scaled = [], []
-        for w, basis in self.pieces:
-            eigenvalue = sum(c * s ** i for i, c in enumerate(w))
-            vectors += basis
-            scaled += [[x * eigenvalue for x in v] for v in basis]
-        return Matrix.from_cols(scaled) @ Matrix.from_cols(vectors).inverse()
-
-    def piece_subspaces(self):
-        return [Subspace.from_vectors(self.ambient_dim, basis) for _, basis in self.pieces]
+        s = 2 * max((abs(c) for w in self.weights for c in w), default=0) + 1
+        b, w = self.basis, self.basis.cols * euler_phi(self.basis.m)
+        scaled, start = [], 0
+        for weight, size in zip(self.weights, self.sizes):
+            eigenvalue = sum(c * s ** i for i, c in enumerate(weight))
+            scaled += [x * eigenvalue for x in b.nums[start * w:(start + size) * w]]
+            start += size
+        return _matrix(b.rows, b.cols, b.m, scaled, b.den).transpose() @ b.transpose().inverse()

@@ -115,11 +115,12 @@ def _modulus(m: int):
 
 @lru_cache(maxsize=None)
 def _image_map(p: int, r: int, phi: int):
-    """The ring map zeta_m -> r into F_p, phi = phi(m), on rows in the
-    ``_int_row`` layout: ``image(nums, den)`` gives the residues of the
-    entries whose phi power-basis numerators each are nums over den, or
-    None if p divides den.  den is the lcm of the entries' denominators, so
-    p divides it exactly when p divides one of them."""
+    """The ring map zeta_m -> r into F_p, phi = phi(m), on rows laid out
+    as a ``linalg.Matrix`` keeps its entries: ``image(nums, den)`` gives
+    the residues of the entries whose phi power-basis numerators each are
+    nums over den, or None if p divides den.  A canonical den is the lcm
+    of the entries' denominators, so p divides it exactly when p divides
+    one of them."""
     rpow = [pow(r, j, p) for j in range(1, phi)]
 
     def image(nums, den) -> Optional[list]:
@@ -287,8 +288,8 @@ def _horner_mod(poly, x: int, q: int) -> int:
 
 def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     """An upper bound on the kernel dimension over Q(zeta_m) of integer rows
-    in the ``_int_row`` layout (``sandwich_rows``), width entries of phi(m)
-    numerators each.
+    of width entries, phi(m) power-basis numerators each, as a
+    ``linalg.Matrix`` keeps them (``sandwich_rows``).
 
     The rows are mapped to F_p by zeta_m -> r (``_image_map``), p the
     word-size prime of ``_modulus``; every integer row has an image, so no
@@ -297,7 +298,7 @@ def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     are eliminated until the echelon is full, when the kernel mod p is 0.
     """
     p, r = _modulus(m)
-    image = _image_map(p, r, len(rows[0]) // width if rows else 1)
+    image = _image_map(p, r, len(_units(m)))
     return len(null_space_mod_p((image(row, 1) for row in rows), width, p))
 
 
@@ -366,16 +367,16 @@ def _reconstruct(values, modulus: int) -> Optional[tuple]:
     return [y // g for y in nums], den // g
 
 
-def lift_kernel(rows, width: int, m: int, kills) -> list:
+def lift_kernel(rows, den: int, width: int, m: int, kills) -> list:
     """The reduced echelon basis over Q(zeta_m) of the null space of the
-    rows ((numerators, denominator) pairs in the ``_int_row`` layout, none
-    zero), as (pivot, numerators, denominator) per vector, pivots
-    ascending: each over one positive denominator with no common factor,
-    numerators (den, 0, ...) at its pivot and zeros at the other pivots.
+    rows (integer numerators over den, phi(m) per entry as a
+    ``linalg.Matrix`` keeps them, none zero), as (pivot, numerators,
+    denominator) per vector, pivots ascending: each over one positive
+    denominator with no common factor, numerators (den, 0, ...) at its
+    pivot and zeros at the other pivots.
 
     The primes p = 1 (mod m) are walked down from ``_MODULUS_BOUND``
-    (``_prime_and_root``); a prime that divides a row denominator is
-    skipped.  At each, the rows are mapped by each of the phi(m) ring maps
+    (``_prime_and_root``); a prime that divides den is skipped.  At each, the rows are mapped by each of the phi(m) ring maps
     zeta_m -> r^k, k prime to m (``_image_map``), and the null space of
     each image is taken with its columns reversed (``null_space_mod_p``;
     the maps after the first read rows only until they reach its rank):
@@ -407,12 +408,12 @@ def lift_kernel(rows, width: int, m: int, kills) -> list:
     p = _MODULUS_BOUND
     while True:
         p, r = _prime_and_root(m, p, False)
-        if any(den % p == 0 for _, den in rows):
+        if den % p == 0:
             continue
         keys, images, rank = set(), [], None
         for k in exps:
             image = _image_map(p, pow(r, k, p), len(exps))
-            basis = null_space_mod_p((image(nums, den)[::-1] for nums, den in rows),
+            basis = null_space_mod_p((image(nums, den)[::-1] for nums in rows),
                                      width, p, rank)
             if not basis:
                 return []

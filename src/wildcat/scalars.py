@@ -7,17 +7,29 @@ canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so zero is (0, ..., 0)
 over 1 and two elements are equal exactly when their numerators and
 denominators are.  m = 1 is plain Q.
 
+Matrices do no Scalar arithmetic: a ``linalg.Matrix`` keeps its entries'
+numerators over one denominator and works on them with the integer tools
+here (``multiplication_matrix``, ``inverse_numerators``, ``_reduce``).
+Scalars are its boundary: the instance reader parses them, ``Matrix.build``
+takes them, and its views hand them back for rendering.  What still
+computes with Scalars is polynomial and Stokes data: the coefficients of
+``algebra.factor_over_field`` (shifts and Euclid's algorithm over the
+field) and of a Stokes circle's sheets, whose directions read a float
+image (``to_complex``).
+
 Products are integer convolutions reduced by the monic integer cyclotomic
 polynomial and normalised by one gcd; sums of elements over one denominator
 add numerators.  No Fraction is made by + - * == ``is_zero`` or
 ``to_json``; ``coeffs`` gives the Fraction coefficients for printing and
-other cold readers.
-
-One conductor is fixed per problem instance, and every scalar of the instance
-lives in that field.  Arithmetic lifts ints and Fractions into the field of
+other cold readers.  Arithmetic lifts ints and Fractions into the field of
 the Scalar they meet; two Scalars of different conductors raise ValueError.
-``promote`` is the one explicit way to move an element into a larger field
-Q(zeta_M), M a multiple of m.
+
+One conductor is fixed per problem instance.  ``promote``, the one
+explicit way to move an element into a larger field Q(zeta_M), M a
+multiple of m, is needed only where a Stokes instance's field grows: a
+circle's coefficients are parsed in the declared field and promoted into
+the field of the class's ramification when its sheets are expanded, and
+into the instance's field when the instance is rendered.
 
 There is no floating point anywhere in the arithmetic.  ``to_complex`` gives
 a float image for display and for direction angles only.

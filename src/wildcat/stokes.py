@@ -44,8 +44,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from .engine import FramedPoint
-from .linalg import Grading, IntRows, Matrix, kernel, linear_solve, sandwich_rows
-from .scalars import Scalar
+from .linalg import Grading, Matrix, kernel, linear_solve, sandwich_rows
+from .scalars import Scalar, euler_phi
 from .twists import TwistedElement
 
 ANGLE_TOL = 1e-9
@@ -231,9 +231,8 @@ def exponential_torus_grading(sheets, n: int, conductor: int) -> Grading:
     The centralizer of the grading is the block group of the sheet
     decomposition (module docstring).
     """
-    ident = Matrix.identity(n, conductor)
-    return Grading(n, [((k,), [ident.row(s.start + t) for t in range(s.size)])
-                       for k, s in enumerate(sheets)])
+    return Grading([(k,) for k in range(len(sheets))], [s.size for s in sheets],
+                   Matrix.identity(n, conductor))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +309,11 @@ def build_scaffold(ws: WildSurface) -> Scaffold:
 def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity: bool):
     """The first entry (r, c), in row-major order, where mat - I (if
     shift_identity) or mat is nonzero outside the allowed (row sheet,
-    column sheet) blocks, or None.  mat - I is read entry by entry off mat:
-    a diagonal entry counts when it is not 1, any other when it is nonzero."""
-    n = mat.rows
+    column sheet) blocks, or None.  mat - I is read entry by entry off
+    mat's numerators: a diagonal entry counts when it is not 1 (numerators
+    (den, 0, ...)), any other when it is nonzero."""
+    n, nums, phi = mat.rows, mat.nums, euler_phi(mat.m)
+    one = [mat.den] + [0] * (phi - 1)
     block_of = {}
     for idx, s in enumerate(sheets):
         for t in range(s.size):
@@ -320,9 +321,11 @@ def _block_support_violation(mat: Matrix, sheets, allowed_blocks, shift_identity
     allowed = set(allowed_blocks)
     for r in range(n):
         for c in range(n):
-            x = mat[r, c]
-            if (x != 1 if shift_identity and r == c else x) and \
-                    (block_of[r], block_of[c]) not in allowed:
+            if (block_of[r], block_of[c]) in allowed:
+                continue
+            t = (r * n + c) * phi
+            x = nums[t:t + phi]
+            if x != one if shift_identity and r == c else any(x):
                 return (r, c)
     return None
 
@@ -438,7 +441,7 @@ def _random_blocks(rng, pd: PunctureData, base: Matrix, pairs, invertible: bool)
     invertible blocks on its twisted graded support, a Stokes matrix the
     identity plus blocks on its direction's pattern, a framing element zero
     plus invertible diagonal blocks."""
-    m = base._conductor()
+    m = base.m
     for i, j in pairs:
         si, sj = pd.sheets[i], pd.sheets[j]
         base = base.place(si.start, sj.start, _random_block(rng, si.size, sj.size, m, invertible))
@@ -454,14 +457,13 @@ def _solve_commutator(rng, v: Matrix, n: int, m: int):
     for _ in range(10):
         a = _random_block(rng, n, n, m, invertible=True)
         # a b - v b a = 0, linear in b
-        rows, _ = sandwich_rows([(a, None, False), (-v, a, False)], n, n, m)
-        ker = kernel(IntRows(rows, n * n, m))
+        ker = kernel(sandwich_rows([(a, None, False), (-v, a, False)], n, n, m))
         if ker.dim == 0:
             continue
-        basis = Matrix.from_rows(ker.basis)
+        basis = ker.matrix
         for _ in range(12):
-            coeffs = Matrix.build([[_random_rational(rng) for _ in ker.basis]], m)
-            b = Matrix(n, n, (coeffs @ basis).entries)
+            coeffs = Matrix.build([[_random_rational(rng) for _ in range(ker.dim)]], m)
+            b = (coeffs @ basis).reshape(n, n)
             if b.is_invertible():
                 if a @ b @ a.inverse() @ b.inverse() == v:
                     return a, b
@@ -486,8 +488,7 @@ def _greedy_local_factor(rng, sc: Scaffold, pd: PunctureData, v: Matrix, randomi
     def block(rb: int, col: Sheet) -> Matrix:
         # the current a's block at sheet rb's rows and the columns of sheet col
         sr = sheets[rb]
-        return Matrix(sr.size, col.size, tuple(a[sr.start + r, col.start + c]
-                                               for r in range(sr.size) for c in range(col.size)))
+        return a.submatrix(range(sr.start, sr.start + sr.size), col.start, col.start + col.size)
     for _, pattern in pd.directions:
         t = Matrix.identity(n, m)
         for (i, j) in sorted(pattern):

@@ -36,27 +36,12 @@ class Automorphism:
     def identity(n: int, m: int = 1) -> "Automorphism":
         return Automorphism(Matrix.identity(n, m), False)
 
-    @staticmethod
-    def sigma(n: int, m: int = 1) -> "Automorphism":
-        return Automorphism(Matrix.identity(n, m), True)
-
     @property
     def n(self) -> int:
         return self.inner.rows
 
     def is_inner_trivial(self) -> bool:
         return self.inner.is_identity()
-
-    def apply(self, g: Matrix) -> Matrix:
-        core = transpose_inverse(g) if self.outer else g
-        if self.is_inner_trivial():
-            return core
-        return self.inner @ core @ self.inner.inverse()
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        # self o other: Inn(A) s_a Inn(B) s_b = Inn(A s_a(B)) s_a s_b
-        b = transpose_inverse(other.inner) if self.outer else other.inner
-        return Automorphism(self.inner @ b, self.outer != other.outer)
 
 
 @dataclass
@@ -66,21 +51,15 @@ class TwistedElement:
 
     @staticmethod
     def plain(g: Matrix) -> "TwistedElement":
-        return TwistedElement(g, Automorphism.identity(g.rows, g._conductor()))
+        return TwistedElement(g, Automorphism.identity(g.rows, g.m))
 
     @property
     def n(self) -> int:
         return self.g.rows
 
-    def multiply(self, other: "TwistedElement") -> "TwistedElement":
-        return TwistedElement(self.g @ self.phi.apply(other.g), self.phi.compose(other.phi))
-
     def is_normalized(self) -> bool:
         return self.phi.is_inner_trivial()
 
-    def adjoint(self) -> Automorphism:
-        """The induced automorphism Inn(g) o phi; invariant under normalize."""
-        return Automorphism(self.g, False).compose(self.phi)
 
 
 def normalize(tuple_elements) -> list:
@@ -98,7 +77,7 @@ def normalize(tuple_elements) -> list:
         if x.phi.is_inner_trivial():
             out.append(x)
             continue
-        pure = Automorphism(Matrix.identity(x.n, x.g._conductor()), x.phi.outer)
+        pure = Automorphism(Matrix.identity(x.n, x.g.m), x.phi.outer)
         out.append(TwistedElement(x.g @ x.phi.inner, pure))
     return out
 
@@ -113,5 +92,5 @@ def embed_doubled(x: TwistedElement) -> Matrix:
         raise ValueError("element must be normalized (trivial inner part)")
     n = x.n
     shift = n if x.phi.outer else 0  # sigma puts both blocks off the diagonal
-    out = Matrix.zero(2 * n, 2 * n, x.g._conductor()).place(0, shift, x.g)
+    out = Matrix.zero(2 * n, 2 * n, x.g.m).place(0, shift, x.g)
     return out.place(n, n - shift, transpose_inverse(x.g))

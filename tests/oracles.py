@@ -47,10 +47,12 @@ of the two:
 * ``ScalarEchelon``: the reduced echelon form on lists of Scalars, one
   Scalar operation per entry (``linalg._EchelonSet`` keeps integer
   numerators over one denominator per row); the other oracles here run on it;
-* ``matmul_reference``: the matrix product with one Scalar product and one
-  Scalar sum per term (``Matrix.__matmul__`` takes integer dot products over
-  row and column lcms, one gcd per entry, and returns the other factor of a
-  square identity);
+* ``matmul_reference``, ``sum_reference``, ``scale_reference``,
+  ``transpose_reference`` and ``place_reference``: the matrix product, sum
+  and difference, scaling, transpose and block writing on the Scalar
+  entries, one Scalar operation per entry or term (``Matrix`` works on
+  integer numerators over one denominator, with one gcd per result, and a
+  product returns the other factor of a square identity);
 * ``scalar_to_json_reference``: a Scalar's JSON text through its Fraction
   coefficients (``Scalar.to_json`` prints the numerators, one gcd each);
 * ``block_support_violation_reference``: the first entry of S - I (or S)
@@ -59,10 +61,10 @@ of the two:
 * ``sandwich_rows_reference``: the L.X.R coefficient rows as Scalars, one
   product per pair of entries (``sandwich_rows`` builds integer rows over
   one denominator);
-* ``exact_kernel``: the null space of a Matrix or ``IntRows`` by exact
-  elimination on ``linalg._EchelonSet`` integer rows, then the echelon of
-  the free columns' vectors (``linalg.kernel`` solves modulo primes, lifts
-  the reduced basis and checks it exactly);
+* ``exact_kernel``: the null space of a Matrix by exact elimination on
+  ``linalg._EchelonSet`` integer rows, then the echelon of the free
+  columns' vectors (``linalg.kernel`` solves modulo primes, lifts the
+  reduced basis and checks it exactly);
 * ``kernel_reference``, ``linear_solve_reference`` and ``inverse_reference``:
   null space, solution and inverse read off ``ScalarEchelon`` rows (the
   library reads them off integer echelon rows, converting only the block it
@@ -92,7 +94,17 @@ of the two:
 
 ``from_coeffs`` builds the Scalar sum c_j zeta_m^j from any number of
 rational coefficients with the field's own arithmetic, for the tests that
-write scalars as coefficient lists.
+write scalars as coefficient lists; ``from_entries`` builds a Matrix of
+any shape, the empty ones included, from its Scalar entries, and
+``entries`` and ``col`` read them back.
+
+The rest is API that only the tests need, kept here rather than in the
+library: the framing-group action ``act``, under which every verdict is
+invariant; ``restrict_point``, a point restricted to an invariant summand;
+the twist group law (``sigma``, ``apply``, ``compose``, ``multiply``,
+``adjoint``), which ``normalize`` and ``embed_doubled`` must respect; and
+``mul_vector``, ``contains``, ``coordinates``, ``intersection`` and
+``piece_subspaces`` on vectors and subspaces.
 """
 
 import cmath
@@ -101,12 +113,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from wildcat.algebra import MatrixAlgebra, _spin_left, commutant, radical_trace, spin_algebra
-from wildcat.engine import FramedPoint, galois_generators, normalize_point
-from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _int_row, _system
+from wildcat.algebra import (
+    MatrixAlgebra,
+    _spin_left,
+    commutant,
+    radical_trace,
+    restrict_matrix,
+    spin_algebra,
+)
+from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
+from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, stack
 from wildcat.modular import _image_map, _modulus
 from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
-from wildcat.twists import embed_doubled
+from wildcat.twists import Automorphism, TwistedElement, embed_doubled, transpose_inverse
 
 
 class ScalarEchelon:
@@ -163,6 +182,23 @@ class ScalarEchelon:
         return len(self.rows)
 
 
+def entries(a: Matrix) -> tuple:
+    """a's entries, row-major, as canonical Scalars."""
+    return tuple(x for i in range(a.rows) for x in a.row(i))
+
+
+def col(a: Matrix, j: int) -> tuple:
+    return tuple(a[i, j] for i in range(a.rows))
+
+
+def from_entries(rows: int, cols: int, values, m: int) -> Matrix:
+    """The rows x cols Matrix over Q(zeta_m) with these entries, row-major."""
+    values = list(values)
+    if not rows:
+        return Matrix.zero(0, cols, m)
+    return Matrix.build([values[i * cols:(i + 1) * cols] for i in range(rows)], m)
+
+
 def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
     """a @ b with one Scalar product and one Scalar sum per nonzero term of
     a, zero entries of a skipped, and Scalar zeros of a's field where no
@@ -170,18 +206,44 @@ def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError("matrix shape mismatch in product")
     n, k, p = a.rows, a.cols, b.cols
+    ae, be = entries(a), entries(b)
     out = []
     for i in range(n):
-        arow = a.entries[i * k:(i + 1) * k]
+        arow = ae[i * k:(i + 1) * k]
         for j in range(p):
             s = None
             for t in range(k):
                 x = arow[t]
                 if x:
-                    term = x * b.entries[t * p + j]
+                    term = x * be[t * p + j]
                     s = term if s is None else s + term
-            out.append(s if s is not None else Scalar.zero(a._conductor()))
-    return Matrix(n, p, tuple(out))
+            out.append(s if s is not None else Scalar.zero(a.m))
+    return from_entries(n, p, out, a.m)
+
+
+def sum_reference(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
+    """a + sign b, one Scalar sum or difference per entry."""
+    return from_entries(a.rows, a.cols, [x + y if sign > 0 else x - y
+                                         for x, y in zip(entries(a), entries(b))], a.m)
+
+
+def scale_reference(a: Matrix, c) -> Matrix:
+    """c a, one Scalar product per entry."""
+    return from_entries(a.rows, a.cols, [x * c for x in entries(a)], a.m)
+
+
+def transpose_reference(a: Matrix) -> Matrix:
+    return from_entries(a.cols, a.rows, [a[i, j] for j in range(a.cols) for i in range(a.rows)],
+                        a.m)
+
+
+def place_reference(a: Matrix, row: int, col: int, block: Matrix) -> Matrix:
+    """a with block's entries written from (row, col) on, entry by entry."""
+    out = list(entries(a))
+    for i in range(block.rows):
+        for j in range(block.cols):
+            out[(row + i) * a.cols + col + j] = block[i, j]
+    return from_entries(a.rows, a.cols, out, a.m)
 
 
 def scalar_to_json_reference(x: Scalar):
@@ -194,7 +256,7 @@ def block_support_violation_reference(mat: Matrix, sheets, allowed_blocks,
     """The first (r, c), row-major, where mat - I (if shift_identity) or mat
     is nonzero outside the allowed (row sheet, column sheet) blocks, or None."""
     n = mat.rows
-    probe = mat - Matrix.identity(n, mat._conductor()) if shift_identity else mat
+    probe = mat - Matrix.identity(n, mat.m) if shift_identity else mat
     block_of = {s.start + t: idx for idx, s in enumerate(sheets) for t in range(s.size)}
     allowed = set(allowed_blocks)
     for r in range(n):
@@ -220,7 +282,7 @@ def sandwich_rows_reference(terms, rows: int, cols: int, m: int) -> list:
         lefts = [[(r, one)] if left is None else
                  [(a, x) for a, x in enumerate(left.row(r)) if x] for r in range(height)]
         rights = [[(c, one)] if right is None else
-                  [(b, y) for b, y in enumerate(right.col(c)) if y] for c in range(width)]
+                  [(b, y) for b, y in enumerate(col(right, c)) if y] for c in range(width)]
         for r in range(height):
             for c in range(width):
                 row = out[r * width + c]
@@ -245,19 +307,18 @@ def kernel_reference(rows, width: int, m: int) -> list:
     return out.rows
 
 
-def exact_kernel(a) -> Subspace:
-    """Null space {x : a @ x = 0} of a Matrix or ``IntRows`` as a canonical
-    Subspace: a's rows eliminated exactly on ``_EchelonSet``, then per free
-    column f the vector e_f less the rows' entries at f placed at their
-    pivots, on integer rows, inserted into a second echelon."""
-    n, m, rows = _system(a)
+def exact_kernel(a: Matrix) -> Subspace:
+    """Null space {x : a @ x = 0} of a Matrix as a canonical Subspace: a's
+    rows eliminated exactly on ``_EchelonSet``, then per free column f the
+    vector e_f less the rows' entries at f placed at their pivots, on
+    integer rows, inserted into a second echelon."""
+    n, m = a.cols, a.m
     phi = euler_phi(m)
-    ech = _EchelonSet(n)
-    for r, _ in rows:
-        ech.insert(r, m)
-    ech._reduce_rows()
-    rows = [(r, d, p * phi) for r, d, p in zip(ech._nums, ech._dens, ech.pivots)]
-    out = _EchelonSet(n)
+    ech = _EchelonSet(n, m)
+    for r in a.int_rows():
+        ech.insert(r)
+    rows = [(r, d, p * phi) for (r, d), p in zip(ech.reduced_rows(), ech.pivots)]
+    out = _EchelonSet(n, m)
     for f in sorted(set(range(n)) - set(ech.pivots)):
         t = f * phi
         hits = [(r[t:t + phi], d, s) for r, d, s in rows if any(r[t:t + phi])]
@@ -266,14 +327,14 @@ def exact_kernel(a) -> Subspace:
         v[t] = den
         for x, d, s in hits:
             v[s:s + phi] = [-c * (den // d) for c in x]
-        out.insert(v, m)
+        out.insert(v)
     return Subspace(out)
 
 
 def linear_solve_reference(a: Matrix, b: Matrix):
     """(X, kernel rows) with a X = b and X zero at the free columns, or
     (None, kernel rows) when there is no solution, on ``ScalarEchelon``."""
-    n, m = a.cols, a._conductor()
+    n, m = a.cols, a.m
     ech = ScalarEchelon(n + b.cols, [list(a.row(i) + b.row(i)) for i in range(a.rows)])
     ker = kernel_reference([list(a.row(i)) for i in range(a.rows)], n, m)
     if any(piv >= n for piv in ech.pivots):
@@ -286,12 +347,12 @@ def linear_solve_reference(a: Matrix, b: Matrix):
 
 def inverse_reference(a: Matrix) -> Matrix:
     """a^-1, read off the echelon form of [a | 1] on ``ScalarEchelon``."""
-    n, m = a.rows, a._conductor()
+    n, m = a.rows, a.m
     one = Matrix.identity(n, m)
     ech = ScalarEchelon(2 * n, [list(a.row(i) + one.row(i)) for i in range(n)])
     if ech.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(x for row in ech.rows for x in row[n:]))
+    return from_entries(n, n, [x for row in ech.rows for x in row[n:]], m)
 
 
 def spin_algebra_reference(generators, n: int, m: int) -> tuple:
@@ -299,11 +360,11 @@ def spin_algebra_reference(generators, n: int, m: int) -> tuple:
     times every generator on the left, until no product is new."""
     ech = ScalarEchelon(n * n)
     frontier = [w for w in [Matrix.identity(n, m)] + list(generators)
-                if ech.add(w.entries)]
+                if ech.add(entries(w))]
     while frontier:
         frontier = [prod for w in frontier for prod in [g @ w for g in generators]
-                    if ech.add(prod.entries)]
-    return tuple(Matrix(n, n, tuple(row)) for row in ech.rows)
+                    if ech.add(entries(prod))]
+    return tuple(from_entries(n, n, row, m) for row in ech.rows)
 
 
 def complement_reference(generators, sub: Subspace) -> Subspace:
@@ -312,17 +373,17 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     of e lie in sub when the last n - d rows of F^-T kill them, F the rows of
     sub's basis and of the unit vectors that complete it to a basis."""
     n, d = sub.ambient_dim, sub.dim
-    m = generators[0]._conductor()
+    m = generators[0].m
     units = Matrix.identity(n, m)
     full = ScalarEchelon(n, sub.basis)
     extra = [units.row(j) for j in range(n) if full.add(units.row(j))]
-    f_inv_t = inverse_reference(Matrix.from_rows(list(sub.basis) + extra).transpose())
-    bottom = Matrix.from_rows([f_inv_t.row(i) for i in range(d, n)])
-    fixed = Matrix.from_cols(sub.basis)
+    f_inv_t = inverse_reference(Matrix.build(list(sub.basis) + extra).transpose())
+    bottom = Matrix.build([f_inv_t.row(i) for i in range(d, n)])
+    fixed = Matrix.build(sub.basis).transpose()
     rows = sandwich_rows_reference([(bottom, None, False)], n, n, m)
     rhs = [Scalar.zero(m)] * len(rows)
     rows += sandwich_rows_reference([(None, fixed, False)], n, n, m)
-    rhs += fixed.entries
+    rhs += entries(fixed)
     for g in generators:
         commuting = sandwich_rows_reference([(None, g, False), (-g, None, False)], n, n, m)
         rows += commuting
@@ -330,25 +391,25 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     sol, _ = linear_solve_reference(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
     if sol is None:
         return None
-    proj = Matrix(n, n, tuple(sol.entries))
-    return Subspace.from_vectors(n, kernel_reference(proj.row_list(), n, m))
+    proj = sol.reshape(n, n)
+    return Subspace.from_vectors(n, kernel_reference([list(proj.row(i)) for i in range(n)], n, m))
 
 
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
-    return ScalarEchelon(alg.ambient_n ** 2, [b.entries for b in alg.basis])
+    return ScalarEchelon(alg.ambient_n ** 2, [entries(b) for b in alg.basis])
 
 
 def _conductor(alg: MatrixAlgebra) -> int:
-    return alg.basis[0]._conductor() if alg.basis else 1
+    return alg.basis[0].m if alg.basis else 1
 
 
 def is_closed(alg: MatrixAlgebra) -> bool:
     ech = _echelon(alg)
     for a in alg.basis:
         for b in alg.basis:
-            if not ech.contains(list((a @ b).entries)):
+            if not ech.contains(list(entries(a @ b))):
                 return False
-    return ech.contains(list(Matrix.identity(alg.ambient_n, _conductor(alg)).entries))
+    return ech.contains(list(entries(Matrix.identity(alg.ambient_n, _conductor(alg)))))
 
 
 def radical_oracle(alg: MatrixAlgebra) -> Subspace:
@@ -365,7 +426,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     for i in range(d):
         row = []
         for j in range(d):
-            res, coords = ech.reduce((alg.basis[i] @ alg.basis[j]).entries)
+            res, coords = ech.reduce(entries(alg.basis[i] @ alg.basis[j]))
             if any(res):
                 raise AssertionError("algebra is not multiplicatively closed")
             row.append(coords)
@@ -394,7 +455,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
         for c, b in zip(coeffs, alg.basis):
             if c:
                 elem = elem + b.scale(c)
-        rows.append(list(elem.entries))
+        rows.append(list(entries(elem)))
     radical = Subspace.from_vectors(n * n, rows)
     nilpotency_index(radical, n)
     return radical
@@ -403,7 +464,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
 def nilpotency_index(radical: Subspace, n: int) -> int:
     """Least k with radical^k = 0 (1 when the radical is 0), from the
     products of the radical's powers with it; raises unless it is nilpotent."""
-    mats = [Matrix(n, n, tuple(row)) for row in radical.basis]
+    mats = radical.matrices(n, n)
     index, current = 1, mats
     while current:
         index += 1
@@ -412,7 +473,7 @@ def nilpotency_index(radical: Subspace, n: int) -> int:
         for a in current:
             for b in mats:
                 prod = a @ b
-                if ech.add(list(prod.entries)):
+                if ech.add(list(entries(prod))):
                     nxt.append(prod)
         current = nxt
         if index > n + 1:
@@ -423,9 +484,9 @@ def nilpotency_index(radical: Subspace, n: int) -> int:
 def weight_projectors(g: Grading) -> list:
     """Projector onto each piece along the others: B . sel . B^-1."""
     n = g.ambient_dim
-    b = Matrix.from_cols([v for _, basis in g.pieces for v in basis])
+    b = Matrix.build([v for _, basis in g.pieces for v in basis]).transpose()
     binv = inverse_reference(b)
-    m = b._conductor()
+    m = b.m
     out = []
     start = 0
     for _, basis in g.pieces:
@@ -667,7 +728,7 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
     p, r = _modulus(m)
     phi = euler_phi(m)
     image = _image_map(p, r, phi)
-    gens = [image(*_int_row(g.entries, m, phi)) for g in generators]
+    gens = [image(g.nums, g.den) for g in generators]
     if None in gens:
         return False
 
@@ -681,8 +742,8 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
 
 
 def kernel_dim_mod_p(rows, width: int, m: int) -> int:
-    """width minus the rank over F_p of integer rows in the ``_int_row``
-    layout, each entry's phi(m) numerators mapped by zeta_m -> r."""
+    """width minus the rank over F_p of integer rows, phi(m) numerators per
+    entry as a Matrix keeps them, each entry mapped by zeta_m -> r."""
     p, r = _modulus(m)
     phi = euler_phi(m)
     rpow = [pow(r, j, p) for j in range(phi)]
@@ -761,3 +822,116 @@ def shares_an_eigenvector(a, b) -> bool:
     c = [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(2)) for j in range(2)]
          for i in range(2)]
     return c[0][0] * c[1][1] - c[0][1] * c[1][0] == 0
+
+
+def mul_vector(a: Matrix, v) -> tuple:
+    """a v for a vector v of Scalars (or ints and Fractions) in a's field."""
+    return entries(a @ Matrix.build([[x] for x in v], a.m))
+
+
+def contains(sub: Subspace, vector) -> bool:
+    return not any(sub._echelon.residue(Matrix.build([vector], sub._echelon.m).nums))
+
+
+def coordinates(sub: Subspace, vector):
+    """Coordinates of vector in the echelon basis (its pivot entries), or None."""
+    if not contains(sub, vector):
+        return None
+    row = Matrix.build([vector], sub._echelon.m)
+    return tuple(row[0, p] for p in sub.pivots)
+
+
+def intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Zassenhaus: row reduce [A|A; B|0], read the right half of the zero-left rows."""
+    n = a.ambient_dim
+    if not (a.dim and b.dim):
+        return Subspace.zero(n, a._echelon.m)
+    top, bottom = a.matrix, b.matrix
+    both = Subspace.span(stack([Matrix.zero(top.rows, 2 * n, top.m).place(0, 0, top).place(0, n, top),
+                                Matrix.zero(bottom.rows, 2 * n, top.m).place(0, 0, bottom)]))
+    rows = [i for i, piv in enumerate(both.pivots) if piv >= n]
+    return Subspace.span(both.matrix.submatrix(rows, n, 2 * n))
+
+
+def piece_subspaces(g: Grading) -> list:
+    return [Subspace.from_vectors(g.ambient_dim, basis) for _, basis in g.pieces]
+
+
+def sigma(n: int, m: int = 1) -> Automorphism:
+    return Automorphism(Matrix.identity(n, m), True)
+
+
+def apply(phi: Automorphism, g: Matrix) -> Matrix:
+    core = transpose_inverse(g) if phi.outer else g
+    if phi.is_inner_trivial():
+        return core
+    return phi.inner @ core @ phi.inner.inverse()
+
+
+def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
+    """phi o psi: Inn(A) s_a Inn(B) s_b = Inn(A s_a(B)) s_a s_b."""
+    b = transpose_inverse(psi.inner) if phi.outer else psi.inner
+    return Automorphism(phi.inner @ b, phi.outer != psi.outer)
+
+
+def multiply(x: TwistedElement, y: TwistedElement) -> TwistedElement:
+    """(g, phi)(h, psi) = (g phi(h), phi psi) in G x| {id, sigma}."""
+    return TwistedElement(x.g @ apply(x.phi, y.g), compose(x.phi, y.phi))
+
+
+def adjoint(x: TwistedElement) -> Automorphism:
+    """The induced automorphism Inn(g) o phi; invariant under normalize."""
+    return compose(Automorphism(x.g, False), x.phi)
+
+
+def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
+    """Restrict an untwisted framed point to an invariant summand.
+
+    The summand is invariant under loops and transported tori; grading i is
+    restricted on the transported image C_i . block.
+    """
+    if not p.is_untwisted():
+        raise TwistedInput("restriction requires untwisted loops")
+    pn = normalize_point(p)
+    nb = block.dim
+    loops = [TwistedElement.plain(restrict_matrix(x.g, block)) for x in pn.loops]
+    gradings = []
+    connectors = []
+    for i, grading in enumerate(pn.gradings):
+        if i == 0:
+            image = block
+        else:
+            # the connector's coordinates on the image are its pivot rows
+            moved = pn.connectors[i - 1] @ block.matrix.transpose()
+            image = Subspace.from_vectors(pn.n, [col(moved, j) for j in range(nb)])
+            connectors.append(Matrix.build([moved.row(q) for q in image.pivots]))
+        pieces = []
+        for (w, basis) in grading.pieces:
+            inter = intersection(Subspace.from_vectors(pn.n, basis), image)
+            if inter.dim:
+                pieces.append((w, [coordinates(image, v) for v in inter.basis]))
+        gradings.append(Grading.from_pieces(nb, pieces))
+    return FramedPoint(nb, gradings, connectors, loops)
+
+
+def act(h, p: FramedPoint) -> FramedPoint:
+    """The framing-group action; every verdict is invariant under it.
+
+    Each h_i is promoted into the point's field, which must contain it.
+    """
+    if len(h) != p.m:
+        raise ValueError("need one group element per grading")
+    m = p.conductor()
+    hs = [Matrix.build([[x.promote(m) for x in elt.row(i)] for i in range(elt.rows)], m)
+          for elt in h]
+    for i, (elt, grading) in enumerate(zip(hs, p.gradings)):
+        if not elt.is_invertible():
+            raise ValueError(f"group element {i + 1} is not invertible")
+        for piece in piece_subspaces(grading):
+            for v in piece.basis:
+                if not contains(piece, mul_vector(elt, v)):
+                    raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
+    h1, h1inv = hs[0], hs[0].inverse()
+    connectors = [hs[i + 1] @ c @ h1inv for i, c in enumerate(p.connectors)]
+    loops = [TwistedElement(h1 @ x.g @ apply(x.phi, h1).inverse(), x.phi) for x in p.loops]
+    return FramedPoint(p.n, p.gradings, connectors, loops)

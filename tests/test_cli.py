@@ -523,6 +523,66 @@ def test_sample_and_analyze_text(tmp_path, capsys):
     assert text_lines(capsys) == GENUS_ONE_ANALYZE_TEXT
 
 
+# Q(zeta5) points with fractional entries: P diag(1/2, C) P^-1, C the companion
+# matrix of x^2 - 2, and a Jordan block behind Q = [[1, 0], [1/3 + z5, 1]]
+LEVI_ZETA5 = {"field": 5, "mode": "tuple", "tuple": {"n": 3, "loops": [{"matrix": [
+    [["5973096/38282071", "1465341/38282071", "-17897154/38282071", "6737412/38282071"],
+     ["74516029/114846213", "-3100530/38282071", "9101356/38282071", "-18949172/38282071"],
+     ["-1991032/38282071", "37793624/38282071", "5965718/38282071", "-2245804/38282071"]],
+    [["16398132/38282071", "-18770904/38282071", "27664776/38282071", "12638736/38282071"],
+     ["-32927673/76564142", "-12665532/38282071", "-62309472/38282071", "-21938352/38282071"],
+     ["71098098/38282071", "6256968/38282071", "-9221592/38282071", "-4212912/38282071"]],
+    [["-62944443/76564142", "-33600573/38282071", "-10927452/38282071", "-45602820/38282071"],
+     ["73078403/38282071", "70341279/38282071", "24522070/38282071", "47868516/38282071"],
+     ["29631776/38282071", "11200191/38282071", "80206626/38282071", "15200940/38282071"]],
+]}]}}
+JORDAN_ZETA5 = {"field": 5, "mode": "tuple", "tuple": {"n": 2, "loops": [{"matrix": [
+    [["1/6", "-1", "0", "0"], ["1", "0", "0", "0"]],
+    [["-1/9", "-2/3", "-1", "0"], ["5/6", "1", "0", "0"]],
+]}]}}
+JORDAN_ZETA5_ANALYZE_TEXT = [
+    "polystable: False",
+    "stable: False",
+    "stabilizer Lie dimension: 2",
+    "action kernel Lie dimension: 1",
+    "radical witness (nilpotent certificate):",
+    "    [1  60/61 + 63/61*z5 + 54/61*z5^2 + 81/61*z5^3]",
+    "    [1/3 + z5  -1]",
+    "invariant subspace witness (echelon basis):",
+    "    (1, 1/3 + z5)",
+]
+LEVI_ZETA5_ANALYZE_TEXT = [
+    "polystable: True",
+    "stable: False",
+    "stabilizer Lie dimension: 3",
+    "action kernel Lie dimension: 1",
+    "invariant subspace witness (echelon basis):",
+    "    (1, 1/2, 1/3*z5)",
+    "Levi blocks (2):",
+    "    dim 1: (1, 1/2, 1/3*z5)",
+    "    dim 2: (1, 0, 3); (0, 1, 1/4 + -3/2*z5 + z5^2)",
+]
+LEVI_ZETA5_REDUCE_TEXT = [
+    "Levi blocks (2):",
+    "    dim 1: (1, 1/2, 1/3*z5)",
+    "    dim 2: (1, 0, 3); (0, 1, 1/4 + -3/2*z5 + z5^2)",
+]
+
+
+def test_text_format_over_q_zeta5(tmp_path, capsys):
+    # --format text prints every entry through the Scalar views: fractions,
+    # powers of z5 and negative coefficients, in a radical witness, an
+    # invariant subspace witness and Levi blocks
+    jordan = write(tmp_path, "jordan5.json", JORDAN_ZETA5)
+    levi = write(tmp_path, "levi5.json", LEVI_ZETA5)
+    assert run_command(["analyze", "--instance", jordan]) == 0
+    assert text_lines(capsys) == JORDAN_ZETA5_ANALYZE_TEXT
+    assert run_command(["analyze", "--instance", levi]) == 0
+    assert text_lines(capsys) == LEVI_ZETA5_ANALYZE_TEXT
+    assert run_command(["reduce", "--instance", levi, "--format", "text"]) == 0
+    assert text_lines(capsys) == LEVI_ZETA5_REDUCE_TEXT
+
+
 def test_machine_format_renders_no_text(tmp_path, capsys, monkeypatch):
     # every command succeeds in machine format with the text renderers broken
     def broken(*args):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildcat.engine import FramedPoint
 from wildcat.linalg import (
     Grading,
     Matrix,
@@ -16,16 +17,28 @@ from wildcat.linalg import (
     linear_solve,
     sandwich_rows,
 )
-from wildcat.scalars import Scalar, _canonical, euler_phi
+from wildcat.scalars import Scalar, euler_phi
+from wildcat.twists import TwistedElement
 
 from oracles import (
     ScalarEchelon,
-    inverse_reference,
+    col,
+    contains,
+    coordinates,
+    entries,
     from_coeffs,
+    from_entries,
+    intersection,
+    inverse_reference,
     kernel_reference,
     linear_solve_reference,
     matmul_reference,
+    mul_vector,
+    place_reference,
     sandwich_rows_reference,
+    scale_reference,
+    sum_reference,
+    transpose_reference,
     weight_projectors,
 )
 
@@ -33,6 +46,14 @@ from oracles import (
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
     return Matrix.build([[Fraction(rng.randint(lo, hi), rng.randint(1, 2))
                           for _ in range(cols)] for _ in range(rows)])
+
+
+def assert_canonical(a: Matrix):
+    """The one storage: phi(m) integer numerators per entry over a positive
+    denominator with no common factor, so equal matrices store equal numbers."""
+    assert len(a.nums) == a.rows * a.cols * euler_phi(a.m)
+    assert all(type(x) is int for x in a.nums) and type(a.den) is int
+    assert a.den > 0 and gcd(a.den, *a.nums) == 1
 
 
 class TestLinearSolve:
@@ -69,25 +90,30 @@ class TestLinearSolve:
             part = linear_solve(a, a @ x)
             assert part is not None and a @ part == a @ x
             for v in kernel(a).basis:
-                assert all(y.is_zero() for y in a.mul_vector(v))
+                assert all(y.is_zero() for y in mul_vector(a, v))
 
 
 def echelon(a: Matrix) -> _EchelonSet:
-    return _EchelonSet(a.cols, a.row_list())
+    return Subspace.span(a)._echelon
+
+
+def scalar_rows(ech: _EchelonSet) -> list:
+    """The reduced echelon rows as lists of Scalars."""
+    return [list(row) for row in Subspace(ech).basis]
 
 
 def eigenvalue(x: Matrix, v: tuple):
     """c with x v = c v, or None when v is no eigenvector of x."""
     i = next(i for i, y in enumerate(v) if y)
-    c = x.mul_vector(v)[i] / v[i]
-    return c if x.mul_vector(v) == tuple(y * c for y in v) else None
+    c = mul_vector(x, v)[i] / v[i]
+    return c if mul_vector(x, v) == tuple(y * c for y in v) else None
 
 
 def projectors(g: Grading) -> list:
     """The spectral projectors of the weight operator, one per piece, by
     Lagrange interpolation at the eigenvalues on the pieces."""
     x = g.weight_operator()
-    ident = Matrix.identity(g.ambient_dim, x._conductor())
+    ident = Matrix.identity(g.ambient_dim, x.m)
     values = [eigenvalue(x, basis[0]) for _, basis in g.pieces]
     out = []
     for i, e in enumerate(values):
@@ -102,25 +128,26 @@ def projectors(g: Grading) -> list:
 class TestRref:
     def test_identity(self):
         ech = echelon(Matrix.identity(3))
-        assert Matrix.from_rows(ech.rows) == Matrix.identity(3) and ech.pivots == [0, 1, 2]
+        assert ech.matrix(0, 3) == Matrix.identity(3) and ech.pivots == [0, 1, 2]
 
     def test_zero(self):
         ech = echelon(Matrix.zero(2, 2))
-        assert ech.rows == [] and ech.pivots == [] and ech.dim == 0
+        assert scalar_rows(ech) == [] and ech.pivots == [] and ech.dim == 0
 
     def test_rank_one(self):
         ech = echelon(Matrix.build([[2, 4], [1, 2]]))
-        assert Matrix.from_rows(ech.rows) == Matrix.build([[1, 2]]) and ech.pivots == [0]
+        assert ech.matrix(0, 2) == Matrix.build([[1, 2]]) and ech.pivots == [0]
 
     def test_idempotence_randomized(self):
         rng = random.Random(9)
         for _ in range(30):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             r1 = echelon(a)
-            r2 = _EchelonSet(a.cols, r1.rows)
-            assert (r2.rows, r2.pivots) == (r1.rows, r1.pivots)
-            assert all(row[p] == 1 and all(not other[p] for other in r1.rows if other is not row)
-                       for row, p in zip(r1.rows, r1.pivots))
+            r2 = echelon(r1.matrix(0, a.cols))
+            rows = scalar_rows(r1)
+            assert (scalar_rows(r2), r2.pivots) == (rows, r1.pivots)
+            assert all(row[p] == 1 and all(not other[p] for other in rows if other is not row)
+                       for row, p in zip(rows, r1.pivots))
 
 
 @st.composite
@@ -158,15 +185,16 @@ def echelon_inputs(draw):
 @given(echelon_inputs())
 def test_integer_echelon_matches_the_scalar_reference(case):
     width, rows, probes = case
-    ech, ref = _EchelonSet(width), ScalarEchelon(width)
+    m = probes[0][0].m
+    ech, ref = _EchelonSet(width, m), ScalarEchelon(width)
     for row in rows:
-        assert ech.add(row) == ref.add(row)
-    assert (ech.rows, ech.pivots, ech.dim) == (ref.rows, ref.pivots, ref.dim)
+        assert (ech.insert(Matrix.build([row], m).nums) is not None) == ref.add(row)
+    assert (scalar_rows(ech), ech.pivots, ech.dim) == (ref.rows, ref.pivots, ref.dim)
     sub = Subspace(ech)
     for vec in probes:
         res, coords = ref.reduce(vec)
-        assert sub.coordinates(vec) == (None if any(res) else tuple(coords))
-        assert ech.contains(vec) == ref.contains(vec) == sub.contains(vec)
+        assert coordinates(sub, vec) == (None if any(res) else tuple(coords))
+        assert contains(sub, vec) == ref.contains(vec)
     # each integer row is canonical: a positive denominator with no common
     # factor, numerators (den, 0, ..., 0) at its pivot and zeros at the others
     phi = len(ech._nums[0]) // width if ech.dim else 1
@@ -183,19 +211,25 @@ def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
     if rows:
         m = rows[0][0].m
         a = Matrix.build(rows, m)
-        assert kernel(a).basis == tuple(map(tuple, kernel_reference(rows, width, m)))
+        assert_canonical(a)
+        ker = kernel(a)
+        assert ker.basis == tuple(map(tuple, kernel_reference(rows, width, m)))
+        assert_canonical(ker.matrix)
         # a consistent right-hand side, and a unit vector, consistent only
         # when the last row is independent of the others
         unit = [Scalar.zero(m)] * (a.rows - 1) + [Scalar.one(m)]
-        b = Matrix.from_cols([a.mul_vector(probes[0]), unit])
-        for rhs in (b, Matrix.from_cols([b.col(0)])):
+        b = Matrix.build([mul_vector(a, probes[0]), unit], m).transpose()
+        for rhs in (b, Matrix.build([col(b, 0)], m).transpose()):
             ref_part, ref_ker = linear_solve_reference(a, rhs)
-            assert linear_solve(a, rhs) == ref_part
+            part = linear_solve(a, rhs)
+            assert part == ref_part
+            if part is not None:
+                assert_canonical(part)
             assert kernel(a).basis == tuple(map(tuple, ref_ker))
         # the intersection with the probes' span: inside both, of the dimension
         # dim U + dim W - dim (U + W)
-        inter = Subspace.from_vectors(width, rows).intersection(
-            Subspace.from_vectors(width, probes))
+        inter = intersection(Subspace.from_vectors(width, rows),
+                             Subspace.from_vectors(width, probes))
         u, w = ScalarEchelon(width, rows), ScalarEchelon(width, probes)
         assert inter.dim == u.dim + w.dim - ScalarEchelon(width, rows + probes).dim
         assert all(u.contains(v) and w.contains(v) for v in inter.basis)
@@ -203,7 +237,7 @@ def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
     n = data.draw(st.integers(1, 4))
     m = probes[0][0].m
     squares = [data.draw(matrices(m, n, n)),
-               Matrix.from_rows((probes[:1] + rows + probes * 2)[:width])]
+               Matrix.build((probes[:1] + rows + probes * 2)[:width], m)]
     for sq in squares:
         try:
             inv = inverse_reference(sq)
@@ -212,6 +246,7 @@ def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
                 sq.inverse()
             continue
         assert sq.inverse() == inv
+        assert_canonical(sq.inverse())
 
 
 @st.composite
@@ -229,7 +264,7 @@ def gradings(draw):
                               for j in range(n)] for i in range(n)])
     b = unit_triangular(True) @ unit_triangular(False)  # invertible
     bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:pieces - 1]) + [n]
-    return Grading(n, [(w, [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+    return Grading.from_pieces(n, [(w, [b.row(r) for r in range(bounds[i], bounds[i + 1])])
                        for i, w in enumerate(weights)])
 
 
@@ -252,7 +287,7 @@ def test_weight_operator_has_each_piece_as_an_eigenspace(g):
 
 class TestWeightProjectors:
     def test_coordinate_grading(self):
-        g = Grading(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = projectors(g)
         assert p[0] == Matrix.build([[1, 0], [0, 0]])
         assert p[1] == Matrix.build([[0, 0], [0, 1]])
@@ -262,7 +297,7 @@ class TestWeightProjectors:
         assert projectors(g) == [Matrix.identity(3)]
 
     def test_diagonal_lines(self):
-        g = Grading(2, [((1,), [(1, 1)]), ((-1,), [(1, -1)])])
+        g = Grading.from_pieces(2, [((1,), [(1, 1)]), ((-1,), [(1, -1)])])
         p = projectors(g)
         half = Fraction(1, 2)
         assert p[0] == Matrix.build([[half, half], [half, half]])
@@ -282,7 +317,7 @@ class TestWeightProjectors:
             for i in range(len(bounds) - 1):
                 rows = [b.row(k) for k in range(bounds[i], bounds[i + 1])]
                 pieces.append(((i,), rows))
-            g = Grading(n, pieces)
+            g = Grading.from_pieces(n, pieces)
             projs = projectors(g)
             total = Matrix.zero(n, n)
             for i, p in enumerate(projs):
@@ -296,42 +331,66 @@ class TestWeightProjectors:
 
     def test_grading_validation(self):
         with pytest.raises(ValueError):
-            Grading(2, [((1,), [(1, 0)]), ((1,), [(0, 1)])])  # repeated weight
+            Grading.from_pieces(2, [((1,), [(1, 0)]), ((1,), [(0, 1)])])  # repeated weight
         with pytest.raises(ValueError):
-            Grading(2, [((1,), [(1, 0)]), ((2,), [(1, 0)])])  # not independent
+            Grading.from_pieces(2, [((1,), [(1, 0)]), ((2,), [(1, 0)])])  # not independent
         with pytest.raises(ValueError):
-            Grading(2, [((1,), [(1, 0)])])  # not spanning
+            Grading.from_pieces(2, [((1,), [(1, 0)])])  # not spanning
 
 
 class TestSubspace:
-    def test_canonical_equality(self):
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_canonical_equality(self, data):
         a = Subspace.from_vectors(3, [(1, 1, 0), (0, 1, 1)])
         b = Subspace.from_vectors(3, [(1, 2, 1), (2, 3, 1)])
         assert a == b
+        # drawn: the build -> entries round trip gives the canonical Scalars
+        # back, and a span is stored as the same numbers whatever multiples
+        # and combinations of its rows it is given
+        m = data.draw(st.sampled_from([1, 4, 5]))
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        x = data.draw(matrices(m, rows, cols))
+        assert_canonical(x)
+        drawn = [data.draw(scalars(m)) for _ in range(rows * cols)]
+        built = from_entries(rows, cols, drawn, m)
+        assert_canonical(built)
+        assert [(e.m, e.num, e.den) for e in entries(built)] == \
+            [(e.m, e.num, e.den) for e in drawn]
+        assert from_entries(rows, cols, entries(built), m) == built
+        assert Matrix.from_json(built.to_json(), m) == built
+        assert (built == x) == (entries(built) == entries(x))
+        c = data.draw(scalars(m).filter(bool))
+        mixed = [[c * e for e in x.row(0)]] + [list(x.row(i)) for i in range(1, rows)] + \
+            [[e + f for e, f in zip(x.row(0), x.row(rows - 1))]]
+        span, again = Subspace.span(x), Subspace.from_vectors(cols, mixed)
+        assert span == again and span.basis == again.basis
+        assert span._echelon.reduced_rows() == again._echelon.reduced_rows()
+        assert_canonical(span.matrix)
 
     def test_contains_and_coordinates(self):
         s = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
         one, zero = Scalar.one(), Scalar.zero()
-        assert s.contains((one, one, one + one))
-        assert not s.contains((one, zero, zero))
-        coords = s.coordinates((one, one, one + one))
+        assert contains(s, (one, one, one + one))
+        assert not contains(s, (one, zero, zero))
+        coords = coordinates(s, (one, one, one + one))
         assert coords == (one, one)
 
     def test_sum_intersection(self):
         a = Subspace.from_vectors(3, [(1, 0, 0)])
         b = Subspace.from_vectors(3, [(0, 1, 0)])
         assert Subspace.from_vectors(3, a.basis + b.basis).dim == 2
-        assert a.intersection(b).dim == 0
+        assert intersection(a, b).dim == 0
         c = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
         d = Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 1)])
-        inter = c.intersection(d)
+        inter = intersection(c, d)
         assert inter == Subspace.from_vectors(3, [(1, 1, 0)])
 
     def test_kernel(self):
         k = kernel(Matrix.build([[1, 2, 3]]))
         assert k.dim == 2
         for v in k.basis:
-            assert all(x.is_zero() for x in Matrix.build([[1, 2, 3]]).mul_vector(v))
+            assert all(x.is_zero() for x in mul_vector(Matrix.build([[1, 2, 3]]), v))
 
 
 class TestMatrix:
@@ -349,7 +408,7 @@ class TestMatrix:
     def test_one_field_per_matrix(self):
         z5 = Scalar.zeta(5)
         a = Matrix.build([[1, z5], [0, 1]])
-        assert all(x.m == 5 for x in a.entries)
+        assert a.m == 5 and all(x.m == 5 for x in entries(a))
         assert Matrix.from_json(a.to_json(), 5) == a
         with pytest.raises(ValueError):
             Matrix.from_json(a.to_json(), 1)  # no silent reduction of zeta_5 to 1
@@ -357,8 +416,20 @@ class TestMatrix:
             Matrix.build([[Scalar.one(1), z5]])
         with pytest.raises(ValueError):
             Matrix.build([[z5]], 1)
+        # a product, a sum, a block or a point that mixes two conductors
+        # raises, naming both
+        q = Matrix.identity(2)
+        for mix in (lambda: a @ q, lambda: q @ a, lambda: a + q, lambda: q - a,
+                    lambda: q.place(0, 0, Matrix.build([[z5]])),
+                    lambda: linear_solve(q, a), lambda: a.scale(Scalar.one(1)),
+                    lambda: FramedPoint(2, [Grading.trivial(2)], [], [TwistedElement.plain(a)]),
+                    lambda: FramedPoint(2, [Grading.trivial(2, 5), Grading.trivial(2)], [a], [])):
+            with pytest.raises(ValueError, match=r"\[1, 5\]"):
+                mix()
 
-    def test_place_writes_a_copy(self):
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_place_writes_a_copy(self, data):
         a = Matrix.build([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         b = a.place(1, 0, Matrix.build([[-1, -2]]))
         assert b == Matrix.build([[1, 2, 3], [-1, -2, 6], [7, 8, 9]])
@@ -369,6 +440,23 @@ class TestMatrix:
             a.place(2, 2, Matrix.identity(2))  # does not fit
         with pytest.raises(ValueError):
             a.place(0, 0, Matrix.identity(1, 5))  # another field
+        # drawn: a block over unlike denominators, read back by submatrix,
+        # the matrix it is written into unchanged, a zero block dropping the
+        # denominator it carried
+        m = data.draw(st.sampled_from([1, 4, 5]))
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        x = data.draw(matrices(m, rows, cols))
+        h, w = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+        block = data.draw(matrices(m, h, w))
+        r, c = data.draw(st.integers(0, rows - h)), data.draw(st.integers(0, cols - w))
+        before = (x.nums[:], x.den)
+        placed = x.place(r, c, block)
+        assert placed == place_reference(x, r, c, block)
+        assert (x.nums, x.den) == before
+        assert_canonical(placed)
+        assert placed.submatrix(range(r, r + h), c, c + w) == block
+        assert x.place(r, c, Matrix.zero(h, w, m)) == \
+            place_reference(x, r, c, Matrix.zero(h, w, m))
 
 
 def scalars(m):
@@ -380,15 +468,19 @@ def scalars(m):
     return st.one_of(st.just(Scalar.zero(m)), coeffs.map(lambda cs: from_coeffs(m, cs)))
 
 
-def matrices(m, rows, cols):
-    return st.lists(scalars(m), min_size=rows * cols, max_size=rows * cols).map(
-        lambda es: Matrix(rows, cols, tuple(es)))
+@st.composite
+def matrices(draw, m, rows, cols):
+    """rows x cols matrices of ``scalars``, now and then with zero rows."""
+    entries = draw(st.lists(scalars(m), min_size=rows * cols, max_size=rows * cols))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)) if rows else ():
+        entries[i * cols:(i + 1) * cols] = [Scalar.zero(m)] * cols
+    return from_entries(rows, cols, entries, m)
 
 
 @settings(max_examples=40)
 @given(st.data())
 def test_sandwich_rows_match_products(data):
-    m = data.draw(st.sampled_from([1, 5]))
+    m = data.draw(st.sampled_from([1, 4, 5]))
     rows, cols, height, width = (data.draw(st.integers(1, 3)) for _ in range(4))
     x = data.draw(matrices(m, rows, cols))
     terms = []
@@ -405,15 +497,13 @@ def test_sandwich_rows_match_products(data):
         terms.append((left, right, transposed))
         total = total + (inner if left is None else left @ inner) @ \
             (Matrix.identity(width, m) if right is None else right)
-    nums, den = sandwich_rows(terms, rows, cols, m)
-    phi = euler_phi(m)
-    assert den > 0 and all(isinstance(c, int) and len(row) == rows * cols * phi
-                           for row in nums for c in row)
-    # the integer rows over their denominator are the Scalar rows, entry by entry
-    coeffs = Matrix.from_rows([[_canonical(m, tuple(row[t:t + phi]), den)
-                                for t in range(0, len(row), phi)] for row in nums])
-    assert coeffs.row_list() == sandwich_rows_reference(terms, rows, cols, m)
-    assert coeffs @ Matrix(rows * cols, 1, x.entries) == Matrix(height * width, 1, total.entries)
+    coeffs = sandwich_rows(terms, rows, cols, m)
+    assert_canonical(coeffs)
+    assert (coeffs.rows, coeffs.cols, coeffs.m) == (height * width, rows * cols, m)
+    # the coefficient rows are the Scalar rows, entry by entry
+    assert [list(coeffs.row(i)) for i in range(coeffs.rows)] == \
+        sandwich_rows_reference(terms, rows, cols, m)
+    assert coeffs @ x.reshape(rows * cols, 1) == total.reshape(height * width, 1)
 
 
 @settings(max_examples=60)
@@ -423,19 +513,34 @@ def test_integer_product_matches_the_scalar_reference(data):
     n, k, p = (data.draw(st.integers(0, 4)) for _ in range(3))
     a = data.draw(matrices(m, n, k))
     b = data.draw(matrices(m, k, p))
+    if n == k and data.draw(st.booleans()):
+        a = Matrix.identity(n, m)  # an identity factor
     prod = a @ b
     ref = matmul_reference(a, b)
     assert (prod.rows, prod.cols) == (ref.rows, ref.cols) == (n, p)
     # the same canonical Scalars, so the same printed bytes, empty shapes included
-    assert [(x.m, x.num, x.den) for x in prod.entries] == \
-        [(x.m, x.num, x.den) for x in ref.entries]
+    assert [(x.m, x.num, x.den) for x in entries(prod)] == \
+        [(x.m, x.num, x.den) for x in entries(ref)]
     assert repr(prod) == repr(ref) and prod.to_json() == ref.to_json()
+    assert prod == ref
+    # the other operations the storage implements, each against its
+    # Scalar-entry reference, each result canonical
+    c = data.draw(matrices(m, n, k))
+    s = data.draw(scalars(m))
+    z = from_coeffs(m, [Fraction(1, 3), Fraction(2, 5)] if m > 1 else [Fraction(-7, 6)])
+    for got, want in ((a + c, sum_reference(a, c)), (a - c, sum_reference(a, c, -1)),
+                      (-a, scale_reference(a, -1)), (a.scale(3), scale_reference(a, 3)),
+                      (a.scale(Fraction(-2, 9)), scale_reference(a, Fraction(-2, 9))),
+                      (a.scale(s), scale_reference(a, s)), (a.scale(z), scale_reference(a, z)),
+                      (a.transpose(), transpose_reference(a)), (prod, ref)):
+        assert got == want and entries(got) == entries(want)
+        assert_canonical(got)
+    assert (a == c) == (entries(a) == entries(c) and (n, k) == (c.rows, c.cols))
     if k and n and p:
         other = next(f for f in (1, 5) if f != m)
-        foreign = Matrix(k, p, tuple(Scalar.one(other) for _ in range(k * p)))
+        foreign = Matrix.build([[Scalar.one(other)] * p] * k, other)
         with pytest.raises(ValueError):
-            Matrix(n, k, tuple(Scalar.one(m) for _ in range(n * k))) @ foreign
-
+            Matrix.build([[Scalar.one(m)] * k] * n, m) @ foreign
 
 @st.composite
 def near_identities(draw):
@@ -453,7 +558,7 @@ def near_identities(draw):
         if m == 5:  # numerators (1, 1, 0, 0) over 1: rational part 1, not rational
             near_one.append(one + Scalar.zeta(5))
         entries[k] = draw(st.one_of(scalars(m), st.sampled_from(near_one)))
-    return Matrix(rows, cols, tuple(entries)), m
+    return from_entries(rows, cols, entries, m), m
 
 
 @settings(max_examples=120)
@@ -465,8 +570,8 @@ def test_is_identity_agrees_with_equality_to_the_identity(case):
 
 def test_is_identity_cases():
     z5 = Scalar.zeta(5)
-    assert Matrix.identity(0).is_identity() and Matrix(0, 0, ()).is_identity()
-    assert not Matrix(0, 2, ()).is_identity() and not Matrix(2, 0, ()).is_identity()
+    assert Matrix.identity(0).is_identity() and Matrix.zero(0, 0).is_identity()
+    assert not Matrix.zero(0, 2).is_identity() and not Matrix.zero(2, 0).is_identity()
     assert Matrix.identity(3, 5).is_identity()
     assert not Matrix.build([[1, 0, 0], [0, 1, 0]]).is_identity()
     assert not Matrix.build([[1, 0], [0, -1]]).is_identity()
@@ -485,8 +590,8 @@ def test_identity_factor_returns_the_other_factor(data):
     ident = Matrix.identity(n, m)
     for prod, ref in ((ident @ x, matmul_reference(ident, x)),
                       (y @ ident, matmul_reference(y, ident))):
-        assert [(e.m, e.num, e.den) for e in prod.entries] == \
-            [(e.m, e.num, e.den) for e in ref.entries]
+        assert [(e.m, e.num, e.den) for e in entries(prod)] == \
+            [(e.m, e.num, e.den) for e in entries(ref)]
         assert (prod.rows, prod.cols) == (ref.rows, ref.cols)
     if p:
         assert ident @ x is x and y @ ident is (ident if y.is_identity() else y)
@@ -504,7 +609,7 @@ def test_identity_is_shared_and_place_leaves_it_unchanged():
         placed = ident.place(0, 1, Matrix.build([[7, 8], [9, 10]], m))
         assert placed == Matrix.build([[1, 7, 8], [0, 9, 10], [0, 0, 1]], m)
         assert Matrix.identity(3, m) is ident and ident.is_identity()
-        assert [(e.num, e.den) for e in ident.entries] == \
+        assert [(e.num, e.den) for e in entries(ident)] == \
             [((int(i == j),) + (0,) * (euler_phi(m) - 1), 1) for i in range(3) for j in range(3)]
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wildcat import modular
 from wildcat.algebra import _SMALL_PRIME_FLOOR, _norton_images, _spans_full_mod_p
-from wildcat.linalg import IntRows, Matrix, _int_row, kernel, sandwich_rows
+from wildcat.linalg import Matrix, kernel, sandwich_rows, stack
 from wildcat.modular import (
     _EchelonModP,
     _distinct_degree,
@@ -46,12 +46,9 @@ def small_modulus(m):
 
 
 def commutant_rows(gens, n, m):
-    """The integer rows of x g = g x for every generator: kernel dimension =
-    dim commutant."""
-    rows = []
-    for g in gens:
-        rows += sandwich_rows([(None, g, False), (-g, None, False)], n, n, m)[0]
-    return rows
+    """The coefficient rows of x g = g x for every generator, as one Matrix:
+    kernel dimension = dim commutant."""
+    return stack([sandwich_rows([(None, g, False), (-g, None, False)], n, n, m) for g in gens])
 
 
 @st.composite
@@ -70,7 +67,7 @@ def modular_cases(draw):
         return oracles.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                                        for _ in range(euler_phi(m))])
 
-    gens = [Matrix(n, n, tuple(entry(i, j) for i in range(n) for j in range(n)))
+    gens = [Matrix.build([[entry(i, j) for j in range(n)] for i in range(n)], m)
             for _ in range(draw(st.integers(1, 3)))]
     return gens, n, m
 
@@ -81,7 +78,7 @@ def test_packed_certificates_match_the_list_reference(case):
     gens, n, m = case
     full = _spans_full_mod_p(gens, n, m)
     assert oracles.spans_full_mod_p(gens, n, m) or not full  # True is a proof
-    rows = commutant_rows(gens, n, m)
+    rows = commutant_rows(gens, n, m).int_rows()
     bound = kernel_dim_mod_p(rows, n * n, m)
     assert bound == oracles.kernel_dim_mod_p(rows, n * n, m)
     if full:
@@ -126,8 +123,7 @@ def norton_cases(draw):
         return [[Scalar.zero(m) if shape == "triangular" and i >= split and j < split
                  else entry() for j in range(n)] for i in range(n)]
 
-    gens = [Matrix(n, n, tuple(x for row in generator() for x in row))
-            for _ in range(draw(st.integers(2, 3)))]
+    gens = [Matrix.build(generator(), m) for _ in range(draw(st.integers(2, 3)))]
     return gens, n, m
 
 
@@ -180,7 +176,8 @@ def test_echelon_and_null_line_match_the_list_reference(case):
     ech, ref = _EchelonModP(p, n), oracles.ListEchelonModP(p)
     images = []
     for row in rows:
-        img = image(*_int_row(row, m, phi))
+        vec = Matrix.build([row], m)
+        img = image(vec.nums, vec.den)
         want = [oracles.FractionScalar(m, x.coeffs).image_mod_p(p, rpow) for x in row]
         assert img == (None if None in want else want)
         if img is not None:
@@ -254,8 +251,9 @@ class TestFixedCases:
         assert not oracles.spans_full_mod_p(gens, 2, 1)
         assert _spans_full_mod_p(gens, 2, 1)  # Norton's test at q is not fooled
         rows = commutant_rows(gens, 2, 1)
-        assert kernel_dim_mod_p(rows, 4, 1) == oracles.kernel_dim_mod_p(rows, 4, 1) == 2
-        assert kernel(IntRows(rows, 4, 1)).dim == 1
+        ints = rows.int_rows()
+        assert kernel_dim_mod_p(ints, 4, 1) == oracles.kernel_dim_mod_p(ints, 4, 1) == 2
+        assert kernel(rows).dim == 1
 
     def test_denominator_divisible_by_p_decides_nothing(self):
         p, _ = _modulus(5)
@@ -266,9 +264,10 @@ class TestFixedCases:
         assert _spans_full_mod_p(gens, 2, 5)  # Norton's test at q is not stopped by p
         # the integer rows have no denominator, so the bound still holds
         rows = commutant_rows(gens, 2, 5)
-        bound = kernel_dim_mod_p(rows, 4, 5)
-        assert bound == oracles.kernel_dim_mod_p(rows, 4, 5)
-        assert bound >= kernel(IntRows(rows, 4, 5)).dim
+        ints = rows.int_rows()
+        bound = kernel_dim_mod_p(ints, 4, 5)
+        assert bound == oracles.kernel_dim_mod_p(ints, 4, 5)
+        assert bound >= kernel(rows).dim
 
 
 def test_norton_images_walk_past_primes_in_a_denominator():
@@ -429,7 +428,7 @@ class TestLiftedKernel:
         monkeypatch.setattr(modular, "null_space_mod_p", recorded)
         ker, ref = kernel(a), oracles.exact_kernel(a)
         assert ker == ref
-        assert (ker._echelon._nums, ker._echelon._dens) == (ref._echelon._nums, ref._echelon._dens)
+        assert ker._echelon.reduced_rows() == ref._echelon.reduced_rows()
         return ker, list(dict.fromkeys(primes))
 
     @pytest.mark.parametrize("m", [1, 4, 5])
@@ -481,7 +480,7 @@ class TestLiftedKernel:
                                for j in range(n)] for i in range(n)])
         p = lower @ lower.transpose()
         gens = [p @ g @ p.inverse() for g in gens]
-        ker, primes = self.walk(monkeypatch, IntRows(commutant_rows(gens, n, 1), n * n, 1))
+        ker, primes = self.walk(monkeypatch, commutant_rows(gens, n, 1))
         assert ker.dim == 3 and len(primes) >= 2
         assert max(max(abs(c) for c in x.num) for row in ker.basis for x in row) >= 1 << 15 or \
             max(x.den for row in ker.basis for x in row) >= 1 << 15

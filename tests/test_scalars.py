@@ -12,7 +12,7 @@ from oracles import (
     from_coeffs,
     scalar_to_json_reference,
 )
-from wildcat.linalg import _int_row
+from wildcat.linalg import Matrix
 from wildcat.modular import _image_map
 from wildcat.scalars import (
     Scalar,
@@ -177,7 +177,8 @@ RPOW = [pow(7, j, P) for j in range(4)]
 def image_mod_p(entries, m):
     """The entries' images under zeta_m -> 7 mod P (``_image_map``)."""
     phi = euler_phi(m)
-    return _image_map(P, 7, phi)(*_int_row(entries, m, phi))
+    row = Matrix.build([entries], m)
+    return _image_map(P, 7, phi)(row.nums, row.den)
 
 
 coefficients = st.one_of(

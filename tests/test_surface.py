@@ -20,26 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(p for p in (ROOT / "src" / "wildcat").glob("*.py") if p.name != "__init__.py")
 CALLERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 
-ALLOWED = {
-    "engine.restrict_point": "ROADMAP item 3 decides whether the Levi blocks restrict to points",
-    "engine.act": "the group action under which the invariance tests move points",
-    "twists.Automorphism.sigma": "the group law that the twists tests check normalize against",
-    "twists.TwistedElement.multiply": "the group law that embed_doubled must be a homomorphism of",
-    "twists.TwistedElement.adjoint": "the adjoint action that normalize must preserve",
-}
+ALLOWED = {}
 
 # Library code that only the allowed names keep in use: pinned, so that a
 # change which leaves code reachable only from test-only API says so here.
-REACHED_ONLY_FROM_ALLOWED = {
-    "linalg.Grading.piece_subspaces",
-    "linalg.Matrix.mul_vector",
-    "linalg.Subspace.contains",
-    "linalg.Subspace.coordinates",
-    "linalg.Subspace.intersection",
-    "linalg._EchelonSet.contains",
-    "twists.Automorphism.apply",
-    "twists.Automorphism.compose",
-}
+REACHED_ONLY_FROM_ALLOWED = set()
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

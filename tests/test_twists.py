@@ -11,6 +11,8 @@ from wildcat.twists import (
     transpose_inverse,
 )
 
+from oracles import adjoint, apply, compose, multiply, sigma
+
 J = Matrix.build([[1, 1], [0, 1]])
 
 
@@ -49,7 +51,7 @@ class TestNormalize:
                                Automorphism(rand_invertible(rng, n), rng.random() < 0.5))
             out = normalize([x])[0]
             assert out.is_normalized()
-            assert x.adjoint() == out.adjoint()
+            assert adjoint(x) == adjoint(out)
 
     def test_idempotent(self):
         rng = random.Random(8)
@@ -72,8 +74,8 @@ class TestEmbedding:
 
     def test_sigma_product_identity(self):
         d = Matrix.build([[2, 0], [0, 1]])
-        lhs = embed_doubled(TwistedElement(d, Automorphism.sigma(2))) @ \
-            embed_doubled(TwistedElement(Matrix.identity(2), Automorphism.sigma(2)))
+        lhs = embed_doubled(TwistedElement(d, sigma(2))) @ \
+            embed_doubled(TwistedElement(Matrix.identity(2), sigma(2)))
         assert lhs == embed_doubled(TwistedElement.plain(d))
 
     def test_homomorphism_randomized(self):
@@ -84,7 +86,7 @@ class TestEmbedding:
                                Automorphism(Matrix.identity(n), rng.random() < 0.5))
             b = TwistedElement(rand_invertible(rng, n),
                                Automorphism(Matrix.identity(n), rng.random() < 0.5))
-            assert embed_doubled(a) @ embed_doubled(b) == embed_doubled(a.multiply(b))
+            assert embed_doubled(a) @ embed_doubled(b) == embed_doubled(multiply(a, b))
 
     def test_unnormalized_rejected(self):
         x = TwistedElement(J, Automorphism(J, False))
@@ -112,11 +114,11 @@ class TestAutomorphismAlgebra:
             phi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
             psi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
             g = rand_invertible(rng, n)
-            assert phi.compose(psi).apply(g) == phi.apply(psi.apply(g))
+            assert apply(compose(phi, psi), g) == apply(phi, apply(psi, g))
             # (Inn(A) s)^-1 = Inn(s^-1(A^-1)) s
             ainv = phi.inner.inverse()
             inverse = Automorphism(transpose_inverse(ainv) if phi.outer else ainv, phi.outer)
-            assert phi.compose(inverse).apply(g) == g
+            assert apply(compose(phi, inverse), g) == g
 
     def test_sigma_is_an_automorphism(self):
         rng = random.Random(15)
