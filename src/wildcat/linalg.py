@@ -609,15 +609,15 @@ def sandwich_rows(terms, rows: int, cols: int, m: int) -> Matrix:
     dens = [(1 if left is None else left.den) * (1 if right is None else right.den)
             for left, right, _ in terms]
     den = lcm(*dens)
-    width, out, shape = rows * cols * phi, None, None
+    row_len, out, shape = rows * cols * phi, None, None
     for (left, right, transposed), d in zip(terms, dens):
         # the sandwiched matrix is X or X^T; its entry (a, b) is unknown k(a, b)
         inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
         height = inner_rows if left is None else left.rows
-        wide = inner_cols if right is None else right.cols
+        width = inner_cols if right is None else right.cols
         if out is None:
-            out, shape = [0] * (height * wide * width), (height, wide)
-        elif shape != (height, wide):
+            out, shape = [0] * (height * width * row_len), (height, width)
+        elif shape != (height, width):
             raise ValueError("sandwich terms have results of different shapes")
         scale = den // d  # folded into the left factor
         # per row r of L, its nonzero entries (a, x, the multiplication table
@@ -629,11 +629,11 @@ def sandwich_rows(terms, rows: int, cols: int, m: int) -> Matrix:
                  for r in range(height)]
         lefts = [[(a, x, multiplication_matrix(m, x) if any(x[1:]) else None) for a, x in line]
                  for line in lefts]
-        rights = [[(c, None)] if right is None else _nonzero(right.nums, c, wide, right.rows, phi)
-                  for c in range(wide)]
+        rights = [[(c, None)] if right is None else _nonzero(right.nums, c, width, right.rows, phi)
+                  for c in range(width)]
         for r in range(height):
-            for c in range(wide):
-                base = (r * wide + c) * width
+            for c in range(width):
+                base = (r * width + c) * row_len
                 for a, x, table in lefts[r]:
                     for b, y in rights[c]:
                         k = base + (b * cols + a if transposed else a * cols + b) * phi

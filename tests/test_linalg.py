@@ -348,10 +348,11 @@ class TestSubspace:
         # drawn: the build -> entries round trip gives the canonical Scalars
         # back, and a span is stored as the same numbers whatever multiples
         # and combinations of its rows it is given
-        m = data.draw(st.sampled_from([1, 4, 5]))
+        m = data.draw(st.sampled_from([1, 2, 4, 5]))
         rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
         x = data.draw(matrices(m, rows, cols))
         assert_canonical(x)
+        assert x.to_json() == [[e.to_json() for e in x.row(i)] for i in range(rows)]
         drawn = [data.draw(scalars(m)) for _ in range(rows * cols)]
         built = from_entries(rows, cols, drawn, m)
         assert_canonical(built)
@@ -546,7 +547,9 @@ def test_integer_product_matches_the_scalar_reference(data):
 def near_identities(draw):
     """Matrices that are identities, or nearly: a square or non-square
     identity pattern (the empty one included) with at most one entry
-    replaced, by a drawn Scalar or by a diagonal value that is almost 1."""
+    replaced, by a drawn Scalar or by a diagonal value that is almost 1,
+    and now and then scaled by a drawn Scalar, which makes near-scalar
+    matrices."""
     m = draw(st.sampled_from([1, 5]))
     rows = draw(st.integers(0, 4))
     cols = rows if draw(st.booleans()) else draw(st.integers(0, 4))
@@ -558,6 +561,9 @@ def near_identities(draw):
         if m == 5:  # numerators (1, 1, 0, 0) over 1: rational part 1, not rational
             near_one.append(one + Scalar.zeta(5))
         entries[k] = draw(st.one_of(scalars(m), st.sampled_from(near_one)))
+    if draw(st.booleans()):
+        c = draw(scalars(m))
+        entries = [c * x for x in entries]
     return from_entries(rows, cols, entries, m), m
 
 
@@ -566,6 +572,9 @@ def near_identities(draw):
 def test_is_identity_agrees_with_equality_to_the_identity(case):
     a, m = case
     assert a.is_identity() == (a == Matrix.identity(a.rows, m))
+    # and a scalar matrix is its first entry times the identity
+    if a.rows and a.cols:
+        assert a.is_scalar() == (a == Matrix.identity(a.rows, m).scale(a[0, 0]))
 
 
 def test_is_identity_cases():
