@@ -7,16 +7,16 @@ characteristic zero the natural module is semisimple exactly when that group
 is linearly reductive.
 
 Spinning keeps an echelon basis of words in the generators.  Every word is a
-generator times a shorter word, so only kept words are extended, and only by
-left factors; the spin stops as soon as it holds N^2 independent words.
+shorter word times a generator, so only kept words are extended, each by
+one side; the spin stops as soon as it holds N^2 independent words.
 ``_spin_left`` is the one closure loop: the exact algebra spin, the
 submodule spanned by vectors, the spins of one vector modulo a prime in
 Norton's test, and the powers of one matrix (its minimal polynomial) all
-run on it.  The exact spins of the algebra and of a submodule
-(``_spin_exact``) and the power spin (``minimal_polynomial``) take each
-generator's ``linalg._action`` once and extend each kept word on its
-integer echelon row by the one integer product, ``linalg._product``, with
-no Matrix or Scalar built per word.
+run on it.  The exact spins extend each kept word, its integer echelon row
+as stored, by right factors through the one integer product,
+``linalg._product``: the algebra as w g, which spans the same unital
+algebra as g w and so gives the same canonical basis, a submodule as
+v^T g^T, and the powers of f as w f.  No Matrix or Scalar is built per word.
 
 Whether the algebra is all of M_N(K), K = Q(zeta_m), is first asked modulo a
 small prime q = 1 (mod m) by Norton's irreducibility test
@@ -66,10 +66,9 @@ from typing import Optional
 from .linalg import (
     Matrix,
     Subspace,
-    _action,
     _EchelonSet,
     _product,
-    _row_action,
+    _right_factor,
     _times,
     kernel,
     sandwich_rows,
@@ -111,18 +110,19 @@ class MatrixAlgebra:
 
 
 def _spin_left(words, gens, mul, add, full: int) -> list:
-    """What ``add`` kept of each independent word of a left-multiplication
-    spin, in order.
+    """What ``add`` kept of each independent word of a one-sided spin, in
+    order; ``mul(g, e)`` is g e (the spins mod p) or e g (the exact spins).
 
     ``add(w)`` inserts a word into an echelon and returns what the spin
     extends it by, or None if it was dependent: the word itself, or its
     echelon row e.  e is a nonzero multiple of w plus earlier kept words,
-    which are extended first, so g e is a multiple of g w plus products
-    already inserted: it is independent exactly when g w is, and keeps the
-    same span.  Kept words are extended by ``mul(g, e)`` for every generator
-    g until no new word is independent or ``full`` words are kept.  They
-    span the closure: their span holds the start words and is closed under
-    left multiplication by every generator.
+    which are extended first, so ``mul(g, e)`` is a multiple of
+    ``mul(g, w)`` plus products already inserted: it is independent exactly
+    when ``mul(g, w)`` is, and keeps the same span.  Kept words are
+    extended for every generator g until no new word is independent or
+    ``full`` words are kept.  They span the closure: their span holds the
+    start words and is closed under multiplication by every generator on
+    that side.
     """
     kept = [e for e in map(add, words) if e is not None]
     frontier = list(kept)
@@ -246,18 +246,15 @@ def _matrix_units(n: int, m: int):
                  for u in range(n * n))
 
 
-def _spin_exact(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
-    """The echelon of the left spin over Q(zeta_m) of the start vectors,
-    the numerators of n x cols matrices (row-major, phi(m) per entry).
-
-    Each generator's ``_action`` is taken once, and each kept word is
-    extended through its integer echelon row (``_spin_left``) by
-    ``_product``, so no Matrix or Scalar is built.
-    """
-    ech = _EchelonSet(n * cols, m)
-    phi = euler_phi(m)
-    _spin_left(starts, [_action(g) for g in generators],
-               lambda a, e: _product(a, e, cols, phi), ech.insert, n * cols)
+def _spin_exact(rights, starts, rows: int, m: int) -> _EchelonSet:
+    """The echelon of the spin over Q(zeta_m) of the start words, the
+    numerators of rows x n matrices (row-major, phi(m) per entry), by the
+    n x n matrices ``rights`` on the right: each kept echelon row e
+    (``_spin_left``) goes to e g by ``_product``, with no Matrix built."""
+    width = rows * rights[0].cols
+    ech = _EchelonSet(width, m)
+    _spin_left(starts, [g.right_factor() for g in rights],
+               lambda b, e: _product(e, rows, b), ech.insert, width)
     return ech
 
 
@@ -281,7 +278,7 @@ def spin_algebra(generators) -> MatrixAlgebra:
     if _spans_full_mod_p(generators, n, m):
         return MatrixAlgebra(n, _matrix_units(n, m))
     starts = [w.nums for w in [Matrix.identity(n, m)] + list(generators)]
-    ech = _spin_exact(generators, starts, n, n, m)
+    ech = _spin_exact(generators, starts, n, m)
     return MatrixAlgebra(n, tuple(Matrix(n, n, m, nums, den) for nums, den in ech.reduced_rows()))
 
 
@@ -310,8 +307,9 @@ def radical_trace(alg: MatrixAlgebra) -> Subspace:
 
 
 def spin_subspace(generators, starts: Matrix) -> Subspace:
-    """Submodule of K^n generated by the rows of starts."""
-    return Subspace(_spin_exact(generators, starts.int_rows(), starts.cols, 1, starts.m))
+    """Submodule of K^n generated by the rows of starts, spun as v^T g^T."""
+    return Subspace(_spin_exact([g.transpose() for g in generators], starts.int_rows(), 1,
+                                starts.m))
 
 
 def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> Matrix:
@@ -359,9 +357,9 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     unknowns u, not n^2: the columns of e lie in sub (the rows of sub's
     annihilator A kill them, A e = 0) and e fixes sub pointwise (B^T e^T =
     B^T, B sub's basis as columns).  Its rows are the entries of A N_i and
-    B^T N_i^T, N_i the numerators of E_i, as integer products (``_product``
-    of the ``_action`` of A and of B^T), so no Matrix and no Scalar is
-    multiplied.  With b their right-hand side (0, then B^T), the kernel of
+    B^T N_i^T, N_i the numerators of E_i, as integer products
+    (``_product``), so no Matrix and no Scalar is multiplied.  With b their
+    right-hand side (0, then B^T), the kernel of
     [-b | rows] in (t, u) has an echelon row with t = 1 exactly when a
     projection exists; its other rows have t = 0 and give the homogeneous
     solutions h = sum u_i N_i.
@@ -381,14 +379,10 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     phi = euler_phi(m)
     width = n * phi
     fixed = sub.matrix  # B^T
-    ann = _action(kernel(fixed).matrix)
-    bt = _action(fixed)
-    # per E_i, the entries of A N_i, then those of B^T N_i^T, whose columns
-    # are the rows of N_i
-    cols = [_product(ann, b.nums, n, phi) +
-            [sum(map(operator.mul, tc, b.nums[t:t + width])) for line in bt
-             for t in range(0, n * width, width) for tc in line]
-            for b in comm]
+    ann = kernel(fixed).matrix
+    # per E_i, the entries of A N_i, then those of B^T N_i^T
+    cols = [_product(ann.nums, ann.rows, b.right_factor()) +
+            _product(fixed.nums, s, b.transpose().right_factor()) for b in comm]
     rhs = [0] * ((n - s) * width) + fixed.nums
     rows = [x for t in range(0, n * width, phi)
             for x in [-y for y in rhs[t:t + phi]] + [c for col in cols for c in col[t:t + phi]]]
@@ -396,8 +390,8 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     if not ker.dim or ker.pivots[0] != 0:
         raise NotSemisimpleError("no invariant complement: module is not semisimple")
     # sum u_i N_i for every kernel vector (t, u): the u as rows times the N_i as rows
-    sums = _product([_row_action(v.nums[phi:], m, phi) for v in ker.matrices(1, len(comm) + 1)],
-                    [x for b in comm for x in b.nums], n * n, phi)
+    us = [x for v in ker.matrices(1, len(comm) + 1) for x in v.nums[phi:]]
+    sums = _product(us, ker.dim, _right_factor([x for b in comm for x in b.nums], n * n, m))
     first, *rest = [sums[t:t + n * width] for t in range(0, len(sums), n * width)]
     if rest:
         ech = _EchelonSet(n * n, m)
@@ -530,9 +524,9 @@ def minimal_polynomial(f: Matrix):
     phi(m) per entry), den the common denominator of f's entries.
 
     The powers are spun into one echelon on integer rows, as in
-    ``_spin_exact`` (``_spin_left`` over ``_action`` and ``_product``),
-    until (den f)^d is the first that depends on the earlier ones, so no
-    Matrix product is made.  The relation
+    ``_spin_exact`` (w to w (den f) by ``_product``), until (den f)^d is
+    the first that depends on the earlier ones, so no Matrix product is
+    made.  The relation
     (den f)^d + sum v_i (den f)^i = 0 is the kernel of the powers' entries
     at the echelon's pivot columns, where the earlier powers are
     independent, so it is one line, whose echelon vector has v_d = 1 when
@@ -540,12 +534,12 @@ def minimal_polynomial(f: Matrix):
     """
     n, m, den = f.rows, f.m, f.den
     phi = euler_phi(m)
-    action = _action(f)
+    right = f.right_factor()
     ech = _EchelonSet(n * n, m)
-    powers = _spin_left([Matrix.identity(n, m).nums], [action],
-                        lambda a, w: _product(a, w, n, phi),
+    powers = _spin_left([Matrix.identity(n, m).nums], [right],
+                        lambda b, w: _product(w, n, b),
                         lambda w: w if ech.insert(w) is not None else None, n * n)
-    d, last = len(powers), _product(action, powers[-1], n, phi)
+    d, last = len(powers), _product(powers[-1], n, right)
     # unknowns v_d, ..., v_0: the kernel's echelon vector has v_d = 1
     rows = [x for j in ech.pivots for w in [last] + powers[::-1] for x in w[j * phi:(j + 1) * phi]]
     (v,) = kernel(Matrix(len(ech.pivots), d + 1, m, rows)).matrices(1, d + 1)
@@ -589,20 +583,18 @@ def _split_by_element(f: Matrix, n: int, m: int):
         # the scaled coefficient row and the powers as rows
         nums = Matrix.build([fc], m).nums   # the coefficients as one row
         row = [x * den ** (k - t // phi) for t, x in enumerate(nums)]
-        pf = _product([_row_action(row, m, phi)], [x for w in powers[:k + 1] for x in w],
-                      n * n, phi)
+        pf = _product(row, 1, _right_factor([x for w in powers[:k + 1] for x in w], n * n, m))
         kp = kernel(Matrix(n, n, m, pf))
         if 0 < kp.dim < n:
             return kp
     return None
 
 
-def _products(comm, m: int):
+def _products(comm):
     """prod(k, j): the numerators of d_k d_j e_k e_j, e_k the basis elements
     and d_k the denominator of e_k, as an integer product (``_product``)."""
-    n, phi = comm[0].rows, euler_phi(m)
-    acts = [_action(b) for b in comm]
-    return lambda k, j: _product(acts[k], comm[j].nums, n, phi)
+    n = comm[0].rows
+    return lambda k, j: _product(comm[k].nums, n, comm[j].right_factor())
 
 
 def _centre_dim(comm, m: int) -> int:
@@ -610,7 +602,7 @@ def _centre_dim(comm, m: int) -> int:
     coordinates: the c with sum c_k (e_k e_j - e_j e_k) = 0 for every j.
     The integer products scale column k by d_k and block j by d_j, which
     leaves the kernel's dimension as it is."""
-    prod, k, n, phi = _products(comm, m), len(comm), comm[0].rows, euler_phi(m)
+    prod, k, n, phi = _products(comm), len(comm), comm[0].rows, euler_phi(m)
     brackets = [[[x - y for x, y in zip(prod(a, j), prod(j, a))] for a in range(k)]
                 for j in range(k)]
     rows = [x for block in brackets for t in range(0, len(block[0]), phi)
@@ -686,7 +678,7 @@ def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[S
             return sub
 
     # no basis element splits, so the module is isotypic (docstring)
-    prod = _products(comm, m)
+    prod = _products(comm)
     if all(prod(k, j) == prod(j, k) for k, j in combinations(range(len(comm)), 2)):
         return None  # a commutative commutant: the module is irreducible
 

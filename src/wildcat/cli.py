@@ -3,6 +3,10 @@
 Machine output is a JSON document with stable key order and no timing data,
 so repeated runs on one instance (and seed) are byte-identical; certificates
 are included so every verdict can be rechecked by a few lines of script.
+It is written by ``machine_text``, a recursive join that gives the bytes of
+``json.dumps(payload, sort_keys=True, indent=2)``: with an indent, CPython
+3.10 and 3.11 fall back to their pure-Python encoder, which was most of the
+time spent printing a sample.
 Text output is the same content rendered for people, plus wall-clock time.
 
 A command returns (payload, text, exit code) or raises, with its text lines
@@ -26,6 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import MeatAxeInconclusive
 from .engine import (
@@ -262,6 +267,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def machine_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a payload of
+    dicts with string keys, lists, tuples and JSON leaves: strings through
+    the C string encoder, ints through ``int.__repr__`` as the encoder
+    writes them, other leaves through ``json.dumps``, dict keys sorted,
+    tuples written as lists, and ``{}`` and ``[]`` when empty.  ``indent``
+    is the newline and indent before the value's closing bracket."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " +
+                 (encode_basestring_ascii(v) if type(v) is str else machine_text(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [encode_basestring_ascii(v) if type(v) is str else machine_text(v, inner)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
+
+
 def run_command(argv) -> int:
     started = time.perf_counter()
     try:
@@ -282,7 +313,7 @@ def run_command(argv) -> int:
         print(exc, file=sys.stderr)
         return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
     if args.format == "machine":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(machine_text(payload))
     else:
         for line in lines():
             print(line)

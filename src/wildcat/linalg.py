@@ -12,12 +12,14 @@ and the read-only views ``row`` and ``[i, j]`` give canonical Scalars for
 rendering and the tests.  A ``Subspace`` keeps the integer rows of its
 echelon and makes its Scalar ``basis`` only when that is read.
 
-There is one integer product, ``_product``: ``Matrix.__matmul__`` and the
-spins run on it, the spins taking each generator's ``_action`` once and
-extending each kept word through its echelon row, with no Matrix built per
-word.  Linear conditions X -> sum L.X.R are written as one Matrix of
-coefficient rows by ``sandwich_rows`` alone, and blocks are written with
-``Matrix.place`` and read with ``Matrix.submatrix``.
+There is one integer product, ``_product``: it reads the left factor's
+numerators as stored, and the right factor b as the columns of zeta^s b,
+s < phi(m), from the echelon's ``_shifts``, kept on b as its inverse is
+(``right_factor``).  ``@``, the spins (w g, and v^T g^T for a submodule),
+the MeatAxe and ``kernel``'s check run on it, with no multiplication table
+and no Matrix per word.  Linear conditions X -> sum L.X.R are written as
+one Matrix of coefficient rows by ``sandwich_rows`` alone, and blocks are
+written with ``Matrix.place`` and read with ``Matrix.submatrix``.
 
 There is one exact elimination, the incremental echelon ``_EchelonSet``,
 behind the spins, inverses, ranks, ``Subspace`` and ``linear_solve``; its
@@ -39,8 +41,9 @@ and rational reconstruction (``modular.lift_kernel``), and accepted only
 when the integer rows kill each vector exactly.  The rank mod p is at most
 the exact rank, so such a basis is the kernel's unique reduced echelon
 basis, the bytes of an exact elimination (``tests/oracles.py`` keeps it as
-the reference).  ``linear_solve`` stays exact: its one caller, the Stokes
-sampler's greedy factor, solves sheet blocks of at most 3 x 3.
+the reference); a Hadamard bound (``_hadamard_bits``) caps the primes.
+``linear_solve`` stays exact: its one caller, the Stokes sampler's greedy
+factor, solves sheet blocks of at most 3 x 3.
 
 Stokes data carry the identity everywhere, so a product with a square
 identity factor returns the other factor, after the shape and field checks.
@@ -55,8 +58,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .modular import lift_kernel
@@ -92,11 +96,10 @@ def _shifts(row: list, m: int, phi: int) -> list:
     for _ in range(phi - 1):
         prev = out[-1]
         tops = prev[phi - 1::phi]
-        nxt = [0] * len(prev)
-        for c in range(1, phi):
-            nxt[c::phi] = prev[c - 1::phi]
+        nxt = prev[-1:] + prev[:-1]     # up one place; each entry's first is set below
+        nxt[::phi] = [0] * len(tops)
         for j, cj in terms:
-            nxt[j::phi] = [x - cj * t for x, t in zip(nxt[j::phi], tops)]
+            nxt[j::phi] = list(map(sub, nxt[j::phi], tops if cj == 1 else [cj * t for t in tops]))
         out.append(nxt)
     return out
 
@@ -275,41 +278,37 @@ class _EchelonSet:
         return len(self.pivots)
 
 
-def _row_action(nums: list, m: int, phi: int) -> list:
-    """The phi = phi(m) integer rows c of x -> a . x on power-basis
-    numerators, a the row with numerators ``nums``: coefficient c of a . x
-    is ``sum(map(mul, rows[c], x))``, from the multiplication matrices of
-    a's entries.  Zero entries get zero blocks, with no table built."""
+@lru_cache(maxsize=256)   # bounded: the shapes follow the systems solved
+def _gathers(rows: int, cols: int, phi: int) -> list:
+    """Per column (j, c) of ``_right_factor``, the getter of its numerators
+    from the ``_shifts`` of a rows x cols matrix laid end to end."""
+    size, step = rows * cols * phi, cols * phi
+    return [itemgetter(*[s * size + k * step + t for k in range(rows) for s in range(phi)])
+            for t in range(step)]
+
+
+def _right_factor(nums: list, cols: int, m: int) -> list:
+    """b, with these numerators and ``cols`` columns, as the right factor of
+    ``_product``: per column j and numerator c, coefficient c of zeta^s b_kj
+    for s < phi(m) (from b's ``_shifts``), k major, as a row of a is kept."""
+    phi = euler_phi(m)
     if phi == 1:
-        return [nums]
-    zero = [0] * phi
-    tables = [multiplication_matrix(m, nums[t:t + phi]) if any(nums[t:t + phi]) else None
-              for t in range(0, len(nums), phi)]
-    return [[x for table in tables for x in (zero if table is None else table[c])]
-            for c in range(phi)]
+        return [nums[j::cols] for j in range(cols)]
+    if not nums:
+        return [()] * (cols * phi)
+    shifted = list(chain.from_iterable(_shifts(nums, m, phi)))
+    return [get(shifted) for get in _gathers(len(nums) // (cols * phi), cols, phi)]
 
 
-def _action(a: "Matrix") -> list:
-    """a as the left factor of ``_product``: per row of a, its ``_row_action``
-    on the numerators of a column, or None for a zero row."""
-    phi = euler_phi(a.m)
-    return [_row_action(row, a.m, phi) if any(row) else None for row in a.int_rows()]
-
-
-def _product(action: list, nums: list, cols: int, phi: int) -> list:
-    """The numerators of a b, the left factor a given by its ``_action`` and
-    the right factor b by its numerators (``cols`` columns, phi per entry),
-    over the product of the two denominators: one ``sum(map(mul, ...))``
-    per numerator, and zeros for a zero row of a."""
-    if phi == 1:
-        columns = [nums[j::cols] for j in range(cols)]
-    else:
-        columns = [[x for t in range(j * phi, len(nums), cols * phi) for x in nums[t:t + phi]]
-                   for j in range(cols)]
-    zero = [0] * (cols * phi)
+def _product(nums: list, rows: int, columns: list) -> list:
+    """The numerators of a b over the product of the denominators, a the
+    ``rows`` rows with these numerators and b given by ``_right_factor``:
+    one ``sum(map(mul, ...))`` of a row and a column per numerator."""
+    w = len(nums) // rows if rows else 0
     out = []
-    for lines in action:
-        out += zero if lines is None else [sum(map(mul, tc, col)) for col in columns for tc in lines]
+    for i in range(rows):   # by count: a 1 x 0 factor has one empty row
+        row = nums[i * w:(i + 1) * w]
+        out += [sum(map(mul, row, col)) for col in columns]
     return out
 
 
@@ -328,7 +327,7 @@ class Matrix:
     docstring).  The constructor takes a canonical form as given;
     ``build`` makes one from entries."""
 
-    __slots__ = ("rows", "cols", "m", "nums", "den", "_inverse")
+    __slots__ = ("rows", "cols", "m", "nums", "den", "_inverse", "_right")
 
     def __init__(self, rows: int, cols: int, m: int, nums: list, den: int = 1):
         self.rows = rows
@@ -337,6 +336,7 @@ class Matrix:
         self.nums = nums
         self.den = den
         self._inverse = None    # set by ``inverse``
+        self._right = None      # set by ``right_factor``
 
     # -- constructors ------------------------------------------------------
 
@@ -396,6 +396,12 @@ class Matrix:
         """The numerators of each row (phi(m) per entry), over ``den``."""
         w = self.cols * euler_phi(self.m)
         return [self.nums[i * w:(i + 1) * w] for i in range(self.rows)]
+
+    def right_factor(self) -> list:
+        """``_right_factor`` of self, made once and kept."""
+        if self._right is None:
+            self._right = _right_factor(self.nums, self.cols, self.m)
+        return self._right
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, row-major, in a rows x cols matrix."""
@@ -484,7 +490,7 @@ class Matrix:
             return other
         if other.is_identity():
             return self
-        nums = _product(_action(self), other.nums, other.cols, euler_phi(self.m))
+        nums = _product(self.nums, self.rows, other.right_factor())
         return _matrix(self.rows, other.cols, self.m, nums, self.den * other.den)
 
     # -- predicates ------------------------------------------------------------
@@ -519,7 +525,8 @@ class Matrix:
         return _echelon(self).dim
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        """True at once when self keeps an inverse; else from the rank."""
+        return self._inverse is not None or self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "Matrix":
         """The inverse; the identity is its own (module docstring).  It is
@@ -730,26 +737,49 @@ class Subspace:
             [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
 
 
+def _hadamard_bits(rows: list, width: int, m: int) -> int:
+    """An integer b >= log2 H, H a bound on the size of every numerator and
+    the denominator of the reduced echelon basis of the null space of these
+    integer rows (``lift_kernel`` walks primes until their product passes
+    2 H^2).
+
+    Over Q the system is the integer matrix A of phi = phi(m) rows per row
+    a, each a coefficient c of zeta^s a as s runs (the multiplication
+    matrices of a's entries).  A basis vector, over its least denominator,
+    is a quotient of minors of A of size phi r, r the rank over the field,
+    on the phi rows of r independent rows: its denominator divides the
+    lower one, so it and every numerator are at most such a minor, which
+    Hadamard's inequality bounds by the product of those rows' lengths.
+    Each coefficient of zeta^s x is at most |x|_1 L, L the largest
+    coefficient of a power zeta^u, u <= 2 phi - 2, so by Cauchy-Schwarz
+    each of a's phi rows has length at most sqrt((phi L)^2 sum a_t^2),
+    over a's numerators a_t; H is the product, over the ``width`` longest
+    rows a, of that to the power phi."""
+    phi = euler_phi(m)
+    spread = max(map(abs, chain.from_iterable(_shifts([0] * (phi - 1) + [1], m, phi))))
+    scale = (phi * spread) ** 2
+    sizes = sorted(((scale * sum(map(mul, r, r))).bit_length() for r in rows), reverse=True)
+    return (phi * sum(sizes[:width]) + 1) // 2
+
+
 def kernel(a: Matrix) -> Subspace:
     """Null space {x : a @ x = 0} as a canonical Subspace of K^cols: its
     reduced echelon basis, solved modulo primes and lifted
-    (``modular.lift_kernel``), and accepted only when a's integer rows kill
-    every lifted vector exactly, through the integer matrix of
-    multiplication by it (``_row_action``).  Only the span of a's rows is
-    read, so a system may give each row as any nonzero multiple of itself."""
-    m, phi = a.m, euler_phi(a.m)
+    (``modular.lift_kernel``, over at most the primes that
+    ``_hadamard_bits`` asks for), and accepted only when a's integer rows
+    kill every lifted vector exactly, by one ``_product`` with the vectors
+    as columns.  Only the span of a's rows is read, so a system may give
+    each row as any nonzero multiple of itself."""
+    m = a.m
     rows = [r for r in a.int_rows() if any(r)]
+    flat = [x for r in rows for x in r]
 
     def kills(basis) -> bool:
-        for _, nums, _ in basis:
-            action = _row_action(nums, m, phi)
-            for r in rows:
-                for tc in action:
-                    if sum(map(mul, tc, r)):
-                        return False
-        return True
+        vectors = Matrix(len(basis), a.cols, m, [x for _, nums, _ in basis for x in nums])
+        return not any(_product(flat, len(rows), vectors.transpose().right_factor()))
 
-    return Subspace(_EchelonSet.reduced(a.cols, m, lift_kernel(rows, a.den, a.cols, m, kills)))
+    return Subspace(_EchelonSet.reduced(a.cols, m, lift_kernel(
+        rows, a.den, a.cols, m, kills, _hadamard_bits(rows, a.cols, m))))
 
 
 def linear_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:

@@ -367,7 +367,7 @@ def _reconstruct(values, modulus: int) -> Optional[tuple]:
     return [y // g for y in nums], den // g
 
 
-def lift_kernel(rows, den: int, width: int, m: int, kills) -> list:
+def lift_kernel(rows, den: int, width: int, m: int, kills, bits: int) -> list:
     """The reduced echelon basis over Q(zeta_m) of the null space of the
     rows (integer numerators over den, phi(m) per entry as a
     ``linalg.Matrix`` keeps them, none zero), as (pivot, numerators,
@@ -400,13 +400,25 @@ def lift_kernel(rows, den: int, width: int, m: int, kills) -> list:
     the rows kill every vector: it has the reduced echelon shape, so its
     vectors are independent, and there are at least as many as the null
     space's dimension, so they are its reduced echelon basis.  A full rank
-    mod p proves the null space 0 at once.  Only finitely many primes are
-    bad, and the modulus grows past any fixed basis, so the walk ends.
+    mod p proves the null space 0 at once.
+
+    The walk is bounded.  ``bits`` >= log2 H, H a bound on every numerator
+    and denominator of the basis (``linalg._hadamard_bits``), so the basis
+    is reconstructed, and passes the check, once the combined primes' product
+    passes 2 H^2: the walked primes are above 2^30, so that takes
+    ceil((2 bits + 1) / 30) good ones.  A prime is bad only if it divides
+    den, or the norm of the minor on the pivot columns of r independent
+    rows (which is at most H), so at most bits // 30 + log2(den) / 30
+    primes are bad.  A walk past the sum of the two raises AssertionError,
+    which names the width, the rank and the primes walked: a fault in the
+    images, the Vandermonde step or the reconstruction would otherwise hang
+    the caller.
     """
     exps = _units(m)
-    key = values = modulus = None
+    key = values = modulus = rank = None
     p = _MODULUS_BOUND
-    while True:
+    walk = -(-(2 * bits + 1) // 30) + bits // 30 + den.bit_length() // 30
+    for _ in range(walk):
         p, r = _prime_and_root(m, p, False)
         if den % p == 0:
             continue
@@ -448,6 +460,8 @@ def lift_kernel(rows, den: int, width: int, m: int, kills) -> list:
             candidate = [(piv, nums, den) for piv, (nums, den) in zip(pivots, lifted)]
             if kills(candidate):
                 return candidate
+    raise AssertionError(f"no kernel basis of width {width} (rank {rank} at the last prime) "
+                         f"passed the exact check after {walk} primes, down to {p}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .engine import FramedPoint
-from .linalg import Grading, Matrix, kernel, linear_solve, sandwich_rows
+from .linalg import Grading, Matrix, _matrix, kernel, linear_solve, sandwich_rows
 from .scalars import Scalar, euler_phi
 from .twists import TwistedElement
 
@@ -370,9 +370,13 @@ def verify_candidate(sc: Scaffold, cand: dict):
         return violations
     for gen in sc.generators:
         mat = assignment[gen.name]
-        if gen.kind in ("handle_a", "handle_b", "connector", "formal"):
-            if not mat.is_invertible():
+        if gen.kind in ("handle_a", "handle_b", "connector"):
+            try:   # the relation inverts these (``_word_product``): the inverse is kept
+                mat.inverse()
+            except ValueError:
                 violations.append(f"{gen.name}: matrix is not invertible")
+        elif gen.kind == "formal" and not mat.is_invertible():
+            violations.append(f"{gen.name}: matrix is not invertible")
         if gen.kind == "stokes":
             pd = sc.punctures[gen.puncture]
             bad = _block_support_violation(mat, pd.sheets, gen.pattern, True)
@@ -422,15 +426,18 @@ def to_framed_point(sc: Scaffold, cand: dict) -> FramedPoint:
 # sampling
 
 
-def _random_rational(rng):
-    num = rng.randint(-2, 2)
-    den = rng.choice([1, 1, 1, 2])
-    return Fraction(num, den)
-
-
 def _random_block(rng, rows: int, cols: int, m: int, invertible: bool) -> Matrix:
+    """A rows x cols block of random entries num / den, num in -2..2 and den
+    1 or (one time in four) 2, drawn row by row, num first: numerators over
+    the lcm of the drawn denominators, less their common factor, with no
+    Fraction or Scalar made."""
+    phi = euler_phi(m)
     while True:
-        mat = Matrix.build([[_random_rational(rng) for _ in range(cols)] for _ in range(rows)], m)
+        draws = [(rng.randint(-2, 2), rng.choice([1, 1, 1, 2])) for _ in range(rows * cols)]
+        den = lcm(*[d for _, d in draws])
+        nums = [0] * (rows * cols * phi)
+        nums[::phi] = [num * (den // d) for num, d in draws]
+        mat = _matrix(rows, cols, m, nums, den)
         if not invertible or mat.is_invertible():
             return mat
 
@@ -462,7 +469,7 @@ def _solve_commutator(rng, v: Matrix, n: int, m: int):
             continue
         basis = ker.matrix
         for _ in range(12):
-            coeffs = Matrix.build([[_random_rational(rng) for _ in range(ker.dim)]], m)
+            coeffs = _random_block(rng, 1, ker.dim, m, invertible=False)
             b = (coeffs @ basis).reshape(n, n)
             if b.is_invertible():
                 if a @ b @ a.inverse() @ b.inverse() == v:

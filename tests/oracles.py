@@ -72,6 +72,13 @@ of the two:
 * ``spin_algebra_reference``: the algebra spin with a Matrix product per
   word and a ``ScalarEchelon`` (the library extends integer echelon rows,
   after a modular certificate);
+* ``left_product``, with ``left_action``: the integer product that reads
+  the left factor through a multiplication table per entry and the right
+  factor as stored (``linalg._product`` reads the left factor as stored and
+  the right one through its zeta-shifts); ``spin_algebra_left``,
+  ``spin_subspace_left`` and ``minimal_polynomial_left`` spin on it by
+  left factors, g w (the library spins by right factors, w g, and the
+  submodule as v^T g^T);
 * ``complement_reference``: the invariant complement from one system in
   the projection's n^2 entries, commuting rows included, with "the columns
   of the projection lie in sub" stated by the last rows of F^-T, F sub's
@@ -122,9 +129,15 @@ from wildcat.algebra import (
     spin_algebra,
 )
 from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
-from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, stack
+from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, kernel, stack
 from wildcat.modular import _image_map, _modulus
-from wildcat.scalars import Scalar, cyclotomic_polynomial, euler_phi
+from wildcat.scalars import (
+    Scalar,
+    _canonical,
+    cyclotomic_polynomial,
+    euler_phi,
+    multiplication_matrix,
+)
 from wildcat.twists import Automorphism, TwistedElement, embed_doubled, transpose_inverse
 
 
@@ -365,6 +378,80 @@ def spin_algebra_reference(generators, n: int, m: int) -> tuple:
         frontier = [prod for w in frontier for prod in [g @ w for g in generators]
                     if ech.add(entries(prod))]
     return tuple(from_entries(n, n, row, m) for row in ech.rows)
+
+
+def _row_action(nums: list, m: int, phi: int) -> list:
+    """The phi integer rows c of x -> a . x on power-basis numerators, a the
+    row with numerators ``nums``: coefficient c of a . x is
+    ``sum(map(mul, rows[c], x))``, from the multiplication tables of a's
+    entries."""
+    if phi == 1:
+        return [nums]
+    zero = [0] * phi
+    tables = [multiplication_matrix(m, nums[t:t + phi]) if any(nums[t:t + phi]) else None
+              for t in range(0, len(nums), phi)]
+    return [[x for table in tables for x in (zero if table is None else table[c])]
+            for c in range(phi)]
+
+
+def left_action(a: Matrix) -> list:
+    """a as the left factor of ``left_product``: per row, its ``_row_action``,
+    or None for a zero row."""
+    phi = euler_phi(a.m)
+    return [_row_action(row, a.m, phi) if any(row) else None for row in a.int_rows()]
+
+
+def left_product(action: list, nums: list, cols: int, phi: int) -> list:
+    """The numerators of a b over the product of the denominators, a given
+    by its ``left_action`` and b by its numerators (``cols`` columns)."""
+    columns = [[x for t in range(j * phi, len(nums), cols * phi) for x in nums[t:t + phi]]
+               for j in range(cols)]
+    out = []
+    for lines in action:
+        out += [0] * (cols * phi) if lines is None else \
+            [sum(x * y for x, y in zip(tc, col)) for col in columns for tc in lines]
+    return out
+
+
+def _left_spin(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
+    """The echelon of the spin of the start words (numerators of n x cols
+    matrices) by left factors, each generator's ``left_action`` taken once."""
+    ech, phi = _EchelonSet(n * cols, m), euler_phi(m)
+    _spin_left(starts, [left_action(g) for g in generators],
+               lambda a, e: left_product(a, e, cols, phi), ech.insert, n * cols)
+    return ech
+
+
+def spin_algebra_left(generators) -> tuple:
+    """The echelon basis of the unital algebra of the generators by the
+    exact left spin from I and the generators, with no modular certificate."""
+    n, m = generators[0].rows, generators[0].m
+    starts = [w.nums for w in [Matrix.identity(n, m)] + list(generators)]
+    return tuple(Matrix(n, n, m, nums, den)
+                 for nums, den in _left_spin(generators, starts, n, n, m).reduced_rows())
+
+
+def spin_subspace_left(generators, starts: Matrix) -> Subspace:
+    """The submodule of K^n generated by the rows of starts, as columns spun
+    by the generators on the left."""
+    return Subspace(_left_spin(generators, starts.int_rows(), starts.cols, 1, starts.m))
+
+
+def minimal_polynomial_left(f: Matrix):
+    """``minimal_polynomial``'s (coeffs, powers, den), the powers of den f
+    spun by f on the left, the relation read off the whole power rows."""
+    n, m, den = f.rows, f.m, f.den
+    phi = euler_phi(m)
+    action, ech = left_action(f), _EchelonSet(n * n, m)
+    powers = _spin_left([Matrix.identity(n, m).nums], [action],
+                        lambda a, w: left_product(a, w, n, phi),
+                        lambda w: w if ech.insert(w) is not None else None, n * n)
+    d, last = len(powers), left_product(action, powers[-1], n, phi)
+    rows = [x for t in range(0, n * n * phi, phi) for w in [last] + powers[::-1]
+            for x in w[t:t + phi]]
+    (v,) = kernel(Matrix(n * n, d + 1, m, rows)).matrices(1, d + 1)
+    return [_canonical(m, tuple(v.nums[(d - i) * phi:(d - i + 1) * phi]), v.den * den ** (d - i))
+            for i in range(d + 1)], powers, den
 
 
 def complement_reference(generators, sub: Subspace) -> Subspace:

@@ -372,15 +372,16 @@ def isotypic_dims(gens):
 
 
 @st.composite
-def semisimple_modules(draw):
+def semisimple_modules(draw, fields=(1, 4, 5)):
     """Two generators conjugate by P = L L^T, L unit lower triangular, to
-    block diagonal ones over Q, Q(i) or Q(zeta5), and a proper submodule.
+    block diagonal ones over one of the ``fields`` (Q, Q(i) or Q(zeta5) by
+    default), and a proper submodule.
     The blocks are of one or two types, 1 x 1 or 2 x 2, each repeated once
     or twice, so isotypic blocks occur.  A type's part of the submodule is
     nothing, its block, or for a repeated type the diagonal copy
     {(v, c v)}, which has many complements.  Types whose algebra has a
     radical are discarded, so the module is semisimple."""
-    m = draw(st.sampled_from([1, 4, 5]))
+    m = draw(st.sampled_from(fields))
     phi = euler_phi(m)
     coeff = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
     scalar = st.lists(coeff, min_size=phi, max_size=phi).map(lambda cs: from_coeffs(m, cs))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import wildcat
 from wildcat import cli, stokes
-from wildcat.cli import Report, run_command
+from wildcat.cli import Report, machine_text, run_command
 
 JORDAN = {
     "field": 1,
@@ -34,6 +34,22 @@ IDENTITY_CANDIDATE = {
     "S1.0": [["1", "0"], ["0", "1"]],
     "S1.1": [["1", "0"], ["0", "1"]],
 }
+
+
+JSON_LEAVES = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),   # controls and surrogates too
+    st.booleans(), st.none(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0]))
+
+
+@settings(max_examples=200)
+@given(st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=30))
+def test_machine_text_is_the_indented_sorted_json_dump(payload):
+    # machine output skips the pure-Python encoder that an indent selects,
+    # for the same bytes: empty containers, tuples as lists, nan and -0.0
+    assert machine_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def write(tmp_path, name, data):

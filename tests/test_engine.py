@@ -16,9 +16,11 @@ from wildcat.algebra import (
     intertwiners,
     invariant_complement,
     invariant_subspace,
+    minimal_polynomial,
     radical_trace,
     restrict_matrix,
     spin_algebra,
+    spin_subspace,
 )
 from wildcat.engine import (
     FramedPoint,
@@ -49,10 +51,13 @@ from oracles import (
     from_coeffs,
     from_entries,
     galois_generators_reference,
+    minimal_polynomial_left,
     radical_oracle,
     restrict_point,
     shares_an_eigenvector,
     sigma,
+    spin_algebra_left,
+    spin_subspace_left,
     stabilizer_lie_dim_commutant,
 )
 
@@ -625,6 +630,35 @@ def test_complements_of_a_repeated_class_match_the_completed_basis_route(parts):
                 invariant_complement(comm, block)
         else:
             assert invariant_complement(comm, block).to_json() == reference.to_json()
+
+
+def spun_modules(m):
+    """(generators, proper submodule) over Q(zeta_m): the loop matrices of
+    an untwisted ``block_point_parts`` point and its first block, which may
+    have a radical, or a ``semisimple_modules`` draw."""
+    blocks = block_point_parts(m).filter(lambda parts: parts[0].is_untwisted()).map(
+        lambda parts: ([x.g for x in parts[0].loops], parts[1][0]))
+    return st.one_of(blocks, semisimple_modules(fields=(m,)))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=10))
+@given(st.sampled_from([1, 4, 3, 5]).flatmap(spun_modules))
+def test_the_right_spins_match_the_left_spins(case):
+    # the spins run on w g and v^T g^T, one product reading its left factor
+    # as stored; the left spins g w and g v, on the table-based product of
+    # tests/oracles.py, span the same spaces, so the echelon bases agree
+    gens, sub = case
+    n = gens[0].rows
+    assert spin_algebra(gens).basis == spin_algebra_left(gens)
+    assert spin_subspace(gens, sub.matrix) == spin_subspace_left(gens, sub.matrix)
+    for g in gens:
+        assert minimal_polynomial(g) == minimal_polynomial_left(g)
+    reference = complement_reference(gens, sub)
+    if reference is None:
+        with pytest.raises(NotSemisimpleError):
+            invariant_complement(commutant(gens, n), sub)
+    else:
+        assert invariant_complement(commutant(gens, n), sub).to_json() == reference.to_json()
 
 
 # diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic

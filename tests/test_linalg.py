@@ -13,6 +13,7 @@ from wildcat.linalg import (
     Subspace,
     _EchelonSet,
     _eliminate,
+    _matrix,
     kernel,
     linear_solve,
     sandwich_rows,
@@ -31,6 +32,8 @@ from oracles import (
     intersection,
     inverse_reference,
     kernel_reference,
+    left_action,
+    left_product,
     linear_solve_reference,
     matmul_reference,
     mul_vector,
@@ -524,6 +527,9 @@ def test_integer_product_matches_the_scalar_reference(data):
         [(x.m, x.num, x.den) for x in entries(ref)]
     assert repr(prod) == repr(ref) and prod.to_json() == ref.to_json()
     assert prod == ref
+    # the table-based left product, made canonical, is the same matrix
+    assert _matrix(n, p, m, left_product(left_action(a), b.nums, p, euler_phi(m)),
+                   a.den * b.den) == prod
     # the other operations the storage implements, each against its
     # Scalar-entry reference, each result canonical
     c = data.draw(matrices(m, n, k))
@@ -542,6 +548,17 @@ def test_integer_product_matches_the_scalar_reference(data):
         foreign = Matrix.build([[Scalar.one(other)] * p] * k, other)
         with pytest.raises(ValueError):
             Matrix.build([[Scalar.one(m)] * k] * n, m) @ foreign
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_zero_width_products(m):
+    # a 1 x 0 factor has one row and no numerators: 1 x 0 times 0 x 1 is the
+    # 1 x 1 zero, and 0 x 1 times 1 x 0 the 0 x 0 matrix
+    row, col = Matrix.zero(1, 0, m), Matrix.zero(0, 1, m)
+    for a, b in ((row, col), (col, row), (Matrix.zero(2, 0, m), Matrix.zero(0, 3, m))):
+        prod, ref = a @ b, matmul_reference(a, b)
+        assert prod == ref and (prod.rows, prod.cols) == (a.rows, b.cols)
+        assert prod.nums == [0] * (a.rows * b.cols * euler_phi(m))
+
 
 @st.composite
 def near_identities(draw):

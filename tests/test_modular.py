@@ -6,6 +6,7 @@ confirm; the prime test and the primes; and the factoriser over Z against
 sympy's."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,20 @@ class TestLiftedKernel:
         assert ker == ref
         assert ker._echelon.reduced_rows() == ref._echelon.reduced_rows()
         return ker, list(dict.fromkeys(primes))
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_a_faulty_vandermonde_step_ends_the_walk_at_its_bound(self, monkeypatch, m):
+        # rows reversed, the inverse Vandermonde matrix gives each entry's
+        # numerators in reverse, so no lifted basis passes the exact check:
+        # the walk stops after the primes the Hadamard bound allows
+        real = modular._vandermonde_inverse
+        monkeypatch.setattr(modular, "_vandermonde_inverse",
+                            lambda p, roots: real(p, roots)[::-1])
+        a = Matrix.build([[1, Scalar.zeta(m), 0], [0, 1, 2]], m)
+        started = time.perf_counter()
+        with pytest.raises(AssertionError, match=r"width 3 \(rank 2 .*after \d+ primes"):
+            kernel(a)
+        assert time.perf_counter() - started < 1
 
     @pytest.mark.parametrize("m", [1, 4, 5])
     def test_a_prime_in_a_row_denominator_is_skipped(self, monkeypatch, m):

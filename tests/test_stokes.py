@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wildcat import linalg
 from wildcat.engine import is_stable, stabilizer_lie_dim
 from wildcat.linalg import Matrix
 from wildcat.scalars import Scalar
@@ -250,6 +251,28 @@ class TestFramedAssembly:
         assert fp.connectors == [c]
         assert [g.pieces for g in fp.gradings] == \
             [exponential_torus_grading(pd.sheets, sc.n, sc.conductor).pieces for pd in sc.punctures]
+
+    def test_one_elimination_per_verified_handle_and_connector(self, monkeypatch):
+        # verify inverts the handles and the connector, as the relation does,
+        # and the framed point reads those kept inverses; it ranks the formal
+        # monodromies, and the point ranks its other loops, h_1, S_1.* and
+        # the conjugated h_2 and S_2.*, once each
+        sc = build_scaffold(WildSurface(1, [TWO_CIRCLE, TWO_CIRCLE], 2))
+        cand = {name: Matrix(a.rows, a.cols, a.m, a.nums, a.den)   # no inverse kept yet
+                for name, a in random_candidate(sc, 0).items()}
+        eliminations, real = [], linalg._EchelonSet.__init__
+
+        def counted(self, width, m):
+            eliminations.append(width)
+            real(self, width, m)
+
+        monkeypatch.setattr(linalg._EchelonSet, "__init__", counted)
+        fp = to_framed_point(sc, cand)
+        kinds = [g.kind for g in sc.generators]
+        assert kinds == ["handle_a", "handle_b", "formal", "stokes", "stokes", "connector",
+                         "formal", "stokes", "stokes"]
+        # three inversions [x | I], two ranks of formal monodromies, six ranks of loops
+        assert len(fp.loops) == 8 and sorted(eliminations) == [2] * 8 + [4] * 3
 
     def test_grading_compatibility(self):
         sc = build_scaffold(WildSurface(0, [KATZ], 2))
