@@ -4,9 +4,8 @@ Machine output is a JSON document with stable key order and no timing data,
 so repeated runs on one instance (and seed) are byte-identical; certificates
 are included so every verdict can be rechecked by a few lines of script.
 It is written by ``machine_text``, a recursive join that gives the bytes of
-``json.dumps(payload, sort_keys=True, indent=2)``: with an indent, CPython
-3.10 and 3.11 fall back to their pure-Python encoder, which was most of the
-time spent printing a sample.
+``json.dumps(payload, sort_keys=True, indent=2)`` without the pure-Python
+encoder that CPython 3.10 and 3.11 fall back to under an indent.
 Text output is the same content rendered for people, plus wall-clock time.
 
 A command returns (payload, text, exit code) or raises, with its text lines

@@ -738,23 +738,21 @@ class Subspace:
 
 
 def _hadamard_bits(rows: list, width: int, m: int) -> int:
-    """An integer b >= log2 H, H a bound on the size of every numerator and
-    the denominator of the reduced echelon basis of the null space of these
-    integer rows (``lift_kernel`` walks primes until their product passes
-    2 H^2).
+    """An integer b >= log2 H, H a bound on every numerator and denominator
+    of the reduced echelon basis of the null space of these integer rows
+    (``lift_kernel`` walks primes until their product passes 2 H^2).
 
-    Over Q the system is the integer matrix A of phi = phi(m) rows per row
-    a, each a coefficient c of zeta^s a as s runs (the multiplication
-    matrices of a's entries).  A basis vector, over its least denominator,
-    is a quotient of minors of A of size phi r, r the rank over the field,
-    on the phi rows of r independent rows: its denominator divides the
-    lower one, so it and every numerator are at most such a minor, which
-    Hadamard's inequality bounds by the product of those rows' lengths.
-    Each coefficient of zeta^s x is at most |x|_1 L, L the largest
-    coefficient of a power zeta^u, u <= 2 phi - 2, so by Cauchy-Schwarz
-    each of a's phi rows has length at most sqrt((phi L)^2 sum a_t^2),
-    over a's numerators a_t; H is the product, over the ``width`` longest
-    rows a, of that to the power phi."""
+    Over Q each row a is phi = phi(m) integer rows, row c holding the
+    coefficients c of zeta^s a_k for every entry k and s < phi.  By
+    Cramer's rule a basis vector's coordinates are minors of size phi r (r
+    the rank over the field) on the rows of r independent rows a, over the
+    one D on the pivot columns; its least denominator divides D, so it and
+    each numerator is at most such a minor, which Hadamard's inequality
+    bounds by the product of those rows' lengths.  A coefficient of
+    zeta^s x is at most |x|_1 L, L the largest coefficient of a power
+    zeta^u, u <= 2 phi - 2, so by Cauchy-Schwarz each of a's phi rows is at
+    most sqrt((phi L)^2 sum a_t^2) long, a_t its numerators; H is the
+    product over the ``width`` longest rows a of that to the power phi."""
     phi = euler_phi(m)
     spread = max(map(abs, chain.from_iterable(_shifts([0] * (phi - 1) + [1], m, phi))))
     scale = (phi * spread) ** 2
