@@ -549,6 +549,7 @@ def test_integer_product_matches_the_scalar_reference(data):
         with pytest.raises(ValueError):
             Matrix.build([[Scalar.one(m)] * k] * n, m) @ foreign
 
+
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_zero_width_products(m):
     # a 1 x 0 factor has one row and no numerators: 1 x 0 times 0 x 1 is the
