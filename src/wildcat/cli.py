@@ -253,16 +253,18 @@ _COMMANDS = {
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command and reused by every later one."""
+    """The parser, built on the first command and reused by every later one;
+    the command is a positional choice, and every command takes one set of options."""
     parser = argparse.ArgumentParser(
         prog="wildcat",
-        description="Exact stability analysis of twisted tuples and Stokes representations")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--instance", required=True, help="path to a JSON instance file")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        sp.add_argument("--format", choices=("text", "machine"), default="text")
+        description="Exact stability analysis of twisted tuples and Stokes representations",
+        epilog="commands:\n" + "\n".join(f"  {name:<12}{help_text}"
+                                          for name, (_, _, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--instance", required=True, help="path to a JSON instance file")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    parser.add_argument("--format", choices=("text", "machine"), default="text")
     return parser
 
 

@@ -6,24 +6,26 @@ serialization.  ``parse_instance`` validates the whole document and reports
 every schema problem with the JSON path of the offending key.
 
 A document repeats its scalars, so its reader, one per document, parses
-each distinct encoding once: the memo key is the conductor and the JSON
-value with each element's type (``true == 1`` in Python, but only ``1``
-parses).  Only successes are stored, so every bad entry is reported at its
-own path, in document order; entries may share a Scalar, which no code
-mutates.  A matrix is built from its parsed entries by ``Matrix.build``,
-which puts them over one denominator, and a JSON path is formatted only
-for an error.
+each distinct encoding once to (numerators, den): the memo key is the
+conductor and the JSON value with each element's type (``true == 1`` in
+Python, but only ``1`` parses).  Only successes are stored, so every bad
+entry is reported at its own path, in document order; entries may share a
+numerator tuple, which no code mutates.  Matrices and grading bases are laid
+over one denominator by ``linalg.over_lcm`` and written by
+``Matrix.to_json``; only a Stokes circle's coefficients become Scalars.  A
+JSON path is formatted only for an error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .engine import FramedPoint, SingularMatrixError
-from .linalg import Grading, Matrix
-from .scalars import Scalar
+from .linalg import Grading, Matrix, over_lcm
+from .scalars import Scalar, euler_phi, parse_numerators
 from .stokes import Circle, IrregularClass, WildSurface
 from .twists import Automorphism, TwistedElement
 
@@ -55,7 +57,7 @@ class _Reader:
 
     def __init__(self):
         self.errors = []
-        self.parsed = {}   # (conductor, typed JSON value) -> Scalar, successes only
+        self.parsed = {}   # (conductor, typed JSON value) -> (numerators, den), successes only
 
     def fail(self, path, message):
         self.errors.append(f"{path}: {message}")
@@ -68,9 +70,9 @@ class _Reader:
         self.fail(f"{path}.{key}", "expected a list")
         return []
 
-    def scalar(self, data, m, path, *index):
-        """The Scalar of data in Q(zeta_m); zero, and an error at path
-        followed by the ``[i]`` of each index, when data is not one."""
+    def entry(self, data, m, path, *index):
+        """Canonical (numerators, den) of data in Q(zeta_m); zero, and an error
+        at path followed by the ``[i]`` of each index, when data is not one."""
         # the value with its type, element by element in a coefficient vector
         key = (m, list, tuple([(type(x), x) for x in data])) if type(data) is list \
             else (m, type(data), data)
@@ -82,14 +84,14 @@ class _Reader:
             message = "floats are not allowed; write exact rationals as strings"
         else:
             try:
-                x = Scalar.from_json(data, m)
+                x = parse_numerators(data, m)
             except (ValueError, ZeroDivisionError) as exc:
                 message = f"bad scalar: {exc}"
             else:
                 self.parsed[key] = x
                 return x
         self.fail(path + "".join(f"[{i}]" for i in index), message)
-        return Scalar.zero(m)
+        return (0,) * euler_phi(m), 1
 
     def matrix(self, data, m, path, square=None):
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
@@ -102,8 +104,9 @@ class _Reader:
         if square is not None and (len(data) != square or width != square):
             self.fail(path, f"expected a square {square}x{square} matrix")
             return Matrix.identity(square, m)
-        return Matrix.build([[self.scalar(x, m, path, i, j) for j, x in enumerate(row)]
-                             for i, row in enumerate(data)], m)
+        return over_lcm(len(data), width, m, [self.entry(x, m, path, i, j)
+                                              for i, row in enumerate(data)
+                                              for j, x in enumerate(row)])
 
 
 def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
@@ -128,7 +131,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
             if not isinstance(raw, list) or not raw:
                 reader.fail(gpath, "expected a nonempty list of pieces")
                 continue
-            pieces = []
+            weights, sizes, entries = [], [], []
             for pi, piece in enumerate(raw):
                 ppath = f"{gpath}[{pi}]"
                 if not isinstance(piece, dict):
@@ -142,19 +145,18 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
                 if not isinstance(basis_raw, list) or not basis_raw:
                     reader.fail(f"{ppath}.basis", "expected a nonempty list of vectors")
                     continue
-                basis, bpath = [], f"{ppath}.basis"
+                bpath = f"{ppath}.basis"
                 for vi, vec in enumerate(basis_raw):
                     if not isinstance(vec, list) or len(vec) != n:
                         reader.fail(f"{bpath}[{vi}]", f"expected a length-{n} vector")
                         continue
-                    basis.append(tuple([reader.scalar(x, m, bpath, vi, k)
-                                        for k, x in enumerate(vec)]))
-                if basis:
-                    pieces.append((tuple(weight), basis))
+                    entries += [reader.entry(x, m, bpath, vi, k) for k, x in enumerate(vec)]
+                weights.append(weight)
+                sizes.append(len(basis_raw))
             if reader.errors:
                 continue
             try:
-                gradings.append(Grading.from_pieces(n, pieces))
+                gradings.append(Grading(weights, sizes, over_lcm(sum(sizes), n, m, entries)))
             except ValueError as exc:
                 reader.fail(gpath, str(exc))
     connectors = []
@@ -229,7 +231,7 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
                 if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                     reader.fail(kpath, "expected [exponent, coefficient]")
                     continue
-                coeffs.append((pair[0], reader.scalar(pair[1], m, kpath, 1)))
+                coeffs.append((pair[0], Scalar(m, *reader.entry(pair[1], m, kpath, 1))))
             if reader.errors:
                 continue
             try:
@@ -307,12 +309,11 @@ def parse_instance(path: str) -> InstanceFile:
 # rendering (canonical; parse -> render -> parse is the identity)
 
 
-def _scalar_json(x: Scalar, m: int):
-    return x.promote(m).to_json()
-
-
-def _matrix_json(mat: Matrix, m: int):
-    return [[_scalar_json(x, m) for x in mat.row(i)] for i in range(mat.rows)]
+def _grading_json(g: Grading) -> list:
+    """The pieces of g, each its weight and its rows of g's basis."""
+    rows, ends = g.basis.to_json(), list(accumulate(g.sizes))
+    return [{"weight": list(w), "basis": rows[end - size:end]}
+            for w, size, end in zip(g.weights, g.sizes, ends)]
 
 
 def render_instance(inst: InstanceFile) -> dict:
@@ -322,12 +323,10 @@ def render_instance(inst: InstanceFile) -> dict:
         p = inst.point
         out["tuple"] = {
             "n": p.n,
-            "gradings": [[{"weight": list(w),
-                           "basis": [[_scalar_json(x, m) for x in v] for v in basis]}
-                          for w, basis in g.pieces] for g in p.gradings],
-            "connectors": [_matrix_json(c, m) for c in p.connectors],
-            "loops": [{"matrix": _matrix_json(x.g, m),
-                       "inner": _matrix_json(x.phi.inner, m),
+            "gradings": [_grading_json(g) for g in p.gradings],
+            "connectors": [c.to_json() for c in p.connectors],
+            "loops": [{"matrix": x.g.to_json(),
+                       "inner": x.phi.inner.to_json(),
                        "outer": "sigma" if x.phi.outer else "identity"}
                       for x in p.loops],
         }
@@ -337,12 +336,12 @@ def render_instance(inst: InstanceFile) -> dict:
             "genus": ws.genus,
             "n": ws.n,
             "punctures": [{"circles": [{"ram": c.ram,
-                                        "coeffs": [[j, _scalar_json(a, m)] for j, a in c.coeffs],
+                                        "coeffs": [[j, a.promote(m).to_json()]
+                                                   for j, a in c.coeffs],
                                         "multiplicity": c.multiplicity}
                                        for c in cls.circles]}
                           for cls in ws.punctures],
         }
     if inst.candidate is not None:
-        out["candidate"] = {name: _matrix_json(mat, m)
-                            for name, mat in sorted(inst.candidate.items())}
+        out["candidate"] = {name: mat.to_json() for name, mat in sorted(inst.candidate.items())}
     return out

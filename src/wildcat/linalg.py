@@ -6,11 +6,11 @@ row-major, over one positive denominator with no common factor.  The form
 is canonical, so equal matrices store equal numbers, and equality, zero and
 the identity are read off the numerators in place.  Every operation is
 integer work on them ending in at most one gcd.  Matrices act on column
-vectors.  Scalars are made only at the boundary: ``Matrix.build`` and
-``from_json`` take parsed Scalars (ints and Fractions lift into the field),
-and the read-only views ``row`` and ``[i, j]`` give canonical Scalars for
-rendering and the tests.  A ``Subspace`` keeps the integer rows of its
-echelon and makes its Scalar ``basis`` only when that is read.
+vectors.  Matrix text is read to numerators (``scalars.parse_numerators``)
+laid over one denominator (``over_lcm``) and written by ``Matrix.to_json``,
+with no Scalar.  Scalars are made by ``Matrix.build`` (tests, polynomial
+rows) and the text views ``row`` and ``[i, j]``.  A ``Subspace`` keeps the
+integer rows of its echelon and makes its Scalar ``basis`` only when read.
 
 There is one integer product, ``_product``: it reads the left factor's
 numerators as stored, and the right factor b as the columns of zeta^s b,
@@ -57,6 +57,7 @@ not ranked.
 from __future__ import annotations
 
 from bisect import bisect
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -72,6 +73,7 @@ from .scalars import (
     euler_phi,
     inverse_numerators,
     multiplication_matrix,
+    parse_numerators,
 )
 
 
@@ -312,6 +314,13 @@ def _product(nums: list, rows: int, columns: list) -> list:
     return out
 
 
+def over_lcm(rows: int, cols: int, m: int, entries) -> "Matrix":
+    """The Matrix of canonical (numerators, den) entries, row-major, over the
+    lcm of their denominators, which leaves no common factor."""
+    den = lcm(*[d for _, d in entries])
+    return Matrix(rows, cols, m, [c * (den // d) for num, d in entries for c in num], den)
+
+
 def _matrix(rows: int, cols: int, m: int, nums: list, den: int) -> "Matrix":
     """The Matrix nums/den (den > 0), dividing out the common gcd."""
     if den != 1:
@@ -345,9 +354,8 @@ class Matrix:
         """Matrix of nested rows in one field: that of its Scalar entries, or ``m``.
 
         Ints and Fractions lift into the field; entries of two fields, or of a
-        field other than an explicit ``m``, raise ValueError.  Over the
-        entries' least common denominator the numerators have no common
-        factor, since each entry is canonical.
+        field other than an explicit ``m``, raise ValueError.  The entries are
+        laid over one denominator by ``over_lcm``.
         """
         data = [list(row) for row in rows]
         nr = len(data)
@@ -362,8 +370,7 @@ class Matrix:
             raise ValueError(f"entries from fields of conductors {sorted(fields)}")
         m = fields.pop() if fields else 1
         flat = [x if isinstance(x, Scalar) else Scalar.rational(x, m) for x in flat]
-        den = lcm(*[x.den for x in flat])
-        return Matrix(nr, nc, m, [c * (den // x.den) for x in flat for c in x.num], den)
+        return over_lcm(nr, nc, m, [(x.num, x.den) for x in flat])
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -557,8 +564,8 @@ class Matrix:
             "[" + ", ".join(repr(x) for x in self.row(i)) + "]" for i in range(self.rows)) + ")"
 
     def to_json(self):
-        """Each entry's coefficients as text, as ``Scalar.to_json`` prints
-        them: p / den in lowest terms is the entry's coefficient p' / d'."""
+        """The one matrix writer: each entry's coefficients as ``Scalar.to_json``
+        prints them, since p / den in lowest terms is the coefficient p' / d'."""
         phi, den = euler_phi(self.m), self.den
         texts = [_rational_text(x, den) for x in self.nums]
         if self.m != 1:  # a list of phi(m) texts per entry, as for Q(zeta_2) = Q
@@ -567,7 +574,11 @@ class Matrix:
 
     @staticmethod
     def from_json(data, m: int) -> "Matrix":
-        return Matrix.build([[Scalar.from_json(x, m) for x in row] for row in data], m)
+        """Rows of scalar texts in Q(zeta_m), read to numerators; [] is 0 x 0."""
+        width = len(data[0]) if data else 0
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged matrix rows")
+        return over_lcm(len(data), width, m, [parse_numerators(x, m) for row in data for x in row])
 
 
 def stack(mats) -> Matrix:
@@ -667,11 +678,6 @@ class Subspace:
         return Subspace(_echelon(a))
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vectors = list(vectors)
-        return Subspace.span(Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
-
-    @staticmethod
     def zero(ambient_dim: int, m: int = 1) -> "Subspace":
         return Subspace(_EchelonSet(ambient_dim, m))
 
@@ -717,24 +723,28 @@ class Subspace:
 
     def sort_key(self):
         """Deterministic order on subspaces of one ambient space."""
-        key = [self.dim]
-        for row in self.basis:
-            for x in row:
-                key.append(tuple(c for c in x.coeffs))
+        key, phi = [self.dim], self._echelon.phi
+        for nums, den in self._echelon.reduced_rows():
+            key += [tuple([Fraction(x, den) for x in nums[t:t + phi]])
+                    for t in range(0, len(nums), phi)]
         return tuple(key)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
     def to_json(self):
-        return {"ambient_dim": self.ambient_dim,
-                "basis": [[x.to_json() for x in row] for row in self.basis]}
+        return {"ambient_dim": self.ambient_dim, "basis": self.matrix.to_json()}
 
     @staticmethod
     def from_json(data, m: int) -> "Subspace":
-        return Subspace.from_vectors(
-            data["ambient_dim"],
-            [[Scalar.from_json(x, m) for x in row] for row in data["basis"]])
+        """The span of the basis rows, which must be independent vectors of
+        length ``ambient_dim`` over Q(zeta_m); else ValueError."""
+        n, rows = data["ambient_dim"], data["basis"]
+        a = Matrix.from_json(rows, m) if rows else Matrix.zero(0, n, m)
+        sub = Subspace.span(a)
+        if a.cols != n or sub.dim != a.rows:
+            raise ValueError(f"basis is not {a.rows} independent vectors of length {n}")
+        return sub
 
 
 def _hadamard_bits(rows: list, width: int, m: int) -> int:
@@ -817,25 +827,14 @@ class Grading:
         self.weights = [tuple(int(w) for w in weight) for weight in weights]
         self.sizes = list(sizes)
         self.basis = basis
+        if basis.rows != basis.cols:
+            raise ValueError("grading pieces do not have total dimension n")
         if len({len(w) for w in self.weights}) > 1:
             raise ValueError("grading weights have mixed lengths")
         if len(set(self.weights)) != len(self.weights):
             raise ValueError("grading weights are not pairwise distinct")
-        if basis.rows != basis.cols:
-            raise ValueError("grading pieces do not have total dimension n")
         if not basis.is_identity() and basis.rank() != basis.rows:
             raise ValueError("grading pieces are not jointly independent")
-
-    @staticmethod
-    def from_pieces(ambient_dim: int, pieces) -> "Grading":
-        """The grading with pieces (weight, basis vectors), the vectors of
-        Scalars in one field (ints and Fractions lift into it)."""
-        pieces = [(weight, list(vectors)) for weight, vectors in pieces]
-        vectors = [v for _, basis in pieces for v in basis]
-        if any(len(v) != ambient_dim for v in vectors) or len(vectors) != ambient_dim:
-            raise ValueError("grading pieces do not have total dimension n")
-        return Grading([w for w, _ in pieces], [len(basis) for _, basis in pieces],
-                       Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
 
     @staticmethod
     def trivial(n: int, m: int = 1) -> "Grading":
@@ -844,15 +843,6 @@ class Grading:
     @property
     def ambient_dim(self) -> int:
         return self.basis.cols
-
-    @property
-    def pieces(self) -> list:
-        """(weight, basis vectors as tuples of Scalars) per piece."""
-        out, start = [], 0
-        for weight, size in zip(self.weights, self.sizes):
-            out.append((weight, [self.basis.row(i) for i in range(start, start + size)]))
-            start += size
-        return out
 
     def is_trivial(self) -> bool:
         return len(self.weights) == 1

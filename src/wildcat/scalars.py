@@ -9,17 +9,16 @@ denominators are.  m = 1 is plain Q.
 
 Matrices do no Scalar arithmetic: a ``linalg.Matrix`` keeps its entries'
 numerators over one denominator and works on them with the integer tools
-here (``multiplication_matrix``, ``inverse_numerators``, ``_reduce``).
-Scalars are its boundary: the instance reader parses them, ``Matrix.build``
-takes them, and its views hand them back for rendering.  What still
-computes with Scalars is polynomial and Stokes data: the coefficients of
-``algebra.factor_over_field`` (shifts and Euclid's algorithm over the
-field) and of a Stokes circle's sheets, whose directions read a float
-image (``to_complex``).
+here (``multiplication_matrix``, ``inverse_numerators``, ``_reduce``), and
+its text is read by ``parse_numerators``, the one scalar-text parser, with
+no Scalar.  Scalars are made for a Stokes circle's coefficients (their
+sheets' directions read a float image, ``to_complex``), the polynomial
+coefficients of ``algebra.factor_over_field`` (Euclid's algorithm over the
+field), and the text views ``Matrix.row``, ``Subspace.basis`` and ``repr``.
 
 Products are integer convolutions reduced by the monic integer cyclotomic
-polynomial and normalised by one gcd; sums of elements over one denominator
-add numerators.  No Fraction is made by + - * == ``is_zero`` or
+polynomial and normalised by one gcd; sums and differences are taken over
+the lcm of the denominators.  No Fraction is made by + - * == ``is_zero`` or
 ``to_json``; ``coeffs`` gives the Fraction coefficients for printing and
 other cold readers.  Arithmetic lifts ints and Fractions into the field of
 the Scalar they meet; two Scalars of different conductors raise ValueError.
@@ -157,16 +156,6 @@ def _rational_text(p: int, q: int) -> str:
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-def _unlike_sum(a: "Scalar", b: "Scalar", op) -> "Scalar":
-    """a op b (op add or sub) over unequal denominators, as Fraction._add does."""
-    da, db = a.den, b.den
-    g = gcd(da, db)
-    if g == 1:  # the cross terms share no factor with da * db
-        return Scalar(a.m, tuple([op(x * db, y * da) for x, y in zip(a.num, b.num)]), da * db)
-    s, t = da // g, db // g
-    return _canonical(a.m, tuple([op(x * t, y * s) for x, y in zip(a.num, b.num)]), s * db)
-
-
 # the scalar grammar of instance files: integers, fractions and plain decimals
 _RATIONAL_TEXT = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
@@ -187,6 +176,22 @@ def _parse_rational(data) -> tuple:
         raise ZeroDivisionError(f"zero denominator: {text[:40]!r}")
     g = gcd(p, q)
     return (p // g, q // g) if g != 1 else (p, q)
+
+
+def parse_numerators(data, m: int) -> tuple:
+    """Canonical (numerators, den) of a rational text or a list of at most
+    phi(m) coefficient texts: each in lowest terms, so over their lcm the
+    numerators have no common factor."""
+    if isinstance(data, (str, int)):
+        p, q = _parse_rational(data)
+        return (p,) + (0,) * (euler_phi(m) - 1), q
+    if isinstance(data, list):
+        if len(data) > euler_phi(m):
+            raise ValueError(f"coefficient vector longer than phi({m})")
+        pairs = [_parse_rational(c) for c in data]
+        den = lcm(*[q for _, q in pairs])
+        return _reduce([p * (den // q) for p, q in pairs], m), den
+    raise ValueError(f"bad scalar encoding: {data!r}")
 
 
 class Scalar:
@@ -256,11 +261,15 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _sum(self, other, op) -> "Scalar":
+        """self op other (op add or sub) over the lcm of the denominators."""
+        b = self._pair(other)
+        den = lcm(self.den, b.den)
+        s, t = den // self.den, den // b.den
+        return _canonical(self.m, tuple([op(x * s, y * t) for x, y in zip(self.num, b.num)]), den)
+
     def __add__(self, other):
-        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
-        if self.den == b.den:
-            return _canonical(self.m, tuple(map(add, self.num, b.num)), self.den)
-        return _unlike_sum(self, b, add)
+        return self._sum(other, add)
 
     __radd__ = __add__
 
@@ -268,28 +277,14 @@ class Scalar:
         return Scalar(self.m, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
-        if self.den == b.den:
-            return _canonical(self.m, tuple(map(sub, self.num, b.num)), self.den)
-        return _unlike_sum(self, b, sub)
+        return self._sum(other, sub)
 
     def __mul__(self, other):
-        b = other if type(other) is Scalar and other.m == self.m else self._pair(other)
-        a_num, b_num = self.num, b.num
-        if len(a_num) == 1:
-            # as Fraction._mul: cross gcds keep the product canonical
-            na, da, nb, db = a_num[0], self.den, b_num[0], b.den
-            g1 = gcd(na, db)
-            if g1 > 1:
-                na, db = na // g1, db // g1
-            g2 = gcd(nb, da)
-            if g2 > 1:
-                nb, da = nb // g2, da // g2
-            return Scalar(self.m, (na * nb,), da * db)
-        prod = [0] * (2 * len(a_num) - 1)
-        for i, x in enumerate(a_num):
+        b = self._pair(other)
+        prod = [0] * (2 * len(self.num) - 1)
+        for i, x in enumerate(self.num):
             if x:
-                for j, y in enumerate(b_num, i):
+                for j, y in enumerate(b.num, i):
                     prod[j] += x * y
         return _canonical(self.m, _reduce(prod, self.m), self.den * b.den)
 
@@ -298,9 +293,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if len(self.num) == 1:
-            n = self.num[0]
-            return Scalar(self.m, (self.den if n > 0 else -self.den,), abs(n))
         y, d = inverse_numerators(self.m, self.num)
         return _canonical(self.m, tuple([self.den * c for c in y]), d)
 
@@ -357,13 +349,4 @@ class Scalar:
 
     @staticmethod
     def from_json(data, m: int) -> "Scalar":
-        if isinstance(data, (str, int)):
-            p, q = _parse_rational(data)
-            return Scalar(m, (p,) + (0,) * (euler_phi(m) - 1), q)
-        if isinstance(data, list):
-            if len(data) > euler_phi(m):
-                raise ValueError(f"coefficient vector longer than phi({m})")
-            pairs = [_parse_rational(c) for c in data]
-            den = lcm(*[q for _, q in pairs])
-            return _canonical(m, _reduce([p * (den // q) for p, q in pairs], m), den)
-        raise ValueError(f"bad scalar encoding: {data!r}")
+        return Scalar(m, *parse_numerators(data, m))

@@ -55,6 +55,15 @@ of the two:
   product returns the other factor of a square identity);
 * ``scalar_to_json_reference``: a Scalar's JSON text through its Fraction
   coefficients (``Scalar.to_json`` prints the numerators, one gcd each);
+* ``scalar_from_json_reference`` and ``matrix_from_json_reference``: scalar
+  and matrix text read by the Scalar route, one Scalar per entry summed from
+  its Fraction coefficients, and a matrix's entries put over the product of
+  their denominators with one gcd (``parse_numerators`` lays a text's
+  numerators over their lcm, and ``Matrix.from_json`` and the instance
+  reader lay a matrix's entries over theirs with ``linalg.over_lcm``, with
+  no Scalar);
+  ``instance_matrices_reference`` reads every matrix of an instance document
+  that way, for comparison with ``instance_matrices`` of the parsed one;
 * ``block_support_violation_reference``: the first entry of S - I (or S)
   outside the allowed sheet blocks, with S - I built as a Matrix
   (``stokes._block_support_violation`` reads it off S entry by entry);
@@ -111,14 +120,17 @@ invariant; ``restrict_point``, a point restricted to an invariant summand;
 the twist group law (``sigma``, ``apply``, ``compose``, ``multiply``,
 ``adjoint``), which ``normalize`` and ``embed_doubled`` must respect; and
 ``mul_vector``, ``contains``, ``coordinates``, ``intersection`` and
-``piece_subspaces`` on vectors and subspaces.
+``piece_subspaces`` on vectors and subspaces; and ``from_vectors``,
+``from_pieces`` and ``pieces_of``, which build a Subspace and a Grading
+from Scalar vectors and read a grading's pieces back as Scalars (the
+library reads and writes both as matrix text).
 """
 
 import cmath
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from wildcat.algebra import (
     MatrixAlgebra,
@@ -129,11 +141,12 @@ from wildcat.algebra import (
     spin_algebra,
 )
 from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
-from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, kernel, stack
+from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _matrix, kernel, stack
 from wildcat.modular import _image_map, _modulus
 from wildcat.scalars import (
     Scalar,
     _canonical,
+    _parse_rational,
     cyclotomic_polynomial,
     euler_phi,
     multiplication_matrix,
@@ -262,6 +275,55 @@ def place_reference(a: Matrix, row: int, col: int, block: Matrix) -> Matrix:
 def scalar_to_json_reference(x: Scalar):
     """``Scalar.to_json`` through the Fraction coefficients."""
     return str(x.coeffs[0]) if x.m == 1 else [str(c) for c in x.coeffs]
+
+
+def scalar_from_json_reference(data, m: int) -> Scalar:
+    """An instance scalar in Q(zeta_m) by the Scalar route: each
+    coefficient's Fraction from the text grammar (``_parse_rational``),
+    summed times the powers of zeta with Scalar arithmetic."""
+    coeffs = [data] if isinstance(data, (str, int)) else data
+    if not isinstance(coeffs, list) or len(coeffs) > euler_phi(m):
+        raise ValueError(f"bad scalar encoding: {data!r}")
+    return from_coeffs(m, [Fraction(*_parse_rational(c)) for c in coeffs])
+
+
+def matrix_from_json_reference(data, m: int) -> Matrix:
+    """A matrix text by the Scalar route: one Scalar per entry
+    (``scalar_from_json_reference``), over the product of the entries'
+    distinct denominators, made canonical by one gcd."""
+    flat = [scalar_from_json_reference(x, m) for row in data for x in row]
+    den = prod({x.den for x in flat})
+    return _matrix(len(data), len(data[0]) if data else 0, m,
+                   [c * (den // x.den) for x in flat for c in x.num], den)
+
+
+def instance_matrices(inst) -> list:
+    """Every matrix of a parsed instance, in document order: each grading's
+    basis, the connectors, each loop's matrix and inner part, and the
+    candidate's matrices by name."""
+    out = []
+    if inst.point is not None:
+        p = inst.point
+        out += [g.basis for g in p.gradings] + list(p.connectors)
+        out += [a for x in p.loops for a in (x.g, x.phi.inner)]
+    return out + [inst.candidate[name] for name in sorted(inst.candidate or ())]
+
+
+def instance_matrices_reference(data, m: int) -> list:
+    """``instance_matrices`` of the instance document data, each matrix
+    read by ``matrix_from_json_reference`` in Q(zeta_m), m the instance's
+    conductor; an absent grading list or inner part is the identity."""
+    out = []
+    if data["mode"] == "tuple":
+        t = data["tuple"]
+        ident = Matrix.identity(t["n"], m)
+        out += [matrix_from_json_reference([v for piece in g for v in piece["basis"]], m)
+                for g in t["gradings"]] if "gradings" in t else [ident]
+        out += [matrix_from_json_reference(c, m) for c in t.get("connectors", [])]
+        out += [matrix_from_json_reference(loop[key], m) if key in loop else ident
+                for loop in t.get("loops", []) for key in ("matrix", "inner")]
+    candidate = sorted(data.get("candidate", {}).items())
+    return out + [matrix_from_json_reference(a, m) for _, a in candidate]
 
 
 def block_support_violation_reference(mat: Matrix, sheets, allowed_blocks,
@@ -479,7 +541,7 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     if sol is None:
         return None
     proj = sol.reshape(n, n)
-    return Subspace.from_vectors(n, kernel_reference([list(proj.row(i)) for i in range(n)], n, m))
+    return from_vectors(n, kernel_reference([list(proj.row(i)) for i in range(n)], n, m))
 
 
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
@@ -543,7 +605,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
             if c:
                 elem = elem + b.scale(c)
         rows.append(list(entries(elem)))
-    radical = Subspace.from_vectors(n * n, rows)
+    radical = from_vectors(n * n, rows)
     nilpotency_index(radical, n)
     return radical
 
@@ -571,12 +633,12 @@ def nilpotency_index(radical: Subspace, n: int) -> int:
 def weight_projectors(g: Grading) -> list:
     """Projector onto each piece along the others: B . sel . B^-1."""
     n = g.ambient_dim
-    b = Matrix.build([v for _, basis in g.pieces for v in basis]).transpose()
+    b = Matrix.build([v for _, basis in pieces_of(g) for v in basis]).transpose()
     binv = inverse_reference(b)
     m = b.m
     out = []
     start = 0
-    for _, basis in g.pieces:
+    for _, basis in pieces_of(g):
         d = len(basis)
         sel = Matrix.build([[1 if (i == j and start <= i < start + d) else 0
                              for j in range(n)] for i in range(n)], m)
@@ -597,7 +659,7 @@ def transported_projectors(p: FramedPoint) -> list:
             c = p.connectors[i - 1]
             cinv = inverse_reference(c)
             projs = [cinv @ proj @ c for proj in projs]
-        out.append([(w, proj) for (w, _), proj in zip(grading.pieces, projs)])
+        out.append([(w, proj) for (w, _), proj in zip(pieces_of(grading), projs)])
     return out
 
 
@@ -940,8 +1002,35 @@ def intersection(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(both.matrix.submatrix(rows, n, 2 * n))
 
 
+def from_vectors(ambient_dim: int, vectors) -> Subspace:
+    """The span in K^ambient_dim of vectors of Scalars in one field (ints
+    and Fractions lift into it)."""
+    vectors = list(vectors)
+    return Subspace.span(Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+
+
+def from_pieces(ambient_dim: int, pieces) -> Grading:
+    """The grading with pieces (weight, basis vectors), the vectors of
+    Scalars in one field (ints and Fractions lift into it)."""
+    pieces = [(weight, list(vectors)) for weight, vectors in pieces]
+    vectors = [v for _, basis in pieces for v in basis]
+    if any(len(v) != ambient_dim for v in vectors) or len(vectors) != ambient_dim:
+        raise ValueError("grading pieces do not have total dimension n")
+    return Grading([w for w, _ in pieces], [len(basis) for _, basis in pieces],
+                   Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+
+
+def pieces_of(g: Grading) -> list:
+    """(weight, basis vectors as tuples of Scalars) per piece of g."""
+    out, start = [], 0
+    for weight, size in zip(g.weights, g.sizes):
+        out.append((weight, [g.basis.row(i) for i in range(start, start + size)]))
+        start += size
+    return out
+
+
 def piece_subspaces(g: Grading) -> list:
-    return [Subspace.from_vectors(g.ambient_dim, basis) for _, basis in g.pieces]
+    return [from_vectors(g.ambient_dim, basis) for _, basis in pieces_of(g)]
 
 
 def sigma(n: int, m: int = 1) -> Automorphism:
@@ -990,14 +1079,14 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
         else:
             # the connector's coordinates on the image are its pivot rows
             moved = pn.connectors[i - 1] @ block.matrix.transpose()
-            image = Subspace.from_vectors(pn.n, [col(moved, j) for j in range(nb)])
+            image = from_vectors(pn.n, [col(moved, j) for j in range(nb)])
             connectors.append(Matrix.build([moved.row(q) for q in image.pivots]))
         pieces = []
-        for (w, basis) in grading.pieces:
-            inter = intersection(Subspace.from_vectors(pn.n, basis), image)
+        for (w, basis) in pieces_of(grading):
+            inter = intersection(from_vectors(pn.n, basis), image)
             if inter.dim:
                 pieces.append((w, [coordinates(image, v) for v in inter.basis]))
-        gradings.append(Grading.from_pieces(nb, pieces))
+        gradings.append(from_pieces(nb, pieces))
     return FramedPoint(nb, gradings, connectors, loops)
 
 

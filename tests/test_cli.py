@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import wildcat
 from wildcat import cli, stokes
 from wildcat.cli import Report, machine_text, run_command
+from wildcat.scalars import Scalar
 
 JORDAN = {
     "field": 1,
@@ -430,12 +431,19 @@ def test_unknown_subcommand():
     # no loop and no torus: the blocks are read over Q(zeta5), not Q
     pytest.param({"field": 5, "mode": "tuple", "tuple": {"n": 2}}, id="loopless_zeta5"),
 ])
-def test_report_round_trip(tmp_path, capsys, doc):
+def test_report_round_trip(tmp_path, capsys, monkeypatch, doc):
     path = write(tmp_path, "point.json", doc)
     run_command(["analyze", "--instance", path, "--format", "machine"])
     payload = json.loads(capsys.readouterr().out)
+    # certificates are read back and written with no Scalar per entry
+    made = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
     report = Report.from_json(payload)
     assert report.to_json() == payload
+    assert made == []
+    monkeypatch.undo()
     assert Report.from_json(report.to_json()) == report
     # reduce prints the blocks analyze reports, if any
     code = run_command(["reduce", "--instance", path, "--format", "machine"])

@@ -50,8 +50,11 @@ from oracles import (
     exact_kernel,
     from_coeffs,
     from_entries,
+    from_pieces,
+    from_vectors,
     galois_generators_reference,
     minimal_polynomial_left,
+    pieces_of,
     radical_oracle,
     restrict_point,
     shares_an_eigenvector,
@@ -73,7 +76,7 @@ def simple_point(loops, n=2, gradings=None, connectors=None):
 
 def coordinate_grading(n, m=1):
     ident = Matrix.identity(n, m)
-    return Grading.from_pieces(n, [((i,), [ident.row(i)]) for i in range(n)])
+    return from_pieces(n, [((i,), [ident.row(i)]) for i in range(n)])
 
 
 def rand_invertible(rng, n, lo=-2, hi=2):
@@ -135,7 +138,7 @@ class TestGaloisGenerators:
         assert galois_generators(p) == [J]
 
     def test_torus_only_gives_its_weight_operator(self):
-        g = Grading.from_pieces(2, [((2,), [(1, 0)]), ((-1,), [(0, 1)])])
+        g = from_pieces(2, [((2,), [(1, 0)]), ((-1,), [(0, 1)])])
         p = FramedPoint(2, [g], [], [])
         assert galois_generators(p) == [Matrix.build([[2, 0], [0, -1]])]
 
@@ -143,7 +146,7 @@ class TestGaloisGenerators:
         # the weight operator diag(1, 0), moved to the basepoint as C^-1 X C:
         # the projector onto the weight 1 line along the transported 0 line
         c2 = Matrix.build([[1, 1], [0, 1]])
-        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [Grading.trivial(2), g], [c2], [])
         assert galois_generators(p) == [Matrix.build([[1, 1], [0, 0]])]
 
@@ -171,7 +174,7 @@ class TestGaloisGenerators:
         # operator diag(1, -1) to diag(1, -1, -1, 1): its algebra is spanned
         # by the joint projectors of the characters t and 1/t, which pair
         # weight spaces across the two blocks
-        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((-1,), [(0, 1)])])
+        g = from_pieces(2, [((1,), [(1, 0)]), ((-1,), [(0, 1)])])
         sig = TwistedElement(Matrix.identity(2), sigma(2))
         p = FramedPoint(2, [g], [], [sig])
         gens = galois_generators(p)
@@ -299,7 +302,7 @@ class TestLevi:
             [[2, 0, 0], [0, 2, 0], [0, 0, 3]]))], n=3)
         blocks = levi_reduction(p)
         assert [b.dim for b in blocks] == [1, 1, 1]
-        assert Subspace.from_vectors(3, [v for b in blocks for v in b.basis]).dim == 3
+        assert from_vectors(3, [v for b in blocks for v in b.basis]).dim == 3
 
     def test_irreducible_whole_space(self):
         p = simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)])
@@ -327,7 +330,7 @@ class TestLevi:
             assert rep.stable
 
     def test_blocks_stable_with_gradings(self):
-        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [g], [], [TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))])
         blocks = levi_reduction(p)
         assert len(blocks) == 2
@@ -335,7 +338,7 @@ class TestLevi:
             assert is_stable(restrict_point(p, block)).stable
 
     def test_is_stable_reports_levi_blocks(self):
-        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         diag = TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))
         p = FramedPoint(2, [g], [], [diag])
         assert is_stable(p).levi_decomposition == levi_reduction(p)
@@ -437,7 +440,7 @@ def graded_points(draw):
     k = draw(st.integers(1, min(3, n)))
     b = draw(invertibles(n, m))
     bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:k - 1]) + [n]
-    g = Grading.from_pieces(n, [((i,), [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+    g = from_pieces(n, [((i,), [b.row(r) for r in range(bounds[i], bounds[i + 1])])
                     for i in range(k)])
     if draw(st.booleans()):
         return FramedPoint(n, [Grading.trivial(n, m), g], [draw(invertibles(n, m))], [])
@@ -448,8 +451,8 @@ def promote_point(p, m):
     """The same point with every entry promoted into Q(zeta_m)."""
     def lift(mat):
         return from_entries(mat.rows, mat.cols, [x.promote(m) for x in entries(mat)], m)
-    gradings = [Grading.from_pieces(g.ambient_dim, [(w, [tuple(x.promote(m) for x in v) for v in basis])
-                                        for w, basis in g.pieces]) for g in p.gradings]
+    gradings = [from_pieces(g.ambient_dim, [(w, [tuple(x.promote(m) for x in v) for v in basis])
+                                        for w, basis in pieces_of(g)]) for g in p.gradings]
     loops = [TwistedElement(lift(x.g), Automorphism(lift(x.phi.inner), x.phi.outer))
              for x in p.loops]
     return FramedPoint(p.n, gradings, [lift(c) for c in p.connectors], loops)
@@ -517,8 +520,8 @@ def block_point_parts(draw, m=1, repeated=False):
     if draw(st.booleans()):
         pieces = [((k % 2,) if same else (k,), span) for k, span in enumerate(spans)]
         if len({w for w, _ in pieces}) == len(pieces):
-            grading = Grading.from_pieces(n, pieces)
-    return FramedPoint(n, [grading], [], loops), [Subspace.from_vectors(n, s) for s in spans]
+            grading = from_pieces(n, pieces)
+    return FramedPoint(n, [grading], [], loops), [from_vectors(n, s) for s in spans]
 
 
 def block_points(m=1, repeated=False):
@@ -548,7 +551,7 @@ def twisted_points(draw):
                             unique=True))
     connector = draw(st.one_of(st.none(), invertibles(n)))
     cols = (basis if connector is None else connector @ basis).transpose()
-    grading = Grading.from_pieces(n, [((w,), [cols.row(j) for j in group])
+    grading = from_pieces(n, [((w,), [cols.row(j) for j in group])
                           for w, group in zip(weights, groups)])
 
     def loop(sigma):
@@ -683,7 +686,7 @@ def test_certified_stabilizer_matches_exact_solve(p):
         blocks, gens = rep.levi_decomposition, rep.galois.generators
         assert hom_sum(gens, blocks) == rep.stabilizer_dim
         for i in range(len(blocks) - 1):
-            merged = Subspace.from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
+            merged = from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
             assert hom_sum(gens, blocks[:i] + [merged] + blocks[i + 2:]) == rep.stabilizer_dim
     rows = engine._stabilizer_rows(rep.galois.point, rep.galois.generators)
     assert all(any(row) for row in rows.int_rows())
@@ -720,7 +723,7 @@ def test_stabilizer_rows_drop_zero_rows():
     # a sigma loop and coordinate weights 1, 2, 0: the diagonal entries of
     # the weight operator's commutator with xi are zero rows
     e = Matrix.identity(3)
-    grading = Grading.from_pieces(3, [((1,), [e.row(0)]), ((2,), [e.row(1)]), ((0,), [e.row(2)])])
+    grading = from_pieces(3, [((1,), [e.row(0)]), ((2,), [e.row(1)]), ((0,), [e.row(2)])])
     loop = TwistedElement(Matrix.build([[1, 2, 0], [0, 1, 1], [1, 0, 2]]),
                           Automorphism(Matrix.identity(3), True))
     p = FramedPoint(3, [grading], [], [loop])
@@ -764,7 +767,7 @@ class TestCertifiedStabilizer:
         rep = is_stable(simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)]))
         assert rep.stable and rep.stabilizer_dim == 1 and calls == []
         # sigma-twisted: the doubled algebra is M_4(Q), so the stabilizer is 0
-        grading = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        grading = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [grading], [], [
             TwistedElement(Matrix.build([[1, 1], [1, 2]]), sigma(2)),
             TwistedElement.plain(SWAP)])
@@ -952,7 +955,7 @@ class TestOneAnalysis:
         # their inverses, so the Galois generators (the connector's
         # transport of the torus, the doubled sigma loop) eliminate nothing
         a, g = Matrix.build([[2, 1], [1, 1]]), Matrix.build([[1, 2], [0, 1]])
-        grading = Grading.from_pieces(2, [((0,), [(1, 0)]), ((1,), [(0, 1)])])
+        grading = from_pieces(2, [((0,), [(1, 0)]), ((1,), [(0, 1)])])
         p = FramedPoint(2, [Grading.trivial(2), grading], [a],
                         [TwistedElement(g, sigma(2))])
         assert a._inverse is not None and g._inverse is not None

@@ -11,9 +11,16 @@ from wildcat.instances import (
     render_instance,
 )
 from wildcat.linalg import Grading, Matrix
+from wildcat.scalars import Scalar
 from wildcat.stokes import build_scaffold, exponential_torus_grading, random_candidate
 
-from oracles import entries
+from oracles import (
+    entries,
+    from_pieces,
+    instance_matrices,
+    instance_matrices_reference,
+    pieces_of,
+)
 
 MINIMAL_TUPLE = {
     "field": 1,
@@ -197,15 +204,15 @@ def test_gradings_of_identity_rows_are_not_ranked(monkeypatch):
     monkeypatch.setattr(Matrix, "rank", lambda self: ranks.append(self) or real(self))
     e = Matrix.identity(3)
     assert Grading.trivial(3).is_trivial()
-    Grading.from_pieces(3, [((k,), [e.row(k)]) for k in range(3)])            # a coordinate torus
+    from_pieces(3, [((k,), [e.row(k)]) for k in range(3)])            # a coordinate torus
     sc = build_scaffold(parse_instance_data(STOKES_KATZ).surface)
     for pd in sc.punctures:                                           # the sheet gradings
         exponential_torus_grading(pd.sheets, sc.n, sc.conductor)
     assert ranks == []
-    Grading.from_pieces(3, [((k,), [e.row(i)]) for k, i in enumerate((1, 0, 2))])  # permuted: ranked
+    from_pieces(3, [((k,), [e.row(i)]) for k, i in enumerate((1, 0, 2))])  # permuted: ranked
     assert len(ranks) == 1
     with pytest.raises(ValueError, match="not jointly independent"):
-        Grading.from_pieces(2, [((0,), [(1, 1)]), ((1,), [(2, 2)])])
+        from_pieces(2, [((0,), [(1, 1)]), ((1,), [(2, 2)])])
     assert len(ranks) == 2
     assert e.inverse() is e
 
@@ -241,32 +248,66 @@ def test_missing_file():
         parse_instance("/nonexistent/instance.json")
 
 
+FULL_TUPLE = {
+    "field": 4,
+    "mode": "tuple",
+    "tuple": {
+        "n": 2,
+        "gradings": [
+            [{"weight": [1], "basis": [["1", "0"]]},
+             {"weight": [-1], "basis": [["0", "1"]]}],
+            [{"weight": [], "basis": [["1", "0"], ["0", "1"]]}],
+        ],
+        "connectors": [[["1", "1"], ["0", "1"]]],
+        "loops": [
+            {"matrix": [["0", "-1"], ["1", "0"]],
+             "inner": [["1", "0"], ["0", "1"]], "outer": "sigma"},
+            {"matrix": [[["0", "1"], "0"], ["0", ["0", "-1"]]],
+             "inner": [["1", "2"], ["0", "1"]], "outer": "identity"},
+        ],
+    },
+}
+
+
 def test_round_trip_tuple():
-    full = {
-        "field": 4,
-        "mode": "tuple",
-        "tuple": {
-            "n": 2,
-            "gradings": [
-                [{"weight": [1], "basis": [["1", "0"]]},
-                 {"weight": [-1], "basis": [["0", "1"]]}],
-                [{"weight": [], "basis": [["1", "0"], ["0", "1"]]}],
-            ],
-            "connectors": [[["1", "1"], ["0", "1"]]],
-            "loops": [
-                {"matrix": [["0", "-1"], ["1", "0"]],
-                 "inner": [["1", "0"], ["0", "1"]], "outer": "sigma"},
-                {"matrix": [[["0", "1"], "0"], ["0", ["0", "-1"]]],
-                 "inner": [["1", "2"], ["0", "1"]], "outer": "identity"},
-            ],
-        },
-    }
-    inst = parse_instance_data(full)
+    inst = parse_instance_data(FULL_TUPLE)
     rendered = render_instance(inst)
     again = parse_instance_data(rendered)
     assert render_instance(again) == rendered
     assert again.point.loops[1].g == inst.point.loops[1].g
-    assert [g.pieces for g in again.point.gradings] == [g.pieces for g in inst.point.gradings]
+    assert [pieces_of(g) for g in again.point.gradings] == \
+        [pieces_of(g) for g in inst.point.gradings]
+
+
+def test_matrices_are_read_and_written_with_no_scalar(monkeypatch):
+    # every matrix goes from text to numerators and back with no Scalar per
+    # entry: a tuple document makes none, and a candidate adds none to what
+    # a Stokes document's circle coefficients make
+    made = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+
+    def scalars_made(action, *args):
+        made.clear()
+        action(*args)
+        return len(made)
+
+    with_candidate = dict(STOKES_KATZ, candidate={"h1": [["1", "0"], ["0", "1"]],
+                                                  "S1.0": [["1", "-3/4"], ["0", "1"]]})
+    assert scalars_made(parse_instance_data, FULL_TUPLE) == 0
+    assert scalars_made(render_instance, parse_instance_data(FULL_TUPLE)) == 0
+    assert scalars_made(parse_instance_data, with_candidate) == \
+        scalars_made(parse_instance_data, STOKES_KATZ) > 0
+    assert scalars_made(render_instance, parse_instance_data(with_candidate)) == \
+        scalars_made(render_instance, parse_instance_data(STOKES_KATZ)) > 0
+
+
+def test_instance_matrices_match_the_scalar_route():
+    for doc in (FULL_TUPLE, MINIMAL_TUPLE, dict(STOKES_KATZ, candidate={
+            "h1": [["1", "0"], ["0", "1"]], "S1.0": [["1", ["-3/4"]], ["0", "1"]]})):
+        inst = parse_instance_data(doc)
+        assert instance_matrices(inst) == instance_matrices_reference(doc, inst.conductor)
 
 
 def test_round_trip_stokes(tmp_path):

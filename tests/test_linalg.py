@@ -29,6 +29,8 @@ from oracles import (
     entries,
     from_coeffs,
     from_entries,
+    from_pieces,
+    from_vectors,
     intersection,
     inverse_reference,
     kernel_reference,
@@ -36,7 +38,9 @@ from oracles import (
     left_product,
     linear_solve_reference,
     matmul_reference,
+    matrix_from_json_reference,
     mul_vector,
+    pieces_of,
     place_reference,
     sandwich_rows_reference,
     scale_reference,
@@ -67,14 +71,14 @@ class TestLinearSolve:
     def test_nilpotent_kernel(self):
         a = Matrix.build([[0, 1], [0, 0]])
         assert linear_solve(a, Matrix.zero(2, 1)) == Matrix.zero(2, 1)
-        assert kernel(a) == Subspace.from_vectors(2, [(1, 0)])
+        assert kernel(a) == from_vectors(2, [(1, 0)])
 
     def test_rank_one_system(self):
         a = Matrix.build([[1, 1], [1, 1]])
         part = linear_solve(a, Matrix.build([[2], [2]]))
         assert part is not None
         assert a @ part == Matrix.build([[2], [2]])
-        assert kernel(a) == Subspace.from_vectors(2, [(1, -1)])
+        assert kernel(a) == from_vectors(2, [(1, -1)])
 
     def test_inconsistent(self):
         a = Matrix.build([[1, 1], [1, 1]])
@@ -117,7 +121,7 @@ def projectors(g: Grading) -> list:
     Lagrange interpolation at the eigenvalues on the pieces."""
     x = g.weight_operator()
     ident = Matrix.identity(g.ambient_dim, x.m)
-    values = [eigenvalue(x, basis[0]) for _, basis in g.pieces]
+    values = [eigenvalue(x, basis[0]) for _, basis in pieces_of(g)]
     out = []
     for i, e in enumerate(values):
         p = ident
@@ -231,8 +235,8 @@ def test_kernel_solve_and_inverse_match_the_scalar_reference(case, data):
             assert kernel(a).basis == tuple(map(tuple, ref_ker))
         # the intersection with the probes' span: inside both, of the dimension
         # dim U + dim W - dim (U + W)
-        inter = intersection(Subspace.from_vectors(width, rows),
-                             Subspace.from_vectors(width, probes))
+        inter = intersection(from_vectors(width, rows),
+                             from_vectors(width, probes))
         u, w = ScalarEchelon(width, rows), ScalarEchelon(width, probes)
         assert inter.dim == u.dim + w.dim - ScalarEchelon(width, rows + probes).dim
         assert all(u.contains(v) and w.contains(v) for v in inter.basis)
@@ -267,7 +271,7 @@ def gradings(draw):
                               for j in range(n)] for i in range(n)])
     b = unit_triangular(True) @ unit_triangular(False)  # invertible
     bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:pieces - 1]) + [n]
-    return Grading.from_pieces(n, [(w, [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+    return from_pieces(n, [(w, [b.row(r) for r in range(bounds[i], bounds[i + 1])])
                        for i, w in enumerate(weights)])
 
 
@@ -278,9 +282,9 @@ def test_weight_operator_has_each_piece_as_an_eigenspace(g):
     # s = 2 max|u_i| + 1; the linear extension u -> <lambda, u> is
     # injective on the weights and their negatives
     x = g.weight_operator()
-    s = 2 * max(abs(c) for w, _ in g.pieces for c in w) + 1
+    s = 2 * max(abs(c) for w, _ in pieces_of(g) for c in w) + 1
     value = {}
-    for w, basis in g.pieces:
+    for w, basis in pieces_of(g):
         inner = sum(c * s ** i for i, c in enumerate(w))
         assert all(eigenvalue(x, v) == inner for v in basis)
         for u, e in ((w, inner), (tuple(-c for c in w), -inner)):
@@ -290,7 +294,7 @@ def test_weight_operator_has_each_piece_as_an_eigenspace(g):
 
 class TestWeightProjectors:
     def test_coordinate_grading(self):
-        g = Grading.from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
+        g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = projectors(g)
         assert p[0] == Matrix.build([[1, 0], [0, 0]])
         assert p[1] == Matrix.build([[0, 0], [0, 1]])
@@ -300,7 +304,7 @@ class TestWeightProjectors:
         assert projectors(g) == [Matrix.identity(3)]
 
     def test_diagonal_lines(self):
-        g = Grading.from_pieces(2, [((1,), [(1, 1)]), ((-1,), [(1, -1)])])
+        g = from_pieces(2, [((1,), [(1, 1)]), ((-1,), [(1, -1)])])
         p = projectors(g)
         half = Fraction(1, 2)
         assert p[0] == Matrix.build([[half, half], [half, half]])
@@ -320,7 +324,7 @@ class TestWeightProjectors:
             for i in range(len(bounds) - 1):
                 rows = [b.row(k) for k in range(bounds[i], bounds[i + 1])]
                 pieces.append(((i,), rows))
-            g = Grading.from_pieces(n, pieces)
+            g = from_pieces(n, pieces)
             projs = projectors(g)
             total = Matrix.zero(n, n)
             for i, p in enumerate(projs):
@@ -334,19 +338,19 @@ class TestWeightProjectors:
 
     def test_grading_validation(self):
         with pytest.raises(ValueError):
-            Grading.from_pieces(2, [((1,), [(1, 0)]), ((1,), [(0, 1)])])  # repeated weight
+            from_pieces(2, [((1,), [(1, 0)]), ((1,), [(0, 1)])])  # repeated weight
         with pytest.raises(ValueError):
-            Grading.from_pieces(2, [((1,), [(1, 0)]), ((2,), [(1, 0)])])  # not independent
+            from_pieces(2, [((1,), [(1, 0)]), ((2,), [(1, 0)])])  # not independent
         with pytest.raises(ValueError):
-            Grading.from_pieces(2, [((1,), [(1, 0)])])  # not spanning
+            from_pieces(2, [((1,), [(1, 0)])])  # not spanning
 
 
 class TestSubspace:
     @settings(max_examples=60)
     @given(st.data())
     def test_canonical_equality(self, data):
-        a = Subspace.from_vectors(3, [(1, 1, 0), (0, 1, 1)])
-        b = Subspace.from_vectors(3, [(1, 2, 1), (2, 3, 1)])
+        a = from_vectors(3, [(1, 1, 0), (0, 1, 1)])
+        b = from_vectors(3, [(1, 2, 1), (2, 3, 1)])
         assert a == b
         # drawn: the build -> entries round trip gives the canonical Scalars
         # back, and a span is stored as the same numbers whatever multiples
@@ -367,34 +371,72 @@ class TestSubspace:
         c = data.draw(scalars(m).filter(bool))
         mixed = [[c * e for e in x.row(0)]] + [list(x.row(i)) for i in range(1, rows)] + \
             [[e + f for e, f in zip(x.row(0), x.row(rows - 1))]]
-        span, again = Subspace.span(x), Subspace.from_vectors(cols, mixed)
+        span, again = Subspace.span(x), from_vectors(cols, mixed)
         assert span == again and span.basis == again.basis
         assert span._echelon.reduced_rows() == again._echelon.reduced_rows()
         assert_canonical(span.matrix)
 
     def test_contains_and_coordinates(self):
-        s = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
+        s = from_vectors(3, [(1, 0, 1), (0, 1, 1)])
         one, zero = Scalar.one(), Scalar.zero()
         assert contains(s, (one, one, one + one))
         assert not contains(s, (one, zero, zero))
         coords = coordinates(s, (one, one, one + one))
         assert coords == (one, one)
 
+    def test_from_json_reads_what_it_is_given(self):
+        assert Subspace.from_json({"ambient_dim": 3, "basis": []}, 5) == Subspace.zero(3, 5)
+        read = Subspace.from_json({"ambient_dim": 3, "basis": [["1", "0", "1/2"]]}, 1)
+        assert read == from_vectors(3, [(1, 0, Fraction(1, 2))])
+        with pytest.raises(ValueError, match="length 5"):
+            Subspace.from_json({"ambient_dim": 5, "basis": [["1", "0", "0"]]}, 1)
+        with pytest.raises(ValueError, match="ragged"):
+            Subspace.from_json({"ambient_dim": 2, "basis": [["1", "0"], ["0", "1", "0"]]}, 1)
+
+    def test_from_json_refuses_dependent_rows(self):
+        with pytest.raises(ValueError, match="2 independent"):
+            Subspace.from_json({"ambient_dim": 3, "basis": [["1", "0", "0"], ["2", "0", "0"]]}, 1)
+        with pytest.raises(ValueError, match="1 independent"):
+            Subspace.from_json({"ambient_dim": 2, "basis": [["0", "0"]]}, 1)
+
     def test_sum_intersection(self):
-        a = Subspace.from_vectors(3, [(1, 0, 0)])
-        b = Subspace.from_vectors(3, [(0, 1, 0)])
-        assert Subspace.from_vectors(3, a.basis + b.basis).dim == 2
+        a = from_vectors(3, [(1, 0, 0)])
+        b = from_vectors(3, [(0, 1, 0)])
+        assert from_vectors(3, a.basis + b.basis).dim == 2
         assert intersection(a, b).dim == 0
-        c = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
-        d = Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 1)])
+        c = from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+        d = from_vectors(3, [(1, 1, 0), (0, 0, 1)])
         inter = intersection(c, d)
-        assert inter == Subspace.from_vectors(3, [(1, 1, 0)])
+        assert inter == from_vectors(3, [(1, 1, 0)])
 
     def test_kernel(self):
         k = kernel(Matrix.build([[1, 2, 3]]))
         assert k.dim == 2
         for v in k.basis:
             assert all(x.is_zero() for x in mul_vector(Matrix.build([[1, 2, 3]]), v))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_matrix_text_round_trip(data):
+    # the one writer and the one reader: entries over Q(zeta2) are lists of
+    # one text, and a matrix of no rows is written [], which reads as 0 x 0;
+    # a Subspace keeps the width of a span of no rows in its ambient_dim
+    m = data.draw(st.sampled_from([1, 2, 4, 5, 12]))
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    a = data.draw(matrices(m, rows, cols))
+    text = a.to_json()
+    assert text == [[e.to_json() for e in a.row(i)] for i in range(rows)]
+    if m == 2:
+        assert all(isinstance(x, list) and len(x) == 1 for row in text for x in row)
+    back = Matrix.from_json(text, m)
+    assert_canonical(back)
+    if rows:
+        assert back == a == matrix_from_json_reference(text, m)
+    else:
+        assert text == [] and back == Matrix.zero(0, 0, m)
+    span = Subspace.span(a)
+    assert Subspace.from_json(span.to_json(), m) == span
 
 
 class TestMatrix:

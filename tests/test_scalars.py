@@ -10,6 +10,7 @@ from oracles import (
     FractionScalar,
     cyclotomic_polynomial_reference,
     from_coeffs,
+    scalar_from_json_reference,
     scalar_to_json_reference,
 )
 from wildcat.linalg import Matrix
@@ -20,6 +21,7 @@ from wildcat.scalars import (
     conjugate_numerators,
     cyclotomic_polynomial,
     euler_phi,
+    parse_numerators,
 )
 
 
@@ -159,6 +161,39 @@ def test_scalar_text_parses_as_fraction_does(sign, num, den, m):
     assert got.den > 0 and gcd(got.den, *got.num) == 1
     coeffs = [text, text][:euler_phi(m)]
     assert Scalar.from_json(coeffs, m) == from_coeffs(m, coeffs)
+
+
+RATIONAL_TEXTS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.builds(lambda s, p: f"{s}{p}", st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 20)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 12, 10 ** 12),
+              st.sampled_from([1, 2, 6, 12, 35, 10 ** 12 + 39])),
+    st.builds(lambda p, d: f"{p}.{d}", st.integers(-99, 99),
+              st.sampled_from(["", "5", "25", "125"])))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 2, 3, 4, 5, 12]), st.data())
+def test_parse_numerators_matches_the_scalar_route(m, data):
+    # one text, or a list of at most phi(m) coefficient texts (Q(zeta2)'s
+    # list of one included), read as the Scalar sum of its Fractions
+    text = data.draw(st.one_of(RATIONAL_TEXTS,
+                               st.lists(RATIONAL_TEXTS, max_size=euler_phi(m))))
+    num, den = parse_numerators(text, m)
+    assert type(num) is tuple and len(num) == euler_phi(m)
+    assert den > 0 and gcd(den, *num) == 1
+    ref = scalar_from_json_reference(text, m)
+    assert (num, den) == (ref.num, ref.den)
+    assert Scalar.from_json(text, m) == ref
+
+
+@pytest.mark.parametrize("data", ["1e5", ["0", "1/0"], 1.5, None, {"re": "1"},
+                                  ["1", "2", "3", "4", "5"]])
+def test_parse_numerators_refuses_as_the_scalar_route_does(data):
+    with pytest.raises((ValueError, ZeroDivisionError)) as want:
+        scalar_from_json_reference(data, 5)
+    with pytest.raises(want.type):
+        parse_numerators(data, 5)
 
 
 def test_zero_denominator_is_an_error():
