@@ -79,9 +79,9 @@ from .modular import (
     _EchelonModP,
     _horner_mod,
     _image_map,
-    _null_line,
     _prime_and_root,
     factor_integer,
+    null_space_mod_p,
 )
 from .scalars import Scalar, _canonical, conjugate_numerators, euler_phi, multiplication_matrix
 
@@ -192,7 +192,9 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     if its null space is a line <v>; the null space of theta^T is then a
     line <w> too.  Then True iff v spins to all of F_q^n under the images
     and w under their transposes.  The first kept theta decides; with none,
-    False.
+    False.  A larger null space has its first null vector spun: if that
+    stops short, it spans a proper submodule mod q, with which no kept theta
+    gives True (below), so False at once (V^k, k > 1, at its first root).
 
     Why True proves M_n(K).  Let U be a proper nonzero submodule mod q.  If
     theta is singular on U, then v lies in U.  Otherwise theta is invertible
@@ -227,11 +229,13 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
                 continue
             theta = [[x - lam if i == j else x for j, x in enumerate(row)]
                      for i, row in enumerate(a)]
-            v = _null_line(theta, n, q)
-            if v is not None:
-                w = _null_line(list(zip(*theta)), n, q)
+            (_, v), *rest = null_space_mod_p(theta, n, q)   # lam is a root: theta is singular
+            if not rest:
+                ((_, w),) = null_space_mod_p(list(zip(*theta)), n, q)
                 return _spins_to_all(gens, v, n, q) and \
                     _spins_to_all([list(zip(*g)) for g in gens], w, n, q)
+            if not _spins_to_all(gens, v, n, q):
+                return False   # a proper submodule mod q (docstring)
     return False
 
 
@@ -356,10 +360,12 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     generator, so e = sum u_i E_i lies in E, and the system has dim E
     unknowns u, not n^2: the columns of e lie in sub (the rows of sub's
     annihilator A kill them, A e = 0) and e fixes sub pointwise (B^T e^T =
-    B^T, B sub's basis as columns).  Its rows are the entries of A N_i and
-    B^T N_i^T, N_i the numerators of E_i, as integer products
-    (``_product``), so no Matrix and no Scalar is multiplied.  With b their
-    right-hand side (0, then B^T), the kernel of
+    B^T, B sub's basis as columns).  A is read off sub's reduced echelon
+    rows b_i over den, pivots p_i: den (e_j - sum_i b_i[j] e_(p_i)) per free
+    column j (any basis of the annihilator keeps the system's solutions).
+    Its rows are the entries of A N_i and B^T N_i^T, N_i the numerators of
+    E_i, as integer products (``_product``), so no Matrix and no Scalar is
+    multiplied.  With b their right-hand side (0, then B^T), the kernel of
     [-b | rows] in (t, u) has an echelon row with t = 1 exactly when a
     projection exists; its other rows have t = 0 and give the homogeneous
     solutions h = sum u_i N_i.
@@ -379,9 +385,14 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
     phi = euler_phi(m)
     width = n * phi
     fixed = sub.matrix  # B^T
-    ann = kernel(fixed).matrix
+    ann = [0] * ((n - s) * width)   # A (docstring)
+    for t, j in enumerate(j for j in range(n) if j not in sub.pivots):
+        ann[t * width + j * phi] = fixed.den
+        for i, piv in enumerate(sub.pivots):
+            at, to = i * width + j * phi, t * width + piv * phi
+            ann[to:to + phi] = [-x for x in fixed.nums[at:at + phi]]
     # per E_i, the entries of A N_i, then those of B^T N_i^T
-    cols = [_product(ann.nums, ann.rows, b.right_factor()) +
+    cols = [_product(ann, n - s, b.right_factor()) +
             _product(fixed.nums, s, b.transpose().right_factor()) for b in comm]
     rhs = [0] * ((n - s) * width) + fixed.nums
     rows = [x for t in range(0, n * width, phi)

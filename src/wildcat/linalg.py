@@ -738,12 +738,13 @@ class Subspace:
     @staticmethod
     def from_json(data, m: int) -> "Subspace":
         """The span of the basis rows, which must be independent vectors of
-        length ``ambient_dim`` over Q(zeta_m); else ValueError."""
+        length ``ambient_dim`` over Q(zeta_m) in reduced echelon form, as
+        ``to_json`` writes them, so they write back as read; else ValueError."""
         n, rows = data["ambient_dim"], data["basis"]
         a = Matrix.from_json(rows, m) if rows else Matrix.zero(0, n, m)
         sub = Subspace.span(a)
-        if a.cols != n or sub.dim != a.rows:
-            raise ValueError(f"basis is not {a.rows} independent vectors of length {n}")
+        if a.cols != n or sub.matrix != a:
+            raise ValueError(f"basis is not {a.rows} independent echelon rows of length {n}")
         return sub
 
 

@@ -8,28 +8,29 @@ F_p.  Norton's test (``algebra._spans_full_mod_p``) works at a small prime,
 the kernel bound ``kernel_dim_mod_p`` at the word-size prime of
 ``_modulus``; both find their prime with ``_prime_and_root``, map rows with
 ``_image_map`` and eliminate with ``_EchelonModP``.  Every null space mod p
-(Norton's null lines, the kernel bound, the lifted kernel) is read off one
+(Norton's null spaces, the kernel bound, the lifted kernel) is read off one
 routine, ``null_space_mod_p``, which stops once the rank is full.
 
 The lifted kernel (``lift_kernel``, behind ``linalg.kernel``) solves a
 system over Q(zeta_m) exactly from its images: at primes p = 1 (mod m) from
-2^31 down, under each of the phi(m) maps zeta_m -> r^k, it takes the
-reduced echelon basis of the null space mod p, recovers each entry's
-power-basis numerators mod p through the inverse Vandermonde matrix of the
-roots, combines the primes that agree on the pivots by the Chinese
-remainder theorem (Cabay, "Exact solution of linear equations", SYMSAM
-1971), and reconstructs each vector over one denominator (Wang, SYMSAC
-1981).  It returns a basis only once the integer rows kill it exactly.
+its width's word-size prime down, under each of the phi(m) maps zeta_m ->
+r^k, it takes the reduced echelon basis of the null space mod p, recovers
+each entry's power-basis numerators mod p through the inverse Vandermonde
+matrix of the roots, combines the primes that agree on the pivots by the
+Chinese remainder theorem (Cabay, "Exact solution of linear equations",
+SYMSAM 1971), and reconstructs each vector over one denominator (Wang,
+SYMSAC 1981).  It returns a basis only once the integer rows kill it exactly.
 
 The echelon works on packed rows: a vector over F_p of width W is one Python
-int of W fixed-width slots, each of k 64-bit words (``_pack``), so adding a
-multiple of a row is one big-int ``vec += c * row``.  Slots are never
-reduced during elimination; they start at most p-1 (a residue) and grow by
-at most (p-1)^2 per elimination step, of which there are at most W, and
-``_slot_words`` picks k so that p - 1 + W (p-1)^2 fits.  A vector is reduced
-mod p once, its bytes read in place as 64-bit words, after its elimination:
-it is dependent exactly when every slot is 0 mod p.  At Norton's small
-prime a slot is one word.  ``tests/oracles.py`` keeps list-based routes mod p,
+int of W 64-bit slots (``_pack``), so adding a multiple of a row is one
+big-int ``vec += c * row``.  Slots are never reduced during elimination;
+they start at most p-1 (a residue) and grow by at most (p-1)^2 per
+elimination step, of which there are at most W, so p - 1 + W (p-1)^2 <
+2^64: ``_modulus(m, W)`` is the largest such prime p = 1 (mod m) below
+2^31, and ``_EchelonModP`` refuses any other (Norton's small prime fits at
+any width below 2^48).  A vector is reduced mod p once, its bytes read in
+place as 64-bit words, after its elimination: it is dependent exactly when
+every slot is 0 mod p.  ``tests/oracles.py`` keeps list-based routes mod p,
 reduced at every step, as references: the echelon, the kernel bound, and a
 spin of N^2 words that answers the certificate's question at p.
 
@@ -59,7 +60,6 @@ from math import comb, gcd, isqrt
 from operator import mul
 from typing import Optional
 
-_MODULUS_BOUND = 1 << 31
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _BIG_ENDIAN = sys.byteorder == "big"
 _SPLIT_TRIALS = 64   # a product of two or more factors survives a trial with probability <= 5/9
@@ -107,10 +107,16 @@ def _prime_and_root(m: int, bound: int, up: bool):
     raise AssertionError("no primitive root of unity modulo p")
 
 
-def _modulus(m: int):
-    """(p, r) for the largest prime p < 2^31 with p = 1 (mod m): the
-    word-size prime of the kernel bound (``_prime_and_root``)."""
-    return _prime_and_root(m, _MODULUS_BOUND, False)
+@lru_cache(maxsize=None)
+def _modulus(m: int, width: int):
+    """(p, r) for the largest prime p < 2^31 with p = 1 (mod m) and p - 1 +
+    width (p-1)^2 < 2^64, whose packed rows of ``width`` slots keep each
+    slot in one word (module docstring): the kernel bound's prime and the
+    lifted kernel's first (``_prime_and_root``)."""
+    x = isqrt((1 << 64) // max(width, 1))   # at least the largest p - 1 that fits
+    while x + width * x * x >= 1 << 64:
+        x -= 1
+    return _prime_and_root(m, min(x + 2, 1 << 31), False)
 
 
 @lru_cache(maxsize=None)
@@ -137,42 +143,29 @@ def _image_map(p: int, r: int, phi: int):
     return image
 
 
-@lru_cache(maxsize=None)
-def _slot_words(width: int, p: int) -> int:
-    """64-bit words per slot of a packed row of ``width`` slots that starts
-    with slots <= p - 1 (a residue) and then takes up to ``width``
-    elimination steps, each adding at most (p-1)^2 to a slot
-    (``_EchelonModP``)."""
-    return -(-(p - 1 + width * (p - 1) ** 2).bit_length() // 64)
-
-
-def _pack(values, k: int) -> int:
-    """One int whose k-word slots hold the values (each < 2^64), slot 0 lowest."""
-    words = array("Q", [0]) * (k * len(values))
-    words[::k] = array("Q", values)
+def _pack(values) -> int:
+    """One int whose 64-bit slots hold the values (each < 2^64), slot 0 lowest."""
+    words = array("Q", values)
     if _BIG_ENDIAN:
         words.byteswap()
     return int.from_bytes(words, "little")
 
 
-def _residues(vec: int, count: int, k: int, p: int) -> list:
-    """The count k-word slots of vec, each reduced mod p: its bytes in
-    native order read in place as 64-bit words, lowest first."""
-    words = memoryview(vec.to_bytes(8 * k * count, sys.byteorder)).cast("Q")
+def _residues(vec: int, count: int, p: int) -> list:
+    """The count 64-bit slots of vec, each reduced mod p: its bytes in
+    native order read in place as words, lowest first."""
+    words = memoryview(vec.to_bytes(8 * count, sys.byteorder)).cast("Q")
     if _BIG_ENDIAN:
         words = words[::-1]
-    if k == 1:
-        return [x % p for x in words]
-    slots = words[k - 1::k]
-    for t in range(k - 2, -1, -1):   # Horner in 2^64
-        slots = [(s << 64 | w) % p for s, w in zip(slots, words[t::k])]
-    return slots
+    return [x % p for x in words]
 
 
 class _EchelonModP:
     """One echelon over F_p of vectors of ``width`` ints, eliminated on
     packed rows (module docstring): eliminating a pivot adds (p - f) times
-    its row, f the residue of vec's slot there, so slots only grow.
+    its row, f the residue of vec's slot there, so slots only grow: a p
+    with p - 1 + width (p-1)^2 >= 2^64, a slot of two words, raises
+    AssertionError.
 
     ``insert(vec)`` returns the residues of vec's echelon row, 0 before its
     pivot and 1 at it, or None if vec was dependent; ``rows`` holds the
@@ -180,26 +173,26 @@ class _EchelonModP:
     """
 
     def __init__(self, p: int, width: int):
+        if p - 1 + width * (p - 1) ** 2 >= 1 << 64:
+            raise AssertionError(f"a slot of width {width} mod {p} needs two words")
         self.p, self.width = p, width
-        self.k = _slot_words(width, p)
         self.rows = []
         self._packed = []   # (bit offset of the pivot slot, packed row), by pivot
-        self._mask = (1 << 64 * self.k) - 1
 
     def insert(self, vec) -> Optional[list]:
-        p, k, mask = self.p, self.k, self._mask
-        packed = _pack([x % p for x in vec], k)
+        p = self.p
+        packed = _pack([x % p for x in vec])
         for shift, row in self._packed:
-            f = (packed >> shift & mask) % p
+            f = (packed >> shift & 0xFFFFFFFFFFFFFFFF) % p
             if f:
                 packed += (p - f) * row
-        res = _residues(packed, self.width, k, p)
+        res = _residues(packed, self.width, p)
         lead = next(filter(None, res), 0)   # the first nonzero residue
         if not lead:
             return None
         piv, inv = res.index(lead), pow(lead, -1, p)
         row = [x * inv % p for x in res]
-        insort(self._packed, (64 * k * piv, _pack(row, k)))
+        insort(self._packed, (64 * piv, _pack(row)))
         insort(self.rows, (piv, row))
         return row
 
@@ -232,13 +225,6 @@ def null_space_mod_p(rows, width: int, p: int, rank: Optional[int] = None) -> li
                 v[piv] = -sum(map(mul, row[piv + 1:f + 1], v[piv + 1:f + 1])) % p
         out.append((f, v))
     return out
-
-
-def _null_line(rows, n: int, q: int) -> Optional[list]:
-    """A vector spanning the null space of the n x n matrix with these rows
-    over F_q, or None if that null space is not a line."""
-    basis = null_space_mod_p(rows, n, q)
-    return basis[0][1] if len(basis) == 1 else None
 
 
 def _charpoly_mod(a, q: int) -> list:
@@ -292,12 +278,12 @@ def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     ``linalg.Matrix`` keeps them (``sandwich_rows``).
 
     The rows are mapped to F_p by zeta_m -> r (``_image_map``), p the
-    word-size prime of ``_modulus``; every integer row has an image, so no
-    denominator can stop it.  A minor that is nonzero mod p is the image of
+    word-size prime of ``_modulus`` for the width; every integer row has an
+    image, so no denominator can stop it.  A minor that is nonzero mod p is the image of
     a nonzero minor, so the kernel mod p is at least as large.  The rows
     are eliminated until the echelon is full, when the kernel mod p is 0.
     """
-    p, r = _modulus(m)
+    p, r = _modulus(m, width)
     image = _image_map(p, r, len(_units(m)))
     return len(null_space_mod_p((image(row, 1) for row in rows), width, p))
 
@@ -375,14 +361,15 @@ def lift_kernel(rows, den: int, width: int, m: int, kills, bits: int) -> list:
     denominator with no common factor, numerators (den, 0, ...) at its
     pivot and zeros at the other pivots.
 
-    The primes p = 1 (mod m) are walked down from ``_MODULUS_BOUND``
-    (``_prime_and_root``); a prime that divides den is skipped.  At each, the rows are mapped by each of the phi(m) ring maps
-    zeta_m -> r^k, k prime to m (``_image_map``), and the null space of
-    each image is taken with its columns reversed (``null_space_mod_p``;
-    the maps after the first read rows only until they reach its rank):
-    the vector of a free column f is then 1 at f, 0 at the other free
-    columns and nonzero elsewhere only at pivots before f, so reversed back
-    the vectors are the reduced echelon basis of the image's null space.
+    The primes p = 1 (mod m) are walked down from ``_modulus(m, width)``
+    (``_prime_and_root``); a prime that divides den is skipped.  At each,
+    the rows are mapped by each of the phi(m) ring maps zeta_m -> r^k, k
+    prime to m (``_image_map``), and the null space of each image is taken
+    with its columns reversed (``null_space_mod_p``; the maps after the
+    first read rows only until they reach its rank): the vector of a free
+    column f is then 1 at f, 0 at the other free columns and nonzero
+    elsewhere only at pivots before f, so reversed back the vectors are the
+    reduced echelon basis of the image's null space.
     The images of each entry under the phi(m) maps give its power-basis
     numerators mod p (``_vandermonde_inverse``).
 
@@ -405,19 +392,21 @@ def lift_kernel(rows, den: int, width: int, m: int, kills, bits: int) -> list:
     The walk is bounded.  ``bits`` >= log2 H, H a bound on every numerator
     and denominator of the basis (``linalg._hadamard_bits``), so the basis
     is reconstructed, and passes the check, once the combined primes' product
-    passes 2 H^2: the walked primes are above 2^30, so that takes
-    ceil((2 bits + 1) / 30) good ones.  A prime is bad only if it divides
+    passes 2 H^2: the walked primes are above 2^e, e two less than the
+    first's bit length (29 up to width 4, 27 at 256), so that takes
+    ceil((2 bits + 1) / e) good ones.  A prime is bad only if it divides
     den, or the norm of the minor on the pivot columns of r independent
-    rows (which is at most H), so at most bits // 30 + log2(den) / 30
-    primes are bad.  A walk past the sum of the two raises AssertionError,
-    which names the width, the rank and the primes walked: a fault in the
-    images, the Vandermonde step or the reconstruction would otherwise hang
-    the caller.
+    rows (which is at most H), so at most bits // e + log2(den) / e primes
+    are bad.  A walk past the sum of the two raises AssertionError, which
+    names the width, the rank and the primes walked: a fault in the images,
+    the Vandermonde step or the reconstruction would otherwise hang the
+    caller.
     """
     exps = _units(m)
     key = values = modulus = rank = None
-    p = _MODULUS_BOUND
-    walk = -(-(2 * bits + 1) // 30) + bits // 30 + den.bit_length() // 30
+    p = _modulus(m, width)[0] + 1   # the walk's first step finds it again
+    e = (p - 1).bit_length() - 2
+    walk = -(-(2 * bits + 1) // e) + bits // e + den.bit_length() // e
     for _ in range(walk):
         p, r = _prime_and_root(m, p, False)
         if den % p == 0:

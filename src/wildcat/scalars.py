@@ -346,7 +346,3 @@ class Scalar:
         if self.m == 1:  # canonical: num / den is in lowest terms
             return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
         return [_rational_text(x, self.den) for x in self.num]
-
-    @staticmethod
-    def from_json(data, m: int) -> "Scalar":
-        return Scalar(m, *parse_numerators(data, m))

@@ -29,12 +29,17 @@ of the two:
 * ``spans_full_mod_p``: the left spin of N^2 words from I over F_p, on lists
   of residues (the library asks Norton's test over a small prime field
   instead; its True must be a True here);
+* ``norton_reference``: Norton's test with no early stop, on
+  ``null_space_mod_p`` and ``ListEchelonModP``: only a null line decides
+  (``algebra._spans_full_mod_p`` also spins the first null vector of a
+  larger null space, and says False when that stops short; the two must
+  agree on every input);
 * ``ListEchelonModP``: the echelon mod p on lists of residues, reduced at
   every step (``modular._EchelonModP`` packs each row into one int and
   reduces it once, after its elimination);
 * ``null_space_mod_p``: the null space mod p from the reduced row echelon
-  form of the whole matrix (``modular._null_line`` back-substitutes on the
-  rows of the packed echelon);
+  form of the whole matrix (``modular.null_space_mod_p`` back-substitutes
+  on the rows of the packed echelon);
 * ``kernel_dim_mod_p``: the kernel bound on ``ListEchelonModP``, every row
   eliminated (``modular.kernel_dim_mod_p`` eliminates packed rows and stops
   once its echelon is full);
@@ -120,10 +125,12 @@ invariant; ``restrict_point``, a point restricted to an invariant summand;
 the twist group law (``sigma``, ``apply``, ``compose``, ``multiply``,
 ``adjoint``), which ``normalize`` and ``embed_doubled`` must respect; and
 ``mul_vector``, ``contains``, ``coordinates``, ``intersection`` and
-``piece_subspaces`` on vectors and subspaces; and ``from_vectors``,
+``piece_subspaces`` on vectors and subspaces; ``from_vectors``,
 ``from_pieces`` and ``pieces_of``, which build a Subspace and a Grading
 from Scalar vectors and read a grading's pieces back as Scalars (the
-library reads and writes both as matrix text).
+library reads and writes both as matrix text); and ``scalar_from_json``,
+one Scalar read from its text (the library reads text to numerators,
+``parse_numerators``, and makes no Scalar of it).
 """
 
 import cmath
@@ -131,9 +138,12 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
+from operator import mul
 
 from wildcat.algebra import (
     MatrixAlgebra,
+    _norton_elements,
+    _norton_images,
     _spin_left,
     commutant,
     radical_trace,
@@ -142,7 +152,7 @@ from wildcat.algebra import (
 )
 from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
 from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _matrix, kernel, stack
-from wildcat.modular import _image_map, _modulus
+from wildcat.modular import _charpoly_mod, _horner_mod, _image_map, _modulus
 from wildcat.scalars import (
     Scalar,
     _canonical,
@@ -150,6 +160,7 @@ from wildcat.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     multiplication_matrix,
+    parse_numerators,
 )
 from wildcat.twists import Automorphism, TwistedElement, embed_doubled, transpose_inverse
 
@@ -873,8 +884,9 @@ def null_space_mod_p(rows, n: int, p: int) -> list:
 
 
 def spans_full_mod_p(generators, n: int, m: int) -> bool:
-    """The left spin of the generators' images from I has rank n^2 over F_p."""
-    p, r = _modulus(m)
+    """The left spin of the generators' images from I has rank n^2 over F_p,
+    p the word-size prime for n^2 slots."""
+    p, r = _modulus(m, n * n)
     phi = euler_phi(m)
     image = _image_map(p, r, phi)
     gens = [image(g.nums, g.den) for g in generators]
@@ -892,14 +904,46 @@ def spans_full_mod_p(generators, n: int, m: int) -> bool:
 
 def kernel_dim_mod_p(rows, width: int, m: int) -> int:
     """width minus the rank over F_p of integer rows, phi(m) numerators per
-    entry as a Matrix keeps them, each entry mapped by zeta_m -> r."""
-    p, r = _modulus(m)
+    entry as a Matrix keeps them, each entry mapped by zeta_m -> r, at the
+    word-size prime for the width."""
+    p, r = _modulus(m, width)
     phi = euler_phi(m)
     rpow = [pow(r, j, p) for j in range(phi)]
     ech = ListEchelonModP(p)
     images = [[sum(c * x for c, x in zip(row[t:t + phi], rpow)) % p
                for t in range(0, len(row), phi)] for row in rows]
     return width - sum(ech.insert(img) is not None for img in images)
+
+
+def norton_reference(generators, n: int, m: int) -> bool:
+    """Norton's test with no early stop: for each element a of
+    ``_norton_elements`` and each root l of its characteristic polynomial
+    mod q, the first theta = a - l I whose null space is a line <v>
+    decides, True iff v spins to F_q^n under the images and the null line
+    of theta^T to it under their transposes; with none, False.  Null
+    spaces from the whole reduced row echelon form, spins on
+    ``ListEchelonModP``."""
+    q, images = _norton_images(generators, m)
+    gens = [[g[i * n:(i + 1) * n] for i in range(n)] for g in images]
+
+    def spins_to_all(mats, v) -> bool:
+        kept = _spin_left([v], mats, lambda g, e: [sum(map(mul, row, e)) for row in g],
+                          ListEchelonModP(q).insert, n)
+        return len(kept) == n
+
+    for a in _norton_elements(gens, q):
+        chi = _charpoly_mod(a, q)
+        for lam in range(q):
+            if _horner_mod(chi, lam, q):
+                continue
+            theta = [[x - lam if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(a)]
+            null = null_space_mod_p(theta, n, q)
+            if len(null) == 1:
+                (w,) = null_space_mod_p(list(zip(*theta)), n, q)
+                return spins_to_all(gens, null[0]) and \
+                    spins_to_all([list(zip(*g)) for g in gens], w)
+    return False
 
 
 def from_coeffs(m: int, coeffs) -> Scalar:
@@ -1007,6 +1051,11 @@ def from_vectors(ambient_dim: int, vectors) -> Subspace:
     and Fractions lift into it)."""
     vectors = list(vectors)
     return Subspace.span(Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+
+
+def scalar_from_json(data, m: int) -> Scalar:
+    """The Scalar of a scalar text in Q(zeta_m)."""
+    return Scalar(m, *parse_numerators(data, m))
 
 
 def from_pieces(ambient_dim: int, pieces) -> Grading:

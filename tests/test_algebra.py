@@ -174,13 +174,14 @@ def test_integer_spin_matches_the_scalar_reference(case):
 class TestModularCertificate:
     @pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
     def test_modulus_has_a_primitive_root_of_unity(self, m):
-        p, r = _modulus(m)
-        assert p < 2 ** 31 and (p - 1) % m == 0 and pow(r, m, p) == 1
-        assert all(pow(r, k, p) != 1 for k in range(1, m))
-        assert all(p % d for d in range(2, 50000) if d * d <= p)
+        for width in (1, 16, 256):
+            p, r = _modulus(m, width)
+            assert p < 2 ** 31 and (p - 1) % m == 0 and pow(r, m, p) == 1
+            assert all(pow(r, k, p) != 1 for k in range(1, m))
+            assert all(p % d for d in range(2, 50000) if d * d <= p)
 
     def test_unlucky_prime_falls_back_to_exact_spin(self):
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 4)   # the prime of the reference's spin of 2^2 words
         q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
         gens = [Matrix.build([[1, 0], [0, 1 + p * q]]), SWAP]  # mod p and q: only I and SWAP
         assert not spans_full_mod_p(gens, 2, 1)
@@ -192,7 +193,7 @@ class TestModularCertificate:
     def test_denominator_divisible_by_prime_falls_back(self, monkeypatch):
         # p divides a denominator, so the spin at p proves nothing; Norton's
         # test at q does, and the exact spin, forced, gives the same basis
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 4)
         gens = [Matrix.build([[1, 0], [0, Fraction(1, p)]]), SWAP]
         assert not spans_full_mod_p(gens, 2, 1)
         assert _spans_full_mod_p(gens, 2, 1)
@@ -225,7 +226,7 @@ class TestModularCertificate:
 
     def test_unlucky_at_both_primes_falls_back_to_exact_spin(self):
         q, _ = _prime_and_root(1, _SMALL_PRIME_FLOOR, True)
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 25)   # the prime of the reference's spin of 5^2 words
         gens = self.diag_and_shift(p * q)  # mod p and mod q: I and I + shift
         # the first element is 2I + shift, its one eigenvalue mod q is 3, and
         # the null line of shift - I, (1, ..., 1), spins to itself

@@ -800,7 +800,7 @@ class TestCertifiedStabilizer:
     def test_prime_dividing_a_denominator_is_read_off_the_levi_blocks(self, monkeypatch):
         # the Levi blocks are solved exactly, so no modular image is needed
         calls = self.exact_calls(monkeypatch)
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 4)   # the prime of the kernel bound on 2^2 unknowns
         loop = TwistedElement.plain(Matrix.build([[Fraction(1, p), 0], [0, 3]]))
         rep = is_stable(simple_point([loop]))
         assert rep.polystable and rep.stabilizer_dim == 2 and len(rep.levi_decomposition) == 2
@@ -813,7 +813,7 @@ class TestCertifiedStabilizer:
         # vanishes mod p and the bound is 4; the rows built for it are
         # handed to the exact solve
         calls = self.exact_calls(monkeypatch)
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 4)   # the prime of the kernel bound on 2^2 unknowns
         point = simple_point([TwistedElement.plain(Matrix.build([[Fraction(1, p), 1],
                                                                  [0, Fraction(1, p)]]))])
         built = []

@@ -399,6 +399,18 @@ class TestSubspace:
         with pytest.raises(ValueError, match="1 independent"):
             Subspace.from_json({"ambient_dim": 2, "basis": [["0", "0"]]}, 1)
 
+    def test_from_json_refuses_a_basis_it_would_not_write(self):
+        # independent rows that are not their span's reduced echelon basis
+        # would write back as that basis, another certificate
+        for rows in ([["2", "0"], ["1", "1"]], [["0", "1"], ["1", "0"]], [["1", "1"], ["0", "1"]],
+                     [["2", "4"]]):
+            with pytest.raises(ValueError, match="independent echelon rows"):
+                Subspace.from_json({"ambient_dim": 2, "basis": rows}, 1)
+        for rows, m in (([["1", "0"], ["0", "1"]], 1), ([["1", "1/2"]], 1),
+                        ([[["1", "0", "0", "0"], ["0", "1/3", "0", "0"]]], 5)):
+            data = {"ambient_dim": 2, "basis": rows}
+            assert Subspace.from_json(data, m).to_json() == data
+
     def test_sum_intersection(self):
         a = from_vectors(3, [(1, 0, 0)])
         b = from_vectors(3, [(0, 1, 0)])

@@ -1,9 +1,9 @@
 """The modular layer, ``wildcat.modular``, against the list references in
-``oracles``: the packed echelon, its null lines and slot sizes, the image
-map and the kernel bound; the full-algebra certificate (Norton's test mod a
-small prime q), whose True the list spin at the word-size prime p must
-confirm; the prime test and the primes; and the factoriser over Z against
-sympy's."""
+``oracles``: the packed echelon, its null spaces and one-word slots, the
+image map and the kernel bound; the full-algebra certificate (Norton's test
+mod a small prime q), whose True the list spin at the word-size prime p
+must confirm and whose value the test without its early stop must match;
+the prime test and the primes; and the factoriser over Z against sympy's."""
 
 import random
 import time
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildcat import modular
+from wildcat import algebra, modular
 from wildcat.algebra import _SMALL_PRIME_FLOOR, _norton_images, _spans_full_mod_p
 from wildcat.linalg import Matrix, kernel, sandwich_rows, stack
 from wildcat.modular import (
@@ -26,13 +26,12 @@ from wildcat.modular import (
     _is_prime,
     _monic,
     _modulus,
-    _null_line,
     _pack,
     _prime_and_root,
     _residues,
-    _slot_words,
     factor_integer,
     kernel_dim_mod_p,
+    null_space_mod_p,
 )
 from wildcat.scalars import Scalar, euler_phi
 
@@ -91,17 +90,19 @@ def norton_cases(draw):
     """Two or three n x n matrices over Q(zeta_m), n = 1..9, of one shape:
     full (random), block upper triangular, block diagonal with isomorphic
     blocks (d x d, d the least divisor > 1 of n that is below n, else 1),
-    scalar, or complex: A (x) I + B (x) R on K^(n/2) (x) K^2, n made even,
-    with R the rotation by a right angle, irreducible over K = Q(zeta_m)
-    for m != 4 but not absolutely (its End holds R, R^2 = -1, and -1 is no
-    square mod the small prime either); entries as in ``modular_cases``."""
-    shape = draw(st.sampled_from(["full", "triangular", "isotypic", "scalar", "complex"]))
+    V + V (two isomorphic blocks, n made even), scalar, or complex:
+    A (x) I + B (x) R on K^(n/2) (x) K^2, n made even, with R the rotation
+    by a right angle, irreducible over K = Q(zeta_m) for m != 4 but not
+    absolutely (its End holds R, R^2 = -1, and -1 is no square mod the
+    small prime either); entries as in ``modular_cases``."""
+    shape = draw(st.sampled_from(["full", "triangular", "isotypic", "double", "scalar",
+                                  "complex"]))
     n = draw(st.integers(1, 9))
-    n += n % 2 if shape == "complex" else 0
+    n += n % 2 if shape in ("complex", "double") else 0
     m = draw(st.sampled_from([1, 3, 4, 5]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     split = rng.randint(1, max(n - 1, 1))
-    d = next((d for d in range(2, n) if n % d == 0), 1)
+    d = n // 2 if shape == "double" else next((d for d in range(2, n) if n % d == 0), 1)
     rot = [[0, -1], [1, 0]]
 
     def entry():
@@ -117,7 +118,7 @@ def norton_cases(draw):
             return [[(a[i // 2][j // 2] if i % 2 == j % 2 else Scalar.zero(m))
                      + b[i // 2][j // 2] * Scalar.rational(rot[i % 2][j % 2], m)
                      for j in range(n)] for i in range(n)]
-        if shape == "isotypic":
+        if shape in ("isotypic", "double"):
             b = [[entry() for _ in range(d)] for _ in range(d)]
             return [[b[i % d][j % d] if i // d == j // d else Scalar.zero(m) for j in range(n)]
                     for i in range(n)]
@@ -136,16 +137,50 @@ def test_norton_test_and_spin_agree_with_the_list_reference(case):
     assert reference or not _spans_full_mod_p(gens, n, m)  # True from Norton's test is a proof
 
 
+@settings(max_examples=60)
+@given(norton_cases())
+def test_norton_test_matches_the_test_without_its_early_stop(case):
+    # a first null vector that spans a proper submodule mod q ends the test
+    # with False, which every kept null line would then have given too
+    gens, n, m = case
+    assert _spans_full_mod_p(gens, n, m) == oracles.norton_reference(gens, n, m)
+
+
+def test_an_isotypic_module_is_decided_at_the_first_element(monkeypatch):
+    # V + V, V the absolutely irreducible pair (SWAP, diag(1, 2)), in a
+    # mixed basis: each eigenvalue of an element has a null line in each
+    # copy of V, so no null space is a line, and the test without the early
+    # stop tries all eight elements before it says False
+    yielded, elements = [], algebra._norton_elements
+    monkeypatch.setattr(algebra, "_norton_elements",
+                        lambda gens, q: (yielded.append(y) or y for y in elements(gens, q)))
+    basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    gens = [basis @ Matrix.build([[g[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)]
+                                  for i in range(4)]) @ basis.inverse()
+            for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])]
+    assert not _spans_full_mod_p(gens, 4, 1) and not oracles.norton_reference(gens, 4, 1)
+    assert len(yielded) == 1
+
+
+def test_a_null_plane_that_spins_to_everything_decides_nothing():
+    # the first element, g0 (g1 + I) = g0 diag(1, 0, 0), has the root 0 with
+    # a null plane, whose first vector spins to F_q^3, so the test goes on
+    # to the root 1, whose null line decides True
+    gens = [Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 2]]),
+            Matrix.build([[0, 0, 0], [0, -1, 0], [0, 0, -1]])]
+    assert _spans_full_mod_p(gens, 3, 1) and oracles.norton_reference(gens, 3, 1)
+
+
 @st.composite
 def echelon_cases(draw):
     """(m, p, r, n, rows): rows of n entries over Q(zeta_m), m in {1, 4, 5},
-    for the word-size prime p or Norton's small one.  About n - 1 rows are
-    drawn and then sums of multiples of them, so the rows over the field
-    often have a null line; entries have small numerators over 1, 2 or 3,
-    and one row may have an entry with p in its denominator."""
+    for the word-size prime p of width n or Norton's small one.  About n - 1
+    rows are drawn and then sums of multiples of them, so the rows over the
+    field often have a null line; entries have small numerators over 1, 2
+    or 3, and one row may have an entry with p in its denominator."""
     m = draw(st.sampled_from([1, 4, 5]))
-    p, r = draw(st.sampled_from([_modulus(m), small_modulus(m)]))
     n = draw(st.integers(1, 8))
+    p, r = draw(st.sampled_from([_modulus(m, n), small_modulus(m)]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
 
     def entry():
@@ -168,7 +203,7 @@ def echelon_cases(draw):
 @given(echelon_cases())
 def test_echelon_and_null_line_match_the_list_reference(case):
     # the image map against the Fraction route, then the packed echelon's
-    # returns, rank, pivots and kept rows, and its null line, against the
+    # returns, rank, pivots and kept rows, and its null space, against the
     # list echelon and the null space of the reduced row echelon form
     m, p, r, n, rows = case
     phi = euler_phi(m)
@@ -185,37 +220,49 @@ def test_echelon_and_null_line_match_the_list_reference(case):
             images.append(img)
             assert ech.insert(img) == ref.insert(img)
     assert ech.rows == ref.rows
-    null = oracles.null_space_mod_p(images, n, p)
-    assert _null_line(images, n, p) == (null[0] if len(null) == 1 else None)
+    assert [v for _, v in null_space_mod_p(images, n, p)] == \
+        oracles.null_space_mod_p(images, n, p)
 
 
 class TestSlots:
-    @pytest.mark.parametrize("m", [1, 5])
-    @pytest.mark.parametrize("width", [1, 3, 4, 256])
+    @pytest.mark.parametrize("m", [1, 4, 5, 12])
+    @pytest.mark.parametrize("width", [1, 3, 4, 5, 16, 255, 256, 4095])
     def test_slots_hold_the_largest_value_and_no_more_words(self, m, width):
-        p, _ = _modulus(m)
-        step = (p - 1) ** 2
-        # width, and the widths whose bound p - 1 + w step is just below and
-        # just at 2^64 and 2^128
-        edges = [(top - p) // step for top in (1 << 64, 1 << 128)]
-        for w in [width] + edges + [e + 1 for e in edges]:
-            k = _slot_words(w, p)
-            bound = p - 1 + w * step
-            assert bound < 1 << 64 * k and (k == 1 or bound >= 1 << 64 * (k - 1))
+        # the prime is the largest p = 1 (mod m) below 2^31 whose slot, at
+        # most p - 1 + width (p-1)^2 through an elimination, is one word
+        p, _ = _modulus(m, width)
+
+        def fits(x):
+            return x - 1 + width * (x - 1) ** 2 < 1 << 64
+
+        assert oracles.is_prime(p) and (p - 1) % m == 0 and p < 1 << 31 and fits(p)
+        x = p + m   # the bound grows with x: what fits ends at the first that does not
+        while x < 1 << 31 and fits(x):
+            assert not oracles.is_prime(x)
+            x += m
+
+    @pytest.mark.parametrize("width", [1, 4, 5, 16, 256])
+    def test_echelon_refuses_a_slot_of_two_words(self, width):
+        p, _ = _modulus(1, width)
+        _EchelonModP(p, width)
+        wider = next(w for w in range(width, 1 << 12) if p - 1 + w * (p - 1) ** 2 >= 1 << 64)
+        with pytest.raises(AssertionError, match=f"width {wider} mod {p} needs two words"):
+            _EchelonModP(p, wider)
 
     def test_pack_and_residues_round_trip_at_the_bound(self):
-        p, _ = _modulus(1)
-        k = _slot_words(256, p)
+        p, _ = _modulus(1, 256)
         big = p - 1 + 256 * (p - 1) ** 2
+        assert big < 1 << 64
         vals = [big - j for j in range(5)]
-        vec = sum(v << 64 * k * j for j, v in enumerate(vals))
-        assert _residues(vec, 5, k, p) == [v % p for v in vals]
-        assert _residues(_pack([p - 1, 0, 1], k), 3, k, p) == [p - 1, 0, 1]
+        vec = sum(v << 64 * j for j, v in enumerate(vals))
+        assert _residues(vec, 5, p) == [v % p for v in vals]
+        assert _residues(_pack([p - 1, 0, 1]), 3, p) == [p - 1, 0, 1]
 
     def test_all_entries_p_minus_one_at_n16(self):
-        # entries p - 1, the largest residues: for the certificate at q, and
-        # in every slot of the kernel bound's rows
-        p, _ = _modulus(1)
+        # entries p - 1, the largest residues: for the certificate at q and
+        # the reference's spin of 16^2 words at p, and in every slot of the
+        # kernel bound's rows at the prime of their width
+        p, _ = _modulus(1, 256)
         n = 16
         ones = Matrix.build([[p - 1] * n for _ in range(n)])
         diag = Matrix.build([[p - 1 - i if i == j else 0 for j in range(n)] for i in range(n)])
@@ -223,12 +270,13 @@ class TestSlots:
         assert not oracles.spans_full_mod_p([ones], n, 1)
         assert _spans_full_mod_p([ones, diag], n, 1)  # D^a J D^b span M_n
         assert oracles.spans_full_mod_p([ones, diag], n, 1)
+        p, _ = _modulus(1, 64)
         rows = [[p - 1] * 64 for _ in range(3)]
         rows.append([p - 1 - j for j in range(64)])
         assert kernel_dim_mod_p(rows, 64, 1) == oracles.kernel_dim_mod_p(rows, 64, 1) == 62
 
     def test_echelon_returns_reduced_rows_with_unit_pivots(self):
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 3)
         ech = _EchelonModP(p, 3)
         assert ech.insert([0, 2, 4]) == [0, 1, 2]
         assert ech.insert([0, p - 1, p - 2]) is None  # -1/2 times the first
@@ -236,18 +284,18 @@ class TestSlots:
         assert ech.rows == [(0, [1, 0, 0]), (1, [0, 1, 2])]
 
     def test_echelon_keeps_a_row_whose_packed_int_is_zero_mod_q(self):
-        # at Norton's q = 67 a slot is one word, and 2^64 = 17 (mod 67), so
-        # [50, 1] packs to 50 + 2^64 = 0 (mod 67) though it is not zero
+        # at Norton's q = 67, 2^64 = 17 (mod 67), so [50, 1] packs to
+        # 50 + 2^64 = 0 (mod 67) though it is not zero
         q = 67
-        assert _slot_words(2, q) == 1 and _pack([50, 1], 1) % q == 0
+        assert _pack([50, 1]) % q == 0
         ech = _EchelonModP(q, 2)
         assert ech.insert([50, 1]) == [1, pow(50, -1, q)]
-        assert _null_line([[50, 1], [100, 2]], 2, q) == [-pow(50, -1, q) % q, 1]
+        assert null_space_mod_p([[50, 1], [100, 2]], 2, q) == [(1, [-pow(50, -1, q) % q, 1])]
 
 
 class TestFixedCases:
     def test_unlucky_prime_overstates_the_kernel(self):
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 4)   # the prime of 2^2 unknowns
         gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
         assert not oracles.spans_full_mod_p(gens, 2, 1)
         assert _spans_full_mod_p(gens, 2, 1)  # Norton's test at q is not fooled
@@ -257,7 +305,7 @@ class TestFixedCases:
         assert kernel(rows).dim == 1
 
     def test_denominator_divisible_by_p_decides_nothing(self):
-        p, _ = _modulus(5)
+        p, _ = _modulus(5, 4)
         z = Scalar.zeta(5)
         x = oracles.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
         gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
@@ -292,12 +340,22 @@ def test_is_prime_matches_trial_division():
 
 
 def test_modulus_is_unchanged():
-    # (p, r) as found with trial division; a change alters every certificate
-    assert [_modulus(m) for m in range(1, 13)] == [
+    # (p, r) as found with trial division, at width 4, the widest whose
+    # slot fits one word below 2^31 (these were every system's primes before
+    # primes were sized to the width), and at width 16, a 4 x 4 commutant's:
+    # a change alters the primes each kernel is solved at, so the work of
+    # its walk and which primes are unlucky, though not the lifted bytes,
+    # as a reduced echelon basis is unique
+    assert [_modulus(m, 4) for m in range(1, 13)] == [
         (2147483647, 1), (2147483647, 2147483646), (2147483647, 1513477735),
         (2147483629, 1518275076), (2147483171, 2066432606), (2147483647, 1513477736),
         (2147483647, 1752599774), (2147483497, 291288225), (2147483647, 765383222),
         (2147483171, 566890146), (2147483647, 298192073), (2147483629, 1803057106)]
+    assert [_modulus(m, 16) for m in range(1, 13)] == [
+        (1073741789, 1), (1073741789, 1073741788), (1073741719, 1055852462),
+        (1073741789, 933053945), (1073741741, 1025510639), (1073741719, 1055852463),
+        (1073741789, 1069776153), (1073741689, 377067221), (1073741689, 182527787),
+        (1073741741, 1041006429), (1073741527, 804585327), (1073741689, 414888689)]
 
 
 def test_small_modulus_is_unchanged():
@@ -413,9 +471,10 @@ class TestFactorInteger:
 
 
 class TestLiftedKernel:
-    """``kernel`` solves modulo primes p = 1 (mod m), from the largest
-    below 2^31 down, and lifts the reduced basis: each case makes the walk
-    go past the first prime, and its bytes must be the exact kernel's."""
+    """``kernel`` solves modulo primes p = 1 (mod m), from the word-size
+    prime of the system's width down, and lifts the reduced basis: each case
+    makes the walk go past the first prime, and its bytes must be the exact
+    kernel's."""
 
     @staticmethod
     def walk(monkeypatch, a):
@@ -448,7 +507,7 @@ class TestLiftedKernel:
 
     @pytest.mark.parametrize("m", [1, 4, 5])
     def test_a_prime_in_a_row_denominator_is_skipped(self, monkeypatch, m):
-        p, _ = _modulus(m)
+        p, _ = _modulus(m, 3)
         x = oracles.from_coeffs(m, [Fraction(1, 3)] + [Fraction(2, p)] * (euler_phi(m) - 1)) \
             if m > 1 else Scalar.rational(Fraction(1, p))
         a = Matrix.build([[x, 1, 0], [0, 1, 1]], m)
@@ -458,7 +517,7 @@ class TestLiftedKernel:
     def test_a_pivot_minor_that_vanishes_mod_the_first_prime(self, monkeypatch):
         # mod p the rows agree, so the kernel mod p is a plane; the next
         # prime gives the line, whose smaller key starts the lift again
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 3)
         a = Matrix.build([[1, 1, 0], [1, 1 + p, 0]])
         ker, primes = self.walk(monkeypatch, a)
         assert ker.basis == ((Scalar.zero(), Scalar.zero(), Scalar.one()),)
@@ -467,7 +526,7 @@ class TestLiftedKernel:
     def test_a_prime_in_a_denominator_of_the_basis_gives_later_pivots(self, monkeypatch):
         # the kernel of [1, p] is spanned by (1, -1/p): mod p the row is
         # [1, 0], whose kernel (0, 1) has the same dimension and a later pivot
-        p, _ = _modulus(1)
+        p, _ = _modulus(1, 2)
         ker, primes = self.walk(monkeypatch, Matrix.build([[1, p]]))
         assert ker.basis == ((Scalar.one(), Scalar.rational(Fraction(-1, p))),)
         assert primes[0] == p and len(primes) >= 3   # 1/p needs more than one prime

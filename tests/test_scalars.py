@@ -10,6 +10,7 @@ from oracles import (
     FractionScalar,
     cyclotomic_polynomial_reference,
     from_coeffs,
+    scalar_from_json,
     scalar_from_json_reference,
     scalar_to_json_reference,
 )
@@ -130,25 +131,25 @@ def test_to_complex():
 
 def test_json_round_trip():
     a = from_coeffs(4, [Fraction(-3, 7), Fraction(5)])
-    assert Scalar.from_json(a.to_json(), 4) == a
+    assert scalar_from_json(a.to_json(), 4) == a
     r = Scalar.rational(Fraction(9, 2))
-    assert Scalar.from_json(r.to_json(), 1) == r
-    assert Scalar.from_json("-3/7", 1) == Scalar.rational(Fraction(-3, 7))
+    assert scalar_from_json(r.to_json(), 1) == r
+    assert scalar_from_json("-3/7", 1) == Scalar.rational(Fraction(-3, 7))
 
 
 @pytest.mark.parametrize("text", ["1e5", "1_0"])
 def test_scalar_grammar_rejects_exponents_and_underscores(text):
     with pytest.raises(ValueError):
-        Scalar.from_json(text, 1)
+        scalar_from_json(text, 1)
     with pytest.raises(ValueError):
-        Scalar.from_json(["0", text], 4)
+        scalar_from_json(["0", text], 4)
 
 
 def test_scalar_grammar_accepts_integers_fractions_and_decimals():
     for text, value in (("-3", -3), ("+3/4", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
                         (".5", Fraction(1, 2)), ("2.", 2), (7, 7)):
-        assert Scalar.from_json(text, 1) == value
-    assert Scalar.from_json(["1/2", "-0.5"], 4) == from_coeffs(4, ["1/2", "-1/2"])
+        assert scalar_from_json(text, 1) == value
+    assert scalar_from_json(["1/2", "-0.5"], 4) == from_coeffs(4, ["1/2", "-1/2"])
 
 
 @settings(max_examples=200)
@@ -156,11 +157,11 @@ def test_scalar_grammar_accepts_integers_fractions_and_decimals():
        st.one_of(st.none(), st.integers(1, 10 ** 12)), st.sampled_from([1, 4, 5]))
 def test_scalar_text_parses_as_fraction_does(sign, num, den, m):
     text = f"{sign}{num}" if den is None else f"{sign}{num:03d}/{den}"
-    got = Scalar.from_json(text, m)
+    got = scalar_from_json(text, m)
     assert got == Scalar.rational(Fraction(text), m)
     assert got.den > 0 and gcd(got.den, *got.num) == 1
     coeffs = [text, text][:euler_phi(m)]
-    assert Scalar.from_json(coeffs, m) == from_coeffs(m, coeffs)
+    assert scalar_from_json(coeffs, m) == from_coeffs(m, coeffs)
 
 
 RATIONAL_TEXTS = st.one_of(
@@ -184,7 +185,7 @@ def test_parse_numerators_matches_the_scalar_route(m, data):
     assert den > 0 and gcd(den, *num) == 1
     ref = scalar_from_json_reference(text, m)
     assert (num, den) == (ref.num, ref.den)
-    assert Scalar.from_json(text, m) == ref
+    assert scalar_from_json(text, m) == ref
 
 
 @pytest.mark.parametrize("data", ["1e5", ["0", "1/0"], 1.5, None, {"re": "1"},
@@ -199,7 +200,7 @@ def test_parse_numerators_refuses_as_the_scalar_route_does(data):
 def test_zero_denominator_is_an_error():
     for data in ("3/0", "-0/000", ["1", "2/0"]):
         with pytest.raises(ZeroDivisionError):
-            Scalar.from_json(data, 4)
+            scalar_from_json(data, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,7 @@ def test_arithmetic_matches_fraction_reference(case):
         _agrees(a / b, ra / rb)
         _agrees(b.inverse(), FractionScalar(m, [1]) / rb)
     assert (a == b) == (ra.coeffs == rb.coeffs)
-    assert a == Scalar.from_json(a.to_json(), m)
+    assert a == scalar_from_json(a.to_json(), m)
     assert (a == ca[0]) == (ra.coeffs == FractionScalar(m, [ca[0]]).coeffs)
 
 
@@ -318,7 +319,7 @@ def canonical_scalars(draw):
 @given(canonical_scalars())
 def test_to_json_matches_the_fraction_route(x):
     assert x.to_json() == scalar_to_json_reference(x)
-    assert Scalar.from_json(x.to_json(), x.m) == x
+    assert scalar_from_json(x.to_json(), x.m) == x
 
 
 def test_arithmetic_makes_no_fraction(monkeypatch):
