@@ -43,11 +43,14 @@ kernel and eigenvalue candidates, then a proof-grade fallback through the
 radical, the commutant, and polynomial factorisation over the field.  The
 modular certificate of M_N(K) runs once per module before it: in
 ``spin_algebra`` for the whole module, in ``decompose_irreducibles`` for
-each summand.  That factorisation (``factor_over_field``)
-follows Trager: the norm, an integer polynomial, is factored over Z by the
-package's own Zassenhaus algorithm (``modular.factor_integer``), and
-Euclid's algorithm on Scalar coefficients recovers the factors over the
-field; each factor q is evaluated at the element from the integer rows of
+each summand.  That factorisation (``factor_over_field``) follows Trager:
+the norm, an integer polynomial, is factored over Z by the package's own
+Zassenhaus algorithm (``modular.factor_integer``), and Euclid's algorithm
+over the field recovers the factors.  A polynomial over the field is a
+1 x (d + 1) Matrix, its coefficients low -> high as integer numerators over
+one denominator; Trager's shift and Euclid's gcd run on those numerators,
+each remainder a residue against the one exact echelon, so no Scalar is
+made; each factor q is evaluated at the element from the integer rows of
 its powers.  A returned subspace is always a genuine submodule; ``None`` is
 only returned with a proof of irreducibility over the field.
 """
@@ -57,7 +60,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
@@ -67,6 +69,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _EchelonSet,
+    _matrix,
     _product,
     _right_factor,
     _times,
@@ -83,7 +86,7 @@ from .modular import (
     factor_integer,
     null_space_mod_p,
 )
-from .scalars import Scalar, _canonical, conjugate_numerators, euler_phi, multiplication_matrix
+from .scalars import euler_phi, inverse_numerators, multiplication_matrix, power_numerators
 
 
 class NotSemisimpleError(Exception):
@@ -416,21 +419,20 @@ def invariant_complement(comm, sub: Subspace) -> Subspace:
 # polynomial factorisation over the coefficient field (Trager's norm method)
 
 
-def _norm(p, m: int) -> list:
+def _norm(p: Matrix, m: int) -> list:
     """Integer coefficients, low -> high, of a nonzero multiple of the norm
-    prod_k sigma_k(p) of p over Q(zeta_m): p's numerators over one
-    denominator, times each conjugate's over Z[zeta_m], coefficient by
-    coefficient through multiplication matrices.  The norm lies in Q[x], so
-    only each coefficient's first numerator can be nonzero."""
-    phi = euler_phi(m)
-    nums = Matrix.build([p], m).nums   # the coefficients as one row
+    prod_k sigma_k(p) of the row p over Q(zeta_m): p's numerators, times
+    each conjugate's over Z[zeta_m], coefficient by coefficient through
+    multiplication matrices.  The norm lies in Q[x], so only each
+    coefficient's first numerator can be nonzero."""
+    phi, nums = euler_phi(m), p.nums
     norm = nums
     for k in range(2, m):
         if gcd(k, m) != 1:
             continue
         out = [0] * (len(norm) + len(nums) - phi)
         for j in range(0, len(nums), phi):
-            y = conjugate_numerators(m, nums[j:j + phi], k)
+            y = power_numerators(m, nums[j:j + phi], k)
             if any(y):
                 for t, z in enumerate(_times(multiplication_matrix(m, y), norm, 0, phi), j):
                     out[t] += z
@@ -438,51 +440,48 @@ def _norm(p, m: int) -> list:
     return norm[::phi]
 
 
-def _shift(p, a: Scalar) -> list:
-    """The coefficients of p(x + a), by Horner's rule in x + a."""
-    out = [p[-1]]
-    for c in reversed(p[:-1]):
-        out = [c + a * out[0]] + [u + a * v for u, v in zip(out, out[1:])] + [out[-1]]
-    return out
+def _shift(p: Matrix, s: int) -> Matrix:
+    """The row of p(x + s zeta), zeta = zeta_m and phi(m) > 1, by Horner's
+    rule on p's numerators: s zeta is integral, so the denominator stays."""
+    m, phi, nums = p.m, euler_phi(p.m), p.nums
+    table = multiplication_matrix(m, [0, s] + [0] * (phi - 2))
+    out = nums[-phi:]
+    for t in range(len(nums) - 2 * phi, -1, -phi):   # c + (x + s zeta) out
+        out = list(map(operator.add, nums[t:t + phi] + out, _times(table, out, 0, phi) + [0] * phi))
+    return _matrix(1, p.cols, m, out, p.den)
 
 
-def _monic(p) -> list:
-    inv = p[-1].inverse()
-    return [c * inv for c in p[:-1]] + [Scalar.one(p[-1].m)]
-
-
-def _poly_rem(a, b) -> list:
-    """a mod b for a monic b, without trailing zero coefficients."""
-    a, db = list(a), len(b) - 1
-    for d in range(len(a) - 1, db - 1, -1):
-        c = a[d]
-        if c:
-            for j in range(db):
-                a[d - db + j] = a[d - db + j] - c * b[j]
-    rem = a[:db]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
-def _poly_gcd(a, b) -> list:
+def _poly_gcd(a: Matrix, b: Matrix) -> Matrix:
     """The monic gcd of a nonzero polynomial a and a monic b, by Euclid's
-    algorithm."""
+    algorithm on the rows' numerators.  Read highest coefficient first, a
+    mod b is the one vector of a + span(x^k b) that is zero at the leading
+    places of the x^k b, so a multiple of it is a's residue against their
+    echelon (``_EchelonSet``); the inverse of its leading coefficient
+    (``inverse_numerators``) makes it monic."""
+    m, phi = a.m, euler_phi(a.m)
     while True:
-        r = _poly_rem(a, b)
+        steps, b_desc = max(a.cols - b.cols + 1, 0), _reversed(b.nums, phi)
+        ech = _EchelonSet(a.cols, m)
+        for k in range(steps):
+            ech.insert([0] * (k * phi) + b_desc + [0] * ((steps - 1 - k) * phi))
+        r = _reversed(ech.residue(_reversed(a.nums, phi))[steps * phi:], phi)
+        while r and not any(r[-phi:]):
+            r = r[:-phi]
         if not r:
             return b
-        a, b = b, _monic(r)
+        y, d = inverse_numerators(m, r[-phi:])
+        a, b = b, _matrix(1, len(r) // phi, m, _times(multiplication_matrix(m, y), r, 0, phi), d)
 
 
-def factor_over_field(coeffs, m: int):
+def factor_over_field(coeffs: Matrix, m: int):
     """Irreducible monic factors (with multiplicity) of a monic polynomial
     over K = Q(zeta_m), by Trager's norm method (Trager, "Algebraic factoring
     and rational function integration", SYMSAC 1976).
 
-    ``coeffs`` are Scalar coefficients, low -> high.  Returns a list of
-    (factor_coeffs_low_to_high, multiplicity), sorted by degree and then by
-    coefficients.
+    ``coeffs`` is the polynomial's row, a 1 x (d + 1) Matrix over K with its
+    coefficients low -> high.  Returns a list of (factor row, multiplicity),
+    sorted by degree and then by coefficients.  Everything runs on the rows'
+    integer numerators, and no Scalar is made.
 
     For s = 0, 1, 2, ... the shift p_s(x) = p(x + s zeta) has the norm
     N_s = prod_k sigma_k(p_s) over the phi(m) automorphisms sigma_k: zeta ->
@@ -510,29 +509,32 @@ def factor_over_field(coeffs, m: int):
     s = (alpha - beta) / (zeta - zeta^l): at most d^2 (phi(m) - 1) shifts
     fail, d = deg p.  When phi(m) = 1, N_0 = p and q = r / lead(r).
     """
-    phi, d = euler_phi(m), len(coeffs) - 1
-    zeta = Scalar.zeta(m)
+    phi, d = euler_phi(m), coeffs.cols - 1
     for s in range(d * d * (phi - 1) + 1):
-        ps = _shift(coeffs, zeta * s) if s else coeffs
+        ps = _shift(coeffs, s) if s else coeffs
         _, factors = factor_integer(_norm(ps, m))
         out = []
         for r, mult in factors:
-            rk = [Scalar.rational(Fraction(c, r[-1]), m) for c in r]
+            # r / lead(r) over K: each coefficient's first numerator
+            lead, nums = r[-1], [0] * (len(r) * phi)
+            nums[::phi] = r if lead > 0 else [-c for c in r]
+            rk = _matrix(1, len(r), m, nums, abs(lead))
             q = rk if phi == 1 else _poly_gcd(ps, rk)
-            if phi * (len(q) - 1) != len(r) - 1:
+            if phi * (q.cols - 1) != len(r) - 1:
                 break
-            out.append((_shift(q, zeta * -s) if s else q, mult))
+            out.append((_shift(q, -s) if s else q, mult))
         else:
-            out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
+            out.sort(key=lambda t: (t[0].cols, t[0].sort_key()))
             return out
     raise ArithmeticError(f"no shift s <= {d * d * (phi - 1)} separates the norm")
 
 
 def minimal_polynomial(f: Matrix):
-    """(coeffs, powers, den): the monic minimal polynomial of f, Scalar
-    coefficients low -> high, of degree d, and the integer rows it was
-    solved on, powers[i] the numerators of (den f)^i for i < d (row-major,
-    phi(m) per entry), den the common denominator of f's entries.
+    """(coeffs, powers, den): the monic minimal polynomial of f, of degree
+    d, as its row (a 1 x (d + 1) Matrix, coefficients low -> high, as
+    ``factor_over_field`` takes it), and the integer rows it was solved
+    on, powers[i] the numerators of (den f)^i for i < d (row-major, phi(m)
+    per entry), den the common denominator of f's entries.
 
     The powers are spun into one echelon on integer rows, as in
     ``_spin_exact`` (w to w (den f) by ``_product``), until (den f)^d is
@@ -541,7 +543,8 @@ def minimal_polynomial(f: Matrix):
     (den f)^d + sum v_i (den f)^i = 0 is the kernel of the powers' entries
     at the echelon's pivot columns, where the earlier powers are
     independent, so it is one line, whose echelon vector has v_d = 1 when
-    v_d is the first unknown; then the coefficients are v_i / den^(d - i).
+    v_d is the first unknown; then the coefficients are v_i / den^(d - i),
+    over den^d the numerators of v_i times den^i.
     """
     n, m, den = f.rows, f.m, f.den
     phi = euler_phi(m)
@@ -554,8 +557,8 @@ def minimal_polynomial(f: Matrix):
     # unknowns v_d, ..., v_0: the kernel's echelon vector has v_d = 1
     rows = [x for j in ech.pivots for w in [last] + powers[::-1] for x in w[j * phi:(j + 1) * phi]]
     (v,) = kernel(Matrix(len(ech.pivots), d + 1, m, rows)).matrices(1, d + 1)
-    return [_canonical(m, tuple(v.nums[(d - i) * phi:(d - i + 1) * phi]), v.den * den ** (d - i))
-            for i in range(d + 1)], powers, den
+    nums = [x * den ** i for i in range(d + 1) for x in v.nums[(d - i) * phi:(d - i + 1) * phi]]
+    return _matrix(1, d + 1, m, nums, v.den * den ** d), powers, den
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +590,13 @@ def _split_by_element(f: Matrix, n: int, m: int):
     coeffs, powers, den = minimal_polynomial(f)
     phi = euler_phi(m)
     for fc, _ in factor_over_field(coeffs, m):
-        k = len(fc) - 1
+        k = fc.cols - 1
         if k == len(powers):
             continue   # q is the minimal polynomial: q(f) = 0
         # q(f) den^k = sum c_i den^(k - i) (den f)^i, an integer product of
-        # the scaled coefficient row and the powers as rows
-        nums = Matrix.build([fc], m).nums   # the coefficients as one row
-        row = [x * den ** (k - t // phi) for t, x in enumerate(nums)]
+        # the scaled coefficient row and the powers as rows (times fc.den,
+        # which leaves the kernel as it is)
+        row = [x * den ** (k - t // phi) for t, x in enumerate(fc.nums)]
         pf = _product(row, 1, _right_factor([x for w in powers[:k + 1] for x in w], n * n, m))
         kp = kernel(Matrix(n, n, m, pf))
         if 0 < kp.dim < n:

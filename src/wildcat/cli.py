@@ -105,12 +105,11 @@ class Report:
 
 
 def _matrix_text(mat: Matrix):
-    return ["    [" + "  ".join(repr(x) for x in mat.row(i)) + "]"
-            for i in range(mat.rows)]
+    return ["    [" + "  ".join(mat.row(i)) + "]" for i in range(mat.rows)]
 
 
 def _vector_text(row) -> str:
-    return "(" + ", ".join(repr(x) for x in row) + ")"
+    return "(" + ", ".join(row) + ")"
 
 
 def _levi_text(blocks):

@@ -10,10 +10,10 @@ each distinct encoding once to (numerators, den): the memo key is the
 conductor and the JSON value with each element's type (``true == 1`` in
 Python, but only ``1`` parses).  Only successes are stored, so every bad
 entry is reported at its own path, in document order; entries may share a
-numerator tuple, which no code mutates.  Matrices and grading bases are laid
-over one denominator by ``linalg.over_lcm`` and written by
-``Matrix.to_json``; only a Stokes circle's coefficients become Scalars.  A
-JSON path is formatted only for an error.
+numerator tuple, which no code mutates.  Matrices, grading bases and a
+Stokes circle's coefficients (1 x 1 matrices) are laid over one denominator
+by ``linalg.over_lcm`` and written by ``Matrix.to_json``, so no Scalar is
+made.  A JSON path is formatted only for an error.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Optional
 
 from .engine import FramedPoint, SingularMatrixError
 from .linalg import Grading, Matrix, over_lcm
-from .scalars import Scalar, euler_phi, parse_numerators
-from .stokes import Circle, IrregularClass, WildSurface
+from .scalars import euler_phi, parse_numerators
+from .stokes import Circle, IrregularClass, WildSurface, promote
 from .twists import Automorphism, TwistedElement
 
 
@@ -231,7 +231,7 @@ def _parse_stokes(reader: _Reader, data, m) -> Optional[WildSurface]:
                 if not isinstance(pair, list) or len(pair) != 2 or not _is_int(pair[0]):
                     reader.fail(kpath, "expected [exponent, coefficient]")
                     continue
-                coeffs.append((pair[0], Scalar(m, *reader.entry(pair[1], m, kpath, 1))))
+                coeffs.append((pair[0], over_lcm(1, 1, m, [reader.entry(pair[1], m, kpath, 1)])))
             if reader.errors:
                 continue
             try:
@@ -336,7 +336,7 @@ def render_instance(inst: InstanceFile) -> dict:
             "genus": ws.genus,
             "n": ws.n,
             "punctures": [{"circles": [{"ram": c.ram,
-                                        "coeffs": [[j, a.promote(m).to_json()]
+                                        "coeffs": [[j, promote(a, m).to_json()[0][0]]
                                                    for j, a in c.coeffs],
                                         "multiplicity": c.multiplicity}
                                        for c in cls.circles]}

@@ -7,10 +7,12 @@ is canonical, so equal matrices store equal numbers, and equality, zero and
 the identity are read off the numerators in place.  Every operation is
 integer work on them ending in at most one gcd.  Matrices act on column
 vectors.  Matrix text is read to numerators (``scalars.parse_numerators``)
-laid over one denominator (``over_lcm``) and written by ``Matrix.to_json``,
-with no Scalar.  Scalars are made by ``Matrix.build`` (tests, polynomial
-rows) and the text views ``row`` and ``[i, j]``.  A ``Subspace`` keeps the
-integer rows of its echelon and makes its Scalar ``basis`` only when read.
+laid over one denominator (``over_lcm``) and written by ``Matrix.to_json``;
+the display views ``row``, ``[i, j]``, ``Subspace.basis`` and ``repr``
+print each entry's numerators by ``scalars.entry_text``.  No Scalar is made
+here: a field element outside a matrix is a Matrix too, a polynomial a row
+and a Stokes coefficient a 1 x 1.  A ``Subspace`` keeps the integer rows of
+its echelon.
 
 There is one integer product, ``_product``: it reads the left factor's
 numerators as stored, and the right factor b as the columns of zeta^s b,
@@ -66,22 +68,14 @@ from typing import Optional
 
 from .modular import lift_kernel
 from .scalars import (
-    Scalar,
-    _canonical,
     _rational_text,
     _reduction_terms,
+    entry_text,
     euler_phi,
     inverse_numerators,
     multiplication_matrix,
     parse_numerators,
 )
-
-
-def _scalars(nums, den: int, m: int, phi: int, start: int, stop: int) -> tuple:
-    """Entries start .. stop of the entries with these numerators over den,
-    as canonical Scalars."""
-    return tuple([_canonical(m, tuple(nums[t:t + phi]), den)
-                  for t in range(start * phi, stop * phi, phi)])
 
 
 def _times(table: list, v: list, s: int, phi: int) -> list:
@@ -334,7 +328,7 @@ class Matrix:
     """A matrix over Q(zeta_m): row-major power-basis numerators, phi(m) per
     entry, over one positive denominator with no common factor (module
     docstring).  The constructor takes a canonical form as given;
-    ``build`` makes one from entries."""
+    ``_matrix`` and ``over_lcm`` make one."""
 
     __slots__ = ("rows", "cols", "m", "nums", "den", "_inverse", "_right")
 
@@ -350,29 +344,6 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def build(rows, m: Optional[int] = None) -> "Matrix":
-        """Matrix of nested rows in one field: that of its Scalar entries, or ``m``.
-
-        Ints and Fractions lift into the field; entries of two fields, or of a
-        field other than an explicit ``m``, raise ValueError.  The entries are
-        laid over one denominator by ``over_lcm``.
-        """
-        data = [list(row) for row in rows]
-        nr = len(data)
-        nc = len(data[0]) if nr else 0
-        if any(len(row) != nc for row in data):
-            raise ValueError("ragged matrix rows")
-        flat = [x for row in data for x in row]
-        fields = {x.m for x in flat if isinstance(x, Scalar)}
-        if m is not None:
-            fields.add(m)
-        if len(fields) > 1:
-            raise ValueError(f"entries from fields of conductors {sorted(fields)}")
-        m = fields.pop() if fields else 1
-        flat = [x if isinstance(x, Scalar) else Scalar.rational(x, m) for x in flat]
-        return over_lcm(nr, nc, m, [(x.num, x.den) for x in flat])
-
-    @staticmethod
     @lru_cache(maxsize=None)
     def identity(n: int, m: int = 1) -> "Matrix":
         """The n x n identity over Q(zeta_m), one shared object per (n, m):
@@ -386,16 +357,18 @@ class Matrix:
     def zero(rows: int, cols: int, m: int = 1) -> "Matrix":
         return Matrix(rows, cols, m, [0] * (rows * cols * euler_phi(m)))
 
-    # -- Scalar views --------------------------------------------------------
+    # -- text views ----------------------------------------------------------
+
+    def row(self, i: int) -> tuple:
+        """The display texts of row i's entries (``scalars.entry_text``)."""
+        phi = euler_phi(self.m)
+        w = self.cols * phi
+        return tuple([entry_text(self.m, self.nums[t:t + phi], self.den)
+                      for t in range(i * w, (i + 1) * w, phi)])
 
     def __getitem__(self, ij):
         i, j = ij
-        k = i * self.cols + j
-        return _scalars(self.nums, self.den, self.m, euler_phi(self.m), k, k + 1)[0]
-
-    def row(self, i: int) -> tuple:
-        return _scalars(self.nums, self.den, self.m, euler_phi(self.m),
-                        i * self.cols, (i + 1) * self.cols)
+        return self.row(i)[j]
 
     # -- integer views and reshaping -------------------------------------------
 
@@ -478,12 +451,10 @@ class Matrix:
         return Matrix(self.rows, self.cols, self.m, [-x for x in self.nums], self.den)
 
     def scale(self, c) -> "Matrix":
-        """c times self, c an int, a Fraction or a Scalar of the field."""
-        c = c if isinstance(c, Scalar) else Scalar.rational(c, self.m)
-        if c.m != self.m:
-            raise ValueError(f"a scalar and a matrix over conductors {sorted({c.m, self.m})}")
-        nums = _times(multiplication_matrix(self.m, c.num), self.nums, 0, euler_phi(self.m))
-        return _matrix(self.rows, self.cols, self.m, nums, self.den * c.den)
+        """c times self, c an int or a Fraction."""
+        c = Fraction(c)
+        return _matrix(self.rows, self.cols, self.m, [x * c.numerator for x in self.nums],
+                       self.den * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product, exact and canonical: one integer ``_product`` of the
@@ -561,11 +532,19 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(" + "; ".join(
-            "[" + ", ".join(repr(x) for x in self.row(i)) + "]" for i in range(self.rows)) + ")"
+            "[" + ", ".join(self.row(i)) + "]" for i in range(self.rows)) + ")"
+
+    def sort_key(self) -> tuple:
+        """Deterministic order on matrices of one shape: each entry's
+        coefficients as Fractions, row-major."""
+        phi = euler_phi(self.m)
+        return tuple([tuple([Fraction(x, self.den) for x in self.nums[t:t + phi]])
+                      for t in range(0, len(self.nums), phi)])
 
     def to_json(self):
-        """The one matrix writer: each entry's coefficients as ``Scalar.to_json``
-        prints them, since p / den in lowest terms is the coefficient p' / d'."""
+        """The one matrix writer: each entry's coefficients as text, "p" or
+        "p/q" in lowest terms (p / den reduced by one gcd), one text per
+        entry over Q and a list of phi(m) texts per entry otherwise."""
         phi, den = euler_phi(self.m), self.den
         texts = [_rational_text(x, den) for x in self.nums]
         if self.m != 1:  # a list of phi(m) texts per entry, as for Q(zeta_2) = Q
@@ -697,10 +676,9 @@ class Subspace:
 
     @property
     def basis(self) -> tuple:
-        """The canonical echelon rows as tuples of Scalars."""
-        ech = self._echelon
-        return tuple(_scalars(nums, den, ech.m, ech.phi, 0, self.ambient_dim)
-                     for nums, den in ech.reduced_rows())
+        """The display texts of the canonical echelon rows (``Matrix.row``)."""
+        rows = self.matrix
+        return tuple(rows.row(i) for i in range(rows.rows))
 
     @property
     def matrix(self) -> Matrix:
@@ -723,11 +701,7 @@ class Subspace:
 
     def sort_key(self):
         """Deterministic order on subspaces of one ambient space."""
-        key, phi = [self.dim], self._echelon.phi
-        for nums, den in self._echelon.reduced_rows():
-            key += [tuple([Fraction(x, den) for x in nums[t:t + phi]])
-                    for t in range(0, len(nums), phi)]
-        return tuple(key)
+        return (self.dim,) + self.matrix.sort_key()
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

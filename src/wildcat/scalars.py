@@ -1,42 +1,30 @@
-"""Exact scalars: rationals and cyclotomic field elements.
+"""Exact scalars: elements of cyclotomic fields as integer numerators.
 
-A Scalar is an element of Q(zeta_m) for a conductor m >= 1, written in the
-power basis 1, zeta_m, ..., zeta_m^(phi(m)-1) as integer numerators ``num``
-(a tuple of length phi(m)) over one common denominator ``den``.  The form is
-canonical: ``den > 0`` and ``gcd(den, *num) == 1``, so zero is (0, ..., 0)
-over 1 and two elements are equal exactly when their numerators and
-denominators are.  m = 1 is plain Q.
+An element of Q(zeta_m), for a conductor m >= 1, is written in the power
+basis 1, zeta_m, ..., zeta_m^(phi(m)-1) as integer numerators (phi(m) of
+them) over one common denominator.  m = 1 is plain Q.  This is the one form
+a field element takes in computation: a ``linalg.Matrix`` stores its entries
+so, over one denominator, and a polynomial over the field
+(``algebra.factor_over_field``) and a Stokes coefficient (``stokes.Circle``)
+are Matrices, a row and a 1 x 1.  The integer tools here work on those
+numerators: ``multiplication_matrix`` and ``inverse_numerators`` multiply and
+invert, ``power_numerators`` maps zeta to a power of a root of unity (a
+conjugation, an embedding into a larger field, and a product with a root of
+unity alike), ``parse_numerators`` is the one scalar-text parser, and
+``entry_text`` the one writer of an element's display text.
 
-Matrices do no Scalar arithmetic: a ``linalg.Matrix`` keeps its entries'
-numerators over one denominator and works on them with the integer tools
-here (``multiplication_matrix``, ``inverse_numerators``, ``_reduce``), and
-its text is read by ``parse_numerators``, the one scalar-text parser, with
-no Scalar.  Scalars are made for a Stokes circle's coefficients (their
-sheets' directions read a float image, ``to_complex``), the polynomial
-coefficients of ``algebra.factor_over_field`` (Euclid's algorithm over the
-field), and the text views ``Matrix.row``, ``Subspace.basis`` and ``repr``.
-
-Products are integer convolutions reduced by the monic integer cyclotomic
-polynomial and normalised by one gcd; sums and differences are taken over
-the lcm of the denominators.  No Fraction is made by + - * == ``is_zero`` or
-``to_json``; ``coeffs`` gives the Fraction coefficients for printing and
-other cold readers.  Arithmetic lifts ints and Fractions into the field of
-the Scalar they meet; two Scalars of different conductors raise ValueError.
-
-One conductor is fixed per problem instance.  ``promote``, the one
-explicit way to move an element into a larger field Q(zeta_M), M a
-multiple of m, is needed only where a Stokes instance's field grows: a
-circle's coefficients are parsed in the declared field and promoted into
-the field of the class's ramification when its sheets are expanded, and
-into the instance's field when the instance is rendered.
-
-There is no floating point anywhere in the arithmetic.  ``to_complex`` gives
-a float image for display and for direction angles only.
+``Scalar`` is that form as an object with its own conductor and arithmetic:
+products are integer convolutions reduced by the monic integer cyclotomic
+polynomial and normalised by one gcd, and sums and differences are taken
+over the lcm of the denominators.  No library computation makes one: it is
+the reference route that the tests compare the numerator tools against
+(``tests/oracles.py``), and its product is what the benchmark counts.  Its
+``repr`` is ``entry_text``.  There is no floating point anywhere in the
+arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -131,13 +119,16 @@ def inverse_numerators(m: int, num) -> tuple:
     return (y, prev) if prev > 0 else ([-c for c in y], -prev)
 
 
-def conjugate_numerators(m: int, num, k: int) -> tuple:
-    """The numerators of the image of the element with numerators num under
-    zeta_m -> zeta_m^k, k prime to m: a unimodular integer map, so the
-    image's numerators have num's content."""
+def power_numerators(m: int, num, k: int, shift: int = 0) -> tuple:
+    """The numerators in Q(zeta_m) of sum_j num_j zeta_m^(j k + shift): for
+    k prime to m and shift 0, the conjugate of the element with numerators
+    num under zeta_m -> zeta_m^k; for k = m / m0, the element of Q(zeta_m0)
+    with numerators num in the larger field, times zeta_m^shift.  Each is a
+    unimodular map or an embedding of the integers, so the image's
+    numerators have num's content."""
     out = [0] * m
     for j, x in enumerate(num):
-        out[j * k % m] += x
+        out[(j * k + shift) % m] += x
     return _reduce(out, m)
 
 
@@ -154,6 +145,22 @@ def _rational_text(p: int, q: int) -> str:
     """p / q (q > 0) in lowest terms, as ``str`` of its Fraction prints it."""
     g = gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def entry_text(m: int, num, den: int) -> str:
+    """The display text of the element with numerators num over den (den >
+    0) in Q(zeta_m): a rational as "p" or "p/q" in lowest terms, else its
+    nonzero terms "c*zm^j" joined by " + ", with "zm" for zeta_m^1 and
+    "zm" or "(-zm)" for a coefficient 1 or -1.  Each coefficient is reduced
+    by one gcd, so num / den need not be canonical."""
+    if not any(num[1:]):
+        return _rational_text(num[0], den)
+    parts = [] if not num[0] else [_rational_text(num[0], den)]
+    for j, x in enumerate(num[1:], 1):
+        if x:
+            c, zp = _rational_text(x, den), f"z{m}" if j == 1 else f"z{m}^{j}"
+            parts.append(zp if c == "1" else f"(-{zp})" if c == "-1" else f"{c}*{zp}")
+    return " + ".join(parts)
 
 
 # the scalar grammar of instance files: integers, fractions and plain decimals
@@ -195,8 +202,9 @@ def parse_numerators(data, m: int) -> tuple:
 
 
 class Scalar:
-    """An element of Q(zeta_m): integer numerators over one denominator.  The
-    constructor takes a canonical form as given; ``_canonical`` makes one."""
+    """An element of Q(zeta_m) with its own arithmetic (module docstring):
+    integer numerators over one denominator.  The constructor takes a
+    canonical form as given; ``_canonical`` makes one."""
 
     __slots__ = ("m", "num", "den")
 
@@ -205,55 +213,21 @@ class Scalar:
         self.num = num
         self.den = den
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
     def rational(value, m: int = 1) -> "Scalar":
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return Scalar(m, (q.numerator,) + (0,) * (euler_phi(m) - 1), q.denominator)
 
     @staticmethod
-    def zero(m: int = 1) -> "Scalar":
-        return Scalar(m, (0,) * euler_phi(m))
-
-    @staticmethod
     def one(m: int = 1) -> "Scalar":
         return Scalar.rational(1, m)
-
-    @staticmethod
-    def zeta(m: int, power: int = 1) -> "Scalar":
-        """zeta_m ** power as an element of Q(zeta_m)."""
-        power %= m
-        num = [0] * (power + 1)
-        num[power] = 1
-        return Scalar(m, _reduce(num, m))
-
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coefficients as Fractions."""
-        return tuple(Fraction(x, self.den) for x in self.num)
-
-    # -- conductor handling ------------------------------------------------
-
-    def promote(self, m_new: int) -> "Scalar":
-        """Embed into Q(zeta_M) for a multiple M of the own conductor."""
-        if m_new == self.m:
-            return self
-        if m_new % self.m != 0:
-            raise ValueError(f"cannot embed conductor {self.m} into {m_new}")
-        step = m_new // self.m
-        out = [0] * (euler_phi(self.m) * step + 1)
-        for j, x in enumerate(self.num):
-            out[j * step] += x
-        return _canonical(m_new, _reduce(out, m_new), self.den)
 
     def _pair(self, other) -> "Scalar":
         """The other operand in this field: ints and Fractions lift, other
         fields raise ValueError, and anything else TypeError."""
         if isinstance(other, Scalar):
             if other.m != self.m:
-                raise ValueError(f"scalars of conductors {self.m} and {other.m} meet; "
-                                 "promote one explicitly")
+                raise ValueError(f"scalars of conductors {self.m} and {other.m} meet")
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other, self.m)
@@ -299,16 +273,13 @@ class Scalar:
     def __truediv__(self, other):
         return self * self._pair(other).inverse()
 
-    # -- predicates and conversions ---------------------------------------
+    # -- predicates and text ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not any(self.num)
 
     def __bool__(self):
         return any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def __eq__(self, other):
         try:
@@ -319,30 +290,5 @@ class Scalar:
 
     __hash__ = None  # equality lifts ints and Fractions, which hash differently
 
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.m)
-        # int / int is correctly rounded, as Fraction.__float__ is
-        return sum(complex(x / self.den) * z**j for j, x in enumerate(self.num))
-
     def __repr__(self):
-        if self.m == 1 or self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                zp = f"z{self.m}" if j == 1 else f"z{self.m}^{j}"
-                parts.append(zp if c == 1 else f"(-{zp})" if c == -1 else f"{c}*{zp}")
-        return " + ".join(parts) if parts else "0"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        """The coefficients as text, "p" or "p/q" in lowest terms: one string
-        over Q, else a list of phi(m), each reduced by one gcd."""
-        if self.m == 1:  # canonical: num / den is in lowest terms
-            return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
-        return [_rational_text(x, self.den) for x in self.num]
+        return entry_text(self.m, self.num, self.den)

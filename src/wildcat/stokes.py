@@ -8,6 +8,10 @@ Conventions (fixed here once and used consistently everywhere):
   q = sum a_j z^(-j/r) is q_l = sum a_j zeta_r^(jl) w^(-jR/r).  The sheets
   are expanded once per class, over the class's own field, when the class
   is built (``IrregularClass.sheets``); every later step reads them there.
+  A coefficient a_j, and a sheet's, is a 1 x 1 Matrix in its own field:
+  integer numerators over one denominator, as every field element is, and
+  no Scalar is made.  ``promote`` is its one change of field, one map of
+  its numerators that also multiplies by a root of unity.
 * Directions are measured on the cover circle.  A pair of sheets with
   difference leading term a w^(-s) supports maximal decay of e^(q_i - q_j)
   where cos(Arg(a) - s theta) = -1, i.e. at the s directions
@@ -45,7 +49,7 @@ from typing import Optional
 
 from .engine import FramedPoint
 from .linalg import Grading, Matrix, _matrix, kernel, linear_solve, sandwich_rows
-from .scalars import Scalar, euler_phi
+from .scalars import euler_phi, power_numerators
 from .twists import TwistedElement
 
 ANGLE_TOL = 1e-9
@@ -72,7 +76,7 @@ class Circle:
     """One Stokes circle: q = sum a_j z^(-j/r), with multiplicity."""
 
     ram: int
-    coeffs: list                  # list of (exponent j >= 1, Scalar a_j), a_j != 0
+    coeffs: list                  # list of (exponent j >= 1, a_j a nonzero 1 x 1 Matrix)
     multiplicity: int = 1
 
     def __post_init__(self):
@@ -87,7 +91,6 @@ class Circle:
             if j in seen:
                 raise ValueError("repeated exponent in circle")
             seen.add(j)
-            a = a if isinstance(a, Scalar) else Scalar.rational(Fraction(a))
             if a.is_zero():
                 raise ValueError("zero coefficient in circle")
             cleaned.append((j, a))
@@ -146,9 +149,16 @@ class WildSurface:
 @dataclass
 class Sheet:
     circle_index: int
-    q: dict                       # cover exponent -> Scalar coefficient
+    q: dict                       # cover exponent -> coefficient, 1 x 1, in the class's field
     start: int                    # first fibre coordinate of the sheet block
     size: int                     # block size = circle multiplicity
+
+
+def promote(a: Matrix, m: int, power: int = 0) -> Matrix:
+    """The 1 x 1 matrix a over Q(zeta_m), m a multiple of a's conductor,
+    times zeta_m^power: one map of a's numerators (``power_numerators``),
+    which keeps their content, so the form stays canonical."""
+    return Matrix(1, 1, m, list(power_numerators(m, a.nums, m // a.m, power)), a.den)
 
 
 def expand_sheets(cls: IrregularClass):
@@ -164,8 +174,7 @@ def expand_sheets(cls: IrregularClass):
         for leaf in range(c.ram):
             q = {}
             for j, a in c.coeffs:
-                zeta_pow = Scalar.zeta(m, (m // c.ram) * ((j * leaf) % c.ram))
-                q[j * step] = a.promote(m) * zeta_pow
+                q[j * step] = promote(a, m, (m // c.ram) * ((j * leaf) % c.ram))
             sheets.append(Sheet(ci, q, start, c.multiplicity))
             start += c.multiplicity
     return sheets
@@ -174,8 +183,9 @@ def expand_sheets(cls: IrregularClass):
 def _q_difference(sa: Sheet, sb: Sheet, m: int):
     """Leading term of q_a - q_b as (level, coefficient), or None if equal."""
     exps = sorted(set(sa.q) | set(sb.q), reverse=True)
+    zero = Matrix.zero(1, 1, m)
     for e in exps:
-        delta = sa.q.get(e, Scalar.zero(m)) - sb.q.get(e, Scalar.zero(m))
+        delta = sa.q.get(e, zero) - sb.q.get(e, zero)
         if not delta.is_zero():
             return e, delta
     return None
@@ -196,13 +206,15 @@ def singular_directions(cls: IrregularClass):
     there.  Sorted by (theta, pair).
     """
     m = cls.conductor()
+    z = cmath.exp(2j * cmath.pi / m)
     out = []
     for i, sa in enumerate(cls.sheets):
         for j, sb in enumerate(cls.sheets):
             if i == j:
                 continue
             level, coeff = _q_difference(sa, sb, m)
-            arg = cmath.phase(coeff.to_complex())
+            # the angle of coeff's float image (int / int is correctly rounded)
+            arg = cmath.phase(sum(complex(x / coeff.den) * z**t for t, x in enumerate(coeff.nums)))
             for k in range(level):
                 theta = (arg + math.pi + 2 * math.pi * k) / level
                 theta %= 2 * math.pi
@@ -430,7 +442,7 @@ def _random_block(rng, rows: int, cols: int, m: int, invertible: bool) -> Matrix
     """A rows x cols block of random entries num / den, num in -2..2 and den
     1 or (one time in four) 2, drawn row by row, num first: numerators over
     the lcm of the drawn denominators, less their common factor, with no
-    Fraction or Scalar made."""
+    Fraction made."""
     phi = euler_phi(m)
     while True:
         draws = [(rng.randint(-2, 2), rng.choice([1, 1, 1, 2])) for _ in range(rows * cols)]

@@ -102,6 +102,17 @@ of the two:
 * ``factor_over_field_reference``: sympy's ``factor_list`` over
   ``QQ.algebraic_field(exp(2 pi i / m))`` (the library factors the norm over
   Z and recovers the factors by gcds over Q(zeta_m));
+* ``factor_over_field_scalar``: Trager's method by the Scalar route, the
+  shift, the monic polynomial, the remainder and Euclid's gcd over the field
+  on lists of Scalars (the library runs them on the integer numerators of
+  1 x (d + 1) rows);
+* ``sheets_reference`` and ``singular_directions_reference``: a Stokes
+  class's sheets and direction incidences by the Scalar route, each circle
+  coefficient promoted and multiplied by a Scalar power of zeta, and each
+  angle read off ``to_complex`` of a Scalar difference (the library keeps
+  the coefficients as 1 x 1 matrices, maps their numerators once with
+  ``stokes.promote``, and reads the angle off the difference's numerators;
+  the floats must be equal);
 * ``factor_integer_reference``: sympy's ``dup_factor_list`` over ZZ (the
   library factors over Z by its own Zassenhaus algorithm, in
   ``wildcat.modular``);
@@ -113,11 +124,19 @@ of the two:
   Appl. 1984), one determinant and no spin (``is_stable`` decides
   stability from the spun algebra, the commutant and the MeatAxe).
 
+No library computation makes a Scalar; the tests make and read them here.
 ``from_coeffs`` builds the Scalar sum c_j zeta_m^j from any number of
 rational coefficients with the field's own arithmetic, for the tests that
-write scalars as coefficient lists; ``from_entries`` builds a Matrix of
-any shape, the empty ones included, from its Scalar entries, and
-``entries`` and ``col`` read them back.
+write scalars as coefficient lists, and ``zero``, ``zeta``, ``coeffs``,
+``is_rational``, ``promote_scalar``, ``to_complex`` and ``scalar_to_json``
+are the Scalar constructors and readers only tests use.  ``build`` makes a
+Matrix of nested rows of Scalars, ints and Fractions (the library makes
+its matrices from numerators), ``from_entries`` one of any shape, the
+empty ones included, ``element`` a 1 x 1 one, as a Stokes coefficient is;
+``entries``, ``scalar_row``, ``scalar_entry``, ``col`` and
+``scalar_basis`` read a Matrix's entries and a Subspace's echelon rows
+back as Scalars (the library's ``row``, ``[i, j]`` and ``basis`` print
+them as text).
 
 The rest is API that only the tests need, kept here rather than in the
 library: the framing-group action ``act``, under which every verdict is
@@ -134,6 +153,7 @@ one Scalar read from its text (the library reads text to numerators,
 """
 
 import cmath
+import math
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
@@ -142,6 +162,7 @@ from operator import mul
 
 from wildcat.algebra import (
     MatrixAlgebra,
+    _norm,
     _norton_elements,
     _norton_images,
     _spin_left,
@@ -151,17 +172,20 @@ from wildcat.algebra import (
     spin_algebra,
 )
 from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
-from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _matrix, kernel, stack
-from wildcat.modular import _charpoly_mod, _horner_mod, _image_map, _modulus
+from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _matrix, kernel, over_lcm, stack
+from wildcat.modular import _charpoly_mod, _horner_mod, _image_map, _modulus, factor_integer
 from wildcat.scalars import (
     Scalar,
     _canonical,
     _parse_rational,
+    _rational_text,
+    _reduce,
     cyclotomic_polynomial,
     euler_phi,
     multiplication_matrix,
     parse_numerators,
 )
+from wildcat.stokes import ANGLE_TOL
 from wildcat.twists import Automorphism, TwistedElement, embed_doubled, transpose_inverse
 
 
@@ -219,13 +243,110 @@ class ScalarEchelon:
         return len(self.rows)
 
 
+def zero(m: int = 1) -> Scalar:
+    return Scalar(m, (0,) * euler_phi(m))
+
+
+def zeta(m: int, power: int = 1) -> Scalar:
+    """zeta_m ** power as an element of Q(zeta_m)."""
+    power %= m
+    num = [0] * (power + 1)
+    num[power] = 1
+    return Scalar(m, _reduce(num, m))
+
+
+def coeffs(x: Scalar) -> tuple:
+    """The power-basis coefficients of x as Fractions."""
+    return tuple(Fraction(c, x.den) for c in x.num)
+
+
+def is_rational(x: Scalar) -> bool:
+    return not any(x.num[1:])
+
+
+def promote_scalar(x: Scalar, m_new: int) -> Scalar:
+    """x embedded into Q(zeta_M), M = m_new a multiple of x's conductor,
+    by the Scalar route: each power zeta_m^j written as zeta_M^(j M / m)."""
+    if m_new % x.m != 0:
+        raise ValueError(f"cannot embed conductor {x.m} into {m_new}")
+    step = m_new // x.m
+    out = [0] * (euler_phi(x.m) * step + 1)
+    for j, c in enumerate(x.num):
+        out[j * step] += c
+    return _canonical(m_new, _reduce(out, m_new), x.den)
+
+
+def to_complex(x: Scalar) -> complex:
+    """The float image of x (int / int is correctly rounded, as
+    Fraction.__float__ is)."""
+    z = cmath.exp(2j * cmath.pi / x.m)
+    return sum(complex(c / x.den) * z**j for j, c in enumerate(x.num))
+
+
+def scalar_to_json(x: Scalar):
+    """The coefficients of x as text, "p" or "p/q" in lowest terms: one
+    string over Q, else a list of phi(m)."""
+    if x.m == 1:
+        return str(x.num[0]) if x.den == 1 else f"{x.num[0]}/{x.den}"
+    return [_rational_text(c, x.den) for c in x.num]
+
+
+def _scalars(a: Matrix, start: int, stop: int) -> tuple:
+    """a's entries start .. stop, row-major, as canonical Scalars."""
+    phi = euler_phi(a.m)
+    return tuple(_canonical(a.m, tuple(a.nums[t:t + phi]), a.den)
+                 for t in range(start * phi, stop * phi, phi))
+
+
 def entries(a: Matrix) -> tuple:
     """a's entries, row-major, as canonical Scalars."""
-    return tuple(x for i in range(a.rows) for x in a.row(i))
+    return _scalars(a, 0, a.rows * a.cols)
+
+
+def scalar_row(a: Matrix, i: int) -> tuple:
+    return _scalars(a, i * a.cols, (i + 1) * a.cols)
+
+
+def scalar_entry(a: Matrix, i: int, j: int) -> Scalar:
+    return _scalars(a, i * a.cols + j, i * a.cols + j + 1)[0]
 
 
 def col(a: Matrix, j: int) -> tuple:
-    return tuple(a[i, j] for i in range(a.rows))
+    return entries(a)[j::a.cols] if a.cols else ()
+
+
+def scalar_basis(sub: Subspace) -> tuple:
+    """The canonical echelon rows of sub as tuples of Scalars."""
+    rows = sub.matrix
+    return tuple(scalar_row(rows, i) for i in range(rows.rows))
+
+
+def element(x, m: int = 1) -> Matrix:
+    """The 1 x 1 Matrix of a Scalar, or of an int or a Fraction in Q(zeta_m)."""
+    return build([[x]], m if not isinstance(x, Scalar) else x.m)
+
+
+def build(rows, m=None) -> Matrix:
+    """Matrix of nested rows in one field: that of its Scalar entries, or ``m``.
+
+    Ints and Fractions lift into the field; entries of two fields, or of a
+    field other than an explicit ``m``, raise ValueError.  The entries are
+    laid over one denominator by ``over_lcm``.
+    """
+    data = [list(row) for row in rows]
+    nr = len(data)
+    nc = len(data[0]) if nr else 0
+    if any(len(row) != nc for row in data):
+        raise ValueError("ragged matrix rows")
+    flat = [x for row in data for x in row]
+    fields = {x.m for x in flat if isinstance(x, Scalar)}
+    if m is not None:
+        fields.add(m)
+    if len(fields) > 1:
+        raise ValueError(f"entries from fields of conductors {sorted(fields)}")
+    m = fields.pop() if fields else 1
+    flat = [x if isinstance(x, Scalar) else Scalar.rational(x, m) for x in flat]
+    return over_lcm(nr, nc, m, [(x.num, x.den) for x in flat])
 
 
 def from_entries(rows: int, cols: int, values, m: int) -> Matrix:
@@ -233,7 +354,7 @@ def from_entries(rows: int, cols: int, values, m: int) -> Matrix:
     values = list(values)
     if not rows:
         return Matrix.zero(0, cols, m)
-    return Matrix.build([values[i * cols:(i + 1) * cols] for i in range(rows)], m)
+    return build([values[i * cols:(i + 1) * cols] for i in range(rows)], m)
 
 
 def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
@@ -254,7 +375,7 @@ def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
                 if x:
                     term = x * be[t * p + j]
                     s = term if s is None else s + term
-            out.append(s if s is not None else Scalar.zero(a.m))
+            out.append(s if s is not None else zero(a.m))
     return from_entries(n, p, out, a.m)
 
 
@@ -270,7 +391,8 @@ def scale_reference(a: Matrix, c) -> Matrix:
 
 
 def transpose_reference(a: Matrix) -> Matrix:
-    return from_entries(a.cols, a.rows, [a[i, j] for j in range(a.cols) for i in range(a.rows)],
+    return from_entries(a.cols, a.rows,
+                        [scalar_entry(a, i, j) for j in range(a.cols) for i in range(a.rows)],
                         a.m)
 
 
@@ -279,13 +401,13 @@ def place_reference(a: Matrix, row: int, col: int, block: Matrix) -> Matrix:
     out = list(entries(a))
     for i in range(block.rows):
         for j in range(block.cols):
-            out[(row + i) * a.cols + col + j] = block[i, j]
+            out[(row + i) * a.cols + col + j] = scalar_entry(block, i, j)
     return from_entries(a.rows, a.cols, out, a.m)
 
 
 def scalar_to_json_reference(x: Scalar):
     """``Scalar.to_json`` through the Fraction coefficients."""
-    return str(x.coeffs[0]) if x.m == 1 else [str(c) for c in x.coeffs]
+    return str(coeffs(x)[0]) if x.m == 1 else [str(c) for c in coeffs(x)]
 
 
 def scalar_from_json_reference(data, m: int) -> Scalar:
@@ -347,7 +469,7 @@ def block_support_violation_reference(mat: Matrix, sheets, allowed_blocks,
     allowed = set(allowed_blocks)
     for r in range(n):
         for c in range(n):
-            if probe[r, c] and (block_of[r], block_of[c]) not in allowed:
+            if scalar_entry(probe, r, c) and (block_of[r], block_of[c]) not in allowed:
                 return (r, c)
     return None
 
@@ -357,16 +479,16 @@ def sandwich_rows_reference(terms, rows: int, cols: int, m: int) -> list:
     cols matrix of unknowns flattened row-major, one Scalar product and sum
     per nonzero pair of entries of L and R (a term is (L, R, transposed), a
     transposed one contributing L.X^T.R, and None is the identity)."""
-    zero, one = Scalar.zero(m), Scalar.one(m)
+    nil, one = zero(m), Scalar.one(m)
     out = None
     for left, right, transposed in terms:
         inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
         height = inner_rows if left is None else left.rows
         width = inner_cols if right is None else right.cols
         if out is None:
-            out = [[zero] * (rows * cols) for _ in range(height * width)]
+            out = [[nil] * (rows * cols) for _ in range(height * width)]
         lefts = [[(r, one)] if left is None else
-                 [(a, x) for a, x in enumerate(left.row(r)) if x] for r in range(height)]
+                 [(a, x) for a, x in enumerate(scalar_row(left, r)) if x] for r in range(height)]
         rights = [[(c, one)] if right is None else
                   [(b, y) for b, y in enumerate(col(right, c)) if y] for c in range(width)]
         for r in range(height):
@@ -385,7 +507,7 @@ def kernel_reference(rows, width: int, m: int) -> list:
     ech, out = ScalarEchelon(width, rows), ScalarEchelon(width)
     for f in range(width):
         if f not in ech.pivots:
-            v = [Scalar.zero(m)] * width
+            v = [zero(m)] * width
             v[f] = Scalar.one(m)
             for row, piv in zip(ech.rows, ech.pivots):
                 v[piv] = -row[f]
@@ -421,21 +543,22 @@ def linear_solve_reference(a: Matrix, b: Matrix):
     """(X, kernel rows) with a X = b and X zero at the free columns, or
     (None, kernel rows) when there is no solution, on ``ScalarEchelon``."""
     n, m = a.cols, a.m
-    ech = ScalarEchelon(n + b.cols, [list(a.row(i) + b.row(i)) for i in range(a.rows)])
-    ker = kernel_reference([list(a.row(i)) for i in range(a.rows)], n, m)
+    ech = ScalarEchelon(n + b.cols,
+                        [list(scalar_row(a, i) + scalar_row(b, i)) for i in range(a.rows)])
+    ker = kernel_reference([list(scalar_row(a, i)) for i in range(a.rows)], n, m)
     if any(piv >= n for piv in ech.pivots):
         return None, ker
-    xs = [[Scalar.zero(m)] * b.cols for _ in range(n)]
+    xs = [[zero(m)] * b.cols for _ in range(n)]
     for row, piv in zip(ech.rows, ech.pivots):
         xs[piv] = row[n:]
-    return Matrix.build(xs, m), ker
+    return build(xs, m), ker
 
 
 def inverse_reference(a: Matrix) -> Matrix:
     """a^-1, read off the echelon form of [a | 1] on ``ScalarEchelon``."""
     n, m = a.rows, a.m
     one = Matrix.identity(n, m)
-    ech = ScalarEchelon(2 * n, [list(a.row(i) + one.row(i)) for i in range(n)])
+    ech = ScalarEchelon(2 * n, [list(scalar_row(a, i) + scalar_row(one, i)) for i in range(n)])
     if ech.pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return from_entries(n, n, [x for row in ech.rows for x in row[n:]], m)
@@ -523,8 +646,8 @@ def minimal_polynomial_left(f: Matrix):
     rows = [x for t in range(0, n * n * phi, phi) for w in [last] + powers[::-1]
             for x in w[t:t + phi]]
     (v,) = kernel(Matrix(n * n, d + 1, m, rows)).matrices(1, d + 1)
-    return [_canonical(m, tuple(v.nums[(d - i) * phi:(d - i + 1) * phi]), v.den * den ** (d - i))
-            for i in range(d + 1)], powers, den
+    return build([[_canonical(m, tuple(v.nums[(d - i) * phi:(d - i + 1) * phi]),
+                              v.den * den ** (d - i)) for i in range(d + 1)]], m), powers, den
 
 
 def complement_reference(generators, sub: Subspace) -> Subspace:
@@ -535,24 +658,24 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     n, d = sub.ambient_dim, sub.dim
     m = generators[0].m
     units = Matrix.identity(n, m)
-    full = ScalarEchelon(n, sub.basis)
-    extra = [units.row(j) for j in range(n) if full.add(units.row(j))]
-    f_inv_t = inverse_reference(Matrix.build(list(sub.basis) + extra).transpose())
-    bottom = Matrix.build([f_inv_t.row(i) for i in range(d, n)])
-    fixed = Matrix.build(sub.basis).transpose()
+    full = ScalarEchelon(n, scalar_basis(sub))
+    extra = [scalar_row(units, j) for j in range(n) if full.add(scalar_row(units, j))]
+    f_inv_t = inverse_reference(build(list(scalar_basis(sub)) + extra).transpose())
+    bottom = build([scalar_row(f_inv_t, i) for i in range(d, n)])
+    fixed = build(scalar_basis(sub)).transpose()
     rows = sandwich_rows_reference([(bottom, None, False)], n, n, m)
-    rhs = [Scalar.zero(m)] * len(rows)
+    rhs = [zero(m)] * len(rows)
     rows += sandwich_rows_reference([(None, fixed, False)], n, n, m)
     rhs += entries(fixed)
     for g in generators:
         commuting = sandwich_rows_reference([(None, g, False), (-g, None, False)], n, n, m)
         rows += commuting
-        rhs += [Scalar.zero(m)] * len(commuting)
-    sol, _ = linear_solve_reference(Matrix.build(rows, m), Matrix.build([[x] for x in rhs], m))
+        rhs += [zero(m)] * len(commuting)
+    sol, _ = linear_solve_reference(build(rows, m), build([[x] for x in rhs], m))
     if sol is None:
         return None
     proj = sol.reshape(n, n)
-    return from_vectors(n, kernel_reference([list(proj.row(i)) for i in range(n)], n, m))
+    return from_vectors(n, kernel_reference([list(scalar_row(proj, i)) for i in range(n)], n, m))
 
 
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
@@ -594,7 +717,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     # tau[l] = trace of left multiplication by basis element l
     tau = []
     for l in range(d):
-        s = Scalar.zero(m)
+        s = zero(m)
         for k in range(d):
             s = s + struct[l][k][k]
         tau.append(s)
@@ -602,7 +725,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     for i in range(d):
         row = []
         for j in range(d):
-            s = Scalar.zero(m)
+            s = zero(m)
             for l in range(d):
                 c = struct[i][j][l]
                 if c:
@@ -614,7 +737,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
         elem = Matrix.zero(n, n, m)
         for c, b in zip(coeffs, alg.basis):
             if c:
-                elem = elem + b.scale(c)
+                elem = elem + scale_reference(b, c)
         rows.append(list(entries(elem)))
     radical = from_vectors(n * n, rows)
     nilpotency_index(radical, n)
@@ -644,14 +767,14 @@ def nilpotency_index(radical: Subspace, n: int) -> int:
 def weight_projectors(g: Grading) -> list:
     """Projector onto each piece along the others: B . sel . B^-1."""
     n = g.ambient_dim
-    b = Matrix.build([v for _, basis in pieces_of(g) for v in basis]).transpose()
+    b = build([v for _, basis in pieces_of(g) for v in basis]).transpose()
     binv = inverse_reference(b)
     m = b.m
     out = []
     start = 0
     for _, basis in pieces_of(g):
         d = len(basis)
-        sel = Matrix.build([[1 if (i == j and start <= i < start + d) else 0
+        sel = build([[1 if (i == j and start <= i < start + d) else 0
                              for j in range(n)] for i in range(n)], m)
         out.append(b @ sel @ binv)
         start += d
@@ -709,10 +832,10 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
         for _, q in per_grading:
             for r in range(n):
                 for c in range(n):
-                    row = [Scalar.zero(m)] * (n * n)
+                    row = [zero(m)] * (n * n)
                     for k in range(n):
-                        row[r * n + k] = row[r * n + k] + q[k, c]
-                        row[k * n + c] = row[k * n + c] - q[r, k]
+                        row[r * n + k] = row[r * n + k] + scalar_entry(q, k, c)
+                        row[k * n + c] = row[k * n + c] - scalar_entry(q, r, k)
                     rows.append(row)
     for x in p.loops:
         g = x.g
@@ -720,19 +843,19 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
         inner_inv = inverse_reference(x.phi.inner)
         for r in range(n):
             for c in range(n):
-                row = [Scalar.zero(m)] * (n * n)
+                row = [zero(m)] * (n * n)
                 for k in range(n):
-                    row[r * n + k] = row[r * n + k] + g[k, c]
+                    row[r * n + k] = row[r * n + k] + scalar_entry(g, k, c)
                 for a in range(n):
-                    if not ga[r, a]:
+                    if not scalar_entry(ga, r, a):
                         continue
                     for b in range(n):
-                        f = inner_inv[b, c]
+                        f = scalar_entry(inner_inv, b, c)
                         if f:
                             if x.phi.outer:
-                                row[b * n + a] = row[b * n + a] + ga[r, a] * f
+                                row[b * n + a] = row[b * n + a] + scalar_entry(ga, r, a) * f
                             else:
-                                row[a * n + b] = row[a * n + b] - ga[r, a] * f
+                                row[a * n + b] = row[a * n + b] - scalar_entry(ga, r, a) * f
                 rows.append(row)
     if not rows:
         return n * n
@@ -948,8 +1071,8 @@ def norton_reference(generators, n: int, m: int) -> bool:
 
 def from_coeffs(m: int, coeffs) -> Scalar:
     """sum c_j zeta_m^j in Q(zeta_m), for ints, Fractions or their text."""
-    return sum((Scalar.rational(Fraction(c), m) * Scalar.zeta(m, j)
-                for j, c in enumerate(coeffs)), Scalar.zero(m))
+    return sum((Scalar.rational(Fraction(c), m) * zeta(m, j)
+                for j, c in enumerate(coeffs)), zero(m))
 
 
 @lru_cache(maxsize=None)
@@ -961,10 +1084,11 @@ def _sympy_field(m: int):
     return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / m))
 
 
-def factor_over_field_reference(coeffs, m: int):
-    """The monic irreducible factors over Q(zeta_m) with their multiplicities,
-    from sympy's ``factor_list`` over the algebraic field, sorted as
-    ``factor_over_field`` sorts them."""
+def factor_over_field_reference(poly: Matrix, m: int):
+    """The monic irreducible factors over Q(zeta_m), as rows, with their
+    multiplicities, of the polynomial with row ``poly``, from sympy's
+    ``factor_list`` over the algebraic field, sorted as ``factor_over_field``
+    sorts them."""
     import sympy
 
     dom = _sympy_field(m)
@@ -980,13 +1104,106 @@ def factor_over_field_reference(coeffs, m: int):
         return from_coeffs(m, [Fraction(int(c.numerator), int(c.denominator))
                                for c in reversed(val.to_list())])
 
-    poly = sympy.Poly([to_domain(c) for c in reversed(coeffs)], sympy.symbols("x"), domain=dom)
+    poly = sympy.Poly([to_domain(c) for c in reversed(entries(poly))], sympy.symbols("x"),
+                      domain=dom)
     out = []
     for f, mult in poly.factor_list()[1]:
         fc = [to_scalar(c) for c in reversed(f.rep.to_list())]
-        out.append(([c / fc[-1] for c in fc], mult))
-    out.sort(key=lambda t: (len(t[0]), [tuple(c.coeffs) for c in t[0]]))
+        out.append((build([[c / fc[-1] for c in fc]], m), mult))
+    out.sort(key=lambda t: (t[0].cols, [tuple(coeffs(c)) for c in entries(t[0])]))
     return out
+
+
+def _shift_scalar(p, a: Scalar) -> list:
+    """The coefficients of p(x + a), by Horner's rule in x + a."""
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = [c + a * out[0]] + [u + a * v for u, v in zip(out, out[1:])] + [out[-1]]
+    return out
+
+
+def _poly_rem_scalar(a, b) -> list:
+    """a mod b for a monic b, without trailing zero coefficients."""
+    a, db = list(a), len(b) - 1
+    for d in range(len(a) - 1, db - 1, -1):
+        c = a[d]
+        if c:
+            for j in range(db):
+                a[d - db + j] = a[d - db + j] - c * b[j]
+    rem = a[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _poly_gcd_scalar(a, b) -> list:
+    """The monic gcd of a nonzero polynomial a and a monic b, by Euclid's
+    algorithm, each remainder made monic by one Scalar inverse."""
+    while True:
+        r = _poly_rem_scalar(a, b)
+        if not r:
+            return b
+        inv = r[-1].inverse()
+        a, b = b, [c * inv for c in r]
+
+
+def factor_over_field_scalar(poly: Matrix, m: int):
+    """``factor_over_field`` by the Scalar route: the same shifts and the
+    same norms, factored over Z by the package, with the shift, the monic
+    polynomial, the remainder and Euclid's gcd over the field in Scalar
+    arithmetic, one Scalar per coefficient (the library runs them on the
+    rows' integer numerators).  The factors are returned as rows."""
+    phi, p = euler_phi(m), list(entries(poly))
+    d = len(p) - 1
+    for s in range(d * d * (phi - 1) + 1):
+        ps = _shift_scalar(p, zeta(m) * s) if s else p
+        _, factors = factor_integer(_norm(build([ps], m), m))
+        out = []
+        for r, mult in factors:
+            rk = [Scalar.rational(Fraction(c, r[-1]), m) for c in r]
+            q = rk if phi == 1 else _poly_gcd_scalar(ps, rk)
+            if phi * (len(q) - 1) != len(r) - 1:
+                break
+            out.append((build([_shift_scalar(q, zeta(m) * -s) if s else q], m), mult))
+        else:
+            out.sort(key=lambda t: (t[0].cols, [tuple(coeffs(c)) for c in entries(t[0])]))
+            return out
+    raise ArithmeticError(f"no shift s <= {d * d * (phi - 1)} separates the norm")
+
+
+def sheets_reference(cls) -> list:
+    """Each sheet's q of an IrregularClass as {cover exponent: Scalar}, by
+    the Scalar route: a circle's coefficient promoted into the class's
+    field and multiplied by a Scalar power of zeta (``stokes.promote`` maps
+    the numerators once)."""
+    m, big_r, out = cls.conductor(), cls.cover_degree(), []
+    for c in cls.circles:
+        for leaf in range(c.ram):
+            out.append({j * (big_r // c.ram): promote_scalar(entries(a)[0], m)
+                        * zeta(m, (m // c.ram) * ((j * leaf) % c.ram)) for j, a in c.coeffs})
+    return out
+
+
+def singular_directions_reference(cls) -> list:
+    """(theta, pair, level) of every singular direction incidence of an
+    IrregularClass, sorted by (theta, pair), by the Scalar route: the
+    sheets' difference in Scalars, its angle from ``to_complex``."""
+    m, sheets, out = cls.conductor(), sheets_reference(cls), []
+    for i, qa in enumerate(sheets):
+        for j, qb in enumerate(sheets):
+            if i == j:
+                continue
+            for level in sorted(set(qa) | set(qb), reverse=True):
+                delta = qa.get(level, zero(m)) - qb.get(level, zero(m))
+                if not delta.is_zero():
+                    break
+            arg = cmath.phase(to_complex(delta))
+            for k in range(level):
+                theta = (arg + math.pi + 2 * math.pi * k) / level % (2 * math.pi)
+                if theta > 2 * math.pi - ANGLE_TOL:
+                    theta = 0.0
+                out.append((theta, (i, j), Fraction(level)))
+    return sorted(out, key=lambda d: (d[0], d[1]))
 
 
 def factor_integer_reference(f):
@@ -1019,19 +1236,19 @@ def shares_an_eigenvector(a, b) -> bool:
 
 def mul_vector(a: Matrix, v) -> tuple:
     """a v for a vector v of Scalars (or ints and Fractions) in a's field."""
-    return entries(a @ Matrix.build([[x] for x in v], a.m))
+    return entries(a @ build([[x] for x in v], a.m))
 
 
 def contains(sub: Subspace, vector) -> bool:
-    return not any(sub._echelon.residue(Matrix.build([vector], sub._echelon.m).nums))
+    return not any(sub._echelon.residue(build([vector], sub._echelon.m).nums))
 
 
 def coordinates(sub: Subspace, vector):
     """Coordinates of vector in the echelon basis (its pivot entries), or None."""
     if not contains(sub, vector):
         return None
-    row = Matrix.build([vector], sub._echelon.m)
-    return tuple(row[0, p] for p in sub.pivots)
+    row = build([vector], sub._echelon.m)
+    return tuple(scalar_entry(row, 0, p) for p in sub.pivots)
 
 
 def intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -1050,7 +1267,7 @@ def from_vectors(ambient_dim: int, vectors) -> Subspace:
     """The span in K^ambient_dim of vectors of Scalars in one field (ints
     and Fractions lift into it)."""
     vectors = list(vectors)
-    return Subspace.span(Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+    return Subspace.span(build(vectors) if vectors else Matrix.zero(0, ambient_dim))
 
 
 def scalar_from_json(data, m: int) -> Scalar:
@@ -1066,14 +1283,14 @@ def from_pieces(ambient_dim: int, pieces) -> Grading:
     if any(len(v) != ambient_dim for v in vectors) or len(vectors) != ambient_dim:
         raise ValueError("grading pieces do not have total dimension n")
     return Grading([w for w, _ in pieces], [len(basis) for _, basis in pieces],
-                   Matrix.build(vectors) if vectors else Matrix.zero(0, ambient_dim))
+                   build(vectors) if vectors else Matrix.zero(0, ambient_dim))
 
 
 def pieces_of(g: Grading) -> list:
     """(weight, basis vectors as tuples of Scalars) per piece of g."""
     out, start = [], 0
     for weight, size in zip(g.weights, g.sizes):
-        out.append((weight, [g.basis.row(i) for i in range(start, start + size)]))
+        out.append((weight, [scalar_row(g.basis, i) for i in range(start, start + size)]))
         start += size
     return out
 
@@ -1129,12 +1346,12 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
             # the connector's coordinates on the image are its pivot rows
             moved = pn.connectors[i - 1] @ block.matrix.transpose()
             image = from_vectors(pn.n, [col(moved, j) for j in range(nb)])
-            connectors.append(Matrix.build([moved.row(q) for q in image.pivots]))
+            connectors.append(build([scalar_row(moved, q) for q in image.pivots]))
         pieces = []
         for (w, basis) in pieces_of(grading):
             inter = intersection(from_vectors(pn.n, basis), image)
             if inter.dim:
-                pieces.append((w, [coordinates(image, v) for v in inter.basis]))
+                pieces.append((w, [coordinates(image, v) for v in scalar_basis(inter)]))
         gradings.append(from_pieces(nb, pieces))
     return FramedPoint(nb, gradings, connectors, loops)
 
@@ -1147,13 +1364,13 @@ def act(h, p: FramedPoint) -> FramedPoint:
     if len(h) != p.m:
         raise ValueError("need one group element per grading")
     m = p.conductor()
-    hs = [Matrix.build([[x.promote(m) for x in elt.row(i)] for i in range(elt.rows)], m)
+    hs = [build([[promote_scalar(x, m) for x in scalar_row(elt, i)] for i in range(elt.rows)], m)
           for elt in h]
     for i, (elt, grading) in enumerate(zip(hs, p.gradings)):
         if not elt.is_invertible():
             raise ValueError(f"group element {i + 1} is not invertible")
         for piece in piece_subspaces(grading):
-            for v in piece.basis:
+            for v in scalar_basis(piece):
                 if not contains(piece, mul_vector(elt, v)):
                     raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
     h1, h1inv = hs[0], hs[0].inverse()

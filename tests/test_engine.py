@@ -44,6 +44,7 @@ from test_linalg import echelon_inputs
 
 from oracles import (
     act,
+    build,
     commutant_radical_dim,
     complement_reference,
     entries,
@@ -55,18 +56,23 @@ from oracles import (
     galois_generators_reference,
     minimal_polynomial_left,
     pieces_of,
+    promote_scalar,
     radical_oracle,
     restrict_point,
+    scalar_basis,
+    scalar_entry,
+    scalar_row,
     shares_an_eigenvector,
     sigma,
     spin_algebra_left,
     spin_subspace_left,
     stabilizer_lie_dim_commutant,
+    zeta,
 )
 
-J = Matrix.build([[1, 1], [0, 1]])
-SWAP = Matrix.build([[0, 1], [1, 0]])
-DIAG = Matrix.build([[1, 0], [0, -1]])
+J = build([[1, 1], [0, 1]])
+SWAP = build([[0, 1], [1, 0]])
+DIAG = build([[1, 0], [0, -1]])
 
 
 def simple_point(loops, n=2, gradings=None, connectors=None):
@@ -76,12 +82,12 @@ def simple_point(loops, n=2, gradings=None, connectors=None):
 
 def coordinate_grading(n, m=1):
     ident = Matrix.identity(n, m)
-    return from_pieces(n, [((i,), [ident.row(i)]) for i in range(n)])
+    return from_pieces(n, [((i,), [scalar_row(ident, i)]) for i in range(n)])
 
 
 def rand_invertible(rng, n, lo=-2, hi=2):
     while True:
-        m = Matrix.build([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+        m = build([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
             return m
 
@@ -94,9 +100,9 @@ def rand_block_diag(rng, sizes):
         b = rand_invertible(rng, s)
         for r in range(s):
             for c in range(s):
-                out[start + r][start + c] = b[r, c]
+                out[start + r][start + c] = scalar_entry(b, r, c)
         start += s
-    return Matrix.build(out)
+    return build(out)
 
 
 def generic_twisted_point(rng, n, m):
@@ -106,7 +112,7 @@ def generic_twisted_point(rng, n, m):
     def entry():
         x = Scalar.rational(rng.choice((-2, -1, 1, 2)), m)
         if m > 1:
-            x = x + Scalar.rational(rng.choice((-1, 1)), m) * Scalar.zeta(m, rng.randrange(1, euler_phi(m)))
+            x = x + Scalar.rational(rng.choice((-1, 1)), m) * zeta(m, rng.randrange(1, euler_phi(m)))
         return x
 
     def invertible():
@@ -140,15 +146,15 @@ class TestGaloisGenerators:
     def test_torus_only_gives_its_weight_operator(self):
         g = from_pieces(2, [((2,), [(1, 0)]), ((-1,), [(0, 1)])])
         p = FramedPoint(2, [g], [], [])
-        assert galois_generators(p) == [Matrix.build([[2, 0], [0, -1]])]
+        assert galois_generators(p) == [build([[2, 0], [0, -1]])]
 
     def test_transported_projectors(self):
         # the weight operator diag(1, 0), moved to the basepoint as C^-1 X C:
         # the projector onto the weight 1 line along the transported 0 line
-        c2 = Matrix.build([[1, 1], [0, 1]])
+        c2 = build([[1, 1], [0, 1]])
         g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [Grading.trivial(2), g], [c2], [])
-        assert galois_generators(p) == [Matrix.build([[1, 1], [0, 0]])]
+        assert galois_generators(p) == [build([[1, 1], [0, 0]])]
 
     def test_scalars_and_repeats_dropped(self):
         two = Matrix.identity(2).scale(Fraction(2))
@@ -162,7 +168,7 @@ class TestGaloisGenerators:
         loops = [sig, TwistedElement.plain(Matrix.identity(2).scale(-1)),
                  TwistedElement.plain(two), sig]
         gens = galois_generators(simple_point(loops))
-        assert len(gens) == 2 and gens[1][0, 0] == 2
+        assert len(gens) == 2 and scalar_entry(gens[1], 0, 0) == 2
 
     def test_unnormalized_rejected(self):
         p = simple_point([TwistedElement(J, Automorphism(J, False))])
@@ -178,9 +184,9 @@ class TestGaloisGenerators:
         sig = TwistedElement(Matrix.identity(2), sigma(2))
         p = FramedPoint(2, [g], [], [sig])
         gens = galois_generators(p)
-        torus = Matrix.build([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        torus = build([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
         assert gens[1:] == [torus]
-        joint = [Matrix.build([[int(i == j and i in rows) for j in range(4)] for i in range(4)])
+        joint = [build([[int(i == j and i in rows) for j in range(4)] for i in range(4)])
                  for rows in ((0, 3), (1, 2))]
         assert spin_algebra([torus]).basis == spin_algebra(joint).basis
         assert spin_algebra([torus]).dim == 2
@@ -195,15 +201,15 @@ class TestPolystable:
         assert (w @ w).is_zero() and not w.is_zero()
 
     def test_diagonal_polystable(self):
-        rep = is_polystable(simple_point([TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))]))
+        rep = is_polystable(simple_point([TwistedElement.plain(build([[2, 0], [0, 3]]))]))
         assert rep.polystable and rep.radical_witness is None
 
     def test_unipotent_with_inner_twist(self):
         # unipotent group parts, each twisted by conjugation with its own inverse:
         # the adjoint action is trivial, so the point is polystable; dropping the
         # twists leaves a unipotent tuple, which is not
-        for n, root in ((2, Matrix.build([[0, 1], [0, 0]])),
-                        (3, Matrix.build([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))):
+        for n, root in ((2, build([[0, 1], [0, 0]])),
+                        (3, build([[0, 0, 1], [0, 0, 0], [0, 0, 0]]))):
             gs = [Matrix.identity(n) + root, Matrix.identity(n) + root.scale(Fraction(2))]
             twisted = [TwistedElement(g, Automorphism(g.inverse(), False)) for g in gs]
             assert is_polystable(simple_point(twisted, n=n)).polystable
@@ -218,7 +224,7 @@ class TestDimensions:
 
     def test_diagonal_commutant(self):
         assert stabilizer_lie_dim(simple_point(
-            [TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))])) == 2
+            [TwistedElement.plain(build([[2, 0], [0, 3]]))])) == 2
 
     def test_jordan_commutant(self):
         assert stabilizer_lie_dim(simple_point([TwistedElement.plain(J)])) == 2
@@ -244,7 +250,7 @@ class TestStable:
         assert rep.invariant_subspace_witness is None
 
     def test_diagonal_not_stable(self):
-        rep = is_stable(simple_point([TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))]))
+        rep = is_stable(simple_point([TwistedElement.plain(build([[2, 0], [0, 3]]))]))
         assert rep.polystable and not rep.stable
         assert rep.invariant_subspace_witness is not None
         assert rep.invariant_subspace_witness.dim == 1
@@ -258,8 +264,8 @@ class TestStable:
         # an isotypic module whose End M_2(Q(i)) has dimension 8 and the
         # field Q(i) as centre; a commutant basis element splits it, so no
         # element of the centre is needed
-        rot = Matrix.build([[0, -1], [1, 0]])
-        lower = Matrix.build([[1, 0, 0, 0], [1, 1, 0, 0], [0, -1, 1, 0], [2, 0, 1, 1]])
+        rot = build([[0, -1], [1, 0]])
+        lower = build([[1, 0, 0, 0], [1, 1, 0, 0], [0, -1, 1, 0], [2, 0, 1, 1]])
         p = lower @ lower.transpose()
         g = p @ Matrix.zero(4, 4).place(0, 0, rot).place(2, 2, rot) @ p.inverse()
         comm = commutant([g], 4)
@@ -279,8 +285,8 @@ class TestStable:
                 if a * d - b * c]
         verdicts = Counter()
         for x, y in itertools.combinations(mats, 2):
-            rep = is_stable(simple_point([TwistedElement.plain(Matrix.build(x)),
-                                          TwistedElement.plain(Matrix.build(y))]))
+            rep = is_stable(simple_point([TwistedElement.plain(build(x)),
+                                          TwistedElement.plain(build(y))]))
             assert rep.stable == (not shares_an_eigenvector(x, y)), (x, y)
             verdicts[rep.stabilizer_dim if rep.polystable else None] += 1
         assert verdicts == {1: 904, 2: 123, 4: 1, None: 100}
@@ -298,11 +304,11 @@ class TestLevi:
     def test_finest_eigen_decomposition(self):
         # the three eigenlines of diag(2,2,3); their isotypic sums are the
         # 2-dimensional eigenplane and the remaining line
-        p = simple_point([TwistedElement.plain(Matrix.build(
+        p = simple_point([TwistedElement.plain(build(
             [[2, 0, 0], [0, 2, 0], [0, 0, 3]]))], n=3)
         blocks = levi_reduction(p)
         assert [b.dim for b in blocks] == [1, 1, 1]
-        assert from_vectors(3, [v for b in blocks for v in b.basis]).dim == 3
+        assert from_vectors(3, [v for b in blocks for v in scalar_basis(b)]).dim == 3
 
     def test_irreducible_whole_space(self):
         p = simple_point([TwistedElement.plain(SWAP), TwistedElement.plain(DIAG)])
@@ -310,7 +316,7 @@ class TestLevi:
         assert len(blocks) == 1 and blocks[0].dim == 2
 
     def test_single_diagonal(self):
-        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))])
+        p = simple_point([TwistedElement.plain(build([[2, 0], [0, 3]]))])
         blocks = levi_reduction(p)
         assert [b.dim for b in blocks] == [1, 1]
 
@@ -324,14 +330,14 @@ class TestLevi:
             levi_reduction(simple_point([sig]))
 
     def test_blocks_reanalyze_stable(self):
-        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))])
+        p = simple_point([TwistedElement.plain(build([[2, 0], [0, 3]]))])
         for block in levi_reduction(p):
             rep = is_stable(restrict_point(p, block))
             assert rep.stable
 
     def test_blocks_stable_with_gradings(self):
         g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
-        p = FramedPoint(2, [g], [], [TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))])
+        p = FramedPoint(2, [g], [], [TwistedElement.plain(build([[2, 0], [0, 3]]))])
         blocks = levi_reduction(p)
         assert len(blocks) == 2
         for block in blocks:
@@ -339,7 +345,7 @@ class TestLevi:
 
     def test_is_stable_reports_levi_blocks(self):
         g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
-        diag = TwistedElement.plain(Matrix.build([[2, 0], [0, 3]]))
+        diag = TwistedElement.plain(build([[2, 0], [0, 3]]))
         p = FramedPoint(2, [g], [], [diag])
         assert is_stable(p).levi_decomposition == levi_reduction(p)
         assert is_stable(simple_point([TwistedElement.plain(J)])).levi_decomposition is None
@@ -355,14 +361,14 @@ class TestAction:
 
     def test_conjugation(self):
         p = simple_point([TwistedElement.plain(J)])
-        q = act([Matrix.build([[2, 0], [0, 1]])], p)
-        assert q.loops[0].g == Matrix.build([[1, 2], [0, 1]])
+        q = act([build([[2, 0], [0, 1]])], p)
+        assert q.loops[0].g == build([[1, 2], [0, 1]])
 
     def test_connector_update(self):
         g = coordinate_grading(2)
         p = FramedPoint(2, [Grading.trivial(2), g], [Matrix.identity(2)], [])
-        q = act([Matrix.identity(2), Matrix.build([[1, 0], [0, 2]])], p)
-        assert q.connectors[0] == Matrix.build([[1, 0], [0, 2]])
+        q = act([Matrix.identity(2), build([[1, 0], [0, 2]])], p)
+        assert q.connectors[0] == build([[1, 0], [0, 2]])
 
     def test_membership_enforced(self):
         g = coordinate_grading(2)
@@ -412,7 +418,7 @@ def invertibles(n, m=1):
     """Invertible n x n matrices over Q(zeta_m), coordinates in -2..2."""
     d = euler_phi(m)
     return st.lists(st.integers(-2, 2), min_size=n * n * d, max_size=n * n * d).map(
-        lambda cs: Matrix.build([[from_coeffs(m, cs[(i * n + j) * d:(i * n + j + 1) * d])
+        lambda cs: build([[from_coeffs(m, cs[(i * n + j) * d:(i * n + j + 1) * d])
                            for j in range(n)] for i in range(n)], m)).filter(
         lambda g: g.is_invertible())
 
@@ -440,7 +446,7 @@ def graded_points(draw):
     k = draw(st.integers(1, min(3, n)))
     b = draw(invertibles(n, m))
     bounds = [0] + sorted(draw(st.permutations(range(1, n)))[:k - 1]) + [n]
-    g = from_pieces(n, [((i,), [b.row(r) for r in range(bounds[i], bounds[i + 1])])
+    g = from_pieces(n, [((i,), [scalar_row(b, r) for r in range(bounds[i], bounds[i + 1])])
                     for i in range(k)])
     if draw(st.booleans()):
         return FramedPoint(n, [Grading.trivial(n, m), g], [draw(invertibles(n, m))], [])
@@ -450,9 +456,10 @@ def graded_points(draw):
 def promote_point(p, m):
     """The same point with every entry promoted into Q(zeta_m)."""
     def lift(mat):
-        return from_entries(mat.rows, mat.cols, [x.promote(m) for x in entries(mat)], m)
-    gradings = [from_pieces(g.ambient_dim, [(w, [tuple(x.promote(m) for x in v) for v in basis])
-                                        for w, basis in pieces_of(g)]) for g in p.gradings]
+        return from_entries(mat.rows, mat.cols, [promote_scalar(x, m) for x in entries(mat)], m)
+    gradings = [from_pieces(g.ambient_dim,
+                            [(w, [tuple(promote_scalar(x, m) for x in v) for v in basis])
+                             for w, basis in pieces_of(g)]) for g in p.gradings]
     loops = [TwistedElement(lift(x.g), Automorphism(lift(x.phi.inner), x.phi.outer))
              for x in p.loops]
     return FramedPoint(p.n, gradings, [lift(c) for c in p.connectors], loops)
@@ -514,7 +521,7 @@ def block_point_parts(draw, m=1, repeated=False):
              for _ in range(draw(st.integers(1, 2)))]
     cols, spans, at = basis.transpose(), [], 0
     for s in layout:
-        spans.append([cols.row(at + j) for j in range(s)])
+        spans.append([scalar_row(cols, at + j) for j in range(s)])
         at += s
     grading = Grading.trivial(n, m)
     if draw(st.booleans()):
@@ -551,7 +558,7 @@ def twisted_points(draw):
                             unique=True))
     connector = draw(st.one_of(st.none(), invertibles(n)))
     cols = (basis if connector is None else connector @ basis).transpose()
-    grading = from_pieces(n, [((w,), [cols.row(j) for j in group])
+    grading = from_pieces(n, [((w,), [scalar_row(cols, j) for j in group])
                           for w, group in zip(weights, groups)])
 
     def loop(sigma):
@@ -574,7 +581,7 @@ def module_point(case):
     n, m = gens[0].rows, gens[0].m
     loops = []
     for g in gens:
-        shifts = (g + Matrix.identity(n, m).scale(Scalar.rational(c, m)) for c in range(n + 1))
+        shifts = (g + Matrix.identity(n, m).scale(c) for c in range(n + 1))
         loops.append(TwistedElement.plain(next(h for h in shifts if h.is_invertible())))
     return simple_point(loops, n, [Grading.trivial(n, m)])
 
@@ -592,7 +599,7 @@ def test_a_non_split_self_extension_has_a_radical_in_its_commutant():
     # I is not a commutator A T - T A (its trace is 2), so the extension of
     # the module of A by itself does not split; the commutant is Q[g] =
     # Q[x] / (x^2 + 1)^2, whose radical (x^2 + 1) has dimension 2
-    g = Matrix.build([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+    g = build([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
     point = simple_point([TwistedElement.plain(g)], n=4)
     assert not is_polystable(point).polystable and commutant_radical_dim(point) == 2
 
@@ -604,7 +611,7 @@ def test_a_radical_in_the_commutant_proves_non_polystability_and_none_proves_not
     jordan = simple_point([TwistedElement.plain(J)])
     assert not is_polystable(jordan).polystable and commutant_radical_dim(jordan) == 1
     borel = simple_point([TwistedElement.plain(J),
-                          TwistedElement.plain(Matrix.build([[1, 0], [0, 2]]))])
+                          TwistedElement.plain(build([[1, 0], [0, 2]]))])
     assert not is_polystable(borel).polystable and commutant_radical_dim(borel) == 0
 
 
@@ -665,9 +672,9 @@ def test_the_right_spins_match_the_left_spins(case):
 
 
 # diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic
-BASIS3 = Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+BASIS3 = build([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 CONJUGATED_223 = simple_point([TwistedElement.plain(
-    BASIS3 @ Matrix.build([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) @ BASIS3.inverse())], n=3)
+    BASIS3 @ build([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) @ BASIS3.inverse())], n=3)
 # no loop and no torus over Q(zeta5): its one generator is the identity
 LOOPLESS_ZETA5 = FramedPoint(1, [Grading.trivial(1, 5)], [], [])
 
@@ -686,7 +693,7 @@ def test_certified_stabilizer_matches_exact_solve(p):
         blocks, gens = rep.levi_decomposition, rep.galois.generators
         assert hom_sum(gens, blocks) == rep.stabilizer_dim
         for i in range(len(blocks) - 1):
-            merged = from_vectors(p.n, blocks[i].basis + blocks[i + 1].basis)
+            merged = from_vectors(p.n, scalar_basis(blocks[i]) + scalar_basis(blocks[i + 1]))
             assert hom_sum(gens, blocks[:i] + [merged] + blocks[i + 2:]) == rep.stabilizer_dim
     rows = engine._stabilizer_rows(rep.galois.point, rep.galois.generators)
     assert all(any(row) for row in rows.int_rows())
@@ -723,8 +730,9 @@ def test_stabilizer_rows_drop_zero_rows():
     # a sigma loop and coordinate weights 1, 2, 0: the diagonal entries of
     # the weight operator's commutator with xi are zero rows
     e = Matrix.identity(3)
-    grading = from_pieces(3, [((1,), [e.row(0)]), ((2,), [e.row(1)]), ((0,), [e.row(2)])])
-    loop = TwistedElement(Matrix.build([[1, 2, 0], [0, 1, 1], [1, 0, 2]]),
+    grading = from_pieces(3, [((1,), [scalar_row(e, 0)]), ((2,), [scalar_row(e, 1)]),
+                              ((0,), [scalar_row(e, 2)])])
+    loop = TwistedElement(build([[1, 2, 0], [0, 1, 1], [1, 0, 2]]),
                           Automorphism(Matrix.identity(3), True))
     p = FramedPoint(3, [grading], [], [loop])
     pn = normalize_point(p)
@@ -769,7 +777,7 @@ class TestCertifiedStabilizer:
         # sigma-twisted: the doubled algebra is M_4(Q), so the stabilizer is 0
         grading = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = FramedPoint(2, [grading], [], [
-            TwistedElement(Matrix.build([[1, 1], [1, 2]]), sigma(2)),
+            TwistedElement(build([[1, 1], [1, 2]]), sigma(2)),
             TwistedElement.plain(SWAP)])
         rep = is_stable(p)
         assert rep.galois.algebra.dim == 16
@@ -778,7 +786,7 @@ class TestCertifiedStabilizer:
 
     def test_modular_bound_decides_distinct_blocks(self, monkeypatch):
         calls = self.exact_calls(monkeypatch)
-        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
+        p = simple_point([TwistedElement.plain(build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
                          n=3)
         rep = is_stable(p)
         assert (rep.polystable, rep.stable, rep.stabilizer_dim) == (True, False, 3)
@@ -789,7 +797,7 @@ class TestCertifiedStabilizer:
         # class of multiplicity 2 with End = Q, so the commutant is M_2(Q),
         # of dimension 4, over 2 Levi blocks
         calls = self.exact_calls(monkeypatch)
-        basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        basis = build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         loops = [TwistedElement.plain(basis @ block_diagonal([g, g]) @ basis.inverse())
                  for g in (SWAP, DIAG)]
         rep = is_stable(simple_point(loops, n=4))
@@ -801,7 +809,7 @@ class TestCertifiedStabilizer:
         # the Levi blocks are solved exactly, so no modular image is needed
         calls = self.exact_calls(monkeypatch)
         p, _ = _modulus(1, 4)   # the prime of the kernel bound on 2^2 unknowns
-        loop = TwistedElement.plain(Matrix.build([[Fraction(1, p), 0], [0, 3]]))
+        loop = TwistedElement.plain(build([[Fraction(1, p), 0], [0, 3]]))
         rep = is_stable(simple_point([loop]))
         assert rep.polystable and rep.stabilizer_dim == 2 and len(rep.levi_decomposition) == 2
         assert calls == []
@@ -814,7 +822,7 @@ class TestCertifiedStabilizer:
         # handed to the exact solve
         calls = self.exact_calls(monkeypatch)
         p, _ = _modulus(1, 4)   # the prime of the kernel bound on 2^2 unknowns
-        point = simple_point([TwistedElement.plain(Matrix.build([[Fraction(1, p), 1],
+        point = simple_point([TwistedElement.plain(build([[Fraction(1, p), 1],
                                                                  [0, Fraction(1, p)]]))])
         built = []
         rows = engine._stabilizer_rows
@@ -843,7 +851,7 @@ class TestOneAnalysis:
 
     def test_one_spin_and_one_search_per_module(self, monkeypatch):
         names = ["normalize_point", "galois_generators", "spin_algebra", "invariant_subspace"]
-        p = simple_point([TwistedElement.plain(Matrix.build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
+        p = simple_point([TwistedElement.plain(build([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))],
                          n=3)
         counts = self.counted(monkeypatch, names)
         rep = is_stable(p)
@@ -864,10 +872,10 @@ class TestOneAnalysis:
         # dim E = 3, with no Hom system outside the commutants
         names = ["commutant", "intertwiners", "invariant_subspace", "invariant_complement"]
         counts = self.counted(monkeypatch, names)
-        basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        basis = build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         loops = [TwistedElement.plain(basis @ g @ basis.inverse()) for g in (
-            Matrix.build([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-            Matrix.build([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]))]
+            build([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+            build([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]))]
         rep = is_stable(simple_point(loops, n=4))
         assert [b.dim for b in rep.levi_decomposition] == [1, 1, 2]
         assert rep.invariant_subspace_witness.dim == 3
@@ -891,8 +899,8 @@ class TestOneAnalysis:
         monkeypatch.setattr(algebra, "_spans_full_mod_p",
                             lambda gens, n, m: calls.append(n) or original(gens, n, m))
         counts = self.counted(monkeypatch, ["invariant_subspace"])
-        loops = [Matrix.build([[0, 1, 0], [1, 0, 0], [0, 0, 2]]),
-                 Matrix.build([[1, 0, 0], [0, -1, 0], [0, 0, 3]])]
+        loops = [build([[0, 1, 0], [1, 0, 0], [0, 0, 2]]),
+                 build([[1, 0, 0], [0, -1, 0], [0, 0, 3]])]
         rep = is_stable(simple_point([TwistedElement.plain(g) for g in loops], n=3))
         assert [b.dim for b in rep.levi_decomposition] == [1, 2]
         assert calls == [3, 2] and counts == {"invariant_subspace": 1}
@@ -941,7 +949,7 @@ class TestOneAnalysis:
             restricted.append((g, sub))
             return original(g, sub)
         monkeypatch.setattr(algebra, "restrict_matrix", counted)
-        loop = Matrix.build([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
+        loop = build([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
         rep = is_stable(simple_point([TwistedElement.plain(loop)], n=3))
         assert [b.dim for b in rep.levi_decomposition] == [1, 2] and rep.stabilizer_dim == 3
         assert restricted and all(restricted.count(pair) == 1 for pair in restricted)
@@ -954,7 +962,7 @@ class TestOneAnalysis:
         # FramedPoint inverts them to validate them and the matrices keep
         # their inverses, so the Galois generators (the connector's
         # transport of the torus, the doubled sigma loop) eliminate nothing
-        a, g = Matrix.build([[2, 1], [1, 1]]), Matrix.build([[1, 2], [0, 1]])
+        a, g = build([[2, 1], [1, 1]]), build([[1, 2], [0, 1]])
         grading = from_pieces(2, [((0,), [(1, 0)]), ((1,), [(0, 1)])])
         p = FramedPoint(2, [Grading.trivial(2), grading], [a],
                         [TwistedElement(g, sigma(2))])
@@ -967,12 +975,12 @@ class TestOneAnalysis:
         assert not inserts and gens[0] == embed_doubled(p.loops[0])
         # a singular one is still named by its path
         with pytest.raises(engine.SingularMatrixError, match=r"connectors\[0\]"):
-            FramedPoint(2, [Grading.trivial(2), grading], [Matrix.build([[1, 1], [1, 1]])], [])
+            FramedPoint(2, [Grading.trivial(2), grading], [build([[1, 1], [1, 1]])], [])
         with pytest.raises(engine.SingularMatrixError, match=r"loops\[0\]\.matrix"):
-            simple_point([TwistedElement(Matrix.build([[1, 1], [1, 1]]), sigma(2))])
+            simple_point([TwistedElement(build([[1, 1], [1, 1]]), sigma(2))])
 
     def test_normalizing_copies_without_revalidation(self, monkeypatch):
-        a = Matrix.build([[2, 1], [1, 1]])
+        a = build([[2, 1], [1, 1]])
         p = simple_point([TwistedElement(J, Automorphism(a, True))])
         monkeypatch.setattr(FramedPoint, "__post_init__",
                             lambda self: pytest.fail("validated again"))
@@ -981,7 +989,7 @@ class TestOneAnalysis:
         assert p.loops[0].phi.inner == a  # the input point is untouched
 
     def test_every_entry_point_still_validates(self):
-        singular = Matrix.build([[1, 1], [1, 1]])
+        singular = build([[1, 1], [1, 1]])
         with pytest.raises(ValueError):
             simple_point([TwistedElement.plain(singular)])
         with pytest.raises(ValueError):
@@ -1014,7 +1022,7 @@ def kernel_systems(draw):
     if source == "rows":
         _, rows, _ = draw(echelon_inputs())
         assume(rows)
-        system = Matrix.build(rows, rows[0][0].m)
+        system = build(rows, rows[0][0].m)
     else:
         if source == "points":
             m = draw(st.sampled_from([1, 4, 5]))

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from wildcat import scalars
+from wildcat import algebra, scalars
+from wildcat.cli import run_command
 from wildcat.engine import is_stable
 from wildcat.instances import (
     InstanceError,
@@ -15,11 +18,13 @@ from wildcat.scalars import Scalar
 from wildcat.stokes import build_scaffold, exponential_torus_grading, random_candidate
 
 from oracles import (
+    build,
     entries,
     from_pieces,
     instance_matrices,
     instance_matrices_reference,
     pieces_of,
+    zeta,
 )
 
 MINIMAL_TUPLE = {
@@ -181,7 +186,7 @@ def test_texts_land_in_the_field_they_are_parsed_under():
     parse_instance_data(MINIMAL_TUPLE)
     inst = parse_instance_data(dict(MINIMAL_TUPLE, field=5))
     assert {x.m for x in entries(inst.point.loops[0].g)} == {5}
-    assert inst.point.loops[0].g == Matrix.build([[1, 1], [0, 1]], 5)
+    assert inst.point.loops[0].g == build([[1, 1], [0, 1]], 5)
 
 
 def test_each_distinct_text_is_parsed_once(monkeypatch):
@@ -222,7 +227,7 @@ def test_each_inner_part_is_ranked_once_from_parse_to_verdict(monkeypatch):
     doc = {"mode": "tuple", "tuple": {"n": 2, "loops": [
         {"matrix": [["1", "1"], ["0", "1"]], "inner": [["2", "1"], ["1", "1"]],
          "outer": "sigma"}]}}
-    inner = Matrix.build([[2, 1], [1, 1]])
+    inner = build([[2, 1], [1, 1]])
     ranked = []
     real = Matrix.is_invertible
     monkeypatch.setattr(Matrix, "is_invertible", lambda self: ranked.append(self) or real(self))
@@ -279,28 +284,63 @@ def test_round_trip_tuple():
         [pieces_of(g) for g in inst.point.gradings]
 
 
-def test_matrices_are_read_and_written_with_no_scalar(monkeypatch):
-    # every matrix goes from text to numerators and back with no Scalar per
-    # entry: a tuple document makes none, and a candidate adds none to what
-    # a Stokes document's circle coefficients make
+def repeated_class_over_q_zeta5() -> dict:
+    """A tuple over Q(zeta5) whose module is V + V, V absolutely
+    irreducible of dimension 2, conjugated so that the MeatAxe factors a
+    minimal polynomial over the field (``factor_over_field``)."""
+    z = zeta(5)
+    p = build([[-1, 0, 0, 0], [1 + z, 1, 0, 0], [0, -1, 1, 1 + z], [-1, 0, 0, 1]])
+    loops = [[[0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]],
+             [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]]
+    return {"field": 5, "mode": "tuple", "tuple": {"n": 4, "loops": [
+        {"matrix": (p @ build(g, 5) @ p.inverse()).to_json()} for g in loops]}}
+
+
+# a ramified Stokes class over Q(i): a circle of ramification 2 with
+# coefficient i and an unramified one with coefficient 1 + i
+RAMIFIED_OVER_Q_I = {"field": 4, "mode": "stokes", "stokes": {"genus": 0, "n": 3, "punctures": [
+    {"circles": [{"ram": 2, "coeffs": [[3, ["0", "1"]]]},
+                 {"ram": 1, "coeffs": [[1, ["1", "1"]]]}]}]}}
+
+
+def test_matrices_are_read_and_written_with_no_scalar(monkeypatch, tmp_path):
+    # every field element goes from text to numerators and back with no
+    # Scalar: no document, and no whole command in machine format, makes
+    # one, the MeatAxe's factoring over Q(zeta5) and the Stokes sheets and
+    # directions over Q(i) included
     made = []
     init = Scalar.__init__
-    monkeypatch.setattr(Scalar, "__init__",
-                        lambda self, *args: made.append(args) or init(self, *args))
 
     def scalars_made(action, *args):
         made.clear()
         action(*args)
         return len(made)
 
-    with_candidate = dict(STOKES_KATZ, candidate={"h1": [["1", "0"], ["0", "1"]],
-                                                  "S1.0": [["1", "-3/4"], ["0", "1"]]})
-    assert scalars_made(parse_instance_data, FULL_TUPLE) == 0
-    assert scalars_made(render_instance, parse_instance_data(FULL_TUPLE)) == 0
-    assert scalars_made(parse_instance_data, with_candidate) == \
-        scalars_made(parse_instance_data, STOKES_KATZ) > 0
-    assert scalars_made(render_instance, parse_instance_data(with_candidate)) == \
-        scalars_made(render_instance, parse_instance_data(STOKES_KATZ)) > 0
+    def command(name, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_command([name, "--instance", str(path), "--format", "machine"]) == 0
+        return out.getvalue()
+
+    factorings = []
+    factor = algebra.factor_over_field
+    monkeypatch.setattr(algebra, "factor_over_field",
+                        lambda *args: factorings.append(args) or factor(*args))
+    tuple_doc = repeated_class_over_q_zeta5()
+    sample = json.loads(command("sample", RAMIFIED_OVER_Q_I))
+    with_candidate = dict(RAMIFIED_OVER_Q_I, candidate=sample["candidate"])
+    monkeypatch.setattr(Scalar, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    for doc in (FULL_TUPLE, STOKES_KATZ, with_candidate, tuple_doc):
+        assert scalars_made(parse_instance_data, doc) == 0
+        assert scalars_made(render_instance, parse_instance_data(doc)) == 0
+    for name, doc in (("analyze", tuple_doc), ("reduce", tuple_doc),
+                      ("directions", RAMIFIED_OVER_Q_I), ("sample", RAMIFIED_OVER_Q_I),
+                      ("analyze", with_candidate)):
+        assert scalars_made(command, name, doc) == 0, name
+    assert len(factorings) == 2  # analyze and reduce each factor once
 
 
 def test_instance_matrices_match_the_scalar_route():

@@ -37,7 +37,7 @@ from wildcat.scalars import Scalar, euler_phi
 
 import oracles
 
-SWAP = Matrix.build([[0, 1], [1, 0]])
+SWAP = oracles.build([[0, 1], [1, 0]])
 
 
 def small_modulus(m):
@@ -63,11 +63,11 @@ def modular_cases(draw):
 
     def entry(i, j):
         if split is not None and i >= split and j < split:
-            return Scalar.zero(m)
+            return oracles.zero(m)
         return oracles.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                                        for _ in range(euler_phi(m))])
 
-    gens = [Matrix.build([[entry(i, j) for j in range(n)] for i in range(n)], m)
+    gens = [oracles.build([[entry(i, j) for j in range(n)] for i in range(n)], m)
             for _ in range(draw(st.integers(1, 3)))]
     return gens, n, m
 
@@ -94,11 +94,16 @@ def norton_cases(draw):
     A (x) I + B (x) R on K^(n/2) (x) K^2, n made even, with R the rotation
     by a right angle, irreducible over K = Q(zeta_m) for m != 4 but not
     absolutely (its End holds R, R^2 = -1, and -1 is no square mod the
-    small prime either); entries as in ``modular_cases``."""
+    small prime either), or a plane: two generators, g0 full and g1 = U V
+    - I with U V of rank at most n - 2 (n at least 3), so Norton's first
+    element g0 (g1 + I) (``algebra._norton_elements``) has the root 0 with
+    a null plane, which comes before any null line, in a module that is
+    usually irreducible mod q; entries as in ``modular_cases``."""
     shape = draw(st.sampled_from(["full", "triangular", "isotypic", "double", "scalar",
-                                  "complex"]))
+                                  "complex", "plane"]))
     n = draw(st.integers(1, 9))
     n += n % 2 if shape in ("complex", "double") else 0
+    n = max(n, 3) if shape == "plane" else n
     m = draw(st.sampled_from([1, 3, 4, 5]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     split = rng.randint(1, max(n - 1, 1))
@@ -112,20 +117,26 @@ def norton_cases(draw):
     def generator():
         if shape == "scalar":
             c = entry()
-            return [[c if i == j else Scalar.zero(m) for j in range(n)] for i in range(n)]
+            return [[c if i == j else oracles.zero(m) for j in range(n)] for i in range(n)]
         if shape == "complex":
             a, b = ([[entry() for _ in range(n // 2)] for _ in range(n // 2)] for _ in range(2))
-            return [[(a[i // 2][j // 2] if i % 2 == j % 2 else Scalar.zero(m))
+            return [[(a[i // 2][j // 2] if i % 2 == j % 2 else oracles.zero(m))
                      + b[i // 2][j // 2] * Scalar.rational(rot[i % 2][j % 2], m)
                      for j in range(n)] for i in range(n)]
         if shape in ("isotypic", "double"):
             b = [[entry() for _ in range(d)] for _ in range(d)]
-            return [[b[i % d][j % d] if i // d == j // d else Scalar.zero(m) for j in range(n)]
+            return [[b[i % d][j % d] if i // d == j // d else oracles.zero(m) for j in range(n)]
                     for i in range(n)]
-        return [[Scalar.zero(m) if shape == "triangular" and i >= split and j < split
+        return [[oracles.zero(m) if shape == "triangular" and i >= split and j < split
                  else entry() for j in range(n)] for i in range(n)]
 
-    gens = [Matrix.build(generator(), m) for _ in range(draw(st.integers(2, 3)))]
+    if shape == "plane":
+        u, v = [[entry() for _ in range(n - 2)] for _ in range(n)], \
+            [[entry() for _ in range(n)] for _ in range(n - 2)]
+        low = [[sum((u[i][k] * v[k][j] for k in range(n - 2)), oracles.zero(m)) - int(i == j)
+                for j in range(n)] for i in range(n)]
+        return [oracles.build(generator(), m), oracles.build(low, m)], n, m
+    gens = [oracles.build(generator(), m) for _ in range(draw(st.integers(2, 3)))]
     return gens, n, m
 
 
@@ -154,8 +165,8 @@ def test_an_isotypic_module_is_decided_at_the_first_element(monkeypatch):
     yielded, elements = [], algebra._norton_elements
     monkeypatch.setattr(algebra, "_norton_elements",
                         lambda gens, q: (yielded.append(y) or y for y in elements(gens, q)))
-    basis = Matrix.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-    gens = [basis @ Matrix.build([[g[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)]
+    basis = oracles.build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    gens = [basis @ oracles.build([[g[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)]
                                   for i in range(4)]) @ basis.inverse()
             for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])]
     assert not _spans_full_mod_p(gens, 4, 1) and not oracles.norton_reference(gens, 4, 1)
@@ -166,8 +177,8 @@ def test_a_null_plane_that_spins_to_everything_decides_nothing():
     # the first element, g0 (g1 + I) = g0 diag(1, 0, 0), has the root 0 with
     # a null plane, whose first vector spins to F_q^3, so the test goes on
     # to the root 1, whose null line decides True
-    gens = [Matrix.build([[1, 1, 0], [0, 1, 1], [1, 0, 2]]),
-            Matrix.build([[0, 0, 0], [0, -1, 0], [0, 0, -1]])]
+    gens = [oracles.build([[1, 1, 0], [0, 1, 1], [1, 0, 2]]),
+            oracles.build([[0, 0, 0], [0, -1, 0], [0, 0, -1]])]
     assert _spans_full_mod_p(gens, 3, 1) and oracles.norton_reference(gens, 3, 1)
 
 
@@ -190,7 +201,7 @@ def echelon_cases(draw):
     rows = [[entry() for _ in range(n)] for _ in range(draw(st.integers(max(n - 2, 0), n)))]
     for _ in range(draw(st.integers(0, 3))):
         coeffs = [Scalar.rational(rng.randint(-2, 2), m) for _ in rows]
-        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Scalar.zero(m))
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), oracles.zero(m))
                      for j in range(n)])
     if draw(st.booleans()):
         bad = [entry() for _ in range(n)]
@@ -212,9 +223,9 @@ def test_echelon_and_null_line_match_the_list_reference(case):
     ech, ref = _EchelonModP(p, n), oracles.ListEchelonModP(p)
     images = []
     for row in rows:
-        vec = Matrix.build([row], m)
+        vec = oracles.build([row], m)
         img = image(vec.nums, vec.den)
-        want = [oracles.FractionScalar(m, x.coeffs).image_mod_p(p, rpow) for x in row]
+        want = [oracles.FractionScalar(m, oracles.coeffs(x)).image_mod_p(p, rpow) for x in row]
         assert img == (None if None in want else want)
         if img is not None:
             images.append(img)
@@ -264,8 +275,8 @@ class TestSlots:
         # kernel bound's rows at the prime of their width
         p, _ = _modulus(1, 256)
         n = 16
-        ones = Matrix.build([[p - 1] * n for _ in range(n)])
-        diag = Matrix.build([[p - 1 - i if i == j else 0 for j in range(n)] for i in range(n)])
+        ones = oracles.build([[p - 1] * n for _ in range(n)])
+        diag = oracles.build([[p - 1 - i if i == j else 0 for j in range(n)] for i in range(n)])
         assert not _spans_full_mod_p([ones], n, 1)  # span{I, J}: dimension 2
         assert not oracles.spans_full_mod_p([ones], n, 1)
         assert _spans_full_mod_p([ones, diag], n, 1)  # D^a J D^b span M_n
@@ -296,7 +307,7 @@ class TestSlots:
 class TestFixedCases:
     def test_unlucky_prime_overstates_the_kernel(self):
         p, _ = _modulus(1, 4)   # the prime of 2^2 unknowns
-        gens = [Matrix.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
+        gens = [oracles.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
         assert not oracles.spans_full_mod_p(gens, 2, 1)
         assert _spans_full_mod_p(gens, 2, 1)  # Norton's test at q is not fooled
         rows = commutant_rows(gens, 2, 1)
@@ -306,9 +317,9 @@ class TestFixedCases:
 
     def test_denominator_divisible_by_p_decides_nothing(self):
         p, _ = _modulus(5, 4)
-        z = Scalar.zeta(5)
+        z = oracles.zeta(5)
         x = oracles.from_coeffs(5, [Fraction(1, 3), Fraction(2, p)])
-        gens = [Matrix.build([[z, 0], [0, x]], 5), Matrix.build([[0, 1], [1, 0]], 5)]
+        gens = [oracles.build([[z, 0], [0, x]], 5), oracles.build([[0, 1], [1, 0]], 5)]
         assert not oracles.spans_full_mod_p(gens, 2, 5)
         assert _spans_full_mod_p(gens, 2, 5)  # Norton's test at q is not stopped by p
         # the integer rows have no denominator, so the bound still holds
@@ -323,7 +334,7 @@ def test_norton_images_walk_past_primes_in_a_denominator():
     # the first prime q = 1 (mod m) from the small modulus on that divides
     # no denominator: past 67 and 71 over Q, past 71 over Q(zeta5)
     for dens, m, q in [(1, 1, 67), (67, 1, 71), (67 * 71, 1, 73), (71, 5, 101)]:
-        g = Matrix.build([[Fraction(1, dens), 0], [0, Scalar.zeta(m) if m > 1 else 2]], m)
+        g = oracles.build([[Fraction(1, dens), 0], [0, oracles.zeta(m) if m > 1 else 2]], m)
         found, images = _norton_images([g], m)
         assert found == q and oracles.is_prime(q) and (q - 1) % m == 0
         assert all((c - 1) % m or not oracles.is_prime(c) or dens % c == 0
@@ -499,7 +510,7 @@ class TestLiftedKernel:
         real = modular._vandermonde_inverse
         monkeypatch.setattr(modular, "_vandermonde_inverse",
                             lambda p, roots: real(p, roots)[::-1])
-        a = Matrix.build([[1, Scalar.zeta(m), 0], [0, 1, 2]], m)
+        a = oracles.build([[1, oracles.zeta(m), 0], [0, 1, 2]], m)
         started = time.perf_counter()
         with pytest.raises(AssertionError, match=r"width 3 \(rank 2 .*after \d+ primes"):
             kernel(a)
@@ -510,7 +521,7 @@ class TestLiftedKernel:
         p, _ = _modulus(m, 3)
         x = oracles.from_coeffs(m, [Fraction(1, 3)] + [Fraction(2, p)] * (euler_phi(m) - 1)) \
             if m > 1 else Scalar.rational(Fraction(1, p))
-        a = Matrix.build([[x, 1, 0], [0, 1, 1]], m)
+        a = oracles.build([[x, 1, 0], [0, 1, 1]], m)
         ker, primes = self.walk(monkeypatch, a)
         assert ker.dim == 1 and p not in primes and primes[0] == _prime_and_root(m, p, False)[0]
 
@@ -518,24 +529,24 @@ class TestLiftedKernel:
         # mod p the rows agree, so the kernel mod p is a plane; the next
         # prime gives the line, whose smaller key starts the lift again
         p, _ = _modulus(1, 3)
-        a = Matrix.build([[1, 1, 0], [1, 1 + p, 0]])
+        a = oracles.build([[1, 1, 0], [1, 1 + p, 0]])
         ker, primes = self.walk(monkeypatch, a)
-        assert ker.basis == ((Scalar.zero(), Scalar.zero(), Scalar.one()),)
+        assert oracles.scalar_basis(ker) == ((oracles.zero(), oracles.zero(), Scalar.one()),)
         assert primes[:2] == [p, _prime_and_root(1, p, False)[0]]
 
     def test_a_prime_in_a_denominator_of_the_basis_gives_later_pivots(self, monkeypatch):
         # the kernel of [1, p] is spanned by (1, -1/p): mod p the row is
         # [1, 0], whose kernel (0, 1) has the same dimension and a later pivot
         p, _ = _modulus(1, 2)
-        ker, primes = self.walk(monkeypatch, Matrix.build([[1, p]]))
-        assert ker.basis == ((Scalar.one(), Scalar.rational(Fraction(-1, p))),)
+        ker, primes = self.walk(monkeypatch, oracles.build([[1, p]]))
+        assert oracles.scalar_basis(ker) == ((Scalar.one(), Scalar.rational(Fraction(-1, p))),)
         assert primes[0] == p and len(primes) >= 3   # 1/p needs more than one prime
 
     @pytest.mark.parametrize("m", [1, 4, 5])
     def test_entries_beyond_one_prime_are_combined(self, monkeypatch, m):
         big = 10 ** 6 + 3   # above sqrt(p / 2), the reach of one prime
-        z = Scalar.zeta(m) if m > 1 else Scalar.one()
-        a = Matrix.build([[big * z, 1, 0], [0, 0, Fraction(7, big)]], m)
+        z = oracles.zeta(m) if m > 1 else Scalar.one()
+        a = oracles.build([[big * z, 1, 0], [0, 0, Fraction(7, big)]], m)
         ker, primes = self.walk(monkeypatch, a)
         assert ker.dim == 1 and len(primes) == 2
 
@@ -544,17 +555,18 @@ class TestLiftedKernel:
         # commutant, 162 rows in 81 unknowns, has entries beyond 2^15
         rng = random.Random(3)
         n = 9
-        blocks = [Matrix.build([[0, 0, c], [1, 0, 0], [0, 1, 0]]) for c in (2, 3, 5)]
+        blocks = [oracles.build([[0, 0, c], [1, 0, 0], [0, 1, 0]]) for c in (2, 3, 5)]
         gens = [Matrix.zero(n, n) for _ in range(2)]
         for k, b in enumerate(blocks):
             gens[0] = gens[0].place(3 * k, 3 * k, b)
-            gens[1] = gens[1].place(3 * k, 3 * k, Matrix.build(
+            gens[1] = gens[1].place(3 * k, 3 * k, oracles.build(
                 [[k + 1, 1, 0], [0, k + 1, 1], [0, 0, k + 1]]))
-        lower = Matrix.build([[1 if i == j else rng.randint(-2, 2) if i > j else 0
+        lower = oracles.build([[1 if i == j else rng.randint(-2, 2) if i > j else 0
                                for j in range(n)] for i in range(n)])
         p = lower @ lower.transpose()
         gens = [p @ g @ p.inverse() for g in gens]
         ker, primes = self.walk(monkeypatch, commutant_rows(gens, n, 1))
         assert ker.dim == 3 and len(primes) >= 2
-        assert max(max(abs(c) for c in x.num) for row in ker.basis for x in row) >= 1 << 15 or \
-            max(x.den for row in ker.basis for x in row) >= 1 << 15
+        basis = oracles.scalar_basis(ker)
+        assert max(max(abs(c) for c in x.num) for row in basis for x in row) >= 1 << 15 or \
+            max(x.den for row in basis for x in row) >= 1 << 15

@@ -8,22 +8,31 @@ from hypothesis import strategies as st
 
 from oracles import (
     FractionScalar,
+    build,
+    coeffs,
     cyclotomic_polynomial_reference,
+    element,
     from_coeffs,
+    promote_scalar,
     scalar_from_json,
     scalar_from_json_reference,
+    scalar_to_json,
     scalar_to_json_reference,
+    to_complex,
+    zero,
+    zeta,
 )
-from wildcat.linalg import Matrix
 from wildcat.modular import _image_map
 from wildcat.scalars import (
     Scalar,
     _canonical as canonical,
-    conjugate_numerators,
     cyclotomic_polynomial,
+    entry_text,
     euler_phi,
     parse_numerators,
+    power_numerators,
 )
+from wildcat.stokes import promote
 
 
 def test_cyclotomic_polynomials():
@@ -45,22 +54,22 @@ def test_euler_phi():
 
 
 def test_zeta_relations():
-    z3 = Scalar.zeta(3)
+    z3 = zeta(3)
     assert z3 * z3 * z3 == 1
     assert (z3 * z3 + z3 + 1).is_zero()
-    z4 = Scalar.zeta(4)
+    z4 = zeta(4)
     assert z4 * z4 == -1
-    z8 = Scalar.zeta(8)
+    z8 = zeta(8)
     assert z8 * z8 * z8 * z8 == -1
 
 
 def test_canonical_representation():
     a = from_coeffs(4, [Fraction(1), Fraction(2)])
     b = from_coeffs(4, [1, 2])
-    assert a == b and a.coeffs == b.coeffs
+    assert a == b and coeffs(a) == coeffs(b)
     # reduction of high powers is canonical
     c = from_coeffs(3, [0, 0, 1])  # zeta_3^2 = -1 - zeta_3
-    assert c.coeffs == (Fraction(-1), Fraction(-1))
+    assert coeffs(c) == (Fraction(-1), Fraction(-1))
 
 
 def test_field_axioms_randomized():
@@ -83,28 +92,40 @@ def test_division_and_errors():
     a = from_coeffs(4, [Fraction(1, 2), Fraction(3)])
     assert a / a == 1
     with pytest.raises(ZeroDivisionError):
-        Scalar.zero(4).inverse()
+        zero(4).inverse()
 
 
 def test_promote():
-    r = Scalar.rational(Fraction(2, 3))
-    up = r.promote(12)
-    assert up.m == 12 and up.is_rational() and up == Fraction(2, 3)
-    z3 = Scalar.zeta(3)
-    z3_in_12 = z3.promote(12)
-    assert z3_in_12 == Scalar.zeta(12, 4)
-    with pytest.raises(ValueError):
-        Scalar.zeta(3).promote(4)
+    up = promote(element(Fraction(2, 3)), 12)
+    assert up.m == 12 and up == element(Fraction(2, 3), 12)
+    assert promote(element(zeta(3)), 12) == element(zeta(12, 4))
+    assert promote(element(zeta(3)), 12, 1) == element(zeta(12, 5))
+    assert promote(element(zeta(4)), 4) == element(zeta(4))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([(1, 4), (1, 5), (3, 3), (3, 12), (4, 8), (4, 12), (5, 10)]),
+       st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), min_size=4,
+                max_size=4), st.integers(0, 23))
+def test_promote_is_the_scalar_embedding_times_a_root_of_unity(fields, cs, power):
+    # one numerator map (power_numerators) is the embedding Q(zeta_m) ->
+    # Q(zeta_M) and the product with zeta_M^power of the Scalar route, and
+    # keeps the form canonical
+    m, big = fields
+    x = from_coeffs(m, cs[:euler_phi(m)])
+    got = promote(element(x), big, power)
+    assert got == element(promote_scalar(x, big) * zeta(big, power))
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
 
 
 def test_mixed_conductor_arithmetic():
-    z3 = Scalar.zeta(3)
+    z3 = zeta(3)
     s = z3 + Fraction(1, 2)
-    assert s.m == 3 and s.coeffs[0] == Fraction(1, 2)
+    assert s.m == 3 and coeffs(s)[0] == Fraction(1, 2)
     with pytest.raises(ValueError):
-        _ = Scalar.zeta(3) + Scalar.zeta(4)
+        _ = zeta(3) + zeta(4)
     with pytest.raises(ValueError):
-        _ = Scalar.one(1) + Scalar.zeta(5)  # one field per instance: no silent promotion
+        _ = Scalar.one(1) + zeta(5)  # one field per instance: no silent promotion
 
 
 def test_scalars_meet_only_scalars_ints_and_fractions():
@@ -124,16 +145,20 @@ def test_scalars_meet_only_scalars_ints_and_fractions():
 def test_to_complex():
     import cmath
 
-    z8 = Scalar.zeta(8)
-    assert abs(z8.to_complex() - cmath.exp(2j * cmath.pi / 8)) < 1e-12
-    assert abs(Scalar.rational(Fraction(-3, 7)).to_complex() + 3 / 7) < 1e-15
+    assert abs(to_complex(zeta(8)) - cmath.exp(2j * cmath.pi / 8)) < 1e-12
+    assert abs(to_complex(Scalar.rational(Fraction(-3, 7))) + 3 / 7) < 1e-15
+
+
+def text(x: Scalar):
+    """The library's text of x: the one entry of its 1 x 1 matrix."""
+    return element(x).to_json()[0][0]
 
 
 def test_json_round_trip():
     a = from_coeffs(4, [Fraction(-3, 7), Fraction(5)])
-    assert scalar_from_json(a.to_json(), 4) == a
+    assert scalar_from_json(text(a), 4) == a
     r = Scalar.rational(Fraction(9, 2))
-    assert scalar_from_json(r.to_json(), 1) == r
+    assert scalar_from_json(text(r), 1) == r
     assert scalar_from_json("-3/7", 1) == Scalar.rational(Fraction(-3, 7))
 
 
@@ -213,7 +238,7 @@ RPOW = [pow(7, j, P) for j in range(4)]
 def image_mod_p(entries, m):
     """The entries' images under zeta_m -> 7 mod P (``_image_map``)."""
     phi = euler_phi(m)
-    row = Matrix.build([entries], m)
+    row = build([entries], m)
     return _image_map(P, 7, phi)(row.nums, row.den)
 
 
@@ -243,10 +268,10 @@ def _canonical(x: Scalar, m: int):
 
 def _agrees(x: Scalar, ref: FractionScalar):
     _canonical(x, ref.m)
-    assert x.coeffs == ref.coeffs
+    assert coeffs(x) == ref.coeffs
     assert x.is_zero() == ref.is_zero() == (not x)
-    assert x.to_json() == ref.to_json() and repr(x) == repr(ref)
-    assert x.to_complex() == ref.to_complex()
+    assert text(x) == ref.to_json() and repr(x) == repr(ref) == element(x)[0, 0]
+    assert to_complex(x) == ref.to_complex()
 
 
 @settings(max_examples=150)
@@ -264,25 +289,25 @@ def test_arithmetic_matches_fraction_reference(case):
         _agrees(a / b, ra / rb)
         _agrees(b.inverse(), FractionScalar(m, [1]) / rb)
     assert (a == b) == (ra.coeffs == rb.coeffs)
-    assert a == scalar_from_json(a.to_json(), m)
+    assert a == scalar_from_json(text(a), m)
     assert (a == ca[0]) == (ra.coeffs == FractionScalar(m, [ca[0]]).coeffs)
 
 
 @settings(max_examples=60)
 @given(operands())
 def test_conjugate_is_the_field_automorphism_zeta_to_zeta_k(case):
-    # a ring map fixing Q is fixed by the image of zeta; conjugate_numerators
+    # a ring map fixing Q is fixed by the image of zeta; power_numerators
     # keeps the content, so the image over the same denominator is canonical
     m, (ca, cb, _) = case
     a, b = from_coeffs(m, ca), from_coeffs(m, cb)
     for k in (k for k in range(1, m + 1) if gcd(k, m) == 1):
         def conj(x):
-            return Scalar(x.m, conjugate_numerators(x.m, x.num, k), x.den)
+            return Scalar(x.m, power_numerators(x.m, x.num, k), x.den)
         _canonical(conj(a), m)
         assert conj(a + b) == conj(a) + conj(b)
         assert conj(a * b) == conj(a) * conj(b)
         assert conj(Scalar.rational(ca[0], m)) == ca[0]
-        assert conj(Scalar.zeta(m)) == Scalar.zeta(m, k)
+        assert conj(zeta(m)) == zeta(m, k)
 
 
 @settings(max_examples=100)
@@ -297,14 +322,15 @@ def test_image_mod_p_matches_fraction_reference(case):
 
 def test_image_mod_p_refuses_a_denominator_divisible_by_p():
     x = from_coeffs(4, [Fraction(1, 3), Fraction(5, 2 * P)])
-    assert FractionScalar(4, x.coeffs).image_mod_p(P, RPOW) is None
+    assert FractionScalar(4, coeffs(x)).image_mod_p(P, RPOW) is None
     assert image_mod_p([x], 4) is None
 
 
 @st.composite
 def canonical_scalars(draw):
     """Canonical Scalars whose numerators are zero, negative, or share a
-    factor with the denominator, which ``to_json`` must divide out."""
+    factor with the denominator, which ``Matrix.to_json`` and
+    ``entry_text`` must divide out."""
     m = draw(st.sampled_from([1, 3, 4, 5, 8]))
     den = draw(st.sampled_from([1, 2, 6, 12, 35, 10 ** 20 + 39]))
     shared = st.builds(lambda g, k: g * k, st.sampled_from([d for d in (1, 2, 3, 5, 6, 7)
@@ -318,8 +344,9 @@ def canonical_scalars(draw):
 @settings(max_examples=150)
 @given(canonical_scalars())
 def test_to_json_matches_the_fraction_route(x):
-    assert x.to_json() == scalar_to_json_reference(x)
-    assert scalar_from_json(x.to_json(), x.m) == x
+    assert text(x) == scalar_to_json(x) == scalar_to_json_reference(x)
+    assert scalar_from_json(text(x), x.m) == x
+    assert entry_text(x.m, x.num, x.den) == repr(FractionScalar(x.m, coeffs(x)))
 
 
 def test_arithmetic_makes_no_fraction(monkeypatch):
@@ -331,5 +358,5 @@ def test_arithmetic_makes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
     for a, b in pairs:
         _ = (a + b, a - b, a * b, a == b, a.is_zero(), bool(a), a + 1, 2 * a, a == 1, -a,
-             a.inverse(), a / b, a.to_json())
+             a.inverse(), a / b, repr(a))
     assert made == []

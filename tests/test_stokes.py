@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wildcat import linalg
 from wildcat.engine import is_stable, stabilizer_lie_dim
 from wildcat.linalg import Matrix
-from wildcat.scalars import Scalar
+from wildcat.scalars import euler_phi
 from wildcat.stokes import (
     Circle,
     InvalidCandidate,
@@ -30,14 +30,26 @@ from wildcat.stokes import (
     verify_candidate,
 )
 
-from oracles import block_support_violation_reference, pieces_of, stabilizer_lie_dim_commutant
+from oracles import (
+    block_support_violation_reference,
+    build,
+    element,
+    entries,
+    from_coeffs,
+    pieces_of,
+    sheets_reference,
+    singular_directions_reference,
+    stabilizer_lie_dim_commutant,
+    zeta,
+)
 
-TWO_CIRCLE = IrregularClass([Circle(1, [(1, 1)], 1), Circle(1, [(1, -1)], 1)])
-KATZ = IrregularClass([Circle(2, [(3, 1)], 1)])
+TWO_CIRCLE = IrregularClass([Circle(1, [(1, element(1))], 1), Circle(1, [(1, element(-1))], 1)])
+KATZ = IrregularClass([Circle(2, [(3, element(1))], 1)])
 TAME2 = IrregularClass([Circle(1, [], 2)])
 # three sheets with blocks of sizes 2, 1, 1, and a ramified class of three
-MULTI = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [(1, -1)], 1), Circle(1, [(1, 2)], 1)])
-RAM3 = IrregularClass([Circle(3, [(1, 1)], 1)])
+MULTI = IrregularClass([Circle(1, [(1, element(1))], 2), Circle(1, [(1, element(-1))], 1),
+                        Circle(1, [(1, element(2))], 1)])
+RAM3 = IrregularClass([Circle(3, [(1, element(1))], 1)])
 
 
 def close(a, b, tol=1e-9):
@@ -47,13 +59,13 @@ def close(a, b, tol=1e-9):
 class TestCircles:
     def test_gcd_normalization(self):
         with pytest.raises(ValueError):
-            Circle(2, [(2, 1)], 1)  # gcd(2, 2) = 2: not minimally ramified
+            Circle(2, [(2, element(1))], 1)  # gcd(2, 2) = 2: not minimally ramified
         with pytest.raises(ValueError):
             Circle(2, [], 1)  # tame circle must have ramification 1
 
     def test_rank(self):
         assert TWO_CIRCLE.rank == 2 and KATZ.rank == 2
-        assert IrregularClass([Circle(2, [(3, 1)], 2)]).rank == 4
+        assert IrregularClass([Circle(2, [(3, element(1))], 2)]).rank == 4
 
 
 class TestDirections:
@@ -68,7 +80,7 @@ class TestDirections:
         assert singular_directions(TAME2) == []
 
     def test_level_two(self):
-        cls = IrregularClass([Circle(1, [(2, 1)], 1), Circle(1, [], 1)])
+        cls = IrregularClass([Circle(1, [(2, element(1))], 1), Circle(1, [], 1)])
         dirs = singular_directions(cls)
         up = sorted(d.theta for d in dirs if d.pair == (0, 1))
         down = sorted(d.theta for d in dirs if d.pair == (1, 0))
@@ -77,7 +89,8 @@ class TestDirections:
 
     def test_count_matches_level(self):
         for cls in (TWO_CIRCLE, KATZ,
-                    IrregularClass([Circle(1, [(2, 1)], 1), Circle(1, [(1, 1)], 1)])):
+                    IrregularClass([Circle(1, [(2, element(1))], 1),
+                                    Circle(1, [(1, element(1))], 1)])):
             dirs = singular_directions(cls)
             per_pair = {}
             for d in dirs:
@@ -132,7 +145,7 @@ class TestGrading:
         assert [basis for _, basis in pieces_of(g)] == [[(1, 0)], [(0, 1)]]
 
     def test_multiplicity_blocks(self):
-        cls = IrregularClass([Circle(1, [(1, 1)], 2), Circle(1, [], 1)])
+        cls = IrregularClass([Circle(1, [(1, element(1))], 2), Circle(1, [], 1)])
         g = exponential_torus_grading(cls.sheets, cls.rank, cls.conductor())
         dims = [len(basis) for _, basis in pieces_of(g)]
         assert dims == [2, 1]
@@ -180,20 +193,20 @@ class TestVerify:
     def test_relation_violation(self):
         x = Fraction(1)
         cand = {"h1": Matrix.identity(2),
-                "S1.0": Matrix.build([[1, 0], [x, 1]]),
-                "S1.1": Matrix.build([[1, -x], [0, 1]])}
+                "S1.0": build([[1, 0], [x, 1]]),
+                "S1.1": build([[1, -x], [0, 1]])}
         v = verify_candidate(self.sc, cand)
         assert len(v) == 1 and "relation" in v[0]
 
     def test_pattern_violation(self):
         cand = {"h1": Matrix.identity(2),
-                "S1.0": Matrix.build([[1, 1], [0, 1]]),  # wrong block
+                "S1.0": build([[1, 1], [0, 1]]),  # wrong block
                 "S1.1": Matrix.identity(2)}
         v = verify_candidate(self.sc, cand)
         assert any("S1.0" in s and "pattern" in s for s in v)
 
     def test_formal_off_block(self):
-        cand = {"h1": Matrix.build([[0, 1], [1, 0]]),
+        cand = {"h1": build([[0, 1], [1, 0]]),
                 "S1.0": Matrix.identity(2),
                 "S1.1": Matrix.identity(2)}
         v = verify_candidate(self.sc, cand)
@@ -232,7 +245,7 @@ class TestFramedAssembly:
 
     def test_unverified_rejected(self):
         sc = build_scaffold(WildSurface(0, [TWO_CIRCLE], 2))
-        cand = {"h1": Matrix.build([[2, 0], [0, 1]]),
+        cand = {"h1": build([[2, 0], [0, 1]]),
                 "S1.0": Matrix.identity(2), "S1.1": Matrix.identity(2)}
         with pytest.raises(InvalidCandidate):
             to_framed_point(sc, cand)
@@ -345,9 +358,10 @@ class TestSampling:
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("surface", [
-        WildSurface(0, [IrregularClass([Circle(3, [(1, 1)], 1)])], 3),  # ram 3, exponent 1
-        WildSurface(1, [IrregularClass([Circle(1, [(1, 1)], 1), Circle(1, [(1, -1)], 1),
-                                        Circle(1, [(1, 2)], 1)])], 3),  # genus one, rank 3
+        WildSurface(0, [IrregularClass([Circle(3, [(1, element(1))], 1)])], 3),  # ram 3, exponent 1
+        WildSurface(1, [IrregularClass([Circle(1, [(1, element(1))], 1),
+                                        Circle(1, [(1, element(-1))], 1),
+                                        Circle(1, [(1, element(2))], 1)])], 3),  # genus one, rank 3
     ])
     def test_failure_counts_every_reason(self, surface):
         with pytest.raises(UnsolvableRelation) as info:
@@ -367,7 +381,7 @@ class TestSampling:
 def test_stokes_stabilizer_matches_exact_solve(coeffs, tame, seed):
     # three exponent-1 circles at n = 3: distinct 1-dim Levi blocks, or with
     # a second, tame puncture usually the whole algebra
-    wild = IrregularClass([Circle(1, [(1, a)], 1) for a in coeffs])
+    wild = IrregularClass([Circle(1, [(1, element(a))], 1) for a in coeffs])
     punctures = [wild, IrregularClass([Circle(1, [], 3)])] if tame else [wild]
     sc = build_scaffold(WildSurface(0, punctures, 3))
     try:
@@ -394,10 +408,48 @@ def test_block_support_violation_matches_the_identity_difference(data):
     for i, j in pattern:
         si, sj = pd.sheets[i], pd.sheets[j]
         block = [[data.draw(value) for _ in range(sj.size)] for _ in range(si.size)]
-        mat = mat.place(si.start, sj.start, Matrix.build(block, m))
+        mat = mat.place(si.start, sj.start, build(block, m))
     for _ in range(data.draw(st.integers(0, 2))):
         r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        entry = data.draw(st.one_of(value, st.just(Scalar.zeta(m)) if m > 1 else value))
-        mat = mat.place(r, c, Matrix.build([[entry]], m))
+        entry = data.draw(st.one_of(value, st.just(zeta(m)) if m > 1 else value))
+        mat = mat.place(r, c, build([[entry]], m))
     assert _block_support_violation(mat, pd.sheets, pattern, shift) == \
         block_support_violation_reference(mat, pd.sheets, pattern, shift)
+
+
+@st.composite
+def irregular_classes(draw):
+    """An irregular class over Q, Q(i), Q(zeta3), Q(zeta5) or Q(zeta8):
+    one to three circles of ramification 1 to 4, each minimally ramified,
+    with up to three nonzero coefficients of that field (an unramified
+    circle may be tame)."""
+    m = draw(st.sampled_from([1, 4, 3, 5, 8]))
+    coefficient = st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+                           min_size=euler_phi(m), max_size=euler_phi(m))
+    circles = []
+    for _ in range(draw(st.integers(1, 3))):
+        ram = draw(st.integers(1, 4))
+        exps = draw(st.lists(st.integers(1, 6), min_size=0 if ram == 1 else 1, max_size=3,
+                             unique=True))
+        assume(math.gcd(ram, *exps) == 1)
+        cs = [from_coeffs(m, draw(coefficient)) for _ in exps]
+        assume(all(not c.is_zero() for c in cs))
+        circles.append(Circle(ram, [(j, element(c)) for j, c in zip(exps, cs)],
+                              draw(st.integers(1, 2))))
+    try:
+        return IrregularClass(circles)
+    except ValueError:  # two sheets share one exponential factor
+        assume(False)
+
+
+@settings(max_examples=80)
+@given(irregular_classes())
+def test_sheets_and_directions_match_the_scalar_route(cls):
+    # the sheets' coefficients are one numerator map of the circles' (a
+    # promotion times a root of unity), and the directions' angles come
+    # from the 1 x 1 differences; both equal the Scalar route's, the
+    # floats bit for bit
+    assert [{e: entries(a)[0] for e, a in s.q.items()} for s in cls.sheets] == \
+        sheets_reference(cls)
+    got = [(d.theta, d.pair, d.level) for d in singular_directions(cls)]
+    assert got == singular_directions_reference(cls)

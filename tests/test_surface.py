@@ -5,6 +5,9 @@ imports only re-export) and of ``bench``.  A definition in the library is
 used when its name appears, as a Name or as an Attribute, outside its own
 body and inside no library definition that is itself unused; a method counts
 only as an Attribute, so the builtin ``sum`` does not use a method ``sum``.
+An Attribute read off a library class by name, ``Matrix.zero`` or
+``linalg.Matrix.zero``, counts only for that class's method, so it keeps no
+other ``zero`` in use.
 The used definitions are the least fixpoint of that rule, so code that only
 other unused code names (or a cycle of such code) is unused too.  Dunder
 methods are called by the language, and the allowed names below keep what
@@ -29,20 +32,30 @@ REACHED_ONLY_FROM_ALLOWED = set()
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _walk(node, enclosing, defs, uses):
-    """Record (qualified name, node, is a method) of each definition under
-    node, and each name read: (name, as an Attribute, the enclosing defs)."""
+def _owner(node, classes):
+    """The library class an Attribute is read off by name, or None."""
+    value = node.value
+    name = value.id if isinstance(value, ast.Name) else \
+        value.attr if isinstance(value, ast.Attribute) else None
+    return name if name in classes else None
+
+
+def _walk(node, enclosing, classes, defs, uses):
+    """Record (qualified name, node, its class or None) of each definition
+    under node, and each name read: (name, as an Attribute, the library
+    class it is read off or None, the enclosing defs)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, _DEFS):
             qual = enclosing[-1][0] + "." + child.name if enclosing else child.name
-            defs.append((qual, child, isinstance(node, ast.ClassDef)))
-            _walk(child, enclosing + [(qual, child)], defs, uses)
+            defs.append((qual, child, node.name if isinstance(node, ast.ClassDef) else None))
+            _walk(child, enclosing + [(qual, child)], classes, defs, uses)
             continue
         if isinstance(child, ast.Name):
-            uses.append((child.id, False, {id(d) for _, d in enclosing}))
+            uses.append((child.id, False, None, {id(d) for _, d in enclosing}))
         elif isinstance(child, ast.Attribute):
-            uses.append((child.attr, True, {id(d) for _, d in enclosing}))
-        _walk(child, enclosing, defs, uses)
+            uses.append((child.attr, True, _owner(child, classes),
+                         {id(d) for _, d in enclosing}))
+        _walk(child, enclosing, classes, defs, uses)
 
 
 def _is_dunder(node) -> bool:
@@ -50,22 +63,26 @@ def _is_dunder(node) -> bool:
 
 
 def unused_definitions(allowed=ALLOWED):
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    classes = {node.name for path in LIBRARY for node in ast.walk(trees[path])
+               if isinstance(node, ast.ClassDef)}
     defs, uses = [], []
-    for path in CALLERS:
+    for path, tree in trees.items():
         found = []
-        _walk(ast.parse(path.read_text(encoding="utf-8")), [], found, uses)
+        _walk(tree, [], classes, found, uses)
         if path in LIBRARY:
-            defs += [(f"{path.stem}.{qual}", node, method) for qual, node, method in found]
+            defs += [(f"{path.stem}.{qual}", node, cls) for qual, node, cls in found]
     library = {id(node) for _, node, _ in defs}
     live = {id(node) for qual, node, _ in defs if _is_dunder(node) or qual in allowed}
     used = set()
     while True:
         context = live | used
-        grown = {id(node) for _, node, method in defs
+        grown = {id(node) for _, node, cls in defs
                  if id(node) not in used
-                 and any(name == node.name and (attr or not method) and id(node) not in inside
+                 and any(name == node.name and (attr or cls is None) and id(node) not in inside
+                         and (owner is None or owner == cls)
                          and inside & library <= context
-                         for name, attr, inside in uses)}
+                         for name, attr, owner, inside in uses)}
         if not grown:
             break
         used |= grown

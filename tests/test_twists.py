@@ -11,14 +11,14 @@ from wildcat.twists import (
     transpose_inverse,
 )
 
-from oracles import adjoint, apply, compose, multiply, sigma
+from oracles import adjoint, apply, build, compose, multiply, sigma
 
-J = Matrix.build([[1, 1], [0, 1]])
+J = build([[1, 1], [0, 1]])
 
 
 def rand_invertible(rng, n):
     while True:
-        m = Matrix.build([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = build([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
             return m
 
@@ -37,7 +37,7 @@ class TestNormalize:
 
     def test_sigma_with_inner(self):
         # one bitorsor move: (g, Inn(A) o sigma) -> (g A, sigma)
-        a = Matrix.build([[2, 1], [1, 1]])
+        a = build([[2, 1], [1, 1]])
         x = TwistedElement(Matrix.identity(2), Automorphism(a, True))
         out = normalize([x])[0]
         assert out.g == a
@@ -66,14 +66,14 @@ class TestEmbedding:
         assert embed_doubled(TwistedElement.plain(Matrix.identity(2))) == Matrix.identity(4)
 
     def test_diagonal(self):
-        d = Matrix.build([[2, 0], [0, 1]])
+        d = build([[2, 0], [0, 1]])
         e = embed_doubled(TwistedElement.plain(d))
         from fractions import Fraction
-        assert e == Matrix.build([[2, 0, 0, 0], [0, 1, 0, 0],
+        assert e == build([[2, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
 
     def test_sigma_product_identity(self):
-        d = Matrix.build([[2, 0], [0, 1]])
+        d = build([[2, 0], [0, 1]])
         lhs = embed_doubled(TwistedElement(d, sigma(2))) @ \
             embed_doubled(TwistedElement(Matrix.identity(2), sigma(2)))
         assert lhs == embed_doubled(TwistedElement.plain(d))
