@@ -17,9 +17,9 @@ from .algebra import (
     radical_trace,
     spin_algebra,
 )
-from .twists import Automorphism, TwistedElement, embed_doubled
 from .engine import (
     FramedPoint,
+    Loop,
     NotPolystable,
     StabilityReport,
     TwistedInput,

@@ -60,7 +60,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Optional
@@ -102,14 +101,15 @@ class MeatAxeInconclusive(Exception):
 
 @dataclass
 class MatrixAlgebra:
-    """A unital subalgebra of n x n matrices, basis in canonical echelon order."""
+    """A unital subalgebra of n x n matrices: ``rows`` is its reduced
+    echelon basis, one element per row, flattened row-major."""
 
     ambient_n: int
-    basis: tuple
+    rows: Matrix                   # dim x n^2
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.rows
 
 
 def _spin_left(words, gens, mul, add, full: int) -> list:
@@ -242,17 +242,6 @@ def _spans_full_mod_p(generators, n: int, m: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def _matrix_units(n: int, m: int):
-    """E_11, E_12, ..., E_nn: the reduced echelon basis of all of M_n(K),
-    one shared tuple per (n, m), as ``Matrix.identity`` is one shared
-    object: a tuple cannot be changed, no code mutates a Matrix, and a
-    ``MatrixAlgebra`` that holds it only reads it."""
-    phi = euler_phi(m)
-    return tuple(Matrix(n, n, m, [int(t == u * phi) for t in range(n * n * phi)])
-                 for u in range(n * n))
-
-
 def _spin_exact(rights, starts, rows: int, m: int) -> _EchelonSet:
     """The echelon of the spin over Q(zeta_m) of the start words, the
     numerators of rows x n matrices (row-major, phi(m) per entry), by the
@@ -269,12 +258,12 @@ def spin_algebra(generators) -> MatrixAlgebra:
     """Smallest unital algebra of n x n matrices containing the generators,
     of which there is at least one (the identity spins the scalars).
 
-    The matrix units are returned without an exact spin when Norton's test
-    mod a small prime (``_spans_full_mod_p``) proves the algebra all of
-    M_n(K).  Where it cannot (an unlucky prime, no simple eigenvalue, or a
-    smaller algebra), the exact spin decides, and it returns the same
-    matrix units on a full algebra, so the basis does not depend on which
-    route ran."""
+    The matrix units, the rows of the shared n^2 x n^2 identity, are
+    returned without an exact spin when Norton's test mod a small prime
+    (``_spans_full_mod_p``) proves the algebra all of M_n(K).  Where it
+    cannot (an unlucky prime, no simple eigenvalue, or a smaller algebra),
+    the exact spin decides, and it returns the same matrix units on a full
+    algebra, so the basis does not depend on which route ran."""
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].rows
@@ -283,10 +272,9 @@ def spin_algebra(generators) -> MatrixAlgebra:
             raise ValueError("generators must be square of one common size")
     m = generators[0].m
     if _spans_full_mod_p(generators, n, m):
-        return MatrixAlgebra(n, _matrix_units(n, m))
+        return MatrixAlgebra(n, Matrix.identity(n * n, m))
     starts = [w.nums for w in [Matrix.identity(n, m)] + list(generators)]
-    ech = _spin_exact(generators, starts, n, m)
-    return MatrixAlgebra(n, tuple(Matrix(n, n, m, nums, den) for nums, den in ech.reduced_rows()))
+    return MatrixAlgebra(n, _spin_exact(generators, starts, n, m).matrix(0, n * n))
 
 
 def radical_trace(alg: MatrixAlgebra) -> Subspace:
@@ -295,17 +283,19 @@ def radical_trace(alg: MatrixAlgebra) -> Subspace:
 
     An algebra of dimension N^2 is M_N(K), which is simple: radical 0.  The
     Gram matrix is one product, since tr(b_i b_j) = vec(b_i) . vec(b_j^T):
-    its entries are those of the trace form, and the radical, an echelon
+    vec(b^T) is vec(b) with entry (i, j) moved to (j, i), so the second
+    factor is the transpose of the basis rows with its rows so permuted.
+    Its entries are those of the trace form, and the radical, an echelon
     basis, is unique, so it is the same Subspace whichever way they are
     summed.
     """
-    n, m = alg.ambient_n, alg.basis[0].m
+    n, vecs = alg.ambient_n, alg.rows
     if alg.dim == n * n:
-        return Subspace.zero(n * n, m)
-    vecs = stack([b.reshape(1, n * n) for b in alg.basis])
-    ker = kernel(vecs @ stack([b.transpose().reshape(1, n * n) for b in alg.basis]).transpose())
+        return Subspace.zero(n * n, vecs.m)
+    perm = [j * n + i for i in range(n) for j in range(n)]
+    ker = kernel(vecs @ vecs.transpose().submatrix(perm, 0, alg.dim))
     if ker.dim == 0:
-        return Subspace.zero(n * n, m)
+        return Subspace.zero(n * n, vecs.m)
     return Subspace.span(ker.matrix @ vecs)
 
 

@@ -4,6 +4,14 @@ A framed point consists of torus gradings T_1..T_m (via weight decompositions),
 connectors C_2..C_m, and twisted loops M_1..M_N.  The group H = prod C_G(T_i)
 acts by h . (C, M) = (h_i C_i h_1^-1, h_1 M_j phi_j(h_1)^-1).
 
+A loop is one ``Loop`` (g, A, s): the element (g, Inn(A) o s) of
+GL_n x| {1, sigma}, sigma the transpose-inverse.  A verdict reads only its
+adjoint action Inn(g A) o s = Inn(g) o Inn(A) o s, so the bitorsor move
+(g, Inn(A) o s) -> (g A, s) of ``normalize_point`` changes none.
+``_doubled`` realises a normalized loop on K^n + (K^n)^*, (g, 1) as
+diag(g, g^-T) and (g, sigma) as [[0, g], [g^-T, 0]]; this is faithful, as
+the top-left block is zero exactly under sigma and the other blocks give g.
+
 Verdicts reduce to exact linear algebra:
 
 * polystable  <=>  the unital algebra spanned by the loop matrices and one
@@ -58,7 +66,6 @@ from .algebra import (
 )
 from .linalg import Matrix, Subspace, kernel, sandwich_rows, stack
 from .modular import kernel_dim_mod_p
-from .twists import embed_doubled, normalize
 
 
 class NotPolystable(Exception):
@@ -81,12 +88,21 @@ class SingularMatrixError(ValueError):
 def _invert(g: Matrix, where: str):
     """Check that g is invertible by inverting it: the inverse is kept on g
     (``Matrix.inverse``), so the later inversions of g that a connector and
-    a sigma-twisted loop need (``galois_generators``, ``embed_doubled``)
+    a sigma-twisted loop need (``galois_generators``, ``_doubled``)
     cost no elimination.  SingularMatrixError(where) otherwise."""
     try:
         g.inverse()
     except ValueError:
         raise SingularMatrixError(where) from None
+
+
+@dataclass
+class Loop:
+    """A twisted loop (g, Inn(inner) o s), s = sigma when ``sigma`` is set,
+    else the identity (module docstring)."""
+    g: Matrix
+    inner: Matrix                  # invertible conjugating element
+    sigma: bool = False
 
 
 @dataclass
@@ -96,7 +112,7 @@ class FramedPoint:
     n: int
     gradings: list                 # m Gradings of K^n
     connectors: list               # m-1 invertible Matrices C_2..C_m
-    loops: list                    # TwistedElements M_1..M_N
+    loops: list                    # Loops M_1..M_N
 
     def __post_init__(self):
         if len(self.gradings) < 1:
@@ -111,17 +127,17 @@ class FramedPoint:
                 raise ValueError("connector size mismatch")
             _invert(c, f"connectors[{i}]")
         for i, x in enumerate(self.loops):
-            if x.n != self.n:
+            if not x.g.rows == x.g.cols == x.inner.rows == x.inner.cols == self.n:
                 raise ValueError("loop size mismatch")
-            if x.phi.outer:
+            if x.sigma:
                 _invert(x.g, f"loops[{i}].matrix")
             elif not x.g.is_invertible():
                 raise SingularMatrixError(f"loops[{i}].matrix")
-            if not (x.phi.is_inner_trivial() or x.phi.inner.is_invertible()):
+            if not (x.inner.is_identity() or x.inner.is_invertible()):
                 raise SingularMatrixError(f"loops[{i}].inner")
         fields = {g.basis.m for g in self.gradings} | {c.m for c in self.connectors}
         for x in self.loops:
-            fields |= {x.g.m, x.phi.inner.m}
+            fields |= {x.g.m, x.inner.m}
         if len(fields) > 1:
             raise ValueError(f"point mixes fields of conductors {sorted(fields)}")
         self._conductor = fields.pop()
@@ -132,7 +148,7 @@ class FramedPoint:
 
     def is_untwisted(self) -> bool:
         """No sigma flag on any loop (inner parts are allowed)."""
-        return all(not x.phi.outer for x in self.loops)
+        return not any(x.sigma for x in self.loops)
 
     def conductor(self) -> int:
         """Conductor of the one coefficient field of every grading and matrix."""
@@ -175,15 +191,28 @@ class StabilityReport:
 
 
 def normalize_point(p: FramedPoint) -> FramedPoint:
-    """Normalize all loop twists into the outer group {id, sigma}.
+    """Push every inner twist into the group part, (g, Inn(A) o s) ->
+    (g A, s), which leaves every verdict as it is (module docstring).
 
-    A normalized point comes back as it is; else only the loops change, to
-    g A of invertible g and A, so the copy needs no validation again."""
-    if all(x.is_normalized() for x in p.loops):
+    A normalized point comes back as it is; else only the loops with an
+    inner part change, to g A of invertible g and A, so the copy needs no
+    validation again."""
+    if all(x.inner.is_identity() for x in p.loops):
         return p
     pn = copy.copy(p)
-    pn.loops = normalize(p.loops)
+    one = Matrix.identity(p.n, p.conductor())
+    pn.loops = [x if x.inner.is_identity() else Loop(x.g @ x.inner, one, x.sigma)
+                for x in p.loops]
     return pn
+
+
+def _doubled(g: Matrix, sigma: bool) -> Matrix:
+    """The 2n x 2n realisation of the normalized loop (g, s) (module
+    docstring): diag(g, g^-T), or [[0, g], [g^-T, 0]] under sigma."""
+    n = g.rows
+    shift = n if sigma else 0  # sigma puts both blocks off the diagonal
+    out = Matrix.zero(2 * n, 2 * n, g.m).place(0, shift, g)
+    return out.place(n, n - shift, g.inverse().transpose())
 
 
 def galois_generators(p: FramedPoint):
@@ -220,7 +249,7 @@ def galois_generators(p: FramedPoint):
     system, solved in its coordinates) or a spun submodule, and its kernel
     is trivial or one an earlier generator already offered the MeatAxe.
     """
-    if not all(x.is_normalized() for x in p.loops):
+    if not all(x.inner.is_identity() for x in p.loops):
         raise ValueError("loops must be normalized first")
     tori = []
     for grading, c in zip(p.gradings, [None] + p.connectors):
@@ -231,7 +260,7 @@ def galois_generators(p: FramedPoint):
     if p.is_untwisted():
         gens = [x.g for x in p.loops] + tori
     else:
-        gens = [embed_doubled(x) for x in p.loops] + [
+        gens = [_doubled(x.g, x.sigma) for x in p.loops] + [
             Matrix.zero(2 * n, 2 * n, cond).place(0, 0, x).place(n, n, -x.transpose())
             for x in tori]
     return _distinct_nonscalar(gens) or [Matrix.identity(n, cond)]
@@ -260,7 +289,7 @@ def is_polystable(p: FramedPoint) -> StabilityReport:
 
 def kernel_lie_dim(p: FramedPoint) -> int:
     """Lie dimension of the action kernel: scalars fixed by every loop twist."""
-    return 0 if any(x.phi.outer for x in p.loops) else 1  # sigma negates scalars
+    return 0 if any(x.sigma for x in p.loops) else 1  # sigma negates scalars
 
 
 def _stabilizer_rows(p: FramedPoint, gens: list) -> Matrix:

@@ -14,6 +14,9 @@ numerator tuple, which no code mutates.  Matrices, grading bases and a
 Stokes circle's coefficients (1 x 1 matrices) are laid over one denominator
 by ``linalg.over_lcm`` and written by ``Matrix.to_json``, so no Scalar is
 made.  A JSON path is formatted only for an error.
+
+A tuple's loop is read to one ``Loop`` (an absent inner part is the
+identity) and written back from it with all three keys.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .engine import FramedPoint, SingularMatrixError
+from .engine import FramedPoint, Loop, SingularMatrixError
 from .linalg import Grading, Matrix, over_lcm
 from .scalars import euler_phi, parse_numerators
 from .stokes import Circle, IrregularClass, WildSurface, promote
-from .twists import Automorphism, TwistedElement
 
 
 class InstanceError(Exception):
@@ -176,7 +178,7 @@ def _parse_tuple(reader: _Reader, data, m) -> Optional[FramedPoint]:
         if outer_raw not in ("identity", "sigma"):
             reader.fail(f"{lpath}.outer", 'expected "identity" or "sigma"')
             outer_raw = "identity"
-        loops.append(TwistedElement(g, Automorphism(inner, outer_raw == "sigma")))
+        loops.append(Loop(g, inner, outer_raw == "sigma"))
     if reader.errors:
         return None
     try:
@@ -326,8 +328,8 @@ def render_instance(inst: InstanceFile) -> dict:
             "gradings": [_grading_json(g) for g in p.gradings],
             "connectors": [c.to_json() for c in p.connectors],
             "loops": [{"matrix": x.g.to_json(),
-                       "inner": x.phi.inner.to_json(),
-                       "outer": "sigma" if x.phi.outer else "identity"}
+                       "inner": x.inner.to_json(),
+                       "outer": "sigma" if x.sigma else "identity"}
                       for x in p.loops],
         }
     if inst.mode == "stokes" and inst.surface is not None:

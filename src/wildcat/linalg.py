@@ -516,15 +516,9 @@ class Matrix:
             return self._inverse
         if self.is_identity():
             return self
-        n, phi = self.rows, euler_phi(self.m)
-        ech = _EchelonSet(2 * n, self.m)
-        for i, row in enumerate(self.int_rows()):  # the row [a_i | e_i], times den
-            unit = [0] * (n * phi)
-            unit[i * phi] = self.den
-            ech.insert(row + unit)
-        if ech.pivots[:n] != list(range(n)):
+        inv = linear_solve(self, Matrix.identity(self.rows, self.m))
+        if inv is None:
             raise ValueError("matrix is singular")
-        inv = ech.matrix(n, 2 * n)
         self._inverse, inv._inverse = inv, self
         return inv
 

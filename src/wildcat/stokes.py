@@ -30,9 +30,10 @@ Conventions (fixed here once and used consistently everywhere):
 * Sheet k has weight (k,): the grading of the fibre into sheet blocks
   presents the exponential torus, whose centralizer (the block group) is
   the framing group at the puncture.  Sheet indices suffice because Stokes
-  points are untwisted, so only the pieces reach a verdict; a sigma-twisted
-  Stokes side would pair the weights u and -u, and would need the
-  coordinates of the exponential factors in a Z-basis of their lattice.
+  points are untwisted (each ``Loop`` has no inner part and no sigma), so
+  only the pieces reach a verdict; a sigma-twisted Stokes side would pair
+  the weights u and -u, and would need the coordinates of the exponential
+  factors in a Z-basis of their lattice.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .engine import FramedPoint
+from .engine import FramedPoint, Loop
 from .linalg import Grading, Matrix, _matrix, kernel, linear_solve, sandwich_rows
 from .scalars import euler_phi, power_numerators
-from .twists import TwistedElement
 
 ANGLE_TOL = 1e-9
 
@@ -429,7 +429,7 @@ def to_framed_point(sc: Scaffold, cand: dict) -> FramedPoint:
             continue
         if conj is not None:
             mat = conj[0] @ mat @ conj[1]
-        loops.append(TwistedElement.plain(mat))
+        loops.append(Loop(mat, Matrix.identity(sc.n, sc.conductor)))
     gradings = [exponential_torus_grading(pd.sheets, sc.n, sc.conductor) for pd in sc.punctures]
     return FramedPoint(sc.n, gradings, connectors, loops)
 

@@ -141,8 +141,10 @@ them as text).
 The rest is API that only the tests need, kept here rather than in the
 library: the framing-group action ``act``, under which every verdict is
 invariant; ``restrict_point``, a point restricted to an invariant summand;
-the twist group law (``sigma``, ``apply``, ``compose``, ``multiply``,
-``adjoint``), which ``normalize`` and ``embed_doubled`` must respect; and
+``plain``, the loop (g, s) with the identity as inner part; the twist
+group law on an automorphism Inn(A) o s kept as its pair (A, s)
+(``apply``, ``compose``, ``multiply``, ``adjoint``), which
+``normalize_point`` and the doubled realisation must respect; and
 ``mul_vector``, ``contains``, ``coordinates``, ``intersection`` and
 ``piece_subspaces`` on vectors and subspaces; ``from_vectors``,
 ``from_pieces`` and ``pieces_of``, which build a Subspace and a Grading
@@ -171,7 +173,8 @@ from wildcat.algebra import (
     restrict_matrix,
     spin_algebra,
 )
-from wildcat.engine import FramedPoint, TwistedInput, galois_generators, normalize_point
+from wildcat.engine import (FramedPoint, Loop, TwistedInput, _doubled, galois_generators,
+                            normalize_point)
 from wildcat.linalg import Grading, Matrix, Subspace, _EchelonSet, _matrix, kernel, over_lcm, stack
 from wildcat.modular import _charpoly_mod, _horner_mod, _image_map, _modulus, factor_integer
 from wildcat.scalars import (
@@ -186,7 +189,6 @@ from wildcat.scalars import (
     parse_numerators,
 )
 from wildcat.stokes import ANGLE_TOL
-from wildcat.twists import Automorphism, TwistedElement, embed_doubled, transpose_inverse
 
 
 class ScalarEchelon:
@@ -438,7 +440,7 @@ def instance_matrices(inst) -> list:
     if inst.point is not None:
         p = inst.point
         out += [g.basis for g in p.gradings] + list(p.connectors)
-        out += [a for x in p.loops for a in (x.g, x.phi.inner)]
+        out += [a for x in p.loops for a in (x.g, x.inner)]
     return out + [inst.candidate[name] for name in sorted(inst.candidate or ())]
 
 
@@ -618,13 +620,13 @@ def _left_spin(generators, starts, n: int, cols: int, m: int) -> _EchelonSet:
     return ech
 
 
-def spin_algebra_left(generators) -> tuple:
-    """The echelon basis of the unital algebra of the generators by the
-    exact left spin from I and the generators, with no modular certificate."""
+def spin_algebra_left(generators) -> Matrix:
+    """The echelon basis rows (``MatrixAlgebra.rows``) of the unital algebra
+    of the generators by the exact left spin from I and the generators,
+    with no modular certificate."""
     n, m = generators[0].rows, generators[0].m
     starts = [w.nums for w in [Matrix.identity(n, m)] + list(generators)]
-    return tuple(Matrix(n, n, m, nums, den)
-                 for nums, den in _left_spin(generators, starts, n, n, m).reduced_rows())
+    return _left_spin(generators, starts, n, n, m).matrix(0, n * n)
 
 
 def spin_subspace_left(generators, starts: Matrix) -> Subspace:
@@ -678,21 +680,23 @@ def complement_reference(generators, sub: Subspace) -> Subspace:
     return from_vectors(n, kernel_reference([list(scalar_row(proj, i)) for i in range(n)], n, m))
 
 
+def algebra_basis(alg: MatrixAlgebra) -> tuple:
+    """The echelon basis of alg as n x n matrices, one per row of ``rows``."""
+    n = alg.ambient_n
+    return tuple(alg.rows.submatrix([i], 0, n * n).reshape(n, n) for i in range(alg.dim))
+
+
 def _echelon(alg: MatrixAlgebra) -> ScalarEchelon:
-    return ScalarEchelon(alg.ambient_n ** 2, [entries(b) for b in alg.basis])
-
-
-def _conductor(alg: MatrixAlgebra) -> int:
-    return alg.basis[0].m if alg.basis else 1
+    return ScalarEchelon(alg.ambient_n ** 2, [entries(b) for b in algebra_basis(alg)])
 
 
 def is_closed(alg: MatrixAlgebra) -> bool:
-    ech = _echelon(alg)
-    for a in alg.basis:
-        for b in alg.basis:
+    ech, basis = _echelon(alg), algebra_basis(alg)
+    for a in basis:
+        for b in basis:
             if not ech.contains(list(entries(a @ b))):
                 return False
-    return ech.contains(list(entries(Matrix.identity(alg.ambient_n, _conductor(alg)))))
+    return ech.contains(list(entries(Matrix.identity(alg.ambient_n, alg.rows.m))))
 
 
 def radical_oracle(alg: MatrixAlgebra) -> Subspace:
@@ -702,14 +706,14 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     regular module A acting on itself, so this route never looks at natural-
     module traces.  Every element of the result is certified nilpotent.
     """
-    d = alg.dim
-    n, m = alg.ambient_n, _conductor(alg)
+    d, basis = alg.dim, algebra_basis(alg)
+    n, m = alg.ambient_n, alg.rows.m
     ech = _echelon(alg)
     struct = []
     for i in range(d):
         row = []
         for j in range(d):
-            res, coords = ech.reduce(entries(alg.basis[i] @ alg.basis[j]))
+            res, coords = ech.reduce(entries(basis[i] @ basis[j]))
             if any(res):
                 raise AssertionError("algebra is not multiplicatively closed")
             row.append(coords)
@@ -735,7 +739,7 @@ def radical_oracle(alg: MatrixAlgebra) -> Subspace:
     rows = []
     for coeffs in kernel_reference(gram, d, m):
         elem = Matrix.zero(n, n, m)
-        for c, b in zip(coeffs, alg.basis):
+        for c, b in zip(coeffs, basis):
             if c:
                 elem = elem + scale_reference(b, c)
         rows.append(list(entries(elem)))
@@ -809,7 +813,7 @@ def galois_generators_reference(p: FramedPoint) -> list:
         return [x.g for x in p.loops] + [q for projs in per_grading for _, q in projs]
     n, m = p.n, p.conductor()
     zero = Matrix.zero(n, n, m)
-    gens = [embed_doubled(x) for x in p.loops]
+    gens = [_doubled(x.g, x.sigma) for x in p.loops]
     for projs in per_grading:
         by_weight = dict(projs)
         for u in sorted(set(by_weight) | {tuple(-c for c in w) for w in by_weight}):
@@ -839,8 +843,8 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
                     rows.append(row)
     for x in p.loops:
         g = x.g
-        ga = g @ x.phi.inner
-        inner_inv = inverse_reference(x.phi.inner)
+        ga = g @ x.inner
+        inner_inv = inverse_reference(x.inner)
         for r in range(n):
             for c in range(n):
                 row = [zero(m)] * (n * n)
@@ -852,7 +856,7 @@ def stabilizer_lie_dim_commutant(p: FramedPoint) -> int:
                     for b in range(n):
                         f = scalar_entry(inner_inv, b, c)
                         if f:
-                            if x.phi.outer:
+                            if x.sigma:
                                 row[b * n + a] = row[b * n + a] + scalar_entry(ga, r, a) * f
                             else:
                                 row[a * n + b] = row[a * n + b] - scalar_entry(ga, r, a) * f
@@ -1299,31 +1303,42 @@ def piece_subspaces(g: Grading) -> list:
     return [from_vectors(g.ambient_dim, basis) for _, basis in pieces_of(g)]
 
 
-def sigma(n: int, m: int = 1) -> Automorphism:
-    return Automorphism(Matrix.identity(n, m), True)
+def plain(g: Matrix, sigma: bool = False) -> Loop:
+    """The loop (g, s), s = sigma when ``sigma`` is set: its inner part is
+    the identity."""
+    return Loop(g, Matrix.identity(g.rows, g.m), sigma)
 
 
-def apply(phi: Automorphism, g: Matrix) -> Matrix:
-    core = transpose_inverse(g) if phi.outer else g
-    if phi.is_inner_trivial():
+def transpose_inverse(g: Matrix) -> Matrix:
+    """sigma(g) = (g^-1)^T."""
+    return g.inverse().transpose()
+
+
+def apply(phi: tuple, g: Matrix) -> Matrix:
+    """phi(g) for the automorphism phi = (A, s), Inn(A) o s."""
+    inner, outer = phi
+    core = transpose_inverse(g) if outer else g
+    if inner.is_identity():
         return core
-    return phi.inner @ core @ phi.inner.inverse()
+    return inner @ core @ inner.inverse()
 
 
-def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
+def compose(phi: tuple, psi: tuple) -> tuple:
     """phi o psi: Inn(A) s_a Inn(B) s_b = Inn(A s_a(B)) s_a s_b."""
-    b = transpose_inverse(psi.inner) if phi.outer else psi.inner
-    return Automorphism(phi.inner @ b, phi.outer != psi.outer)
+    (a, s_a), (b, s_b) = phi, psi
+    return a @ (transpose_inverse(b) if s_a else b), s_a != s_b
 
 
-def multiply(x: TwistedElement, y: TwistedElement) -> TwistedElement:
+def multiply(x: Loop, y: Loop) -> Loop:
     """(g, phi)(h, psi) = (g phi(h), phi psi) in G x| {id, sigma}."""
-    return TwistedElement(x.g @ apply(x.phi, y.g), compose(x.phi, y.phi))
+    phi = (x.inner, x.sigma)
+    return Loop(x.g @ apply(phi, y.g), *compose(phi, (y.inner, y.sigma)))
 
 
-def adjoint(x: TwistedElement) -> Automorphism:
-    """The induced automorphism Inn(g) o phi; invariant under normalize."""
-    return compose(Automorphism(x.g, False), x.phi)
+def adjoint(x: Loop) -> tuple:
+    """The induced automorphism Inn(g) o Inn(A) o s, as its pair (g A, s);
+    invariant under ``normalize_point``."""
+    return compose((x.g, False), (x.inner, x.sigma))
 
 
 def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
@@ -1336,7 +1351,7 @@ def restrict_point(p: FramedPoint, block: Subspace) -> FramedPoint:
         raise TwistedInput("restriction requires untwisted loops")
     pn = normalize_point(p)
     nb = block.dim
-    loops = [TwistedElement.plain(restrict_matrix(x.g, block)) for x in pn.loops]
+    loops = [plain(restrict_matrix(x.g, block)) for x in pn.loops]
     gradings = []
     connectors = []
     for i, grading in enumerate(pn.gradings):
@@ -1375,5 +1390,6 @@ def act(h, p: FramedPoint) -> FramedPoint:
                     raise ValueError(f"group element {i + 1} does not centralize torus {i + 1}")
     h1, h1inv = hs[0], hs[0].inverse()
     connectors = [hs[i + 1] @ c @ h1inv for i, c in enumerate(p.connectors)]
-    loops = [TwistedElement(h1 @ x.g @ apply(x.phi, h1).inverse(), x.phi) for x in p.loops]
+    loops = [Loop(h1 @ x.g @ apply((x.inner, x.sigma), h1).inverse(), x.inner, x.sigma)
+             for x in p.loops]
     return FramedPoint(p.n, p.gradings, connectors, loops)

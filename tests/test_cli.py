@@ -547,6 +547,39 @@ def test_sample_and_analyze_text(tmp_path, capsys):
     assert text_lines(capsys) == GENUS_ONE_ANALYZE_TEXT
 
 
+# ``wildcat directions`` and ``wildcat scaffold`` on TWO_CIRCLE, and
+# ``wildcat scaffold`` on GENUS_ONE, whose relation has inverted letters
+TWO_CIRCLE_DIRECTIONS_TEXT = [
+    "puncture 1: 2 singular directions",
+    "    theta = 0: pattern blocks [(1, 0)]",
+    "    theta = 3.14159265359: pattern blocks [(0, 1)]",
+]
+TWO_CIRCLE_SCAFFOLD_TEXT = [
+    "3 generators:",
+    "    h1: formal  (twisted graded support)",
+    "    S1.0: stokes  theta=0  pattern=[(1, 0)]",
+    "    S1.1: stokes  theta=3.14159265359  pattern=[(0, 1)]",
+    "relation: h1 S1.1 S1.0 = 1",
+]
+GENUS_ONE_SCAFFOLD_TEXT = [
+    "5 generators:",
+    "    a1: handle_a",
+    "    b1: handle_b",
+] + TWO_CIRCLE_SCAFFOLD_TEXT[1:4] + [
+    "relation: a1 b1 a1^-1 b1^-1 h1 S1.1 S1.0 = 1",
+]
+
+
+def test_directions_and_scaffold_text(tmp_path, capsys):
+    path = write(tmp_path, "tc.json", TWO_CIRCLE)
+    assert run_command(["directions", "--instance", path]) == 0
+    assert text_lines(capsys) == TWO_CIRCLE_DIRECTIONS_TEXT
+    assert run_command(["scaffold", "--instance", path]) == 0
+    assert text_lines(capsys) == TWO_CIRCLE_SCAFFOLD_TEXT
+    assert run_command(["scaffold", "--instance", write(tmp_path, "g1.json", GENUS_ONE)]) == 0
+    assert text_lines(capsys) == GENUS_ONE_SCAFFOLD_TEXT
+
+
 # Q(zeta5) points with fractional entries: P diag(1/2, C) P^-1, C the companion
 # matrix of x^2 - 2, and a Jordan block behind Q = [[1, 0], [1/3 + z5, 1]]
 LEVI_ZETA5 = {"field": 5, "mode": "tuple", "tuple": {"n": 3, "loops": [{"matrix": [

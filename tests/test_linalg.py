@@ -19,7 +19,6 @@ from wildcat.linalg import (
     sandwich_rows,
 )
 from wildcat.scalars import Scalar, euler_phi
-from wildcat.twists import TwistedElement
 
 from oracles import (
     FractionScalar,
@@ -45,6 +44,7 @@ from oracles import (
     mul_vector,
     pieces_of,
     place_reference,
+    plain,
     sandwich_rows_reference,
     scalar_basis,
     scalar_entry,
@@ -490,7 +490,7 @@ class TestMatrix:
         for mix in (lambda: a @ q, lambda: q @ a, lambda: a + q, lambda: q - a,
                     lambda: q.place(0, 0, build([[z5]])),
                     lambda: linear_solve(q, a),
-                    lambda: FramedPoint(2, [Grading.trivial(2)], [], [TwistedElement.plain(a)]),
+                    lambda: FramedPoint(2, [Grading.trivial(2)], [], [plain(a)]),
                     lambda: FramedPoint(2, [Grading.trivial(2, 5), Grading.trivial(2)], [a], [])):
             with pytest.raises(ValueError, match=r"\[1, 5\]"):
                 mix()

@@ -260,7 +260,7 @@ class TestFramedAssembly:
         expected += [c.inverse() @ a[name] @ c for name in ("h2", "S2.0", "S2.1")]
         fp = to_framed_point(sc, a)
         assert [loop.g for loop in fp.loops] == expected
-        assert all(loop.is_normalized() for loop in fp.loops)
+        assert all(loop.inner.is_identity() and not loop.sigma for loop in fp.loops)
         assert fp.connectors == [c]
         assert [pieces_of(g) for g in fp.gradings] == \
             [pieces_of(exponential_torus_grading(pd.sheets, sc.n, sc.conductor))

@@ -2,16 +2,10 @@ import random
 
 import pytest
 
-from wildcat.linalg import Matrix
-from wildcat.twists import (
-    Automorphism,
-    TwistedElement,
-    embed_doubled,
-    normalize,
-    transpose_inverse,
-)
+from wildcat.engine import FramedPoint, Loop, _doubled, galois_generators, normalize_point
+from wildcat.linalg import Grading, Matrix
 
-from oracles import adjoint, apply, build, compose, multiply, sigma
+from oracles import adjoint, apply, build, compose, multiply, plain, transpose_inverse
 
 J = build([[1, 1], [0, 1]])
 
@@ -23,83 +17,88 @@ def rand_invertible(rng, n):
             return m
 
 
+def normalize(x: Loop) -> Loop:
+    """The one loop of a point made of x alone, normalized."""
+    n = x.g.rows
+    return normalize_point(FramedPoint(n, [Grading.trivial(n)], [], [x])).loops[0]
+
+
+def doubled(x: Loop) -> Matrix:
+    return _doubled(x.g, x.sigma)
+
+
 class TestNormalize:
     def test_inner_twist_cancels(self):
         # (g, Inn(g^-1)) normalizes to the identity element: its adjoint is trivial
-        x = TwistedElement(J, Automorphism(J.inverse(), False))
-        out = normalize([x])[0]
+        x = Loop(J, J.inverse())
+        out = normalize(x)
         assert out.g == Matrix.identity(2)
-        assert not out.phi.outer and out.phi.is_inner_trivial()
+        assert not out.sigma and out.inner.is_identity()
 
     def test_untwisted_unchanged(self):
-        x = TwistedElement.plain(J)
-        assert normalize([x])[0] == x
+        x = plain(J)
+        assert normalize(x) is x
 
     def test_sigma_with_inner(self):
         # one bitorsor move: (g, Inn(A) o sigma) -> (g A, sigma)
         a = build([[2, 1], [1, 1]])
-        x = TwistedElement(Matrix.identity(2), Automorphism(a, True))
-        out = normalize([x])[0]
+        x = Loop(Matrix.identity(2), a, True)
+        out = normalize(x)
         assert out.g == a
-        assert out.phi.outer and out.phi.is_inner_trivial()
+        assert out.sigma and out.inner.is_identity()
 
     def test_adjoint_preserved(self):
         rng = random.Random(2)
         for _ in range(20):
             n = rng.choice([2, 3])
-            x = TwistedElement(rand_invertible(rng, n),
-                               Automorphism(rand_invertible(rng, n), rng.random() < 0.5))
-            out = normalize([x])[0]
-            assert out.is_normalized()
+            x = Loop(rand_invertible(rng, n), rand_invertible(rng, n), rng.random() < 0.5)
+            out = normalize(x)
+            assert out.inner.is_identity()
             assert adjoint(x) == adjoint(out)
 
     def test_idempotent(self):
         rng = random.Random(8)
-        x = TwistedElement(rand_invertible(rng, 2),
-                           Automorphism(rand_invertible(rng, 2), True))
-        once = normalize([x])
-        assert normalize(once) == once
+        x = Loop(rand_invertible(rng, 2), rand_invertible(rng, 2), True)
+        once = normalize(x)
+        assert normalize(once) is once
 
 
 class TestEmbedding:
     def test_identity(self):
-        assert embed_doubled(TwistedElement.plain(Matrix.identity(2))) == Matrix.identity(4)
+        assert doubled(plain(Matrix.identity(2))) == Matrix.identity(4)
 
     def test_diagonal(self):
         d = build([[2, 0], [0, 1]])
-        e = embed_doubled(TwistedElement.plain(d))
+        e = doubled(plain(d))
         from fractions import Fraction
         assert e == build([[2, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, Fraction(1, 2), 0], [0, 0, 0, 1]])
 
     def test_sigma_product_identity(self):
         d = build([[2, 0], [0, 1]])
-        lhs = embed_doubled(TwistedElement(d, sigma(2))) @ \
-            embed_doubled(TwistedElement(Matrix.identity(2), sigma(2)))
-        assert lhs == embed_doubled(TwistedElement.plain(d))
+        lhs = doubled(plain(d, True)) @ doubled(plain(Matrix.identity(2), True))
+        assert lhs == doubled(plain(d))
 
     def test_homomorphism_randomized(self):
         rng = random.Random(6)
         for _ in range(40):
             n = rng.choice([2, 3, 4])
-            a = TwistedElement(rand_invertible(rng, n),
-                               Automorphism(Matrix.identity(n), rng.random() < 0.5))
-            b = TwistedElement(rand_invertible(rng, n),
-                               Automorphism(Matrix.identity(n), rng.random() < 0.5))
-            assert embed_doubled(a) @ embed_doubled(b) == embed_doubled(multiply(a, b))
+            a = plain(rand_invertible(rng, n), rng.random() < 0.5)
+            b = plain(rand_invertible(rng, n), rng.random() < 0.5)
+            assert doubled(a) @ doubled(b) == doubled(multiply(a, b))
 
     def test_unnormalized_rejected(self):
-        x = TwistedElement(J, Automorphism(J, False))
-        with pytest.raises(ValueError):
-            embed_doubled(x)
+        # the doubled generators are built from normalized loops only
+        p = FramedPoint(2, [Grading.trivial(2)], [], [Loop(J, J, True)])
+        with pytest.raises(ValueError, match="loops must be normalized first"):
+            galois_generators(p)
 
     def test_faithful_on_samples(self):
         rng = random.Random(10)
         seen = []
         for _ in range(10):
-            x = TwistedElement(rand_invertible(rng, 2),
-                               Automorphism(Matrix.identity(2), rng.random() < 0.5))
-            e = embed_doubled(x)
+            x = plain(rand_invertible(rng, 2), rng.random() < 0.5)
+            e = doubled(x)
             for y, f in seen:
                 if f == e:
                     assert y == x
@@ -111,13 +110,13 @@ class TestAutomorphismAlgebra:
         rng = random.Random(14)
         for _ in range(20):
             n = 2
-            phi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
-            psi = Automorphism(rand_invertible(rng, n), rng.random() < 0.5)
+            phi = (rand_invertible(rng, n), rng.random() < 0.5)
+            psi = (rand_invertible(rng, n), rng.random() < 0.5)
             g = rand_invertible(rng, n)
             assert apply(compose(phi, psi), g) == apply(phi, apply(psi, g))
             # (Inn(A) s)^-1 = Inn(s^-1(A^-1)) s
-            ainv = phi.inner.inverse()
-            inverse = Automorphism(transpose_inverse(ainv) if phi.outer else ainv, phi.outer)
+            a, outer = phi
+            inverse = (transpose_inverse(a.inverse()) if outer else a.inverse(), outer)
             assert apply(compose(phi, inverse), g) == g
 
     def test_sigma_is_an_automorphism(self):
