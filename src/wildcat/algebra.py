@@ -309,22 +309,18 @@ def spin_subspace(generators, starts: Matrix) -> Subspace:
                                 starts.m))
 
 
-def intertwiner_rows(acts_a, acts_b, da: int, db: int, m: int) -> Matrix:
-    """The coefficient rows (``sandwich_rows``) of b h - h a, h a db x da
-    unknown, for every pair (a, b); there is at least one pair."""
-    return stack([sandwich_rows([(gb, None, False), (None, -ga, False)], db, da, m)
+def intertwiner_rows(acts_a, acts_b) -> Matrix:
+    """The coefficient rows (``sandwich_rows``) of b h - h a, h an n x n
+    unknown, for every pair (a, b) of n x n actions; there is at least one
+    pair."""
+    return stack([sandwich_rows([(gb, None, False), (None, -ga, False)])
                   for ga, gb in zip(acts_a, acts_b)])
 
 
-def intertwiners(acts_a, acts_b, da: int, db: int, m: int):
-    """Echelon basis of the db x da matrices h with b h = h a for every pair
-    (a, b) of actions; there is at least one pair."""
-    return kernel(intertwiner_rows(acts_a, acts_b, da, db, m)).matrices(db, da)
-
-
-def commutant(generators, n: int):
+def commutant(generators):
     """Echelon basis of {x : x g = g x for all generators g}."""
-    return intertwiners(generators, generators, n, n, generators[0].m)
+    n = generators[0].rows
+    return kernel(intertwiner_rows(generators, generators)).matrices(n, n)
 
 
 def restrict_matrix(g: Matrix, sub: Subspace) -> Matrix:
@@ -670,7 +666,7 @@ def invariant_subspace(generators, *, comm: Optional[list] = None) -> Optional[S
             if not (0 < sub.dim < n):
                 raise AssertionError("radical image must be proper and nonzero")
             return sub
-        comm = commutant(generators, n)
+        comm = commutant(generators)
 
     # semisimple from here on
     if len(comm) == 1:
@@ -741,7 +737,7 @@ def decompose_irreducibles(generators, split: Optional[Subspace], comm: Optional
         acts = [restrict_matrix(g, sub) for g in generators]
         if _spans_full_mod_p(acts, sub.dim, m):  # M_d(K)
             return [sub]
-        comm = commutant(acts, sub.dim)
+        comm = commutant(acts)
         return summands(sub, invariant_subspace(acts, comm=comm), comm)
 
     m = generators[0].m

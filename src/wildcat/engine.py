@@ -25,8 +25,9 @@ Verdicts reduce to exact linear algebra:
 The stabilizer rows are the commutant rows of the Galois generators, in
 X = xi untwisted and X = diag(xi, -xi^T) under sigma.  A doubled generator
 is block diagonal or antidiagonal, and the last n rows of its condition
-restate the first n, so the top blocks alone give the rows.  An algebra
-proven to be M_N(K) leaves only the kernel.
+restate the first n, so the top blocks alone give the rows: xi A = A xi
+and xi B + B xi^T = 0, each term with one factor (``sandwich_rows``).  An
+algebra proven to be M_N(K) leaves only the kernel.
 
 A polystable untwisted point's stabilizer is the group of units of the
 commutant E = End(K^n) of its generators (Richardson's tame case), so its
@@ -306,16 +307,16 @@ def _stabilizer_rows(p: FramedPoint, gens: list) -> Matrix:
     """
     n, m = p.n, p.conductor()
     if p.is_untwisted():
-        rows = intertwiner_rows(gens, gens, n, n, m)
+        rows = intertwiner_rows(gens, gens)
     else:
         systems = []
         for g in gens:
             b = g.submatrix(range(n), n, 2 * n)
             if b.is_zero():
                 a = g.submatrix(range(n), 0, n)
-                systems.append(intertwiner_rows([a], [a], n, n, m))
+                systems.append(intertwiner_rows([a], [a]))
             else:
-                systems.append(sandwich_rows([(None, b, False), (b, None, True)], n, n, m))
+                systems.append(sandwich_rows([(None, b, False), (b, None, True)]))
         rows = stack(systems)
     kept = [row for row in rows.int_rows() if any(row)]
     return Matrix(len(kept), n * n, m, [x for row in kept for x in row], rows.den if kept else 1)
@@ -363,7 +364,7 @@ def _first_split(report: StabilityReport):
         return None, None
     if not report.polystable:
         return invariant_subspace(gens), None
-    comm = commutant(gens, alg.ambient_n)
+    comm = commutant(gens)
     return invariant_subspace(gens, comm=comm), comm
 
 

@@ -16,12 +16,15 @@ its echelon.
 
 There is one integer product, ``_product``: it reads the left factor's
 numerators as stored, and the right factor b as the columns of zeta^s b,
-s < phi(m), from the echelon's ``_shifts``, kept on b as its inverse is
+s < phi(m), from ``scalars._shifts``, kept on b as its inverse is
 (``right_factor``).  ``@``, the spins (w g, and v^T g^T for a submodule),
 the MeatAxe and ``kernel``'s check run on it, with no multiplication table
-and no Matrix per word.  Linear conditions X -> sum L.X.R are written as
-one Matrix of coefficient rows by ``sandwich_rows`` alone, and blocks are
-written with ``Matrix.place`` and read with ``Matrix.submatrix``.
+and no Matrix per word.  Every linear condition is a sum of one-sided
+terms in a square unknown X, L X, L X^T or X R (an intertwiner b h - h a,
+or sigma's X b + b X^T), so each coefficient is one entry of a factor:
+``sandwich_rows`` alone writes them as one Matrix of coefficient rows by
+placing numerators, with no product.  Blocks are written with
+``Matrix.place`` and read with ``Matrix.submatrix``.
 
 There is one exact elimination, the incremental echelon ``_EchelonSet``,
 behind the spins, inverses, ranks, ``Subspace`` and ``linear_solve``; its
@@ -69,7 +72,7 @@ from typing import Optional
 from .modular import lift_kernel
 from .scalars import (
     _rational_text,
-    _reduction_terms,
+    _shifts,
     entry_text,
     euler_phi,
     inverse_numerators,
@@ -82,22 +85,6 @@ def _times(table: list, v: list, s: int, phi: int) -> list:
     """The entries of v from numerator s on, each multiplied by the element
     whose multiplication matrix is ``table``, flattened."""
     return [sum(map(mul, tc, v[t:t + phi])) for t in range(s, len(v), phi) for tc in table]
-
-
-def _shifts(row: list, m: int, phi: int) -> list:
-    """zeta^j row for j < phi = phi(m), each flattened as row is: zeta times
-    an entry moves its numerators up one place and folds the top one back
-    by Phi_m, in flat list passes."""
-    out, terms = [row], _reduction_terms(m)
-    for _ in range(phi - 1):
-        prev = out[-1]
-        tops = prev[phi - 1::phi]
-        nxt = prev[-1:] + prev[:-1]     # up one place; each entry's first is set below
-        nxt[::phi] = [0] * len(tops)
-        for j, cj in terms:
-            nxt[j::phi] = list(map(sub, nxt[j::phi], tops if cj == 1 else [cj * t for t in tops]))
-        out.append(nxt)
-    return out
 
 
 def _eliminate(v: list, dv: int, row: list, dr: int, s: int, phi: int, m: int, shifts=None):
@@ -575,64 +562,47 @@ def _echelon(a: Matrix) -> _EchelonSet:
     return ech
 
 
-def _nonzero(nums: list, start: int, step: int, count: int, phi: int) -> list:
-    """(i, numerators) of the nonzero entries start + i step, i < count, of
-    the entries with these numerators, phi per entry."""
-    spans = [(i, (start + i * step) * phi) for i in range(count)]
-    return [(i, nums[t:t + phi]) for i, t in spans if any(nums[t:t + phi])]
+def sandwich_rows(terms) -> Matrix:
+    """The coefficient rows of the linear map X -> sum over terms of L X,
+    L X^T or X R, X an n x n matrix of unknowns flattened row-major.
 
-
-def sandwich_rows(terms, rows: int, cols: int, m: int) -> Matrix:
-    """The coefficient rows of the linear map X -> sum over terms of L.X.R.
-
-    X is a rows x cols matrix of unknowns, flattened row-major.  A term is
-    (L, R, transposed); a transposed term contributes L.X^T.R.  L or R may be
-    None for the identity.  Returns a Matrix with one row per entry of the
-    result, in row-major order of the result, and one column per unknown.
-    Each factor's numerators are over its denominator, and the result's is
-    the lcm of the terms' products of these, so a coefficient is a sum of
-    integer products of numerators and no Scalar is made.  Zero entries of
-    L and R are skipped.
+    A term is (L, R, transposed) with exactly one factor, the other None,
+    and only a left factor transposed; every factor is n x n over one
+    field, and n and m are read off them.  Each coefficient is one entry of
+    the factor: row (i, c) of L X holds L_ij at unknown (j, c), at (c, j)
+    under the transpose, and row (c, j) of X R holds R_ij at unknown
+    (c, i).  So the factors' numerators are placed, over the lcm of their
+    denominators, and no product is formed.  Returns a Matrix with one row
+    per entry of the result, in row-major order, and one column per
+    unknown.
     """
+    if not terms or any((left is None) == (right is None) or left is None and transposed
+                        for left, right, transposed in terms):
+        raise ValueError("a constraint term is L X, L X^T or X R, with exactly one factor")
+    factors = [right if left is None else left for left, right, _ in terms]
+    n, m = factors[0].rows, factors[0].m
+    if any((f.rows, f.cols, f.m) != (n, n, m) for f in factors):
+        raise ValueError("constraint factors differ in shape or field")
     phi = euler_phi(m)
-    if any(f is not None and f.m != m for left, right, _ in terms for f in (left, right)):
-        raise ValueError(f"a factor of another field in a system over conductor {m}")
-    dens = [(1 if left is None else left.den) * (1 if right is None else right.den)
-            for left, right, _ in terms]
-    den = lcm(*dens)
-    row_len, out, shape = rows * cols * phi, None, None
-    for (left, right, transposed), d in zip(terms, dens):
-        # the sandwiched matrix is X or X^T; its entry (a, b) is unknown k(a, b)
-        inner_rows, inner_cols = (cols, rows) if transposed else (rows, cols)
-        height = inner_rows if left is None else left.rows
-        width = inner_cols if right is None else right.cols
-        if out is None:
-            out, shape = [0] * (height * width * row_len), (height, width)
-        elif shape != (height, width):
-            raise ValueError("sandwich terms have results of different shapes")
-        scale = den // d  # folded into the left factor
-        # per row r of L, its nonzero entries (a, x, the multiplication table
-        # of x, or None when x is rational); per column c of R, its nonzero
-        # entries (b, y), or (c, None) for the identity
-        lefts = [[(r, [scale] + [0] * (phi - 1))] if left is None else
-                 [(a, [scale * c for c in x])
-                  for a, x in _nonzero(left.nums, r * left.cols, 1, left.cols, phi)]
-                 for r in range(height)]
-        lefts = [[(a, x, multiplication_matrix(m, x) if any(x[1:]) else None) for a, x in line]
-                 for line in lefts]
-        rights = [[(c, None)] if right is None else _nonzero(right.nums, c, width, right.rows, phi)
-                  for c in range(width)]
-        for r in range(height):
-            for c in range(width):
-                base = (r * width + c) * row_len
-                for a, x, table in lefts[r]:
-                    for b, y in rights[c]:
-                        k = base + (b * cols + a if transposed else a * cols + b) * phi
-                        prod = x if y is None else [x[0] * z for z in y] if table is None \
-                            else [sum(map(mul, tc, y)) for tc in table]
-                        for t, z in enumerate(prod, k):
-                            out[t] += z
-    return _matrix(shape[0] * shape[1], rows * cols, m, out, den)
+    den = lcm(*[f.den for f in factors])
+    width = n * n * phi  # numerators per row, and per factor
+    out = [0] * (n * n * width)
+    for (left, _, transposed), f in zip(terms, factors):
+        scale = den // f.den
+        for t in range(0, width, phi):
+            x = f.nums[t:t + phi]
+            if not any(x):
+                continue
+            if scale != 1:
+                x = [scale * z for z in x]
+            i, j = divmod(t // phi, n)
+            for c in range(n):
+                if left is not None:
+                    k = (i * n + c) * width + (c * n + j if transposed else j * n + c) * phi
+                else:
+                    k = (c * n + j) * width + (c * n + i) * phi
+                out[k:k + phi] = map(add, out[k:k + phi], x)
+    return _matrix(n * n, n * n, m, out, den)
 
 
 class Subspace:
@@ -796,7 +766,9 @@ class Grading:
         self.weights = [tuple(int(w) for w in weight) for weight in weights]
         self.sizes = list(sizes)
         self.basis = basis
-        if basis.rows != basis.cols:
+        if len(self.sizes) != len(self.weights) or min(self.sizes, default=0) < 1:
+            raise ValueError("grading needs one nonempty piece per weight")
+        if basis.rows != basis.cols or sum(self.sizes) != basis.rows:
             raise ValueError("grading pieces do not have total dimension n")
         if len({len(w) for w in self.weights}) > 1:
             raise ValueError("grading weights have mixed lengths")

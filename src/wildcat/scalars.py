@@ -76,21 +76,27 @@ def _reduce(num: list, m: int) -> tuple:
     return tuple(num[:phi])
 
 
+def _shifts(row: list, m: int, phi: int) -> list:
+    """zeta^j row for j < phi = phi(m), each flattened as row is: zeta times
+    an entry moves its numerators up one place and folds the top one back
+    by Phi_m, in flat list passes."""
+    out, terms = [row], _reduction_terms(m)
+    for _ in range(phi - 1):
+        prev = out[-1]
+        tops = prev[phi - 1::phi]
+        nxt = prev[-1:] + prev[:-1]     # up one place; each entry's first is set below
+        nxt[::phi] = [0] * len(tops)
+        for j, cj in terms:
+            nxt[j::phi] = list(map(sub, nxt[j::phi], tops if cj == 1 else [cj * t for t in tops]))
+        out.append(nxt)
+    return out
+
+
 def multiplication_matrix(m: int, num) -> list:
     """Rows c of the integer matrix of x -> num * x on power-basis numerators:
     coefficient c of num * x is ``sum(map(mul, rows[c], x))``.  Column b is
-    num * zeta^b, each column zeta times the last, reduced by Phi_m."""
-    col = list(num)
-    cols = [col]
-    terms = _reduction_terms(m)
-    for _ in range(len(num) - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            for j, c in terms:
-                col[j] -= top * c
-        cols.append(col)
-    return list(zip(*cols))
+    num * zeta^b, the ``_shifts`` of num."""
+    return list(zip(*_shifts(list(num), m, len(num))))
 
 
 def inverse_numerators(m: int, num) -> tuple:

@@ -475,8 +475,8 @@ def _solve_commutator(rng, v: Matrix, n: int, m: int):
     """Find invertible a, b with a b a^-1 b^-1 = v, or raise _RetryError."""
     for _ in range(10):
         a = _random_block(rng, n, n, m, invertible=True)
-        # a b - v b a = 0, linear in b
-        ker = kernel(sandwich_rows([(a, None, False), (-v, a, False)], n, n, m))
+        # a b = v b a, linear in b: the intertwiners (v^-1 a) b - b a = 0
+        ker = kernel(sandwich_rows([(v.inverse() @ a, None, False), (None, -a, False)]))
         if ker.dim == 0:
             continue
         basis = ker.matrix

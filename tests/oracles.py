@@ -73,8 +73,12 @@ of the two:
   outside the allowed sheet blocks, with S - I built as a Matrix
   (``stokes._block_support_violation`` reads it off S entry by entry);
 * ``sandwich_rows_reference``: the L.X.R coefficient rows as Scalars, one
-  product per pair of entries (``sandwich_rows`` builds integer rows over
-  one denominator);
+  product per pair of entries, for two-sided and rectangular terms too
+  (``sandwich_rows`` takes one-sided square terms, L X, L X^T or X R, and
+  places each factor's numerators over one denominator, with no product);
+  ``intertwiners``, the Hom space between two modules of any dimensions,
+  solves its rows by ``exact_kernel`` (the library solves only the square
+  case, the commutant, through ``intertwiner_rows``);
 * ``exact_kernel``: the null space of a Matrix by exact elimination on
   ``linalg._EchelonSet`` integer rows, then the echelon of the free
   columns' vectors (``linalg.kernel`` solves modulo primes, lifts the
@@ -501,6 +505,15 @@ def sandwich_rows_reference(terms, rows: int, cols: int, m: int) -> list:
                         k = b * cols + a if transposed else a * cols + b
                         row[k] = row[k] + x * y
     return out
+
+
+def intertwiners(acts_a, acts_b, da: int, db: int, m: int) -> list:
+    """Echelon basis of the db x da matrices h with b h = h a for every pair
+    (a, b) of actions, from the rows of ``sandwich_rows_reference`` solved by
+    ``exact_kernel``; there is at least one pair."""
+    rows = [row for ga, gb in zip(acts_a, acts_b)
+            for row in sandwich_rows_reference([(gb, None, False), (None, -ga, False)], db, da, m)]
+    return exact_kernel(build(rows, m)).matrices(db, da)
 
 
 def kernel_reference(rows, width: int, m: int) -> list:
@@ -950,7 +963,7 @@ def commutant_radical_dim(p: FramedPoint) -> int:
     homogenes de Stein des groupes de Lie complexes", Nagoya Math. J. 1960)."""
     if not p.is_untwisted():
         raise ValueError("the commutant is the stabilizer's algebra only without a sigma twist")
-    return radical_trace(spin_algebra(commutant(galois_generators(normalize_point(p)), p.n))).dim
+    return radical_trace(spin_algebra(commutant(galois_generators(normalize_point(p))))).dim
 
 
 def is_prime(q: int) -> bool:

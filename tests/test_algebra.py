@@ -17,7 +17,6 @@ from wildcat.algebra import (
     commutant,
     decompose_irreducibles,
     factor_over_field,
-    intertwiners,
     invariant_complement,
     invariant_subspace,
     minimal_polynomial,
@@ -42,6 +41,7 @@ from oracles import (
     from_coeffs,
     from_entries,
     from_vectors,
+    intertwiners,
     is_closed,
     mul_vector,
     nilpotency_index,
@@ -76,7 +76,7 @@ def levi_blocks(gens):
     modules, JC lies in JV and in C, so JC = 0 and JV = J(JV) + JC = J^2 V,
     hence JV = J^k V = 0 for J nilpotent, against JV != 0.
     """
-    comm = commutant(gens, gens[0].rows)
+    comm = commutant(gens)
     return decompose_irreducibles(gens, invariant_subspace(gens), comm)
 
 
@@ -459,7 +459,7 @@ def test_a_commutant_basis_element_splits_a_module_with_two_isotypic_components(
     # the invariant_subspace docstring: a commutant basis that splits
     # nothing makes the module isotypic, so here some basis element splits
     g, n, m = case
-    assert any(_split_by_element(b, n, m) is not None for b in commutant([g], n))
+    assert any(_split_by_element(b, n, m) is not None for b in commutant([g]))
 
 
 class TestDecomposition:
@@ -490,7 +490,7 @@ class TestDecomposition:
         # non-isomorphic (E11 acts by 1 and 0), the extension does not split
         # and the commutant is the scalars, so only the radical shows it
         gens = [build([[2, 1], [0, 3]]), build([[1, 0], [0, 2]])]
-        assert len(commutant(gens, 2)) == 1
+        assert len(commutant(gens)) == 1
         with pytest.raises(NotSemisimpleError):
             levi_blocks(gens)
 
@@ -510,7 +510,7 @@ class TestDecomposition:
     def test_invariant_complement(self):
         gens = [build([[2, 0], [0, 3]])]
         sub = from_vectors(2, [(1, 0)])
-        comp = invariant_complement(commutant(gens, 2), sub)
+        comp = invariant_complement(commutant(gens), sub)
         assert comp == from_vectors(2, [(0, 1)])
 
     def test_a_complement_that_is_not_unique_is_the_one_of_the_full_solve(self):
@@ -522,7 +522,7 @@ class TestDecomposition:
         sub = from_vectors(3, [(1, 1, 0)])
         other = from_vectors(3, [(1, 0, 0), (0, 0, 1)])
         assert all(contains(other, mul_vector(g, v)) for g in gens for v in scalar_basis(other))
-        comp = invariant_complement(commutant(gens, 3), sub)
+        comp = invariant_complement(commutant(gens), sub)
         assert comp == from_vectors(3, [(0, 1, 0), (0, 0, 1)]) != other
         assert comp.to_json() == complement_reference(gens, sub).to_json()
 
@@ -532,7 +532,7 @@ class TestDecomposition:
         # byte for byte, where the complement is not unique too: the solve
         # in the commutant's coordinates picks the n^2-unknown solve's one
         gens, sub = case
-        comp = invariant_complement(commutant(gens, sub.ambient_dim), sub)
+        comp = invariant_complement(commutant(gens), sub)
         assert comp.to_json() == complement_reference(gens, sub).to_json()
         assert comp.dim == sub.ambient_dim - sub.dim
 
@@ -662,7 +662,7 @@ class TestPolynomialTools:
         assert poly_product([list(entries(fc)) for fc, e in factors for _ in range(e)], m) == p
 
     def test_commutant_of_irreducible_is_scalars(self):
-        assert len(commutant([SWAP, DIAG], 2)) == 1
+        assert len(commutant([SWAP, DIAG])) == 1
 
     def test_restrict_matrix(self):
         g = build([[2, 0], [0, 3]])
@@ -682,7 +682,7 @@ class TestPolynomialTools:
     def test_restrict_matrix_matches_the_solve_route(self, case):
         # R read at the pivots is the one solution of B R = g B
         gens, sub = case
-        for s in (sub, invariant_complement(commutant(gens, sub.ambient_dim), sub)):
+        for s in (sub, invariant_complement(commutant(gens), sub)):
             cols = build(scalar_basis(s)).transpose()
             assert kernel(cols).dim == 0
             for g in gens:

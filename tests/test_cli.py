@@ -310,6 +310,56 @@ def test_every_failure_row_has_a_case():
     assert {kind.__name__ for kind in cli._FAILURES} == {case[0] for case in FAILURE_CASES}
 
 
+def one_circle(*coeffs):
+    """TWO_CIRCLE with its first circle's coefficients replaced."""
+    circles = [{"ram": 1, "coeffs": list(coeffs), "multiplicity": 1},
+               TWO_CIRCLE["stokes"]["punctures"][0]["circles"][1]]
+    return dict(TWO_CIRCLE, stokes=dict(TWO_CIRCLE["stokes"], punctures=[{"circles": circles}]))
+
+
+def graded(*gradings):
+    """A loopless n = 2 tuple document with these gradings, each a list of
+    (weight, basis) pieces, and no connector."""
+    return {"field": 1, "mode": "tuple", "tuple": {"n": 2, "gradings": [
+        [{"weight": weight, "basis": basis} for weight, basis in pieces] for pieces in gradings]}}
+
+
+UNIT_PIECES = [([0], [["1", "0"]]), ([1], [["0", "1"]])]
+CIRCLE_PATH = "stokes.punctures[0].circles[0]"
+
+# error paths that no other test, no bench self-test and no workload round
+# reaches, each one edit away from a valid document: (command, document,
+# exit code, its message on stderr, or its violations in the machine output)
+NEAR_MISSES = [
+    ("verify", one_circle([0, "1"]), 2, f"{CIRCLE_PATH}: exponents must be >= 1"),
+    ("verify", one_circle([1, "1"], [1, "2"]), 2, f"{CIRCLE_PATH}: repeated exponent in circle"),
+    ("verify", one_circle([1, "0"]), 2, f"{CIRCLE_PATH}: zero coefficient in circle"),
+    ("verify", dict(TWO_CIRCLE, stokes=dict(TWO_CIRCLE["stokes"], n=3)), 2,
+     "stokes: irregular class of rank 2 at a rank-3 puncture"),
+    ("analyze", graded(UNIT_PIECES, UNIT_PIECES), 2, "tuple: need exactly m-1 connectors"),
+    ("analyze", graded([([0], [["1", "0"]]), ([0, 1], [["0", "1"]])]), 2,
+     "tuple.gradings[0]: grading weights have mixed lengths"),
+    ("analyze", graded(UNIT_PIECES[:1]), 2,
+     "tuple.gradings[0]: grading pieces do not have total dimension n"),
+    ("verify", dict(TWO_CIRCLE, candidate=dict(IDENTITY_CANDIDATE, h1=[["1"] * 3] * 3)), 1,
+     ["h1: expected a 2x2 matrix"]),
+    ("verify", dict(TWO_CIRCLE, candidate=dict(IDENTITY_CANDIDATE, h1=[["0"] * 2] * 2)), 1,
+     ["h1: matrix is not invertible"]),
+]
+
+
+@pytest.mark.parametrize("command, doc, code, expected", NEAR_MISSES,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(NEAR_MISSES)])
+def test_near_miss_documents_end_in_their_message(tmp_path, capsys, command, doc, code, expected):
+    path = write(tmp_path, "doc.json", doc)
+    assert run_command([command, "--instance", path, "--format", "machine"]) == code
+    out, err = capsys.readouterr()
+    if isinstance(expected, list):
+        assert err == "" and json.loads(out)["violations"] == expected
+    else:
+        assert (out, err) == ("", expected + "\n")
+
+
 def test_a_fault_building_a_verified_point_escapes(tmp_path, monkeypatch):
     # only a candidate that fails verification exits 1; a ValueError raised
     # while the verified candidate is assembled is a fault, not a verdict

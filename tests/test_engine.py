@@ -13,7 +13,6 @@ from wildcat.algebra import (
     NotSemisimpleError,
     commutant,
     intertwiner_rows,
-    intertwiners,
     invariant_complement,
     invariant_subspace,
     minimal_polynomial,
@@ -40,6 +39,7 @@ from wildcat.linalg import Grading, Matrix, Subspace, kernel
 from wildcat.modular import _modulus
 from wildcat.scalars import Scalar, euler_phi
 
+from conftest import hypergeometric_points
 from test_algebra import semisimple_modules
 from test_linalg import echelon_inputs
 
@@ -48,6 +48,7 @@ from oracles import (
     build,
     commutant_radical_dim,
     complement_reference,
+    contains,
     entries,
     exact_kernel,
     from_coeffs,
@@ -55,7 +56,9 @@ from oracles import (
     from_pieces,
     from_vectors,
     galois_generators_reference,
+    intertwiners,
     minimal_polynomial_left,
+    mul_vector,
     pieces_of,
     plain,
     promote_scalar,
@@ -268,8 +271,8 @@ class TestStable:
         lower = build([[1, 0, 0, 0], [1, 1, 0, 0], [0, -1, 1, 0], [2, 0, 1, 1]])
         p = lower @ lower.transpose()
         g = p @ Matrix.zero(4, 4).place(0, 0, rot).place(2, 2, rot) @ p.inverse()
-        comm = commutant([g], 4)
-        assert len(comm) == 8 and len(commutant([g] + comm, 4)) == 2
+        comm = commutant([g])
+        assert len(comm) == 8 and len(commutant([g] + comm)) == 2
         assert any(algebra._split_by_element(b, 4, 1) is not None for b in comm)
         rep = is_stable(simple_point([plain(g)], n=4))
         assert rep.polystable and not rep.stable and rep.stabilizer_dim == 8
@@ -612,6 +615,22 @@ def test_a_radical_in_the_commutant_proves_non_polystability_and_none_proves_not
     assert not is_polystable(borel).polystable and commutant_radical_dim(borel) == 0
 
 
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(hypergeometric_points())
+def test_a_hypergeometric_pair_is_stable_iff_no_parameter_coincides(case):
+    # the closed-form verdict (conftest.hypergeometric_points): irreducible
+    # over C, hence stable, iff no alpha_j = beta_k; on a coincidence the
+    # witness is a proper subspace that both loops keep
+    p, alpha, beta = case
+    rep = is_stable(p)
+    assert rep.stable == (not set(alpha) & set(beta))
+    if not rep.stable:
+        witness = rep.invariant_subspace_witness
+        assert witness is not None and 0 < witness.dim < p.n
+        assert all(contains(witness, mul_vector(loop.g, v))
+                   for loop in p.loops for v in scalar_basis(witness))
+
+
 def hom_sum(gens, blocks) -> int:
     """The sum of dim Hom(B_j, B_i) over all pairs of the blocks B_i."""
     m = gens[0].m
@@ -629,7 +648,7 @@ def test_complements_of_a_repeated_class_match_the_completed_basis_route(parts):
     p, blocks = parts
     assume(p.is_untwisted())
     gens = galois_generators(normalize_point(p))
-    comm = commutant(gens, p.n)
+    comm = commutant(gens)
     for block in blocks:
         reference = complement_reference(gens, block)
         if reference is None:
@@ -663,9 +682,9 @@ def test_the_right_spins_match_the_left_spins(case):
     reference = complement_reference(gens, sub)
     if reference is None:
         with pytest.raises(NotSemisimpleError):
-            invariant_complement(commutant(gens, n), sub)
+            invariant_complement(commutant(gens), sub)
     else:
-        assert invariant_complement(commutant(gens, n), sub).to_json() == reference.to_json()
+        assert invariant_complement(commutant(gens), sub).to_json() == reference.to_json()
 
 
 # diag(2, 2, 3) behind a basis change: three lines, two of them isomorphic
@@ -699,7 +718,7 @@ def test_certified_stabilizer_matches_exact_solve(p):
     if rep.polystable:
         # a search handed the commutant skips the radical: same answer
         gens = galois_generators(normalize_point(p))
-        comm = commutant(gens, gens[0].rows)
+        comm = commutant(gens)
         assert invariant_subspace(gens, comm=comm) == invariant_subspace(gens)
     if rep.invariant_subspace_witness is not None or (
             p.is_untwisted() and p.m == 1 and p.gradings[0].is_trivial() and p.loops):
@@ -720,7 +739,7 @@ def test_weight_operators_span_the_weight_projectors(p):
     gens = galois_generators(pn)
     reference = galois_generators_reference(pn) + [Matrix.identity(n, pn.conductor())]
     assert spin_algebra(gens).rows == spin_algebra(reference).rows
-    assert commutant(gens, n) == commutant(reference, n)
+    assert commutant(gens) == commutant(reference)
 
 
 def test_stabilizer_rows_drop_zero_rows():
@@ -866,7 +885,7 @@ class TestOneAnalysis:
         # each with the one commutant that also solves its complement; the
         # 2-dimensional block is certified M_2(Q), and the stabilizer is
         # dim E = 3, with no Hom system outside the commutants
-        names = ["commutant", "intertwiners", "invariant_subspace", "invariant_complement"]
+        names = ["commutant", "intertwiner_rows", "invariant_subspace", "invariant_complement"]
         counts = self.counted(monkeypatch, names)
         basis = build([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         loops = [plain(basis @ g @ basis.inverse()) for g in (
@@ -876,7 +895,7 @@ class TestOneAnalysis:
         assert [b.dim for b in rep.levi_decomposition] == [1, 1, 2]
         assert rep.invariant_subspace_witness.dim == 3
         assert (rep.polystable, rep.stable, rep.stabilizer_dim) == (True, False, 3)
-        assert counts == {"commutant": 2, "intertwiners": 2, "invariant_subspace": 2,
+        assert counts == {"commutant": 2, "intertwiner_rows": 2, "invariant_subspace": 2,
                           "invariant_complement": 2}
 
     def test_full_algebra_is_not_searched(self, monkeypatch):
@@ -1004,12 +1023,6 @@ class TestOneAnalysis:
                 simple_point([loop])
 
 
-def commutant_system(gens) -> Matrix:
-    """The commutant rows of the generators (``intertwiner_rows``)."""
-    n, m = gens[0].rows, gens[0].m
-    return intertwiner_rows(gens, gens, n, n, m)
-
-
 def row_multiples(system: Matrix) -> Matrix:
     """The system with row i given as i + 1 times its numerators, over
     denominator 1, as the library writes some of its systems: each row
@@ -1035,7 +1048,7 @@ def kernel_systems(draw):
             gens = galois_generators(normalize_point(draw(block_points(m))))
         else:
             gens, _ = draw(semisimple_modules())
-        system = commutant_system(gens)
+        system = intertwiner_rows(gens, gens)
     return row_multiples(system) if draw(st.booleans()) else system
 
 

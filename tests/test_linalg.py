@@ -302,6 +302,15 @@ def test_weight_operator_has_each_piece_as_an_eigenspace(g):
 
 
 class TestWeightProjectors:
+    @pytest.mark.parametrize("weights, sizes", [
+        ([(0,), (1,)], [1]),      # two weights, one piece
+        ([(0,), (1,)], [1, 2]),   # pieces of total dimension 3 in K^2
+        ([(0,), (1,)], [2, 0]),   # an empty piece
+    ])
+    def test_inconsistent_pieces_are_refused(self, weights, sizes):
+        with pytest.raises(ValueError, match="grading"):
+            Grading(weights, sizes, Matrix.identity(2))
+
     def test_coordinate_grading(self):
         g = from_pieces(2, [((1,), [(1, 0)]), ((0,), [(0, 1)])])
         p = projectors(g)
@@ -548,30 +557,43 @@ def matrices(draw, m, rows, cols):
 @settings(max_examples=40)
 @given(st.data())
 def test_sandwich_rows_match_products(data):
+    # one-sided square terms, L X, L X^T and X R: each coefficient is an
+    # entry of the factor, placed over the lcm of the denominators
     m = data.draw(st.sampled_from([1, 4, 5]))
-    rows, cols, height, width = (data.draw(st.integers(1, 3)) for _ in range(4))
-    x = data.draw(matrices(m, rows, cols))
+    n = data.draw(st.integers(1, 4))
+    x = data.draw(matrices(m, n, n))
     terms = []
-    total = Matrix.zero(height, width, m)
+    total = Matrix.zero(n, n, m)
     for _ in range(data.draw(st.integers(1, 3))):
-        transposed = data.draw(st.booleans())
+        on_left = data.draw(st.booleans())
+        transposed = on_left and data.draw(st.booleans())
+        factor = data.draw(matrices(m, n, n))
         inner = x.transpose() if transposed else x
-        left = data.draw(matrices(m, height, inner.rows))
-        right = data.draw(matrices(m, inner.cols, width))
-        if height == inner.rows and data.draw(st.booleans()):
-            left = None  # the identity
-        if inner.cols == width and data.draw(st.booleans()):
-            right = None
-        terms.append((left, right, transposed))
-        total = total + (inner if left is None else left @ inner) @ \
-            (Matrix.identity(width, m) if right is None else right)
-    coeffs = sandwich_rows(terms, rows, cols, m)
+        terms.append((factor, None, transposed) if on_left else (None, factor, transposed))
+        total = total + (factor @ inner if on_left else inner @ factor)
+    coeffs = sandwich_rows(terms)
     assert_canonical(coeffs)
-    assert (coeffs.rows, coeffs.cols, coeffs.m) == (height * width, rows * cols, m)
+    assert (coeffs.rows, coeffs.cols, coeffs.m) == (n * n, n * n, m)
     # the coefficient rows are the Scalar rows, entry by entry
     assert [list(scalar_row(coeffs, i)) for i in range(coeffs.rows)] == \
-        sandwich_rows_reference(terms, rows, cols, m)
-    assert coeffs @ x.reshape(rows * cols, 1) == total.reshape(height * width, 1)
+        sandwich_rows_reference(terms, n, n, m)
+    assert coeffs @ x.reshape(n * n, 1) == total.reshape(n * n, 1)
+
+
+I2 = Matrix.identity(2)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([], "exactly one factor"),
+    ([(None, None, False)], "exactly one factor"),
+    ([(I2, I2, False)], "exactly one factor"),
+    ([(None, I2, True)], "exactly one factor"),   # X^T R
+    *(([(I2, None, False), (None, other, False)], "differ in shape or field")
+      for other in (Matrix.identity(3), Matrix.identity(2, 5), Matrix.zero(2, 3))),
+])
+def test_sandwich_rows_take_one_sided_square_terms_of_one_field(terms, message):
+    with pytest.raises(ValueError, match=message):
+        sandwich_rows(terms)
 
 
 @settings(max_examples=60)

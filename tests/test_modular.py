@@ -45,10 +45,10 @@ def small_modulus(m):
     return _prime_and_root(m, _SMALL_PRIME_FLOOR, True)
 
 
-def commutant_rows(gens, n, m):
+def commutant_rows(gens):
     """The coefficient rows of x g = g x for every generator, as one Matrix:
     kernel dimension = dim commutant."""
-    return stack([sandwich_rows([(None, g, False), (-g, None, False)], n, n, m) for g in gens])
+    return stack([sandwich_rows([(None, g, False), (-g, None, False)]) for g in gens])
 
 
 @st.composite
@@ -78,7 +78,7 @@ def test_packed_certificates_match_the_list_reference(case):
     gens, n, m = case
     full = _spans_full_mod_p(gens, n, m)
     assert oracles.spans_full_mod_p(gens, n, m) or not full  # True is a proof
-    rows = commutant_rows(gens, n, m).int_rows()
+    rows = commutant_rows(gens).int_rows()
     bound = kernel_dim_mod_p(rows, n * n, m)
     assert bound == oracles.kernel_dim_mod_p(rows, n * n, m)
     if full:
@@ -310,7 +310,7 @@ class TestFixedCases:
         gens = [oracles.build([[1, 0], [0, 1 + p]]), SWAP]  # mod p: I and SWAP
         assert not oracles.spans_full_mod_p(gens, 2, 1)
         assert _spans_full_mod_p(gens, 2, 1)  # Norton's test at q is not fooled
-        rows = commutant_rows(gens, 2, 1)
+        rows = commutant_rows(gens)
         ints = rows.int_rows()
         assert kernel_dim_mod_p(ints, 4, 1) == oracles.kernel_dim_mod_p(ints, 4, 1) == 2
         assert kernel(rows).dim == 1
@@ -323,7 +323,7 @@ class TestFixedCases:
         assert not oracles.spans_full_mod_p(gens, 2, 5)
         assert _spans_full_mod_p(gens, 2, 5)  # Norton's test at q is not stopped by p
         # the integer rows have no denominator, so the bound still holds
-        rows = commutant_rows(gens, 2, 5)
+        rows = commutant_rows(gens)
         ints = rows.int_rows()
         bound = kernel_dim_mod_p(ints, 4, 5)
         assert bound == oracles.kernel_dim_mod_p(ints, 4, 5)
@@ -565,7 +565,7 @@ class TestLiftedKernel:
                                for j in range(n)] for i in range(n)])
         p = lower @ lower.transpose()
         gens = [p @ g @ p.inverse() for g in gens]
-        ker, primes = self.walk(monkeypatch, commutant_rows(gens, n, 1))
+        ker, primes = self.walk(monkeypatch, commutant_rows(gens))
         assert ker.dim == 3 and len(primes) >= 2
         basis = oracles.scalar_basis(ker)
         assert max(max(abs(c) for c in x.num) for row in basis for x in row) >= 1 << 15 or \
